@@ -6,23 +6,23 @@ over integer configurations, JSONL stream plus summary), stable-line
 (the stable tropical line through two points).
 
 Exit codes: 0 success or sweep verified, 1 a mathematical invariant was
-violated (the counterexample is printed), 2 usage or input error.
+violated (the counterexample is printed), 2 usage or input error,
+including files that cannot be read or written. No environment variable
+changes the behaviour; --jobs alone sets the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
 from . import kernel
 from .errors import InputFormatError, TilingFailure, TroplinesError
-from .incidence import dualize_points, stable_line_two_points
+from .incidence import cramer_stable_line, dualize_points
 from .lines import Point2
 from .rationals import Rational
-from .semiring import TropMatrix2x3, cramer_stable_solution
 from .serialize import (
     analyze_report,
     load_input,
@@ -57,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ve.add_argument("--range", type=int, dest="coord_range",
                       help="coordinate box half-width for random mode")
     p_ve.add_argument("--seed", type=int, default=0, help="random mode seed")
-    p_ve.add_argument("--jobs", type=int, default=None,
-                      help="worker processes (default: TROPLINES_JOBS or 1)")
+    p_ve.add_argument("--jobs", type=int, default=1,
+                      help="worker processes (default: 1)")
     p_ve.add_argument("--jsonl", help="write one result line per configuration here")
 
     p_sl = sub.add_parser("stable-line", help="stable line through two points")
@@ -128,10 +128,6 @@ def cmd_verify(args) -> int:
                       seed=args.seed)
     params = SweepParams(n=args.n, mode=mode)
 
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("TROPLINES_JOBS", "1"))
-
     stream = open(args.jsonl, "w", encoding="utf-8") if args.jsonl else None
     try:
         sink = None
@@ -139,7 +135,7 @@ def cmd_verify(args) -> int:
             def sink(index, config, excess, violations):
                 stream.write(sweep_line_json(index, config, excess, violations))
                 stream.write("\n")
-        report = run_sweep(params, jobs=jobs, sink=sink)
+        report = run_sweep(params, jobs=args.jobs, sink=sink)
     finally:
         if stream is not None:
             stream.close()
@@ -165,11 +161,8 @@ def cmd_verify(args) -> int:
 def cmd_stable_line(args) -> int:
     p1 = _parse_cli_point(args.p1, "--p1")
     p2 = _parse_cli_point(args.p2, "--p2")
-    line = stable_line_two_points(p1, p2)
-    o1, o2, o3 = cramer_stable_solution(
-        TropMatrix2x3((p1.x, p1.y, 0), (p2.x, p2.y, 0))
-    )
-    coeffs = " : ".join(_fmt_rational(o) for o in (o1, o2, o3))
+    triple, line = cramer_stable_line(p1, p2)
+    coeffs = " : ".join(_fmt_rational(o) for o in triple)
     vx, vy = line.vertex
     print(f"coefficients ({coeffs}), vertex ({_fmt_rational(vx)}, {_fmt_rational(vy)})")
     return 0
@@ -211,7 +204,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

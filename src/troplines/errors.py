@@ -12,10 +12,6 @@ class TroplinesError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InfiniteEntry(TroplinesError):
-    """A tropical matrix entry was -infinity where finiteness is required."""
-
-
 class EqualPoints(TroplinesError):
     """Two points that must be distinct coincide."""
 

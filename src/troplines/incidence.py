@@ -147,8 +147,11 @@ def ordinary_stable_lines(cfg: PointConfig) -> List[StableLineRecord]:
     return [r for r in stable_lines_through(cfg) if len(r.incident) == 2]
 
 
-def stable_line_two_points(p1: Point2, p2: Point2) -> TropicalLine:
-    """The stable line through two points, by the tropical Cramer rule.
+def cramer_stable_line(
+    p1: Point2, p2: Point2
+) -> Tuple[Tuple[Rational, Rational, Rational], TropicalLine]:
+    """The Cramer triple (|O1| : |O2| : |O3|) of the two-point system and
+    the stable line it gives.
 
     The 2x3 system has rows (p.x, p.y, 0); the three signed minors (each
     a 2x2 tropical permanent) give the line's coefficients, and the
@@ -165,7 +168,12 @@ def stable_line_two_points(p1: Point2, p2: Point2) -> TropicalLine:
     assert contains(line, p1) and contains(line, p2), (
         f"Cramer line {line.vertex} misses an input point {tuple(p1)}, {tuple(p2)}"
     )
-    return line
+    return (o1, o2, o3), line
+
+
+def stable_line_two_points(p1: Point2, p2: Point2) -> TropicalLine:
+    """The stable line through two points, by the tropical Cramer rule."""
+    return cramer_stable_line(p1, p2)[1]
 
 
 def dbe_check(cfg: PointConfig) -> DbeVerdict:

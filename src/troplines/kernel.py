@@ -1,19 +1,20 @@
 """Backend selection for per-configuration analysis.
 
 Verification sweeps call analyze() here instead of the pure routine in
-troplines.analysis. When the compiled extension built from
-_fastsweep.pyx is importable and the configuration fits its limits
-(integer coordinates, at most 16 points, magnitude at most 2**20) the
-compiled kernel handles the call; anything else, and every call when the
-environment variable TROPLINES_PURE is set to 1, goes to the pure-Python
-implementation. Both produce the same analysis record, which the test
-suite enforces by direct comparison.
+troplines.analysis. kernel_pairs() is the one eligibility rule: a
+configuration fits the compiled kernel built from _fastsweep.pyx when it
+has at most 16 points with integer coordinates of magnitude at most
+2**20. When the extension is importable, eligible configurations go to
+it and everything else to the pure-Python implementation; without the
+extension every call is pure. Both produce the same analysis record,
+which the test suite enforces by direct comparison. The pure reference
+stays callable directly as troplines.analysis.analyze_config.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
+from typing import List, Optional, Tuple
 
 from .analysis import analyze_config
 from .incidence import PointConfig, ordinary_stable_lines
@@ -21,18 +22,10 @@ from .incidence import PointConfig, ordinary_stable_lines
 COORD_LIMIT = 1 << 20
 MAX_KERNEL_POINTS = 16
 
-
-def _load_compiled():
-    if os.environ.get("TROPLINES_PURE") == "1":
-        return None
-    try:
-        from . import _fastsweep
-    except ImportError:
-        return None
-    return _fastsweep
-
-
-_COMPILED = _load_compiled()
+try:
+    from . import _fastsweep as _COMPILED
+except ImportError:
+    _COMPILED = None
 
 
 def backend_name() -> str:
@@ -40,9 +33,13 @@ def backend_name() -> str:
     return "pure" if _COMPILED is None else "compiled"
 
 
-def _as_int_pairs(cfg: PointConfig):
-    """The points as plain int tuples, or None if any coordinate is a
-    non-integer rational or outside the kernel's bounds."""
+def kernel_pairs(cfg: PointConfig) -> Optional[List[Tuple[int, int]]]:
+    """The points as plain int tuples when the kernel's limits admit the
+    configuration, or None when it has more than MAX_KERNEL_POINTS points,
+    a non-integer coordinate, or one beyond COORD_LIMIT in magnitude.
+    Whether the extension is built plays no part."""
+    if cfg.v > MAX_KERNEL_POINTS:
+        return None
     pairs = []
     for p in cfg.points:
         x, y = p.x, p.y
@@ -62,25 +59,16 @@ def _as_int_pairs(cfg: PointConfig):
     return pairs
 
 
-def kernel_eligible(cfg: PointConfig) -> bool:
-    if _COMPILED is None or cfg.v > MAX_KERNEL_POINTS:
-        return False
-    return _as_int_pairs(cfg) is not None
-
-
 def analyze(cfg: PointConfig) -> dict:
     """The analysis record for cfg, from whichever backend applies."""
-    if _COMPILED is not None and cfg.v <= MAX_KERNEL_POINTS:
-        pairs = _as_int_pairs(cfg)
-        if pairs is not None:
-            return _COMPILED.analyze_ints(pairs)
+    if _COMPILED is not None and (pairs := kernel_pairs(cfg)) is not None:
+        return _COMPILED.analyze_ints(pairs)
     return analyze_config(cfg)
 
 
 def has_ordinary_line(cfg: PointConfig) -> bool:
     """True iff some stable line passes through exactly two points."""
-    if _COMPILED is not None and 2 <= cfg.v <= MAX_KERNEL_POINTS:
-        pairs = _as_int_pairs(cfg)
-        if pairs is not None:
-            return _COMPILED.has_ordinary_line(pairs)
+    # below two points the pure route raises TooFewPoints
+    if _COMPILED is not None and cfg.v >= 2 and (pairs := kernel_pairs(cfg)) is not None:
+        return _COMPILED.has_ordinary_line(pairs)
     return len(ordinary_stable_lines(cfg)) > 0

@@ -26,7 +26,7 @@ import enum
 from typing import FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import EqualPoints, IdenticalLines, NotTransversal
-from .rationals import Rational, exact_div
+from .rationals import Rational
 
 
 class Point2(NamedTuple):
@@ -149,9 +149,11 @@ def _ray_crossing(v: Point2, d: Point2, w: Point2, e: Point2) -> Optional[Point2
     denom = cross(d, e)
     if denom == 0:
         return None
+    # any two distinct directions among W, S and NE have cross product
+    # +1 or -1, so dividing by denom is multiplying by it
     delta = w - v
-    t = exact_div(cross(delta, e), denom)
-    s = exact_div(cross(delta, d), denom)
+    t = cross(delta, e) * denom
+    s = cross(delta, d) * denom
     if t < 0 or s < 0:
         return None
     return v + d.scale(t)

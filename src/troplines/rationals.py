@@ -1,13 +1,11 @@
-"""Exact rational scalars and their JSON form.
+"""The exact scalar type.
 
 All geometry in this package is exact. Scalars are plain ``int`` or
-``fractions.Fraction``; no floats enter the kernel. Fraction already
+``fractions.Fraction``; no floats enter the pipeline. Fraction already
 maintains the invariants the rest of the code relies on (lowest terms,
-positive denominator), so there is no wrapper class, only conversion
-helpers.
-
-JSON form: integers serialize as bare JSON numbers, everything else as a
-string "p/q". Both forms (plus strings like "3") are accepted on input.
+positive denominator), so there is no wrapper class. The one JSON codec
+for scalars (an int, or a "p/q" string) is serialize.parse_rational and
+serialize.rational_to_json.
 """
 
 from __future__ import annotations
@@ -16,52 +14,3 @@ from fractions import Fraction
 from typing import Union
 
 Rational = Union[int, Fraction]
-
-
-def as_rational(value) -> Rational:
-    """Coerce ints, Fractions and "p/q" strings to an exact scalar.
-
-    Fractions with denominator 1 collapse to int so that integer inputs
-    stay on the integer fast path end to end.
-    """
-    if isinstance(value, bool):
-        raise ValueError("booleans are not rational scalars")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else value
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            frac = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
-        return int(frac) if frac.denominator == 1 else frac
-    if isinstance(value, float):
-        raise ValueError(
-            f"refusing float {value!r}: the pipeline is exact, pass an int or 'p/q'"
-        )
-    raise ValueError(f"not a rational: {value!r}")
-
-
-def exact_div(num: Rational, den: Rational) -> Rational:
-    """Exact division; the result collapses to int when integral."""
-    result = Fraction(num) / Fraction(den)
-    if result.denominator == 1:
-        return int(result)
-    return result
-
-
-def rational_to_json(value: Rational):
-    """Bare int for integers, "p/q" string otherwise."""
-    if isinstance(value, int):
-        return value
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def rational_str(value: Rational) -> str:
-    """Human-readable exact form, e.g. "-7/2" or "3"."""
-    json_form = rational_to_json(value)
-    return str(json_form)

@@ -1,10 +1,9 @@
-"""Max-plus (tropical) semiring primitives.
+"""Max-plus (tropical) arithmetic on exact finite scalars.
 
-The semiring is (R ∪ {-inf}, max, +): tropical addition is max, tropical
-multiplication is ordinary addition. NEG_INF is the additive identity and
-the multiplicative absorber. Scalars are exact (int or Fraction); the
-geometric layers reject NEG_INF at their boundaries because tropical lines
-have full support, but the semiring itself supports it.
+Tropical addition is max, tropical multiplication is ordinary addition.
+Scalars are exact (int or Fraction) and always finite: tropical lines
+have full support, so no entry the library builds is -inf, and the
+semiring carries no tropical zero.
 
 The only linear algebra needed downstream is the 2x2 tropical permanent
 and the stable solution of a 2x3 system, which is the projective triple of
@@ -13,72 +12,24 @@ the three 2x2 permanent minors. General n x n permanents are out of scope.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Tuple
 
-from .errors import InfiniteEntry
 from .rationals import Rational
 
 
-class _NegInfinity:
-    """Singleton for the tropical zero. Orders below every rational."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "-inf"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("troplines.NEG_INF")
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
-
-NEG_INF = _NegInfinity()
-
-TropScalar = Union[Rational, _NegInfinity]
-
-
-def is_finite(a: TropScalar) -> bool:
-    return a is not NEG_INF
-
-
-def trop_add(a: TropScalar, b: TropScalar) -> TropScalar:
+def trop_add(a: Rational, b: Rational) -> Rational:
     """Tropical sum a ⊕ b = max(a, b)."""
-    if a is NEG_INF:
-        return b
-    if b is NEG_INF:
-        return a
     return a if a >= b else b
 
 
-def trop_mul(a: TropScalar, b: TropScalar) -> TropScalar:
-    """Tropical product a ⊙ b = a + b, with NEG_INF absorbing."""
-    if a is NEG_INF or b is NEG_INF:
-        return NEG_INF
+def trop_mul(a: Rational, b: Rational) -> Rational:
+    """Tropical product a ⊙ b = a + b."""
     return a + b
 
 
 def trop_permanent_2x2(
-    m11: TropScalar, m12: TropScalar, m21: TropScalar, m22: TropScalar
-) -> TropScalar:
+    m11: Rational, m12: Rational, m21: Rational, m22: Rational
+) -> Rational:
     """max(m11 + m22, m12 + m21): the tropical 2x2 permanent."""
     return trop_add(trop_mul(m11, m22), trop_mul(m12, m21))
 
@@ -95,7 +46,7 @@ class TropMatrix2x3:
             raise ValueError("TropMatrix2x3 needs two rows of three entries")
         self.rows = (row1, row2)
 
-    def minor(self, drop_col: int) -> Tuple[TropScalar, TropScalar, TropScalar, TropScalar]:
+    def minor(self, drop_col: int) -> Tuple[Rational, Rational, Rational, Rational]:
         """The 2x2 matrix with column drop_col (1-based) deleted, row-major."""
         keep = [c for c in range(3) if c != drop_col - 1]
         (r1, r2) = self.rows
@@ -105,17 +56,13 @@ class TropMatrix2x3:
         return f"TropMatrix2x3({self.rows[0]!r}, {self.rows[1]!r})"
 
 
-def cramer_stable_solution(C: TropMatrix2x3) -> Tuple[TropScalar, TropScalar, TropScalar]:
+def cramer_stable_solution(C: TropMatrix2x3) -> Tuple[Rational, Rational, Rational]:
     """Stable solution (|O1| : |O2| : |O3|) of the 2x3 system C.
 
     |Oi| is the tropical permanent of the minor obtained by deleting
     column i. The result is projective: only pairwise differences carry
-    meaning. All entries must be finite.
+    meaning.
     """
-    for row in C.rows:
-        for entry in row:
-            if entry is NEG_INF:
-                raise InfiniteEntry("cramer_stable_solution needs finite entries")
     return (
         trop_permanent_2x2(*C.minor(1)),
         trop_permanent_2x2(*C.minor(2)),

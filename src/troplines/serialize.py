@@ -114,8 +114,13 @@ def parse_input(data: Any) -> Tuple[str, Any]:
 
 
 def load_input(path: str) -> Tuple[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
     if not text.strip():
         raise InputFormatError(f"{path}: empty input file")
     try:

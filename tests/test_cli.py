@@ -144,3 +144,28 @@ def test_missing_subcommand_is_a_parser_error(capsys):
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda tmp: ["analyze", str(tmp)],
+        lambda tmp: ["analyze", _write(tmp, "pencil.json", PENCIL_POINTS),
+                     "--out", str(tmp)],
+        lambda tmp: ["verify", "--n", "3", "--mode", "exhaustive", "--grid", "3",
+                     "--jsonl", str(tmp)],
+    ],
+    ids=["analyze-directory", "out-directory", "jsonl-directory"],
+)
+def test_directory_paths_are_input_errors(tmp_path, capsys, make_args):
+    assert main(make_args(tmp_path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"points": [[0, 0]], "note": "caf\xe9"}')
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "not UTF-8" in err

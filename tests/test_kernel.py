@@ -1,9 +1,6 @@
 """Backend selection and pure/compiled agreement."""
 
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +15,7 @@ from troplines.kernel import (
     analyze,
     backend_name,
     has_ordinary_line,
-    kernel_eligible,
+    kernel_pairs,
 )
 
 compiled_only = pytest.mark.skipif(
@@ -52,57 +49,36 @@ def test_has_ordinary_line_matches_the_pure_reference(points):
     assert has_ordinary_line(cfg) == (len(ordinary_stable_lines(cfg)) > 0)
 
 
-@compiled_only
-def test_small_integer_configs_are_kernel_eligible():
-    assert kernel_eligible(point_config([(0, 0), (3, 1), (-2, 5)]))
-
-
-def test_eligibility_fallbacks():
-    fractional = point_config([(0, 0), (Fraction(1, 2), 3)])
-    assert not kernel_eligible(fractional)
-    huge = point_config([(0, 0), (COORD_LIMIT + 1, 1)])
-    assert not kernel_eligible(huge)
-    many = point_config([(i, i * i) for i in range(MAX_KERNEL_POINTS + 1)])
-    assert not kernel_eligible(many)
-    # all three still analyze through the fallback path
-    for cfg in (fractional, huge):
-        assert analyze(cfg) == analyze_config(cfg)
-
-
-_PROBE = (
-    "import json\n"
-    "from troplines.incidence import point_config\n"
-    "from troplines.kernel import analyze, backend_name\n"
-    "cfg = point_config([(0, 0), (3, 1), (1, 4), (-2, 2), (5, 5)])\n"
-    "print(backend_name())\n"
-    "print(json.dumps(analyze(cfg), sort_keys=True))\n"
+@pytest.mark.parametrize(
+    "points,eligible",
+    [
+        ([(0, 0), (3, 1), (-2, 5)], True),
+        ([(0, 0), (Fraction(1, 2), 3)], False),
+        ([(0, 0), (Fraction(4, 1), 3)], True),
+        ([(0, 0), (COORD_LIMIT, -COORD_LIMIT)], True),
+        ([(0, 0), (COORD_LIMIT + 1, 1)], False),
+        ([(0, 0), (1, -COORD_LIMIT - 1)], False),
+        ([(i, i * i) for i in range(MAX_KERNEL_POINTS)], True),
+        ([(i, i * i) for i in range(MAX_KERNEL_POINTS + 1)], False),
+    ],
+    ids=["small-ints", "half", "integral-fraction", "at-coord-limit",
+         "past-coord-limit", "past-negative-limit", "max-points", "too-many-points"],
 )
-
-
-def _probe(extra_env):
-    env = dict(os.environ)
-    env.pop("TROPLINES_PURE", None)
-    env.update(extra_env)
-    out = subprocess.run(
-        [sys.executable, "-c", _PROBE],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    name, record = out.stdout.splitlines()
-    return name, record
-
-
-def test_pure_env_switch_forces_the_fallback():
-    name, _ = _probe({"TROPLINES_PURE": "1"})
-    assert name == "pure"
+def test_eligibility_fallbacks(points, eligible):
+    cfg = point_config(points)
+    pairs = kernel_pairs(cfg)
+    if eligible:
+        assert pairs == [(int(x), int(y)) for x, y in points]
+        assert all(type(c) is int for pair in pairs for c in pair)
+    else:
+        assert pairs is None
+    # eligible or not, the dispatcher's record is the reference record
+    assert analyze(cfg) == analyze_config(cfg)
 
 
 @compiled_only
 def test_both_backends_serialize_identically():
-    pure_name, pure_record = _probe({"TROPLINES_PURE": "1"})
-    fast_name, fast_record = _probe({})
-    assert (pure_name, fast_name) == ("pure", "compiled")
-    assert pure_record == fast_record
-    assert json.loads(pure_record)["v"] == 5
+    cfg = point_config([(0, 0), (3, 1), (1, 4), (-2, 2), (5, 5)])
+    fast = json.dumps(analyze(cfg), sort_keys=True)
+    assert fast == json.dumps(analyze_config(cfg), sort_keys=True)
+    assert json.loads(fast)["v"] == 5

@@ -6,22 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from troplines.errors import InfiniteEntry
 from troplines.semiring import (
-    NEG_INF,
     TropMatrix2x3,
     cramer_stable_solution,
-    is_finite,
     trop_add,
     trop_mul,
     trop_permanent_2x2,
 )
 
-finite_scalars = st.one_of(
+scalars = st.one_of(
     st.integers(min_value=-50, max_value=50),
     st.fractions(min_value=-50, max_value=50, max_denominator=12),
 )
-scalars = st.one_of(st.just(NEG_INF), finite_scalars)
 
 
 @given(scalars, scalars)
@@ -35,10 +31,8 @@ def test_add_is_associative(a, b, c):
 
 
 @given(scalars)
-def test_add_is_idempotent_with_identity(a):
+def test_add_is_idempotent(a):
     assert trop_add(a, a) == a
-    assert trop_add(a, NEG_INF) == a
-    assert trop_add(NEG_INF, a) == a
 
 
 @given(scalars, scalars, scalars)
@@ -49,9 +43,8 @@ def test_mul_distributes_over_add(a, b, c):
 
 
 @given(scalars, scalars)
-def test_mul_is_commutative_and_absorbing(a, b):
+def test_mul_is_commutative(a, b):
     assert trop_mul(a, b) == trop_mul(b, a)
-    assert trop_mul(a, NEG_INF) is NEG_INF
 
 
 @given(scalars)
@@ -61,37 +54,22 @@ def test_mul_identity_is_zero(a):
 
 def test_add_examples():
     assert trop_add(3, 5) == 5
-    assert trop_add(NEG_INF, Fraction(7, 2)) == Fraction(7, 2)
+    assert trop_add(-1, Fraction(7, 2)) == Fraction(7, 2)
     assert trop_add(-2, -2) == -2
 
 
 def test_mul_examples():
     assert trop_mul(3, 5) == 8
-    assert trop_mul(NEG_INF, 7) is NEG_INF
     assert trop_mul(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-
-
-def test_neg_inf_total_order():
-    assert NEG_INF < -10**9
-    assert NEG_INF <= NEG_INF
-    assert not (NEG_INF < NEG_INF)
-    assert not (NEG_INF > Fraction(-1, 3))
-    assert NEG_INF >= NEG_INF
-    assert NEG_INF == NEG_INF
-    assert NEG_INF != 0
-    assert not is_finite(NEG_INF)
-    assert is_finite(0)
 
 
 def test_permanent_examples():
     # both diagonals tie
     assert trop_permanent_2x2(2, 0, 2, 0) == 2
     assert trop_permanent_2x2(-3, 0, -1, 0) == -1
-    # identity-like diagonal with absorbing off-diagonal
-    assert trop_permanent_2x2(0, NEG_INF, NEG_INF, 0) == 0
 
 
-@given(finite_scalars, finite_scalars, finite_scalars, finite_scalars)
+@given(scalars, scalars, scalars, scalars)
 def test_permanent_is_max_of_diagonal_products(m11, m12, m21, m22):
     assert trop_permanent_2x2(m11, m12, m21, m22) == max(m11 + m22, m12 + m21)
 
@@ -128,7 +106,7 @@ def test_cramer_examples():
     assert cramer_stable_solution(TropMatrix2x3((-5, 1, 0), (-2, 1, 0))) == (1, -2, -1)
 
 
-@given(st.lists(finite_scalars, min_size=6, max_size=6))
+@given(st.lists(scalars, min_size=6, max_size=6))
 def test_cramer_matches_brute_force(entries):
     row1, row2 = tuple(entries[:3]), tuple(entries[3:])
     assert cramer_stable_solution(TropMatrix2x3(row1, row2)) == _brute_force_triple(
@@ -136,7 +114,7 @@ def test_cramer_matches_brute_force(entries):
     )
 
 
-@given(st.lists(finite_scalars, min_size=6, max_size=6), finite_scalars, finite_scalars)
+@given(st.lists(scalars, min_size=6, max_size=6), scalars, scalars)
 def test_cramer_is_projective_under_row_scaling(entries, s, t):
     """Tropically scaling a row shifts every output coordinate equally."""
     row1, row2 = tuple(entries[:3]), tuple(entries[3:])
@@ -145,8 +123,3 @@ def test_cramer_is_projective_under_row_scaling(entries, s, t):
         TropMatrix2x3(tuple(e + s for e in row1), tuple(e + t for e in row2))
     )
     assert tuple(v + s + t for v in base) == scaled
-
-
-def test_cramer_rejects_infinite_entries():
-    with pytest.raises(InfiniteEntry):
-        cramer_stable_solution(TropMatrix2x3((0, NEG_INF, 0), (0, 0, 0)))
