@@ -49,31 +49,30 @@ def test_has_ordinary_line_matches_the_pure_reference(points):
     assert has_ordinary_line(cfg) == (len(ordinary_stable_lines(cfg)) > 0)
 
 
-@pytest.mark.parametrize(
-    "points,eligible",
-    [
-        ([(0, 0), (3, 1), (-2, 5)], True),
-        ([(0, 0), (Fraction(1, 2), 3)], False),
-        ([(0, 0), (Fraction(4, 1), 3)], True),
-        ([(0, 0), (COORD_LIMIT, -COORD_LIMIT)], True),
-        ([(0, 0), (COORD_LIMIT + 1, 1)], False),
-        ([(0, 0), (1, -COORD_LIMIT - 1)], False),
-        ([(i, i * i) for i in range(MAX_KERNEL_POINTS)], True),
-        ([(i, i * i) for i in range(MAX_KERNEL_POINTS + 1)], False),
-    ],
-    ids=["small-ints", "half", "integral-fraction", "at-coord-limit",
-         "past-coord-limit", "past-negative-limit", "max-points", "too-many-points"],
-)
-def test_eligibility_fallbacks(points, eligible):
-    cfg = point_config(points)
-    pairs = kernel_pairs(cfg)
-    if eligible:
-        assert pairs == [(int(x), int(y)) for x, y in points]
-        assert all(type(c) is int for pair in pairs for c in pair)
-    else:
-        assert pairs is None
-    # eligible or not, the dispatcher's record is the reference record
-    assert analyze(cfg) == analyze_config(cfg)
+# (points, eligible): the boundaries of the one eligibility rule
+ELIGIBILITY_CASES = [
+    ([(0, 0), (3, 1), (-2, 5)], True),
+    ([(0, 0), (Fraction(1, 2), 3)], False),
+    ([(0, 0), (Fraction(4, 1), 3)], True),
+    ([(0, 0), (COORD_LIMIT, -COORD_LIMIT)], True),
+    ([(0, 0), (COORD_LIMIT + 1, 1)], False),
+    ([(0, 0), (1, -COORD_LIMIT - 1)], False),
+    ([(i, i * i) for i in range(MAX_KERNEL_POINTS)], True),
+    ([(i, i * i) for i in range(MAX_KERNEL_POINTS + 1)], False),
+]
+
+
+def test_eligibility_fallbacks():
+    for points, eligible in ELIGIBILITY_CASES:
+        cfg = point_config(points)
+        pairs = kernel_pairs(cfg)
+        if eligible:
+            assert pairs == [(int(x), int(y)) for x, y in points], points
+            assert all(type(c) is int for pair in pairs for c in pair)
+        else:
+            assert pairs is None, points
+        # eligible or not, the dispatcher's record is the reference record
+        assert analyze(cfg) == analyze_config(cfg), points
 
 
 @compiled_only

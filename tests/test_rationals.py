@@ -1,65 +1,14 @@
-"""Exact scalar conversions: int/Fraction/"p/q" in, int-collapsed out."""
-
-from fractions import Fraction
+"""Reading a JSON value as an exact rational scalar rejects inexact or malformed input."""
 
 import pytest
 
-from troplines.rationals import as_rational, exact_div, rational_str, rational_to_json
+from troplines.errors import InputFormatError
+from troplines.serialize import parse_rational
 
 
 @pytest.mark.parametrize(
-    "raw, expected",
-    [
-        (3, 3),
-        (-17, -17),
-        (0, 0),
-        (Fraction(6, 2), 3),
-        (Fraction(7, 2), Fraction(7, 2)),
-        ("5", 5),
-        ("  -4 ", -4),
-        ("3/4", Fraction(3, 4)),
-        ("-9/3", -3),
-        ("-10/4", Fraction(-5, 2)),
-    ],
-)
-def test_as_rational_accepts_exact_forms(raw, expected):
-    got = as_rational(raw)
-    assert got == expected
-    assert type(got) is type(expected)
-
-
-@pytest.mark.parametrize(
-    "bad", [True, False, 1.5, "x", "1/0", "10/-4", "", "3.5.2", None, [1]]
+    "bad", [True, False, 1.5, "x", "1/0", "3", "", "3.5.2", None, [1]]
 )
 def test_as_rational_rejects_inexact_or_malformed(bad):
-    with pytest.raises(ValueError):
-        as_rational(bad)
-
-
-def test_exact_div_collapses_to_int():
-    assert exact_div(6, 3) == 2
-    assert type(exact_div(6, 3)) is int
-    assert exact_div(1, 2) == Fraction(1, 2)
-    assert exact_div(Fraction(3, 2), Fraction(1, 2)) == 3
-    assert type(exact_div(Fraction(3, 2), Fraction(1, 2))) is int
-
-
-def test_exact_div_keeps_exactness():
-    # 1/3 has no float representation; the result must round-trip
-    q = exact_div(1, 3)
-    assert q * 3 == 1
-
-
-def test_rational_json_round_trip():
-    for value in (5, -2, Fraction(1, 3), Fraction(-7, 2), Fraction(4, 2)):
-        encoded = rational_to_json(value)
-        assert as_rational(encoded) == value
-    assert rational_to_json(5) == 5
-    assert rational_to_json(Fraction(1, 3)) == "1/3"
-    assert rational_to_json(Fraction(8, 4)) == 2
-
-
-def test_rational_str_forms():
-    assert rational_str(-7) == "-7"
-    assert rational_str(Fraction(-7, 2)) == "-7/2"
-    assert rational_str(Fraction(6, 3)) == "2"
+    with pytest.raises(InputFormatError):
+        parse_rational(bad, "x")
