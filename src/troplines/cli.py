@@ -128,13 +128,15 @@ def cmd_verify(args) -> int:
                       seed=args.seed)
     params = SweepParams(n=args.n, mode=mode)
 
-    stream = open(args.jsonl, "w", encoding="utf-8") if args.jsonl else None
+    # line-buffered: each record reaches the file whole, as soon as its
+    # configuration is analyzed
+    stream = (open(args.jsonl, "w", encoding="utf-8", buffering=1)
+              if args.jsonl else None)
     try:
         sink = None
         if stream is not None:
             def sink(index, config, excess, violations):
-                stream.write(sweep_line_json(index, config, excess, violations))
-                stream.write("\n")
+                stream.write(sweep_line_json(index, config, excess, violations) + "\n")
         report = run_sweep(params, jobs=args.jobs, sink=sink)
     finally:
         if stream is not None:

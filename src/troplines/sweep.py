@@ -6,20 +6,24 @@ identities, determined-face inequalities) and every violation is kept
 with the configuration that produced it, so a failing sweep replays as a
 standalone test case. Violations are data, not exceptions.
 
-Sweeps shard across worker processes by index ranges over a precomputed
-configuration list, so results are identical for any worker count and
-fixed parameters (elapsed time aside).
+Each sweep reads one lazy configuration stream in a fixed order; workers
+take it in ordered chunks, a bounded number at a time, so memory does not
+grow with the sweep size and results are identical for any worker count
+and fixed parameters (elapsed time aside).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import math
 import multiprocessing
 import random
 import time
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from . import kernel
 from .errors import BudgetExhausted, GridTooSmall, InvalidSweep, RangeTooSmall
@@ -113,21 +117,17 @@ class SweepReport:
         return not self.violations
 
 
-def enumerate_configs(n: int, grid_size: int) -> Iterator[PointConfig]:
-    """All n-subsets of the grid_size x grid_size lattice, lexicographic."""
+def _lattice_configs(n: int, grid_size: int) -> Iterator[Tuple[IntPair, ...]]:
     if grid_size * grid_size < n:
         raise GridTooSmall(
             f"grid {grid_size}x{grid_size} has {grid_size * grid_size} points, "
             f"fewer than n={n}"
         )
     lattice = [(x, y) for x in range(grid_size) for y in range(grid_size)]
-    for combo in itertools.combinations(lattice, n):
-        yield point_config(combo)
+    return itertools.combinations(lattice, n)
 
 
-def random_config(n: int, coord_range: int, rng: random.Random) -> PointConfig:
-    """n distinct integer points from [-coord_range, coord_range]^2,
-    uniform with rejection of repeats."""
+def _random_pairs(n: int, coord_range: int, rng: random.Random) -> Tuple[IntPair, ...]:
     if (2 * coord_range + 1) ** 2 < n:
         raise RangeTooSmall(
             f"a box of side {2 * coord_range + 1} holds fewer than {n} "
@@ -142,32 +142,56 @@ def random_config(n: int, coord_range: int, rng: random.Random) -> PointConfig:
             continue
         seen.add(p)
         chosen.append(p)
-    return point_config(chosen)
+    return tuple(chosen)
 
 
-def _config_list(params: SweepParams) -> List[Tuple[IntPair, ...]]:
-    """The sweep's configurations as plain tuples, in their fixed order."""
+def enumerate_configs(n: int, grid_size: int) -> Iterator[PointConfig]:
+    """All n-subsets of the grid_size x grid_size lattice, lexicographic."""
+    return map(point_config, _lattice_configs(n, grid_size))
+
+
+def random_config(n: int, coord_range: int, rng: random.Random) -> PointConfig:
+    """n distinct integer points from [-coord_range, coord_range]^2,
+    uniform with rejection of repeats."""
+    return point_config(_random_pairs(n, coord_range, rng))
+
+
+def _config_list(params: SweepParams) -> Iterator[Tuple[IntPair, ...]]:
+    """The sweep's configurations as int-pair tuples, generated lazily in
+    their fixed order: enumerate_configs' order, or random_config's draws
+    from one RNG seeded with the mode's seed."""
+    mode = params.mode
+    if isinstance(mode, Exhaustive):
+        return _lattice_configs(params.n, mode.grid_size)
+    rng = random.Random(mode.seed)
+    return (_random_pairs(params.n, mode.coord_range, rng) for _ in range(mode.samples))
+
+
+def _sweep_size(params: SweepParams) -> int:
     if isinstance(params.mode, Exhaustive):
-        return [
-            tuple((p.x, p.y) for p in cfg.points)
-            for cfg in enumerate_configs(params.n, params.mode.grid_size)
-        ]
-    rng = random.Random(params.mode.seed)
-    out = []
-    for _ in range(params.mode.samples):
-        cfg = random_config(params.n, params.mode.coord_range, rng)
-        out.append(tuple((p.x, p.y) for p in cfg.points))
-    return out
+        return math.comb(params.mode.grid_size ** 2, params.n)
+    return params.mode.samples
 
 
-def _analyze_chunk(args) -> List[Tuple[int, List[List[str]]]]:
-    pairs_chunk, checks = args
-    out = []
-    for pairs in pairs_chunk:
-        record = kernel.analyze(point_config(pairs))
-        kept = [v for v in record["violations"] if v[0] in checks]
-        out.append((record["excess"], kept))
-    return out
+def _analyze(pairs: Tuple[IntPair, ...]) -> Tuple[Tuple[IntPair, ...], int, list]:
+    record = kernel.analyze(point_config(pairs))
+    return pairs, record["excess"], record["violations"]
+
+
+def _analyze_chunk(chunk: Tuple[Tuple[IntPair, ...], ...]) -> list:
+    return [_analyze(pairs) for pairs in chunk]
+
+
+def _pooled(pool, configs: Iterator, size: int, window: int) -> Iterator:
+    """_analyze over configs on pool's workers, in order, in chunks of size
+    configurations with at most window chunks in flight."""
+    pending = deque()
+    for chunk in iter(lambda: tuple(itertools.islice(configs, size)), ()):
+        pending.append(pool.apply_async(_analyze_chunk, (chunk,)))
+        if len(pending) >= window:
+            yield from pending.popleft().get()
+    while pending:
+        yield from pending.popleft().get()
 
 
 def run_sweep(
@@ -177,41 +201,38 @@ def run_sweep(
 ) -> SweepReport:
     """Run the sweep and collect every violation with its configuration.
 
-    jobs > 1 shards the configuration list across processes by index
-    ranges; the merged report does not depend on the worker count. sink,
+    jobs > 1 analyzes ordered chunks of the configuration stream on that
+    many processes; the report does not depend on the worker count. sink,
     when given, receives (index, config, excess, violations) for every
-    configuration in order, after analysis.
+    configuration in order, as soon as that configuration is analyzed.
     """
-    start = time.perf_counter()
-    configs = _config_list(params)
-    checks = params.checks
-
     if jobs < 1:
         raise InvalidSweep(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1 or len(configs) < 2 * jobs:
-        results = _analyze_chunk((configs, checks))
-    else:
-        chunk_size = (len(configs) + jobs - 1) // jobs
-        chunks = [
-            (configs[i : i + chunk_size], checks)
-            for i in range(0, len(configs), chunk_size)
-        ]
-        with multiprocessing.Pool(processes=jobs) as pool:
-            partials = pool.map(_analyze_chunk, chunks)
-        results = [item for partial in partials for item in partial]
-
+    start = time.perf_counter()
+    checks = params.checks
+    configs = _config_list(params)
     histogram: Dict[int, int] = {}
     violations: List[Tuple[Tuple[IntPair, ...], str, str]] = []
-    for index, (pairs, (excess, bad)) in enumerate(zip(configs, results)):
-        histogram[excess] = histogram.get(excess, 0) + 1
-        for suite, detail in bad:
-            violations.append((pairs, suite, detail))
-        if sink is not None:
-            sink(index, pairs, excess, bad)
+    with contextlib.ExitStack() as stack:
+        if jobs == 1:
+            results: Iterator = map(_analyze, configs)
+        else:
+            # about what Pool.map would pick, capped so the chunks in
+            # flight stay small however large the sweep
+            size = max(1, min(1024, _sweep_size(params) // (4 * jobs)))
+            pool = stack.enter_context(multiprocessing.Pool(processes=jobs))
+            results = _pooled(pool, configs, size, 2 * jobs)
+        for index, (pairs, excess, found) in enumerate(results):
+            histogram[excess] = histogram.get(excess, 0) + 1
+            bad = [v for v in found if v[0] in checks]
+            for suite, detail in bad:
+                violations.append((pairs, suite, detail))
+            if sink is not None:
+                sink(index, pairs, excess, bad)
 
     elapsed = time.perf_counter() - start
     return SweepReport(
-        configs_tested=len(configs),
+        configs_tested=sum(histogram.values()),
         violations=violations,
         histogram=dict(sorted(histogram.items())),
         elapsed=elapsed,
@@ -234,16 +255,8 @@ def sg_failure_search(
         )
     if params.n != n:
         raise InvalidSweep(f"params.n = {params.n} does not match n = {n}")
-    if isinstance(params.mode, Exhaustive):
-        stream: Iterator[PointConfig] = enumerate_configs(n, params.mode.grid_size)
-    else:
-        rng = random.Random(params.mode.seed)
-        stream = (
-            random_config(n, params.mode.coord_range, rng)
-            for _ in range(params.mode.samples)
-        )
     witnesses: List[PointConfig] = []
-    for cfg in stream:
+    for cfg in map(point_config, _config_list(params)):
         if not kernel.has_ordinary_line(cfg):
             witnesses.append(cfg)
             if len(witnesses) >= stop_after:

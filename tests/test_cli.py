@@ -5,7 +5,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from troplines import cli
 from troplines.cli import main
+from troplines.sweep import SweepReport
 
 PENCIL_POINTS = '{"points": [[0, 0], [0, -2], [-2, 0], [2, 2]]}'
 
@@ -117,6 +119,24 @@ def test_verify_jsonl_stream_is_reproducible(tmp_path, capsys):
     assert len(rows) == 50
     assert [r["index"] for r in rows] == list(range(50))
     assert all(r["violations"] == [] for r in rows)
+
+
+def test_verify_jsonl_lines_are_written_as_they_arrive(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "stream.jsonl"
+    seen = []
+
+    def one_record(params, jobs, sink):
+        sink(0, ((0, 0), (1, 0), (0, 1)), 0, [])
+        seen.append(path.read_text())
+        return SweepReport(configs_tested=1, violations=[], histogram={0: 1}, elapsed=0.0)
+
+    monkeypatch.setattr(cli, "run_sweep", one_record)
+    assert main(["verify", "--n", "3", "--mode", "exhaustive", "--grid", "3",
+                 "--jsonl", str(path)]) == 0
+    capsys.readouterr()
+    assert seen[0].endswith("\n") and seen[0].count("\n") == 1
+    assert json.loads(seen[0])["index"] == 0
+    assert path.read_text() == seen[0]
 
 
 def test_stable_line_output(capsys):

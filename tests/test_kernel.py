@@ -1,7 +1,9 @@
 """Backend selection and pure/compiled agreement."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -81,3 +83,33 @@ def test_both_backends_serialize_identically():
     fast = json.dumps(analyze(cfg), sort_keys=True)
     assert fast == json.dumps(analyze_config(cfg), sort_keys=True)
     assert json.loads(fast)["v"] == 5
+
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "troplines"
+
+
+def test_shipped_c_echoes_the_current_pyx():
+    # Cython copies each source line it translates into a comment of the
+    # generated C, marked with "# <<<<<<<<<<<<<<" under the header
+    # /* "troplines/_fastsweep.pyx":N. A .pyx edited without regenerating
+    # the shipped C shows up as an echoed line that no longer matches.
+    pyx = (SOURCE / "_fastsweep.pyx").read_text(encoding="utf-8").splitlines()
+    header = re.compile(r'/\* "troplines/_fastsweep\.pyx":(\d+)$')
+    marker = "             # <<<<<<<<<<<<<<"
+    line_no = None
+    matched, drifted = 0, []
+    for text in (SOURCE / "_fastsweep.c").read_text(encoding="utf-8").splitlines():
+        found = header.search(text)
+        if found:
+            line_no = int(found.group(1))
+        elif line_no is not None and text.endswith(marker):
+            echoed = text[len(" * "):-len(marker)]
+            if line_no <= len(pyx) and echoed == pyx[line_no - 1]:
+                matched += 1
+            else:
+                drifted.append(line_no)
+            line_no = None
+    assert drifted == []
+    # every translated statement is echoed; far fewer would mean the
+    # format was misread and the check proved nothing
+    assert matched > 700

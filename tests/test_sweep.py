@@ -1,9 +1,12 @@
-"""Sweep enumeration, sharding, and the ordinary-line failure search."""
+"""Sweep enumeration, streaming, and the ordinary-line failure search."""
 
+import itertools
+import multiprocessing
 import random
 
 import pytest
 
+from troplines import sweep
 from troplines.errors import (
     BudgetExhausted,
     GridTooSmall,
@@ -16,6 +19,7 @@ from troplines.sweep import (
     Exhaustive,
     Random,
     SweepParams,
+    _config_list,
     enumerate_configs,
     random_config,
     run_sweep,
@@ -68,6 +72,54 @@ def test_random_config_is_seeded_and_distinct():
     assert len(set(a.points)) == 6
     c = random_config(6, 8, random.Random(6))
     assert c.points != a.points
+
+
+def _as_pairs(cfg):
+    return tuple((p.x, p.y) for p in cfg.points)
+
+
+def test_every_generator_yields_the_same_configurations_in_order():
+    # the JSONL index of a configuration is its position in this order
+    params = SweepParams(n=3, mode=Exhaustive(4))
+    lattice = [(x, y) for x in range(4) for y in range(4)]
+    expected = list(itertools.combinations(lattice, 3))
+    assert [_as_pairs(c) for c in enumerate_configs(3, 4)] == expected
+    assert list(_config_list(params)) == expected
+
+    params = SweepParams(n=3, mode=Random(samples=60, coord_range=6, seed=9))
+    rng = random.Random(9)
+    drawn = [_as_pairs(random_config(3, 6, rng)) for _ in range(60)]
+    assert list(_config_list(params)) == drawn
+    assert drawn[:2] == [((1, 3), (-1, -2), (-4, -4)), ((4, -6), (-1, 2), (1, 3))]
+
+
+class _Stop(Exception):
+    pass
+
+
+def _stop_at_first(index, *_):
+    raise _Stop(index)
+
+
+def test_records_reach_the_sink_as_they_are_analyzed(monkeypatch):
+    analyzed = []
+    real = sweep.kernel.analyze
+
+    def counting(cfg):
+        analyzed.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(sweep.kernel, "analyze", counting)
+    with pytest.raises(_Stop):
+        run_sweep(SweepParams(n=4, mode=Exhaustive(4)), jobs=1, sink=_stop_at_first)
+    # the whole sweep is 1820 configurations
+    assert len(analyzed) == 1
+
+
+def test_a_failing_sink_stops_the_workers():
+    with pytest.raises(_Stop):
+        run_sweep(SweepParams(n=4, mode=Exhaustive(4)), jobs=2, sink=_stop_at_first)
+    assert multiprocessing.active_children() == []
 
 
 def test_report_does_not_depend_on_worker_count():
