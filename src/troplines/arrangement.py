@@ -2,10 +2,10 @@
 
 An arrangement is an ordered list of distinct tropical lines. Its
 arrangement vertices (points dual to 2D cells of the Newton subdivision)
-are found by candidate generation: every line vertex, every pairwise
-stable intersection, and every transversal ray crossing, filtered by the
-local 2D-cell criterion. That criterion reads off the per-line argmax
-sets at the candidate q:
+are found by candidate generation: every line vertex and every
+transversal ray crossing (together these cover every pairwise stable
+intersection), filtered by the local 2D-cell criterion. That criterion
+reads off the per-line argmax sets at the candidate q:
 
     c   = number of lines with vertex at q (0 or 1, vertices are distinct)
     s_a = number of lines with argmax {1,3} at q (q on their south ray;
@@ -29,14 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .errors import DuplicateLine, EmptyArrangement, NotAVertex
-from .lines import (
-    IntersectionKind,
-    Point2,
-    TropicalLine,
-    eval_argmax,
-    pairwise_stable_intersection,
-    ray_crossings,
-)
+from .lines import Point2, TropicalLine, eval_argmax, ray_crossings
 from .rationals import Rational
 
 LatticePoint = Tuple[int, int]
@@ -97,41 +90,6 @@ def doubled_area(poly: Sequence[Tuple]) -> Rational:
 def polygon_edges(poly: Sequence[Tuple]) -> List[Tuple[Tuple, Tuple]]:
     m = len(poly)
     return [(poly[i], poly[(i + 1) % m]) for i in range(m)]
-
-
-def contains_point(poly: Sequence[Tuple], pt: Tuple) -> bool:
-    """Closed containment in a counterclockwise convex polygon."""
-    for a, b in polygon_edges(poly):
-        if _cross3(a, b, pt) < 0:
-            return False
-    return True
-
-
-def lattice_points(poly: Sequence[LatticePoint]) -> List[LatticePoint]:
-    """All integer points inside or on a convex lattice polygon."""
-    xs = [p[0] for p in poly]
-    ys = [p[1] for p in poly]
-    found = []
-    for i in range(min(xs), max(xs) + 1):
-        for j in range(min(ys), max(ys) + 1):
-            if contains_point(poly, (i, j)):
-                found.append((i, j))
-    return found
-
-
-def interiors_disjoint(p: Sequence[Tuple], q: Sequence[Tuple]) -> bool:
-    """Exact separating-axis test for two counterclockwise convex polygons.
-
-    True iff the interiors do not meet, i.e. the intersection has area 0.
-    Convex polygons with disjoint interiors always admit a separating line
-    flush with an edge of one of them, so testing edge lines of both is
-    complete, and it needs only integer cross products on lattice cells.
-    """
-    for poly, other in ((p, q), (q, p)):
-        for a, b in polygon_edges(poly):
-            if all(_cross3(a, b, v) <= 0 for v in other):
-                return True
-    return False
 
 
 def canonical_ccw(poly: Sequence[Tuple]) -> Tuple[Tuple, ...]:
@@ -209,10 +167,14 @@ def vertex_data(arr: Arrangement, q: Point2) -> VertexData:
 
 
 def candidate_points(arr: Arrangement) -> Set[Point2]:
-    """Line vertices, pairwise stable intersections, and ray crossings."""
+    """Line vertices and ray crossings.
+
+    These include every pairwise stable intersection: a coaxial pair's is
+    one of its line vertices, a non-coaxial pair's is its single ray
+    crossing.
+    """
     candidates: Set[Point2] = {line.vertex for line in arr.lines}
     for L1, L2 in itertools.combinations(arr.lines, 2):
-        candidates.add(pairwise_stable_intersection(L1, L2).point)
         candidates.update(ray_crossings(L1, L2))
     return candidates
 

@@ -10,6 +10,12 @@ separate so each can audit the other:
     the Minkowski cells must reproduce. check_regularity verifies that
     cell by cell with exact arithmetic.
 
+The tiling is checked on the n^2 unit triangles of n * Delta_2: each
+cell is rasterized into the triangles it covers, and the resulting owner
+grid must assign every triangle to one cell. The same grid gives the
+cell adjacency, so regularity is checked locally across interior edges
+and determined faces are looked up, all in time near-linear in n^2.
+
 On top of the validated subdivision sit the lattice predicates the
 de Bruijn-Erdos argument needs: boundary edges, near-pencils, corner
 triangles, and the determined semiuniform faces of a triangle (the three
@@ -21,7 +27,7 @@ may be elongated).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .arrangement import (
@@ -31,20 +37,13 @@ from .arrangement import (
     LatticePoint,
     SEMIUNIFORM,
     arrangement_vertices,
-    contains_point,
     dual_cell,
     polygon_edges,
-    interiors_disjoint,
 )
 from .errors import NotATriangle, TilingFailure
 from .rationals import Rational
 
 LiftTable = Dict[LatticePoint, Rational]
-
-
-def simplex_lattice_points(n: int) -> List[LatticePoint]:
-    """All lattice points of n * Delta_2: i, j >= 0, i + j <= n."""
-    return [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
 
 
 def product_coefficients(arr: Arrangement) -> LiftTable:
@@ -70,28 +69,71 @@ def product_coefficients(arr: Arrangement) -> LiftTable:
     return dp
 
 
+# A unit triangle of n * Delta_2: (i, j, 0) is conv{(i,j), (i+1,j), (i,j+1)}
+# and (i, j, 1) is conv{(i+1,j), (i,j+1), (i+1,j+1)}. There are n^2 of them.
+UnitTriangle = Tuple[int, int, int]
+
+
 @dataclass
 class DualSubdivision:
+    """A validated subdivision, as built by dual_subdivision. owner,
+    neighbours and corner_slots are derived from cells once."""
+
     n: int
     cells: List[CellPolygon]
     lift: LiftTable
+    # the index into cells of the cell owning each unit triangle
+    owner: Dict[UnitTriangle, int] = field(repr=False)
+    # cell vertices -> the cells sharing an edge of positive length with
+    # it, sorted by their vertices
+    neighbours: Dict[Tuple[LatticePoint, ...], List[CellPolygon]] = field(repr=False)
+    # triangle base -> the parallelograms sitting in one of its corner slots
+    corner_slots: Dict[LatticePoint, List[CellPolygon]] = field(repr=False)
 
 
-def dual_subdivision(arr: Arrangement, vertex_data=None) -> DualSubdivision:
-    """Assemble and validate the subdivision dual to the arrangement.
+def _unit_triangles(cell: CellPolygon) -> List[UnitTriangle]:
+    """The unit triangles whose centroids lie strictly inside the cell.
 
-    Validation is the tiling contract: every cell inside n * Delta_2,
-    areas summing to n^2 / 2 exactly, and pairwise disjoint interiors.
-    A failure here is a TilingFailure, which means a bug in the pipeline,
-    not bad input: the theory guarantees the tiling.
-
-    Callers that already hold the arrangement's vertex data may pass it
-    to skip the vertex scan.
+    Candidates come row by row from the x-extent of the edges crossing
+    the row; the centroid test runs in coordinates scaled by 3, so it is
+    exact in integers. An edge outside the H/V/D directions means the cell
+    is not a union of unit triangles: that is a TilingFailure.
     """
-    n = arr.n
-    if vertex_data is None:
-        vertex_data = arrangement_vertices(arr)
-    cells = [dual_cell(arr, vd) for vd in vertex_data]
+    rows: Dict[int, List[int]] = {}
+    edges = []
+    for (ax, ay), (bx, by) in polygon_edges(cell.vertices):
+        dx, dy = bx - ax, by - ay
+        if not (dx == 0 or dy == 0 or dx == -dy):
+            raise TilingFailure(
+                f"cell at {cell.dual_point} has edge ({dx},{dy}) outside the "
+                f"H/V/D directions"
+            )
+        edges.append((3 * ax, 3 * ay, dx, dy))
+        if dy:
+            step = dx // dy  # 0 on a vertical edge, -1 on a diagonal one
+            for y in range(min(ay, by), max(ay, by)):
+                x = ax + step * (y - ay)
+                rows.setdefault(y, []).extend((x, x + step))
+    found = []
+    for j, xs in rows.items():
+        for i in range(min(xs), max(xs)):
+            for down, cx, cy in ((0, 3 * i + 1, 3 * j + 1), (1, 3 * i + 2, 3 * j + 2)):
+                if all(ux * (cy - ey) - uy * (cx - ex) > 0 for ex, ey, ux, uy in edges):
+                    found.append((i, j, down))
+    return found
+
+
+def tile(n: int, cells: List[CellPolygon]) -> Dict[UnitTriangle, int]:
+    """Validate that the cells tile n * Delta_2 and return the owner grid.
+
+    Every cell must lie inside n * Delta_2 and the areas must sum to n^2 / 2
+    exactly. Each cell, convex as dual_cell builds it, is then rasterized
+    into as many unit triangles as its doubled area; a triangle claimed
+    twice is an overlap. With the exact area sum, no overlap means the
+    cells cover every unit triangle once. A failure is a TilingFailure,
+    which means a bug in the pipeline, not bad input: the theory
+    guarantees the tiling.
+    """
     for cell in cells:
         for (i, j) in cell.vertices:
             if i < 0 or j < 0 or i + j > n:
@@ -103,24 +145,87 @@ def dual_subdivision(arr: Arrangement, vertex_data=None) -> DualSubdivision:
         raise TilingFailure(
             f"cell areas sum to {total}/2, expected {n * n}/2 for n={n}"
         )
-    for idx, p in enumerate(cells):
-        for q in cells[idx + 1 :]:
-            if not interiors_disjoint(p.vertices, q.vertices):
+    owner: Dict[UnitTriangle, int] = {}
+    for k, cell in enumerate(cells):
+        for tri in _unit_triangles(cell):
+            first = owner.setdefault(tri, k)
+            if first != k:
                 raise TilingFailure(
-                    f"cells at {p.dual_point} and {q.dual_point} overlap"
+                    f"cells at {cells[first].dual_point} and {cell.dual_point} overlap"
                 )
-    return DualSubdivision(n=n, cells=cells, lift=product_coefficients(arr))
+    return owner
+
+
+def _neighbours(
+    cells: List[CellPolygon], owner: Dict[UnitTriangle, int]
+) -> Dict[Tuple[LatticePoint, ...], List[CellPolygon]]:
+    """Edge adjacency read off the owner grid: every edge between unit
+    triangles of two different cells. Each edge joins an upward triangle
+    to a downward one, so the three edges of each upward triangle visit
+    all of them."""
+    adjacent: List[Set[int]] = [set() for _ in cells]
+    for (i, j, down), k in owner.items():
+        if down:
+            continue
+        for tri in ((i, j - 1, 1), (i - 1, j, 1), (i, j, 1)):
+            other = owner.get(tri)
+            if other is not None and other != k:
+                adjacent[k].add(other)
+                adjacent[other].add(k)
+    return {
+        cell.vertices: sorted(
+            (cells[other] for other in adjacent[k]), key=lambda c: c.vertices
+        )
+        for k, cell in enumerate(cells)
+    }
+
+
+def dual_subdivision(arr: Arrangement, vertex_data=None) -> DualSubdivision:
+    """Assemble and validate the subdivision dual to the arrangement.
+
+    Validation is the tiling contract of tile(): every cell inside
+    n * Delta_2, areas summing to n^2 / 2 exactly, and every unit triangle
+    owned by exactly one cell. The owner grid also gives the cell
+    adjacency that check_regularity and determined_faces read.
+
+    Callers that already hold the arrangement's vertex data may pass it
+    to skip the vertex scan.
+    """
+    n = arr.n
+    if vertex_data is None:
+        vertex_data = arrangement_vertices(arr)
+    cells = [dual_cell(arr, vd) for vd in vertex_data]
+    owner = tile(n, cells)
+    corner_slots: Dict[LatticePoint, List[CellPolygon]] = {}
+    for cell in cells:
+        if cell.cell_class is CellClass.PARALLELOGRAM:
+            corner_slots.setdefault(_corner_slot_base(cell), []).append(cell)
+    return DualSubdivision(
+        n=n,
+        cells=cells,
+        lift=product_coefficients(arr),
+        owner=owner,
+        neighbours=_neighbours(cells, owner),
+        corner_slots=corner_slots,
+    )
 
 
 def check_regularity_detailed(sub: DualSubdivision) -> Tuple[bool, Optional[str]]:
     """Verify the Minkowski cells against the lift, exactly.
 
     For each cell, the affine function through its lifted vertices must
-    exist (coplanar lifts), agree with h on the cell's lattice points,
-    and dominate h on all of n * Delta_2. Everything is cross-multiplied
-    by the (positive) fit determinant so integer inputs stay integer.
+    exist (coplanar lifts), agree with h on the cell's lattice points (the
+    corners of its unit triangles), and dominate h at the vertices of
+    every edge-adjacent cell. Everything is cross-multiplied by the
+    (positive) fit determinant so integer inputs stay integer.
+
+    On a tiling of the convex n * Delta_2 this local test is the global
+    one: the fits glue to a continuous piecewise-affine function equal to
+    h at every lattice point, and concavity across each interior edge
+    makes it concave, so every fit dominates h everywhere (De Loera,
+    Rambau and Santos, Triangulations, ch. 2).
     """
-    domain = simplex_lattice_points(sub.n)
+    fits = []
     for cell in sub.cells:
         v0, v1, v2 = cell.vertices[0], cell.vertices[1], cell.vertices[2]
         det = (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (v1[1] - v0[1])
@@ -132,20 +237,23 @@ def check_regularity_detailed(sub: DualSubdivision) -> Tuple[bool, Optional[str]
         beta = (h1 - h0) * (v2[1] - v0[1]) - (h2 - h0) * (v1[1] - v0[1])
         gamma = (v1[0] - v0[0]) * (h2 - h0) - (v2[0] - v0[0]) * (h1 - h0)
         alpha = det * h0 - beta * v0[0] - gamma * v0[1]
-        for point in domain:
-            lifted = det * sub.lift[point]
-            affine = alpha + beta * point[0] + gamma * point[1]
-            if contains_point(cell.vertices, point):
-                if affine != lifted:
-                    return False, (
-                        f"cell at {cell.dual_point}: lift and affine fit disagree "
-                        f"at lattice point {point}"
-                    )
-            elif affine < lifted:
+        fits.append((det, alpha, beta, gamma))
+    for (i, j, down), k in sub.owner.items():
+        det, alpha, beta, gamma = fits[k]
+        for point in ((i + 1, j), (i, j + 1), (i + down, j + down)):
+            if alpha + beta * point[0] + gamma * point[1] != det * sub.lift[point]:
                 return False, (
-                    f"cell at {cell.dual_point}: affine fit fails to dominate "
-                    f"the lift at {point}"
+                    f"cell at {sub.cells[k].dual_point}: lift and affine fit "
+                    f"disagree at lattice point {point}"
                 )
+    for cell, (det, alpha, beta, gamma) in zip(sub.cells, fits):
+        for other in sub.neighbours[cell.vertices]:
+            for point in other.vertices:
+                if alpha + beta * point[0] + gamma * point[1] < det * sub.lift[point]:
+                    return False, (
+                        f"cell at {cell.dual_point}: affine fit fails to dominate "
+                        f"the lift at {point}"
+                    )
     return True, None
 
 
@@ -207,24 +315,6 @@ def _edge_classes(cell: CellPolygon) -> Set[Tuple[int, int]]:
     }
 
 
-def shares_edge(p: CellPolygon, q: CellPolygon) -> bool:
-    """True iff the two cells meet along a segment of positive length."""
-    for a, b in polygon_edges(p.vertices):
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        length2 = dx * dx + dy * dy
-        for c, d in polygon_edges(q.vertices):
-            if (c[0] - a[0]) * dy != (c[1] - a[1]) * dx:
-                continue
-            if (d[0] - a[0]) * dy != (d[1] - a[1]) * dx:
-                continue
-            tc = (c[0] - a[0]) * dx + (c[1] - a[1]) * dy
-            td = (d[0] - a[0]) * dx + (d[1] - a[1]) * dy
-            lo, hi = min(tc, td), max(tc, td)
-            if min(hi, length2) > max(lo, 0):
-                return True
-    return False
-
-
 def triangle_base(T: CellPolygon) -> LatticePoint:
     """The right-angle corner of a triangle cell conv{p, p+(1,0), p+(0,1)}."""
     if T.cell_class is not CellClass.TRIANGLE:
@@ -232,9 +322,9 @@ def triangle_base(T: CellPolygon) -> LatticePoint:
     return (min(v[0] for v in T.vertices), min(v[1] for v in T.vertices))
 
 
-def _matches_corner_pattern(S: CellPolygon, base: LatticePoint) -> bool:
-    """Does parallelogram S sit in one of the three corner slots of the
-    triangle with right-angle corner `base`?
+def _corner_slot_base(S: CellPolygon) -> LatticePoint:
+    """The base of the one triangle in whose corner slot parallelogram S
+    would sit.
 
     The slots, with p = base, s and t arbitrary positive lattice lengths:
 
@@ -248,16 +338,13 @@ def _matches_corner_pattern(S: CellPolygon, base: LatticePoint) -> bool:
     classes = _edge_classes(S)
     verts = S.vertices
     if classes == {_H, _V}:
-        anchor = (max(v[0] for v in verts), max(v[1] for v in verts))
-        return anchor == base
+        return (max(v[0] for v in verts), max(v[1] for v in verts))
     if classes == {_V, _D}:
         max_x = max(v[0] for v in verts)
         anchor = min((v for v in verts if v[0] == max_x), key=lambda v: v[1])
-        return anchor == (base[0], base[1] + 1)
-    if classes == {_H, _D}:
-        anchor = min(verts, key=lambda v: v[0])
-        return anchor == (base[0] + 1, base[1])
-    return False
+        return (anchor[0], anchor[1] - 1)
+    anchor = min(verts, key=lambda v: v[0])
+    return (anchor[0] - 1, anchor[1])
 
 
 def determined_faces(sub: DualSubdivision, T: CellPolygon) -> List[CellPolygon]:
@@ -268,20 +355,16 @@ def determined_faces(sub: DualSubdivision, T: CellPolygon) -> List[CellPolygon]:
     by definition, so hexagons can only enter through adjacency.
     """
     base = triangle_base(T)
-    found = []
-    for S in sub.cells:
-        if S.vertices == T.vertices or S.cell_class not in SEMIUNIFORM:
-            continue
-        if shares_edge(T, S):
-            found.append(S)
-        elif S.cell_class is CellClass.PARALLELOGRAM and _matches_corner_pattern(S, base):
-            found.append(S)
-    found.sort(key=lambda cell: cell.vertices)
-    if len(found) > 6:
+    found = {S.vertices: S for S in sub.corner_slots.get(base, ())}
+    for S in sub.neighbours[T.vertices]:
+        if S.cell_class in SEMIUNIFORM:
+            found[S.vertices] = S
+    faces = [found[verts] for verts in sorted(found)]
+    if len(faces) > 6:
         raise AssertionError(
-            f"triangle at {T.dual_point} determined {len(found)} faces, maximum is 6"
+            f"triangle at {T.dual_point} determined {len(faces)} faces, maximum is 6"
         )
-    return found
+    return faces
 
 
 def determined_union_count(sub: DualSubdivision) -> int:

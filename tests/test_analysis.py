@@ -6,6 +6,7 @@ import pytest
 
 import troplines.analysis as analysis
 from troplines.analysis import analyze_config
+from troplines.arrangement import Counts, verify_count_identities
 from troplines.incidence import point_config
 
 RECORD_KEYS = {
@@ -99,6 +100,22 @@ def test_random_configurations_have_no_violations():
             pts.add((rng.randint(-10, 10), rng.randint(-10, 10)))
         record = analyze_config(point_config(sorted(pts)))
         assert record["violations"] == [], (sorted(pts), record["violations"])
+
+
+def test_forty_eight_points_have_no_violations():
+    # beyond the compiled kernel's 16 points, only the pure route runs
+    rng = random.Random(48)
+    pts = set()
+    while len(pts) < 48:
+        pts.add((rng.randint(-1000, 1000), rng.randint(-1000, 1000)))
+    record = analyze_config(point_config(sorted(pts)))
+    assert record["violations"] == []
+    counts = Counts(
+        n=48, t=record["t"], triangles=record["triangles"],
+        b=record["b"], k=record["k"], h=record["h"],
+    )
+    assert verify_count_identities(counts) == []
+    assert record["bound_holds"] and record["b"] > 48
 
 
 def test_near_pencil_violation_wording(monkeypatch):

@@ -7,6 +7,7 @@ fixtures freeze fully worked examples (a two-line arrangement and the
 four-line near-pencil whose lines all pass through one point).
 """
 
+import itertools
 import math
 import random
 
@@ -20,23 +21,28 @@ from troplines.arrangement import (
     VertexData,
     arrangement_vertices,
     build_arrangement,
+    candidate_points,
     canonical_ccw,
     classify_cell,
-    contains_point,
     convex_hull,
     counts,
     counts_from_classes,
     doubled_area,
     dual_cell,
-    interiors_disjoint,
-    lattice_points,
     minkowski_sum,
     polygon_edges,
     type_tuple,
     verify_count_identities,
 )
 from troplines.errors import DuplicateLine, EmptyArrangement, NotAVertex
-from troplines.lines import Point2, line_from_vertex
+from troplines.lines import (
+    Point2,
+    line_from_vertex,
+    pairwise_stable_intersection,
+    ray_crossings,
+)
+
+from oracles import contains_point, interiors_disjoint, lattice_points
 
 lattice_pt = st.tuples(
     st.integers(min_value=-6, max_value=6), st.integers(min_value=-6, max_value=6)
@@ -273,6 +279,24 @@ def test_vertex_enumeration_is_translation_equivariant():
     ]
     for a, b in zip(vds, shifted):
         assert (a.c, a.s_a, a.s_b, a.s_c) == (b.c, b.s_a, b.s_b, b.s_c)
+
+
+def test_candidates_are_the_vertices_stable_points_and_crossings():
+    # the candidate set once also added each pair's stable intersection
+    # explicitly; that union is the oracle
+    rng = random.Random(2024)
+    for trial in range(60):
+        spread = 3 if trial % 2 else 40
+        n = rng.randint(2, 9)
+        verts = set()
+        while len(verts) < n:
+            verts.add((rng.randint(-spread, spread), rng.randint(-spread, spread)))
+        arr = _arr(*verts)
+        union = {line.vertex for line in arr.lines}
+        for L1, L2 in itertools.combinations(arr.lines, 2):
+            union.add(pairwise_stable_intersection(L1, L2).point)
+            union.update(ray_crossings(L1, L2))
+        assert candidate_points(arr) == union, sorted(verts)
 
 
 # ---------------------------------------------------------------------------

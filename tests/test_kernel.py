@@ -1,7 +1,14 @@
 """Backend selection and pure/compiled agreement."""
 
+import importlib.machinery
+import importlib.util
 import json
+import random
 import re
+import shutil
+import subprocess
+import sys
+import sysconfig
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,3 +120,48 @@ def test_shipped_c_echoes_the_current_pyx():
     # every translated statement is echoed; far fewer would mean the
     # format was misread and the check proved nothing
     assert matched > 700
+
+
+def _agreement_sample():
+    """Fixed n = 12-16 configurations: wide ones reaching +-2**20, corner
+    points exactly at the bound, and crowded small-range ones full of
+    coaxial pairs."""
+    rng = random.Random(416)
+    corners = [(COORD_LIMIT, COORD_LIMIT), (-COORD_LIMIT, -COORD_LIMIT),
+               (COORD_LIMIT, -COORD_LIMIT), (-COORD_LIMIT, COORD_LIMIT)]
+    sample = []
+    for n in range(12, MAX_KERNEL_POINTS + 1):
+        for spread, fixed in ((COORD_LIMIT, corners), (COORD_LIMIT, []), (4, [])):
+            points = set(fixed)
+            while len(points) < n:
+                points.add((rng.randint(-spread, spread), rng.randint(-spread, spread)))
+            sample.append(sorted(points))
+    return sample
+
+
+def test_built_kernel_agrees_with_the_pure_reference(tmp_path):
+    # builds the shipped C outside the source tree, so the kernel's own
+    # pairwise tiling and global regularity scans audit the pure route
+    compiler = shutil.which("cc")
+    if compiler is None:
+        pytest.skip("no C compiler")
+    target = tmp_path / f"_fastsweep{sysconfig.get_config_var('EXT_SUFFIX')}"
+    subprocess.run(
+        [compiler, "-O0", "-shared", "-fPIC", "-w",
+         f"-I{sysconfig.get_paths()['include']}", str(SOURCE / "_fastsweep.c"),
+         "-o", str(target)],
+        check=True, timeout=300,
+    )
+    name = "troplines._fastsweep"
+    registered = name in sys.modules
+    loader = importlib.machinery.ExtensionFileLoader(name, str(target))
+    kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    try:
+        loader.exec_module(kernel)
+    finally:
+        # the module enters itself in sys.modules; later tests keep the
+        # backend the process selected
+        if not registered:
+            sys.modules.pop(name, None)
+    for points in _agreement_sample():
+        assert kernel.analyze_ints(points) == analyze_config(point_config(points)), points

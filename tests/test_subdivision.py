@@ -5,13 +5,19 @@ ordered partitions. Regularity gets the injected-fault test (a lift
 value bumped by one must be caught). The determined-face templates are
 pinned by one frozen instance per slot, including elongated edges, and
 by the frozen six-line near-pencil whose 13 cells exercise every face
-class.
+class. The owner-grid checks (tiling, local regularity, determined-face
+lookup) are compared with the global scans in tests/oracles.py on small
+arrangements, tampered ones included.
 """
 
+import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from troplines.arrangement import (
     CellClass,
@@ -22,7 +28,6 @@ from troplines.arrangement import (
 from troplines.errors import NotATriangle, TilingFailure
 from troplines.lines import Point2, line_from_vertex
 from troplines.subdivision import (
-    DualSubdivision,
     boundary_edge_count,
     check_regularity,
     check_regularity_detailed,
@@ -32,9 +37,16 @@ from troplines.subdivision import (
     is_corner_triangle,
     is_near_pencil,
     product_coefficients,
+    tile,
+    triangle_base,
+)
+
+from oracles import (
+    determined_faces_scan,
+    regularity_scan,
     shares_edge,
     simplex_lattice_points,
-    triangle_base,
+    tiling_scan,
 )
 
 
@@ -147,6 +159,17 @@ def test_duplicated_cell_is_a_tiling_failure():
         dual_subdivision(arr, tampered)
 
 
+def test_cell_edge_outside_the_three_directions_is_a_tiling_failure():
+    # inside 2*Delta_2 with areas summing to 4/2, but the first cell has
+    # the edge (-2,1), so it is no union of unit triangles
+    cells = [
+        _cell(CellClass.TRIANGLE, (0, 0), (2, 0), (0, 1)),
+        _cell(CellClass.TRIANGLE, (0, 1), (2, 0), (0, 2)),
+    ]
+    with pytest.raises(TilingFailure, match=r"edge \(-2,1\) outside the H/V/D"):
+        tile(2, cells)
+
+
 # ---------------------------------------------------------------------------
 # regularity
 # ---------------------------------------------------------------------------
@@ -179,7 +202,7 @@ def test_clockwise_cell_fails_regularity():
         cell_class=CellClass.TRIANGLE,
         dual_point=Point2(0, 0),
     )
-    bad = DualSubdivision(n=1, cells=[flipped], lift=dict(sub.lift))
+    bad = dataclasses.replace(sub, cells=[flipped], lift=dict(sub.lift))
     ok, diagnostic = check_regularity_detailed(bad)
     assert not ok
     assert "counterclockwise" in diagnostic
@@ -406,3 +429,69 @@ def test_elongated_corner_slots_are_not_unit_violations(points):
 
     record = analyze_config(point_config(points))
     assert record["violations"] == []
+
+
+# ---------------------------------------------------------------------------
+# the owner-grid checks against the global-scan oracles
+# ---------------------------------------------------------------------------
+
+half_integers = st.integers(-8, 8).map(lambda k: Fraction(k, 2))
+
+
+def _tiles(check, n, cells):
+    try:
+        check(n, cells)
+    except TilingFailure:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(half_integers, half_integers), min_size=1, max_size=7, unique=True),
+    st.sampled_from(["real", "bump", "negated", "duplicate", "missing", "clockwise"]),
+    st.randoms(use_true_random=False),
+)
+def test_owner_grid_checks_agree_with_the_global_scans(verts, case, rnd):
+    sub = dual_subdivision(_arr(*verts))
+    n, cells, lift = sub.n, list(sub.cells), dict(sub.lift)
+    k = rnd.randrange(len(cells))
+    if case == "bump":
+        point = rnd.choice(sorted(lift))
+        lift[point] += rnd.choice((-1, 1))
+    elif case == "negated":
+        # -h is still affine on every cell, so only the dominance test
+        # across interior edges can reject it
+        lift = {point: -value for point, value in lift.items()}
+    elif case == "duplicate":
+        # a copy of another cell of the same area keeps the area sum exact
+        same = [
+            c for i, c in enumerate(cells)
+            if i != k and c.doubled_area() == cells[k].doubled_area()
+        ]
+        if same:
+            cells[k] = rnd.choice(same)
+        else:
+            cells.append(cells[k])
+    elif case == "missing":
+        del cells[k]
+    elif case == "clockwise":
+        cells[k] = dataclasses.replace(cells[k], vertices=cells[k].vertices[::-1])
+
+    tiles = _tiles(tile, n, cells)
+    assert tiles == _tiles(tiling_scan, n, cells)
+    if case in ("real", "bump", "negated", "clockwise"):
+        tampered = dataclasses.replace(sub, cells=cells, lift=lift)
+        ok, _ = check_regularity_detailed(tampered)
+        assert ok == regularity_scan(n, cells, lift)[0]
+        # a bump may leave a valid regular subdivision, and so may -h on
+        # a single cell
+        if case == "negated":
+            assert ok == (len(cells) == 1)
+        elif case != "bump":
+            assert ok == (case == "real")
+    if case == "real":
+        assert tiles
+        for T in sub.cells:
+            if T.cell_class is CellClass.TRIANGLE:
+                assert determined_faces(sub, T) == determined_faces_scan(sub.cells, T)
