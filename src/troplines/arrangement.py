@@ -18,7 +18,8 @@ nonzero. The dual cell is the Minkowski sum over all lines of the convex
 hull of their argmax exponent sets (1 -> (1,0), 2 -> (0,1), 3 -> (0,0)),
 so it is positioned absolutely inside n * Delta_2, and (c, s_a, s_b, s_c)
 are exactly the cell-shape parameters: one triangle summand plus segments
-of those three directions and lengths.
+of those three directions and lengths. dual_cell walks the boundary of
+that sum directly from these parameters.
 """
 
 from __future__ import annotations
@@ -34,47 +35,10 @@ from .rationals import Rational
 
 LatticePoint = Tuple[int, int]
 
-EXPONENTS: Dict[int, LatticePoint] = {1: (1, 0), 2: (0, 1), 3: (0, 0)}
-
 
 # ---------------------------------------------------------------------------
 # exact lattice-polygon helpers
 # ---------------------------------------------------------------------------
-
-def _cross3(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull(points: Iterable[Tuple]) -> List[Tuple]:
-    """Corners of the convex hull in counterclockwise order.
-
-    Collinear boundary points are dropped. Degenerate inputs return the
-    distinct points (one for a point, two for a segment).
-    """
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross3(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross3(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:  # all input points collinear
-        return [pts[0], pts[-1]]
-    return hull
-
-
-def minkowski_sum(p: Sequence[Tuple], q: Sequence[Tuple]) -> List[Tuple]:
-    """Convex Minkowski sum of two convex point sets (hull of pairwise sums)."""
-    sums = {(a[0] + b[0], a[1] + b[1]) for a in p for b in q}
-    return convex_hull(sums)
-
 
 def doubled_area(poly: Sequence[Tuple]) -> Rational:
     """Twice the signed shoelace area; positive for counterclockwise."""
@@ -90,12 +54,6 @@ def doubled_area(poly: Sequence[Tuple]) -> Rational:
 def polygon_edges(poly: Sequence[Tuple]) -> List[Tuple[Tuple, Tuple]]:
     m = len(poly)
     return [(poly[i], poly[(i + 1) % m]) for i in range(m)]
-
-
-def canonical_ccw(poly: Sequence[Tuple]) -> Tuple[Tuple, ...]:
-    """Rotate a counterclockwise vertex list to start at the lex-min vertex."""
-    start = min(range(len(poly)), key=lambda i: poly[i])
-    return tuple(poly[start:]) + tuple(poly[:start])
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +98,6 @@ class VertexData:
         """The local 2D-cell criterion."""
         nonzero = (self.s_a > 0) + (self.s_b > 0) + (self.s_c > 0)
         return self.c == 1 or nonzero >= 2
-
-
-_ARGMAX_SLOT = {
-    frozenset({1, 3}): "s_a",
-    frozenset({2, 3}): "s_b",
-    frozenset({1, 2}): "s_c",
-}
 
 
 def vertex_data(arr: Arrangement, q: Point2) -> VertexData:
@@ -243,15 +194,40 @@ class CellPolygon:
         return doubled_area(self.vertices)
 
 
+_ONLY_1 = frozenset({1})
+_ONLY_2 = frozenset({2})
+
+
 def dual_cell(arr: Arrangement, vd: VertexData) -> CellPolygon:
-    """Minkowski sum of the per-line argmax exponent hulls at vd.point."""
+    """The cell dual to vd.point, walked along its edges.
+
+    The cell is the Minkowski sum over the lines of the hulls of their
+    argmax exponent sets: the lines with argmax {1} or {2} shift it by
+    one unit each along x or y, the line with its vertex at the point
+    adds a unit triangle, and the s_a, s_b, s_c lines add unit H, V and
+    D segments. So the lex-min corner is
+    (#lines with argmax {1}, #lines with argmax {2} + s_c), and from
+    there the counterclockwise boundary steps SE s_c, E s_a + c, N s_b,
+    NW s_c + c, W s_a and S s_b + c, skipping steps of zero length.
+    """
     if not vd.is_vertex:
         raise NotAVertex(f"{vd.point} fails the 2D-cell criterion")
-    acc: List[Tuple] = [(0, 0)]
-    for members in vd.per_line_argmax:
-        summand = [EXPONENTS[m] for m in members]
-        acc = minkowski_sum(acc, summand)
-    return CellPolygon(canonical_ccw(acc), classify_cell(vd), vd.point)
+    x = sum(1 for members in vd.per_line_argmax if members == _ONLY_1)
+    y = sum(1 for members in vd.per_line_argmax if members == _ONLY_2) + vd.s_c
+    corners = []
+    for (dx, dy), length in (
+        ((1, -1), vd.s_c),
+        ((1, 0), vd.s_a + vd.c),
+        ((0, 1), vd.s_b),
+        ((-1, 1), vd.s_c + vd.c),
+        ((-1, 0), vd.s_a),
+        ((0, -1), vd.s_b + vd.c),
+    ):
+        if length:
+            corners.append((x, y))
+            x += dx * length
+            y += dy * length
+    return CellPolygon(tuple(corners), classify_cell(vd), vd.point)
 
 
 @dataclass(frozen=True)

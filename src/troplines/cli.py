@@ -7,8 +7,10 @@ over integer configurations, JSONL stream plus summary), stable-line
 
 Exit codes: 0 success or sweep verified, 1 a mathematical invariant was
 violated (the counterexample is printed), 2 usage or input error,
-including files that cannot be read or written. No environment variable
-changes the behaviour; --jobs alone sets the worker count.
+including files that cannot be read or written, 3 internal error: one of
+the pipeline's own assertions failed, which is a bug in troplines and
+not a counterexample (printed as "internal error: ..."). No environment
+variable changes the behaviour; --jobs alone sets the worker count.
 """
 
 from __future__ import annotations
@@ -209,6 +211,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {str(exc) or 'assertion failed'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -184,14 +184,18 @@ def dbe_check(cfg: PointConfig) -> DbeVerdict:
     """
     if cfg.v < 4:
         raise TooFewPoints(f"the bound is stated for v >= 4, got {cfg.v}")
+    return _dbe_verdict(cfg, is_near_pencil(dual_subdivision(dualize_points(cfg))))
+
+
+def _dbe_verdict(cfg: PointConfig, near_pencil: bool) -> DbeVerdict:
+    """dbe_check for a caller that already holds the dual subdivision."""
     b = len(stable_lines_through(cfg))
-    near = is_near_pencil(dual_subdivision(dualize_points(cfg)))
     equality = b == cfg.v - 3
     return DbeVerdict(
         v=cfg.v,
         b=b,
         bound_holds=b >= cfg.v - 3,
         equality=equality,
-        near_pencil=near,
-        consistent=(not equality) or near,
+        near_pencil=near_pencil,
+        consistent=(not equality) or near_pencil,
     )

@@ -21,10 +21,9 @@ from .arrangement import (
     build_arrangement,
     classify_cell,
     counts_from_classes,
-    type_tuple,
 )
 from .errors import InputFormatError
-from .incidence import PointConfig, dbe_check, dualize_points, point_config
+from .incidence import PointConfig, _dbe_verdict, dualize_points, point_config
 from .lines import Point2, line_from_vertex
 from .rationals import Rational
 from .subdivision import DualSubdivision, dual_subdivision, is_near_pencil
@@ -165,6 +164,7 @@ def analyze_report(kind: str, obj: Any) -> dict:
     classes = [classify_cell(vd) for vd in vertex_data]
     cnt = counts_from_classes(arr.n, classes)
     sub = dual_subdivision(arr, vertex_data)
+    near_pencil = is_near_pencil(sub)
 
     report: Dict[str, Any] = {
         "input": kind,
@@ -179,7 +179,7 @@ def analyze_report(kind: str, obj: Any) -> dict:
         "vertices": [
             {
                 "point": point_to_json(vd.point),
-                "type": [argmax_str(s) for s in type_tuple(arr, vd.point)],
+                "type": [argmax_str(s) for s in vd.per_line_argmax],
                 "class": cls.value,
                 "c": vd.c,
                 "s_a": vd.s_a,
@@ -188,13 +188,14 @@ def analyze_report(kind: str, obj: Any) -> dict:
             }
             for vd, cls in zip(vertex_data, classes)
         ],
-        "near_pencil": is_near_pencil(sub),
+        "near_pencil": near_pencil,
         "subdivision": subdivision_to_json(sub),
     }
     if kind == "points":
         report["points"] = [point_to_json(p) for p in cfg.points]
         if cfg.v >= 4:
-            verdict = dbe_check(cfg)
+            # dbe_check, on the subdivision already built
+            verdict = _dbe_verdict(cfg, near_pencil)
             report["dbe"] = {
                 "v": verdict.v,
                 "b": verdict.b,

@@ -4,7 +4,7 @@ The subdivision has two independent constructions, kept deliberately
 separate so each can audit the other:
 
   * the Minkowski route (arrangement.dual_cell): one positioned cell per
-    arrangement vertex, and
+    arrangement vertex, walked from its shape parameters, and
   * the lift route (product_coefficients): the coefficient table of the
     tropical product of the n line polynomials, whose regular subdivision
     the Minkowski cells must reproduce. check_regularity verifies that
@@ -127,9 +127,9 @@ def tile(n: int, cells: List[CellPolygon]) -> Dict[UnitTriangle, int]:
     """Validate that the cells tile n * Delta_2 and return the owner grid.
 
     Every cell must lie inside n * Delta_2 and the areas must sum to n^2 / 2
-    exactly. Each cell, convex as dual_cell builds it, is then rasterized
-    into as many unit triangles as its doubled area; a triangle claimed
-    twice is an overlap. With the exact area sum, no overlap means the
+    exactly. Each cell, convex by construction, is then rasterized into
+    as many unit triangles as its doubled area; a triangle claimed twice
+    is an overlap. With the exact area sum, no overlap means the
     cells cover every unit triangle once. A failure is a TilingFailure,
     which means a bug in the pipeline, not bad input: the theory
     guarantees the tiling.

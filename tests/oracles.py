@@ -1,4 +1,9 @@
-"""Global-scan reference checks for the dual subdivision, small n only.
+"""Reference constructions and global-scan checks, small n only.
+
+The library walks each dual cell along its edges from the cell's shape
+parameters. The Minkowski reference builds the same cell the direct
+way, as successive convex hulls of pairwise sums of the per-line
+argmax exponent sets, and reads nothing but those sets.
 
 The library validates a subdivision through its unit-triangle owner
 grid: tiling by rasterization, regularity locally across interior edges,
@@ -25,6 +30,54 @@ from troplines.subdivision import triangle_base
 
 def _cross3(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+EXPONENTS = {1: (1, 0), 2: (0, 1), 3: (0, 0)}
+
+
+def convex_hull(points):
+    """Corners of the convex hull in counterclockwise order.
+
+    Collinear boundary points are dropped. Degenerate inputs return the
+    distinct points (one for a point, two for a segment).
+    """
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and _cross3(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross3(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:  # all input points collinear
+        return [pts[0], pts[-1]]
+    return hull
+
+
+def minkowski_sum(p, q):
+    """Convex Minkowski sum of two convex point sets (hull of pairwise sums)."""
+    return convex_hull({(a[0] + b[0], a[1] + b[1]) for a in p for b in q})
+
+
+def canonical_ccw(poly):
+    """Rotate a counterclockwise vertex list to start at the lex-min vertex."""
+    start = min(range(len(poly)), key=lambda i: poly[i])
+    return tuple(poly[start:]) + tuple(poly[:start])
+
+
+def minkowski_cell(vd):
+    """Corners of the cell dual to vd, as the Minkowski sum of the per-line
+    argmax exponent hulls: counterclockwise, lex-min first."""
+    acc = [(0, 0)]
+    for members in vd.per_line_argmax:
+        acc = minkowski_sum(acc, [EXPONENTS[m] for m in members])
+    return canonical_ccw(acc)
 
 
 def contains_point(poly, pt):

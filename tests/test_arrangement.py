@@ -1,8 +1,10 @@
-"""Lattice-polygon helpers and arrangement vertex enumeration.
+"""Lattice-polygon helpers, arrangement vertices and dual cells.
 
 The polygon helpers get independent oracles: Pick's theorem for areas,
-support-function additivity for Minkowski sums, and the origin-in-the-
-difference-body criterion for interior disjointness. The arrangement
+support-function additivity for the reference Minkowski sums, and the
+origin-in-the-difference-body criterion for interior disjointness. Each
+dual cell, walked from its shape parameters, is compared with the
+Minkowski sum of its per-line argmax hulls. The arrangement
 fixtures freeze fully worked examples (a two-line arrangement and the
 four-line near-pencil whose lines all pass through one point).
 """
@@ -22,14 +24,11 @@ from troplines.arrangement import (
     arrangement_vertices,
     build_arrangement,
     candidate_points,
-    canonical_ccw,
     classify_cell,
-    convex_hull,
     counts,
     counts_from_classes,
     doubled_area,
     dual_cell,
-    minkowski_sum,
     polygon_edges,
     type_tuple,
     verify_count_identities,
@@ -42,7 +41,17 @@ from troplines.lines import (
     ray_crossings,
 )
 
-from oracles import contains_point, interiors_disjoint, lattice_points
+from troplines.serialize import parse_rational
+
+from oracles import (
+    canonical_ccw,
+    contains_point,
+    convex_hull,
+    interiors_disjoint,
+    lattice_points,
+    minkowski_cell,
+    minkowski_sum,
+)
 
 lattice_pt = st.tuples(
     st.integers(min_value=-6, max_value=6), st.integers(min_value=-6, max_value=6)
@@ -392,6 +401,21 @@ def test_counts_from_classes_tallies():
     ]
     cnt = counts_from_classes(3, classes)
     assert cnt == Counts(n=3, t=5, triangles=2, b=3, k=2, h=1)
+
+
+half_integers = st.integers(-8, 8).map(lambda k: parse_rational(f"{k}/2", "k/2"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(half_integers, half_integers), min_size=1, max_size=7, unique=True)
+)
+def test_dual_cell_matches_the_minkowski_reference(vertices):
+    arr = _arr(*vertices)
+    for vd in arrangement_vertices(arr):
+        cell = dual_cell(arr, vd)
+        assert cell.vertices == minkowski_cell(vd), (vertices, vd.point)
+        assert all(type(c) is int for corner in cell.vertices for c in corner)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from troplines import cli
+from troplines import cli, serialize
 from troplines.cli import main
 from troplines.sweep import SweepReport
 
@@ -189,3 +189,15 @@ def test_analyze_non_utf8_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "not UTF-8" in err
+
+
+def test_internal_assertion_is_exit_3_not_a_counterexample(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise AssertionError("cell areas drifted")
+
+    monkeypatch.setattr(serialize, "dual_subdivision", broken)
+    path = _write(tmp_path, "pencil.json", PENCIL_POINTS)
+    assert main(["analyze", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: cell areas drifted\n"

@@ -44,20 +44,6 @@ int_configs = st.lists(
 )
 
 
-@settings(max_examples=50, deadline=None)
-@given(int_configs)
-def test_analyze_matches_the_pure_reference(points):
-    cfg = point_config(sorted(points))
-    assert analyze(cfg) == analyze_config(cfg)
-
-
-@settings(max_examples=50, deadline=None)
-@given(int_configs)
-def test_has_ordinary_line_matches_the_pure_reference(points):
-    cfg = point_config(sorted(points))
-    assert has_ordinary_line(cfg) == (len(ordinary_stable_lines(cfg)) > 0)
-
-
 # (points, eligible): the boundaries of the one eligibility rule
 ELIGIBILITY_CASES = [
     ([(0, 0), (3, 1), (-2, 5)], True),
@@ -139,13 +125,16 @@ def _agreement_sample():
     return sample
 
 
-def test_built_kernel_agrees_with_the_pure_reference(tmp_path):
-    # builds the shipped C outside the source tree, so the kernel's own
-    # pairwise tiling and global regularity scans audit the pure route
+@pytest.fixture(scope="module")
+def built_kernel(tmp_path_factory):
+    """The shipped C compiled with cc -O0 outside the source tree and
+    loaded under its own name, whether or not an extension is installed."""
     compiler = shutil.which("cc")
     if compiler is None:
         pytest.skip("no C compiler")
-    target = tmp_path / f"_fastsweep{sysconfig.get_config_var('EXT_SUFFIX')}"
+    target = tmp_path_factory.mktemp("kernel") / (
+        f"_fastsweep{sysconfig.get_config_var('EXT_SUFFIX')}"
+    )
     subprocess.run(
         [compiler, "-O0", "-shared", "-fPIC", "-w",
          f"-I{sysconfig.get_paths()['include']}", str(SOURCE / "_fastsweep.c"),
@@ -163,5 +152,31 @@ def test_built_kernel_agrees_with_the_pure_reference(tmp_path):
         # backend the process selected
         if not registered:
             sys.modules.pop(name, None)
+    return kernel
+
+
+@settings(max_examples=50, deadline=None)
+@given(points=int_configs)
+def test_analyze_matches_the_pure_reference(built_kernel, points):
+    points = sorted(points)
+    cfg = point_config(points)
+    reference = analyze_config(cfg)
+    assert built_kernel.analyze_ints(points) == reference
+    assert analyze(cfg) == reference
+
+
+@settings(max_examples=50, deadline=None)
+@given(points=int_configs)
+def test_has_ordinary_line_matches_the_pure_reference(built_kernel, points):
+    points = sorted(points)
+    cfg = point_config(points)
+    reference = len(ordinary_stable_lines(cfg)) > 0
+    assert built_kernel.has_ordinary_line(points) == reference
+    assert has_ordinary_line(cfg) == reference
+
+
+def test_built_kernel_agrees_with_the_pure_reference(built_kernel):
+    # the kernel's own pairwise tiling and global regularity scans audit
+    # the pure route
     for points in _agreement_sample():
-        assert kernel.analyze_ints(points) == analyze_config(point_config(points)), points
+        assert built_kernel.analyze_ints(points) == analyze_config(point_config(points)), points

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from troplines.errors import DuplicateLine, EqualPoints, InputFormatError
-from troplines.incidence import point_config
+from troplines import incidence, serialize, subdivision
+from troplines.incidence import dbe_check, point_config
 from troplines.lines import Point2
 from troplines.serialize import (
     analyze_report,
@@ -151,6 +152,29 @@ def test_analyze_report_for_points():
     for vd in report["vertices"]:
         assert vd["c"] + vd["s_a"] + vd["s_b"] + vd["s_c"] <= 4
         assert len(vd["type"]) == 4
+
+
+def test_points_report_builds_the_subdivision_once(monkeypatch):
+    cfg = point_config([(0, 0), (0, -2), (-2, 0), (2, 2), (3, 7), (-4, 1)])
+    expected = dbe_check(cfg)
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return subdivision.dual_subdivision(*args, **kwargs)
+
+    for module in (serialize, incidence):
+        monkeypatch.setattr(module, "dual_subdivision", spy)
+    report = analyze_report("points", cfg)
+    assert len(built) == 1
+    assert report["dbe"] == {
+        "v": expected.v,
+        "b": expected.b,
+        "bound_holds": expected.bound_holds,
+        "equality": expected.equality,
+        "near_pencil": expected.near_pencil,
+        "consistent": expected.consistent,
+    }
 
 
 def test_analyze_report_small_points_has_no_verdict():
