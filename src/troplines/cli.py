@@ -9,7 +9,8 @@ Exit codes: 0 success or sweep verified, 1 a mathematical invariant was
 violated (the counterexample is printed), 2 usage or input error,
 including files that cannot be read or written, 3 internal error: one of
 the pipeline's own assertions failed, which is a bug in troplines and
-not a counterexample (printed as "internal error: ..."). No environment
+not a counterexample (printed as "internal error: ...", which during
+verify ends with the points of the configuration). No environment
 variable changes the behaviour; --jobs alone sets the worker count.
 """
 
@@ -25,15 +26,9 @@ from .errors import InputFormatError, TilingFailure, TroplinesError
 from .incidence import cramer_stable_line, dualize_points
 from .lines import Point2
 from .rationals import Rational
-from .serialize import (
-    analyze_report,
-    load_input,
-    parse_rational,
-    rational_to_json,
-    sweep_line_json,
-)
+from .serialize import analyze_report, load_input, parse_rational, rational_to_json
 from .svg import render_svg
-from .sweep import Exhaustive, Random, SweepParams, run_sweep
+from .sweep import Exhaustive, JsonlSink, Random, SweepParams, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,10 +130,7 @@ def cmd_verify(args) -> int:
     stream = (open(args.jsonl, "w", encoding="utf-8", buffering=1)
               if args.jsonl else None)
     try:
-        sink = None
-        if stream is not None:
-            def sink(index, config, excess, violations):
-                stream.write(sweep_line_json(index, config, excess, violations) + "\n")
+        sink = JsonlSink(stream) if stream is not None else None
         report = run_sweep(params, jobs=args.jobs, sink=sink)
     finally:
         if stream is not None:

@@ -9,6 +9,9 @@ it and everything else to the pure-Python implementation; without the
 extension every call is pure. Both produce the same analysis record,
 which the test suite enforces by direct comparison. The pure reference
 stays callable directly as troplines.analysis.analyze_config.
+stream_eligible() applies the same limits once to a whole stream of
+integer configurations, so a sweep can hand its int tuples to the
+extension directly.
 """
 
 from __future__ import annotations
@@ -57,6 +60,15 @@ def kernel_pairs(cfg: PointConfig) -> Optional[List[Tuple[int, int]]]:
             return None
         pairs.append((x, y))
     return pairs
+
+
+def stream_eligible(n: int, reach: int) -> bool:
+    """True when the extension is loaded and takes every configuration of
+    n distinct integer points with coordinates of magnitude at most
+    reach: kernel_pairs' limits, decided once for the stream instead of
+    per configuration. The extension itself rejects duplicate points,
+    out-of-bound coordinates and too many points with ValueError."""
+    return _COMPILED is not None and n <= MAX_KERNEL_POINTS and reach <= COORD_LIMIT
 
 
 def analyze(cfg: PointConfig) -> dict:

@@ -16,16 +16,15 @@ Two distinct lines meet in a single point unless their vertices are
 coaxial (same y, same x, or difference parallel to (1,1)), in which case
 they overlap along a ray and the stable intersection is the one vertex
 that lies on the other line. The closed-form rule is derived from the
-perturbation definition and guarded by perturbed_intersection_oracle in
-the tests.
+perturbation definition, which the tests keep as an oracle.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import FrozenSet, NamedTuple, Optional, Set, Tuple
 
-from .errors import EqualPoints, IdenticalLines, NotTransversal
+from .errors import EqualPoints, IdenticalLines
 from .rationals import Rational
 
 
@@ -205,33 +204,3 @@ def pairwise_stable_intersection(L1: TropicalLine, L2: TropicalLine) -> StableIn
             f"coaxial pair {v1}, {v2}: expected exactly one vertex on the other line, got {on_other}"
         )
     return StableIntersectionResult(on_other[0], IntersectionKind.SECOND)
-
-
-def perturbed_intersection_oracle(
-    L1: TropicalLine, L2: TropicalLine, eps: Rational, direction: Point2
-) -> Point2:
-    """Transversal intersection of L1 with L2 shifted by eps * direction.
-
-    This is the test-side oracle for the stable intersection: the stable
-    point is the limit of these as eps tends to 0 over valid directions.
-    """
-    if L1.vertex == L2.vertex:
-        raise IdenticalLines(f"both lines have vertex {L1.vertex}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    shifted_vertex = L2.vertex + direction.scale(eps)
-    if shifted_vertex == L1.vertex or coaxial_points(L1.vertex, shifted_vertex) is not None:
-        raise NotTransversal(
-            f"shift {direction} by {eps} leaves vertices {L1.vertex}, {shifted_vertex} degenerate"
-        )
-    crossings = ray_crossings(L1, TropicalLine(shifted_vertex))
-    if len(crossings) != 1:
-        raise AssertionError(
-            f"perturbed pair {L1.vertex}, {shifted_vertex} produced crossings {sorted(crossings)}"
-        )
-    return crossings.pop()
-
-
-def lines_through_point(lines: List[TropicalLine], q: Point2) -> List[int]:
-    """Indices of the lines containing q."""
-    return [i for i, line in enumerate(lines) if contains(line, q)]

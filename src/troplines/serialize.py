@@ -210,14 +210,17 @@ def analyze_report(kind: str, obj: Any) -> dict:
 
 
 def sweep_line_json(index: int, config: tuple, excess: int, violations: list) -> str:
-    """One JSONL line of a sweep stream: deterministic, no timing."""
-    return json.dumps(
-        {
-            "index": index,
-            "config": [[x, y] for x, y in config],
-            "excess": excess,
-            "violations": [[suite, detail] for suite, detail in violations],
-        },
-        separators=(",", ":"),
-        sort_keys=True,
+    """One JSONL line of a sweep stream: deterministic, no timing.
+
+    The bytes are those of json.dumps of {"index", "config", "excess",
+    "violations"} with sort_keys and separators (",", ":"), formatted
+    directly for integer coordinates; the violations, whose details are
+    free text, still go through json.dumps for its escaping.
+    """
+    return '{"config":[%s],"excess":%d,"index":%d,"violations":%s}' % (
+        ",".join(["[%d,%d]" % (x, y) for x, y in config]),
+        excess,
+        index,
+        json.dumps([[suite, detail] for suite, detail in violations],
+                   separators=(",", ":")) if violations else "[]",
     )

@@ -9,7 +9,9 @@ standalone test case. Violations are data, not exceptions.
 Each sweep reads one lazy configuration stream in a fixed order; workers
 take it in ordered chunks, a bounded number at a time, so memory does not
 grow with the sweep size and results are identical for any worker count
-and fixed parameters (elapsed time aside).
+and fixed parameters (elapsed time aside). When n and the grid or range
+fit the compiled kernel, the stream's int tuples go to it directly, and
+JSONL lines are encoded next to the analysis, in the workers.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
 
 from . import kernel
 from .errors import BudgetExhausted, GridTooSmall, InvalidSweep, RangeTooSmall
 from .incidence import PointConfig, point_config
+from .serialize import sweep_line_json
 
 IntPair = Tuple[int, int]
 
@@ -173,25 +176,100 @@ def _sweep_size(params: SweepParams) -> int:
     return params.mode.samples
 
 
-def _analyze(pairs: Tuple[IntPair, ...]) -> Tuple[Tuple[IntPair, ...], int, list]:
-    record = kernel.analyze(point_config(pairs))
-    return pairs, record["excess"], record["violations"]
+def _kernel_route(params: SweepParams) -> bool:
+    """Whether every configuration of the sweep goes to the compiled
+    kernel as int tuples, decided from n and the largest coordinate
+    magnitude the mode can generate, without generating anything."""
+    mode = params.mode
+    reach = mode.grid_size - 1 if isinstance(mode, Exhaustive) else mode.coord_range
+    return kernel.stream_eligible(params.n, reach)
 
 
-def _analyze_chunk(chunk: Tuple[Tuple[IntPair, ...], ...]) -> list:
-    return [_analyze(pairs) for pairs in chunk]
+class JsonlSink:
+    """A run_sweep sink that writes each record to stream as its JSONL
+    line, sweep_line_json plus a newline.
+
+    run_sweep recognizes it: the lines are encoded where the
+    configurations are analyzed, in the workers when there are any, and
+    each chunk's lines reach the stream in one write as soon as the chunk
+    is analyzed. The bytes are the same as calling it once per record.
+    """
+
+    def __init__(self, stream: TextIO) -> None:
+        self.stream = stream
+
+    def __call__(self, index: int, config: Tuple[IntPair, ...], excess: int,
+                 violations: list) -> None:
+        self.stream.write(sweep_line_json(index, config, excess, violations) + "\n")
 
 
-def _pooled(pool, configs: Iterator, size: int, window: int) -> Iterator:
-    """_analyze over configs on pool's workers, in order, in chunks of size
-    configurations with at most window chunks in flight."""
+class _Chunk(NamedTuple):
+    """Consecutive configurations of one sweep, from index start on, with
+    what the analysis of each needs: the check suites kept, whether the
+    sweep takes the kernel route and whether to encode JSONL lines."""
+
+    start: int
+    configs: Tuple[Tuple[IntPair, ...], ...]
+    checks: frozenset
+    compiled: bool
+    encode: bool
+
+
+def _analyze_chunk(chunk: _Chunk) -> Tuple[List[Tuple[int, list]], Optional[str]]:
+    """The (excess, violations in chunk.checks) of each configuration of
+    the chunk in order, and their JSONL lines, newline-terminated and
+    joined, when chunk.encode is set (None otherwise).
+
+    The kernel route passes the int tuples straight to the extension;
+    otherwise each configuration goes through kernel.analyze. An
+    AssertionError from either is raised again naming the points.
+    """
+    analyze_ints = kernel._COMPILED.analyze_ints if chunk.compiled else None
+    checks = chunk.checks
+    records: List[Tuple[int, list]] = []
+    lines: List[str] = []
+    for index, pairs in enumerate(chunk.configs, chunk.start):
+        try:
+            if analyze_ints is not None:
+                record = analyze_ints(pairs)
+            else:
+                record = kernel.analyze(point_config(pairs))
+        except AssertionError as exc:
+            raise AssertionError(
+                f"{str(exc) or 'assertion failed'} at points {[list(p) for p in pairs]}"
+            ) from exc
+        excess = record["excess"]
+        bad = [v for v in record["violations"] if v[0] in checks]
+        records.append((excess, bad))
+        if chunk.encode:
+            lines.append(sweep_line_json(index, pairs, excess, bad))
+    return records, "\n".join(lines) + "\n" if chunk.encode else None
+
+
+def _chunks(params: SweepParams, size: int, encode: bool) -> Iterator[_Chunk]:
+    """The sweep's configuration stream, set up at the call and cut
+    lazily into chunks of size configurations."""
+    configs = _config_list(params)
+    compiled = _kernel_route(params)
+    parts = iter(lambda: tuple(itertools.islice(configs, size)), ())
+    return (
+        _Chunk(number * size, part, params.checks, compiled, encode)
+        for number, part in enumerate(parts)
+    )
+
+
+def _pooled(pool, chunks: Iterator[_Chunk], window: int) -> Iterator:
+    """(chunk, _analyze_chunk(chunk)) for each chunk, in order, analyzed on
+    pool's workers with at most window chunks in flight."""
     pending = deque()
-    for chunk in iter(lambda: tuple(itertools.islice(configs, size)), ()):
-        pending.append(pool.apply_async(_analyze_chunk, (chunk,)))
+    for chunk in chunks:
+        pending.append((chunk, pool.apply_async(_analyze_chunk, (chunk,))))
         if len(pending) >= window:
-            yield from pending.popleft().get()
+            done, result = pending.popleft()
+            yield done, result.get()
     while pending:
-        yield from pending.popleft().get()
+        done, result = pending.popleft()
+        yield done, result.get()
 
 
 def run_sweep(
@@ -204,31 +282,39 @@ def run_sweep(
     jobs > 1 analyzes ordered chunks of the configuration stream on that
     many processes; the report does not depend on the worker count. sink,
     when given, receives (index, config, excess, violations) for every
-    configuration in order, as soon as that configuration is analyzed.
+    configuration in order, as soon as that configuration is analyzed. A
+    JsonlSink receives the same records as lines encoded by the workers.
     """
     if jobs < 1:
         raise InvalidSweep(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
-    checks = params.checks
-    configs = _config_list(params)
+    stream = None
+    if isinstance(sink, JsonlSink):
+        stream, sink = sink.stream, None
+    # one configuration at a time in process, each record out before the
+    # next; for workers about what Pool.map would pick, capped so the
+    # chunks in flight stay small however large the sweep
+    size = 1 if jobs == 1 else max(1, min(1024, _sweep_size(params) // (4 * jobs)))
+    chunks = _chunks(params, size, stream is not None)
     histogram: Dict[int, int] = {}
     violations: List[Tuple[Tuple[IntPair, ...], str, str]] = []
     with contextlib.ExitStack() as stack:
         if jobs == 1:
-            results: Iterator = map(_analyze, configs)
+            results: Iterator = ((chunk, _analyze_chunk(chunk)) for chunk in chunks)
         else:
-            # about what Pool.map would pick, capped so the chunks in
-            # flight stay small however large the sweep
-            size = max(1, min(1024, _sweep_size(params) // (4 * jobs)))
             pool = stack.enter_context(multiprocessing.Pool(processes=jobs))
-            results = _pooled(pool, configs, size, 2 * jobs)
-        for index, (pairs, excess, found) in enumerate(results):
-            histogram[excess] = histogram.get(excess, 0) + 1
-            bad = [v for v in found if v[0] in checks]
-            for suite, detail in bad:
-                violations.append((pairs, suite, detail))
-            if sink is not None:
-                sink(index, pairs, excess, bad)
+            results = _pooled(pool, chunks, 2 * jobs)
+        for chunk, (records, text) in results:
+            if stream is not None:
+                stream.write(text)
+            for index, (pairs, (excess, bad)) in enumerate(
+                zip(chunk.configs, records), chunk.start
+            ):
+                histogram[excess] = histogram.get(excess, 0) + 1
+                for suite, detail in bad:
+                    violations.append((pairs, suite, detail))
+                if sink is not None:
+                    sink(index, pairs, excess, bad)
 
     elapsed = time.perf_counter() - start
     return SweepReport(
@@ -245,7 +331,8 @@ def sg_failure_search(
     """Configurations with no ordinary stable line (no stable line through
     exactly two of the points).
 
-    Streams the configurations described by params and stops once
+    Streams the configurations described by params, as int tuples straight
+    to the compiled kernel when the whole sweep fits it, and stops once
     stop_after witnesses are found. Exhausting the stream first issues a
     BudgetExhausted warning and returns whatever was found.
     """
@@ -255,10 +342,17 @@ def sg_failure_search(
         )
     if params.n != n:
         raise InvalidSweep(f"params.n = {params.n} does not match n = {n}")
+    has_ordinary_line = (
+        kernel._COMPILED.has_ordinary_line if _kernel_route(params) else None
+    )
     witnesses: List[PointConfig] = []
-    for cfg in map(point_config, _config_list(params)):
-        if not kernel.has_ordinary_line(cfg):
-            witnesses.append(cfg)
+    for pairs in _config_list(params):
+        if has_ordinary_line is not None:
+            ordinary = has_ordinary_line(pairs)
+        else:
+            ordinary = kernel.has_ordinary_line(point_config(pairs))
+        if not ordinary:
+            witnesses.append(point_config(pairs))
             if len(witnesses) >= stop_after:
                 return witnesses
     warnings.warn(

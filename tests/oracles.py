@@ -1,4 +1,4 @@
-"""Reference constructions and global-scan checks, small n only.
+"""Reference constructions, global-scan checks and specs, small n only.
 
 The library walks each dual cell along its edges from the cell's shape
 parameters. The Minkowski reference builds the same cell the direct
@@ -19,13 +19,62 @@ replaced, kept as independent oracles for the tests:
 
 Each scan reads only the cells and the lift, never the owner grid, the
 adjacency or the corner-slot index of the subdivision under test.
+
+The stable intersection of two tropical lines is checked against its
+definition, the limit of transversal intersections under perturbation.
+A sweep's JSONL line is specified as the json.dumps of its record, which
+the library writes out directly.
 """
 
+import json
 import math
 
 from troplines.arrangement import SEMIUNIFORM, CellClass, polygon_edges
-from troplines.errors import TilingFailure
+from troplines.errors import IdenticalLines, NotTransversal, TilingFailure
+from troplines.lines import TropicalLine, coaxial_points, contains, ray_crossings
 from troplines.subdivision import triangle_base
+
+
+def perturbed_intersection_oracle(L1, L2, eps, direction):
+    """Transversal intersection of L1 with L2 shifted by eps * direction.
+
+    The stable point is the limit of these as eps tends to 0 over valid
+    directions.
+    """
+    if L1.vertex == L2.vertex:
+        raise IdenticalLines(f"both lines have vertex {L1.vertex}")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    shifted_vertex = L2.vertex + direction.scale(eps)
+    if shifted_vertex == L1.vertex or coaxial_points(L1.vertex, shifted_vertex) is not None:
+        raise NotTransversal(
+            f"shift {direction} by {eps} leaves vertices {L1.vertex}, {shifted_vertex} degenerate"
+        )
+    crossings = ray_crossings(L1, TropicalLine(shifted_vertex))
+    if len(crossings) != 1:
+        raise AssertionError(
+            f"perturbed pair {L1.vertex}, {shifted_vertex} produced crossings {sorted(crossings)}"
+        )
+    return crossings.pop()
+
+
+def lines_through_point(lines, q):
+    """Indices of the lines containing q."""
+    return [i for i, line in enumerate(lines) if contains(line, q)]
+
+
+def sweep_line_spec(index, config, excess, violations):
+    """One JSONL line of a sweep stream, as json.dumps writes the record."""
+    return json.dumps(
+        {
+            "index": index,
+            "config": [[x, y] for x, y in config],
+            "excess": excess,
+            "violations": [[suite, detail] for suite, detail in violations],
+        },
+        separators=(",", ":"),
+        sort_keys=True,
+    )
 
 
 def _cross3(o, a, b):

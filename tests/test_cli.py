@@ -1,12 +1,14 @@
 """End-to-end CLI behavior through main(argv): outputs and exit codes."""
 
 import json
+import types
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from troplines import cli, serialize
+from troplines import cli, kernel, serialize
 from troplines.cli import main
+from troplines.incidence import point_config
 from troplines.sweep import SweepReport
 
 PENCIL_POINTS = '{"points": [[0, 0], [0, -2], [-2, 0], [2, 2]]}'
@@ -201,3 +203,27 @@ def test_internal_assertion_is_exit_3_not_a_counterexample(tmp_path, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: cell areas drifted\n"
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_verify_internal_assertion_names_the_configuration(monkeypatch, capsys, backend):
+    target = ((0, 0), (0, 1), (1, 2))
+    real = kernel.analyze_config
+
+    def broken(points):
+        if tuple(tuple(p) for p in points) == target:
+            raise AssertionError("cell areas drifted")
+        return real(point_config(points))
+
+    if backend == "pure":
+        monkeypatch.setattr(kernel, "_COMPILED", None)
+        monkeypatch.setattr(kernel, "analyze_config", lambda cfg: broken(cfg.points))
+    else:
+        monkeypatch.setattr(kernel, "_COMPILED", types.SimpleNamespace(analyze_ints=broken))
+    assert main(["verify", "--n", "3", "--mode", "exhaustive", "--grid", "3",
+                 "--jobs", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: cell areas drifted at points [[0, 0], [0, 1], [1, 2]]\n"
+    )

@@ -1,14 +1,8 @@
 """Backend selection and pure/compiled agreement."""
 
-import importlib.machinery
-import importlib.util
 import json
 import random
 import re
-import shutil
-import subprocess
-import sys
-import sysconfig
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,36 +117,6 @@ def _agreement_sample():
                 points.add((rng.randint(-spread, spread), rng.randint(-spread, spread)))
             sample.append(sorted(points))
     return sample
-
-
-@pytest.fixture(scope="module")
-def built_kernel(tmp_path_factory):
-    """The shipped C compiled with cc -O0 outside the source tree and
-    loaded under its own name, whether or not an extension is installed."""
-    compiler = shutil.which("cc")
-    if compiler is None:
-        pytest.skip("no C compiler")
-    target = tmp_path_factory.mktemp("kernel") / (
-        f"_fastsweep{sysconfig.get_config_var('EXT_SUFFIX')}"
-    )
-    subprocess.run(
-        [compiler, "-O0", "-shared", "-fPIC", "-w",
-         f"-I{sysconfig.get_paths()['include']}", str(SOURCE / "_fastsweep.c"),
-         "-o", str(target)],
-        check=True, timeout=300,
-    )
-    name = "troplines._fastsweep"
-    registered = name in sys.modules
-    loader = importlib.machinery.ExtensionFileLoader(name, str(target))
-    kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-    try:
-        loader.exec_module(kernel)
-    finally:
-        # the module enters itself in sys.modules; later tests keep the
-        # backend the process selected
-        if not registered:
-            sys.modules.pop(name, None)
-    return kernel
 
 
 @settings(max_examples=50, deadline=None)

@@ -28,11 +28,11 @@ from troplines.lines import (
     eval_argmax,
     line_from_coefficients,
     line_from_vertex,
-    lines_through_point,
     pairwise_stable_intersection,
-    perturbed_intersection_oracle,
     ray_crossings,
 )
+
+from oracles import lines_through_point, perturbed_intersection_oracle
 
 
 def test_point_arithmetic():

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from troplines.errors import DuplicateLine, EqualPoints, InputFormatError
 from troplines import incidence, serialize, subdivision
@@ -21,6 +23,9 @@ from troplines.serialize import (
     sweep_line_json,
 )
 from troplines.subdivision import dual_subdivision
+from troplines.sweep import ALL_CHECKS
+
+from oracles import sweep_line_spec
 
 
 @pytest.mark.parametrize(
@@ -200,3 +205,29 @@ def test_sweep_line_json_is_compact_and_deterministic():
     )
     assert line == sweep_line_json(3, ((0, 0), (1, 2)), 1, [["bound", "b=0 < v-3=1"]])
     assert " " not in sweep_line_json(0, ((0, 0), (1, 2)), 2, [])
+
+
+coordinate = st.integers(-(2**70), 2**70)
+
+
+@given(
+    index=st.integers(0, 2**64),
+    config=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=16),
+    excess=st.integers(-(2**40), 2**40),
+    violations=st.lists(st.tuples(st.sampled_from(sorted(ALL_CHECKS)), st.text())),
+)
+@example(index=0, config=[(0, 0)], excess=0, violations=[])
+@example(
+    index=12,
+    config=[(-(2**20), 2**20), (-1, 0)],
+    excess=-3,
+    violations=[
+        ("bound", 'quoted "b=0" and a \\ backslash'),
+        ("tiling", "two\nlines\tand a tab"),
+        ("regularity", "non-ASCII: \u00e9 \u2264 \U0001f600"),
+    ],
+)
+def test_sweep_line_json_matches_the_json_dumps_spec(index, config, excess, violations):
+    line = sweep_line_json(index, tuple(config), excess, violations)
+    assert line == sweep_line_spec(index, tuple(config), excess, violations)
+    assert json.loads(line)["config"] == [list(p) for p in config]

@@ -6,14 +6,15 @@ import random
 
 import pytest
 
-from troplines import sweep
+from troplines import kernel, sweep
+from troplines.cli import main
 from troplines.errors import (
     BudgetExhausted,
     GridTooSmall,
     InvalidSweep,
     RangeTooSmall,
 )
-from troplines.incidence import ordinary_stable_lines
+from troplines.incidence import ordinary_stable_lines, point_config
 from troplines.sweep import (
     ALL_CHECKS,
     Exhaustive,
@@ -25,6 +26,8 @@ from troplines.sweep import (
     run_sweep,
     sg_failure_search,
 )
+
+from oracles import sweep_line_spec
 
 
 def test_enumeration_counts_and_order():
@@ -206,3 +209,120 @@ def test_failure_search_warns_when_the_budget_runs_out():
     with pytest.warns(BudgetExhausted):
         witnesses = sg_failure_search(4, params, stop_after=1)
     assert witnesses == []
+
+
+# (CLI arguments, the same sweep's parameters)
+ROUTE_SWEEPS = {
+    "exhaustive": (["--n", "4", "--mode", "exhaustive", "--grid", "4"],
+                   SweepParams(n=4, mode=Exhaustive(4))),
+    "random": (["--n", "5", "--mode", "random", "--samples", "300", "--range", "7",
+                "--seed", "11"],
+               SweepParams(n=5, mode=Random(samples=300, coord_range=7, seed=11))),
+}
+
+
+def _verify_jsonl(args, jobs, path):
+    assert main(["verify", *args, "--jobs", str(jobs), "--jsonl", str(path)]) == 0
+    return path.read_bytes()
+
+
+def _summary(report):
+    return report.configs_tested, report.violations, report.histogram
+
+
+@pytest.fixture(scope="module", params=sorted(ROUTE_SWEEPS))
+def pure_route(request, tmp_path_factory):
+    """The sweep on the pure route: its CLI JSONL bytes at two jobs, and
+    its records and report from run_sweep at one job."""
+    args, params = ROUTE_SWEEPS[request.param]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_COMPILED", None)
+        stream = _verify_jsonl(args, 2, tmp_path_factory.mktemp("pure") / "pure.jsonl")
+        rows = []
+        report = run_sweep(params, sink=lambda *row: rows.append(row))
+    return args, params, stream, rows, report
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_compiled_route_matches_the_pure_route(
+    built_kernel, pure_route, monkeypatch, tmp_path, capsys, jobs
+):
+    args, params, stream, rows, report = pure_route
+    if isinstance(params.mode, Random):
+        assert min(x for _, pairs, _, _ in rows for p in pairs for x in p) < 0
+    # worker-encoded lines are the spec's lines of the sink's records
+    assert stream == "".join(sweep_line_spec(*row) + "\n" for row in rows).encode()
+
+    def not_this_route(cfg):
+        raise AssertionError("the sweep went through kernel.analyze")
+
+    # forked workers inherit both patches
+    monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
+    monkeypatch.setattr(kernel, "analyze", not_this_route)
+    assert sweep._kernel_route(params)
+    assert _verify_jsonl(args, jobs, tmp_path / "compiled.jsonl") == stream
+    compiled_rows = []
+    compiled = run_sweep(params, jobs=jobs, sink=lambda *row: compiled_rows.append(row))
+    assert compiled_rows == rows
+    assert _summary(compiled) == _summary(report)
+    capsys.readouterr()
+
+
+def _last_lattice_config(n, grid_size):
+    # the last n-subset in lexicographic order, without the lattice
+    return [(grid_size - 1 - (n - 1 - i) // grid_size, grid_size - 1 - (n - 1 - i) % grid_size)
+            for i in range(n)]
+
+
+def _corner_config(n, coord_range):
+    corners = [(coord_range, coord_range), (-coord_range, -coord_range),
+               (coord_range, -coord_range), (-coord_range, coord_range)]
+    return (corners + [(i, 0) for i in range(n)])[:n]
+
+
+@pytest.mark.parametrize(
+    "params, extreme, fits",
+    [
+        (SweepParams(n=16, mode=Exhaustive(5)), _last_lattice_config(16, 5), True),
+        (SweepParams(n=17, mode=Exhaustive(5)), _last_lattice_config(17, 5), False),
+        (SweepParams(n=3, mode=Random(samples=1, coord_range=2**20)),
+         _corner_config(3, 2**20), True),
+        (SweepParams(n=3, mode=Random(samples=1, coord_range=2**20 + 1)),
+         _corner_config(3, 2**20 + 1), False),
+        (SweepParams(n=3, mode=Exhaustive(2**20 + 1)),
+         _last_lattice_config(3, 2**20 + 1), True),
+        (SweepParams(n=3, mode=Exhaustive(2**20 + 2)),
+         _last_lattice_config(3, 2**20 + 2), False),
+    ],
+    ids=["n16", "n17", "range-limit", "range-past", "grid-limit", "grid-past"],
+)
+def test_kernel_route_agrees_with_kernel_pairs_at_its_boundaries(
+    monkeypatch, params, extreme, fits
+):
+    assert (kernel.kernel_pairs(point_config(extreme)) is not None) is fits
+    monkeypatch.setattr(kernel, "_COMPILED", object())
+    assert sweep._kernel_route(params) is fits
+    monkeypatch.setattr(kernel, "_COMPILED", None)
+    assert sweep._kernel_route(params) is False
+
+
+def test_last_lattice_config_is_the_last_subset():
+    lattice = [(x, y) for x in range(4) for y in range(4)]
+    for n in (1, 3, 5, 16):
+        assert tuple(_last_lattice_config(n, 4)) == list(itertools.combinations(lattice, n))[-1]
+
+
+def test_failure_search_takes_the_kernel_route(built_kernel, monkeypatch):
+    params = SweepParams(n=5, mode=Exhaustive(4))
+    with pytest.warns(BudgetExhausted):
+        pure = sg_failure_search(5, params, stop_after=200)
+
+    def not_this_route(cfg):
+        raise AssertionError("the search went through kernel.has_ordinary_line")
+
+    monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
+    monkeypatch.setattr(kernel, "has_ordinary_line", not_this_route)
+    with pytest.warns(BudgetExhausted):
+        compiled = sg_failure_search(5, params, stop_after=200)
+    assert [c.points for c in compiled] == [c.points for c in pure]
+    assert len(pure) == 90
