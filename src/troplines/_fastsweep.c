@@ -1,19025 +1,1070 @@
-/* Generated by Cython 3.2.8 */
-
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "name": "troplines._fastsweep",
-        "sources": [
-            "src/troplines/_fastsweep.pyx"
-        ]
-    },
-    "module_name": "troplines._fastsweep"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
-#define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__troplines___fastsweep
-#define __PYX_HAVE_API__troplines___fastsweep
-/* Early includes */
-#include <string.h>
-#include <stdlib.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/troplines/_fastsweep.pyx",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-
-/* "troplines/_fastsweep.pyx":20
- * from libc.stdlib cimport qsort
- * 
- * ctypedef long long i64             # <<<<<<<<<<<<<<
- * 
- * cdef enum:
-*/
-typedef PY_LONG_LONG __pyx_t_9troplines_10_fastsweep_i64;
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_t_9troplines_10_fastsweep_Cell;
-
-/* "troplines/_fastsweep.pyx":22
- * ctypedef long long i64
- * 
- * cdef enum:             # <<<<<<<<<<<<<<
- *     MAXN = 16
- *     MAXV = 8          # a subdivision cell has at most 6 corners
-*/
-enum  {
-  __pyx_e_9troplines_10_fastsweep_MAXN = 16,
-  __pyx_e_9troplines_10_fastsweep_MAXV = 8,
-  __pyx_e_9troplines_10_fastsweep_MAXCELLS = 0x98,
-  __pyx_e_9troplines_10_fastsweep_MAXCAND = 0x8C0,
-  __pyx_e_9troplines_10_fastsweep_MAXSUM = 24
-};
-
-/* "troplines/_fastsweep.pyx":44
- * 
- * 
- * cdef struct Cell:             # <<<<<<<<<<<<<<
- *     int m
- *     i64 vx[MAXV]
-*/
-struct __pyx_t_9troplines_10_fastsweep_Cell {
-  int m;
-  __pyx_t_9troplines_10_fastsweep_i64 vx[__pyx_e_9troplines_10_fastsweep_MAXV];
-  __pyx_t_9troplines_10_fastsweep_i64 vy[__pyx_e_9troplines_10_fastsweep_MAXV];
-  int cls;
-  __pyx_t_9troplines_10_fastsweep_i64 dx;
-  __pyx_t_9troplines_10_fastsweep_i64 dy;
-  __pyx_t_9troplines_10_fastsweep_i64 area2;
-  int bdry;
-};
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyValueError_Check.proto */
-#define __Pyx_PyExc_ValueError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ValueError)
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* BuildPyUnicode.proto (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char);
-
-/* COrdinalToPyUnicode.proto (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value);
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t width, char padding_char);
-
-/* GCCDiagnostics.proto (used by CIntToPyUnicode) */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* IncludeStdlibH.proto (used by CIntToPyUnicode) */
-#include <stdlib.h>
-
-/* CIntToPyUnicode.proto */
-#define __Pyx_PyUnicode_From___pyx_anon_enum(value, width, padding_char, format_char) (\
-    ((format_char) == ('c')) ?\
-        __Pyx_uchar___Pyx_PyUnicode_From___pyx_anon_enum(value, width, padding_char) :\
-        __Pyx____Pyx_PyUnicode_From___pyx_anon_enum(value, width, padding_char, format_char)\
-    )
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From___pyx_anon_enum(int value, Py_ssize_t width, char padding_char);
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From___pyx_anon_enum(int value, Py_ssize_t width, char padding_char, char format_char);
-
-/* CIntToPyUnicode.proto */
-#define __Pyx_PyUnicode_From_int(value, width, padding_char, format_char) (\
-    ((format_char) == ('c')) ?\
-        __Pyx_uchar___Pyx_PyUnicode_From_int(value, width, padding_char) :\
-        __Pyx____Pyx_PyUnicode_From_int(value, width, padding_char, format_char)\
-    )
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char);
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char);
-
-/* JoinPyUnicode.export */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char);
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* PyAssertionError_Check.proto */
-#define __Pyx_PyExc_AssertionError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_AssertionError)
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* CIntToPyUnicode.proto */
-#define __Pyx_PyUnicode_From_PY_LONG_LONG(value, width, padding_char, format_char) (\
-    ((format_char) == ('c')) ?\
-        __Pyx_uchar___Pyx_PyUnicode_From_PY_LONG_LONG(value, width, padding_char) :\
-        __Pyx____Pyx_PyUnicode_From_PY_LONG_LONG(value, width, padding_char, format_char)\
-    )
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_PY_LONG_LONG(PY_LONG_LONG value, Py_ssize_t width, char padding_char);
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_PY_LONG_LONG(PY_LONG_LONG value, Py_ssize_t width, char padding_char, char format_char);
-
-/* PyLongBinop.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check);
-#else
-#define __Pyx_PyLong_AddObjC(op1, op2, intval, inplace, zerodivision_check)\
-    (inplace ? PyNumber_InPlaceAdd(op1, op2) : PyNumber_Add(op1, op2))
-#endif
-
-/* SetItemInt.proto */
-#define __Pyx_SetItemInt(o, i, v, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_SetItemInt_Fast(o, (Py_ssize_t)i, v, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list assignment index out of range"), -1) :\
-               __Pyx_SetItemInt_Generic(o, to_py_func(i), v)))
-static int __Pyx_SetItemInt_Generic(PyObject *o, PyObject *j, PyObject *v);
-static CYTHON_INLINE int __Pyx_SetItemInt_Fast(PyObject *o, Py_ssize_t i, PyObject *v,
-                                               int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* PyObjectFormatSimple.proto */
-#if CYTHON_COMPILING_IN_PYPY
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        PyObject_Format(s, f))
-#elif CYTHON_USE_TYPE_SLOTS
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        likely(PyLong_CheckExact(s)) ? PyLong_Type.tp_repr(s) :\
-        likely(PyFloat_CheckExact(s)) ? PyFloat_Type.tp_repr(s) :\
-        PyObject_Format(s, f))
-#else
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        PyObject_Format(s, f))
-#endif
-
-/* CIntToPyUnicode.proto */
-#define __Pyx_PyUnicode_From_long(value, width, padding_char, format_char) (\
-    ((format_char) == ('c')) ?\
-        __Pyx_uchar___Pyx_PyUnicode_From_long(value, width, padding_char) :\
-        __Pyx____Pyx_PyUnicode_From_long(value, width, padding_char, format_char)\
-    )
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_long(long value, Py_ssize_t width, char padding_char);
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_long(long value, Py_ssize_t width, char padding_char, char format_char);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto (used by FetchCommonType) */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* PyDictVersioning.proto (used by CLineInTraceback) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by CLineInTraceback) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdlib" */
-
-/* Module declarations from "troplines._fastsweep" */
-static __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_9troplines_10_fastsweep_NEG;
-static __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_9troplines_10_fastsweep_DIRX[3];
-static __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_9troplines_10_fastsweep_DIRY[3];
-static int __pyx_v_9troplines_10_fastsweep_CLS_TRI;
-static int __pyx_v_9troplines_10_fastsweep_CLS_PAR;
-static int __pyx_v_9troplines_10_fastsweep_CLS_HEX;
-static int __pyx_v_9troplines_10_fastsweep_CLS_NU4;
-static int __pyx_v_9troplines_10_fastsweep_CLS_NU5;
-static int __pyx_v_9troplines_10_fastsweep_CLS_NU6;
-static int __pyx_f_9troplines_10_fastsweep__cmp_i64(void const *, void const *); /*proto*/
-static CYTHON_INLINE __pyx_t_9troplines_10_fastsweep_i64 __pyx_f_9troplines_10_fastsweep__cross3(__pyx_t_9troplines_10_fastsweep_i64, __pyx_t_9troplines_10_fastsweep_i64, __pyx_t_9troplines_10_fastsweep_i64, __pyx_t_9troplines_10_fastsweep_i64, __pyx_t_9troplines_10_fastsweep_i64, __pyx_t_9troplines_10_fastsweep_i64); /*proto*/
-static CYTHON_INLINE __pyx_t_9troplines_10_fastsweep_i64 __pyx_f_9troplines_10_fastsweep__gcd(__pyx_t_9troplines_10_fastsweep_i64, __pyx_t_9troplines_10_fastsweep_i64); /*proto*/
-static int __pyx_f_9troplines_10_fastsweep__hull(__pyx_t_9troplines_10_fastsweep_i64 *, __pyx_t_9troplines_10_fastsweep_i64 *, int, __pyx_t_9troplines_10_fastsweep_i64 *, __pyx_t_9troplines_10_fastsweep_i64 *); /*proto*/
-static CYTHON_INLINE int __pyx_f_9troplines_10_fastsweep__argmask(__pyx_t_9troplines_10_fastsweep_i64, __pyx_t_9troplines_10_fastsweep_i64, __pyx_t_9troplines_10_fastsweep_i64, __pyx_t_9troplines_10_fastsweep_i64); /*proto*/
-static CYTHON_INLINE int __pyx_f_9troplines_10_fastsweep__cell_contains(struct __pyx_t_9troplines_10_fastsweep_Cell *, __pyx_t_9troplines_10_fastsweep_i64, __pyx_t_9troplines_10_fastsweep_i64); /*proto*/
-static int __pyx_f_9troplines_10_fastsweep__interiors_disjoint(struct __pyx_t_9troplines_10_fastsweep_Cell *, struct __pyx_t_9troplines_10_fastsweep_Cell *); /*proto*/
-static int __pyx_f_9troplines_10_fastsweep__shares_edge(struct __pyx_t_9troplines_10_fastsweep_Cell *, struct __pyx_t_9troplines_10_fastsweep_Cell *); /*proto*/
-static int __pyx_f_9troplines_10_fastsweep__edge_class_mask(struct __pyx_t_9troplines_10_fastsweep_Cell *); /*proto*/
-static int __pyx_f_9troplines_10_fastsweep__corner_pattern(struct __pyx_t_9troplines_10_fastsweep_Cell *, __pyx_t_9troplines_10_fastsweep_i64, __pyx_t_9troplines_10_fastsweep_i64); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "troplines._fastsweep"
-extern int __pyx_module_is_main_troplines___fastsweep;
-int __pyx_module_is_main_troplines___fastsweep = 0;
-
-/* Implementation of "troplines._fastsweep" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_integer_kernel_for_conf[] = "Compiled integer kernel for configuration sweeps.\n\nThis is an independent reimplementation of analysis.analyze_config for\ninteger point configurations, written against the same mathematical\ncontract rather than the Python code: closed-form ray crossings instead\nof the generic rational crossing routine, C arrays instead of objects,\nand the same suite names in the same order. troplines.kernel routes\neligible configurations here and equivalence with the pure path is\nenforced by the test suite.\n\nEverything is 64-bit integer arithmetic. Callers must keep coordinates\nwithin +/- 2**20 (the wrapper checks), which bounds every intermediate\ncomfortably below overflow.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_9troplines_10_fastsweep_analyze_ints(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_points); /* proto */
-static PyObject *__pyx_pf_9troplines_10_fastsweep_2has_ordinary_line(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_points); /* proto */
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[1];
-  PyObject *__pyx_codeobj_tab[2];
-  PyObject *__pyx_string_tab[204];
-  PyObject *__pyx_number_tab[3];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_2_expected __pyx_string_tab[1]
-#define __pyx_kp_u_2_for_n __pyx_string_tab[2]
-#define __pyx_kp_u_Counts_n __pyx_string_tab[3]
-#define __pyx_kp_u_Delta_2_at __pyx_string_tab[4]
-#define __pyx_kp_u__2 __pyx_string_tab[5]
-#define __pyx_kp_u__3 __pyx_string_tab[6]
-#define __pyx_kp_u__4 __pyx_string_tab[7]
-#define __pyx_kp_u_affine_fit_fails_to_dominate_th __pyx_string_tab[8]
-#define __pyx_kp_u_and __pyx_string_tab[9]
-#define __pyx_kp_u_b __pyx_string_tab[10]
-#define __pyx_kp_u_b_2 __pyx_string_tab[11]
-#define __pyx_kp_u_b_k_h __pyx_string_tab[12]
-#define __pyx_kp_u_b_v_3 __pyx_string_tab[13]
-#define __pyx_kp_u_but __pyx_string_tab[14]
-#define __pyx_kp_u_but_subdivision_is_not_a_near_p __pyx_string_tab[15]
-#define __pyx_kp_u_cell_areas_sum_to __pyx_string_tab[16]
-#define __pyx_kp_u_cell_at __pyx_string_tab[17]
-#define __pyx_kp_u_cell_capacity_exceeded __pyx_string_tab[18]
-#define __pyx_kp_u_cells_at __pyx_string_tab[19]
-#define __pyx_kp_u_crossings __pyx_string_tab[20]
-#define __pyx_kp_u_determined __pyx_string_tab[21]
-#define __pyx_kp_u_determines __pyx_string_tab[22]
-#define __pyx_kp_u_duplicate_point_at_index __pyx_string_tab[23]
-#define __pyx_kp_u_faces_give_b __pyx_string_tab[24]
-#define __pyx_kp_u_faces_maximum_is_6 __pyx_string_tab[25]
-#define __pyx_kp_u_faces_needs_1 __pyx_string_tab[26]
-#define __pyx_kp_u_faces_needs_3 __pyx_string_tab[27]
-#define __pyx_kp_u_h __pyx_string_tab[28]
-#define __pyx_kp_u_h_2 __pyx_string_tab[29]
-#define __pyx_kp_u_h_n_triangles __pyx_string_tab[30]
-#define __pyx_kp_u_has_edge __pyx_string_tab[31]
-#define __pyx_kp_u_is_not_counterclockwise __pyx_string_tab[32]
-#define __pyx_kp_u_k __pyx_string_tab[33]
-#define __pyx_kp_u_k_2 __pyx_string_tab[34]
-#define __pyx_kp_u_k_3 __pyx_string_tab[35]
-#define __pyx_kp_u_kernel_coordinate_bound_exceeded __pyx_string_tab[36]
-#define __pyx_kp_u_kernel_supports_at_most __pyx_string_tab[37]
-#define __pyx_kp_u_leaves __pyx_string_tab[38]
-#define __pyx_kp_u_lift_and_affine_fit_disagree_at __pyx_string_tab[39]
-#define __pyx_kp_u_m __pyx_string_tab[40]
-#define __pyx_kp_u_need_at_least_one_point __pyx_string_tab[41]
-#define __pyx_kp_u_need_at_least_two_points __pyx_string_tab[42]
-#define __pyx_kp_u_non_coaxial_pair __pyx_string_tab[43]
-#define __pyx_kp_u_overlap __pyx_string_tab[44]
-#define __pyx_kp_u_pairwise_intersections_give_b __pyx_string_tab[45]
-#define __pyx_kp_u_parallelogram_adjacent_to __pyx_string_tab[46]
-#define __pyx_kp_u_points_got __pyx_string_tab[47]
-#define __pyx_kp_u_produced __pyx_string_tab[48]
-#define __pyx_kp_u_src_troplines__fastsweep_pyx __pyx_string_tab[49]
-#define __pyx_kp_u_t __pyx_string_tab[50]
-#define __pyx_kp_u_t_n __pyx_string_tab[51]
-#define __pyx_kp_u_t_out_of_range_n_n_n_1_2_n __pyx_string_tab[52]
-#define __pyx_kp_u_t_triangles_b __pyx_string_tab[53]
-#define __pyx_kp_u_triangle_at __pyx_string_tab[54]
-#define __pyx_kp_u_triangles __pyx_string_tab[55]
-#define __pyx_kp_u_triangles_2 __pyx_string_tab[56]
-#define __pyx_kp_u_triangles_has_a_non_unit_edge __pyx_string_tab[57]
-#define __pyx_kp_u_union __pyx_string_tab[58]
-#define __pyx_kp_u_v_3 __pyx_string_tab[59]
-#define __pyx_n_u_CLASS_NAMES __pyx_string_tab[60]
-#define __pyx_n_u_D __pyx_string_tab[61]
-#define __pyx_n_u_Hexagon __pyx_string_tab[62]
-#define __pyx_n_u_NonUniform4 __pyx_string_tab[63]
-#define __pyx_n_u_NonUniform5 __pyx_string_tab[64]
-#define __pyx_n_u_NonUniform6 __pyx_string_tab[65]
-#define __pyx_n_u_OFF __pyx_string_tab[66]
-#define __pyx_n_u_Parallelogram __pyx_string_tab[67]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[68]
-#define __pyx_n_u_SHIFT __pyx_string_tab[69]
-#define __pyx_n_u_Triangle __pyx_string_tab[70]
-#define __pyx_n_u_acc_m __pyx_string_tab[71]
-#define __pyx_n_u_accx __pyx_string_tab[72]
-#define __pyx_n_u_accy __pyx_string_tab[73]
-#define __pyx_n_u_adj_tri_count __pyx_string_tab[74]
-#define __pyx_n_u_alpha __pyx_string_tab[75]
-#define __pyx_n_u_analyze_ints __pyx_string_tab[76]
-#define __pyx_n_u_annotate __pyx_string_tab[77]
-#define __pyx_n_u_area_total __pyx_string_tab[78]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[79]
-#define __pyx_n_u_ax __pyx_string_tab[80]
-#define __pyx_n_u_ay __pyx_string_tab[81]
-#define __pyx_n_u_b_3 __pyx_string_tab[82]
-#define __pyx_n_u_b_faces __pyx_string_tab[83]
-#define __pyx_n_u_b_pairwise __pyx_string_tab[84]
-#define __pyx_n_u_basex __pyx_string_tab[85]
-#define __pyx_n_u_basey __pyx_string_tab[86]
-#define __pyx_n_u_best __pyx_string_tab[87]
-#define __pyx_n_u_beta __pyx_string_tab[88]
-#define __pyx_n_u_bound __pyx_string_tab[89]
-#define __pyx_n_u_bound_holds __pyx_string_tab[90]
-#define __pyx_n_u_bx __pyx_string_tab[91]
-#define __pyx_n_u_by __pyx_string_tab[92]
-#define __pyx_n_u_c_full __pyx_string_tab[93]
-#define __pyx_n_u_cand2 __pyx_string_tab[94]
-#define __pyx_n_u_candkey __pyx_string_tab[95]
-#define __pyx_n_u_cell __pyx_string_tab[96]
-#define __pyx_n_u_cell_edges __pyx_string_tab[97]
-#define __pyx_n_u_cells __pyx_string_tab[98]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[99]
-#define __pyx_n_u_cls __pyx_string_tab[100]
-#define __pyx_n_u_consistent __pyx_string_tab[101]
-#define __pyx_n_u_count_identities __pyx_string_tab[102]
-#define __pyx_n_u_counts_repr __pyx_string_tab[103]
-#define __pyx_n_u_cross_oracle __pyx_string_tab[104]
-#define __pyx_n_u_cx __pyx_string_tab[105]
-#define __pyx_n_u_cy __pyx_string_tab[106]
-#define __pyx_n_u_denom __pyx_string_tab[107]
-#define __pyx_n_u_det_count __pyx_string_tab[108]
-#define __pyx_n_u_det_list __pyx_string_tab[109]
-#define __pyx_n_u_determined_2 __pyx_string_tab[110]
-#define __pyx_n_u_determined_minimum __pyx_string_tab[111]
-#define __pyx_n_u_determined_union __pyx_string_tab[112]
-#define __pyx_n_u_dx __pyx_string_tab[113]
-#define __pyx_n_u_dy __pyx_string_tab[114]
-#define __pyx_n_u_e __pyx_string_tab[115]
-#define __pyx_n_u_equality __pyx_string_tab[116]
-#define __pyx_n_u_ex __pyx_string_tab[117]
-#define __pyx_n_u_excess __pyx_string_tab[118]
-#define __pyx_n_u_ey __pyx_string_tab[119]
-#define __pyx_n_u_func __pyx_string_tab[120]
-#define __pyx_n_u_gamma __pyx_string_tab[121]
-#define __pyx_n_u_got __pyx_string_tab[122]
-#define __pyx_n_u_h0 __pyx_string_tab[123]
-#define __pyx_n_u_h1 __pyx_string_tab[124]
-#define __pyx_n_u_h2 __pyx_string_tab[125]
-#define __pyx_n_u_h_3 __pyx_string_tab[126]
-#define __pyx_n_u_h_faces __pyx_string_tab[127]
-#define __pyx_n_u_h_pairwise __pyx_string_tab[128]
-#define __pyx_n_u_has_ordinary_line __pyx_string_tab[129]
-#define __pyx_n_u_hits __pyx_string_tab[130]
-#define __pyx_n_u_i __pyx_string_tab[131]
-#define __pyx_n_u_ii __pyx_string_tab[132]
-#define __pyx_n_u_incident __pyx_string_tab[133]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[134]
-#define __pyx_n_u_items __pyx_string_tab[135]
-#define __pyx_n_u_j __pyx_string_tab[136]
-#define __pyx_n_u_jj __pyx_string_tab[137]
-#define __pyx_n_u_k_4 __pyx_string_tab[138]
-#define __pyx_n_u_k_faces __pyx_string_tab[139]
-#define __pyx_n_u_k_pairwise __pyx_string_tab[140]
-#define __pyx_n_u_lift __pyx_string_tab[141]
-#define __pyx_n_u_lift2 __pyx_string_tab[142]
-#define __pyx_n_u_limit __pyx_string_tab[143]
-#define __pyx_n_u_m_noncorner __pyx_string_tab[144]
-#define __pyx_n_u_main __pyx_string_tab[145]
-#define __pyx_n_u_mask __pyx_string_tab[146]
-#define __pyx_n_u_masks __pyx_string_tab[147]
-#define __pyx_n_u_max_triangles __pyx_string_tab[148]
-#define __pyx_n_u_module __pyx_string_tab[149]
-#define __pyx_n_u_n __pyx_string_tab[150]
-#define __pyx_n_u_name __pyx_string_tab[151]
-#define __pyx_n_u_ncand __pyx_string_tab[152]
-#define __pyx_n_u_ncand_u __pyx_string_tab[153]
-#define __pyx_n_u_ncells __pyx_string_tab[154]
-#define __pyx_n_u_ne __pyx_string_tab[155]
-#define __pyx_n_u_near __pyx_string_tab[156]
-#define __pyx_n_u_near_pencil __pyx_string_tab[157]
-#define __pyx_n_u_nstab __pyx_string_tab[158]
-#define __pyx_n_u_nstab_u __pyx_string_tab[159]
-#define __pyx_n_u_nz __pyx_string_tab[160]
-#define __pyx_n_u_ok_flag __pyx_string_tab[161]
-#define __pyx_n_u_points __pyx_string_tab[162]
-#define __pyx_n_u_pop __pyx_string_tab[163]
-#define __pyx_n_u_px __pyx_string_tab[164]
-#define __pyx_n_u_py __pyx_string_tab[165]
-#define __pyx_n_u_qualname __pyx_string_tab[166]
-#define __pyx_n_u_r1 __pyx_string_tab[167]
-#define __pyx_n_u_r2 __pyx_string_tab[168]
-#define __pyx_n_u_regularity __pyx_string_tab[169]
-#define __pyx_n_u_s __pyx_string_tab[170]
-#define __pyx_n_u_sa __pyx_string_tab[171]
-#define __pyx_n_u_sb __pyx_string_tab[172]
-#define __pyx_n_u_sc __pyx_string_tab[173]
-#define __pyx_n_u_set_name __pyx_string_tab[174]
-#define __pyx_n_u_setdefault __pyx_string_tab[175]
-#define __pyx_n_u_sn __pyx_string_tab[176]
-#define __pyx_n_u_stabkey __pyx_string_tab[177]
-#define __pyx_n_u_sum_m __pyx_string_tab[178]
-#define __pyx_n_u_sumx __pyx_string_tab[179]
-#define __pyx_n_u_sumy __pyx_string_tab[180]
-#define __pyx_n_u_t_2 __pyx_string_tab[181]
-#define __pyx_n_u_t_count __pyx_string_tab[182]
-#define __pyx_n_u_test __pyx_string_tab[183]
-#define __pyx_n_u_ti __pyx_string_tab[184]
-#define __pyx_n_u_tiling __pyx_string_tab[185]
-#define __pyx_n_u_tiling_ok __pyx_string_tab[186]
-#define __pyx_n_u_tn __pyx_string_tab[187]
-#define __pyx_n_u_triangles_3 __pyx_string_tab[188]
-#define __pyx_n_u_troplines__fastsweep __pyx_string_tab[189]
-#define __pyx_n_u_union_count __pyx_string_tab[190]
-#define __pyx_n_u_union_flags __pyx_string_tab[191]
-#define __pyx_n_u_unit_parallelogram __pyx_string_tab[192]
-#define __pyx_n_u_v __pyx_string_tab[193]
-#define __pyx_n_u_values __pyx_string_tab[194]
-#define __pyx_n_u_violations __pyx_string_tab[195]
-#define __pyx_n_u_vx __pyx_string_tab[196]
-#define __pyx_n_u_vy __pyx_string_tab[197]
-#define __pyx_n_u_want __pyx_string_tab[198]
-#define __pyx_n_u_width __pyx_string_tab[199]
-#define __pyx_n_u_wx __pyx_string_tab[200]
-#define __pyx_n_u_wy __pyx_string_tab[201]
-#define __pyx_kp_b_iso88591_AQ_r_1_j_r_1_j_314Faq_U_Cq_U_1 __pyx_string_tab[202]
-#define __pyx_kp_b_iso88591_AQ_r_1_j_r_1_j_314Faq_U_Cq_U_1_2 __pyx_string_tab[203]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_1 __pyx_number_tab[1]
-#define __pyx_int_2 __pyx_number_tab[2]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<2; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<204; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<3; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<2; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<204; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<3; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "troplines/_fastsweep.pyx":55
- * 
- * 
- * cdef int _cmp_i64(const void *a, const void *b) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef i64 x = (<const i64 *> a)[0]
- *     cdef i64 y = (<const i64 *> b)[0]
-*/
-
-static int __pyx_f_9troplines_10_fastsweep__cmp_i64(void const *__pyx_v_a, void const *__pyx_v_b) {
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_x;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_y;
-  int __pyx_r;
-  int __pyx_t_1;
-
-  /* "troplines/_fastsweep.pyx":56
- * 
- * cdef int _cmp_i64(const void *a, const void *b) noexcept nogil:
- *     cdef i64 x = (<const i64 *> a)[0]             # <<<<<<<<<<<<<<
- *     cdef i64 y = (<const i64 *> b)[0]
- *     if x < y:
-*/
-  __pyx_v_x = (((__pyx_t_9troplines_10_fastsweep_i64 const *)__pyx_v_a)[0]);
-
-  /* "troplines/_fastsweep.pyx":57
- * cdef int _cmp_i64(const void *a, const void *b) noexcept nogil:
- *     cdef i64 x = (<const i64 *> a)[0]
- *     cdef i64 y = (<const i64 *> b)[0]             # <<<<<<<<<<<<<<
- *     if x < y:
- *         return -1
-*/
-  __pyx_v_y = (((__pyx_t_9troplines_10_fastsweep_i64 const *)__pyx_v_b)[0]);
-
-  /* "troplines/_fastsweep.pyx":58
- *     cdef i64 x = (<const i64 *> a)[0]
- *     cdef i64 y = (<const i64 *> b)[0]
- *     if x < y:             # <<<<<<<<<<<<<<
- *         return -1
- *     if x > y:
-*/
-  __pyx_t_1 = (__pyx_v_x < __pyx_v_y);
-  if (__pyx_t_1) {
-
-    /* "troplines/_fastsweep.pyx":59
- *     cdef i64 y = (<const i64 *> b)[0]
- *     if x < y:
- *         return -1             # <<<<<<<<<<<<<<
- *     if x > y:
- *         return 1
-*/
-    __pyx_r = -1;
-    goto __pyx_L0;
-
-    /* "troplines/_fastsweep.pyx":58
- *     cdef i64 x = (<const i64 *> a)[0]
- *     cdef i64 y = (<const i64 *> b)[0]
- *     if x < y:             # <<<<<<<<<<<<<<
- *         return -1
- *     if x > y:
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":60
- *     if x < y:
- *         return -1
- *     if x > y:             # <<<<<<<<<<<<<<
- *         return 1
- *     return 0
-*/
-  __pyx_t_1 = (__pyx_v_x > __pyx_v_y);
-  if (__pyx_t_1) {
-
-    /* "troplines/_fastsweep.pyx":61
- *         return -1
- *     if x > y:
- *         return 1             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "troplines/_fastsweep.pyx":60
- *     if x < y:
- *         return -1
- *     if x > y:             # <<<<<<<<<<<<<<
- *         return 1
- *     return 0
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":62
- *     if x > y:
- *         return 1
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "troplines/_fastsweep.pyx":55
- * 
- * 
- * cdef int _cmp_i64(const void *a, const void *b) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef i64 x = (<const i64 *> a)[0]
- *     cdef i64 y = (<const i64 *> b)[0]
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "troplines/_fastsweep.pyx":65
- * 
- * 
- * cdef inline i64 _cross3(i64 ox, i64 oy, i64 ax, i64 ay, i64 bx, i64 by) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
- * 
-*/
-
-static CYTHON_INLINE __pyx_t_9troplines_10_fastsweep_i64 __pyx_f_9troplines_10_fastsweep__cross3(__pyx_t_9troplines_10_fastsweep_i64 __pyx_v_ox, __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_oy, __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_ax, __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_ay, __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_bx, __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_by) {
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_r;
-
-  /* "troplines/_fastsweep.pyx":66
- * 
- * cdef inline i64 _cross3(i64 ox, i64 oy, i64 ax, i64 ay, i64 bx, i64 by) noexcept nogil:
- *     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (((__pyx_v_ax - __pyx_v_ox) * (__pyx_v_by - __pyx_v_oy)) - ((__pyx_v_ay - __pyx_v_oy) * (__pyx_v_bx - __pyx_v_ox)));
-  goto __pyx_L0;
-
-  /* "troplines/_fastsweep.pyx":65
- * 
- * 
- * cdef inline i64 _cross3(i64 ox, i64 oy, i64 ax, i64 ay, i64 bx, i64 by) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "troplines/_fastsweep.pyx":69
- * 
- * 
- * cdef inline i64 _gcd(i64 a, i64 b) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef i64 t
- *     if a < 0:
-*/
-
-static CYTHON_INLINE __pyx_t_9troplines_10_fastsweep_i64 __pyx_f_9troplines_10_fastsweep__gcd(__pyx_t_9troplines_10_fastsweep_i64 __pyx_v_a, __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_b) {
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_t;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_r;
-  int __pyx_t_1;
-
-  /* "troplines/_fastsweep.pyx":71
- * cdef inline i64 _gcd(i64 a, i64 b) noexcept nogil:
- *     cdef i64 t
- *     if a < 0:             # <<<<<<<<<<<<<<
- *         a = -a
- *     if b < 0:
-*/
-  __pyx_t_1 = (__pyx_v_a < 0);
-  if (__pyx_t_1) {
-
-    /* "troplines/_fastsweep.pyx":72
- *     cdef i64 t
- *     if a < 0:
- *         a = -a             # <<<<<<<<<<<<<<
- *     if b < 0:
- *         b = -b
-*/
-    __pyx_v_a = (-__pyx_v_a);
-
-    /* "troplines/_fastsweep.pyx":71
- * cdef inline i64 _gcd(i64 a, i64 b) noexcept nogil:
- *     cdef i64 t
- *     if a < 0:             # <<<<<<<<<<<<<<
- *         a = -a
- *     if b < 0:
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":73
- *     if a < 0:
- *         a = -a
- *     if b < 0:             # <<<<<<<<<<<<<<
- *         b = -b
- *     while b:
-*/
-  __pyx_t_1 = (__pyx_v_b < 0);
-  if (__pyx_t_1) {
-
-    /* "troplines/_fastsweep.pyx":74
- *         a = -a
- *     if b < 0:
- *         b = -b             # <<<<<<<<<<<<<<
- *     while b:
- *         t = a % b
-*/
-    __pyx_v_b = (-__pyx_v_b);
-
-    /* "troplines/_fastsweep.pyx":73
- *     if a < 0:
- *         a = -a
- *     if b < 0:             # <<<<<<<<<<<<<<
- *         b = -b
- *     while b:
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":75
- *     if b < 0:
- *         b = -b
- *     while b:             # <<<<<<<<<<<<<<
- *         t = a % b
- *         a = b
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_b != 0);
-    if (!__pyx_t_1) break;
-
-    /* "troplines/_fastsweep.pyx":76
- *         b = -b
- *     while b:
- *         t = a % b             # <<<<<<<<<<<<<<
- *         a = b
- *         b = t
-*/
-    __pyx_v_t = (__pyx_v_a % __pyx_v_b);
-
-    /* "troplines/_fastsweep.pyx":77
- *     while b:
- *         t = a % b
- *         a = b             # <<<<<<<<<<<<<<
- *         b = t
- *     return a
-*/
-    __pyx_v_a = __pyx_v_b;
-
-    /* "troplines/_fastsweep.pyx":78
- *         t = a % b
- *         a = b
- *         b = t             # <<<<<<<<<<<<<<
- *     return a
- * 
-*/
-    __pyx_v_b = __pyx_v_t;
-  }
-
-  /* "troplines/_fastsweep.pyx":79
- *         a = b
- *         b = t
- *     return a             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_a;
-  goto __pyx_L0;
-
-  /* "troplines/_fastsweep.pyx":69
- * 
- * 
- * cdef inline i64 _gcd(i64 a, i64 b) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef i64 t
- *     if a < 0:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "troplines/_fastsweep.pyx":82
- * 
- * 
- * cdef int _hull(i64 *px, i64 *py, int m, i64 *ox, i64 *oy) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Convex hull, counterclockwise, lex-min vertex first, collinear
- *     points dropped; 1 or 2 points for degenerate inputs. Returns count."""
-*/
-
-static int __pyx_f_9troplines_10_fastsweep__hull(__pyx_t_9troplines_10_fastsweep_i64 *__pyx_v_px, __pyx_t_9troplines_10_fastsweep_i64 *__pyx_v_py, int __pyx_v_m, __pyx_t_9troplines_10_fastsweep_i64 *__pyx_v_ox, __pyx_t_9troplines_10_fastsweep_i64 *__pyx_v_oy) {
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_sx[__pyx_e_9troplines_10_fastsweep_MAXSUM];
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_sy[__pyx_e_9troplines_10_fastsweep_MAXSUM];
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_kx;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_ky;
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_v_cnt;
-  int __pyx_v_lo;
-  int __pyx_v_hi;
-  int __pyx_v_k;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_hx[(2 * __pyx_e_9troplines_10_fastsweep_MAXSUM)];
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_hy[(2 * __pyx_e_9troplines_10_fastsweep_MAXSUM)];
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  long __pyx_t_6;
-  long __pyx_t_7;
-
-  /* "troplines/_fastsweep.pyx":88
- *     cdef i64 sy[MAXSUM]
- *     cdef i64 kx, ky
- *     cdef int i, j, cnt = 0, lo, hi, k             # <<<<<<<<<<<<<<
- *     # insertion sort by (x, y) with dedup
- *     for i in range(m):
-*/
-  __pyx_v_cnt = 0;
-
-  /* "troplines/_fastsweep.pyx":90
- *     cdef int i, j, cnt = 0, lo, hi, k
- *     # insertion sort by (x, y) with dedup
- *     for i in range(m):             # <<<<<<<<<<<<<<
- *         kx = px[i]; ky = py[i]
- *         j = cnt
-*/
-  __pyx_t_1 = __pyx_v_m;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "troplines/_fastsweep.pyx":91
- *     # insertion sort by (x, y) with dedup
- *     for i in range(m):
- *         kx = px[i]; ky = py[i]             # <<<<<<<<<<<<<<
- *         j = cnt
- *         while j > 0 and (sx[j - 1] > kx or (sx[j - 1] == kx and sy[j - 1] > ky)):
-*/
-    __pyx_v_kx = (__pyx_v_px[__pyx_v_i]);
-    __pyx_v_ky = (__pyx_v_py[__pyx_v_i]);
-
-    /* "troplines/_fastsweep.pyx":92
- *     for i in range(m):
- *         kx = px[i]; ky = py[i]
- *         j = cnt             # <<<<<<<<<<<<<<
- *         while j > 0 and (sx[j - 1] > kx or (sx[j - 1] == kx and sy[j - 1] > ky)):
- *             j -= 1
-*/
-    __pyx_v_j = __pyx_v_cnt;
-
-    /* "troplines/_fastsweep.pyx":93
- *         kx = px[i]; ky = py[i]
- *         j = cnt
- *         while j > 0 and (sx[j - 1] > kx or (sx[j - 1] == kx and sy[j - 1] > ky)):             # <<<<<<<<<<<<<<
- *             j -= 1
- *         if j < cnt and sx[j] == kx and sy[j] == ky:
-*/
-    while (1) {
-      __pyx_t_5 = (__pyx_v_j > 0);
-      if (__pyx_t_5) {
-      } else {
-        __pyx_t_4 = __pyx_t_5;
-        goto __pyx_L7_bool_binop_done;
-      }
-      __pyx_t_5 = ((__pyx_v_sx[(__pyx_v_j - 1)]) > __pyx_v_kx);
-      if (!__pyx_t_5) {
-      } else {
-        __pyx_t_4 = __pyx_t_5;
-        goto __pyx_L7_bool_binop_done;
-      }
-      __pyx_t_5 = ((__pyx_v_sx[(__pyx_v_j - 1)]) == __pyx_v_kx);
-      if (__pyx_t_5) {
-      } else {
-        __pyx_t_4 = __pyx_t_5;
-        goto __pyx_L7_bool_binop_done;
-      }
-      __pyx_t_5 = ((__pyx_v_sy[(__pyx_v_j - 1)]) > __pyx_v_ky);
-      __pyx_t_4 = __pyx_t_5;
-      __pyx_L7_bool_binop_done:;
-      if (!__pyx_t_4) break;
-
-      /* "troplines/_fastsweep.pyx":94
- *         j = cnt
- *         while j > 0 and (sx[j - 1] > kx or (sx[j - 1] == kx and sy[j - 1] > ky)):
- *             j -= 1             # <<<<<<<<<<<<<<
- *         if j < cnt and sx[j] == kx and sy[j] == ky:
- *             continue
-*/
-      __pyx_v_j = (__pyx_v_j - 1);
-    }
-
-    /* "troplines/_fastsweep.pyx":95
- *         while j > 0 and (sx[j - 1] > kx or (sx[j - 1] == kx and sy[j - 1] > ky)):
- *             j -= 1
- *         if j < cnt and sx[j] == kx and sy[j] == ky:             # <<<<<<<<<<<<<<
- *             continue
- *         k = cnt
-*/
-    __pyx_t_5 = (__pyx_v_j < __pyx_v_cnt);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_4 = __pyx_t_5;
-      goto __pyx_L12_bool_binop_done;
-    }
-    __pyx_t_5 = ((__pyx_v_sx[__pyx_v_j]) == __pyx_v_kx);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_4 = __pyx_t_5;
-      goto __pyx_L12_bool_binop_done;
-    }
-    __pyx_t_5 = ((__pyx_v_sy[__pyx_v_j]) == __pyx_v_ky);
-    __pyx_t_4 = __pyx_t_5;
-    __pyx_L12_bool_binop_done:;
-    if (__pyx_t_4) {
-
-      /* "troplines/_fastsweep.pyx":96
- *             j -= 1
- *         if j < cnt and sx[j] == kx and sy[j] == ky:
- *             continue             # <<<<<<<<<<<<<<
- *         k = cnt
- *         while k > j:
-*/
-      goto __pyx_L3_continue;
-
-      /* "troplines/_fastsweep.pyx":95
- *         while j > 0 and (sx[j - 1] > kx or (sx[j - 1] == kx and sy[j - 1] > ky)):
- *             j -= 1
- *         if j < cnt and sx[j] == kx and sy[j] == ky:             # <<<<<<<<<<<<<<
- *             continue
- *         k = cnt
-*/
-    }
-
-    /* "troplines/_fastsweep.pyx":97
- *         if j < cnt and sx[j] == kx and sy[j] == ky:
- *             continue
- *         k = cnt             # <<<<<<<<<<<<<<
- *         while k > j:
- *             sx[k] = sx[k - 1]; sy[k] = sy[k - 1]
-*/
-    __pyx_v_k = __pyx_v_cnt;
-
-    /* "troplines/_fastsweep.pyx":98
- *             continue
- *         k = cnt
- *         while k > j:             # <<<<<<<<<<<<<<
- *             sx[k] = sx[k - 1]; sy[k] = sy[k - 1]
- *             k -= 1
-*/
-    while (1) {
-      __pyx_t_4 = (__pyx_v_k > __pyx_v_j);
-      if (!__pyx_t_4) break;
-
-      /* "troplines/_fastsweep.pyx":99
- *         k = cnt
- *         while k > j:
- *             sx[k] = sx[k - 1]; sy[k] = sy[k - 1]             # <<<<<<<<<<<<<<
- *             k -= 1
- *         sx[j] = kx; sy[j] = ky
-*/
-      (__pyx_v_sx[__pyx_v_k]) = (__pyx_v_sx[(__pyx_v_k - 1)]);
-      (__pyx_v_sy[__pyx_v_k]) = (__pyx_v_sy[(__pyx_v_k - 1)]);
-
-      /* "troplines/_fastsweep.pyx":100
- *         while k > j:
- *             sx[k] = sx[k - 1]; sy[k] = sy[k - 1]
- *             k -= 1             # <<<<<<<<<<<<<<
- *         sx[j] = kx; sy[j] = ky
- *         cnt += 1
-*/
-      __pyx_v_k = (__pyx_v_k - 1);
-    }
-
-    /* "troplines/_fastsweep.pyx":101
- *             sx[k] = sx[k - 1]; sy[k] = sy[k - 1]
- *             k -= 1
- *         sx[j] = kx; sy[j] = ky             # <<<<<<<<<<<<<<
- *         cnt += 1
- *     if cnt <= 2:
-*/
-    (__pyx_v_sx[__pyx_v_j]) = __pyx_v_kx;
-    (__pyx_v_sy[__pyx_v_j]) = __pyx_v_ky;
-
-    /* "troplines/_fastsweep.pyx":102
- *             k -= 1
- *         sx[j] = kx; sy[j] = ky
- *         cnt += 1             # <<<<<<<<<<<<<<
- *     if cnt <= 2:
- *         for i in range(cnt):
-*/
-    __pyx_v_cnt = (__pyx_v_cnt + 1);
-    __pyx_L3_continue:;
-  }
-
-  /* "troplines/_fastsweep.pyx":103
- *         sx[j] = kx; sy[j] = ky
- *         cnt += 1
- *     if cnt <= 2:             # <<<<<<<<<<<<<<
- *         for i in range(cnt):
- *             ox[i] = sx[i]; oy[i] = sy[i]
-*/
-  __pyx_t_4 = (__pyx_v_cnt <= 2);
-  if (__pyx_t_4) {
-
-    /* "troplines/_fastsweep.pyx":104
- *         cnt += 1
- *     if cnt <= 2:
- *         for i in range(cnt):             # <<<<<<<<<<<<<<
- *             ox[i] = sx[i]; oy[i] = sy[i]
- *         return cnt
-*/
-    __pyx_t_1 = __pyx_v_cnt;
-    __pyx_t_2 = __pyx_t_1;
-    for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-      __pyx_v_i = __pyx_t_3;
-
-      /* "troplines/_fastsweep.pyx":105
- *     if cnt <= 2:
- *         for i in range(cnt):
- *             ox[i] = sx[i]; oy[i] = sy[i]             # <<<<<<<<<<<<<<
- *         return cnt
- *     cdef i64 hx[2 * MAXSUM]
-*/
-      (__pyx_v_ox[__pyx_v_i]) = (__pyx_v_sx[__pyx_v_i]);
-      (__pyx_v_oy[__pyx_v_i]) = (__pyx_v_sy[__pyx_v_i]);
-    }
-
-    /* "troplines/_fastsweep.pyx":106
- *         for i in range(cnt):
- *             ox[i] = sx[i]; oy[i] = sy[i]
- *         return cnt             # <<<<<<<<<<<<<<
- *     cdef i64 hx[2 * MAXSUM]
- *     cdef i64 hy[2 * MAXSUM]
-*/
-    __pyx_r = __pyx_v_cnt;
-    goto __pyx_L0;
-
-    /* "troplines/_fastsweep.pyx":103
- *         sx[j] = kx; sy[j] = ky
- *         cnt += 1
- *     if cnt <= 2:             # <<<<<<<<<<<<<<
- *         for i in range(cnt):
- *             ox[i] = sx[i]; oy[i] = sy[i]
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":109
- *     cdef i64 hx[2 * MAXSUM]
- *     cdef i64 hy[2 * MAXSUM]
- *     lo = 0             # <<<<<<<<<<<<<<
- *     for i in range(cnt):
- *         while lo >= 2 and _cross3(hx[lo - 2], hy[lo - 2], hx[lo - 1], hy[lo - 1], sx[i], sy[i]) <= 0:
-*/
-  __pyx_v_lo = 0;
-
-  /* "troplines/_fastsweep.pyx":110
- *     cdef i64 hy[2 * MAXSUM]
- *     lo = 0
- *     for i in range(cnt):             # <<<<<<<<<<<<<<
- *         while lo >= 2 and _cross3(hx[lo - 2], hy[lo - 2], hx[lo - 1], hy[lo - 1], sx[i], sy[i]) <= 0:
- *             lo -= 1
-*/
-  __pyx_t_1 = __pyx_v_cnt;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "troplines/_fastsweep.pyx":111
- *     lo = 0
- *     for i in range(cnt):
- *         while lo >= 2 and _cross3(hx[lo - 2], hy[lo - 2], hx[lo - 1], hy[lo - 1], sx[i], sy[i]) <= 0:             # <<<<<<<<<<<<<<
- *             lo -= 1
- *         hx[lo] = sx[i]; hy[lo] = sy[i]
-*/
-    while (1) {
-      __pyx_t_5 = (__pyx_v_lo >= 2);
-      if (__pyx_t_5) {
-      } else {
-        __pyx_t_4 = __pyx_t_5;
-        goto __pyx_L24_bool_binop_done;
-      }
-      __pyx_t_5 = (__pyx_f_9troplines_10_fastsweep__cross3((__pyx_v_hx[(__pyx_v_lo - 2)]), (__pyx_v_hy[(__pyx_v_lo - 2)]), (__pyx_v_hx[(__pyx_v_lo - 1)]), (__pyx_v_hy[(__pyx_v_lo - 1)]), (__pyx_v_sx[__pyx_v_i]), (__pyx_v_sy[__pyx_v_i])) <= 0);
-      __pyx_t_4 = __pyx_t_5;
-      __pyx_L24_bool_binop_done:;
-      if (!__pyx_t_4) break;
-
-      /* "troplines/_fastsweep.pyx":112
- *     for i in range(cnt):
- *         while lo >= 2 and _cross3(hx[lo - 2], hy[lo - 2], hx[lo - 1], hy[lo - 1], sx[i], sy[i]) <= 0:
- *             lo -= 1             # <<<<<<<<<<<<<<
- *         hx[lo] = sx[i]; hy[lo] = sy[i]
- *         lo += 1
-*/
-      __pyx_v_lo = (__pyx_v_lo - 1);
-    }
-
-    /* "troplines/_fastsweep.pyx":113
- *         while lo >= 2 and _cross3(hx[lo - 2], hy[lo - 2], hx[lo - 1], hy[lo - 1], sx[i], sy[i]) <= 0:
- *             lo -= 1
- *         hx[lo] = sx[i]; hy[lo] = sy[i]             # <<<<<<<<<<<<<<
- *         lo += 1
- *     hi = lo
-*/
-    (__pyx_v_hx[__pyx_v_lo]) = (__pyx_v_sx[__pyx_v_i]);
-    (__pyx_v_hy[__pyx_v_lo]) = (__pyx_v_sy[__pyx_v_i]);
-
-    /* "troplines/_fastsweep.pyx":114
- *             lo -= 1
- *         hx[lo] = sx[i]; hy[lo] = sy[i]
- *         lo += 1             # <<<<<<<<<<<<<<
- *     hi = lo
- *     for i in range(cnt - 1, -1, -1):
-*/
-    __pyx_v_lo = (__pyx_v_lo + 1);
-  }
-
-  /* "troplines/_fastsweep.pyx":115
- *         hx[lo] = sx[i]; hy[lo] = sy[i]
- *         lo += 1
- *     hi = lo             # <<<<<<<<<<<<<<
- *     for i in range(cnt - 1, -1, -1):
- *         while hi - lo >= 2 and _cross3(hx[hi - 2], hy[hi - 2], hx[hi - 1], hy[hi - 1], sx[i], sy[i]) <= 0:
-*/
-  __pyx_v_hi = __pyx_v_lo;
-
-  /* "troplines/_fastsweep.pyx":116
- *         lo += 1
- *     hi = lo
- *     for i in range(cnt - 1, -1, -1):             # <<<<<<<<<<<<<<
- *         while hi - lo >= 2 and _cross3(hx[hi - 2], hy[hi - 2], hx[hi - 1], hy[hi - 1], sx[i], sy[i]) <= 0:
- *             hi -= 1
-*/
-  for (__pyx_t_1 = (__pyx_v_cnt - 1); __pyx_t_1 > -1; __pyx_t_1-=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "troplines/_fastsweep.pyx":117
- *     hi = lo
- *     for i in range(cnt - 1, -1, -1):
- *         while hi - lo >= 2 and _cross3(hx[hi - 2], hy[hi - 2], hx[hi - 1], hy[hi - 1], sx[i], sy[i]) <= 0:             # <<<<<<<<<<<<<<
- *             hi -= 1
- *         hx[hi] = sx[i]; hy[hi] = sy[i]
-*/
-    while (1) {
-      __pyx_t_5 = ((__pyx_v_hi - __pyx_v_lo) >= 2);
-      if (__pyx_t_5) {
-      } else {
-        __pyx_t_4 = __pyx_t_5;
-        goto __pyx_L30_bool_binop_done;
-      }
-      __pyx_t_5 = (__pyx_f_9troplines_10_fastsweep__cross3((__pyx_v_hx[(__pyx_v_hi - 2)]), (__pyx_v_hy[(__pyx_v_hi - 2)]), (__pyx_v_hx[(__pyx_v_hi - 1)]), (__pyx_v_hy[(__pyx_v_hi - 1)]), (__pyx_v_sx[__pyx_v_i]), (__pyx_v_sy[__pyx_v_i])) <= 0);
-      __pyx_t_4 = __pyx_t_5;
-      __pyx_L30_bool_binop_done:;
-      if (!__pyx_t_4) break;
-
-      /* "troplines/_fastsweep.pyx":118
- *     for i in range(cnt - 1, -1, -1):
- *         while hi - lo >= 2 and _cross3(hx[hi - 2], hy[hi - 2], hx[hi - 1], hy[hi - 1], sx[i], sy[i]) <= 0:
- *             hi -= 1             # <<<<<<<<<<<<<<
- *         hx[hi] = sx[i]; hy[hi] = sy[i]
- *         hi += 1
-*/
-      __pyx_v_hi = (__pyx_v_hi - 1);
-    }
-
-    /* "troplines/_fastsweep.pyx":119
- *         while hi - lo >= 2 and _cross3(hx[hi - 2], hy[hi - 2], hx[hi - 1], hy[hi - 1], sx[i], sy[i]) <= 0:
- *             hi -= 1
- *         hx[hi] = sx[i]; hy[hi] = sy[i]             # <<<<<<<<<<<<<<
- *         hi += 1
- *     # hull = lower[:-1] + upper[:-1]; lower occupies [0, lo), upper [lo, hi)
-*/
-    (__pyx_v_hx[__pyx_v_hi]) = (__pyx_v_sx[__pyx_v_i]);
-    (__pyx_v_hy[__pyx_v_hi]) = (__pyx_v_sy[__pyx_v_i]);
-
-    /* "troplines/_fastsweep.pyx":120
- *             hi -= 1
- *         hx[hi] = sx[i]; hy[hi] = sy[i]
- *         hi += 1             # <<<<<<<<<<<<<<
- *     # hull = lower[:-1] + upper[:-1]; lower occupies [0, lo), upper [lo, hi)
- *     k = 0
-*/
-    __pyx_v_hi = (__pyx_v_hi + 1);
-  }
-
-  /* "troplines/_fastsweep.pyx":122
- *         hi += 1
- *     # hull = lower[:-1] + upper[:-1]; lower occupies [0, lo), upper [lo, hi)
- *     k = 0             # <<<<<<<<<<<<<<
- *     for i in range(lo - 1):
- *         ox[k] = hx[i]; oy[k] = hy[i]
-*/
-  __pyx_v_k = 0;
-
-  /* "troplines/_fastsweep.pyx":123
- *     # hull = lower[:-1] + upper[:-1]; lower occupies [0, lo), upper [lo, hi)
- *     k = 0
- *     for i in range(lo - 1):             # <<<<<<<<<<<<<<
- *         ox[k] = hx[i]; oy[k] = hy[i]
- *         k += 1
-*/
-  __pyx_t_6 = (__pyx_v_lo - 1);
-  __pyx_t_7 = __pyx_t_6;
-  for (__pyx_t_1 = 0; __pyx_t_1 < __pyx_t_7; __pyx_t_1+=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "troplines/_fastsweep.pyx":124
- *     k = 0
- *     for i in range(lo - 1):
- *         ox[k] = hx[i]; oy[k] = hy[i]             # <<<<<<<<<<<<<<
- *         k += 1
- *     for i in range(lo, hi - 1):
-*/
-    (__pyx_v_ox[__pyx_v_k]) = (__pyx_v_hx[__pyx_v_i]);
-    (__pyx_v_oy[__pyx_v_k]) = (__pyx_v_hy[__pyx_v_i]);
-
-    /* "troplines/_fastsweep.pyx":125
- *     for i in range(lo - 1):
- *         ox[k] = hx[i]; oy[k] = hy[i]
- *         k += 1             # <<<<<<<<<<<<<<
- *     for i in range(lo, hi - 1):
- *         ox[k] = hx[i]; oy[k] = hy[i]
-*/
-    __pyx_v_k = (__pyx_v_k + 1);
-  }
-
-  /* "troplines/_fastsweep.pyx":126
- *         ox[k] = hx[i]; oy[k] = hy[i]
- *         k += 1
- *     for i in range(lo, hi - 1):             # <<<<<<<<<<<<<<
- *         ox[k] = hx[i]; oy[k] = hy[i]
- *         k += 1
-*/
-  __pyx_t_6 = (__pyx_v_hi - 1);
-  __pyx_t_7 = __pyx_t_6;
-  for (__pyx_t_1 = __pyx_v_lo; __pyx_t_1 < __pyx_t_7; __pyx_t_1+=1) {
-    __pyx_v_i = __pyx_t_1;
-
-    /* "troplines/_fastsweep.pyx":127
- *         k += 1
- *     for i in range(lo, hi - 1):
- *         ox[k] = hx[i]; oy[k] = hy[i]             # <<<<<<<<<<<<<<
- *         k += 1
- *     return k
-*/
-    (__pyx_v_ox[__pyx_v_k]) = (__pyx_v_hx[__pyx_v_i]);
-    (__pyx_v_oy[__pyx_v_k]) = (__pyx_v_hy[__pyx_v_i]);
-
-    /* "troplines/_fastsweep.pyx":128
- *     for i in range(lo, hi - 1):
- *         ox[k] = hx[i]; oy[k] = hy[i]
- *         k += 1             # <<<<<<<<<<<<<<
- *     return k
- * 
-*/
-    __pyx_v_k = (__pyx_v_k + 1);
-  }
-
-  /* "troplines/_fastsweep.pyx":129
- *         ox[k] = hx[i]; oy[k] = hy[i]
- *         k += 1
- *     return k             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_k;
-  goto __pyx_L0;
-
-  /* "troplines/_fastsweep.pyx":82
- * 
- * 
- * cdef int _hull(i64 *px, i64 *py, int m, i64 *ox, i64 *oy) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Convex hull, counterclockwise, lex-min vertex first, collinear
- *     points dropped; 1 or 2 points for degenerate inputs. Returns count."""
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "troplines/_fastsweep.pyx":132
- * 
- * 
- * cdef inline int _argmask(i64 vx, i64 vy, i64 qx, i64 qy) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Argmax bitmask at q for the line with vertex v: bit0 = x term,
- *     bit1 = y term, bit2 = constant term."""
-*/
-
-static CYTHON_INLINE int __pyx_f_9troplines_10_fastsweep__argmask(__pyx_t_9troplines_10_fastsweep_i64 __pyx_v_vx, __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_vy, __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_qx, __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_qy) {
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_t1;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_t2;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_m;
-  int __pyx_r;
-  int __pyx_t_1;
-
-  /* "troplines/_fastsweep.pyx":135
- *     """Argmax bitmask at q for the line with vertex v: bit0 = x term,
- *     bit1 = y term, bit2 = constant term."""
- *     cdef i64 t1 = qx - vx             # <<<<<<<<<<<<<<
- *     cdef i64 t2 = qy - vy
- *     cdef i64 m = t1
-*/
-  __pyx_v_t1 = (__pyx_v_qx - __pyx_v_vx);
-
-  /* "troplines/_fastsweep.pyx":136
- *     bit1 = y term, bit2 = constant term."""
- *     cdef i64 t1 = qx - vx
- *     cdef i64 t2 = qy - vy             # <<<<<<<<<<<<<<
- *     cdef i64 m = t1
- *     if t2 > m:
-*/
-  __pyx_v_t2 = (__pyx_v_qy - __pyx_v_vy);
-
-  /* "troplines/_fastsweep.pyx":137
- *     cdef i64 t1 = qx - vx
- *     cdef i64 t2 = qy - vy
- *     cdef i64 m = t1             # <<<<<<<<<<<<<<
- *     if t2 > m:
- *         m = t2
-*/
-  __pyx_v_m = __pyx_v_t1;
-
-  /* "troplines/_fastsweep.pyx":138
- *     cdef i64 t2 = qy - vy
- *     cdef i64 m = t1
- *     if t2 > m:             # <<<<<<<<<<<<<<
- *         m = t2
- *     if 0 > m:
-*/
-  __pyx_t_1 = (__pyx_v_t2 > __pyx_v_m);
-  if (__pyx_t_1) {
-
-    /* "troplines/_fastsweep.pyx":139
- *     cdef i64 m = t1
- *     if t2 > m:
- *         m = t2             # <<<<<<<<<<<<<<
- *     if 0 > m:
- *         m = 0
-*/
-    __pyx_v_m = __pyx_v_t2;
-
-    /* "troplines/_fastsweep.pyx":138
- *     cdef i64 t2 = qy - vy
- *     cdef i64 m = t1
- *     if t2 > m:             # <<<<<<<<<<<<<<
- *         m = t2
- *     if 0 > m:
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":140
- *     if t2 > m:
- *         m = t2
- *     if 0 > m:             # <<<<<<<<<<<<<<
- *         m = 0
- *     return (t1 == m) | ((t2 == m) << 1) | ((0 == m) << 2)
-*/
-  __pyx_t_1 = (0 > __pyx_v_m);
-  if (__pyx_t_1) {
-
-    /* "troplines/_fastsweep.pyx":141
- *         m = t2
- *     if 0 > m:
- *         m = 0             # <<<<<<<<<<<<<<
- *     return (t1 == m) | ((t2 == m) << 1) | ((0 == m) << 2)
- * 
-*/
-    __pyx_v_m = 0;
-
-    /* "troplines/_fastsweep.pyx":140
- *     if t2 > m:
- *         m = t2
- *     if 0 > m:             # <<<<<<<<<<<<<<
- *         m = 0
- *     return (t1 == m) | ((t2 == m) << 1) | ((0 == m) << 2)
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":142
- *     if 0 > m:
- *         m = 0
- *     return (t1 == m) | ((t2 == m) << 1) | ((0 == m) << 2)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (((__pyx_v_t1 == __pyx_v_m) | ((__pyx_v_t2 == __pyx_v_m) << 1)) | ((0 == __pyx_v_m) << 2));
-  goto __pyx_L0;
-
-  /* "troplines/_fastsweep.pyx":132
- * 
- * 
- * cdef inline int _argmask(i64 vx, i64 vy, i64 qx, i64 qy) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Argmax bitmask at q for the line with vertex v: bit0 = x term,
- *     bit1 = y term, bit2 = constant term."""
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "troplines/_fastsweep.pyx":145
- * 
- * 
- * cdef inline bint _cell_contains(Cell *c, i64 x, i64 y) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int i, j
- *     for i in range(c.m):
-*/
-
-static CYTHON_INLINE int __pyx_f_9troplines_10_fastsweep__cell_contains(struct __pyx_t_9troplines_10_fastsweep_Cell *__pyx_v_c, __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_x, __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_y) {
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "troplines/_fastsweep.pyx":147
- * cdef inline bint _cell_contains(Cell *c, i64 x, i64 y) noexcept nogil:
- *     cdef int i, j
- *     for i in range(c.m):             # <<<<<<<<<<<<<<
- *         j = i + 1
- *         if j == c.m:
-*/
-  __pyx_t_1 = __pyx_v_c->m;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "troplines/_fastsweep.pyx":148
- *     cdef int i, j
- *     for i in range(c.m):
- *         j = i + 1             # <<<<<<<<<<<<<<
- *         if j == c.m:
- *             j = 0
-*/
-    __pyx_v_j = (__pyx_v_i + 1);
-
-    /* "troplines/_fastsweep.pyx":149
- *     for i in range(c.m):
- *         j = i + 1
- *         if j == c.m:             # <<<<<<<<<<<<<<
- *             j = 0
- *         if _cross3(c.vx[i], c.vy[i], c.vx[j], c.vy[j], x, y) < 0:
-*/
-    __pyx_t_4 = (__pyx_v_j == __pyx_v_c->m);
-    if (__pyx_t_4) {
-
-      /* "troplines/_fastsweep.pyx":150
- *         j = i + 1
- *         if j == c.m:
- *             j = 0             # <<<<<<<<<<<<<<
- *         if _cross3(c.vx[i], c.vy[i], c.vx[j], c.vy[j], x, y) < 0:
- *             return False
-*/
-      __pyx_v_j = 0;
-
-      /* "troplines/_fastsweep.pyx":149
- *     for i in range(c.m):
- *         j = i + 1
- *         if j == c.m:             # <<<<<<<<<<<<<<
- *             j = 0
- *         if _cross3(c.vx[i], c.vy[i], c.vx[j], c.vy[j], x, y) < 0:
-*/
-    }
-
-    /* "troplines/_fastsweep.pyx":151
- *         if j == c.m:
- *             j = 0
- *         if _cross3(c.vx[i], c.vy[i], c.vx[j], c.vy[j], x, y) < 0:             # <<<<<<<<<<<<<<
- *             return False
- *     return True
-*/
-    __pyx_t_4 = (__pyx_f_9troplines_10_fastsweep__cross3((__pyx_v_c->vx[__pyx_v_i]), (__pyx_v_c->vy[__pyx_v_i]), (__pyx_v_c->vx[__pyx_v_j]), (__pyx_v_c->vy[__pyx_v_j]), __pyx_v_x, __pyx_v_y) < 0);
-    if (__pyx_t_4) {
-
-      /* "troplines/_fastsweep.pyx":152
- *             j = 0
- *         if _cross3(c.vx[i], c.vy[i], c.vx[j], c.vy[j], x, y) < 0:
- *             return False             # <<<<<<<<<<<<<<
- *     return True
- * 
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "troplines/_fastsweep.pyx":151
- *         if j == c.m:
- *             j = 0
- *         if _cross3(c.vx[i], c.vy[i], c.vx[j], c.vy[j], x, y) < 0:             # <<<<<<<<<<<<<<
- *             return False
- *     return True
-*/
-    }
-  }
-
-  /* "troplines/_fastsweep.pyx":153
- *         if _cross3(c.vx[i], c.vy[i], c.vx[j], c.vy[j], x, y) < 0:
- *             return False
- *     return True             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "troplines/_fastsweep.pyx":145
- * 
- * 
- * cdef inline bint _cell_contains(Cell *c, i64 x, i64 y) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int i, j
- *     for i in range(c.m):
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "troplines/_fastsweep.pyx":156
- * 
- * 
- * cdef bint _interiors_disjoint(Cell *p, Cell *q) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Separating-axis test flush with an edge of either polygon."""
- *     cdef int i, j, k, v
-*/
-
-static int __pyx_f_9troplines_10_fastsweep__interiors_disjoint(struct __pyx_t_9troplines_10_fastsweep_Cell *__pyx_v_p, struct __pyx_t_9troplines_10_fastsweep_Cell *__pyx_v_q) {
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_v_k;
-  int __pyx_v_v;
-  struct __pyx_t_9troplines_10_fastsweep_Cell *__pyx_v_a;
-  struct __pyx_t_9troplines_10_fastsweep_Cell *__pyx_v_b;
-  int __pyx_v_all_out;
-  int __pyx_r;
-  int __pyx_t_1;
-  struct __pyx_t_9troplines_10_fastsweep_Cell *__pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-
-  /* "troplines/_fastsweep.pyx":162
- *     cdef Cell *b
- *     cdef bint all_out
- *     for k in range(2):             # <<<<<<<<<<<<<<
- *         a = p if k == 0 else q
- *         b = q if k == 0 else p
-*/
-  for (__pyx_t_1 = 0; __pyx_t_1 < 2; __pyx_t_1+=1) {
-    __pyx_v_k = __pyx_t_1;
-
-    /* "troplines/_fastsweep.pyx":163
- *     cdef bint all_out
- *     for k in range(2):
- *         a = p if k == 0 else q             # <<<<<<<<<<<<<<
- *         b = q if k == 0 else p
- *         for i in range(a.m):
-*/
-    __pyx_t_3 = (__pyx_v_k == 0);
-    if (__pyx_t_3) {
-      __pyx_t_2 = __pyx_v_p;
-    } else {
-      __pyx_t_2 = __pyx_v_q;
-    }
-    __pyx_v_a = __pyx_t_2;
-
-    /* "troplines/_fastsweep.pyx":164
- *     for k in range(2):
- *         a = p if k == 0 else q
- *         b = q if k == 0 else p             # <<<<<<<<<<<<<<
- *         for i in range(a.m):
- *             j = i + 1
-*/
-    __pyx_t_3 = (__pyx_v_k == 0);
-    if (__pyx_t_3) {
-      __pyx_t_2 = __pyx_v_q;
-    } else {
-      __pyx_t_2 = __pyx_v_p;
-    }
-    __pyx_v_b = __pyx_t_2;
-
-    /* "troplines/_fastsweep.pyx":165
- *         a = p if k == 0 else q
- *         b = q if k == 0 else p
- *         for i in range(a.m):             # <<<<<<<<<<<<<<
- *             j = i + 1
- *             if j == a.m:
-*/
-    __pyx_t_4 = __pyx_v_a->m;
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_i = __pyx_t_6;
-
-      /* "troplines/_fastsweep.pyx":166
- *         b = q if k == 0 else p
- *         for i in range(a.m):
- *             j = i + 1             # <<<<<<<<<<<<<<
- *             if j == a.m:
- *                 j = 0
-*/
-      __pyx_v_j = (__pyx_v_i + 1);
-
-      /* "troplines/_fastsweep.pyx":167
- *         for i in range(a.m):
- *             j = i + 1
- *             if j == a.m:             # <<<<<<<<<<<<<<
- *                 j = 0
- *             all_out = True
-*/
-      __pyx_t_3 = (__pyx_v_j == __pyx_v_a->m);
-      if (__pyx_t_3) {
-
-        /* "troplines/_fastsweep.pyx":168
- *             j = i + 1
- *             if j == a.m:
- *                 j = 0             # <<<<<<<<<<<<<<
- *             all_out = True
- *             for v in range(b.m):
-*/
-        __pyx_v_j = 0;
-
-        /* "troplines/_fastsweep.pyx":167
- *         for i in range(a.m):
- *             j = i + 1
- *             if j == a.m:             # <<<<<<<<<<<<<<
- *                 j = 0
- *             all_out = True
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":169
- *             if j == a.m:
- *                 j = 0
- *             all_out = True             # <<<<<<<<<<<<<<
- *             for v in range(b.m):
- *                 if _cross3(a.vx[i], a.vy[i], a.vx[j], a.vy[j], b.vx[v], b.vy[v]) > 0:
-*/
-      __pyx_v_all_out = 1;
-
-      /* "troplines/_fastsweep.pyx":170
- *                 j = 0
- *             all_out = True
- *             for v in range(b.m):             # <<<<<<<<<<<<<<
- *                 if _cross3(a.vx[i], a.vy[i], a.vx[j], a.vy[j], b.vx[v], b.vy[v]) > 0:
- *                     all_out = False
-*/
-      __pyx_t_7 = __pyx_v_b->m;
-      __pyx_t_8 = __pyx_t_7;
-      for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-        __pyx_v_v = __pyx_t_9;
-
-        /* "troplines/_fastsweep.pyx":171
- *             all_out = True
- *             for v in range(b.m):
- *                 if _cross3(a.vx[i], a.vy[i], a.vx[j], a.vy[j], b.vx[v], b.vy[v]) > 0:             # <<<<<<<<<<<<<<
- *                     all_out = False
- *                     break
-*/
-        __pyx_t_3 = (__pyx_f_9troplines_10_fastsweep__cross3((__pyx_v_a->vx[__pyx_v_i]), (__pyx_v_a->vy[__pyx_v_i]), (__pyx_v_a->vx[__pyx_v_j]), (__pyx_v_a->vy[__pyx_v_j]), (__pyx_v_b->vx[__pyx_v_v]), (__pyx_v_b->vy[__pyx_v_v])) > 0);
-        if (__pyx_t_3) {
-
-          /* "troplines/_fastsweep.pyx":172
- *             for v in range(b.m):
- *                 if _cross3(a.vx[i], a.vy[i], a.vx[j], a.vy[j], b.vx[v], b.vy[v]) > 0:
- *                     all_out = False             # <<<<<<<<<<<<<<
- *                     break
- *             if all_out:
-*/
-          __pyx_v_all_out = 0;
-
-          /* "troplines/_fastsweep.pyx":173
- *                 if _cross3(a.vx[i], a.vy[i], a.vx[j], a.vy[j], b.vx[v], b.vy[v]) > 0:
- *                     all_out = False
- *                     break             # <<<<<<<<<<<<<<
- *             if all_out:
- *                 return True
-*/
-          goto __pyx_L9_break;
-
-          /* "troplines/_fastsweep.pyx":171
- *             all_out = True
- *             for v in range(b.m):
- *                 if _cross3(a.vx[i], a.vy[i], a.vx[j], a.vy[j], b.vx[v], b.vy[v]) > 0:             # <<<<<<<<<<<<<<
- *                     all_out = False
- *                     break
-*/
-        }
-      }
-      __pyx_L9_break:;
-
-      /* "troplines/_fastsweep.pyx":174
- *                     all_out = False
- *                     break
- *             if all_out:             # <<<<<<<<<<<<<<
- *                 return True
- *     return False
-*/
-      if (__pyx_v_all_out) {
-
-        /* "troplines/_fastsweep.pyx":175
- *                     break
- *             if all_out:
- *                 return True             # <<<<<<<<<<<<<<
- *     return False
- * 
-*/
-        __pyx_r = 1;
-        goto __pyx_L0;
-
-        /* "troplines/_fastsweep.pyx":174
- *                     all_out = False
- *                     break
- *             if all_out:             # <<<<<<<<<<<<<<
- *                 return True
- *     return False
-*/
-      }
-    }
-  }
-
-  /* "troplines/_fastsweep.pyx":176
- *             if all_out:
- *                 return True
- *     return False             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "troplines/_fastsweep.pyx":156
- * 
- * 
- * cdef bint _interiors_disjoint(Cell *p, Cell *q) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Separating-axis test flush with an edge of either polygon."""
- *     cdef int i, j, k, v
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "troplines/_fastsweep.pyx":179
- * 
- * 
- * cdef bint _shares_edge(Cell *p, Cell *q) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Positive-length collinear overlap between any edges."""
- *     cdef int i, j, i2, j2
-*/
-
-static int __pyx_f_9troplines_10_fastsweep__shares_edge(struct __pyx_t_9troplines_10_fastsweep_Cell *__pyx_v_p, struct __pyx_t_9troplines_10_fastsweep_Cell *__pyx_v_q) {
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_v_i2;
-  int __pyx_v_j2;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_ax;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_ay;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_dx;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_dy;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_len2;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_tc;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_td;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_lo;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_hi;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_t_8;
-
-  /* "troplines/_fastsweep.pyx":183
- *     cdef int i, j, i2, j2
- *     cdef i64 ax, ay, dx, dy, len2, tc, td, lo, hi
- *     for i in range(p.m):             # <<<<<<<<<<<<<<
- *         i2 = i + 1
- *         if i2 == p.m:
-*/
-  __pyx_t_1 = __pyx_v_p->m;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "troplines/_fastsweep.pyx":184
- *     cdef i64 ax, ay, dx, dy, len2, tc, td, lo, hi
- *     for i in range(p.m):
- *         i2 = i + 1             # <<<<<<<<<<<<<<
- *         if i2 == p.m:
- *             i2 = 0
-*/
-    __pyx_v_i2 = (__pyx_v_i + 1);
-
-    /* "troplines/_fastsweep.pyx":185
- *     for i in range(p.m):
- *         i2 = i + 1
- *         if i2 == p.m:             # <<<<<<<<<<<<<<
- *             i2 = 0
- *         ax = p.vx[i]; ay = p.vy[i]
-*/
-    __pyx_t_4 = (__pyx_v_i2 == __pyx_v_p->m);
-    if (__pyx_t_4) {
-
-      /* "troplines/_fastsweep.pyx":186
- *         i2 = i + 1
- *         if i2 == p.m:
- *             i2 = 0             # <<<<<<<<<<<<<<
- *         ax = p.vx[i]; ay = p.vy[i]
- *         dx = p.vx[i2] - ax; dy = p.vy[i2] - ay
-*/
-      __pyx_v_i2 = 0;
-
-      /* "troplines/_fastsweep.pyx":185
- *     for i in range(p.m):
- *         i2 = i + 1
- *         if i2 == p.m:             # <<<<<<<<<<<<<<
- *             i2 = 0
- *         ax = p.vx[i]; ay = p.vy[i]
-*/
-    }
-
-    /* "troplines/_fastsweep.pyx":187
- *         if i2 == p.m:
- *             i2 = 0
- *         ax = p.vx[i]; ay = p.vy[i]             # <<<<<<<<<<<<<<
- *         dx = p.vx[i2] - ax; dy = p.vy[i2] - ay
- *         len2 = dx * dx + dy * dy
-*/
-    __pyx_v_ax = (__pyx_v_p->vx[__pyx_v_i]);
-    __pyx_v_ay = (__pyx_v_p->vy[__pyx_v_i]);
-
-    /* "troplines/_fastsweep.pyx":188
- *             i2 = 0
- *         ax = p.vx[i]; ay = p.vy[i]
- *         dx = p.vx[i2] - ax; dy = p.vy[i2] - ay             # <<<<<<<<<<<<<<
- *         len2 = dx * dx + dy * dy
- *         for j in range(q.m):
-*/
-    __pyx_v_dx = ((__pyx_v_p->vx[__pyx_v_i2]) - __pyx_v_ax);
-    __pyx_v_dy = ((__pyx_v_p->vy[__pyx_v_i2]) - __pyx_v_ay);
-
-    /* "troplines/_fastsweep.pyx":189
- *         ax = p.vx[i]; ay = p.vy[i]
- *         dx = p.vx[i2] - ax; dy = p.vy[i2] - ay
- *         len2 = dx * dx + dy * dy             # <<<<<<<<<<<<<<
- *         for j in range(q.m):
- *             j2 = j + 1
-*/
-    __pyx_v_len2 = ((__pyx_v_dx * __pyx_v_dx) + (__pyx_v_dy * __pyx_v_dy));
-
-    /* "troplines/_fastsweep.pyx":190
- *         dx = p.vx[i2] - ax; dy = p.vy[i2] - ay
- *         len2 = dx * dx + dy * dy
- *         for j in range(q.m):             # <<<<<<<<<<<<<<
- *             j2 = j + 1
- *             if j2 == q.m:
-*/
-    __pyx_t_5 = __pyx_v_q->m;
-    __pyx_t_6 = __pyx_t_5;
-    for (__pyx_t_7 = 0; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-      __pyx_v_j = __pyx_t_7;
-
-      /* "troplines/_fastsweep.pyx":191
- *         len2 = dx * dx + dy * dy
- *         for j in range(q.m):
- *             j2 = j + 1             # <<<<<<<<<<<<<<
- *             if j2 == q.m:
- *                 j2 = 0
-*/
-      __pyx_v_j2 = (__pyx_v_j + 1);
-
-      /* "troplines/_fastsweep.pyx":192
- *         for j in range(q.m):
- *             j2 = j + 1
- *             if j2 == q.m:             # <<<<<<<<<<<<<<
- *                 j2 = 0
- *             if (q.vx[j] - ax) * dy != (q.vy[j] - ay) * dx:
-*/
-      __pyx_t_4 = (__pyx_v_j2 == __pyx_v_q->m);
-      if (__pyx_t_4) {
-
-        /* "troplines/_fastsweep.pyx":193
- *             j2 = j + 1
- *             if j2 == q.m:
- *                 j2 = 0             # <<<<<<<<<<<<<<
- *             if (q.vx[j] - ax) * dy != (q.vy[j] - ay) * dx:
- *                 continue
-*/
-        __pyx_v_j2 = 0;
-
-        /* "troplines/_fastsweep.pyx":192
- *         for j in range(q.m):
- *             j2 = j + 1
- *             if j2 == q.m:             # <<<<<<<<<<<<<<
- *                 j2 = 0
- *             if (q.vx[j] - ax) * dy != (q.vy[j] - ay) * dx:
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":194
- *             if j2 == q.m:
- *                 j2 = 0
- *             if (q.vx[j] - ax) * dy != (q.vy[j] - ay) * dx:             # <<<<<<<<<<<<<<
- *                 continue
- *             if (q.vx[j2] - ax) * dy != (q.vy[j2] - ay) * dx:
-*/
-      __pyx_t_4 = ((((__pyx_v_q->vx[__pyx_v_j]) - __pyx_v_ax) * __pyx_v_dy) != (((__pyx_v_q->vy[__pyx_v_j]) - __pyx_v_ay) * __pyx_v_dx));
-      if (__pyx_t_4) {
-
-        /* "troplines/_fastsweep.pyx":195
- *                 j2 = 0
- *             if (q.vx[j] - ax) * dy != (q.vy[j] - ay) * dx:
- *                 continue             # <<<<<<<<<<<<<<
- *             if (q.vx[j2] - ax) * dy != (q.vy[j2] - ay) * dx:
- *                 continue
-*/
-        goto __pyx_L6_continue;
-
-        /* "troplines/_fastsweep.pyx":194
- *             if j2 == q.m:
- *                 j2 = 0
- *             if (q.vx[j] - ax) * dy != (q.vy[j] - ay) * dx:             # <<<<<<<<<<<<<<
- *                 continue
- *             if (q.vx[j2] - ax) * dy != (q.vy[j2] - ay) * dx:
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":196
- *             if (q.vx[j] - ax) * dy != (q.vy[j] - ay) * dx:
- *                 continue
- *             if (q.vx[j2] - ax) * dy != (q.vy[j2] - ay) * dx:             # <<<<<<<<<<<<<<
- *                 continue
- *             tc = (q.vx[j] - ax) * dx + (q.vy[j] - ay) * dy
-*/
-      __pyx_t_4 = ((((__pyx_v_q->vx[__pyx_v_j2]) - __pyx_v_ax) * __pyx_v_dy) != (((__pyx_v_q->vy[__pyx_v_j2]) - __pyx_v_ay) * __pyx_v_dx));
-      if (__pyx_t_4) {
-
-        /* "troplines/_fastsweep.pyx":197
- *                 continue
- *             if (q.vx[j2] - ax) * dy != (q.vy[j2] - ay) * dx:
- *                 continue             # <<<<<<<<<<<<<<
- *             tc = (q.vx[j] - ax) * dx + (q.vy[j] - ay) * dy
- *             td = (q.vx[j2] - ax) * dx + (q.vy[j2] - ay) * dy
-*/
-        goto __pyx_L6_continue;
-
-        /* "troplines/_fastsweep.pyx":196
- *             if (q.vx[j] - ax) * dy != (q.vy[j] - ay) * dx:
- *                 continue
- *             if (q.vx[j2] - ax) * dy != (q.vy[j2] - ay) * dx:             # <<<<<<<<<<<<<<
- *                 continue
- *             tc = (q.vx[j] - ax) * dx + (q.vy[j] - ay) * dy
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":198
- *             if (q.vx[j2] - ax) * dy != (q.vy[j2] - ay) * dx:
- *                 continue
- *             tc = (q.vx[j] - ax) * dx + (q.vy[j] - ay) * dy             # <<<<<<<<<<<<<<
- *             td = (q.vx[j2] - ax) * dx + (q.vy[j2] - ay) * dy
- *             lo = tc if tc < td else td
-*/
-      __pyx_v_tc = ((((__pyx_v_q->vx[__pyx_v_j]) - __pyx_v_ax) * __pyx_v_dx) + (((__pyx_v_q->vy[__pyx_v_j]) - __pyx_v_ay) * __pyx_v_dy));
-
-      /* "troplines/_fastsweep.pyx":199
- *                 continue
- *             tc = (q.vx[j] - ax) * dx + (q.vy[j] - ay) * dy
- *             td = (q.vx[j2] - ax) * dx + (q.vy[j2] - ay) * dy             # <<<<<<<<<<<<<<
- *             lo = tc if tc < td else td
- *             hi = tc if tc > td else td
-*/
-      __pyx_v_td = ((((__pyx_v_q->vx[__pyx_v_j2]) - __pyx_v_ax) * __pyx_v_dx) + (((__pyx_v_q->vy[__pyx_v_j2]) - __pyx_v_ay) * __pyx_v_dy));
-
-      /* "troplines/_fastsweep.pyx":200
- *             tc = (q.vx[j] - ax) * dx + (q.vy[j] - ay) * dy
- *             td = (q.vx[j2] - ax) * dx + (q.vy[j2] - ay) * dy
- *             lo = tc if tc < td else td             # <<<<<<<<<<<<<<
- *             hi = tc if tc > td else td
- *             if hi > len2:
-*/
-      __pyx_t_4 = (__pyx_v_tc < __pyx_v_td);
-      if (__pyx_t_4) {
-        __pyx_t_8 = __pyx_v_tc;
-      } else {
-        __pyx_t_8 = __pyx_v_td;
-      }
-      __pyx_v_lo = __pyx_t_8;
-
-      /* "troplines/_fastsweep.pyx":201
- *             td = (q.vx[j2] - ax) * dx + (q.vy[j2] - ay) * dy
- *             lo = tc if tc < td else td
- *             hi = tc if tc > td else td             # <<<<<<<<<<<<<<
- *             if hi > len2:
- *                 hi = len2
-*/
-      __pyx_t_4 = (__pyx_v_tc > __pyx_v_td);
-      if (__pyx_t_4) {
-        __pyx_t_8 = __pyx_v_tc;
-      } else {
-        __pyx_t_8 = __pyx_v_td;
-      }
-      __pyx_v_hi = __pyx_t_8;
-
-      /* "troplines/_fastsweep.pyx":202
- *             lo = tc if tc < td else td
- *             hi = tc if tc > td else td
- *             if hi > len2:             # <<<<<<<<<<<<<<
- *                 hi = len2
- *             if lo < 0:
-*/
-      __pyx_t_4 = (__pyx_v_hi > __pyx_v_len2);
-      if (__pyx_t_4) {
-
-        /* "troplines/_fastsweep.pyx":203
- *             hi = tc if tc > td else td
- *             if hi > len2:
- *                 hi = len2             # <<<<<<<<<<<<<<
- *             if lo < 0:
- *                 lo = 0
-*/
-        __pyx_v_hi = __pyx_v_len2;
-
-        /* "troplines/_fastsweep.pyx":202
- *             lo = tc if tc < td else td
- *             hi = tc if tc > td else td
- *             if hi > len2:             # <<<<<<<<<<<<<<
- *                 hi = len2
- *             if lo < 0:
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":204
- *             if hi > len2:
- *                 hi = len2
- *             if lo < 0:             # <<<<<<<<<<<<<<
- *                 lo = 0
- *             if hi > lo:
-*/
-      __pyx_t_4 = (__pyx_v_lo < 0);
-      if (__pyx_t_4) {
-
-        /* "troplines/_fastsweep.pyx":205
- *                 hi = len2
- *             if lo < 0:
- *                 lo = 0             # <<<<<<<<<<<<<<
- *             if hi > lo:
- *                 return True
-*/
-        __pyx_v_lo = 0;
-
-        /* "troplines/_fastsweep.pyx":204
- *             if hi > len2:
- *                 hi = len2
- *             if lo < 0:             # <<<<<<<<<<<<<<
- *                 lo = 0
- *             if hi > lo:
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":206
- *             if lo < 0:
- *                 lo = 0
- *             if hi > lo:             # <<<<<<<<<<<<<<
- *                 return True
- *     return False
-*/
-      __pyx_t_4 = (__pyx_v_hi > __pyx_v_lo);
-      if (__pyx_t_4) {
-
-        /* "troplines/_fastsweep.pyx":207
- *                 lo = 0
- *             if hi > lo:
- *                 return True             # <<<<<<<<<<<<<<
- *     return False
- * 
-*/
-        __pyx_r = 1;
-        goto __pyx_L0;
-
-        /* "troplines/_fastsweep.pyx":206
- *             if lo < 0:
- *                 lo = 0
- *             if hi > lo:             # <<<<<<<<<<<<<<
- *                 return True
- *     return False
-*/
-      }
-      __pyx_L6_continue:;
-    }
-  }
-
-  /* "troplines/_fastsweep.pyx":208
- *             if hi > lo:
- *                 return True
- *     return False             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "troplines/_fastsweep.pyx":179
- * 
- * 
- * cdef bint _shares_edge(Cell *p, Cell *q) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Positive-length collinear overlap between any edges."""
- *     cdef int i, j, i2, j2
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "troplines/_fastsweep.pyx":211
- * 
- * 
- * cdef int _edge_class_mask(Cell *c) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Bitmask of edge direction classes: 1 horizontal, 2 vertical,
- *     4 antidiagonal, 8 anything else."""
-*/
-
-static int __pyx_f_9troplines_10_fastsweep__edge_class_mask(struct __pyx_t_9troplines_10_fastsweep_Cell *__pyx_v_c) {
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_v_mask;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_dx;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_dy;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_g;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-
-  /* "troplines/_fastsweep.pyx":214
- *     """Bitmask of edge direction classes: 1 horizontal, 2 vertical,
- *     4 antidiagonal, 8 anything else."""
- *     cdef int i, j, mask = 0             # <<<<<<<<<<<<<<
- *     cdef i64 dx, dy, g
- *     for i in range(c.m):
-*/
-  __pyx_v_mask = 0;
-
-  /* "troplines/_fastsweep.pyx":216
- *     cdef int i, j, mask = 0
- *     cdef i64 dx, dy, g
- *     for i in range(c.m):             # <<<<<<<<<<<<<<
- *         j = i + 1
- *         if j == c.m:
-*/
-  __pyx_t_1 = __pyx_v_c->m;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "troplines/_fastsweep.pyx":217
- *     cdef i64 dx, dy, g
- *     for i in range(c.m):
- *         j = i + 1             # <<<<<<<<<<<<<<
- *         if j == c.m:
- *             j = 0
-*/
-    __pyx_v_j = (__pyx_v_i + 1);
-
-    /* "troplines/_fastsweep.pyx":218
- *     for i in range(c.m):
- *         j = i + 1
- *         if j == c.m:             # <<<<<<<<<<<<<<
- *             j = 0
- *         dx = c.vx[j] - c.vx[i]
-*/
-    __pyx_t_4 = (__pyx_v_j == __pyx_v_c->m);
-    if (__pyx_t_4) {
-
-      /* "troplines/_fastsweep.pyx":219
- *         j = i + 1
- *         if j == c.m:
- *             j = 0             # <<<<<<<<<<<<<<
- *         dx = c.vx[j] - c.vx[i]
- *         dy = c.vy[j] - c.vy[i]
-*/
-      __pyx_v_j = 0;
-
-      /* "troplines/_fastsweep.pyx":218
- *     for i in range(c.m):
- *         j = i + 1
- *         if j == c.m:             # <<<<<<<<<<<<<<
- *             j = 0
- *         dx = c.vx[j] - c.vx[i]
-*/
-    }
-
-    /* "troplines/_fastsweep.pyx":220
- *         if j == c.m:
- *             j = 0
- *         dx = c.vx[j] - c.vx[i]             # <<<<<<<<<<<<<<
- *         dy = c.vy[j] - c.vy[i]
- *         g = _gcd(dx, dy)
-*/
-    __pyx_v_dx = ((__pyx_v_c->vx[__pyx_v_j]) - (__pyx_v_c->vx[__pyx_v_i]));
-
-    /* "troplines/_fastsweep.pyx":221
- *             j = 0
- *         dx = c.vx[j] - c.vx[i]
- *         dy = c.vy[j] - c.vy[i]             # <<<<<<<<<<<<<<
- *         g = _gcd(dx, dy)
- *         dx = dx // g
-*/
-    __pyx_v_dy = ((__pyx_v_c->vy[__pyx_v_j]) - (__pyx_v_c->vy[__pyx_v_i]));
-
-    /* "troplines/_fastsweep.pyx":222
- *         dx = c.vx[j] - c.vx[i]
- *         dy = c.vy[j] - c.vy[i]
- *         g = _gcd(dx, dy)             # <<<<<<<<<<<<<<
- *         dx = dx // g
- *         dy = dy // g
-*/
-    __pyx_v_g = __pyx_f_9troplines_10_fastsweep__gcd(__pyx_v_dx, __pyx_v_dy);
-
-    /* "troplines/_fastsweep.pyx":223
- *         dy = c.vy[j] - c.vy[i]
- *         g = _gcd(dx, dy)
- *         dx = dx // g             # <<<<<<<<<<<<<<
- *         dy = dy // g
- *         if dy < 0 or (dy == 0 and dx < 0):
-*/
-    __pyx_v_dx = (__pyx_v_dx / __pyx_v_g);
-
-    /* "troplines/_fastsweep.pyx":224
- *         g = _gcd(dx, dy)
- *         dx = dx // g
- *         dy = dy // g             # <<<<<<<<<<<<<<
- *         if dy < 0 or (dy == 0 and dx < 0):
- *             dx = -dx
-*/
-    __pyx_v_dy = (__pyx_v_dy / __pyx_v_g);
-
-    /* "troplines/_fastsweep.pyx":225
- *         dx = dx // g
- *         dy = dy // g
- *         if dy < 0 or (dy == 0 and dx < 0):             # <<<<<<<<<<<<<<
- *             dx = -dx
- *             dy = -dy
-*/
-    __pyx_t_5 = (__pyx_v_dy < 0);
-    if (!__pyx_t_5) {
-    } else {
-      __pyx_t_4 = __pyx_t_5;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_dy == 0);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_4 = __pyx_t_5;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_dx < 0);
-    __pyx_t_4 = __pyx_t_5;
-    __pyx_L7_bool_binop_done:;
-    if (__pyx_t_4) {
-
-      /* "troplines/_fastsweep.pyx":226
- *         dy = dy // g
- *         if dy < 0 or (dy == 0 and dx < 0):
- *             dx = -dx             # <<<<<<<<<<<<<<
- *             dy = -dy
- *         if dx == 1 and dy == 0:
-*/
-      __pyx_v_dx = (-__pyx_v_dx);
-
-      /* "troplines/_fastsweep.pyx":227
- *         if dy < 0 or (dy == 0 and dx < 0):
- *             dx = -dx
- *             dy = -dy             # <<<<<<<<<<<<<<
- *         if dx == 1 and dy == 0:
- *             mask |= 1
-*/
-      __pyx_v_dy = (-__pyx_v_dy);
-
-      /* "troplines/_fastsweep.pyx":225
- *         dx = dx // g
- *         dy = dy // g
- *         if dy < 0 or (dy == 0 and dx < 0):             # <<<<<<<<<<<<<<
- *             dx = -dx
- *             dy = -dy
-*/
-    }
-
-    /* "troplines/_fastsweep.pyx":228
- *             dx = -dx
- *             dy = -dy
- *         if dx == 1 and dy == 0:             # <<<<<<<<<<<<<<
- *             mask |= 1
- *         elif dx == 0 and dy == 1:
-*/
-    __pyx_t_5 = (__pyx_v_dx == 1);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_4 = __pyx_t_5;
-      goto __pyx_L11_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_dy == 0);
-    __pyx_t_4 = __pyx_t_5;
-    __pyx_L11_bool_binop_done:;
-    if (__pyx_t_4) {
-
-      /* "troplines/_fastsweep.pyx":229
- *             dy = -dy
- *         if dx == 1 and dy == 0:
- *             mask |= 1             # <<<<<<<<<<<<<<
- *         elif dx == 0 and dy == 1:
- *             mask |= 2
-*/
-      __pyx_v_mask = (__pyx_v_mask | 1);
-
-      /* "troplines/_fastsweep.pyx":228
- *             dx = -dx
- *             dy = -dy
- *         if dx == 1 and dy == 0:             # <<<<<<<<<<<<<<
- *             mask |= 1
- *         elif dx == 0 and dy == 1:
-*/
-      goto __pyx_L10;
-    }
-
-    /* "troplines/_fastsweep.pyx":230
- *         if dx == 1 and dy == 0:
- *             mask |= 1
- *         elif dx == 0 and dy == 1:             # <<<<<<<<<<<<<<
- *             mask |= 2
- *         elif dx == -1 and dy == 1:
-*/
-    __pyx_t_5 = (__pyx_v_dx == 0);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_4 = __pyx_t_5;
-      goto __pyx_L13_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_dy == 1);
-    __pyx_t_4 = __pyx_t_5;
-    __pyx_L13_bool_binop_done:;
-    if (__pyx_t_4) {
-
-      /* "troplines/_fastsweep.pyx":231
- *             mask |= 1
- *         elif dx == 0 and dy == 1:
- *             mask |= 2             # <<<<<<<<<<<<<<
- *         elif dx == -1 and dy == 1:
- *             mask |= 4
-*/
-      __pyx_v_mask = (__pyx_v_mask | 2);
-
-      /* "troplines/_fastsweep.pyx":230
- *         if dx == 1 and dy == 0:
- *             mask |= 1
- *         elif dx == 0 and dy == 1:             # <<<<<<<<<<<<<<
- *             mask |= 2
- *         elif dx == -1 and dy == 1:
-*/
-      goto __pyx_L10;
-    }
-
-    /* "troplines/_fastsweep.pyx":232
- *         elif dx == 0 and dy == 1:
- *             mask |= 2
- *         elif dx == -1 and dy == 1:             # <<<<<<<<<<<<<<
- *             mask |= 4
- *         else:
-*/
-    __pyx_t_5 = (__pyx_v_dx == -1LL);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_4 = __pyx_t_5;
-      goto __pyx_L15_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_dy == 1);
-    __pyx_t_4 = __pyx_t_5;
-    __pyx_L15_bool_binop_done:;
-    if (__pyx_t_4) {
-
-      /* "troplines/_fastsweep.pyx":233
- *             mask |= 2
- *         elif dx == -1 and dy == 1:
- *             mask |= 4             # <<<<<<<<<<<<<<
- *         else:
- *             mask |= 8
-*/
-      __pyx_v_mask = (__pyx_v_mask | 4);
-
-      /* "troplines/_fastsweep.pyx":232
- *         elif dx == 0 and dy == 1:
- *             mask |= 2
- *         elif dx == -1 and dy == 1:             # <<<<<<<<<<<<<<
- *             mask |= 4
- *         else:
-*/
-      goto __pyx_L10;
-    }
-
-    /* "troplines/_fastsweep.pyx":235
- *             mask |= 4
- *         else:
- *             mask |= 8             # <<<<<<<<<<<<<<
- *     return mask
- * 
-*/
-    /*else*/ {
-      __pyx_v_mask = (__pyx_v_mask | 8);
-    }
-    __pyx_L10:;
-  }
-
-  /* "troplines/_fastsweep.pyx":236
- *         else:
- *             mask |= 8
- *     return mask             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_mask;
-  goto __pyx_L0;
-
-  /* "troplines/_fastsweep.pyx":211
- * 
- * 
- * cdef int _edge_class_mask(Cell *c) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Bitmask of edge direction classes: 1 horizontal, 2 vertical,
- *     4 antidiagonal, 8 anything else."""
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "troplines/_fastsweep.pyx":239
- * 
- * 
- * cdef bint _corner_pattern(Cell *s, i64 bx, i64 by) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Parallelogram in one of the three corner slots of the triangle
- *     with right-angle corner (bx, by)."""
-*/
-
-static int __pyx_f_9troplines_10_fastsweep__corner_pattern(struct __pyx_t_9troplines_10_fastsweep_Cell *__pyx_v_s, __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_bx, __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_by) {
-  int __pyx_v_mask;
-  int __pyx_v_i;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_mx;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_my;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_ay;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-
-  /* "troplines/_fastsweep.pyx":242
- *     """Parallelogram in one of the three corner slots of the triangle
- *     with right-angle corner (bx, by)."""
- *     cdef int mask = _edge_class_mask(s)             # <<<<<<<<<<<<<<
- *     cdef int i
- *     cdef i64 mx, my, ay
-*/
-  __pyx_v_mask = __pyx_f_9troplines_10_fastsweep__edge_class_mask(__pyx_v_s);
-
-  /* "troplines/_fastsweep.pyx":245
- *     cdef int i
- *     cdef i64 mx, my, ay
- *     if mask == 3:  # horizontal + vertical: maximal corner at the base             # <<<<<<<<<<<<<<
- *         mx = s.vx[0]; my = s.vy[0]
- *         for i in range(1, s.m):
-*/
-  __pyx_t_1 = (__pyx_v_mask == 3);
-  if (__pyx_t_1) {
-
-    /* "troplines/_fastsweep.pyx":246
- *     cdef i64 mx, my, ay
- *     if mask == 3:  # horizontal + vertical: maximal corner at the base
- *         mx = s.vx[0]; my = s.vy[0]             # <<<<<<<<<<<<<<
- *         for i in range(1, s.m):
- *             if s.vx[i] > mx:
-*/
-    __pyx_v_mx = (__pyx_v_s->vx[0]);
-    __pyx_v_my = (__pyx_v_s->vy[0]);
-
-    /* "troplines/_fastsweep.pyx":247
- *     if mask == 3:  # horizontal + vertical: maximal corner at the base
- *         mx = s.vx[0]; my = s.vy[0]
- *         for i in range(1, s.m):             # <<<<<<<<<<<<<<
- *             if s.vx[i] > mx:
- *                 mx = s.vx[i]
-*/
-    __pyx_t_2 = __pyx_v_s->m;
-    __pyx_t_3 = __pyx_t_2;
-    for (__pyx_t_4 = 1; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_i = __pyx_t_4;
-
-      /* "troplines/_fastsweep.pyx":248
- *         mx = s.vx[0]; my = s.vy[0]
- *         for i in range(1, s.m):
- *             if s.vx[i] > mx:             # <<<<<<<<<<<<<<
- *                 mx = s.vx[i]
- *             if s.vy[i] > my:
-*/
-      __pyx_t_1 = ((__pyx_v_s->vx[__pyx_v_i]) > __pyx_v_mx);
-      if (__pyx_t_1) {
-
-        /* "troplines/_fastsweep.pyx":249
- *         for i in range(1, s.m):
- *             if s.vx[i] > mx:
- *                 mx = s.vx[i]             # <<<<<<<<<<<<<<
- *             if s.vy[i] > my:
- *                 my = s.vy[i]
-*/
-        __pyx_v_mx = (__pyx_v_s->vx[__pyx_v_i]);
-
-        /* "troplines/_fastsweep.pyx":248
- *         mx = s.vx[0]; my = s.vy[0]
- *         for i in range(1, s.m):
- *             if s.vx[i] > mx:             # <<<<<<<<<<<<<<
- *                 mx = s.vx[i]
- *             if s.vy[i] > my:
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":250
- *             if s.vx[i] > mx:
- *                 mx = s.vx[i]
- *             if s.vy[i] > my:             # <<<<<<<<<<<<<<
- *                 my = s.vy[i]
- *         return mx == bx and my == by
-*/
-      __pyx_t_1 = ((__pyx_v_s->vy[__pyx_v_i]) > __pyx_v_my);
-      if (__pyx_t_1) {
-
-        /* "troplines/_fastsweep.pyx":251
- *                 mx = s.vx[i]
- *             if s.vy[i] > my:
- *                 my = s.vy[i]             # <<<<<<<<<<<<<<
- *         return mx == bx and my == by
- *     if mask == 6:  # vertical + antidiagonal: max-x then min-y corner
-*/
-        __pyx_v_my = (__pyx_v_s->vy[__pyx_v_i]);
-
-        /* "troplines/_fastsweep.pyx":250
- *             if s.vx[i] > mx:
- *                 mx = s.vx[i]
- *             if s.vy[i] > my:             # <<<<<<<<<<<<<<
- *                 my = s.vy[i]
- *         return mx == bx and my == by
-*/
-      }
-    }
-
-    /* "troplines/_fastsweep.pyx":252
- *             if s.vy[i] > my:
- *                 my = s.vy[i]
- *         return mx == bx and my == by             # <<<<<<<<<<<<<<
- *     if mask == 6:  # vertical + antidiagonal: max-x then min-y corner
- *         mx = s.vx[0]
-*/
-    __pyx_t_5 = (__pyx_v_mx == __pyx_v_bx);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_my == __pyx_v_by);
-    __pyx_t_1 = __pyx_t_5;
-    __pyx_L8_bool_binop_done:;
-    __pyx_r = __pyx_t_1;
-    goto __pyx_L0;
-
-    /* "troplines/_fastsweep.pyx":245
- *     cdef int i
- *     cdef i64 mx, my, ay
- *     if mask == 3:  # horizontal + vertical: maximal corner at the base             # <<<<<<<<<<<<<<
- *         mx = s.vx[0]; my = s.vy[0]
- *         for i in range(1, s.m):
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":253
- *                 my = s.vy[i]
- *         return mx == bx and my == by
- *     if mask == 6:  # vertical + antidiagonal: max-x then min-y corner             # <<<<<<<<<<<<<<
- *         mx = s.vx[0]
- *         for i in range(1, s.m):
-*/
-  __pyx_t_1 = (__pyx_v_mask == 6);
-  if (__pyx_t_1) {
-
-    /* "troplines/_fastsweep.pyx":254
- *         return mx == bx and my == by
- *     if mask == 6:  # vertical + antidiagonal: max-x then min-y corner
- *         mx = s.vx[0]             # <<<<<<<<<<<<<<
- *         for i in range(1, s.m):
- *             if s.vx[i] > mx:
-*/
-    __pyx_v_mx = (__pyx_v_s->vx[0]);
-
-    /* "troplines/_fastsweep.pyx":255
- *     if mask == 6:  # vertical + antidiagonal: max-x then min-y corner
- *         mx = s.vx[0]
- *         for i in range(1, s.m):             # <<<<<<<<<<<<<<
- *             if s.vx[i] > mx:
- *                 mx = s.vx[i]
-*/
-    __pyx_t_2 = __pyx_v_s->m;
-    __pyx_t_3 = __pyx_t_2;
-    for (__pyx_t_4 = 1; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_i = __pyx_t_4;
-
-      /* "troplines/_fastsweep.pyx":256
- *         mx = s.vx[0]
- *         for i in range(1, s.m):
- *             if s.vx[i] > mx:             # <<<<<<<<<<<<<<
- *                 mx = s.vx[i]
- *         ay = NEG
-*/
-      __pyx_t_1 = ((__pyx_v_s->vx[__pyx_v_i]) > __pyx_v_mx);
-      if (__pyx_t_1) {
-
-        /* "troplines/_fastsweep.pyx":257
- *         for i in range(1, s.m):
- *             if s.vx[i] > mx:
- *                 mx = s.vx[i]             # <<<<<<<<<<<<<<
- *         ay = NEG
- *         for i in range(s.m):
-*/
-        __pyx_v_mx = (__pyx_v_s->vx[__pyx_v_i]);
-
-        /* "troplines/_fastsweep.pyx":256
- *         mx = s.vx[0]
- *         for i in range(1, s.m):
- *             if s.vx[i] > mx:             # <<<<<<<<<<<<<<
- *                 mx = s.vx[i]
- *         ay = NEG
-*/
-      }
-    }
-
-    /* "troplines/_fastsweep.pyx":258
- *             if s.vx[i] > mx:
- *                 mx = s.vx[i]
- *         ay = NEG             # <<<<<<<<<<<<<<
- *         for i in range(s.m):
- *             if s.vx[i] == mx and (ay == NEG or s.vy[i] < ay):
-*/
-    __pyx_v_ay = __pyx_v_9troplines_10_fastsweep_NEG;
-
-    /* "troplines/_fastsweep.pyx":259
- *                 mx = s.vx[i]
- *         ay = NEG
- *         for i in range(s.m):             # <<<<<<<<<<<<<<
- *             if s.vx[i] == mx and (ay == NEG or s.vy[i] < ay):
- *                 ay = s.vy[i]
-*/
-    __pyx_t_2 = __pyx_v_s->m;
-    __pyx_t_3 = __pyx_t_2;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_i = __pyx_t_4;
-
-      /* "troplines/_fastsweep.pyx":260
- *         ay = NEG
- *         for i in range(s.m):
- *             if s.vx[i] == mx and (ay == NEG or s.vy[i] < ay):             # <<<<<<<<<<<<<<
- *                 ay = s.vy[i]
- *         return mx == bx and ay == by + 1
-*/
-      __pyx_t_5 = ((__pyx_v_s->vx[__pyx_v_i]) == __pyx_v_mx);
-      if (__pyx_t_5) {
-      } else {
-        __pyx_t_1 = __pyx_t_5;
-        goto __pyx_L17_bool_binop_done;
-      }
-      __pyx_t_5 = (__pyx_v_ay == __pyx_v_9troplines_10_fastsweep_NEG);
-      if (!__pyx_t_5) {
-      } else {
-        __pyx_t_1 = __pyx_t_5;
-        goto __pyx_L17_bool_binop_done;
-      }
-      __pyx_t_5 = ((__pyx_v_s->vy[__pyx_v_i]) < __pyx_v_ay);
-      __pyx_t_1 = __pyx_t_5;
-      __pyx_L17_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "troplines/_fastsweep.pyx":261
- *         for i in range(s.m):
- *             if s.vx[i] == mx and (ay == NEG or s.vy[i] < ay):
- *                 ay = s.vy[i]             # <<<<<<<<<<<<<<
- *         return mx == bx and ay == by + 1
- *     if mask == 5:  # horizontal + antidiagonal: unique min-x corner
-*/
-        __pyx_v_ay = (__pyx_v_s->vy[__pyx_v_i]);
-
-        /* "troplines/_fastsweep.pyx":260
- *         ay = NEG
- *         for i in range(s.m):
- *             if s.vx[i] == mx and (ay == NEG or s.vy[i] < ay):             # <<<<<<<<<<<<<<
- *                 ay = s.vy[i]
- *         return mx == bx and ay == by + 1
-*/
-      }
-    }
-
-    /* "troplines/_fastsweep.pyx":262
- *             if s.vx[i] == mx and (ay == NEG or s.vy[i] < ay):
- *                 ay = s.vy[i]
- *         return mx == bx and ay == by + 1             # <<<<<<<<<<<<<<
- *     if mask == 5:  # horizontal + antidiagonal: unique min-x corner
- *         mx = s.vx[0]; my = s.vy[0]
-*/
-    __pyx_t_5 = (__pyx_v_mx == __pyx_v_bx);
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L20_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_ay == (__pyx_v_by + 1));
-    __pyx_t_1 = __pyx_t_5;
-    __pyx_L20_bool_binop_done:;
-    __pyx_r = __pyx_t_1;
-    goto __pyx_L0;
-
-    /* "troplines/_fastsweep.pyx":253
- *                 my = s.vy[i]
- *         return mx == bx and my == by
- *     if mask == 6:  # vertical + antidiagonal: max-x then min-y corner             # <<<<<<<<<<<<<<
- *         mx = s.vx[0]
- *         for i in range(1, s.m):
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":263
- *                 ay = s.vy[i]
- *         return mx == bx and ay == by + 1
- *     if mask == 5:  # horizontal + antidiagonal: unique min-x corner             # <<<<<<<<<<<<<<
- *         mx = s.vx[0]; my = s.vy[0]
- *         for i in range(1, s.m):
-*/
-  __pyx_t_1 = (__pyx_v_mask == 5);
-  if (__pyx_t_1) {
-
-    /* "troplines/_fastsweep.pyx":264
- *         return mx == bx and ay == by + 1
- *     if mask == 5:  # horizontal + antidiagonal: unique min-x corner
- *         mx = s.vx[0]; my = s.vy[0]             # <<<<<<<<<<<<<<
- *         for i in range(1, s.m):
- *             if s.vx[i] < mx:
-*/
-    __pyx_v_mx = (__pyx_v_s->vx[0]);
-    __pyx_v_my = (__pyx_v_s->vy[0]);
-
-    /* "troplines/_fastsweep.pyx":265
- *     if mask == 5:  # horizontal + antidiagonal: unique min-x corner
- *         mx = s.vx[0]; my = s.vy[0]
- *         for i in range(1, s.m):             # <<<<<<<<<<<<<<
- *             if s.vx[i] < mx:
- *                 mx = s.vx[i]
-*/
-    __pyx_t_2 = __pyx_v_s->m;
-    __pyx_t_3 = __pyx_t_2;
-    for (__pyx_t_4 = 1; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_i = __pyx_t_4;
-
-      /* "troplines/_fastsweep.pyx":266
- *         mx = s.vx[0]; my = s.vy[0]
- *         for i in range(1, s.m):
- *             if s.vx[i] < mx:             # <<<<<<<<<<<<<<
- *                 mx = s.vx[i]
- *                 my = s.vy[i]
-*/
-      __pyx_t_1 = ((__pyx_v_s->vx[__pyx_v_i]) < __pyx_v_mx);
-      if (__pyx_t_1) {
-
-        /* "troplines/_fastsweep.pyx":267
- *         for i in range(1, s.m):
- *             if s.vx[i] < mx:
- *                 mx = s.vx[i]             # <<<<<<<<<<<<<<
- *                 my = s.vy[i]
- *         return mx == bx + 1 and my == by
-*/
-        __pyx_v_mx = (__pyx_v_s->vx[__pyx_v_i]);
-
-        /* "troplines/_fastsweep.pyx":268
- *             if s.vx[i] < mx:
- *                 mx = s.vx[i]
- *                 my = s.vy[i]             # <<<<<<<<<<<<<<
- *         return mx == bx + 1 and my == by
- *     return False
-*/
-        __pyx_v_my = (__pyx_v_s->vy[__pyx_v_i]);
-
-        /* "troplines/_fastsweep.pyx":266
- *         mx = s.vx[0]; my = s.vy[0]
- *         for i in range(1, s.m):
- *             if s.vx[i] < mx:             # <<<<<<<<<<<<<<
- *                 mx = s.vx[i]
- *                 my = s.vy[i]
-*/
-      }
-    }
-
-    /* "troplines/_fastsweep.pyx":269
- *                 mx = s.vx[i]
- *                 my = s.vy[i]
- *         return mx == bx + 1 and my == by             # <<<<<<<<<<<<<<
- *     return False
- * 
-*/
-    __pyx_t_5 = (__pyx_v_mx == (__pyx_v_bx + 1));
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L26_bool_binop_done;
-    }
-    __pyx_t_5 = (__pyx_v_my == __pyx_v_by);
-    __pyx_t_1 = __pyx_t_5;
-    __pyx_L26_bool_binop_done:;
-    __pyx_r = __pyx_t_1;
-    goto __pyx_L0;
-
-    /* "troplines/_fastsweep.pyx":263
- *                 ay = s.vy[i]
- *         return mx == bx and ay == by + 1
- *     if mask == 5:  # horizontal + antidiagonal: unique min-x corner             # <<<<<<<<<<<<<<
- *         mx = s.vx[0]; my = s.vy[0]
- *         for i in range(1, s.m):
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":270
- *                 my = s.vy[i]
- *         return mx == bx + 1 and my == by
- *     return False             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "troplines/_fastsweep.pyx":239
- * 
- * 
- * cdef bint _corner_pattern(Cell *s, i64 bx, i64 by) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Parallelogram in one of the three corner slots of the triangle
- *     with right-angle corner (bx, by)."""
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "troplines/_fastsweep.pyx":273
- * 
- * 
- * def analyze_ints(points):             # <<<<<<<<<<<<<<
- *     """The per-configuration analysis record for integer points.
- * 
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9troplines_10_fastsweep_1analyze_ints(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9troplines_10_fastsweep_analyze_ints, "The per-configuration analysis record for integer points.\n\n    Same shape as analysis.analyze_config: counts, flags, excess and the\n    violations list with the shared suite vocabulary.\n    ");
-static PyMethodDef __pyx_mdef_9troplines_10_fastsweep_1analyze_ints = {"analyze_ints", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9troplines_10_fastsweep_1analyze_ints, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9troplines_10_fastsweep_analyze_ints};
-static PyObject *__pyx_pw_9troplines_10_fastsweep_1analyze_ints(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_points = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("analyze_ints (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_points,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 273, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 273, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "analyze_ints", 0) < (0)) __PYX_ERR(0, 273, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("analyze_ints", 1, 1, 1, i); __PYX_ERR(0, 273, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 273, __pyx_L3_error)
-    }
-    __pyx_v_points = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("analyze_ints", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 273, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("troplines._fastsweep.analyze_ints", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9troplines_10_fastsweep_analyze_ints(__pyx_self, __pyx_v_points);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9troplines_10_fastsweep_analyze_ints(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_points) {
-  int __pyx_v_n;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_px[__pyx_e_9troplines_10_fastsweep_MAXN];
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_py[__pyx_e_9troplines_10_fastsweep_MAXN];
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_vx[__pyx_e_9troplines_10_fastsweep_MAXN];
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_vy[__pyx_e_9troplines_10_fastsweep_MAXN];
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_v_r1;
-  int __pyx_v_r2;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_limit;
-  PyObject *__pyx_v_violations = NULL;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_candkey[__pyx_e_9troplines_10_fastsweep_MAXCAND];
-  int __pyx_v_ncand;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_stabkey[__pyx_e_9troplines_10_fastsweep_MAXCAND];
-  int __pyx_v_nstab;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_OFF;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_SHIFT;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_ax;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_ay;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_bx;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_by;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_dx;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_dy;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_denom;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_tn;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_sn;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_cx;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_cy;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_wx;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_wy;
-  int __pyx_v_hits;
-  int __pyx_v_ncand_u;
-  int __pyx_v_nstab_u;
-  int __pyx_v_b_pairwise;
-  int __pyx_v_h_pairwise;
-  int __pyx_v_k_pairwise;
-  struct __pyx_t_9troplines_10_fastsweep_Cell __pyx_v_cells[__pyx_e_9troplines_10_fastsweep_MAXCELLS];
-  int __pyx_v_ncells;
-  int __pyx_v_masks[__pyx_e_9troplines_10_fastsweep_MAXN];
-  int __pyx_v_mask;
-  int __pyx_v_c_full;
-  int __pyx_v_nz;
-  int __pyx_v_sa;
-  int __pyx_v_sb;
-  int __pyx_v_sc;
-  int __pyx_v_cls;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_accx[__pyx_e_9troplines_10_fastsweep_MAXSUM];
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_accy[__pyx_e_9troplines_10_fastsweep_MAXSUM];
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_sumx[__pyx_e_9troplines_10_fastsweep_MAXSUM];
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_sumy[__pyx_e_9troplines_10_fastsweep_MAXSUM];
-  int __pyx_v_acc_m;
-  int __pyx_v_sum_m;
-  int __pyx_v_e;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_ex[3];
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_ey[3];
-  int __pyx_v_ne;
-  struct __pyx_t_9troplines_10_fastsweep_Cell *__pyx_v_cell;
-  int __pyx_v_t_count;
-  int __pyx_v_triangles;
-  int __pyx_v_k_faces;
-  int __pyx_v_h_faces;
-  int __pyx_v_b_faces;
-  PyObject *__pyx_v_counts_repr = NULL;
-  int __pyx_v_tiling_ok;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_area_total;
-  PyObject *__pyx_v_near_pencil = NULL;
-  int __pyx_v_near;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_lift[((__pyx_e_9troplines_10_fastsweep_MAXN + 1) * (__pyx_e_9troplines_10_fastsweep_MAXN + 1))];
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_lift2[((__pyx_e_9troplines_10_fastsweep_MAXN + 1) * (__pyx_e_9troplines_10_fastsweep_MAXN + 1))];
-  int __pyx_v_ii;
-  int __pyx_v_jj;
-  int __pyx_v_width;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_best;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_cand2;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_D;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_h0;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_h1;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_h2;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_beta;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_gamma;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_alpha;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_want;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_got;
-  int __pyx_v_ti;
-  int __pyx_v_ok_flag;
-  int __pyx_v_m_noncorner;
-  int __pyx_v_union_count;
-  int __pyx_v_det_count;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_basex;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_basey;
-  PyObject *__pyx_v_determined = NULL;
-  PyObject *__pyx_v_union_flags = NULL;
-  PyObject *__pyx_v_adj_tri_count = NULL;
-  PyObject *__pyx_v_det_list = NULL;
-  int __pyx_v_excess;
-  PyObject *__pyx_v_bound_holds = NULL;
-  PyObject *__pyx_v_equality = NULL;
-  int __pyx_v_consistent;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8[4];
-  PyObject *__pyx_t_9 = NULL;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_t_13;
-  int __pyx_t_14;
-  int __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_t_17;
-  int __pyx_t_18;
-  int __pyx_t_19;
-  PyObject *__pyx_t_20[7];
-  PyObject *__pyx_t_21 = NULL;
-  int __pyx_t_22;
-  int __pyx_t_23;
-  int __pyx_t_24;
-  int __pyx_t_25;
-  PyObject *__pyx_t_26[13];
-  PyObject *__pyx_t_27 = NULL;
-  int __pyx_t_28;
-  PyObject *__pyx_t_29[12];
-  PyObject *__pyx_t_30[5];
-  PyObject *__pyx_t_31[11];
-  PyObject *__pyx_t_32[6];
-  PyObject *__pyx_t_33[9];
-  PyObject *__pyx_t_34[3];
-  int __pyx_t_35;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("analyze_ints", 0);
-
-  /* "troplines/_fastsweep.pyx":279
- *     violations list with the shared suite vocabulary.
- *     """
- *     cdef int n = len(points)             # <<<<<<<<<<<<<<
- *     if n < 1:
- *         raise ValueError("need at least one point")
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_points); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 279, __pyx_L1_error)
-  __pyx_v_n = __pyx_t_1;
-
-  /* "troplines/_fastsweep.pyx":280
- *     """
- *     cdef int n = len(points)
- *     if n < 1:             # <<<<<<<<<<<<<<
- *         raise ValueError("need at least one point")
- *     if n > MAXN:
-*/
-  __pyx_t_2 = (__pyx_v_n < 1);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "troplines/_fastsweep.pyx":281
- *     cdef int n = len(points)
- *     if n < 1:
- *         raise ValueError("need at least one point")             # <<<<<<<<<<<<<<
- *     if n > MAXN:
- *         raise ValueError(f"kernel supports at most {MAXN} points, got {n}")
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_need_at_least_one_point};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 281, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 281, __pyx_L1_error)
-
-    /* "troplines/_fastsweep.pyx":280
- *     """
- *     cdef int n = len(points)
- *     if n < 1:             # <<<<<<<<<<<<<<
- *         raise ValueError("need at least one point")
- *     if n > MAXN:
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":282
- *     if n < 1:
- *         raise ValueError("need at least one point")
- *     if n > MAXN:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"kernel supports at most {MAXN} points, got {n}")
- * 
-*/
-  __pyx_t_2 = (__pyx_v_n > __pyx_e_9troplines_10_fastsweep_MAXN);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "troplines/_fastsweep.pyx":283
- *         raise ValueError("need at least one point")
- *     if n > MAXN:
- *         raise ValueError(f"kernel supports at most {MAXN} points, got {n}")             # <<<<<<<<<<<<<<
- * 
- *     cdef i64 px[MAXN]
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_6 = __Pyx_PyUnicode_From___pyx_anon_enum(__pyx_e_9troplines_10_fastsweep_MAXN, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 283, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyUnicode_From_int(__pyx_v_n, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 283, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_kernel_supports_at_most;
-    __pyx_t_8[1] = __pyx_t_6;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_points_got;
-    __pyx_t_8[3] = __pyx_t_7;
-    __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_8, 4, 24 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 13 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7), 127);
-    if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 283, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_9};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 283, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 283, __pyx_L1_error)
-
-    /* "troplines/_fastsweep.pyx":282
- *     if n < 1:
- *         raise ValueError("need at least one point")
- *     if n > MAXN:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"kernel supports at most {MAXN} points, got {n}")
- * 
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":290
- *     cdef i64 vy[MAXN]
- *     cdef int i, j, r1, r2
- *     cdef i64 limit = <i64>1 << 20             # <<<<<<<<<<<<<<
- *     for i in range(n):
- *         px[i] = points[i][0]
-*/
-  __pyx_v_limit = (((__pyx_t_9troplines_10_fastsweep_i64)1) << 20);
-
-  /* "troplines/_fastsweep.pyx":291
- *     cdef int i, j, r1, r2
- *     cdef i64 limit = <i64>1 << 20
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         px[i] = points[i][0]
- *         py[i] = points[i][1]
-*/
-  __pyx_t_10 = __pyx_v_n;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "troplines/_fastsweep.pyx":292
- *     cdef i64 limit = <i64>1 << 20
- *     for i in range(n):
- *         px[i] = points[i][0]             # <<<<<<<<<<<<<<
- *         py[i] = points[i][1]
- *         if px[i] > limit or px[i] < -limit or py[i] > limit or py[i] < -limit:
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_points, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 292, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_9 = __Pyx_GetItemInt(__pyx_t_3, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 292, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_13 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_9); if (unlikely((__pyx_t_13 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 292, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    (__pyx_v_px[__pyx_v_i]) = __pyx_t_13;
-
-    /* "troplines/_fastsweep.pyx":293
- *     for i in range(n):
- *         px[i] = points[i][0]
- *         py[i] = points[i][1]             # <<<<<<<<<<<<<<
- *         if px[i] > limit or px[i] < -limit or py[i] > limit or py[i] < -limit:
- *             raise ValueError("kernel coordinate bound exceeded")
-*/
-    __pyx_t_9 = __Pyx_GetItemInt(__pyx_v_points, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 293, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_t_9, 1, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 293, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __pyx_t_13 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_3); if (unlikely((__pyx_t_13 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 293, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_py[__pyx_v_i]) = __pyx_t_13;
-
-    /* "troplines/_fastsweep.pyx":294
- *         px[i] = points[i][0]
- *         py[i] = points[i][1]
- *         if px[i] > limit or px[i] < -limit or py[i] > limit or py[i] < -limit:             # <<<<<<<<<<<<<<
- *             raise ValueError("kernel coordinate bound exceeded")
- *         vx[i] = -px[i]
-*/
-    __pyx_t_14 = ((__pyx_v_px[__pyx_v_i]) > __pyx_v_limit);
-    if (!__pyx_t_14) {
-    } else {
-      __pyx_t_2 = __pyx_t_14;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_14 = ((__pyx_v_px[__pyx_v_i]) < (-__pyx_v_limit));
-    if (!__pyx_t_14) {
-    } else {
-      __pyx_t_2 = __pyx_t_14;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_14 = ((__pyx_v_py[__pyx_v_i]) > __pyx_v_limit);
-    if (!__pyx_t_14) {
-    } else {
-      __pyx_t_2 = __pyx_t_14;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_14 = ((__pyx_v_py[__pyx_v_i]) < (-__pyx_v_limit));
-    __pyx_t_2 = __pyx_t_14;
-    __pyx_L8_bool_binop_done:;
-    if (unlikely(__pyx_t_2)) {
-
-      /* "troplines/_fastsweep.pyx":295
- *         py[i] = points[i][1]
- *         if px[i] > limit or px[i] < -limit or py[i] > limit or py[i] < -limit:
- *             raise ValueError("kernel coordinate bound exceeded")             # <<<<<<<<<<<<<<
- *         vx[i] = -px[i]
- *         vy[i] = -py[i]
-*/
-      __pyx_t_9 = NULL;
-      __pyx_t_5 = 1;
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_mstate_global->__pyx_kp_u_kernel_coordinate_bound_exceeded};
-        __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 295, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-      }
-      __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __PYX_ERR(0, 295, __pyx_L1_error)
-
-      /* "troplines/_fastsweep.pyx":294
- *         px[i] = points[i][0]
- *         py[i] = points[i][1]
- *         if px[i] > limit or px[i] < -limit or py[i] > limit or py[i] < -limit:             # <<<<<<<<<<<<<<
- *             raise ValueError("kernel coordinate bound exceeded")
- *         vx[i] = -px[i]
-*/
-    }
-
-    /* "troplines/_fastsweep.pyx":296
- *         if px[i] > limit or px[i] < -limit or py[i] > limit or py[i] < -limit:
- *             raise ValueError("kernel coordinate bound exceeded")
- *         vx[i] = -px[i]             # <<<<<<<<<<<<<<
- *         vy[i] = -py[i]
- *     for i in range(n):
-*/
-    (__pyx_v_vx[__pyx_v_i]) = (-(__pyx_v_px[__pyx_v_i]));
-
-    /* "troplines/_fastsweep.pyx":297
- *             raise ValueError("kernel coordinate bound exceeded")
- *         vx[i] = -px[i]
- *         vy[i] = -py[i]             # <<<<<<<<<<<<<<
- *     for i in range(n):
- *         for j in range(i + 1, n):
-*/
-    (__pyx_v_vy[__pyx_v_i]) = (-(__pyx_v_py[__pyx_v_i]));
-  }
-
-  /* "troplines/_fastsweep.pyx":298
- *         vx[i] = -px[i]
- *         vy[i] = -py[i]
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         for j in range(i + 1, n):
- *             if vx[i] == vx[j] and vy[i] == vy[j]:
-*/
-  __pyx_t_10 = __pyx_v_n;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "troplines/_fastsweep.pyx":299
- *         vy[i] = -py[i]
- *     for i in range(n):
- *         for j in range(i + 1, n):             # <<<<<<<<<<<<<<
- *             if vx[i] == vx[j] and vy[i] == vy[j]:
- *                 raise ValueError(f"duplicate point at index {j}")
-*/
-    __pyx_t_15 = __pyx_v_n;
-    __pyx_t_16 = __pyx_t_15;
-    for (__pyx_t_17 = (__pyx_v_i + 1); __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_j = __pyx_t_17;
-
-      /* "troplines/_fastsweep.pyx":300
- *     for i in range(n):
- *         for j in range(i + 1, n):
- *             if vx[i] == vx[j] and vy[i] == vy[j]:             # <<<<<<<<<<<<<<
- *                 raise ValueError(f"duplicate point at index {j}")
- * 
-*/
-      __pyx_t_14 = ((__pyx_v_vx[__pyx_v_i]) == (__pyx_v_vx[__pyx_v_j]));
-      if (__pyx_t_14) {
-      } else {
-        __pyx_t_2 = __pyx_t_14;
-        goto __pyx_L17_bool_binop_done;
-      }
-      __pyx_t_14 = ((__pyx_v_vy[__pyx_v_i]) == (__pyx_v_vy[__pyx_v_j]));
-      __pyx_t_2 = __pyx_t_14;
-      __pyx_L17_bool_binop_done:;
-      if (unlikely(__pyx_t_2)) {
-
-        /* "troplines/_fastsweep.pyx":301
- *         for j in range(i + 1, n):
- *             if vx[i] == vx[j] and vy[i] == vy[j]:
- *                 raise ValueError(f"duplicate point at index {j}")             # <<<<<<<<<<<<<<
- * 
- *     violations = []
-*/
-        __pyx_t_9 = NULL;
-        __pyx_t_4 = __Pyx_PyUnicode_From_int(__pyx_v_j, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 301, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_7 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_duplicate_point_at_index, __pyx_t_4); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 301, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_7);
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __pyx_t_5 = 1;
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_t_7};
-          __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-          __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-          if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 301, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_3);
-        }
-        __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-        __PYX_ERR(0, 301, __pyx_L1_error)
-
-        /* "troplines/_fastsweep.pyx":300
- *     for i in range(n):
- *         for j in range(i + 1, n):
- *             if vx[i] == vx[j] and vy[i] == vy[j]:             # <<<<<<<<<<<<<<
- *                 raise ValueError(f"duplicate point at index {j}")
- * 
-*/
-      }
-    }
-  }
-
-  /* "troplines/_fastsweep.pyx":303
- *                 raise ValueError(f"duplicate point at index {j}")
- * 
- *     violations = []             # <<<<<<<<<<<<<<
- * 
- *     # --- pairwise stable intersections and candidate points ------------
-*/
-  __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 303, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_v_violations = ((PyObject*)__pyx_t_3);
-  __pyx_t_3 = 0;
-
-  /* "troplines/_fastsweep.pyx":307
- *     # --- pairwise stable intersections and candidate points ------------
- *     cdef i64 candkey[MAXCAND]
- *     cdef int ncand = 0             # <<<<<<<<<<<<<<
- *     cdef i64 stabkey[MAXCAND]
- *     cdef int nstab = 0
-*/
-  __pyx_v_ncand = 0;
-
-  /* "troplines/_fastsweep.pyx":309
- *     cdef int ncand = 0
- *     cdef i64 stabkey[MAXCAND]
- *     cdef int nstab = 0             # <<<<<<<<<<<<<<
- *     cdef i64 OFF = <i64>1 << 23
- *     cdef i64 SHIFT = <i64>1 << 25
-*/
-  __pyx_v_nstab = 0;
-
-  /* "troplines/_fastsweep.pyx":310
- *     cdef i64 stabkey[MAXCAND]
- *     cdef int nstab = 0
- *     cdef i64 OFF = <i64>1 << 23             # <<<<<<<<<<<<<<
- *     cdef i64 SHIFT = <i64>1 << 25
- * 
-*/
-  __pyx_v_OFF = (((__pyx_t_9troplines_10_fastsweep_i64)1) << 23);
-
-  /* "troplines/_fastsweep.pyx":311
- *     cdef int nstab = 0
- *     cdef i64 OFF = <i64>1 << 23
- *     cdef i64 SHIFT = <i64>1 << 25             # <<<<<<<<<<<<<<
- * 
- *     cdef i64 ax, ay, bx, by, dx, dy, denom, tn, sn, t, s, cx, cy
-*/
-  __pyx_v_SHIFT = (((__pyx_t_9troplines_10_fastsweep_i64)1) << 25);
-
-  /* "troplines/_fastsweep.pyx":317
- *     cdef int hits
- * 
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         candkey[ncand] = (vx[i] + OFF) * SHIFT + (vy[i] + OFF)
- *         ncand += 1
-*/
-  __pyx_t_10 = __pyx_v_n;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "troplines/_fastsweep.pyx":318
- * 
- *     for i in range(n):
- *         candkey[ncand] = (vx[i] + OFF) * SHIFT + (vy[i] + OFF)             # <<<<<<<<<<<<<<
- *         ncand += 1
- *     for i in range(n):
-*/
-    (__pyx_v_candkey[__pyx_v_ncand]) = ((((__pyx_v_vx[__pyx_v_i]) + __pyx_v_OFF) * __pyx_v_SHIFT) + ((__pyx_v_vy[__pyx_v_i]) + __pyx_v_OFF));
-
-    /* "troplines/_fastsweep.pyx":319
- *     for i in range(n):
- *         candkey[ncand] = (vx[i] + OFF) * SHIFT + (vy[i] + OFF)
- *         ncand += 1             # <<<<<<<<<<<<<<
- *     for i in range(n):
- *         for j in range(i + 1, n):
-*/
-    __pyx_v_ncand = (__pyx_v_ncand + 1);
-  }
-
-  /* "troplines/_fastsweep.pyx":320
- *         candkey[ncand] = (vx[i] + OFF) * SHIFT + (vy[i] + OFF)
- *         ncand += 1
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         for j in range(i + 1, n):
- *             ax = vx[i]; ay = vy[i]
-*/
-  __pyx_t_10 = __pyx_v_n;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "troplines/_fastsweep.pyx":321
- *         ncand += 1
- *     for i in range(n):
- *         for j in range(i + 1, n):             # <<<<<<<<<<<<<<
- *             ax = vx[i]; ay = vy[i]
- *             bx = vx[j]; by = vy[j]
-*/
-    __pyx_t_15 = __pyx_v_n;
-    __pyx_t_16 = __pyx_t_15;
-    for (__pyx_t_17 = (__pyx_v_i + 1); __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_j = __pyx_t_17;
-
-      /* "troplines/_fastsweep.pyx":322
- *     for i in range(n):
- *         for j in range(i + 1, n):
- *             ax = vx[i]; ay = vy[i]             # <<<<<<<<<<<<<<
- *             bx = vx[j]; by = vy[j]
- *             dx = bx - ax; dy = by - ay
-*/
-      __pyx_v_ax = (__pyx_v_vx[__pyx_v_i]);
-      __pyx_v_ay = (__pyx_v_vy[__pyx_v_i]);
-
-      /* "troplines/_fastsweep.pyx":323
- *         for j in range(i + 1, n):
- *             ax = vx[i]; ay = vy[i]
- *             bx = vx[j]; by = vy[j]             # <<<<<<<<<<<<<<
- *             dx = bx - ax; dy = by - ay
- *             # transversal crossings between the 3 x 3 ray pairs
-*/
-      __pyx_v_bx = (__pyx_v_vx[__pyx_v_j]);
-      __pyx_v_by = (__pyx_v_vy[__pyx_v_j]);
-
-      /* "troplines/_fastsweep.pyx":324
- *             ax = vx[i]; ay = vy[i]
- *             bx = vx[j]; by = vy[j]
- *             dx = bx - ax; dy = by - ay             # <<<<<<<<<<<<<<
- *             # transversal crossings between the 3 x 3 ray pairs
- *             hits = 0
-*/
-      __pyx_v_dx = (__pyx_v_bx - __pyx_v_ax);
-      __pyx_v_dy = (__pyx_v_by - __pyx_v_ay);
-
-      /* "troplines/_fastsweep.pyx":326
- *             dx = bx - ax; dy = by - ay
- *             # transversal crossings between the 3 x 3 ray pairs
- *             hits = 0             # <<<<<<<<<<<<<<
- *             wx = 0; wy = 0
- *             for r1 in range(3):
-*/
-      __pyx_v_hits = 0;
-
-      /* "troplines/_fastsweep.pyx":327
- *             # transversal crossings between the 3 x 3 ray pairs
- *             hits = 0
- *             wx = 0; wy = 0             # <<<<<<<<<<<<<<
- *             for r1 in range(3):
- *                 for r2 in range(3):
-*/
-      __pyx_v_wx = 0;
-      __pyx_v_wy = 0;
-
-      /* "troplines/_fastsweep.pyx":328
- *             hits = 0
- *             wx = 0; wy = 0
- *             for r1 in range(3):             # <<<<<<<<<<<<<<
- *                 for r2 in range(3):
- *                     denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2]
-*/
-      for (__pyx_t_18 = 0; __pyx_t_18 < 3; __pyx_t_18+=1) {
-        __pyx_v_r1 = __pyx_t_18;
-
-        /* "troplines/_fastsweep.pyx":329
- *             wx = 0; wy = 0
- *             for r1 in range(3):
- *                 for r2 in range(3):             # <<<<<<<<<<<<<<
- *                     denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2]
- *                     if denom == 0:
-*/
-        for (__pyx_t_19 = 0; __pyx_t_19 < 3; __pyx_t_19+=1) {
-          __pyx_v_r2 = __pyx_t_19;
-
-          /* "troplines/_fastsweep.pyx":330
- *             for r1 in range(3):
- *                 for r2 in range(3):
- *                     denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2]             # <<<<<<<<<<<<<<
- *                     if denom == 0:
- *                         continue
-*/
-          __pyx_v_denom = (((__pyx_v_9troplines_10_fastsweep_DIRX[__pyx_v_r1]) * (__pyx_v_9troplines_10_fastsweep_DIRY[__pyx_v_r2])) - ((__pyx_v_9troplines_10_fastsweep_DIRY[__pyx_v_r1]) * (__pyx_v_9troplines_10_fastsweep_DIRX[__pyx_v_r2])));
-
-          /* "troplines/_fastsweep.pyx":331
- *                 for r2 in range(3):
- *                     denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2]
- *                     if denom == 0:             # <<<<<<<<<<<<<<
- *                         continue
- *                     tn = dx * DIRY[r2] - dy * DIRX[r2]
-*/
-          __pyx_t_2 = (__pyx_v_denom == 0);
-          if (__pyx_t_2) {
-
-            /* "troplines/_fastsweep.pyx":332
- *                     denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2]
- *                     if denom == 0:
- *                         continue             # <<<<<<<<<<<<<<
- *                     tn = dx * DIRY[r2] - dy * DIRX[r2]
- *                     sn = dx * DIRY[r1] - dy * DIRX[r1]
-*/
-            goto __pyx_L27_continue;
-
-            /* "troplines/_fastsweep.pyx":331
- *                 for r2 in range(3):
- *                     denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2]
- *                     if denom == 0:             # <<<<<<<<<<<<<<
- *                         continue
- *                     tn = dx * DIRY[r2] - dy * DIRX[r2]
-*/
-          }
-
-          /* "troplines/_fastsweep.pyx":333
- *                     if denom == 0:
- *                         continue
- *                     tn = dx * DIRY[r2] - dy * DIRX[r2]             # <<<<<<<<<<<<<<
- *                     sn = dx * DIRY[r1] - dy * DIRX[r1]
- *                     if denom < 0:
-*/
-          __pyx_v_tn = ((__pyx_v_dx * (__pyx_v_9troplines_10_fastsweep_DIRY[__pyx_v_r2])) - (__pyx_v_dy * (__pyx_v_9troplines_10_fastsweep_DIRX[__pyx_v_r2])));
-
-          /* "troplines/_fastsweep.pyx":334
- *                         continue
- *                     tn = dx * DIRY[r2] - dy * DIRX[r2]
- *                     sn = dx * DIRY[r1] - dy * DIRX[r1]             # <<<<<<<<<<<<<<
- *                     if denom < 0:
- *                         tn = -tn
-*/
-          __pyx_v_sn = ((__pyx_v_dx * (__pyx_v_9troplines_10_fastsweep_DIRY[__pyx_v_r1])) - (__pyx_v_dy * (__pyx_v_9troplines_10_fastsweep_DIRX[__pyx_v_r1])));
-
-          /* "troplines/_fastsweep.pyx":335
- *                     tn = dx * DIRY[r2] - dy * DIRX[r2]
- *                     sn = dx * DIRY[r1] - dy * DIRX[r1]
- *                     if denom < 0:             # <<<<<<<<<<<<<<
- *                         tn = -tn
- *                         sn = -sn
-*/
-          __pyx_t_2 = (__pyx_v_denom < 0);
-          if (__pyx_t_2) {
-
-            /* "troplines/_fastsweep.pyx":336
- *                     sn = dx * DIRY[r1] - dy * DIRX[r1]
- *                     if denom < 0:
- *                         tn = -tn             # <<<<<<<<<<<<<<
- *                         sn = -sn
- *                     if tn < 0 or sn < 0:
-*/
-            __pyx_v_tn = (-__pyx_v_tn);
-
-            /* "troplines/_fastsweep.pyx":337
- *                     if denom < 0:
- *                         tn = -tn
- *                         sn = -sn             # <<<<<<<<<<<<<<
- *                     if tn < 0 or sn < 0:
- *                         continue
-*/
-            __pyx_v_sn = (-__pyx_v_sn);
-
-            /* "troplines/_fastsweep.pyx":335
- *                     tn = dx * DIRY[r2] - dy * DIRX[r2]
- *                     sn = dx * DIRY[r1] - dy * DIRX[r1]
- *                     if denom < 0:             # <<<<<<<<<<<<<<
- *                         tn = -tn
- *                         sn = -sn
-*/
-          }
-
-          /* "troplines/_fastsweep.pyx":338
- *                         tn = -tn
- *                         sn = -sn
- *                     if tn < 0 or sn < 0:             # <<<<<<<<<<<<<<
- *                         continue
- *                     cx = ax + DIRX[r1] * tn
-*/
-          __pyx_t_14 = (__pyx_v_tn < 0);
-          if (!__pyx_t_14) {
-          } else {
-            __pyx_t_2 = __pyx_t_14;
-            goto __pyx_L32_bool_binop_done;
-          }
-          __pyx_t_14 = (__pyx_v_sn < 0);
-          __pyx_t_2 = __pyx_t_14;
-          __pyx_L32_bool_binop_done:;
-          if (__pyx_t_2) {
-
-            /* "troplines/_fastsweep.pyx":339
- *                         sn = -sn
- *                     if tn < 0 or sn < 0:
- *                         continue             # <<<<<<<<<<<<<<
- *                     cx = ax + DIRX[r1] * tn
- *                     cy = ay + DIRY[r1] * tn
-*/
-            goto __pyx_L27_continue;
-
-            /* "troplines/_fastsweep.pyx":338
- *                         tn = -tn
- *                         sn = -sn
- *                     if tn < 0 or sn < 0:             # <<<<<<<<<<<<<<
- *                         continue
- *                     cx = ax + DIRX[r1] * tn
-*/
-          }
-
-          /* "troplines/_fastsweep.pyx":340
- *                     if tn < 0 or sn < 0:
- *                         continue
- *                     cx = ax + DIRX[r1] * tn             # <<<<<<<<<<<<<<
- *                     cy = ay + DIRY[r1] * tn
- *                     candkey[ncand] = (cx + OFF) * SHIFT + (cy + OFF)
-*/
-          __pyx_v_cx = (__pyx_v_ax + ((__pyx_v_9troplines_10_fastsweep_DIRX[__pyx_v_r1]) * __pyx_v_tn));
-
-          /* "troplines/_fastsweep.pyx":341
- *                         continue
- *                     cx = ax + DIRX[r1] * tn
- *                     cy = ay + DIRY[r1] * tn             # <<<<<<<<<<<<<<
- *                     candkey[ncand] = (cx + OFF) * SHIFT + (cy + OFF)
- *                     ncand += 1
-*/
-          __pyx_v_cy = (__pyx_v_ay + ((__pyx_v_9troplines_10_fastsweep_DIRY[__pyx_v_r1]) * __pyx_v_tn));
-
-          /* "troplines/_fastsweep.pyx":342
- *                     cx = ax + DIRX[r1] * tn
- *                     cy = ay + DIRY[r1] * tn
- *                     candkey[ncand] = (cx + OFF) * SHIFT + (cy + OFF)             # <<<<<<<<<<<<<<
- *                     ncand += 1
- *                     hits += 1
-*/
-          (__pyx_v_candkey[__pyx_v_ncand]) = (((__pyx_v_cx + __pyx_v_OFF) * __pyx_v_SHIFT) + (__pyx_v_cy + __pyx_v_OFF));
-
-          /* "troplines/_fastsweep.pyx":343
- *                     cy = ay + DIRY[r1] * tn
- *                     candkey[ncand] = (cx + OFF) * SHIFT + (cy + OFF)
- *                     ncand += 1             # <<<<<<<<<<<<<<
- *                     hits += 1
- *                     wx = cx; wy = cy
-*/
-          __pyx_v_ncand = (__pyx_v_ncand + 1);
-
-          /* "troplines/_fastsweep.pyx":344
- *                     candkey[ncand] = (cx + OFF) * SHIFT + (cy + OFF)
- *                     ncand += 1
- *                     hits += 1             # <<<<<<<<<<<<<<
- *                     wx = cx; wy = cy
- *             if dy == 0 or dx == 0 or dx == dy:
-*/
-          __pyx_v_hits = (__pyx_v_hits + 1);
-
-          /* "troplines/_fastsweep.pyx":345
- *                     ncand += 1
- *                     hits += 1
- *                     wx = cx; wy = cy             # <<<<<<<<<<<<<<
- *             if dy == 0 or dx == 0 or dx == dy:
- *                 # coaxial vertices: the stable point is the vertex that
-*/
-          __pyx_v_wx = __pyx_v_cx;
-          __pyx_v_wy = __pyx_v_cy;
-          __pyx_L27_continue:;
-        }
-      }
-
-      /* "troplines/_fastsweep.pyx":346
- *                     hits += 1
- *                     wx = cx; wy = cy
- *             if dy == 0 or dx == 0 or dx == dy:             # <<<<<<<<<<<<<<
- *                 # coaxial vertices: the stable point is the vertex that
- *                 # lies on the other line
-*/
-      __pyx_t_14 = (__pyx_v_dy == 0);
-      if (!__pyx_t_14) {
-      } else {
-        __pyx_t_2 = __pyx_t_14;
-        goto __pyx_L35_bool_binop_done;
-      }
-      __pyx_t_14 = (__pyx_v_dx == 0);
-      if (!__pyx_t_14) {
-      } else {
-        __pyx_t_2 = __pyx_t_14;
-        goto __pyx_L35_bool_binop_done;
-      }
-      __pyx_t_14 = (__pyx_v_dx == __pyx_v_dy);
-      __pyx_t_2 = __pyx_t_14;
-      __pyx_L35_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "troplines/_fastsweep.pyx":349
- *                 # coaxial vertices: the stable point is the vertex that
- *                 # lies on the other line
- *                 if dy == 0:             # <<<<<<<<<<<<<<
- *                     if ax < bx:
- *                         wx = ax; wy = ay
-*/
-        __pyx_t_2 = (__pyx_v_dy == 0);
-        if (__pyx_t_2) {
-
-          /* "troplines/_fastsweep.pyx":350
- *                 # lies on the other line
- *                 if dy == 0:
- *                     if ax < bx:             # <<<<<<<<<<<<<<
- *                         wx = ax; wy = ay
- *                     else:
-*/
-          __pyx_t_2 = (__pyx_v_ax < __pyx_v_bx);
-          if (__pyx_t_2) {
-
-            /* "troplines/_fastsweep.pyx":351
- *                 if dy == 0:
- *                     if ax < bx:
- *                         wx = ax; wy = ay             # <<<<<<<<<<<<<<
- *                     else:
- *                         wx = bx; wy = by
-*/
-            __pyx_v_wx = __pyx_v_ax;
-            __pyx_v_wy = __pyx_v_ay;
-
-            /* "troplines/_fastsweep.pyx":350
- *                 # lies on the other line
- *                 if dy == 0:
- *                     if ax < bx:             # <<<<<<<<<<<<<<
- *                         wx = ax; wy = ay
- *                     else:
-*/
-            goto __pyx_L39;
-          }
-
-          /* "troplines/_fastsweep.pyx":353
- *                         wx = ax; wy = ay
- *                     else:
- *                         wx = bx; wy = by             # <<<<<<<<<<<<<<
- *                 elif dx == 0:
- *                     if ay < by:
-*/
-          /*else*/ {
-            __pyx_v_wx = __pyx_v_bx;
-            __pyx_v_wy = __pyx_v_by;
-          }
-          __pyx_L39:;
-
-          /* "troplines/_fastsweep.pyx":349
- *                 # coaxial vertices: the stable point is the vertex that
- *                 # lies on the other line
- *                 if dy == 0:             # <<<<<<<<<<<<<<
- *                     if ax < bx:
- *                         wx = ax; wy = ay
-*/
-          goto __pyx_L38;
-        }
-
-        /* "troplines/_fastsweep.pyx":354
- *                     else:
- *                         wx = bx; wy = by
- *                 elif dx == 0:             # <<<<<<<<<<<<<<
- *                     if ay < by:
- *                         wx = ax; wy = ay
-*/
-        __pyx_t_2 = (__pyx_v_dx == 0);
-        if (__pyx_t_2) {
-
-          /* "troplines/_fastsweep.pyx":355
- *                         wx = bx; wy = by
- *                 elif dx == 0:
- *                     if ay < by:             # <<<<<<<<<<<<<<
- *                         wx = ax; wy = ay
- *                     else:
-*/
-          __pyx_t_2 = (__pyx_v_ay < __pyx_v_by);
-          if (__pyx_t_2) {
-
-            /* "troplines/_fastsweep.pyx":356
- *                 elif dx == 0:
- *                     if ay < by:
- *                         wx = ax; wy = ay             # <<<<<<<<<<<<<<
- *                     else:
- *                         wx = bx; wy = by
-*/
-            __pyx_v_wx = __pyx_v_ax;
-            __pyx_v_wy = __pyx_v_ay;
-
-            /* "troplines/_fastsweep.pyx":355
- *                         wx = bx; wy = by
- *                 elif dx == 0:
- *                     if ay < by:             # <<<<<<<<<<<<<<
- *                         wx = ax; wy = ay
- *                     else:
-*/
-            goto __pyx_L40;
-          }
-
-          /* "troplines/_fastsweep.pyx":358
- *                         wx = ax; wy = ay
- *                     else:
- *                         wx = bx; wy = by             # <<<<<<<<<<<<<<
- *                 else:
- *                     if ax > bx:
-*/
-          /*else*/ {
-            __pyx_v_wx = __pyx_v_bx;
-            __pyx_v_wy = __pyx_v_by;
-          }
-          __pyx_L40:;
-
-          /* "troplines/_fastsweep.pyx":354
- *                     else:
- *                         wx = bx; wy = by
- *                 elif dx == 0:             # <<<<<<<<<<<<<<
- *                     if ay < by:
- *                         wx = ax; wy = ay
-*/
-          goto __pyx_L38;
-        }
-
-        /* "troplines/_fastsweep.pyx":360
- *                         wx = bx; wy = by
- *                 else:
- *                     if ax > bx:             # <<<<<<<<<<<<<<
- *                         wx = ax; wy = ay
- *                     else:
-*/
-        /*else*/ {
-          __pyx_t_2 = (__pyx_v_ax > __pyx_v_bx);
-          if (__pyx_t_2) {
-
-            /* "troplines/_fastsweep.pyx":361
- *                 else:
- *                     if ax > bx:
- *                         wx = ax; wy = ay             # <<<<<<<<<<<<<<
- *                     else:
- *                         wx = bx; wy = by
-*/
-            __pyx_v_wx = __pyx_v_ax;
-            __pyx_v_wy = __pyx_v_ay;
-
-            /* "troplines/_fastsweep.pyx":360
- *                         wx = bx; wy = by
- *                 else:
- *                     if ax > bx:             # <<<<<<<<<<<<<<
- *                         wx = ax; wy = ay
- *                     else:
-*/
-            goto __pyx_L41;
-          }
-
-          /* "troplines/_fastsweep.pyx":363
- *                         wx = ax; wy = ay
- *                     else:
- *                         wx = bx; wy = by             # <<<<<<<<<<<<<<
- *                 stabkey[nstab] = (wx + OFF) * SHIFT + (wy + OFF)
- *                 nstab += 1
-*/
-          /*else*/ {
-            __pyx_v_wx = __pyx_v_bx;
-            __pyx_v_wy = __pyx_v_by;
-          }
-          __pyx_L41:;
-        }
-        __pyx_L38:;
-
-        /* "troplines/_fastsweep.pyx":364
- *                     else:
- *                         wx = bx; wy = by
- *                 stabkey[nstab] = (wx + OFF) * SHIFT + (wy + OFF)             # <<<<<<<<<<<<<<
- *                 nstab += 1
- *                 candkey[ncand] = stabkey[nstab - 1]
-*/
-        (__pyx_v_stabkey[__pyx_v_nstab]) = (((__pyx_v_wx + __pyx_v_OFF) * __pyx_v_SHIFT) + (__pyx_v_wy + __pyx_v_OFF));
-
-        /* "troplines/_fastsweep.pyx":365
- *                         wx = bx; wy = by
- *                 stabkey[nstab] = (wx + OFF) * SHIFT + (wy + OFF)
- *                 nstab += 1             # <<<<<<<<<<<<<<
- *                 candkey[ncand] = stabkey[nstab - 1]
- *                 ncand += 1
-*/
-        __pyx_v_nstab = (__pyx_v_nstab + 1);
-
-        /* "troplines/_fastsweep.pyx":366
- *                 stabkey[nstab] = (wx + OFF) * SHIFT + (wy + OFF)
- *                 nstab += 1
- *                 candkey[ncand] = stabkey[nstab - 1]             # <<<<<<<<<<<<<<
- *                 ncand += 1
- *             else:
-*/
-        (__pyx_v_candkey[__pyx_v_ncand]) = (__pyx_v_stabkey[(__pyx_v_nstab - 1)]);
-
-        /* "troplines/_fastsweep.pyx":367
- *                 nstab += 1
- *                 candkey[ncand] = stabkey[nstab - 1]
- *                 ncand += 1             # <<<<<<<<<<<<<<
- *             else:
- *                 if hits != 1:
-*/
-        __pyx_v_ncand = (__pyx_v_ncand + 1);
-
-        /* "troplines/_fastsweep.pyx":346
- *                     hits += 1
- *                     wx = cx; wy = cy
- *             if dy == 0 or dx == 0 or dx == dy:             # <<<<<<<<<<<<<<
- *                 # coaxial vertices: the stable point is the vertex that
- *                 # lies on the other line
-*/
-        goto __pyx_L34;
-      }
-
-      /* "troplines/_fastsweep.pyx":369
- *                 ncand += 1
- *             else:
- *                 if hits != 1:             # <<<<<<<<<<<<<<
- *                     raise AssertionError(
- *                         f"non-coaxial pair {i},{j} produced {hits} crossings"
-*/
-      /*else*/ {
-        __pyx_t_2 = (__pyx_v_hits != 1);
-        if (unlikely(__pyx_t_2)) {
-
-          /* "troplines/_fastsweep.pyx":370
- *             else:
- *                 if hits != 1:
- *                     raise AssertionError(             # <<<<<<<<<<<<<<
- *                         f"non-coaxial pair {i},{j} produced {hits} crossings"
- *                     )
-*/
-          __pyx_t_7 = NULL;
-
-          /* "troplines/_fastsweep.pyx":371
- *                 if hits != 1:
- *                     raise AssertionError(
- *                         f"non-coaxial pair {i},{j} produced {hits} crossings"             # <<<<<<<<<<<<<<
- *                     )
- *                 stabkey[nstab] = (wx + OFF) * SHIFT + (wy + OFF)
-*/
-          __pyx_t_9 = __Pyx_PyUnicode_From_int(__pyx_v_i, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 371, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __pyx_t_4 = __Pyx_PyUnicode_From_int(__pyx_v_j, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 371, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_4);
-          __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_hits, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 371, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_6);
-          __pyx_t_20[0] = __pyx_mstate_global->__pyx_kp_u_non_coaxial_pair;
-          __pyx_t_20[1] = __pyx_t_9;
-          __pyx_t_20[2] = __pyx_mstate_global->__pyx_kp_u_;
-          __pyx_t_20[3] = __pyx_t_4;
-          __pyx_t_20[4] = __pyx_mstate_global->__pyx_kp_u_produced;
-          __pyx_t_20[5] = __pyx_t_6;
-          __pyx_t_20[6] = __pyx_mstate_global->__pyx_kp_u_crossings;
-          __pyx_t_21 = __Pyx_PyUnicode_Join(__pyx_t_20, 7, 17 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + 1 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + 10 * 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6), 127);
-          if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 371, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_21);
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-          __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-          __pyx_t_5 = 1;
-          {
-            PyObject *__pyx_callargs[2] = {__pyx_t_7, __pyx_t_21};
-            __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_AssertionError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-            __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-            __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-            if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 370, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_3);
-          }
-          __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-          __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-          __PYX_ERR(0, 370, __pyx_L1_error)
-
-          /* "troplines/_fastsweep.pyx":369
- *                 ncand += 1
- *             else:
- *                 if hits != 1:             # <<<<<<<<<<<<<<
- *                     raise AssertionError(
- *                         f"non-coaxial pair {i},{j} produced {hits} crossings"
-*/
-        }
-
-        /* "troplines/_fastsweep.pyx":373
- *                         f"non-coaxial pair {i},{j} produced {hits} crossings"
- *                     )
- *                 stabkey[nstab] = (wx + OFF) * SHIFT + (wy + OFF)             # <<<<<<<<<<<<<<
- *                 nstab += 1
- * 
-*/
-        (__pyx_v_stabkey[__pyx_v_nstab]) = (((__pyx_v_wx + __pyx_v_OFF) * __pyx_v_SHIFT) + (__pyx_v_wy + __pyx_v_OFF));
-
-        /* "troplines/_fastsweep.pyx":374
- *                     )
- *                 stabkey[nstab] = (wx + OFF) * SHIFT + (wy + OFF)
- *                 nstab += 1             # <<<<<<<<<<<<<<
- * 
- *     qsort(candkey, ncand, sizeof(i64), _cmp_i64)
-*/
-        __pyx_v_nstab = (__pyx_v_nstab + 1);
-      }
-      __pyx_L34:;
-    }
-  }
-
-  /* "troplines/_fastsweep.pyx":376
- *                 nstab += 1
- * 
- *     qsort(candkey, ncand, sizeof(i64), _cmp_i64)             # <<<<<<<<<<<<<<
- *     qsort(stabkey, nstab, sizeof(i64), _cmp_i64)
- *     cdef int ncand_u = 0
-*/
-  qsort(__pyx_v_candkey, __pyx_v_ncand, (sizeof(__pyx_t_9troplines_10_fastsweep_i64)), __pyx_f_9troplines_10_fastsweep__cmp_i64);
-
-  /* "troplines/_fastsweep.pyx":377
- * 
- *     qsort(candkey, ncand, sizeof(i64), _cmp_i64)
- *     qsort(stabkey, nstab, sizeof(i64), _cmp_i64)             # <<<<<<<<<<<<<<
- *     cdef int ncand_u = 0
- *     for i in range(ncand):
-*/
-  qsort(__pyx_v_stabkey, __pyx_v_nstab, (sizeof(__pyx_t_9troplines_10_fastsweep_i64)), __pyx_f_9troplines_10_fastsweep__cmp_i64);
-
-  /* "troplines/_fastsweep.pyx":378
- *     qsort(candkey, ncand, sizeof(i64), _cmp_i64)
- *     qsort(stabkey, nstab, sizeof(i64), _cmp_i64)
- *     cdef int ncand_u = 0             # <<<<<<<<<<<<<<
- *     for i in range(ncand):
- *         if i == 0 or candkey[i] != candkey[i - 1]:
-*/
-  __pyx_v_ncand_u = 0;
-
-  /* "troplines/_fastsweep.pyx":379
- *     qsort(stabkey, nstab, sizeof(i64), _cmp_i64)
- *     cdef int ncand_u = 0
- *     for i in range(ncand):             # <<<<<<<<<<<<<<
- *         if i == 0 or candkey[i] != candkey[i - 1]:
- *             candkey[ncand_u] = candkey[i]
-*/
-  __pyx_t_10 = __pyx_v_ncand;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "troplines/_fastsweep.pyx":380
- *     cdef int ncand_u = 0
- *     for i in range(ncand):
- *         if i == 0 or candkey[i] != candkey[i - 1]:             # <<<<<<<<<<<<<<
- *             candkey[ncand_u] = candkey[i]
- *             ncand_u += 1
-*/
-    __pyx_t_14 = (__pyx_v_i == 0);
-    if (!__pyx_t_14) {
-    } else {
-      __pyx_t_2 = __pyx_t_14;
-      goto __pyx_L46_bool_binop_done;
-    }
-    __pyx_t_14 = ((__pyx_v_candkey[__pyx_v_i]) != (__pyx_v_candkey[(__pyx_v_i - 1)]));
-    __pyx_t_2 = __pyx_t_14;
-    __pyx_L46_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "troplines/_fastsweep.pyx":381
- *     for i in range(ncand):
- *         if i == 0 or candkey[i] != candkey[i - 1]:
- *             candkey[ncand_u] = candkey[i]             # <<<<<<<<<<<<<<
- *             ncand_u += 1
- *     cdef int nstab_u = 0
-*/
-      (__pyx_v_candkey[__pyx_v_ncand_u]) = (__pyx_v_candkey[__pyx_v_i]);
-
-      /* "troplines/_fastsweep.pyx":382
- *         if i == 0 or candkey[i] != candkey[i - 1]:
- *             candkey[ncand_u] = candkey[i]
- *             ncand_u += 1             # <<<<<<<<<<<<<<
- *     cdef int nstab_u = 0
- *     for i in range(nstab):
-*/
-      __pyx_v_ncand_u = (__pyx_v_ncand_u + 1);
-
-      /* "troplines/_fastsweep.pyx":380
- *     cdef int ncand_u = 0
- *     for i in range(ncand):
- *         if i == 0 or candkey[i] != candkey[i - 1]:             # <<<<<<<<<<<<<<
- *             candkey[ncand_u] = candkey[i]
- *             ncand_u += 1
-*/
-    }
-  }
-
-  /* "troplines/_fastsweep.pyx":383
- *             candkey[ncand_u] = candkey[i]
- *             ncand_u += 1
- *     cdef int nstab_u = 0             # <<<<<<<<<<<<<<
- *     for i in range(nstab):
- *         if i == 0 or stabkey[i] != stabkey[i - 1]:
-*/
-  __pyx_v_nstab_u = 0;
-
-  /* "troplines/_fastsweep.pyx":384
- *             ncand_u += 1
- *     cdef int nstab_u = 0
- *     for i in range(nstab):             # <<<<<<<<<<<<<<
- *         if i == 0 or stabkey[i] != stabkey[i - 1]:
- *             stabkey[nstab_u] = stabkey[i]
-*/
-  __pyx_t_10 = __pyx_v_nstab;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "troplines/_fastsweep.pyx":385
- *     cdef int nstab_u = 0
- *     for i in range(nstab):
- *         if i == 0 or stabkey[i] != stabkey[i - 1]:             # <<<<<<<<<<<<<<
- *             stabkey[nstab_u] = stabkey[i]
- *             nstab_u += 1
-*/
-    __pyx_t_14 = (__pyx_v_i == 0);
-    if (!__pyx_t_14) {
-    } else {
-      __pyx_t_2 = __pyx_t_14;
-      goto __pyx_L51_bool_binop_done;
-    }
-    __pyx_t_14 = ((__pyx_v_stabkey[__pyx_v_i]) != (__pyx_v_stabkey[(__pyx_v_i - 1)]));
-    __pyx_t_2 = __pyx_t_14;
-    __pyx_L51_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "troplines/_fastsweep.pyx":386
- *     for i in range(nstab):
- *         if i == 0 or stabkey[i] != stabkey[i - 1]:
- *             stabkey[nstab_u] = stabkey[i]             # <<<<<<<<<<<<<<
- *             nstab_u += 1
- * 
-*/
-      (__pyx_v_stabkey[__pyx_v_nstab_u]) = (__pyx_v_stabkey[__pyx_v_i]);
-
-      /* "troplines/_fastsweep.pyx":387
- *         if i == 0 or stabkey[i] != stabkey[i - 1]:
- *             stabkey[nstab_u] = stabkey[i]
- *             nstab_u += 1             # <<<<<<<<<<<<<<
- * 
- *     cdef int b_pairwise = nstab_u
-*/
-      __pyx_v_nstab_u = (__pyx_v_nstab_u + 1);
-
-      /* "troplines/_fastsweep.pyx":385
- *     cdef int nstab_u = 0
- *     for i in range(nstab):
- *         if i == 0 or stabkey[i] != stabkey[i - 1]:             # <<<<<<<<<<<<<<
- *             stabkey[nstab_u] = stabkey[i]
- *             nstab_u += 1
-*/
-    }
-  }
-
-  /* "troplines/_fastsweep.pyx":389
- *             nstab_u += 1
- * 
- *     cdef int b_pairwise = nstab_u             # <<<<<<<<<<<<<<
- *     cdef int h_pairwise = 0
- *     for i in range(nstab_u):
-*/
-  __pyx_v_b_pairwise = __pyx_v_nstab_u;
-
-  /* "troplines/_fastsweep.pyx":390
- * 
- *     cdef int b_pairwise = nstab_u
- *     cdef int h_pairwise = 0             # <<<<<<<<<<<<<<
- *     for i in range(nstab_u):
- *         cx = stabkey[i] // SHIFT - OFF
-*/
-  __pyx_v_h_pairwise = 0;
-
-  /* "troplines/_fastsweep.pyx":391
- *     cdef int b_pairwise = nstab_u
- *     cdef int h_pairwise = 0
- *     for i in range(nstab_u):             # <<<<<<<<<<<<<<
- *         cx = stabkey[i] // SHIFT - OFF
- *         cy = stabkey[i] % SHIFT - OFF
-*/
-  __pyx_t_10 = __pyx_v_nstab_u;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "troplines/_fastsweep.pyx":392
- *     cdef int h_pairwise = 0
- *     for i in range(nstab_u):
- *         cx = stabkey[i] // SHIFT - OFF             # <<<<<<<<<<<<<<
- *         cy = stabkey[i] % SHIFT - OFF
- *         for j in range(n):
-*/
-    __pyx_v_cx = (((__pyx_v_stabkey[__pyx_v_i]) / __pyx_v_SHIFT) - __pyx_v_OFF);
-
-    /* "troplines/_fastsweep.pyx":393
- *     for i in range(nstab_u):
- *         cx = stabkey[i] // SHIFT - OFF
- *         cy = stabkey[i] % SHIFT - OFF             # <<<<<<<<<<<<<<
- *         for j in range(n):
- *             if vx[j] == cx and vy[j] == cy:
-*/
-    __pyx_v_cy = (((__pyx_v_stabkey[__pyx_v_i]) % __pyx_v_SHIFT) - __pyx_v_OFF);
-
-    /* "troplines/_fastsweep.pyx":394
- *         cx = stabkey[i] // SHIFT - OFF
- *         cy = stabkey[i] % SHIFT - OFF
- *         for j in range(n):             # <<<<<<<<<<<<<<
- *             if vx[j] == cx and vy[j] == cy:
- *                 h_pairwise += 1
-*/
-    __pyx_t_15 = __pyx_v_n;
-    __pyx_t_16 = __pyx_t_15;
-    for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_j = __pyx_t_17;
-
-      /* "troplines/_fastsweep.pyx":395
- *         cy = stabkey[i] % SHIFT - OFF
- *         for j in range(n):
- *             if vx[j] == cx and vy[j] == cy:             # <<<<<<<<<<<<<<
- *                 h_pairwise += 1
- *                 break
-*/
-      __pyx_t_14 = ((__pyx_v_vx[__pyx_v_j]) == __pyx_v_cx);
-      if (__pyx_t_14) {
-      } else {
-        __pyx_t_2 = __pyx_t_14;
-        goto __pyx_L58_bool_binop_done;
-      }
-      __pyx_t_14 = ((__pyx_v_vy[__pyx_v_j]) == __pyx_v_cy);
-      __pyx_t_2 = __pyx_t_14;
-      __pyx_L58_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "troplines/_fastsweep.pyx":396
- *         for j in range(n):
- *             if vx[j] == cx and vy[j] == cy:
- *                 h_pairwise += 1             # <<<<<<<<<<<<<<
- *                 break
- *     cdef int k_pairwise = b_pairwise - h_pairwise
-*/
-        __pyx_v_h_pairwise = (__pyx_v_h_pairwise + 1);
-
-        /* "troplines/_fastsweep.pyx":397
- *             if vx[j] == cx and vy[j] == cy:
- *                 h_pairwise += 1
- *                 break             # <<<<<<<<<<<<<<
- *     cdef int k_pairwise = b_pairwise - h_pairwise
- * 
-*/
-        goto __pyx_L56_break;
-
-        /* "troplines/_fastsweep.pyx":395
- *         cy = stabkey[i] % SHIFT - OFF
- *         for j in range(n):
- *             if vx[j] == cx and vy[j] == cy:             # <<<<<<<<<<<<<<
- *                 h_pairwise += 1
- *                 break
-*/
-      }
-    }
-    __pyx_L56_break:;
-  }
-
-  /* "troplines/_fastsweep.pyx":398
- *                 h_pairwise += 1
- *                 break
- *     cdef int k_pairwise = b_pairwise - h_pairwise             # <<<<<<<<<<<<<<
- * 
- *     # --- arrangement vertices and their dual cells ----------------------
-*/
-  __pyx_v_k_pairwise = (__pyx_v_b_pairwise - __pyx_v_h_pairwise);
-
-  /* "troplines/_fastsweep.pyx":402
- *     # --- arrangement vertices and their dual cells ----------------------
- *     cdef Cell cells[MAXCELLS]
- *     cdef int ncells = 0             # <<<<<<<<<<<<<<
- *     cdef int masks[MAXN]
- *     cdef int mask, c_full, nz, sa, sb, sc, cls
-*/
-  __pyx_v_ncells = 0;
-
-  /* "troplines/_fastsweep.pyx":415
- *     cdef Cell *cell
- * 
- *     for i in range(ncand_u):             # <<<<<<<<<<<<<<
- *         cx = candkey[i] // SHIFT - OFF
- *         cy = candkey[i] % SHIFT - OFF
-*/
-  __pyx_t_10 = __pyx_v_ncand_u;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "troplines/_fastsweep.pyx":416
- * 
- *     for i in range(ncand_u):
- *         cx = candkey[i] // SHIFT - OFF             # <<<<<<<<<<<<<<
- *         cy = candkey[i] % SHIFT - OFF
- *         c_full = 0; sa = 0; sb = 0; sc = 0
-*/
-    __pyx_v_cx = (((__pyx_v_candkey[__pyx_v_i]) / __pyx_v_SHIFT) - __pyx_v_OFF);
-
-    /* "troplines/_fastsweep.pyx":417
- *     for i in range(ncand_u):
- *         cx = candkey[i] // SHIFT - OFF
- *         cy = candkey[i] % SHIFT - OFF             # <<<<<<<<<<<<<<
- *         c_full = 0; sa = 0; sb = 0; sc = 0
- *         for j in range(n):
-*/
-    __pyx_v_cy = (((__pyx_v_candkey[__pyx_v_i]) % __pyx_v_SHIFT) - __pyx_v_OFF);
-
-    /* "troplines/_fastsweep.pyx":418
- *         cx = candkey[i] // SHIFT - OFF
- *         cy = candkey[i] % SHIFT - OFF
- *         c_full = 0; sa = 0; sb = 0; sc = 0             # <<<<<<<<<<<<<<
- *         for j in range(n):
- *             mask = _argmask(vx[j], vy[j], cx, cy)
-*/
-    __pyx_v_c_full = 0;
-    __pyx_v_sa = 0;
-    __pyx_v_sb = 0;
-    __pyx_v_sc = 0;
-
-    /* "troplines/_fastsweep.pyx":419
- *         cy = candkey[i] % SHIFT - OFF
- *         c_full = 0; sa = 0; sb = 0; sc = 0
- *         for j in range(n):             # <<<<<<<<<<<<<<
- *             mask = _argmask(vx[j], vy[j], cx, cy)
- *             masks[j] = mask
-*/
-    __pyx_t_15 = __pyx_v_n;
-    __pyx_t_16 = __pyx_t_15;
-    for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_j = __pyx_t_17;
-
-      /* "troplines/_fastsweep.pyx":420
- *         c_full = 0; sa = 0; sb = 0; sc = 0
- *         for j in range(n):
- *             mask = _argmask(vx[j], vy[j], cx, cy)             # <<<<<<<<<<<<<<
- *             masks[j] = mask
- *             if mask == 7:
-*/
-      __pyx_v_mask = __pyx_f_9troplines_10_fastsweep__argmask((__pyx_v_vx[__pyx_v_j]), (__pyx_v_vy[__pyx_v_j]), __pyx_v_cx, __pyx_v_cy);
-
-      /* "troplines/_fastsweep.pyx":421
- *         for j in range(n):
- *             mask = _argmask(vx[j], vy[j], cx, cy)
- *             masks[j] = mask             # <<<<<<<<<<<<<<
- *             if mask == 7:
- *                 c_full += 1
-*/
-      (__pyx_v_masks[__pyx_v_j]) = __pyx_v_mask;
-
-      /* "troplines/_fastsweep.pyx":422
- *             mask = _argmask(vx[j], vy[j], cx, cy)
- *             masks[j] = mask
- *             if mask == 7:             # <<<<<<<<<<<<<<
- *                 c_full += 1
- *             elif mask == 5:
-*/
-      switch (__pyx_v_mask) {
-        case 7:
-
-        /* "troplines/_fastsweep.pyx":423
- *             masks[j] = mask
- *             if mask == 7:
- *                 c_full += 1             # <<<<<<<<<<<<<<
- *             elif mask == 5:
- *                 sa += 1
-*/
-        __pyx_v_c_full = (__pyx_v_c_full + 1);
-
-        /* "troplines/_fastsweep.pyx":422
- *             mask = _argmask(vx[j], vy[j], cx, cy)
- *             masks[j] = mask
- *             if mask == 7:             # <<<<<<<<<<<<<<
- *                 c_full += 1
- *             elif mask == 5:
-*/
-        break;
-        case 5:
-
-        /* "troplines/_fastsweep.pyx":425
- *                 c_full += 1
- *             elif mask == 5:
- *                 sa += 1             # <<<<<<<<<<<<<<
- *             elif mask == 6:
- *                 sb += 1
-*/
-        __pyx_v_sa = (__pyx_v_sa + 1);
-
-        /* "troplines/_fastsweep.pyx":424
- *             if mask == 7:
- *                 c_full += 1
- *             elif mask == 5:             # <<<<<<<<<<<<<<
- *                 sa += 1
- *             elif mask == 6:
-*/
-        break;
-        case 6:
-
-        /* "troplines/_fastsweep.pyx":427
- *                 sa += 1
- *             elif mask == 6:
- *                 sb += 1             # <<<<<<<<<<<<<<
- *             elif mask == 3:
- *                 sc += 1
-*/
-        __pyx_v_sb = (__pyx_v_sb + 1);
-
-        /* "troplines/_fastsweep.pyx":426
- *             elif mask == 5:
- *                 sa += 1
- *             elif mask == 6:             # <<<<<<<<<<<<<<
- *                 sb += 1
- *             elif mask == 3:
-*/
-        break;
-        case 3:
-
-        /* "troplines/_fastsweep.pyx":429
- *                 sb += 1
- *             elif mask == 3:
- *                 sc += 1             # <<<<<<<<<<<<<<
- *         nz = (sa > 0) + (sb > 0) + (sc > 0)
- *         if not (c_full == 1 or nz >= 2):
-*/
-        __pyx_v_sc = (__pyx_v_sc + 1);
-
-        /* "troplines/_fastsweep.pyx":428
- *             elif mask == 6:
- *                 sb += 1
- *             elif mask == 3:             # <<<<<<<<<<<<<<
- *                 sc += 1
- *         nz = (sa > 0) + (sb > 0) + (sc > 0)
-*/
-        break;
-        default: break;
-      }
-    }
-
-    /* "troplines/_fastsweep.pyx":430
- *             elif mask == 3:
- *                 sc += 1
- *         nz = (sa > 0) + (sb > 0) + (sc > 0)             # <<<<<<<<<<<<<<
- *         if not (c_full == 1 or nz >= 2):
- *             continue
-*/
-    __pyx_v_nz = (((__pyx_v_sa > 0) + (__pyx_v_sb > 0)) + (__pyx_v_sc > 0));
-
-    /* "troplines/_fastsweep.pyx":431
- *                 sc += 1
- *         nz = (sa > 0) + (sb > 0) + (sc > 0)
- *         if not (c_full == 1 or nz >= 2):             # <<<<<<<<<<<<<<
- *             continue
- *         if c_full == 1:
-*/
-    __pyx_t_14 = (__pyx_v_c_full == 1);
-    if (!__pyx_t_14) {
-    } else {
-      __pyx_t_2 = __pyx_t_14;
-      goto __pyx_L65_bool_binop_done;
-    }
-    __pyx_t_14 = (__pyx_v_nz >= 2);
-    __pyx_t_2 = __pyx_t_14;
-    __pyx_L65_bool_binop_done:;
-    __pyx_t_14 = (!__pyx_t_2);
-    if (__pyx_t_14) {
-
-      /* "troplines/_fastsweep.pyx":432
- *         nz = (sa > 0) + (sb > 0) + (sc > 0)
- *         if not (c_full == 1 or nz >= 2):
- *             continue             # <<<<<<<<<<<<<<
- *         if c_full == 1:
- *             if nz == 0:
-*/
-      goto __pyx_L60_continue;
-
-      /* "troplines/_fastsweep.pyx":431
- *                 sc += 1
- *         nz = (sa > 0) + (sb > 0) + (sc > 0)
- *         if not (c_full == 1 or nz >= 2):             # <<<<<<<<<<<<<<
- *             continue
- *         if c_full == 1:
-*/
-    }
-
-    /* "troplines/_fastsweep.pyx":433
- *         if not (c_full == 1 or nz >= 2):
- *             continue
- *         if c_full == 1:             # <<<<<<<<<<<<<<
- *             if nz == 0:
- *                 cls = CLS_TRI
-*/
-    __pyx_t_14 = (__pyx_v_c_full == 1);
-    if (__pyx_t_14) {
-
-      /* "troplines/_fastsweep.pyx":434
- *             continue
- *         if c_full == 1:
- *             if nz == 0:             # <<<<<<<<<<<<<<
- *                 cls = CLS_TRI
- *             elif nz == 1:
-*/
-      switch (__pyx_v_nz) {
-        case 0:
-
-        /* "troplines/_fastsweep.pyx":435
- *         if c_full == 1:
- *             if nz == 0:
- *                 cls = CLS_TRI             # <<<<<<<<<<<<<<
- *             elif nz == 1:
- *                 cls = CLS_NU4
-*/
-        __pyx_v_cls = __pyx_v_9troplines_10_fastsweep_CLS_TRI;
-
-        /* "troplines/_fastsweep.pyx":434
- *             continue
- *         if c_full == 1:
- *             if nz == 0:             # <<<<<<<<<<<<<<
- *                 cls = CLS_TRI
- *             elif nz == 1:
-*/
-        break;
-        case 1:
-
-        /* "troplines/_fastsweep.pyx":437
- *                 cls = CLS_TRI
- *             elif nz == 1:
- *                 cls = CLS_NU4             # <<<<<<<<<<<<<<
- *             elif nz == 2:
- *                 cls = CLS_NU5
-*/
-        __pyx_v_cls = __pyx_v_9troplines_10_fastsweep_CLS_NU4;
-
-        /* "troplines/_fastsweep.pyx":436
- *             if nz == 0:
- *                 cls = CLS_TRI
- *             elif nz == 1:             # <<<<<<<<<<<<<<
- *                 cls = CLS_NU4
- *             elif nz == 2:
-*/
-        break;
-        case 2:
-
-        /* "troplines/_fastsweep.pyx":439
- *                 cls = CLS_NU4
- *             elif nz == 2:
- *                 cls = CLS_NU5             # <<<<<<<<<<<<<<
- *             else:
- *                 cls = CLS_NU6
-*/
-        __pyx_v_cls = __pyx_v_9troplines_10_fastsweep_CLS_NU5;
-
-        /* "troplines/_fastsweep.pyx":438
- *             elif nz == 1:
- *                 cls = CLS_NU4
- *             elif nz == 2:             # <<<<<<<<<<<<<<
- *                 cls = CLS_NU5
- *             else:
-*/
-        break;
-        default:
-
-        /* "troplines/_fastsweep.pyx":441
- *                 cls = CLS_NU5
- *             else:
- *                 cls = CLS_NU6             # <<<<<<<<<<<<<<
- *         else:
- *             cls = CLS_PAR if nz == 2 else CLS_HEX
-*/
-        __pyx_v_cls = __pyx_v_9troplines_10_fastsweep_CLS_NU6;
-        break;
-      }
-
-      /* "troplines/_fastsweep.pyx":433
- *         if not (c_full == 1 or nz >= 2):
- *             continue
- *         if c_full == 1:             # <<<<<<<<<<<<<<
- *             if nz == 0:
- *                 cls = CLS_TRI
-*/
-      goto __pyx_L67;
-    }
-
-    /* "troplines/_fastsweep.pyx":443
- *                 cls = CLS_NU6
- *         else:
- *             cls = CLS_PAR if nz == 2 else CLS_HEX             # <<<<<<<<<<<<<<
- *         # Minkowski sum of per-line argmax exponent hulls
- *         acc_m = 1
-*/
-    /*else*/ {
-      __pyx_t_14 = (__pyx_v_nz == 2);
-      if (__pyx_t_14) {
-        __pyx_t_15 = __pyx_v_9troplines_10_fastsweep_CLS_PAR;
-      } else {
-        __pyx_t_15 = __pyx_v_9troplines_10_fastsweep_CLS_HEX;
-      }
-      __pyx_v_cls = __pyx_t_15;
-    }
-    __pyx_L67:;
-
-    /* "troplines/_fastsweep.pyx":445
- *             cls = CLS_PAR if nz == 2 else CLS_HEX
- *         # Minkowski sum of per-line argmax exponent hulls
- *         acc_m = 1             # <<<<<<<<<<<<<<
- *         accx[0] = 0; accy[0] = 0
- *         for j in range(n):
-*/
-    __pyx_v_acc_m = 1;
-
-    /* "troplines/_fastsweep.pyx":446
- *         # Minkowski sum of per-line argmax exponent hulls
- *         acc_m = 1
- *         accx[0] = 0; accy[0] = 0             # <<<<<<<<<<<<<<
- *         for j in range(n):
- *             mask = masks[j]
-*/
-    (__pyx_v_accx[0]) = 0;
-    (__pyx_v_accy[0]) = 0;
-
-    /* "troplines/_fastsweep.pyx":447
- *         acc_m = 1
- *         accx[0] = 0; accy[0] = 0
- *         for j in range(n):             # <<<<<<<<<<<<<<
- *             mask = masks[j]
- *             ne = 0
-*/
-    __pyx_t_15 = __pyx_v_n;
-    __pyx_t_16 = __pyx_t_15;
-    for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_j = __pyx_t_17;
-
-      /* "troplines/_fastsweep.pyx":448
- *         accx[0] = 0; accy[0] = 0
- *         for j in range(n):
- *             mask = masks[j]             # <<<<<<<<<<<<<<
- *             ne = 0
- *             if mask & 1:
-*/
-      __pyx_v_mask = (__pyx_v_masks[__pyx_v_j]);
-
-      /* "troplines/_fastsweep.pyx":449
- *         for j in range(n):
- *             mask = masks[j]
- *             ne = 0             # <<<<<<<<<<<<<<
- *             if mask & 1:
- *                 ex[ne] = 1; ey[ne] = 0; ne += 1
-*/
-      __pyx_v_ne = 0;
-
-      /* "troplines/_fastsweep.pyx":450
- *             mask = masks[j]
- *             ne = 0
- *             if mask & 1:             # <<<<<<<<<<<<<<
- *                 ex[ne] = 1; ey[ne] = 0; ne += 1
- *             if mask & 2:
-*/
-      __pyx_t_14 = ((__pyx_v_mask & 1) != 0);
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":451
- *             ne = 0
- *             if mask & 1:
- *                 ex[ne] = 1; ey[ne] = 0; ne += 1             # <<<<<<<<<<<<<<
- *             if mask & 2:
- *                 ex[ne] = 0; ey[ne] = 1; ne += 1
-*/
-        (__pyx_v_ex[__pyx_v_ne]) = 1;
-        (__pyx_v_ey[__pyx_v_ne]) = 0;
-        __pyx_v_ne = (__pyx_v_ne + 1);
-
-        /* "troplines/_fastsweep.pyx":450
- *             mask = masks[j]
- *             ne = 0
- *             if mask & 1:             # <<<<<<<<<<<<<<
- *                 ex[ne] = 1; ey[ne] = 0; ne += 1
- *             if mask & 2:
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":452
- *             if mask & 1:
- *                 ex[ne] = 1; ey[ne] = 0; ne += 1
- *             if mask & 2:             # <<<<<<<<<<<<<<
- *                 ex[ne] = 0; ey[ne] = 1; ne += 1
- *             if mask & 4:
-*/
-      __pyx_t_14 = ((__pyx_v_mask & 2) != 0);
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":453
- *                 ex[ne] = 1; ey[ne] = 0; ne += 1
- *             if mask & 2:
- *                 ex[ne] = 0; ey[ne] = 1; ne += 1             # <<<<<<<<<<<<<<
- *             if mask & 4:
- *                 ex[ne] = 0; ey[ne] = 0; ne += 1
-*/
-        (__pyx_v_ex[__pyx_v_ne]) = 0;
-        (__pyx_v_ey[__pyx_v_ne]) = 1;
-        __pyx_v_ne = (__pyx_v_ne + 1);
-
-        /* "troplines/_fastsweep.pyx":452
- *             if mask & 1:
- *                 ex[ne] = 1; ey[ne] = 0; ne += 1
- *             if mask & 2:             # <<<<<<<<<<<<<<
- *                 ex[ne] = 0; ey[ne] = 1; ne += 1
- *             if mask & 4:
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":454
- *             if mask & 2:
- *                 ex[ne] = 0; ey[ne] = 1; ne += 1
- *             if mask & 4:             # <<<<<<<<<<<<<<
- *                 ex[ne] = 0; ey[ne] = 0; ne += 1
- *             sum_m = 0
-*/
-      __pyx_t_14 = ((__pyx_v_mask & 4) != 0);
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":455
- *                 ex[ne] = 0; ey[ne] = 1; ne += 1
- *             if mask & 4:
- *                 ex[ne] = 0; ey[ne] = 0; ne += 1             # <<<<<<<<<<<<<<
- *             sum_m = 0
- *             for r1 in range(acc_m):
-*/
-        (__pyx_v_ex[__pyx_v_ne]) = 0;
-        (__pyx_v_ey[__pyx_v_ne]) = 0;
-        __pyx_v_ne = (__pyx_v_ne + 1);
-
-        /* "troplines/_fastsweep.pyx":454
- *             if mask & 2:
- *                 ex[ne] = 0; ey[ne] = 1; ne += 1
- *             if mask & 4:             # <<<<<<<<<<<<<<
- *                 ex[ne] = 0; ey[ne] = 0; ne += 1
- *             sum_m = 0
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":456
- *             if mask & 4:
- *                 ex[ne] = 0; ey[ne] = 0; ne += 1
- *             sum_m = 0             # <<<<<<<<<<<<<<
- *             for r1 in range(acc_m):
- *                 for r2 in range(ne):
-*/
-      __pyx_v_sum_m = 0;
-
-      /* "troplines/_fastsweep.pyx":457
- *                 ex[ne] = 0; ey[ne] = 0; ne += 1
- *             sum_m = 0
- *             for r1 in range(acc_m):             # <<<<<<<<<<<<<<
- *                 for r2 in range(ne):
- *                     sumx[sum_m] = accx[r1] + ex[r2]
-*/
-      __pyx_t_18 = __pyx_v_acc_m;
-      __pyx_t_19 = __pyx_t_18;
-      for (__pyx_t_22 = 0; __pyx_t_22 < __pyx_t_19; __pyx_t_22+=1) {
-        __pyx_v_r1 = __pyx_t_22;
-
-        /* "troplines/_fastsweep.pyx":458
- *             sum_m = 0
- *             for r1 in range(acc_m):
- *                 for r2 in range(ne):             # <<<<<<<<<<<<<<
- *                     sumx[sum_m] = accx[r1] + ex[r2]
- *                     sumy[sum_m] = accy[r1] + ey[r2]
-*/
-        __pyx_t_23 = __pyx_v_ne;
-        __pyx_t_24 = __pyx_t_23;
-        for (__pyx_t_25 = 0; __pyx_t_25 < __pyx_t_24; __pyx_t_25+=1) {
-          __pyx_v_r2 = __pyx_t_25;
-
-          /* "troplines/_fastsweep.pyx":459
- *             for r1 in range(acc_m):
- *                 for r2 in range(ne):
- *                     sumx[sum_m] = accx[r1] + ex[r2]             # <<<<<<<<<<<<<<
- *                     sumy[sum_m] = accy[r1] + ey[r2]
- *                     sum_m += 1
-*/
-          (__pyx_v_sumx[__pyx_v_sum_m]) = ((__pyx_v_accx[__pyx_v_r1]) + (__pyx_v_ex[__pyx_v_r2]));
-
-          /* "troplines/_fastsweep.pyx":460
- *                 for r2 in range(ne):
- *                     sumx[sum_m] = accx[r1] + ex[r2]
- *                     sumy[sum_m] = accy[r1] + ey[r2]             # <<<<<<<<<<<<<<
- *                     sum_m += 1
- *             acc_m = _hull(sumx, sumy, sum_m, accx, accy)
-*/
-          (__pyx_v_sumy[__pyx_v_sum_m]) = ((__pyx_v_accy[__pyx_v_r1]) + (__pyx_v_ey[__pyx_v_r2]));
-
-          /* "troplines/_fastsweep.pyx":461
- *                     sumx[sum_m] = accx[r1] + ex[r2]
- *                     sumy[sum_m] = accy[r1] + ey[r2]
- *                     sum_m += 1             # <<<<<<<<<<<<<<
- *             acc_m = _hull(sumx, sumy, sum_m, accx, accy)
- *         if ncells >= MAXCELLS:
-*/
-          __pyx_v_sum_m = (__pyx_v_sum_m + 1);
-        }
-      }
-
-      /* "troplines/_fastsweep.pyx":462
- *                     sumy[sum_m] = accy[r1] + ey[r2]
- *                     sum_m += 1
- *             acc_m = _hull(sumx, sumy, sum_m, accx, accy)             # <<<<<<<<<<<<<<
- *         if ncells >= MAXCELLS:
- *             raise AssertionError("cell capacity exceeded")
-*/
-      __pyx_v_acc_m = __pyx_f_9troplines_10_fastsweep__hull(__pyx_v_sumx, __pyx_v_sumy, __pyx_v_sum_m, __pyx_v_accx, __pyx_v_accy);
-    }
-
-    /* "troplines/_fastsweep.pyx":463
- *                     sum_m += 1
- *             acc_m = _hull(sumx, sumy, sum_m, accx, accy)
- *         if ncells >= MAXCELLS:             # <<<<<<<<<<<<<<
- *             raise AssertionError("cell capacity exceeded")
- *         cell = &cells[ncells]
-*/
-    __pyx_t_14 = (__pyx_v_ncells >= __pyx_e_9troplines_10_fastsweep_MAXCELLS);
-    if (unlikely(__pyx_t_14)) {
-
-      /* "troplines/_fastsweep.pyx":464
- *             acc_m = _hull(sumx, sumy, sum_m, accx, accy)
- *         if ncells >= MAXCELLS:
- *             raise AssertionError("cell capacity exceeded")             # <<<<<<<<<<<<<<
- *         cell = &cells[ncells]
- *         ncells += 1
-*/
-      __pyx_t_21 = NULL;
-      __pyx_t_5 = 1;
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_21, __pyx_mstate_global->__pyx_kp_u_cell_capacity_exceeded};
-        __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_AssertionError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_21); __pyx_t_21 = 0;
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 464, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-      }
-      __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __PYX_ERR(0, 464, __pyx_L1_error)
-
-      /* "troplines/_fastsweep.pyx":463
- *                     sum_m += 1
- *             acc_m = _hull(sumx, sumy, sum_m, accx, accy)
- *         if ncells >= MAXCELLS:             # <<<<<<<<<<<<<<
- *             raise AssertionError("cell capacity exceeded")
- *         cell = &cells[ncells]
-*/
-    }
-
-    /* "troplines/_fastsweep.pyx":465
- *         if ncells >= MAXCELLS:
- *             raise AssertionError("cell capacity exceeded")
- *         cell = &cells[ncells]             # <<<<<<<<<<<<<<
- *         ncells += 1
- *         cell.m = acc_m
-*/
-    __pyx_v_cell = (&(__pyx_v_cells[__pyx_v_ncells]));
-
-    /* "troplines/_fastsweep.pyx":466
- *             raise AssertionError("cell capacity exceeded")
- *         cell = &cells[ncells]
- *         ncells += 1             # <<<<<<<<<<<<<<
- *         cell.m = acc_m
- *         for j in range(acc_m):
-*/
-    __pyx_v_ncells = (__pyx_v_ncells + 1);
-
-    /* "troplines/_fastsweep.pyx":467
- *         cell = &cells[ncells]
- *         ncells += 1
- *         cell.m = acc_m             # <<<<<<<<<<<<<<
- *         for j in range(acc_m):
- *             cell.vx[j] = accx[j]
-*/
-    __pyx_v_cell->m = __pyx_v_acc_m;
-
-    /* "troplines/_fastsweep.pyx":468
- *         ncells += 1
- *         cell.m = acc_m
- *         for j in range(acc_m):             # <<<<<<<<<<<<<<
- *             cell.vx[j] = accx[j]
- *             cell.vy[j] = accy[j]
-*/
-    __pyx_t_15 = __pyx_v_acc_m;
-    __pyx_t_16 = __pyx_t_15;
-    for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_j = __pyx_t_17;
-
-      /* "troplines/_fastsweep.pyx":469
- *         cell.m = acc_m
- *         for j in range(acc_m):
- *             cell.vx[j] = accx[j]             # <<<<<<<<<<<<<<
- *             cell.vy[j] = accy[j]
- *         cell.cls = cls
-*/
-      (__pyx_v_cell->vx[__pyx_v_j]) = (__pyx_v_accx[__pyx_v_j]);
-
-      /* "troplines/_fastsweep.pyx":470
- *         for j in range(acc_m):
- *             cell.vx[j] = accx[j]
- *             cell.vy[j] = accy[j]             # <<<<<<<<<<<<<<
- *         cell.cls = cls
- *         cell.dx = cx
-*/
-      (__pyx_v_cell->vy[__pyx_v_j]) = (__pyx_v_accy[__pyx_v_j]);
-    }
-
-    /* "troplines/_fastsweep.pyx":471
- *             cell.vx[j] = accx[j]
- *             cell.vy[j] = accy[j]
- *         cell.cls = cls             # <<<<<<<<<<<<<<
- *         cell.dx = cx
- *         cell.dy = cy
-*/
-    __pyx_v_cell->cls = __pyx_v_cls;
-
-    /* "troplines/_fastsweep.pyx":472
- *             cell.vy[j] = accy[j]
- *         cell.cls = cls
- *         cell.dx = cx             # <<<<<<<<<<<<<<
- *         cell.dy = cy
- *         cell.area2 = 0
-*/
-    __pyx_v_cell->dx = __pyx_v_cx;
-
-    /* "troplines/_fastsweep.pyx":473
- *         cell.cls = cls
- *         cell.dx = cx
- *         cell.dy = cy             # <<<<<<<<<<<<<<
- *         cell.area2 = 0
- *         for j in range(acc_m):
-*/
-    __pyx_v_cell->dy = __pyx_v_cy;
-
-    /* "troplines/_fastsweep.pyx":474
- *         cell.dx = cx
- *         cell.dy = cy
- *         cell.area2 = 0             # <<<<<<<<<<<<<<
- *         for j in range(acc_m):
- *             e = j + 1
-*/
-    __pyx_v_cell->area2 = 0;
-
-    /* "troplines/_fastsweep.pyx":475
- *         cell.dy = cy
- *         cell.area2 = 0
- *         for j in range(acc_m):             # <<<<<<<<<<<<<<
- *             e = j + 1
- *             if e == acc_m:
-*/
-    __pyx_t_15 = __pyx_v_acc_m;
-    __pyx_t_16 = __pyx_t_15;
-    for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_j = __pyx_t_17;
-
-      /* "troplines/_fastsweep.pyx":476
- *         cell.area2 = 0
- *         for j in range(acc_m):
- *             e = j + 1             # <<<<<<<<<<<<<<
- *             if e == acc_m:
- *                 e = 0
-*/
-      __pyx_v_e = (__pyx_v_j + 1);
-
-      /* "troplines/_fastsweep.pyx":477
- *         for j in range(acc_m):
- *             e = j + 1
- *             if e == acc_m:             # <<<<<<<<<<<<<<
- *                 e = 0
- *             cell.area2 += accx[j] * accy[e] - accy[j] * accx[e]
-*/
-      __pyx_t_14 = (__pyx_v_e == __pyx_v_acc_m);
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":478
- *             e = j + 1
- *             if e == acc_m:
- *                 e = 0             # <<<<<<<<<<<<<<
- *             cell.area2 += accx[j] * accy[e] - accy[j] * accx[e]
- *         cell.bdry = 0
-*/
-        __pyx_v_e = 0;
-
-        /* "troplines/_fastsweep.pyx":477
- *         for j in range(acc_m):
- *             e = j + 1
- *             if e == acc_m:             # <<<<<<<<<<<<<<
- *                 e = 0
- *             cell.area2 += accx[j] * accy[e] - accy[j] * accx[e]
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":479
- *             if e == acc_m:
- *                 e = 0
- *             cell.area2 += accx[j] * accy[e] - accy[j] * accx[e]             # <<<<<<<<<<<<<<
- *         cell.bdry = 0
- *         for j in range(acc_m):
-*/
-      __pyx_v_cell->area2 = (__pyx_v_cell->area2 + (((__pyx_v_accx[__pyx_v_j]) * (__pyx_v_accy[__pyx_v_e])) - ((__pyx_v_accy[__pyx_v_j]) * (__pyx_v_accx[__pyx_v_e]))));
-    }
-
-    /* "troplines/_fastsweep.pyx":480
- *                 e = 0
- *             cell.area2 += accx[j] * accy[e] - accy[j] * accx[e]
- *         cell.bdry = 0             # <<<<<<<<<<<<<<
- *         for j in range(acc_m):
- *             e = j + 1
-*/
-    __pyx_v_cell->bdry = 0;
-
-    /* "troplines/_fastsweep.pyx":481
- *             cell.area2 += accx[j] * accy[e] - accy[j] * accx[e]
- *         cell.bdry = 0
- *         for j in range(acc_m):             # <<<<<<<<<<<<<<
- *             e = j + 1
- *             if e == acc_m:
-*/
-    __pyx_t_15 = __pyx_v_acc_m;
-    __pyx_t_16 = __pyx_t_15;
-    for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_j = __pyx_t_17;
-
-      /* "troplines/_fastsweep.pyx":482
- *         cell.bdry = 0
- *         for j in range(acc_m):
- *             e = j + 1             # <<<<<<<<<<<<<<
- *             if e == acc_m:
- *                 e = 0
-*/
-      __pyx_v_e = (__pyx_v_j + 1);
-
-      /* "troplines/_fastsweep.pyx":483
- *         for j in range(acc_m):
- *             e = j + 1
- *             if e == acc_m:             # <<<<<<<<<<<<<<
- *                 e = 0
- *             if accx[j] == 0 and accx[e] == 0:
-*/
-      __pyx_t_14 = (__pyx_v_e == __pyx_v_acc_m);
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":484
- *             e = j + 1
- *             if e == acc_m:
- *                 e = 0             # <<<<<<<<<<<<<<
- *             if accx[j] == 0 and accx[e] == 0:
- *                 cell.bdry += 1
-*/
-        __pyx_v_e = 0;
-
-        /* "troplines/_fastsweep.pyx":483
- *         for j in range(acc_m):
- *             e = j + 1
- *             if e == acc_m:             # <<<<<<<<<<<<<<
- *                 e = 0
- *             if accx[j] == 0 and accx[e] == 0:
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":485
- *             if e == acc_m:
- *                 e = 0
- *             if accx[j] == 0 and accx[e] == 0:             # <<<<<<<<<<<<<<
- *                 cell.bdry += 1
- *             elif accy[j] == 0 and accy[e] == 0:
-*/
-      __pyx_t_2 = ((__pyx_v_accx[__pyx_v_j]) == 0);
-      if (__pyx_t_2) {
-      } else {
-        __pyx_t_14 = __pyx_t_2;
-        goto __pyx_L87_bool_binop_done;
-      }
-      __pyx_t_2 = ((__pyx_v_accx[__pyx_v_e]) == 0);
-      __pyx_t_14 = __pyx_t_2;
-      __pyx_L87_bool_binop_done:;
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":486
- *                 e = 0
- *             if accx[j] == 0 and accx[e] == 0:
- *                 cell.bdry += 1             # <<<<<<<<<<<<<<
- *             elif accy[j] == 0 and accy[e] == 0:
- *                 cell.bdry += 1
-*/
-        __pyx_v_cell->bdry = (__pyx_v_cell->bdry + 1);
-
-        /* "troplines/_fastsweep.pyx":485
- *             if e == acc_m:
- *                 e = 0
- *             if accx[j] == 0 and accx[e] == 0:             # <<<<<<<<<<<<<<
- *                 cell.bdry += 1
- *             elif accy[j] == 0 and accy[e] == 0:
-*/
-        goto __pyx_L86;
-      }
-
-      /* "troplines/_fastsweep.pyx":487
- *             if accx[j] == 0 and accx[e] == 0:
- *                 cell.bdry += 1
- *             elif accy[j] == 0 and accy[e] == 0:             # <<<<<<<<<<<<<<
- *                 cell.bdry += 1
- *             elif accx[j] + accy[j] == n and accx[e] + accy[e] == n:
-*/
-      __pyx_t_2 = ((__pyx_v_accy[__pyx_v_j]) == 0);
-      if (__pyx_t_2) {
-      } else {
-        __pyx_t_14 = __pyx_t_2;
-        goto __pyx_L89_bool_binop_done;
-      }
-      __pyx_t_2 = ((__pyx_v_accy[__pyx_v_e]) == 0);
-      __pyx_t_14 = __pyx_t_2;
-      __pyx_L89_bool_binop_done:;
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":488
- *                 cell.bdry += 1
- *             elif accy[j] == 0 and accy[e] == 0:
- *                 cell.bdry += 1             # <<<<<<<<<<<<<<
- *             elif accx[j] + accy[j] == n and accx[e] + accy[e] == n:
- *                 cell.bdry += 1
-*/
-        __pyx_v_cell->bdry = (__pyx_v_cell->bdry + 1);
-
-        /* "troplines/_fastsweep.pyx":487
- *             if accx[j] == 0 and accx[e] == 0:
- *                 cell.bdry += 1
- *             elif accy[j] == 0 and accy[e] == 0:             # <<<<<<<<<<<<<<
- *                 cell.bdry += 1
- *             elif accx[j] + accy[j] == n and accx[e] + accy[e] == n:
-*/
-        goto __pyx_L86;
-      }
-
-      /* "troplines/_fastsweep.pyx":489
- *             elif accy[j] == 0 and accy[e] == 0:
- *                 cell.bdry += 1
- *             elif accx[j] + accy[j] == n and accx[e] + accy[e] == n:             # <<<<<<<<<<<<<<
- *                 cell.bdry += 1
- * 
-*/
-      __pyx_t_2 = (((__pyx_v_accx[__pyx_v_j]) + (__pyx_v_accy[__pyx_v_j])) == __pyx_v_n);
-      if (__pyx_t_2) {
-      } else {
-        __pyx_t_14 = __pyx_t_2;
-        goto __pyx_L91_bool_binop_done;
-      }
-      __pyx_t_2 = (((__pyx_v_accx[__pyx_v_e]) + (__pyx_v_accy[__pyx_v_e])) == __pyx_v_n);
-      __pyx_t_14 = __pyx_t_2;
-      __pyx_L91_bool_binop_done:;
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":490
- *                 cell.bdry += 1
- *             elif accx[j] + accy[j] == n and accx[e] + accy[e] == n:
- *                 cell.bdry += 1             # <<<<<<<<<<<<<<
- * 
- *     # --- counts and identity suites -------------------------------------
-*/
-        __pyx_v_cell->bdry = (__pyx_v_cell->bdry + 1);
-
-        /* "troplines/_fastsweep.pyx":489
- *             elif accy[j] == 0 and accy[e] == 0:
- *                 cell.bdry += 1
- *             elif accx[j] + accy[j] == n and accx[e] + accy[e] == n:             # <<<<<<<<<<<<<<
- *                 cell.bdry += 1
- * 
-*/
-      }
-      __pyx_L86:;
-    }
-    __pyx_L60_continue:;
-  }
-
-  /* "troplines/_fastsweep.pyx":493
- * 
- *     # --- counts and identity suites -------------------------------------
- *     cdef int t_count = ncells             # <<<<<<<<<<<<<<
- *     cdef int triangles = 0, k_faces = 0, h_faces = 0
- *     for i in range(ncells):
-*/
-  __pyx_v_t_count = __pyx_v_ncells;
-
-  /* "troplines/_fastsweep.pyx":494
- *     # --- counts and identity suites -------------------------------------
- *     cdef int t_count = ncells
- *     cdef int triangles = 0, k_faces = 0, h_faces = 0             # <<<<<<<<<<<<<<
- *     for i in range(ncells):
- *         if cells[i].cls == CLS_TRI:
-*/
-  __pyx_v_triangles = 0;
-  __pyx_v_k_faces = 0;
-  __pyx_v_h_faces = 0;
-
-  /* "troplines/_fastsweep.pyx":495
- *     cdef int t_count = ncells
- *     cdef int triangles = 0, k_faces = 0, h_faces = 0
- *     for i in range(ncells):             # <<<<<<<<<<<<<<
- *         if cells[i].cls == CLS_TRI:
- *             triangles += 1
-*/
-  __pyx_t_10 = __pyx_v_ncells;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "troplines/_fastsweep.pyx":496
- *     cdef int triangles = 0, k_faces = 0, h_faces = 0
- *     for i in range(ncells):
- *         if cells[i].cls == CLS_TRI:             # <<<<<<<<<<<<<<
- *             triangles += 1
- *         elif cells[i].cls == CLS_PAR or cells[i].cls == CLS_HEX:
-*/
-    __pyx_t_14 = ((__pyx_v_cells[__pyx_v_i]).cls == __pyx_v_9troplines_10_fastsweep_CLS_TRI);
-    if (__pyx_t_14) {
-
-      /* "troplines/_fastsweep.pyx":497
- *     for i in range(ncells):
- *         if cells[i].cls == CLS_TRI:
- *             triangles += 1             # <<<<<<<<<<<<<<
- *         elif cells[i].cls == CLS_PAR or cells[i].cls == CLS_HEX:
- *             k_faces += 1
-*/
-      __pyx_v_triangles = (__pyx_v_triangles + 1);
-
-      /* "troplines/_fastsweep.pyx":496
- *     cdef int triangles = 0, k_faces = 0, h_faces = 0
- *     for i in range(ncells):
- *         if cells[i].cls == CLS_TRI:             # <<<<<<<<<<<<<<
- *             triangles += 1
- *         elif cells[i].cls == CLS_PAR or cells[i].cls == CLS_HEX:
-*/
-      goto __pyx_L95;
-    }
-
-    /* "troplines/_fastsweep.pyx":498
- *         if cells[i].cls == CLS_TRI:
- *             triangles += 1
- *         elif cells[i].cls == CLS_PAR or cells[i].cls == CLS_HEX:             # <<<<<<<<<<<<<<
- *             k_faces += 1
- *         else:
-*/
-    __pyx_t_2 = ((__pyx_v_cells[__pyx_v_i]).cls == __pyx_v_9troplines_10_fastsweep_CLS_PAR);
-    if (!__pyx_t_2) {
-    } else {
-      __pyx_t_14 = __pyx_t_2;
-      goto __pyx_L96_bool_binop_done;
-    }
-    __pyx_t_2 = ((__pyx_v_cells[__pyx_v_i]).cls == __pyx_v_9troplines_10_fastsweep_CLS_HEX);
-    __pyx_t_14 = __pyx_t_2;
-    __pyx_L96_bool_binop_done:;
-    if (__pyx_t_14) {
-
-      /* "troplines/_fastsweep.pyx":499
- *             triangles += 1
- *         elif cells[i].cls == CLS_PAR or cells[i].cls == CLS_HEX:
- *             k_faces += 1             # <<<<<<<<<<<<<<
- *         else:
- *             h_faces += 1
-*/
-      __pyx_v_k_faces = (__pyx_v_k_faces + 1);
-
-      /* "troplines/_fastsweep.pyx":498
- *         if cells[i].cls == CLS_TRI:
- *             triangles += 1
- *         elif cells[i].cls == CLS_PAR or cells[i].cls == CLS_HEX:             # <<<<<<<<<<<<<<
- *             k_faces += 1
- *         else:
-*/
-      goto __pyx_L95;
-    }
-
-    /* "troplines/_fastsweep.pyx":501
- *             k_faces += 1
- *         else:
- *             h_faces += 1             # <<<<<<<<<<<<<<
- *     cdef int b_faces = t_count - triangles
- * 
-*/
-    /*else*/ {
-      __pyx_v_h_faces = (__pyx_v_h_faces + 1);
-    }
-    __pyx_L95:;
-  }
-
-  /* "troplines/_fastsweep.pyx":502
- *         else:
- *             h_faces += 1
- *     cdef int b_faces = t_count - triangles             # <<<<<<<<<<<<<<
- * 
- *     counts_repr = (
-*/
-  __pyx_v_b_faces = (__pyx_v_t_count - __pyx_v_triangles);
-
-  /* "troplines/_fastsweep.pyx":505
- * 
- *     counts_repr = (
- *         f"Counts(n={n}, t={t_count}, triangles={triangles}, "             # <<<<<<<<<<<<<<
- *         f"b={b_faces}, k={k_faces}, h={h_faces})"
- *     )
-*/
-  __pyx_t_3 = __Pyx_PyUnicode_From_int(__pyx_v_n, 0, ' ', 'd'); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_21 = __Pyx_PyUnicode_From_int(__pyx_v_t_count, 0, ' ', 'd'); if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_21);
-  __pyx_t_7 = __Pyx_PyUnicode_From_int(__pyx_v_triangles, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-
-  /* "troplines/_fastsweep.pyx":506
- *     counts_repr = (
- *         f"Counts(n={n}, t={t_count}, triangles={triangles}, "
- *         f"b={b_faces}, k={k_faces}, h={h_faces})"             # <<<<<<<<<<<<<<
- *     )
- *     if t_count != triangles + b_faces:
-*/
-  __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_b_faces, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 506, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_4 = __Pyx_PyUnicode_From_int(__pyx_v_k_faces, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 506, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_9 = __Pyx_PyUnicode_From_int(__pyx_v_h_faces, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 506, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_26[0] = __pyx_mstate_global->__pyx_kp_u_Counts_n;
-  __pyx_t_26[1] = __pyx_t_3;
-  __pyx_t_26[2] = __pyx_mstate_global->__pyx_kp_u_t;
-  __pyx_t_26[3] = __pyx_t_21;
-  __pyx_t_26[4] = __pyx_mstate_global->__pyx_kp_u_triangles;
-  __pyx_t_26[5] = __pyx_t_7;
-  __pyx_t_26[6] = __pyx_mstate_global->__pyx_kp_u_b;
-  __pyx_t_26[7] = __pyx_t_6;
-  __pyx_t_26[8] = __pyx_mstate_global->__pyx_kp_u_k;
-  __pyx_t_26[9] = __pyx_t_4;
-  __pyx_t_26[10] = __pyx_mstate_global->__pyx_kp_u_h;
-  __pyx_t_26[11] = __pyx_t_9;
-  __pyx_t_26[12] = __pyx_mstate_global->__pyx_kp_u__2;
-
-  /* "troplines/_fastsweep.pyx":505
- * 
- *     counts_repr = (
- *         f"Counts(n={n}, t={t_count}, triangles={triangles}, "             # <<<<<<<<<<<<<<
- *         f"b={b_faces}, k={k_faces}, h={h_faces})"
- *     )
-*/
-  __pyx_t_27 = __Pyx_PyUnicode_Join(__pyx_t_26, 13, 9 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_3) + 4 * 4 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_21) + 12 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + 1, 127);
-  if (unlikely(!__pyx_t_27)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_27);
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-  __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-  __pyx_v_counts_repr = ((PyObject*)__pyx_t_27);
-  __pyx_t_27 = 0;
-
-  /* "troplines/_fastsweep.pyx":508
- *         f"b={b_faces}, k={k_faces}, h={h_faces})"
- *     )
- *     if t_count != triangles + b_faces:             # <<<<<<<<<<<<<<
- *         violations.append(["count_identities", f"t != triangles + b: {counts_repr}"])
- *     if b_faces != k_faces + h_faces:
-*/
-  __pyx_t_14 = (__pyx_v_t_count != (__pyx_v_triangles + __pyx_v_b_faces));
-  if (__pyx_t_14) {
-
-    /* "troplines/_fastsweep.pyx":509
- *     )
- *     if t_count != triangles + b_faces:
- *         violations.append(["count_identities", f"t != triangles + b: {counts_repr}"])             # <<<<<<<<<<<<<<
- *     if b_faces != k_faces + h_faces:
- *         violations.append(["count_identities", f"b != k + h: {counts_repr}"])
-*/
-    __pyx_t_27 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_t_triangles_b, __pyx_v_counts_repr); if (unlikely(!__pyx_t_27)) __PYX_ERR(0, 509, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_27);
-    __pyx_t_9 = PyList_New(2); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 509, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_count_identities);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_count_identities);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 0, __pyx_mstate_global->__pyx_n_u_count_identities) != (0)) __PYX_ERR(0, 509, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_27);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 1, __pyx_t_27) != (0)) __PYX_ERR(0, 509, __pyx_L1_error);
-    __pyx_t_27 = 0;
-    __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_9); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 509, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-    /* "troplines/_fastsweep.pyx":508
- *         f"b={b_faces}, k={k_faces}, h={h_faces})"
- *     )
- *     if t_count != triangles + b_faces:             # <<<<<<<<<<<<<<
- *         violations.append(["count_identities", f"t != triangles + b: {counts_repr}"])
- *     if b_faces != k_faces + h_faces:
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":510
- *     if t_count != triangles + b_faces:
- *         violations.append(["count_identities", f"t != triangles + b: {counts_repr}"])
- *     if b_faces != k_faces + h_faces:             # <<<<<<<<<<<<<<
- *         violations.append(["count_identities", f"b != k + h: {counts_repr}"])
- *     if h_faces != n - triangles:
-*/
-  __pyx_t_14 = (__pyx_v_b_faces != (__pyx_v_k_faces + __pyx_v_h_faces));
-  if (__pyx_t_14) {
-
-    /* "troplines/_fastsweep.pyx":511
- *         violations.append(["count_identities", f"t != triangles + b: {counts_repr}"])
- *     if b_faces != k_faces + h_faces:
- *         violations.append(["count_identities", f"b != k + h: {counts_repr}"])             # <<<<<<<<<<<<<<
- *     if h_faces != n - triangles:
- *         violations.append(["count_identities", f"h != n - triangles: {counts_repr}"])
-*/
-    __pyx_t_9 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_b_k_h, __pyx_v_counts_repr); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 511, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_27 = PyList_New(2); if (unlikely(!__pyx_t_27)) __PYX_ERR(0, 511, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_27);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_count_identities);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_count_identities);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_27, 0, __pyx_mstate_global->__pyx_n_u_count_identities) != (0)) __PYX_ERR(0, 511, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_9);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_27, 1, __pyx_t_9) != (0)) __PYX_ERR(0, 511, __pyx_L1_error);
-    __pyx_t_9 = 0;
-    __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_27); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 511, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_27); __pyx_t_27 = 0;
-
-    /* "troplines/_fastsweep.pyx":510
- *     if t_count != triangles + b_faces:
- *         violations.append(["count_identities", f"t != triangles + b: {counts_repr}"])
- *     if b_faces != k_faces + h_faces:             # <<<<<<<<<<<<<<
- *         violations.append(["count_identities", f"b != k + h: {counts_repr}"])
- *     if h_faces != n - triangles:
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":512
- *     if b_faces != k_faces + h_faces:
- *         violations.append(["count_identities", f"b != k + h: {counts_repr}"])
- *     if h_faces != n - triangles:             # <<<<<<<<<<<<<<
- *         violations.append(["count_identities", f"h != n - triangles: {counts_repr}"])
- *     if not (n <= t_count <= n * (n - 1) // 2 + n):
-*/
-  __pyx_t_14 = (__pyx_v_h_faces != (__pyx_v_n - __pyx_v_triangles));
-  if (__pyx_t_14) {
-
-    /* "troplines/_fastsweep.pyx":513
- *         violations.append(["count_identities", f"b != k + h: {counts_repr}"])
- *     if h_faces != n - triangles:
- *         violations.append(["count_identities", f"h != n - triangles: {counts_repr}"])             # <<<<<<<<<<<<<<
- *     if not (n <= t_count <= n * (n - 1) // 2 + n):
- *         violations.append(
-*/
-    __pyx_t_27 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_h_n_triangles, __pyx_v_counts_repr); if (unlikely(!__pyx_t_27)) __PYX_ERR(0, 513, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_27);
-    __pyx_t_9 = PyList_New(2); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 513, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_count_identities);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_count_identities);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 0, __pyx_mstate_global->__pyx_n_u_count_identities) != (0)) __PYX_ERR(0, 513, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_27);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 1, __pyx_t_27) != (0)) __PYX_ERR(0, 513, __pyx_L1_error);
-    __pyx_t_27 = 0;
-    __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_9); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 513, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-    /* "troplines/_fastsweep.pyx":512
- *     if b_faces != k_faces + h_faces:
- *         violations.append(["count_identities", f"b != k + h: {counts_repr}"])
- *     if h_faces != n - triangles:             # <<<<<<<<<<<<<<
- *         violations.append(["count_identities", f"h != n - triangles: {counts_repr}"])
- *     if not (n <= t_count <= n * (n - 1) // 2 + n):
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":514
- *     if h_faces != n - triangles:
- *         violations.append(["count_identities", f"h != n - triangles: {counts_repr}"])
- *     if not (n <= t_count <= n * (n - 1) // 2 + n):             # <<<<<<<<<<<<<<
- *         violations.append(
- *             ["count_identities", f"t out of range [n, n(n-1)/2 + n]: {counts_repr}"]
-*/
-  __pyx_t_14 = (__pyx_v_n <= __pyx_v_t_count);
-  if (__pyx_t_14) {
-    __pyx_t_14 = (__pyx_v_t_count <= (((__pyx_v_n * (__pyx_v_n - 1)) / 2) + __pyx_v_n));
-  }
-  __pyx_t_2 = (!__pyx_t_14);
-  if (__pyx_t_2) {
-
-    /* "troplines/_fastsweep.pyx":516
- *     if not (n <= t_count <= n * (n - 1) // 2 + n):
- *         violations.append(
- *             ["count_identities", f"t out of range [n, n(n-1)/2 + n]: {counts_repr}"]             # <<<<<<<<<<<<<<
- *         )
- *     if (b_faces, k_faces, h_faces) != (b_pairwise, k_pairwise, h_pairwise):
-*/
-    __pyx_t_9 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_t_out_of_range_n_n_n_1_2_n, __pyx_v_counts_repr); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 516, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_27 = PyList_New(2); if (unlikely(!__pyx_t_27)) __PYX_ERR(0, 516, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_27);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_count_identities);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_count_identities);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_27, 0, __pyx_mstate_global->__pyx_n_u_count_identities) != (0)) __PYX_ERR(0, 516, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_9);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_27, 1, __pyx_t_9) != (0)) __PYX_ERR(0, 516, __pyx_L1_error);
-    __pyx_t_9 = 0;
-
-    /* "troplines/_fastsweep.pyx":515
- *         violations.append(["count_identities", f"h != n - triangles: {counts_repr}"])
- *     if not (n <= t_count <= n * (n - 1) // 2 + n):
- *         violations.append(             # <<<<<<<<<<<<<<
- *             ["count_identities", f"t out of range [n, n(n-1)/2 + n]: {counts_repr}"]
- *         )
-*/
-    __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_27); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 515, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_27); __pyx_t_27 = 0;
-
-    /* "troplines/_fastsweep.pyx":514
- *     if h_faces != n - triangles:
- *         violations.append(["count_identities", f"h != n - triangles: {counts_repr}"])
- *     if not (n <= t_count <= n * (n - 1) // 2 + n):             # <<<<<<<<<<<<<<
- *         violations.append(
- *             ["count_identities", f"t out of range [n, n(n-1)/2 + n]: {counts_repr}"]
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":518
- *             ["count_identities", f"t out of range [n, n(n-1)/2 + n]: {counts_repr}"]
- *         )
- *     if (b_faces, k_faces, h_faces) != (b_pairwise, k_pairwise, h_pairwise):             # <<<<<<<<<<<<<<
- *         violations.append(
- *             [
-*/
-  __pyx_t_27 = __Pyx_PyLong_From_int(__pyx_v_b_faces); if (unlikely(!__pyx_t_27)) __PYX_ERR(0, 518, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_27);
-  __pyx_t_9 = __Pyx_PyLong_From_int(__pyx_v_k_faces); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 518, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_4 = __Pyx_PyLong_From_int(__pyx_v_h_faces); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 518, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_6 = PyTuple_New(3); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 518, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __Pyx_GIVEREF(__pyx_t_27);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 0, __pyx_t_27) != (0)) __PYX_ERR(0, 518, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_9);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 1, __pyx_t_9) != (0)) __PYX_ERR(0, 518, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 2, __pyx_t_4) != (0)) __PYX_ERR(0, 518, __pyx_L1_error);
-  __pyx_t_27 = 0;
-  __pyx_t_9 = 0;
-  __pyx_t_4 = 0;
-  __pyx_t_4 = __Pyx_PyLong_From_int(__pyx_v_b_pairwise); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 518, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_9 = __Pyx_PyLong_From_int(__pyx_v_k_pairwise); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 518, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_27 = __Pyx_PyLong_From_int(__pyx_v_h_pairwise); if (unlikely(!__pyx_t_27)) __PYX_ERR(0, 518, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_27);
-  __pyx_t_7 = PyTuple_New(3); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 518, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 518, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_9);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 1, __pyx_t_9) != (0)) __PYX_ERR(0, 518, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_27);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 2, __pyx_t_27) != (0)) __PYX_ERR(0, 518, __pyx_L1_error);
-  __pyx_t_4 = 0;
-  __pyx_t_9 = 0;
-  __pyx_t_27 = 0;
-  __pyx_t_27 = PyObject_RichCompare(__pyx_t_6, __pyx_t_7, Py_NE); __Pyx_XGOTREF(__pyx_t_27); if (unlikely(!__pyx_t_27)) __PYX_ERR(0, 518, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_27); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 518, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_27); __pyx_t_27 = 0;
-  if (__pyx_t_2) {
-
-    /* "troplines/_fastsweep.pyx":522
- *             [
- *                 "cross_oracle",
- *                 f"faces give b={b_faces} k={k_faces} h={h_faces}, pairwise "             # <<<<<<<<<<<<<<
- *                 f"intersections give b={b_pairwise} k={k_pairwise} h={h_pairwise}",
- *             ]
-*/
-    __pyx_t_27 = __Pyx_PyUnicode_From_int(__pyx_v_b_faces, 0, ' ', 'd'); if (unlikely(!__pyx_t_27)) __PYX_ERR(0, 522, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_27);
-    __pyx_t_7 = __Pyx_PyUnicode_From_int(__pyx_v_k_faces, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 522, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_h_faces, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 522, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-
-    /* "troplines/_fastsweep.pyx":523
- *                 "cross_oracle",
- *                 f"faces give b={b_faces} k={k_faces} h={h_faces}, pairwise "
- *                 f"intersections give b={b_pairwise} k={k_pairwise} h={h_pairwise}",             # <<<<<<<<<<<<<<
- *             ]
- *         )
-*/
-    __pyx_t_9 = __Pyx_PyUnicode_From_int(__pyx_v_b_pairwise, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 523, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_4 = __Pyx_PyUnicode_From_int(__pyx_v_k_pairwise, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 523, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_21 = __Pyx_PyUnicode_From_int(__pyx_v_h_pairwise, 0, ' ', 'd'); if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 523, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_21);
-    __pyx_t_29[0] = __pyx_mstate_global->__pyx_kp_u_faces_give_b;
-    __pyx_t_29[1] = __pyx_t_27;
-    __pyx_t_29[2] = __pyx_mstate_global->__pyx_kp_u_k_2;
-    __pyx_t_29[3] = __pyx_t_7;
-    __pyx_t_29[4] = __pyx_mstate_global->__pyx_kp_u_h_2;
-    __pyx_t_29[5] = __pyx_t_6;
-    __pyx_t_29[6] = __pyx_mstate_global->__pyx_kp_u_pairwise_intersections_give_b;
-    __pyx_t_29[7] = __pyx_t_9;
-    __pyx_t_29[8] = __pyx_mstate_global->__pyx_kp_u_k_2;
-    __pyx_t_29[9] = __pyx_t_4;
-    __pyx_t_29[10] = __pyx_mstate_global->__pyx_kp_u_h_2;
-    __pyx_t_29[11] = __pyx_t_21;
-
-    /* "troplines/_fastsweep.pyx":522
- *             [
- *                 "cross_oracle",
- *                 f"faces give b={b_faces} k={k_faces} h={h_faces}, pairwise "             # <<<<<<<<<<<<<<
- *                 f"intersections give b={b_pairwise} k={k_pairwise} h={h_pairwise}",
- *             ]
-*/
-    __pyx_t_3 = __Pyx_PyUnicode_Join(__pyx_t_29, 12, 13 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_27) + 3 * 4 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 32 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_21), 127);
-    if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 522, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_DECREF(__pyx_t_27); __pyx_t_27 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-
-    /* "troplines/_fastsweep.pyx":520
- *     if (b_faces, k_faces, h_faces) != (b_pairwise, k_pairwise, h_pairwise):
- *         violations.append(
- *             [             # <<<<<<<<<<<<<<
- *                 "cross_oracle",
- *                 f"faces give b={b_faces} k={k_faces} h={h_faces}, pairwise "
-*/
-    __pyx_t_21 = PyList_New(2); if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 520, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_21);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_cross_oracle);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_cross_oracle);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_21, 0, __pyx_mstate_global->__pyx_n_u_cross_oracle) != (0)) __PYX_ERR(0, 520, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_3);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_21, 1, __pyx_t_3) != (0)) __PYX_ERR(0, 520, __pyx_L1_error);
-    __pyx_t_3 = 0;
-
-    /* "troplines/_fastsweep.pyx":519
- *         )
- *     if (b_faces, k_faces, h_faces) != (b_pairwise, k_pairwise, h_pairwise):
- *         violations.append(             # <<<<<<<<<<<<<<
- *             [
- *                 "cross_oracle",
-*/
-    __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_21); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 519, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-
-    /* "troplines/_fastsweep.pyx":518
- *             ["count_identities", f"t out of range [n, n(n-1)/2 + n]: {counts_repr}"]
- *         )
- *     if (b_faces, k_faces, h_faces) != (b_pairwise, k_pairwise, h_pairwise):             # <<<<<<<<<<<<<<
- *         violations.append(
- *             [
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":526
- *             ]
- *         )
- *     if t_count == n and triangles > 3:             # <<<<<<<<<<<<<<
- *         violations.append(
- *             ["max_triangles", f"t=n={t_count} but {triangles} triangles"]
-*/
-  __pyx_t_14 = (__pyx_v_t_count == __pyx_v_n);
-  if (__pyx_t_14) {
-  } else {
-    __pyx_t_2 = __pyx_t_14;
-    goto __pyx_L104_bool_binop_done;
-  }
-  __pyx_t_14 = (__pyx_v_triangles > 3);
-  __pyx_t_2 = __pyx_t_14;
-  __pyx_L104_bool_binop_done:;
-  if (__pyx_t_2) {
-
-    /* "troplines/_fastsweep.pyx":528
- *     if t_count == n and triangles > 3:
- *         violations.append(
- *             ["max_triangles", f"t=n={t_count} but {triangles} triangles"]             # <<<<<<<<<<<<<<
- *         )
- * 
-*/
-    __pyx_t_21 = __Pyx_PyUnicode_From_int(__pyx_v_t_count, 0, ' ', 'd'); if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 528, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_21);
-    __pyx_t_3 = __Pyx_PyUnicode_From_int(__pyx_v_triangles, 0, ' ', 'd'); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 528, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_30[0] = __pyx_mstate_global->__pyx_kp_u_t_n;
-    __pyx_t_30[1] = __pyx_t_21;
-    __pyx_t_30[2] = __pyx_mstate_global->__pyx_kp_u_but;
-    __pyx_t_30[3] = __pyx_t_3;
-    __pyx_t_30[4] = __pyx_mstate_global->__pyx_kp_u_triangles_2;
-    __pyx_t_4 = __Pyx_PyUnicode_Join(__pyx_t_30, 5, 4 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_21) + 5 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_3) + 10, 127);
-    if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 528, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_3 = PyList_New(2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 528, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_max_triangles);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_max_triangles);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_3, 0, __pyx_mstate_global->__pyx_n_u_max_triangles) != (0)) __PYX_ERR(0, 528, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_4);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_3, 1, __pyx_t_4) != (0)) __PYX_ERR(0, 528, __pyx_L1_error);
-    __pyx_t_4 = 0;
-
-    /* "troplines/_fastsweep.pyx":527
- *         )
- *     if t_count == n and triangles > 3:
- *         violations.append(             # <<<<<<<<<<<<<<
- *             ["max_triangles", f"t=n={t_count} but {triangles} triangles"]
- *         )
-*/
-    __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_3); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 527, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-    /* "troplines/_fastsweep.pyx":526
- *             ]
- *         )
- *     if t_count == n and triangles > 3:             # <<<<<<<<<<<<<<
- *         violations.append(
- *             ["max_triangles", f"t=n={t_count} but {triangles} triangles"]
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":532
- * 
- *     # --- tiling ----------------------------------------------------------
- *     cdef bint tiling_ok = True             # <<<<<<<<<<<<<<
- *     cdef i64 area_total = 0
- *     for i in range(ncells):
-*/
-  __pyx_v_tiling_ok = 1;
-
-  /* "troplines/_fastsweep.pyx":533
- *     # --- tiling ----------------------------------------------------------
- *     cdef bint tiling_ok = True
- *     cdef i64 area_total = 0             # <<<<<<<<<<<<<<
- *     for i in range(ncells):
- *         cell = &cells[i]
-*/
-  __pyx_v_area_total = 0;
-
-  /* "troplines/_fastsweep.pyx":534
- *     cdef bint tiling_ok = True
- *     cdef i64 area_total = 0
- *     for i in range(ncells):             # <<<<<<<<<<<<<<
- *         cell = &cells[i]
- *         for j in range(cell.m):
-*/
-  __pyx_t_10 = __pyx_v_ncells;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "troplines/_fastsweep.pyx":535
- *     cdef i64 area_total = 0
- *     for i in range(ncells):
- *         cell = &cells[i]             # <<<<<<<<<<<<<<
- *         for j in range(cell.m):
- *             if cell.vx[j] < 0 or cell.vy[j] < 0 or cell.vx[j] + cell.vy[j] > n:
-*/
-    __pyx_v_cell = (&(__pyx_v_cells[__pyx_v_i]));
-
-    /* "troplines/_fastsweep.pyx":536
- *     for i in range(ncells):
- *         cell = &cells[i]
- *         for j in range(cell.m):             # <<<<<<<<<<<<<<
- *             if cell.vx[j] < 0 or cell.vy[j] < 0 or cell.vx[j] + cell.vy[j] > n:
- *                 violations.append(
-*/
-    __pyx_t_15 = __pyx_v_cell->m;
-    __pyx_t_16 = __pyx_t_15;
-    for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_j = __pyx_t_17;
-
-      /* "troplines/_fastsweep.pyx":537
- *         cell = &cells[i]
- *         for j in range(cell.m):
- *             if cell.vx[j] < 0 or cell.vy[j] < 0 or cell.vx[j] + cell.vy[j] > n:             # <<<<<<<<<<<<<<
- *                 violations.append(
- *                     [
-*/
-      __pyx_t_14 = ((__pyx_v_cell->vx[__pyx_v_j]) < 0);
-      if (!__pyx_t_14) {
-      } else {
-        __pyx_t_2 = __pyx_t_14;
-        goto __pyx_L111_bool_binop_done;
-      }
-      __pyx_t_14 = ((__pyx_v_cell->vy[__pyx_v_j]) < 0);
-      if (!__pyx_t_14) {
-      } else {
-        __pyx_t_2 = __pyx_t_14;
-        goto __pyx_L111_bool_binop_done;
-      }
-      __pyx_t_14 = (((__pyx_v_cell->vx[__pyx_v_j]) + (__pyx_v_cell->vy[__pyx_v_j])) > __pyx_v_n);
-      __pyx_t_2 = __pyx_t_14;
-      __pyx_L111_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "troplines/_fastsweep.pyx":541
- *                     [
- *                         "tiling",
- *                         f"cell at ({cell.dx}, {cell.dy}) leaves {n}*Delta_2 "             # <<<<<<<<<<<<<<
- *                         f"at ({cell.vx[j]},{cell.vy[j]})",
- *                     ]
-*/
-        __pyx_t_3 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_cell->dx, 0, ' ', 'd'); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 541, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_4 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_cell->dy, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 541, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_21 = __Pyx_PyUnicode_From_int(__pyx_v_n, 0, ' ', 'd'); if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 541, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_21);
-
-        /* "troplines/_fastsweep.pyx":542
- *                         "tiling",
- *                         f"cell at ({cell.dx}, {cell.dy}) leaves {n}*Delta_2 "
- *                         f"at ({cell.vx[j]},{cell.vy[j]})",             # <<<<<<<<<<<<<<
- *                     ]
- *                 )
-*/
-        __pyx_t_9 = __Pyx_PyUnicode_From_PY_LONG_LONG((__pyx_v_cell->vx[__pyx_v_j]), 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 542, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_6 = __Pyx_PyUnicode_From_PY_LONG_LONG((__pyx_v_cell->vy[__pyx_v_j]), 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 542, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        __pyx_t_31[0] = __pyx_mstate_global->__pyx_kp_u_cell_at;
-        __pyx_t_31[1] = __pyx_t_3;
-        __pyx_t_31[2] = __pyx_mstate_global->__pyx_kp_u__3;
-        __pyx_t_31[3] = __pyx_t_4;
-        __pyx_t_31[4] = __pyx_mstate_global->__pyx_kp_u_leaves;
-        __pyx_t_31[5] = __pyx_t_21;
-        __pyx_t_31[6] = __pyx_mstate_global->__pyx_kp_u_Delta_2_at;
-        __pyx_t_31[7] = __pyx_t_9;
-        __pyx_t_31[8] = __pyx_mstate_global->__pyx_kp_u_;
-        __pyx_t_31[9] = __pyx_t_6;
-        __pyx_t_31[10] = __pyx_mstate_global->__pyx_kp_u__2;
-
-        /* "troplines/_fastsweep.pyx":541
- *                     [
- *                         "tiling",
- *                         f"cell at ({cell.dx}, {cell.dy}) leaves {n}*Delta_2 "             # <<<<<<<<<<<<<<
- *                         f"at ({cell.vx[j]},{cell.vy[j]})",
- *                     ]
-*/
-        __pyx_t_7 = __Pyx_PyUnicode_Join(__pyx_t_31, 11, 9 * 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_3) + 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_21) + 13 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + 1 * 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6), 127);
-        if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 541, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_7);
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-
-        /* "troplines/_fastsweep.pyx":539
- *             if cell.vx[j] < 0 or cell.vy[j] < 0 or cell.vx[j] + cell.vy[j] > n:
- *                 violations.append(
- *                     [             # <<<<<<<<<<<<<<
- *                         "tiling",
- *                         f"cell at ({cell.dx}, {cell.dy}) leaves {n}*Delta_2 "
-*/
-        __pyx_t_6 = PyList_New(2); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 539, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_tiling);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_tiling);
-        if (__Pyx_PyList_SET_ITEM(__pyx_t_6, 0, __pyx_mstate_global->__pyx_n_u_tiling) != (0)) __PYX_ERR(0, 539, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_7);
-        if (__Pyx_PyList_SET_ITEM(__pyx_t_6, 1, __pyx_t_7) != (0)) __PYX_ERR(0, 539, __pyx_L1_error);
-        __pyx_t_7 = 0;
-
-        /* "troplines/_fastsweep.pyx":538
- *         for j in range(cell.m):
- *             if cell.vx[j] < 0 or cell.vy[j] < 0 or cell.vx[j] + cell.vy[j] > n:
- *                 violations.append(             # <<<<<<<<<<<<<<
- *                     [
- *                         "tiling",
-*/
-        __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_6); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 538, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-
-        /* "troplines/_fastsweep.pyx":545
- *                     ]
- *                 )
- *                 tiling_ok = False             # <<<<<<<<<<<<<<
- *                 break
- *         if not tiling_ok:
-*/
-        __pyx_v_tiling_ok = 0;
-
-        /* "troplines/_fastsweep.pyx":546
- *                 )
- *                 tiling_ok = False
- *                 break             # <<<<<<<<<<<<<<
- *         if not tiling_ok:
- *             break
-*/
-        goto __pyx_L109_break;
-
-        /* "troplines/_fastsweep.pyx":537
- *         cell = &cells[i]
- *         for j in range(cell.m):
- *             if cell.vx[j] < 0 or cell.vy[j] < 0 or cell.vx[j] + cell.vy[j] > n:             # <<<<<<<<<<<<<<
- *                 violations.append(
- *                     [
-*/
-      }
-    }
-    __pyx_L109_break:;
-
-    /* "troplines/_fastsweep.pyx":547
- *                 tiling_ok = False
- *                 break
- *         if not tiling_ok:             # <<<<<<<<<<<<<<
- *             break
- *         area_total += cell.area2
-*/
-    __pyx_t_2 = (!__pyx_v_tiling_ok);
-    if (__pyx_t_2) {
-
-      /* "troplines/_fastsweep.pyx":548
- *                 break
- *         if not tiling_ok:
- *             break             # <<<<<<<<<<<<<<
- *         area_total += cell.area2
- *     if tiling_ok and area_total != <i64>n * n:
-*/
-      goto __pyx_L107_break;
-
-      /* "troplines/_fastsweep.pyx":547
- *                 tiling_ok = False
- *                 break
- *         if not tiling_ok:             # <<<<<<<<<<<<<<
- *             break
- *         area_total += cell.area2
-*/
-    }
-
-    /* "troplines/_fastsweep.pyx":549
- *         if not tiling_ok:
- *             break
- *         area_total += cell.area2             # <<<<<<<<<<<<<<
- *     if tiling_ok and area_total != <i64>n * n:
- *         violations.append(
-*/
-    __pyx_v_area_total = (__pyx_v_area_total + __pyx_v_cell->area2);
-  }
-  __pyx_L107_break:;
-
-  /* "troplines/_fastsweep.pyx":550
- *             break
- *         area_total += cell.area2
- *     if tiling_ok and area_total != <i64>n * n:             # <<<<<<<<<<<<<<
- *         violations.append(
- *             ["tiling", f"cell areas sum to {area_total}/2, expected {n * n}/2 for n={n}"]
-*/
-  if (__pyx_v_tiling_ok) {
-  } else {
-    __pyx_t_2 = __pyx_v_tiling_ok;
-    goto __pyx_L116_bool_binop_done;
-  }
-  __pyx_t_14 = (__pyx_v_area_total != (((__pyx_t_9troplines_10_fastsweep_i64)__pyx_v_n) * __pyx_v_n));
-  __pyx_t_2 = __pyx_t_14;
-  __pyx_L116_bool_binop_done:;
-  if (__pyx_t_2) {
-
-    /* "troplines/_fastsweep.pyx":552
- *     if tiling_ok and area_total != <i64>n * n:
- *         violations.append(
- *             ["tiling", f"cell areas sum to {area_total}/2, expected {n * n}/2 for n={n}"]             # <<<<<<<<<<<<<<
- *         )
- *         tiling_ok = False
-*/
-    __pyx_t_6 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_area_total, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 552, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyUnicode_From_int((__pyx_v_n * __pyx_v_n), 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 552, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_9 = __Pyx_PyUnicode_From_int(__pyx_v_n, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 552, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_32[0] = __pyx_mstate_global->__pyx_kp_u_cell_areas_sum_to;
-    __pyx_t_32[1] = __pyx_t_6;
-    __pyx_t_32[2] = __pyx_mstate_global->__pyx_kp_u_2_expected;
-    __pyx_t_32[3] = __pyx_t_7;
-    __pyx_t_32[4] = __pyx_mstate_global->__pyx_kp_u_2_for_n;
-    __pyx_t_32[5] = __pyx_t_9;
-    __pyx_t_21 = __Pyx_PyUnicode_Join(__pyx_t_32, 6, 18 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 13 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 9 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9), 127);
-    if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 552, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_21);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __pyx_t_9 = PyList_New(2); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 552, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_tiling);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_tiling);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 0, __pyx_mstate_global->__pyx_n_u_tiling) != (0)) __PYX_ERR(0, 552, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_21);
-    if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 1, __pyx_t_21) != (0)) __PYX_ERR(0, 552, __pyx_L1_error);
-    __pyx_t_21 = 0;
-
-    /* "troplines/_fastsweep.pyx":551
- *         area_total += cell.area2
- *     if tiling_ok and area_total != <i64>n * n:
- *         violations.append(             # <<<<<<<<<<<<<<
- *             ["tiling", f"cell areas sum to {area_total}/2, expected {n * n}/2 for n={n}"]
- *         )
-*/
-    __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_9); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 551, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-    /* "troplines/_fastsweep.pyx":554
- *             ["tiling", f"cell areas sum to {area_total}/2, expected {n * n}/2 for n={n}"]
- *         )
- *         tiling_ok = False             # <<<<<<<<<<<<<<
- *     if tiling_ok:
- *         for i in range(ncells):
-*/
-    __pyx_v_tiling_ok = 0;
-
-    /* "troplines/_fastsweep.pyx":550
- *             break
- *         area_total += cell.area2
- *     if tiling_ok and area_total != <i64>n * n:             # <<<<<<<<<<<<<<
- *         violations.append(
- *             ["tiling", f"cell areas sum to {area_total}/2, expected {n * n}/2 for n={n}"]
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":555
- *         )
- *         tiling_ok = False
- *     if tiling_ok:             # <<<<<<<<<<<<<<
- *         for i in range(ncells):
- *             if not tiling_ok:
-*/
-  if (__pyx_v_tiling_ok) {
-
-    /* "troplines/_fastsweep.pyx":556
- *         tiling_ok = False
- *     if tiling_ok:
- *         for i in range(ncells):             # <<<<<<<<<<<<<<
- *             if not tiling_ok:
- *                 break
-*/
-    __pyx_t_10 = __pyx_v_ncells;
-    __pyx_t_11 = __pyx_t_10;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_i = __pyx_t_12;
-
-      /* "troplines/_fastsweep.pyx":557
- *     if tiling_ok:
- *         for i in range(ncells):
- *             if not tiling_ok:             # <<<<<<<<<<<<<<
- *                 break
- *             for j in range(i + 1, ncells):
-*/
-      __pyx_t_2 = (!__pyx_v_tiling_ok);
-      if (__pyx_t_2) {
-
-        /* "troplines/_fastsweep.pyx":558
- *         for i in range(ncells):
- *             if not tiling_ok:
- *                 break             # <<<<<<<<<<<<<<
- *             for j in range(i + 1, ncells):
- *                 if not _interiors_disjoint(&cells[i], &cells[j]):
-*/
-        goto __pyx_L120_break;
-
-        /* "troplines/_fastsweep.pyx":557
- *     if tiling_ok:
- *         for i in range(ncells):
- *             if not tiling_ok:             # <<<<<<<<<<<<<<
- *                 break
- *             for j in range(i + 1, ncells):
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":559
- *             if not tiling_ok:
- *                 break
- *             for j in range(i + 1, ncells):             # <<<<<<<<<<<<<<
- *                 if not _interiors_disjoint(&cells[i], &cells[j]):
- *                     violations.append(
-*/
-      __pyx_t_15 = __pyx_v_ncells;
-      __pyx_t_16 = __pyx_t_15;
-      for (__pyx_t_17 = (__pyx_v_i + 1); __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-        __pyx_v_j = __pyx_t_17;
-
-        /* "troplines/_fastsweep.pyx":560
- *                 break
- *             for j in range(i + 1, ncells):
- *                 if not _interiors_disjoint(&cells[i], &cells[j]):             # <<<<<<<<<<<<<<
- *                     violations.append(
- *                         [
-*/
-        __pyx_t_2 = (!__pyx_f_9troplines_10_fastsweep__interiors_disjoint((&(__pyx_v_cells[__pyx_v_i])), (&(__pyx_v_cells[__pyx_v_j]))));
-        if (__pyx_t_2) {
-
-          /* "troplines/_fastsweep.pyx":564
- *                         [
- *                             "tiling",
- *                             f"cells at ({cells[i].dx}, {cells[i].dy}) and "             # <<<<<<<<<<<<<<
- *                             f"({cells[j].dx}, {cells[j].dy}) overlap",
- *                         ]
-*/
-          __pyx_t_9 = __Pyx_PyUnicode_From_PY_LONG_LONG((__pyx_v_cells[__pyx_v_i]).dx, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 564, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __pyx_t_21 = __Pyx_PyUnicode_From_PY_LONG_LONG((__pyx_v_cells[__pyx_v_i]).dy, 0, ' ', 'd'); if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 564, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_21);
-
-          /* "troplines/_fastsweep.pyx":565
- *                             "tiling",
- *                             f"cells at ({cells[i].dx}, {cells[i].dy}) and "
- *                             f"({cells[j].dx}, {cells[j].dy}) overlap",             # <<<<<<<<<<<<<<
- *                         ]
- *                     )
-*/
-          __pyx_t_7 = __Pyx_PyUnicode_From_PY_LONG_LONG((__pyx_v_cells[__pyx_v_j]).dx, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 565, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_7);
-          __pyx_t_6 = __Pyx_PyUnicode_From_PY_LONG_LONG((__pyx_v_cells[__pyx_v_j]).dy, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 565, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_6);
-          __pyx_t_33[0] = __pyx_mstate_global->__pyx_kp_u_cells_at;
-          __pyx_t_33[1] = __pyx_t_9;
-          __pyx_t_33[2] = __pyx_mstate_global->__pyx_kp_u__3;
-          __pyx_t_33[3] = __pyx_t_21;
-          __pyx_t_33[4] = __pyx_mstate_global->__pyx_kp_u_and;
-          __pyx_t_33[5] = __pyx_t_7;
-          __pyx_t_33[6] = __pyx_mstate_global->__pyx_kp_u__3;
-          __pyx_t_33[7] = __pyx_t_6;
-          __pyx_t_33[8] = __pyx_mstate_global->__pyx_kp_u_overlap;
-
-          /* "troplines/_fastsweep.pyx":564
- *                         [
- *                             "tiling",
- *                             f"cells at ({cells[i].dx}, {cells[i].dy}) and "             # <<<<<<<<<<<<<<
- *                             f"({cells[j].dx}, {cells[j].dy}) overlap",
- *                         ]
-*/
-          __pyx_t_4 = __Pyx_PyUnicode_Join(__pyx_t_33, 9, 10 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + 2 * 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_21) + 7 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 9, 127);
-          if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 564, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_4);
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-          __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-          __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-
-          /* "troplines/_fastsweep.pyx":562
- *                 if not _interiors_disjoint(&cells[i], &cells[j]):
- *                     violations.append(
- *                         [             # <<<<<<<<<<<<<<
- *                             "tiling",
- *                             f"cells at ({cells[i].dx}, {cells[i].dy}) and "
-*/
-          __pyx_t_6 = PyList_New(2); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 562, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_6);
-          __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_tiling);
-          __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_tiling);
-          if (__Pyx_PyList_SET_ITEM(__pyx_t_6, 0, __pyx_mstate_global->__pyx_n_u_tiling) != (0)) __PYX_ERR(0, 562, __pyx_L1_error);
-          __Pyx_GIVEREF(__pyx_t_4);
-          if (__Pyx_PyList_SET_ITEM(__pyx_t_6, 1, __pyx_t_4) != (0)) __PYX_ERR(0, 562, __pyx_L1_error);
-          __pyx_t_4 = 0;
-
-          /* "troplines/_fastsweep.pyx":561
- *             for j in range(i + 1, ncells):
- *                 if not _interiors_disjoint(&cells[i], &cells[j]):
- *                     violations.append(             # <<<<<<<<<<<<<<
- *                         [
- *                             "tiling",
-*/
-          __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_6); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 561, __pyx_L1_error)
-          __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-
-          /* "troplines/_fastsweep.pyx":568
- *                         ]
- *                     )
- *                     tiling_ok = False             # <<<<<<<<<<<<<<
- *                     break
- * 
-*/
-          __pyx_v_tiling_ok = 0;
-
-          /* "troplines/_fastsweep.pyx":569
- *                     )
- *                     tiling_ok = False
- *                     break             # <<<<<<<<<<<<<<
- * 
- *     near_pencil = None
-*/
-          goto __pyx_L123_break;
-
-          /* "troplines/_fastsweep.pyx":560
- *                 break
- *             for j in range(i + 1, ncells):
- *                 if not _interiors_disjoint(&cells[i], &cells[j]):             # <<<<<<<<<<<<<<
- *                     violations.append(
- *                         [
-*/
-        }
-      }
-      __pyx_L123_break:;
-    }
-    __pyx_L120_break:;
-
-    /* "troplines/_fastsweep.pyx":555
- *         )
- *         tiling_ok = False
- *     if tiling_ok:             # <<<<<<<<<<<<<<
- *         for i in range(ncells):
- *             if not tiling_ok:
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":571
- *                     break
- * 
- *     near_pencil = None             # <<<<<<<<<<<<<<
- *     cdef bint near
- *     cdef i64 lift[(MAXN + 1) * (MAXN + 1)]
-*/
-  __Pyx_INCREF(Py_None);
-  __pyx_v_near_pencil = Py_None;
-
-  /* "troplines/_fastsweep.pyx":575
- *     cdef i64 lift[(MAXN + 1) * (MAXN + 1)]
- *     cdef i64 lift2[(MAXN + 1) * (MAXN + 1)]
- *     cdef int ii, jj, width = n + 1             # <<<<<<<<<<<<<<
- *     cdef i64 best, cand2, D, h0, h1, h2, beta, gamma, alpha, want, got
- *     cdef int ti
-*/
-  __pyx_v_width = (__pyx_v_n + 1);
-
-  /* "troplines/_fastsweep.pyx":579
- *     cdef int ti
- *     cdef bint ok_flag
- *     cdef int m_noncorner = 0             # <<<<<<<<<<<<<<
- *     cdef int union_count = 0
- *     cdef int det_count
-*/
-  __pyx_v_m_noncorner = 0;
-
-  /* "troplines/_fastsweep.pyx":580
- *     cdef bint ok_flag
- *     cdef int m_noncorner = 0
- *     cdef int union_count = 0             # <<<<<<<<<<<<<<
- *     cdef int det_count
- *     cdef i64 basex, basey
-*/
-  __pyx_v_union_count = 0;
-
-  /* "troplines/_fastsweep.pyx":584
- *     cdef i64 basex, basey
- * 
- *     if tiling_ok:             # <<<<<<<<<<<<<<
- *         # cell edge directions
- *         for i in range(ncells):
-*/
-  if (__pyx_v_tiling_ok) {
-
-    /* "troplines/_fastsweep.pyx":586
- *     if tiling_ok:
- *         # cell edge directions
- *         for i in range(ncells):             # <<<<<<<<<<<<<<
- *             cell = &cells[i]
- *             if _edge_class_mask(cell) & 8:
-*/
-    __pyx_t_10 = __pyx_v_ncells;
-    __pyx_t_11 = __pyx_t_10;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_i = __pyx_t_12;
-
-      /* "troplines/_fastsweep.pyx":587
- *         # cell edge directions
- *         for i in range(ncells):
- *             cell = &cells[i]             # <<<<<<<<<<<<<<
- *             if _edge_class_mask(cell) & 8:
- *                 for j in range(cell.m):
-*/
-      __pyx_v_cell = (&(__pyx_v_cells[__pyx_v_i]));
-
-      /* "troplines/_fastsweep.pyx":588
- *         for i in range(ncells):
- *             cell = &cells[i]
- *             if _edge_class_mask(cell) & 8:             # <<<<<<<<<<<<<<
- *                 for j in range(cell.m):
- *                     e = j + 1
-*/
-      __pyx_t_2 = ((__pyx_f_9troplines_10_fastsweep__edge_class_mask(__pyx_v_cell) & 8) != 0);
-      if (__pyx_t_2) {
-
-        /* "troplines/_fastsweep.pyx":589
- *             cell = &cells[i]
- *             if _edge_class_mask(cell) & 8:
- *                 for j in range(cell.m):             # <<<<<<<<<<<<<<
- *                     e = j + 1
- *                     if e == cell.m:
-*/
-        __pyx_t_15 = __pyx_v_cell->m;
-        __pyx_t_16 = __pyx_t_15;
-        for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-          __pyx_v_j = __pyx_t_17;
-
-          /* "troplines/_fastsweep.pyx":590
- *             if _edge_class_mask(cell) & 8:
- *                 for j in range(cell.m):
- *                     e = j + 1             # <<<<<<<<<<<<<<
- *                     if e == cell.m:
- *                         e = 0
-*/
-          __pyx_v_e = (__pyx_v_j + 1);
-
-          /* "troplines/_fastsweep.pyx":591
- *                 for j in range(cell.m):
- *                     e = j + 1
- *                     if e == cell.m:             # <<<<<<<<<<<<<<
- *                         e = 0
- *                     dx = cell.vx[e] - cell.vx[j]
-*/
-          __pyx_t_2 = (__pyx_v_e == __pyx_v_cell->m);
-          if (__pyx_t_2) {
-
-            /* "troplines/_fastsweep.pyx":592
- *                     e = j + 1
- *                     if e == cell.m:
- *                         e = 0             # <<<<<<<<<<<<<<
- *                     dx = cell.vx[e] - cell.vx[j]
- *                     dy = cell.vy[e] - cell.vy[j]
-*/
-            __pyx_v_e = 0;
-
-            /* "troplines/_fastsweep.pyx":591
- *                 for j in range(cell.m):
- *                     e = j + 1
- *                     if e == cell.m:             # <<<<<<<<<<<<<<
- *                         e = 0
- *                     dx = cell.vx[e] - cell.vx[j]
-*/
-          }
-
-          /* "troplines/_fastsweep.pyx":593
- *                     if e == cell.m:
- *                         e = 0
- *                     dx = cell.vx[e] - cell.vx[j]             # <<<<<<<<<<<<<<
- *                     dy = cell.vy[e] - cell.vy[j]
- *                     if not (dx == 0 or dy == 0 or dx == -dy):
-*/
-          __pyx_v_dx = ((__pyx_v_cell->vx[__pyx_v_e]) - (__pyx_v_cell->vx[__pyx_v_j]));
-
-          /* "troplines/_fastsweep.pyx":594
- *                         e = 0
- *                     dx = cell.vx[e] - cell.vx[j]
- *                     dy = cell.vy[e] - cell.vy[j]             # <<<<<<<<<<<<<<
- *                     if not (dx == 0 or dy == 0 or dx == -dy):
- *                         violations.append(
-*/
-          __pyx_v_dy = ((__pyx_v_cell->vy[__pyx_v_e]) - (__pyx_v_cell->vy[__pyx_v_j]));
-
-          /* "troplines/_fastsweep.pyx":595
- *                     dx = cell.vx[e] - cell.vx[j]
- *                     dy = cell.vy[e] - cell.vy[j]
- *                     if not (dx == 0 or dy == 0 or dx == -dy):             # <<<<<<<<<<<<<<
- *                         violations.append(
- *                             [
-*/
-          __pyx_t_14 = (__pyx_v_dx == 0);
-          if (!__pyx_t_14) {
-          } else {
-            __pyx_t_2 = __pyx_t_14;
-            goto __pyx_L133_bool_binop_done;
-          }
-          __pyx_t_14 = (__pyx_v_dy == 0);
-          if (!__pyx_t_14) {
-          } else {
-            __pyx_t_2 = __pyx_t_14;
-            goto __pyx_L133_bool_binop_done;
-          }
-          __pyx_t_14 = (__pyx_v_dx == (-__pyx_v_dy));
-          __pyx_t_2 = __pyx_t_14;
-          __pyx_L133_bool_binop_done:;
-          __pyx_t_14 = (!__pyx_t_2);
-          if (__pyx_t_14) {
-
-            /* "troplines/_fastsweep.pyx":599
- *                             [
- *                                 "cell_edges",
- *                                 f"cell at ({cell.dx}, {cell.dy}) has edge ({dx},{dy})",             # <<<<<<<<<<<<<<
- *                             ]
- *                         )
-*/
-            __pyx_t_6 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_cell->dx, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 599, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_6);
-            __pyx_t_4 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_cell->dy, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 599, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_4);
-            __pyx_t_7 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_dx, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 599, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_7);
-            __pyx_t_21 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_dy, 0, ' ', 'd'); if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 599, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_21);
-            __pyx_t_33[0] = __pyx_mstate_global->__pyx_kp_u_cell_at;
-            __pyx_t_33[1] = __pyx_t_6;
-            __pyx_t_33[2] = __pyx_mstate_global->__pyx_kp_u__3;
-            __pyx_t_33[3] = __pyx_t_4;
-            __pyx_t_33[4] = __pyx_mstate_global->__pyx_kp_u_has_edge;
-            __pyx_t_33[5] = __pyx_t_7;
-            __pyx_t_33[6] = __pyx_mstate_global->__pyx_kp_u_;
-            __pyx_t_33[7] = __pyx_t_21;
-            __pyx_t_33[8] = __pyx_mstate_global->__pyx_kp_u__2;
-            __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_33, 9, 9 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + 12 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 1 * 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_21), 127);
-            if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 599, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_9);
-            __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-            __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-            __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-            __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-
-            /* "troplines/_fastsweep.pyx":597
- *                     if not (dx == 0 or dy == 0 or dx == -dy):
- *                         violations.append(
- *                             [             # <<<<<<<<<<<<<<
- *                                 "cell_edges",
- *                                 f"cell at ({cell.dx}, {cell.dy}) has edge ({dx},{dy})",
-*/
-            __pyx_t_21 = PyList_New(2); if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 597, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_21);
-            __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_cell_edges);
-            __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_cell_edges);
-            if (__Pyx_PyList_SET_ITEM(__pyx_t_21, 0, __pyx_mstate_global->__pyx_n_u_cell_edges) != (0)) __PYX_ERR(0, 597, __pyx_L1_error);
-            __Pyx_GIVEREF(__pyx_t_9);
-            if (__Pyx_PyList_SET_ITEM(__pyx_t_21, 1, __pyx_t_9) != (0)) __PYX_ERR(0, 597, __pyx_L1_error);
-            __pyx_t_9 = 0;
-
-            /* "troplines/_fastsweep.pyx":596
- *                     dy = cell.vy[e] - cell.vy[j]
- *                     if not (dx == 0 or dy == 0 or dx == -dy):
- *                         violations.append(             # <<<<<<<<<<<<<<
- *                             [
- *                                 "cell_edges",
-*/
-            __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_21); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 596, __pyx_L1_error)
-            __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-
-            /* "troplines/_fastsweep.pyx":595
- *                     dx = cell.vx[e] - cell.vx[j]
- *                     dy = cell.vy[e] - cell.vy[j]
- *                     if not (dx == 0 or dy == 0 or dx == -dy):             # <<<<<<<<<<<<<<
- *                         violations.append(
- *                             [
-*/
-          }
-        }
-
-        /* "troplines/_fastsweep.pyx":588
- *         for i in range(ncells):
- *             cell = &cells[i]
- *             if _edge_class_mask(cell) & 8:             # <<<<<<<<<<<<<<
- *                 for j in range(cell.m):
- *                     e = j + 1
-*/
-      }
-    }
-
-    /* "troplines/_fastsweep.pyx":604
- * 
- *         # lift by dynamic programming, then the regularity scan
- *         for ii in range(width * width):             # <<<<<<<<<<<<<<
- *             lift[ii] = NEG
- *         lift[0] = 0
-*/
-    __pyx_t_10 = (__pyx_v_width * __pyx_v_width);
-    __pyx_t_11 = __pyx_t_10;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_ii = __pyx_t_12;
-
-      /* "troplines/_fastsweep.pyx":605
- *         # lift by dynamic programming, then the regularity scan
- *         for ii in range(width * width):
- *             lift[ii] = NEG             # <<<<<<<<<<<<<<
- *         lift[0] = 0
- *         for j in range(n):
-*/
-      (__pyx_v_lift[__pyx_v_ii]) = __pyx_v_9troplines_10_fastsweep_NEG;
-    }
-
-    /* "troplines/_fastsweep.pyx":606
- *         for ii in range(width * width):
- *             lift[ii] = NEG
- *         lift[0] = 0             # <<<<<<<<<<<<<<
- *         for j in range(n):
- *             for ii in range(width * width):
-*/
-    (__pyx_v_lift[0]) = 0;
-
-    /* "troplines/_fastsweep.pyx":607
- *             lift[ii] = NEG
- *         lift[0] = 0
- *         for j in range(n):             # <<<<<<<<<<<<<<
- *             for ii in range(width * width):
- *                 lift2[ii] = NEG
-*/
-    __pyx_t_10 = __pyx_v_n;
-    __pyx_t_11 = __pyx_t_10;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_j = __pyx_t_12;
-
-      /* "troplines/_fastsweep.pyx":608
- *         lift[0] = 0
- *         for j in range(n):
- *             for ii in range(width * width):             # <<<<<<<<<<<<<<
- *                 lift2[ii] = NEG
- *             for ii in range(width):
-*/
-      __pyx_t_15 = (__pyx_v_width * __pyx_v_width);
-      __pyx_t_16 = __pyx_t_15;
-      for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-        __pyx_v_ii = __pyx_t_17;
-
-        /* "troplines/_fastsweep.pyx":609
- *         for j in range(n):
- *             for ii in range(width * width):
- *                 lift2[ii] = NEG             # <<<<<<<<<<<<<<
- *             for ii in range(width):
- *                 for jj in range(width - ii):
-*/
-        (__pyx_v_lift2[__pyx_v_ii]) = __pyx_v_9troplines_10_fastsweep_NEG;
-      }
-
-      /* "troplines/_fastsweep.pyx":610
- *             for ii in range(width * width):
- *                 lift2[ii] = NEG
- *             for ii in range(width):             # <<<<<<<<<<<<<<
- *                 for jj in range(width - ii):
- *                     best = lift[ii * width + jj]
-*/
-      __pyx_t_15 = __pyx_v_width;
-      __pyx_t_16 = __pyx_t_15;
-      for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-        __pyx_v_ii = __pyx_t_17;
-
-        /* "troplines/_fastsweep.pyx":611
- *                 lift2[ii] = NEG
- *             for ii in range(width):
- *                 for jj in range(width - ii):             # <<<<<<<<<<<<<<
- *                     best = lift[ii * width + jj]
- *                     if ii > 0 and lift[(ii - 1) * width + jj] != NEG:
-*/
-        __pyx_t_18 = (__pyx_v_width - __pyx_v_ii);
-        __pyx_t_19 = __pyx_t_18;
-        for (__pyx_t_22 = 0; __pyx_t_22 < __pyx_t_19; __pyx_t_22+=1) {
-          __pyx_v_jj = __pyx_t_22;
-
-          /* "troplines/_fastsweep.pyx":612
- *             for ii in range(width):
- *                 for jj in range(width - ii):
- *                     best = lift[ii * width + jj]             # <<<<<<<<<<<<<<
- *                     if ii > 0 and lift[(ii - 1) * width + jj] != NEG:
- *                         cand2 = lift[(ii - 1) * width + jj] + px[j]
-*/
-          __pyx_v_best = (__pyx_v_lift[((__pyx_v_ii * __pyx_v_width) + __pyx_v_jj)]);
-
-          /* "troplines/_fastsweep.pyx":613
- *                 for jj in range(width - ii):
- *                     best = lift[ii * width + jj]
- *                     if ii > 0 and lift[(ii - 1) * width + jj] != NEG:             # <<<<<<<<<<<<<<
- *                         cand2 = lift[(ii - 1) * width + jj] + px[j]
- *                         if cand2 > best:
-*/
-          __pyx_t_2 = (__pyx_v_ii > 0);
-          if (__pyx_t_2) {
-          } else {
-            __pyx_t_14 = __pyx_t_2;
-            goto __pyx_L147_bool_binop_done;
-          }
-          __pyx_t_2 = ((__pyx_v_lift[(((__pyx_v_ii - 1) * __pyx_v_width) + __pyx_v_jj)]) != __pyx_v_9troplines_10_fastsweep_NEG);
-          __pyx_t_14 = __pyx_t_2;
-          __pyx_L147_bool_binop_done:;
-          if (__pyx_t_14) {
-
-            /* "troplines/_fastsweep.pyx":614
- *                     best = lift[ii * width + jj]
- *                     if ii > 0 and lift[(ii - 1) * width + jj] != NEG:
- *                         cand2 = lift[(ii - 1) * width + jj] + px[j]             # <<<<<<<<<<<<<<
- *                         if cand2 > best:
- *                             best = cand2
-*/
-            __pyx_v_cand2 = ((__pyx_v_lift[(((__pyx_v_ii - 1) * __pyx_v_width) + __pyx_v_jj)]) + (__pyx_v_px[__pyx_v_j]));
-
-            /* "troplines/_fastsweep.pyx":615
- *                     if ii > 0 and lift[(ii - 1) * width + jj] != NEG:
- *                         cand2 = lift[(ii - 1) * width + jj] + px[j]
- *                         if cand2 > best:             # <<<<<<<<<<<<<<
- *                             best = cand2
- *                     if jj > 0 and lift[ii * width + jj - 1] != NEG:
-*/
-            __pyx_t_14 = (__pyx_v_cand2 > __pyx_v_best);
-            if (__pyx_t_14) {
-
-              /* "troplines/_fastsweep.pyx":616
- *                         cand2 = lift[(ii - 1) * width + jj] + px[j]
- *                         if cand2 > best:
- *                             best = cand2             # <<<<<<<<<<<<<<
- *                     if jj > 0 and lift[ii * width + jj - 1] != NEG:
- *                         cand2 = lift[ii * width + jj - 1] + py[j]
-*/
-              __pyx_v_best = __pyx_v_cand2;
-
-              /* "troplines/_fastsweep.pyx":615
- *                     if ii > 0 and lift[(ii - 1) * width + jj] != NEG:
- *                         cand2 = lift[(ii - 1) * width + jj] + px[j]
- *                         if cand2 > best:             # <<<<<<<<<<<<<<
- *                             best = cand2
- *                     if jj > 0 and lift[ii * width + jj - 1] != NEG:
-*/
-            }
-
-            /* "troplines/_fastsweep.pyx":613
- *                 for jj in range(width - ii):
- *                     best = lift[ii * width + jj]
- *                     if ii > 0 and lift[(ii - 1) * width + jj] != NEG:             # <<<<<<<<<<<<<<
- *                         cand2 = lift[(ii - 1) * width + jj] + px[j]
- *                         if cand2 > best:
-*/
-          }
-
-          /* "troplines/_fastsweep.pyx":617
- *                         if cand2 > best:
- *                             best = cand2
- *                     if jj > 0 and lift[ii * width + jj - 1] != NEG:             # <<<<<<<<<<<<<<
- *                         cand2 = lift[ii * width + jj - 1] + py[j]
- *                         if cand2 > best:
-*/
-          __pyx_t_2 = (__pyx_v_jj > 0);
-          if (__pyx_t_2) {
-          } else {
-            __pyx_t_14 = __pyx_t_2;
-            goto __pyx_L151_bool_binop_done;
-          }
-          __pyx_t_2 = ((__pyx_v_lift[(((__pyx_v_ii * __pyx_v_width) + __pyx_v_jj) - 1)]) != __pyx_v_9troplines_10_fastsweep_NEG);
-          __pyx_t_14 = __pyx_t_2;
-          __pyx_L151_bool_binop_done:;
-          if (__pyx_t_14) {
-
-            /* "troplines/_fastsweep.pyx":618
- *                             best = cand2
- *                     if jj > 0 and lift[ii * width + jj - 1] != NEG:
- *                         cand2 = lift[ii * width + jj - 1] + py[j]             # <<<<<<<<<<<<<<
- *                         if cand2 > best:
- *                             best = cand2
-*/
-            __pyx_v_cand2 = ((__pyx_v_lift[(((__pyx_v_ii * __pyx_v_width) + __pyx_v_jj) - 1)]) + (__pyx_v_py[__pyx_v_j]));
-
-            /* "troplines/_fastsweep.pyx":619
- *                     if jj > 0 and lift[ii * width + jj - 1] != NEG:
- *                         cand2 = lift[ii * width + jj - 1] + py[j]
- *                         if cand2 > best:             # <<<<<<<<<<<<<<
- *                             best = cand2
- *                     lift2[ii * width + jj] = best
-*/
-            __pyx_t_14 = (__pyx_v_cand2 > __pyx_v_best);
-            if (__pyx_t_14) {
-
-              /* "troplines/_fastsweep.pyx":620
- *                         cand2 = lift[ii * width + jj - 1] + py[j]
- *                         if cand2 > best:
- *                             best = cand2             # <<<<<<<<<<<<<<
- *                     lift2[ii * width + jj] = best
- *             for ii in range(width * width):
-*/
-              __pyx_v_best = __pyx_v_cand2;
-
-              /* "troplines/_fastsweep.pyx":619
- *                     if jj > 0 and lift[ii * width + jj - 1] != NEG:
- *                         cand2 = lift[ii * width + jj - 1] + py[j]
- *                         if cand2 > best:             # <<<<<<<<<<<<<<
- *                             best = cand2
- *                     lift2[ii * width + jj] = best
-*/
-            }
-
-            /* "troplines/_fastsweep.pyx":617
- *                         if cand2 > best:
- *                             best = cand2
- *                     if jj > 0 and lift[ii * width + jj - 1] != NEG:             # <<<<<<<<<<<<<<
- *                         cand2 = lift[ii * width + jj - 1] + py[j]
- *                         if cand2 > best:
-*/
-          }
-
-          /* "troplines/_fastsweep.pyx":621
- *                         if cand2 > best:
- *                             best = cand2
- *                     lift2[ii * width + jj] = best             # <<<<<<<<<<<<<<
- *             for ii in range(width * width):
- *                 lift[ii] = lift2[ii]
-*/
-          (__pyx_v_lift2[((__pyx_v_ii * __pyx_v_width) + __pyx_v_jj)]) = __pyx_v_best;
-        }
-      }
-
-      /* "troplines/_fastsweep.pyx":622
- *                             best = cand2
- *                     lift2[ii * width + jj] = best
- *             for ii in range(width * width):             # <<<<<<<<<<<<<<
- *                 lift[ii] = lift2[ii]
- * 
-*/
-      __pyx_t_15 = (__pyx_v_width * __pyx_v_width);
-      __pyx_t_16 = __pyx_t_15;
-      for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-        __pyx_v_ii = __pyx_t_17;
-
-        /* "troplines/_fastsweep.pyx":623
- *                     lift2[ii * width + jj] = best
- *             for ii in range(width * width):
- *                 lift[ii] = lift2[ii]             # <<<<<<<<<<<<<<
- * 
- *         ok_flag = True
-*/
-        (__pyx_v_lift[__pyx_v_ii]) = (__pyx_v_lift2[__pyx_v_ii]);
-      }
-    }
-
-    /* "troplines/_fastsweep.pyx":625
- *                 lift[ii] = lift2[ii]
- * 
- *         ok_flag = True             # <<<<<<<<<<<<<<
- *         for i in range(ncells):
- *             if not ok_flag:
-*/
-    __pyx_v_ok_flag = 1;
-
-    /* "troplines/_fastsweep.pyx":626
- * 
- *         ok_flag = True
- *         for i in range(ncells):             # <<<<<<<<<<<<<<
- *             if not ok_flag:
- *                 break
-*/
-    __pyx_t_10 = __pyx_v_ncells;
-    __pyx_t_11 = __pyx_t_10;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_i = __pyx_t_12;
-
-      /* "troplines/_fastsweep.pyx":627
- *         ok_flag = True
- *         for i in range(ncells):
- *             if not ok_flag:             # <<<<<<<<<<<<<<
- *                 break
- *             cell = &cells[i]
-*/
-      __pyx_t_14 = (!__pyx_v_ok_flag);
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":628
- *         for i in range(ncells):
- *             if not ok_flag:
- *                 break             # <<<<<<<<<<<<<<
- *             cell = &cells[i]
- *             D = _cross3(cell.vx[0], cell.vy[0], cell.vx[1], cell.vy[1],
-*/
-        goto __pyx_L157_break;
-
-        /* "troplines/_fastsweep.pyx":627
- *         ok_flag = True
- *         for i in range(ncells):
- *             if not ok_flag:             # <<<<<<<<<<<<<<
- *                 break
- *             cell = &cells[i]
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":629
- *             if not ok_flag:
- *                 break
- *             cell = &cells[i]             # <<<<<<<<<<<<<<
- *             D = _cross3(cell.vx[0], cell.vy[0], cell.vx[1], cell.vy[1],
- *                         cell.vx[2], cell.vy[2])
-*/
-      __pyx_v_cell = (&(__pyx_v_cells[__pyx_v_i]));
-
-      /* "troplines/_fastsweep.pyx":630
- *                 break
- *             cell = &cells[i]
- *             D = _cross3(cell.vx[0], cell.vy[0], cell.vx[1], cell.vy[1],             # <<<<<<<<<<<<<<
- *                         cell.vx[2], cell.vy[2])
- *             if D <= 0:
-*/
-      __pyx_v_D = __pyx_f_9troplines_10_fastsweep__cross3((__pyx_v_cell->vx[0]), (__pyx_v_cell->vy[0]), (__pyx_v_cell->vx[1]), (__pyx_v_cell->vy[1]), (__pyx_v_cell->vx[2]), (__pyx_v_cell->vy[2]));
-
-      /* "troplines/_fastsweep.pyx":632
- *             D = _cross3(cell.vx[0], cell.vy[0], cell.vx[1], cell.vy[1],
- *                         cell.vx[2], cell.vy[2])
- *             if D <= 0:             # <<<<<<<<<<<<<<
- *                 violations.append(
- *                     ["regularity", f"cell at ({cell.dx}, {cell.dy}) is not counterclockwise"]
-*/
-      __pyx_t_14 = (__pyx_v_D <= 0);
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":634
- *             if D <= 0:
- *                 violations.append(
- *                     ["regularity", f"cell at ({cell.dx}, {cell.dy}) is not counterclockwise"]             # <<<<<<<<<<<<<<
- *                 )
- *                 ok_flag = False
-*/
-        __pyx_t_21 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_cell->dx, 0, ' ', 'd'); if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 634, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_21);
-        __pyx_t_9 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_cell->dy, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 634, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_30[0] = __pyx_mstate_global->__pyx_kp_u_cell_at;
-        __pyx_t_30[1] = __pyx_t_21;
-        __pyx_t_30[2] = __pyx_mstate_global->__pyx_kp_u__3;
-        __pyx_t_30[3] = __pyx_t_9;
-        __pyx_t_30[4] = __pyx_mstate_global->__pyx_kp_u_is_not_counterclockwise;
-        __pyx_t_7 = __Pyx_PyUnicode_Join(__pyx_t_30, 5, 9 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_21) + 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + 25, 127);
-        if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 634, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_7);
-        __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        __pyx_t_9 = PyList_New(2); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 634, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_regularity);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_regularity);
-        if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 0, __pyx_mstate_global->__pyx_n_u_regularity) != (0)) __PYX_ERR(0, 634, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_7);
-        if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 1, __pyx_t_7) != (0)) __PYX_ERR(0, 634, __pyx_L1_error);
-        __pyx_t_7 = 0;
-
-        /* "troplines/_fastsweep.pyx":633
- *                         cell.vx[2], cell.vy[2])
- *             if D <= 0:
- *                 violations.append(             # <<<<<<<<<<<<<<
- *                     ["regularity", f"cell at ({cell.dx}, {cell.dy}) is not counterclockwise"]
- *                 )
-*/
-        __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_9); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 633, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-        /* "troplines/_fastsweep.pyx":636
- *                     ["regularity", f"cell at ({cell.dx}, {cell.dy}) is not counterclockwise"]
- *                 )
- *                 ok_flag = False             # <<<<<<<<<<<<<<
- *                 break
- *             h0 = lift[cell.vx[0] * width + cell.vy[0]]
-*/
-        __pyx_v_ok_flag = 0;
-
-        /* "troplines/_fastsweep.pyx":637
- *                 )
- *                 ok_flag = False
- *                 break             # <<<<<<<<<<<<<<
- *             h0 = lift[cell.vx[0] * width + cell.vy[0]]
- *             h1 = lift[cell.vx[1] * width + cell.vy[1]]
-*/
-        goto __pyx_L157_break;
-
-        /* "troplines/_fastsweep.pyx":632
- *             D = _cross3(cell.vx[0], cell.vy[0], cell.vx[1], cell.vy[1],
- *                         cell.vx[2], cell.vy[2])
- *             if D <= 0:             # <<<<<<<<<<<<<<
- *                 violations.append(
- *                     ["regularity", f"cell at ({cell.dx}, {cell.dy}) is not counterclockwise"]
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":638
- *                 ok_flag = False
- *                 break
- *             h0 = lift[cell.vx[0] * width + cell.vy[0]]             # <<<<<<<<<<<<<<
- *             h1 = lift[cell.vx[1] * width + cell.vy[1]]
- *             h2 = lift[cell.vx[2] * width + cell.vy[2]]
-*/
-      __pyx_v_h0 = (__pyx_v_lift[(((__pyx_v_cell->vx[0]) * __pyx_v_width) + (__pyx_v_cell->vy[0]))]);
-
-      /* "troplines/_fastsweep.pyx":639
- *                 break
- *             h0 = lift[cell.vx[0] * width + cell.vy[0]]
- *             h1 = lift[cell.vx[1] * width + cell.vy[1]]             # <<<<<<<<<<<<<<
- *             h2 = lift[cell.vx[2] * width + cell.vy[2]]
- *             beta = (h1 - h0) * (cell.vy[2] - cell.vy[0]) - (h2 - h0) * (cell.vy[1] - cell.vy[0])
-*/
-      __pyx_v_h1 = (__pyx_v_lift[(((__pyx_v_cell->vx[1]) * __pyx_v_width) + (__pyx_v_cell->vy[1]))]);
-
-      /* "troplines/_fastsweep.pyx":640
- *             h0 = lift[cell.vx[0] * width + cell.vy[0]]
- *             h1 = lift[cell.vx[1] * width + cell.vy[1]]
- *             h2 = lift[cell.vx[2] * width + cell.vy[2]]             # <<<<<<<<<<<<<<
- *             beta = (h1 - h0) * (cell.vy[2] - cell.vy[0]) - (h2 - h0) * (cell.vy[1] - cell.vy[0])
- *             gamma = (cell.vx[1] - cell.vx[0]) * (h2 - h0) - (cell.vx[2] - cell.vx[0]) * (h1 - h0)
-*/
-      __pyx_v_h2 = (__pyx_v_lift[(((__pyx_v_cell->vx[2]) * __pyx_v_width) + (__pyx_v_cell->vy[2]))]);
-
-      /* "troplines/_fastsweep.pyx":641
- *             h1 = lift[cell.vx[1] * width + cell.vy[1]]
- *             h2 = lift[cell.vx[2] * width + cell.vy[2]]
- *             beta = (h1 - h0) * (cell.vy[2] - cell.vy[0]) - (h2 - h0) * (cell.vy[1] - cell.vy[0])             # <<<<<<<<<<<<<<
- *             gamma = (cell.vx[1] - cell.vx[0]) * (h2 - h0) - (cell.vx[2] - cell.vx[0]) * (h1 - h0)
- *             alpha = D * h0 - beta * cell.vx[0] - gamma * cell.vy[0]
-*/
-      __pyx_v_beta = (((__pyx_v_h1 - __pyx_v_h0) * ((__pyx_v_cell->vy[2]) - (__pyx_v_cell->vy[0]))) - ((__pyx_v_h2 - __pyx_v_h0) * ((__pyx_v_cell->vy[1]) - (__pyx_v_cell->vy[0]))));
-
-      /* "troplines/_fastsweep.pyx":642
- *             h2 = lift[cell.vx[2] * width + cell.vy[2]]
- *             beta = (h1 - h0) * (cell.vy[2] - cell.vy[0]) - (h2 - h0) * (cell.vy[1] - cell.vy[0])
- *             gamma = (cell.vx[1] - cell.vx[0]) * (h2 - h0) - (cell.vx[2] - cell.vx[0]) * (h1 - h0)             # <<<<<<<<<<<<<<
- *             alpha = D * h0 - beta * cell.vx[0] - gamma * cell.vy[0]
- *             for ii in range(width):
-*/
-      __pyx_v_gamma = ((((__pyx_v_cell->vx[1]) - (__pyx_v_cell->vx[0])) * (__pyx_v_h2 - __pyx_v_h0)) - (((__pyx_v_cell->vx[2]) - (__pyx_v_cell->vx[0])) * (__pyx_v_h1 - __pyx_v_h0)));
-
-      /* "troplines/_fastsweep.pyx":643
- *             beta = (h1 - h0) * (cell.vy[2] - cell.vy[0]) - (h2 - h0) * (cell.vy[1] - cell.vy[0])
- *             gamma = (cell.vx[1] - cell.vx[0]) * (h2 - h0) - (cell.vx[2] - cell.vx[0]) * (h1 - h0)
- *             alpha = D * h0 - beta * cell.vx[0] - gamma * cell.vy[0]             # <<<<<<<<<<<<<<
- *             for ii in range(width):
- *                 if not ok_flag:
-*/
-      __pyx_v_alpha = (((__pyx_v_D * __pyx_v_h0) - (__pyx_v_beta * (__pyx_v_cell->vx[0]))) - (__pyx_v_gamma * (__pyx_v_cell->vy[0])));
-
-      /* "troplines/_fastsweep.pyx":644
- *             gamma = (cell.vx[1] - cell.vx[0]) * (h2 - h0) - (cell.vx[2] - cell.vx[0]) * (h1 - h0)
- *             alpha = D * h0 - beta * cell.vx[0] - gamma * cell.vy[0]
- *             for ii in range(width):             # <<<<<<<<<<<<<<
- *                 if not ok_flag:
- *                     break
-*/
-      __pyx_t_15 = __pyx_v_width;
-      __pyx_t_16 = __pyx_t_15;
-      for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-        __pyx_v_ii = __pyx_t_17;
-
-        /* "troplines/_fastsweep.pyx":645
- *             alpha = D * h0 - beta * cell.vx[0] - gamma * cell.vy[0]
- *             for ii in range(width):
- *                 if not ok_flag:             # <<<<<<<<<<<<<<
- *                     break
- *                 for jj in range(width - ii):
-*/
-        __pyx_t_14 = (!__pyx_v_ok_flag);
-        if (__pyx_t_14) {
-
-          /* "troplines/_fastsweep.pyx":646
- *             for ii in range(width):
- *                 if not ok_flag:
- *                     break             # <<<<<<<<<<<<<<
- *                 for jj in range(width - ii):
- *                     want = D * lift[ii * width + jj]
-*/
-          goto __pyx_L161_break;
-
-          /* "troplines/_fastsweep.pyx":645
- *             alpha = D * h0 - beta * cell.vx[0] - gamma * cell.vy[0]
- *             for ii in range(width):
- *                 if not ok_flag:             # <<<<<<<<<<<<<<
- *                     break
- *                 for jj in range(width - ii):
-*/
-        }
-
-        /* "troplines/_fastsweep.pyx":647
- *                 if not ok_flag:
- *                     break
- *                 for jj in range(width - ii):             # <<<<<<<<<<<<<<
- *                     want = D * lift[ii * width + jj]
- *                     got = alpha + beta * ii + gamma * jj
-*/
-        __pyx_t_18 = (__pyx_v_width - __pyx_v_ii);
-        __pyx_t_19 = __pyx_t_18;
-        for (__pyx_t_22 = 0; __pyx_t_22 < __pyx_t_19; __pyx_t_22+=1) {
-          __pyx_v_jj = __pyx_t_22;
-
-          /* "troplines/_fastsweep.pyx":648
- *                     break
- *                 for jj in range(width - ii):
- *                     want = D * lift[ii * width + jj]             # <<<<<<<<<<<<<<
- *                     got = alpha + beta * ii + gamma * jj
- *                     if _cell_contains(cell, ii, jj):
-*/
-          __pyx_v_want = (__pyx_v_D * (__pyx_v_lift[((__pyx_v_ii * __pyx_v_width) + __pyx_v_jj)]));
-
-          /* "troplines/_fastsweep.pyx":649
- *                 for jj in range(width - ii):
- *                     want = D * lift[ii * width + jj]
- *                     got = alpha + beta * ii + gamma * jj             # <<<<<<<<<<<<<<
- *                     if _cell_contains(cell, ii, jj):
- *                         if got != want:
-*/
-          __pyx_v_got = ((__pyx_v_alpha + (__pyx_v_beta * __pyx_v_ii)) + (__pyx_v_gamma * __pyx_v_jj));
-
-          /* "troplines/_fastsweep.pyx":650
- *                     want = D * lift[ii * width + jj]
- *                     got = alpha + beta * ii + gamma * jj
- *                     if _cell_contains(cell, ii, jj):             # <<<<<<<<<<<<<<
- *                         if got != want:
- *                             violations.append(
-*/
-          __pyx_t_14 = __pyx_f_9troplines_10_fastsweep__cell_contains(__pyx_v_cell, __pyx_v_ii, __pyx_v_jj);
-          if (__pyx_t_14) {
-
-            /* "troplines/_fastsweep.pyx":651
- *                     got = alpha + beta * ii + gamma * jj
- *                     if _cell_contains(cell, ii, jj):
- *                         if got != want:             # <<<<<<<<<<<<<<
- *                             violations.append(
- *                                 [
-*/
-            __pyx_t_14 = (__pyx_v_got != __pyx_v_want);
-            if (__pyx_t_14) {
-
-              /* "troplines/_fastsweep.pyx":655
- *                                 [
- *                                     "regularity",
- *                                     f"cell at ({cell.dx}, {cell.dy}): lift and affine "             # <<<<<<<<<<<<<<
- *                                     f"fit disagree at lattice point ({ii}, {jj})",
- *                                 ]
-*/
-              __pyx_t_9 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_cell->dx, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 655, __pyx_L1_error)
-              __Pyx_GOTREF(__pyx_t_9);
-              __pyx_t_7 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_cell->dy, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 655, __pyx_L1_error)
-              __Pyx_GOTREF(__pyx_t_7);
-
-              /* "troplines/_fastsweep.pyx":656
- *                                     "regularity",
- *                                     f"cell at ({cell.dx}, {cell.dy}): lift and affine "
- *                                     f"fit disagree at lattice point ({ii}, {jj})",             # <<<<<<<<<<<<<<
- *                                 ]
- *                             )
-*/
-              __pyx_t_21 = __Pyx_PyUnicode_From_int(__pyx_v_ii, 0, ' ', 'd'); if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 656, __pyx_L1_error)
-              __Pyx_GOTREF(__pyx_t_21);
-              __pyx_t_4 = __Pyx_PyUnicode_From_int(__pyx_v_jj, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 656, __pyx_L1_error)
-              __Pyx_GOTREF(__pyx_t_4);
-              __pyx_t_33[0] = __pyx_mstate_global->__pyx_kp_u_cell_at;
-              __pyx_t_33[1] = __pyx_t_9;
-              __pyx_t_33[2] = __pyx_mstate_global->__pyx_kp_u__3;
-              __pyx_t_33[3] = __pyx_t_7;
-              __pyx_t_33[4] = __pyx_mstate_global->__pyx_kp_u_lift_and_affine_fit_disagree_at;
-              __pyx_t_33[5] = __pyx_t_21;
-              __pyx_t_33[6] = __pyx_mstate_global->__pyx_kp_u__3;
-              __pyx_t_33[7] = __pyx_t_4;
-              __pyx_t_33[8] = __pyx_mstate_global->__pyx_kp_u__2;
-
-              /* "troplines/_fastsweep.pyx":655
- *                                 [
- *                                     "regularity",
- *                                     f"cell at ({cell.dx}, {cell.dy}): lift and affine "             # <<<<<<<<<<<<<<
- *                                     f"fit disagree at lattice point ({ii}, {jj})",
- *                                 ]
-*/
-              __pyx_t_6 = __Pyx_PyUnicode_Join(__pyx_t_33, 9, 9 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + 2 * 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 50 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_21) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + 1, 127);
-              if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 655, __pyx_L1_error)
-              __Pyx_GOTREF(__pyx_t_6);
-              __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-              __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-              __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-              __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-              /* "troplines/_fastsweep.pyx":653
- *                         if got != want:
- *                             violations.append(
- *                                 [             # <<<<<<<<<<<<<<
- *                                     "regularity",
- *                                     f"cell at ({cell.dx}, {cell.dy}): lift and affine "
-*/
-              __pyx_t_4 = PyList_New(2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 653, __pyx_L1_error)
-              __Pyx_GOTREF(__pyx_t_4);
-              __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_regularity);
-              __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_regularity);
-              if (__Pyx_PyList_SET_ITEM(__pyx_t_4, 0, __pyx_mstate_global->__pyx_n_u_regularity) != (0)) __PYX_ERR(0, 653, __pyx_L1_error);
-              __Pyx_GIVEREF(__pyx_t_6);
-              if (__Pyx_PyList_SET_ITEM(__pyx_t_4, 1, __pyx_t_6) != (0)) __PYX_ERR(0, 653, __pyx_L1_error);
-              __pyx_t_6 = 0;
-
-              /* "troplines/_fastsweep.pyx":652
- *                     if _cell_contains(cell, ii, jj):
- *                         if got != want:
- *                             violations.append(             # <<<<<<<<<<<<<<
- *                                 [
- *                                     "regularity",
-*/
-              __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_4); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 652, __pyx_L1_error)
-              __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-              /* "troplines/_fastsweep.pyx":659
- *                                 ]
- *                             )
- *                             ok_flag = False             # <<<<<<<<<<<<<<
- *                             break
- *                     elif got < want:
-*/
-              __pyx_v_ok_flag = 0;
-
-              /* "troplines/_fastsweep.pyx":660
- *                             )
- *                             ok_flag = False
- *                             break             # <<<<<<<<<<<<<<
- *                     elif got < want:
- *                         violations.append(
-*/
-              goto __pyx_L164_break;
-
-              /* "troplines/_fastsweep.pyx":651
- *                     got = alpha + beta * ii + gamma * jj
- *                     if _cell_contains(cell, ii, jj):
- *                         if got != want:             # <<<<<<<<<<<<<<
- *                             violations.append(
- *                                 [
-*/
-            }
-
-            /* "troplines/_fastsweep.pyx":650
- *                     want = D * lift[ii * width + jj]
- *                     got = alpha + beta * ii + gamma * jj
- *                     if _cell_contains(cell, ii, jj):             # <<<<<<<<<<<<<<
- *                         if got != want:
- *                             violations.append(
-*/
-            goto __pyx_L165;
-          }
-
-          /* "troplines/_fastsweep.pyx":661
- *                             ok_flag = False
- *                             break
- *                     elif got < want:             # <<<<<<<<<<<<<<
- *                         violations.append(
- *                             [
-*/
-          __pyx_t_14 = (__pyx_v_got < __pyx_v_want);
-          if (__pyx_t_14) {
-
-            /* "troplines/_fastsweep.pyx":665
- *                             [
- *                                 "regularity",
- *                                 f"cell at ({cell.dx}, {cell.dy}): affine fit fails "             # <<<<<<<<<<<<<<
- *                                 f"to dominate the lift at ({ii}, {jj})",
- *                             ]
-*/
-            __pyx_t_4 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_cell->dx, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 665, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_4);
-            __pyx_t_6 = __Pyx_PyUnicode_From_PY_LONG_LONG(__pyx_v_cell->dy, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 665, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_6);
-
-            /* "troplines/_fastsweep.pyx":666
- *                                 "regularity",
- *                                 f"cell at ({cell.dx}, {cell.dy}): affine fit fails "
- *                                 f"to dominate the lift at ({ii}, {jj})",             # <<<<<<<<<<<<<<
- *                             ]
- *                         )
-*/
-            __pyx_t_21 = __Pyx_PyUnicode_From_int(__pyx_v_ii, 0, ' ', 'd'); if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 666, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_21);
-            __pyx_t_7 = __Pyx_PyUnicode_From_int(__pyx_v_jj, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 666, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_7);
-            __pyx_t_33[0] = __pyx_mstate_global->__pyx_kp_u_cell_at;
-            __pyx_t_33[1] = __pyx_t_4;
-            __pyx_t_33[2] = __pyx_mstate_global->__pyx_kp_u__3;
-            __pyx_t_33[3] = __pyx_t_6;
-            __pyx_t_33[4] = __pyx_mstate_global->__pyx_kp_u_affine_fit_fails_to_dominate_th;
-            __pyx_t_33[5] = __pyx_t_21;
-            __pyx_t_33[6] = __pyx_mstate_global->__pyx_kp_u__3;
-            __pyx_t_33[7] = __pyx_t_7;
-            __pyx_t_33[8] = __pyx_mstate_global->__pyx_kp_u__2;
-
-            /* "troplines/_fastsweep.pyx":665
- *                             [
- *                                 "regularity",
- *                                 f"cell at ({cell.dx}, {cell.dy}): affine fit fails "             # <<<<<<<<<<<<<<
- *                                 f"to dominate the lift at ({ii}, {jj})",
- *                             ]
-*/
-            __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_33, 9, 9 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + 2 * 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 45 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_21) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 1, 127);
-            if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 665, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_9);
-            __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-            __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-            __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-            __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-            /* "troplines/_fastsweep.pyx":663
- *                     elif got < want:
- *                         violations.append(
- *                             [             # <<<<<<<<<<<<<<
- *                                 "regularity",
- *                                 f"cell at ({cell.dx}, {cell.dy}): affine fit fails "
-*/
-            __pyx_t_7 = PyList_New(2); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 663, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_7);
-            __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_regularity);
-            __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_regularity);
-            if (__Pyx_PyList_SET_ITEM(__pyx_t_7, 0, __pyx_mstate_global->__pyx_n_u_regularity) != (0)) __PYX_ERR(0, 663, __pyx_L1_error);
-            __Pyx_GIVEREF(__pyx_t_9);
-            if (__Pyx_PyList_SET_ITEM(__pyx_t_7, 1, __pyx_t_9) != (0)) __PYX_ERR(0, 663, __pyx_L1_error);
-            __pyx_t_9 = 0;
-
-            /* "troplines/_fastsweep.pyx":662
- *                             break
- *                     elif got < want:
- *                         violations.append(             # <<<<<<<<<<<<<<
- *                             [
- *                                 "regularity",
-*/
-            __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_7); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 662, __pyx_L1_error)
-            __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-            /* "troplines/_fastsweep.pyx":669
- *                             ]
- *                         )
- *                         ok_flag = False             # <<<<<<<<<<<<<<
- *                         break
- * 
-*/
-            __pyx_v_ok_flag = 0;
-
-            /* "troplines/_fastsweep.pyx":670
- *                         )
- *                         ok_flag = False
- *                         break             # <<<<<<<<<<<<<<
- * 
- *         # near-pencil and the determined-face suites
-*/
-            goto __pyx_L164_break;
-
-            /* "troplines/_fastsweep.pyx":661
- *                             ok_flag = False
- *                             break
- *                     elif got < want:             # <<<<<<<<<<<<<<
- *                         violations.append(
- *                             [
-*/
-          }
-          __pyx_L165:;
-        }
-        __pyx_L164_break:;
-      }
-      __pyx_L161_break:;
-    }
-    __pyx_L157_break:;
-
-    /* "troplines/_fastsweep.pyx":673
- * 
- *         # near-pencil and the determined-face suites
- *         near = True             # <<<<<<<<<<<<<<
- *         for i in range(ncells):
- *             if cells[i].cls == CLS_TRI and cells[i].bdry < 1:
-*/
-    __pyx_v_near = 1;
-
-    /* "troplines/_fastsweep.pyx":674
- *         # near-pencil and the determined-face suites
- *         near = True
- *         for i in range(ncells):             # <<<<<<<<<<<<<<
- *             if cells[i].cls == CLS_TRI and cells[i].bdry < 1:
- *                 near = False
-*/
-    __pyx_t_10 = __pyx_v_ncells;
-    __pyx_t_11 = __pyx_t_10;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_i = __pyx_t_12;
-
-      /* "troplines/_fastsweep.pyx":675
- *         near = True
- *         for i in range(ncells):
- *             if cells[i].cls == CLS_TRI and cells[i].bdry < 1:             # <<<<<<<<<<<<<<
- *                 near = False
- *                 break
-*/
-      __pyx_t_2 = ((__pyx_v_cells[__pyx_v_i]).cls == __pyx_v_9troplines_10_fastsweep_CLS_TRI);
-      if (__pyx_t_2) {
-      } else {
-        __pyx_t_14 = __pyx_t_2;
-        goto __pyx_L170_bool_binop_done;
-      }
-      __pyx_t_2 = ((__pyx_v_cells[__pyx_v_i]).bdry < 1);
-      __pyx_t_14 = __pyx_t_2;
-      __pyx_L170_bool_binop_done:;
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":676
- *         for i in range(ncells):
- *             if cells[i].cls == CLS_TRI and cells[i].bdry < 1:
- *                 near = False             # <<<<<<<<<<<<<<
- *                 break
- *         near_pencil = bool(near)
-*/
-        __pyx_v_near = 0;
-
-        /* "troplines/_fastsweep.pyx":677
- *             if cells[i].cls == CLS_TRI and cells[i].bdry < 1:
- *                 near = False
- *                 break             # <<<<<<<<<<<<<<
- *         near_pencil = bool(near)
- * 
-*/
-        goto __pyx_L168_break;
-
-        /* "troplines/_fastsweep.pyx":675
- *         near = True
- *         for i in range(ncells):
- *             if cells[i].cls == CLS_TRI and cells[i].bdry < 1:             # <<<<<<<<<<<<<<
- *                 near = False
- *                 break
-*/
-      }
-    }
-    __pyx_L168_break:;
-
-    /* "troplines/_fastsweep.pyx":678
- *                 near = False
- *                 break
- *         near_pencil = bool(near)             # <<<<<<<<<<<<<<
- * 
- *         determined = [None] * ncells
-*/
-    __pyx_t_14 = __pyx_v_near;
-    __pyx_t_7 = __Pyx_PyBool_FromLong((!(!__pyx_t_14))); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 678, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF_SET(__pyx_v_near_pencil, __pyx_t_7);
-    __pyx_t_7 = 0;
-
-    /* "troplines/_fastsweep.pyx":680
- *         near_pencil = bool(near)
- * 
- *         determined = [None] * ncells             # <<<<<<<<<<<<<<
- *         union_flags = [False] * ncells
- *         adj_tri_count = [0] * ncells
-*/
-    __pyx_t_7 = PyList_New(1 * ((__pyx_v_ncells<0) ? 0:__pyx_v_ncells)); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 680, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    { Py_ssize_t __pyx_temp;
-      for (__pyx_temp=0; __pyx_temp < __pyx_v_ncells; __pyx_temp++) {
-        __Pyx_INCREF(Py_None);
-        __Pyx_GIVEREF(Py_None);
-        if (__Pyx_PyList_SET_ITEM(__pyx_t_7, __pyx_temp, Py_None) != (0)) __PYX_ERR(0, 680, __pyx_L1_error);
-      }
-    }
-    __pyx_v_determined = ((PyObject*)__pyx_t_7);
-    __pyx_t_7 = 0;
-
-    /* "troplines/_fastsweep.pyx":681
- * 
- *         determined = [None] * ncells
- *         union_flags = [False] * ncells             # <<<<<<<<<<<<<<
- *         adj_tri_count = [0] * ncells
- *         for ti in range(ncells):
-*/
-    __pyx_t_7 = PyList_New(1 * ((__pyx_v_ncells<0) ? 0:__pyx_v_ncells)); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 681, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    { Py_ssize_t __pyx_temp;
-      for (__pyx_temp=0; __pyx_temp < __pyx_v_ncells; __pyx_temp++) {
-        __Pyx_INCREF(Py_False);
-        __Pyx_GIVEREF(Py_False);
-        if (__Pyx_PyList_SET_ITEM(__pyx_t_7, __pyx_temp, Py_False) != (0)) __PYX_ERR(0, 681, __pyx_L1_error);
-      }
-    }
-    __pyx_v_union_flags = ((PyObject*)__pyx_t_7);
-    __pyx_t_7 = 0;
-
-    /* "troplines/_fastsweep.pyx":682
- *         determined = [None] * ncells
- *         union_flags = [False] * ncells
- *         adj_tri_count = [0] * ncells             # <<<<<<<<<<<<<<
- *         for ti in range(ncells):
- *             if cells[ti].cls != CLS_TRI:
-*/
-    __pyx_t_7 = PyList_New(1 * ((__pyx_v_ncells<0) ? 0:__pyx_v_ncells)); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 682, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    { Py_ssize_t __pyx_temp;
-      for (__pyx_temp=0; __pyx_temp < __pyx_v_ncells; __pyx_temp++) {
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-        if (__Pyx_PyList_SET_ITEM(__pyx_t_7, __pyx_temp, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 682, __pyx_L1_error);
-      }
-    }
-    __pyx_v_adj_tri_count = ((PyObject*)__pyx_t_7);
-    __pyx_t_7 = 0;
-
-    /* "troplines/_fastsweep.pyx":683
- *         union_flags = [False] * ncells
- *         adj_tri_count = [0] * ncells
- *         for ti in range(ncells):             # <<<<<<<<<<<<<<
- *             if cells[ti].cls != CLS_TRI:
- *                 continue
-*/
-    __pyx_t_10 = __pyx_v_ncells;
-    __pyx_t_11 = __pyx_t_10;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_ti = __pyx_t_12;
-
-      /* "troplines/_fastsweep.pyx":684
- *         adj_tri_count = [0] * ncells
- *         for ti in range(ncells):
- *             if cells[ti].cls != CLS_TRI:             # <<<<<<<<<<<<<<
- *                 continue
- *             basex = cells[ti].vx[0]
-*/
-      __pyx_t_14 = ((__pyx_v_cells[__pyx_v_ti]).cls != __pyx_v_9troplines_10_fastsweep_CLS_TRI);
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":685
- *         for ti in range(ncells):
- *             if cells[ti].cls != CLS_TRI:
- *                 continue             # <<<<<<<<<<<<<<
- *             basex = cells[ti].vx[0]
- *             basey = cells[ti].vy[0]
-*/
-        goto __pyx_L172_continue;
-
-        /* "troplines/_fastsweep.pyx":684
- *         adj_tri_count = [0] * ncells
- *         for ti in range(ncells):
- *             if cells[ti].cls != CLS_TRI:             # <<<<<<<<<<<<<<
- *                 continue
- *             basex = cells[ti].vx[0]
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":686
- *             if cells[ti].cls != CLS_TRI:
- *                 continue
- *             basex = cells[ti].vx[0]             # <<<<<<<<<<<<<<
- *             basey = cells[ti].vy[0]
- *             for j in range(1, cells[ti].m):
-*/
-      __pyx_v_basex = ((__pyx_v_cells[__pyx_v_ti]).vx[0]);
-
-      /* "troplines/_fastsweep.pyx":687
- *                 continue
- *             basex = cells[ti].vx[0]
- *             basey = cells[ti].vy[0]             # <<<<<<<<<<<<<<
- *             for j in range(1, cells[ti].m):
- *                 if cells[ti].vx[j] < basex:
-*/
-      __pyx_v_basey = ((__pyx_v_cells[__pyx_v_ti]).vy[0]);
-
-      /* "troplines/_fastsweep.pyx":688
- *             basex = cells[ti].vx[0]
- *             basey = cells[ti].vy[0]
- *             for j in range(1, cells[ti].m):             # <<<<<<<<<<<<<<
- *                 if cells[ti].vx[j] < basex:
- *                     basex = cells[ti].vx[j]
-*/
-      __pyx_t_15 = (__pyx_v_cells[__pyx_v_ti]).m;
-      __pyx_t_16 = __pyx_t_15;
-      for (__pyx_t_17 = 1; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-        __pyx_v_j = __pyx_t_17;
-
-        /* "troplines/_fastsweep.pyx":689
- *             basey = cells[ti].vy[0]
- *             for j in range(1, cells[ti].m):
- *                 if cells[ti].vx[j] < basex:             # <<<<<<<<<<<<<<
- *                     basex = cells[ti].vx[j]
- *                 if cells[ti].vy[j] < basey:
-*/
-        __pyx_t_14 = (((__pyx_v_cells[__pyx_v_ti]).vx[__pyx_v_j]) < __pyx_v_basex);
-        if (__pyx_t_14) {
-
-          /* "troplines/_fastsweep.pyx":690
- *             for j in range(1, cells[ti].m):
- *                 if cells[ti].vx[j] < basex:
- *                     basex = cells[ti].vx[j]             # <<<<<<<<<<<<<<
- *                 if cells[ti].vy[j] < basey:
- *                     basey = cells[ti].vy[j]
-*/
-          __pyx_v_basex = ((__pyx_v_cells[__pyx_v_ti]).vx[__pyx_v_j]);
-
-          /* "troplines/_fastsweep.pyx":689
- *             basey = cells[ti].vy[0]
- *             for j in range(1, cells[ti].m):
- *                 if cells[ti].vx[j] < basex:             # <<<<<<<<<<<<<<
- *                     basex = cells[ti].vx[j]
- *                 if cells[ti].vy[j] < basey:
-*/
-        }
-
-        /* "troplines/_fastsweep.pyx":691
- *                 if cells[ti].vx[j] < basex:
- *                     basex = cells[ti].vx[j]
- *                 if cells[ti].vy[j] < basey:             # <<<<<<<<<<<<<<
- *                     basey = cells[ti].vy[j]
- *             det_count = 0
-*/
-        __pyx_t_14 = (((__pyx_v_cells[__pyx_v_ti]).vy[__pyx_v_j]) < __pyx_v_basey);
-        if (__pyx_t_14) {
-
-          /* "troplines/_fastsweep.pyx":692
- *                     basex = cells[ti].vx[j]
- *                 if cells[ti].vy[j] < basey:
- *                     basey = cells[ti].vy[j]             # <<<<<<<<<<<<<<
- *             det_count = 0
- *             det_list = []
-*/
-          __pyx_v_basey = ((__pyx_v_cells[__pyx_v_ti]).vy[__pyx_v_j]);
-
-          /* "troplines/_fastsweep.pyx":691
- *                 if cells[ti].vx[j] < basex:
- *                     basex = cells[ti].vx[j]
- *                 if cells[ti].vy[j] < basey:             # <<<<<<<<<<<<<<
- *                     basey = cells[ti].vy[j]
- *             det_count = 0
-*/
-        }
-      }
-
-      /* "troplines/_fastsweep.pyx":693
- *                 if cells[ti].vy[j] < basey:
- *                     basey = cells[ti].vy[j]
- *             det_count = 0             # <<<<<<<<<<<<<<
- *             det_list = []
- *             for j in range(ncells):
-*/
-      __pyx_v_det_count = 0;
-
-      /* "troplines/_fastsweep.pyx":694
- *                     basey = cells[ti].vy[j]
- *             det_count = 0
- *             det_list = []             # <<<<<<<<<<<<<<
- *             for j in range(ncells):
- *                 if j == ti:
-*/
-      __pyx_t_7 = PyList_New(0); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 694, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __Pyx_XDECREF_SET(__pyx_v_det_list, ((PyObject*)__pyx_t_7));
-      __pyx_t_7 = 0;
-
-      /* "troplines/_fastsweep.pyx":695
- *             det_count = 0
- *             det_list = []
- *             for j in range(ncells):             # <<<<<<<<<<<<<<
- *                 if j == ti:
- *                     continue
-*/
-      __pyx_t_15 = __pyx_v_ncells;
-      __pyx_t_16 = __pyx_t_15;
-      for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-        __pyx_v_j = __pyx_t_17;
-
-        /* "troplines/_fastsweep.pyx":696
- *             det_list = []
- *             for j in range(ncells):
- *                 if j == ti:             # <<<<<<<<<<<<<<
- *                     continue
- *                 cls = cells[j].cls
-*/
-        __pyx_t_14 = (__pyx_v_j == __pyx_v_ti);
-        if (__pyx_t_14) {
-
-          /* "troplines/_fastsweep.pyx":697
- *             for j in range(ncells):
- *                 if j == ti:
- *                     continue             # <<<<<<<<<<<<<<
- *                 cls = cells[j].cls
- *                 if cls != CLS_PAR and cls != CLS_HEX:
-*/
-          goto __pyx_L179_continue;
-
-          /* "troplines/_fastsweep.pyx":696
- *             det_list = []
- *             for j in range(ncells):
- *                 if j == ti:             # <<<<<<<<<<<<<<
- *                     continue
- *                 cls = cells[j].cls
-*/
-        }
-
-        /* "troplines/_fastsweep.pyx":698
- *                 if j == ti:
- *                     continue
- *                 cls = cells[j].cls             # <<<<<<<<<<<<<<
- *                 if cls != CLS_PAR and cls != CLS_HEX:
- *                     continue
-*/
-        __pyx_t_18 = (__pyx_v_cells[__pyx_v_j]).cls;
-        __pyx_v_cls = __pyx_t_18;
-
-        /* "troplines/_fastsweep.pyx":699
- *                     continue
- *                 cls = cells[j].cls
- *                 if cls != CLS_PAR and cls != CLS_HEX:             # <<<<<<<<<<<<<<
- *                     continue
- *                 if _shares_edge(&cells[ti], &cells[j]):
-*/
-        __pyx_t_2 = (__pyx_v_cls != __pyx_v_9troplines_10_fastsweep_CLS_PAR);
-        if (__pyx_t_2) {
-        } else {
-          __pyx_t_14 = __pyx_t_2;
-          goto __pyx_L183_bool_binop_done;
-        }
-        __pyx_t_2 = (__pyx_v_cls != __pyx_v_9troplines_10_fastsweep_CLS_HEX);
-        __pyx_t_14 = __pyx_t_2;
-        __pyx_L183_bool_binop_done:;
-        if (__pyx_t_14) {
-
-          /* "troplines/_fastsweep.pyx":700
- *                 cls = cells[j].cls
- *                 if cls != CLS_PAR and cls != CLS_HEX:
- *                     continue             # <<<<<<<<<<<<<<
- *                 if _shares_edge(&cells[ti], &cells[j]):
- *                     det_count += 1
-*/
-          goto __pyx_L179_continue;
-
-          /* "troplines/_fastsweep.pyx":699
- *                     continue
- *                 cls = cells[j].cls
- *                 if cls != CLS_PAR and cls != CLS_HEX:             # <<<<<<<<<<<<<<
- *                     continue
- *                 if _shares_edge(&cells[ti], &cells[j]):
-*/
-        }
-
-        /* "troplines/_fastsweep.pyx":701
- *                 if cls != CLS_PAR and cls != CLS_HEX:
- *                     continue
- *                 if _shares_edge(&cells[ti], &cells[j]):             # <<<<<<<<<<<<<<
- *                     det_count += 1
- *                     det_list.append(j)
-*/
-        __pyx_t_14 = __pyx_f_9troplines_10_fastsweep__shares_edge((&(__pyx_v_cells[__pyx_v_ti])), (&(__pyx_v_cells[__pyx_v_j])));
-        if (__pyx_t_14) {
-
-          /* "troplines/_fastsweep.pyx":702
- *                     continue
- *                 if _shares_edge(&cells[ti], &cells[j]):
- *                     det_count += 1             # <<<<<<<<<<<<<<
- *                     det_list.append(j)
- *                     if cls == CLS_PAR:
-*/
-          __pyx_v_det_count = (__pyx_v_det_count + 1);
-
-          /* "troplines/_fastsweep.pyx":703
- *                 if _shares_edge(&cells[ti], &cells[j]):
- *                     det_count += 1
- *                     det_list.append(j)             # <<<<<<<<<<<<<<
- *                     if cls == CLS_PAR:
- *                         adj_tri_count[j] += 1
-*/
-          __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_v_j); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 703, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_7);
-          __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_det_list, __pyx_t_7); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 703, __pyx_L1_error)
-          __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-          /* "troplines/_fastsweep.pyx":704
- *                     det_count += 1
- *                     det_list.append(j)
- *                     if cls == CLS_PAR:             # <<<<<<<<<<<<<<
- *                         adj_tri_count[j] += 1
- *                 elif cls == CLS_PAR and _corner_pattern(&cells[j], basex, basey):
-*/
-          __pyx_t_14 = (__pyx_v_cls == __pyx_v_9troplines_10_fastsweep_CLS_PAR);
-          if (__pyx_t_14) {
-
-            /* "troplines/_fastsweep.pyx":705
- *                     det_list.append(j)
- *                     if cls == CLS_PAR:
- *                         adj_tri_count[j] += 1             # <<<<<<<<<<<<<<
- *                 elif cls == CLS_PAR and _corner_pattern(&cells[j], basex, basey):
- *                     det_count += 1
-*/
-            __pyx_t_18 = __pyx_v_j;
-            __pyx_t_7 = __Pyx_PyLong_AddObjC(__Pyx_PyList_GET_ITEM(__pyx_v_adj_tri_count, __pyx_t_18), __pyx_mstate_global->__pyx_int_1, 1, 1, 0); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 705, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_7);
-            if (unlikely((__Pyx_SetItemInt(__pyx_v_adj_tri_count, __pyx_t_18, __pyx_t_7, int, 1, __Pyx_PyLong_From_int, 1, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference) < 0))) __PYX_ERR(0, 705, __pyx_L1_error)
-            __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-            /* "troplines/_fastsweep.pyx":704
- *                     det_count += 1
- *                     det_list.append(j)
- *                     if cls == CLS_PAR:             # <<<<<<<<<<<<<<
- *                         adj_tri_count[j] += 1
- *                 elif cls == CLS_PAR and _corner_pattern(&cells[j], basex, basey):
-*/
-          }
-
-          /* "troplines/_fastsweep.pyx":701
- *                 if cls != CLS_PAR and cls != CLS_HEX:
- *                     continue
- *                 if _shares_edge(&cells[ti], &cells[j]):             # <<<<<<<<<<<<<<
- *                     det_count += 1
- *                     det_list.append(j)
-*/
-          goto __pyx_L185;
-        }
-
-        /* "troplines/_fastsweep.pyx":706
- *                     if cls == CLS_PAR:
- *                         adj_tri_count[j] += 1
- *                 elif cls == CLS_PAR and _corner_pattern(&cells[j], basex, basey):             # <<<<<<<<<<<<<<
- *                     det_count += 1
- *                     det_list.append(j)
-*/
-        __pyx_t_2 = (__pyx_v_cls == __pyx_v_9troplines_10_fastsweep_CLS_PAR);
-        if (__pyx_t_2) {
-        } else {
-          __pyx_t_14 = __pyx_t_2;
-          goto __pyx_L187_bool_binop_done;
-        }
-        __pyx_t_2 = __pyx_f_9troplines_10_fastsweep__corner_pattern((&(__pyx_v_cells[__pyx_v_j])), __pyx_v_basex, __pyx_v_basey);
-        __pyx_t_14 = __pyx_t_2;
-        __pyx_L187_bool_binop_done:;
-        if (__pyx_t_14) {
-
-          /* "troplines/_fastsweep.pyx":707
- *                         adj_tri_count[j] += 1
- *                 elif cls == CLS_PAR and _corner_pattern(&cells[j], basex, basey):
- *                     det_count += 1             # <<<<<<<<<<<<<<
- *                     det_list.append(j)
- *             if det_count > 6:
-*/
-          __pyx_v_det_count = (__pyx_v_det_count + 1);
-
-          /* "troplines/_fastsweep.pyx":708
- *                 elif cls == CLS_PAR and _corner_pattern(&cells[j], basex, basey):
- *                     det_count += 1
- *                     det_list.append(j)             # <<<<<<<<<<<<<<
- *             if det_count > 6:
- *                 raise AssertionError(
-*/
-          __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_v_j); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 708, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_7);
-          __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_det_list, __pyx_t_7); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 708, __pyx_L1_error)
-          __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-          /* "troplines/_fastsweep.pyx":706
- *                     if cls == CLS_PAR:
- *                         adj_tri_count[j] += 1
- *                 elif cls == CLS_PAR and _corner_pattern(&cells[j], basex, basey):             # <<<<<<<<<<<<<<
- *                     det_count += 1
- *                     det_list.append(j)
-*/
-        }
-        __pyx_L185:;
-        __pyx_L179_continue:;
-      }
-
-      /* "troplines/_fastsweep.pyx":709
- *                     det_count += 1
- *                     det_list.append(j)
- *             if det_count > 6:             # <<<<<<<<<<<<<<
- *                 raise AssertionError(
- *                     f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determined "
-*/
-      __pyx_t_14 = (__pyx_v_det_count > 6);
-      if (unlikely(__pyx_t_14)) {
-
-        /* "troplines/_fastsweep.pyx":710
- *                     det_list.append(j)
- *             if det_count > 6:
- *                 raise AssertionError(             # <<<<<<<<<<<<<<
- *                     f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determined "
- *                     f"{det_count} faces, maximum is 6"
-*/
-        __pyx_t_9 = NULL;
-
-        /* "troplines/_fastsweep.pyx":711
- *             if det_count > 6:
- *                 raise AssertionError(
- *                     f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determined "             # <<<<<<<<<<<<<<
- *                     f"{det_count} faces, maximum is 6"
- *                 )
-*/
-        __pyx_t_21 = __Pyx_PyUnicode_From_PY_LONG_LONG((__pyx_v_cells[__pyx_v_ti]).dx, 0, ' ', 'd'); if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 711, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_21);
-        __pyx_t_6 = __Pyx_PyUnicode_From_PY_LONG_LONG((__pyx_v_cells[__pyx_v_ti]).dy, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 711, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-
-        /* "troplines/_fastsweep.pyx":712
- *                 raise AssertionError(
- *                     f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determined "
- *                     f"{det_count} faces, maximum is 6"             # <<<<<<<<<<<<<<
- *                 )
- *             determined[ti] = det_list
-*/
-        __pyx_t_4 = __Pyx_PyUnicode_From_int(__pyx_v_det_count, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 712, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_20[0] = __pyx_mstate_global->__pyx_kp_u_triangle_at;
-        __pyx_t_20[1] = __pyx_t_21;
-        __pyx_t_20[2] = __pyx_mstate_global->__pyx_kp_u__3;
-        __pyx_t_20[3] = __pyx_t_6;
-        __pyx_t_20[4] = __pyx_mstate_global->__pyx_kp_u_determined;
-        __pyx_t_20[5] = __pyx_t_4;
-        __pyx_t_20[6] = __pyx_mstate_global->__pyx_kp_u_faces_maximum_is_6;
-
-        /* "troplines/_fastsweep.pyx":711
- *             if det_count > 6:
- *                 raise AssertionError(
- *                     f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determined "             # <<<<<<<<<<<<<<
- *                     f"{det_count} faces, maximum is 6"
- *                 )
-*/
-        __pyx_t_3 = __Pyx_PyUnicode_Join(__pyx_t_20, 7, 13 * 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_21) + 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + 20, 127);
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 711, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __pyx_t_5 = 1;
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_t_3};
-          __pyx_t_7 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_AssertionError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-          __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-          if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 710, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_7);
-        }
-        __Pyx_Raise(__pyx_t_7, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-        __PYX_ERR(0, 710, __pyx_L1_error)
-
-        /* "troplines/_fastsweep.pyx":709
- *                     det_count += 1
- *                     det_list.append(j)
- *             if det_count > 6:             # <<<<<<<<<<<<<<
- *                 raise AssertionError(
- *                     f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determined "
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":714
- *                     f"{det_count} faces, maximum is 6"
- *                 )
- *             determined[ti] = det_list             # <<<<<<<<<<<<<<
- *             if cells[ti].bdry < 2:
- *                 m_noncorner += 1
-*/
-      if (unlikely((__Pyx_SetItemInt(__pyx_v_determined, __pyx_v_ti, __pyx_v_det_list, int, 1, __Pyx_PyLong_From_int, 1, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference) < 0))) __PYX_ERR(0, 714, __pyx_L1_error)
-
-      /* "troplines/_fastsweep.pyx":715
- *                 )
- *             determined[ti] = det_list
- *             if cells[ti].bdry < 2:             # <<<<<<<<<<<<<<
- *                 m_noncorner += 1
- *                 for j in det_list:
-*/
-      __pyx_t_14 = ((__pyx_v_cells[__pyx_v_ti]).bdry < 2);
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":716
- *             determined[ti] = det_list
- *             if cells[ti].bdry < 2:
- *                 m_noncorner += 1             # <<<<<<<<<<<<<<
- *                 for j in det_list:
- *                     if not union_flags[j]:
-*/
-        __pyx_v_m_noncorner = (__pyx_v_m_noncorner + 1);
-
-        /* "troplines/_fastsweep.pyx":717
- *             if cells[ti].bdry < 2:
- *                 m_noncorner += 1
- *                 for j in det_list:             # <<<<<<<<<<<<<<
- *                     if not union_flags[j]:
- *                         union_flags[j] = True
-*/
-        __pyx_t_7 = __pyx_v_det_list; __Pyx_INCREF(__pyx_t_7);
-        __pyx_t_1 = 0;
-        for (;;) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_7);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 717, __pyx_L1_error)
-            #endif
-            if (__pyx_t_1 >= __pyx_temp) break;
-          }
-          __pyx_t_3 = __Pyx_PyList_GetItemRefFast(__pyx_t_7, __pyx_t_1, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_1;
-          if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 717, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_3);
-          __pyx_t_15 = __Pyx_PyLong_As_int(__pyx_t_3); if (unlikely((__pyx_t_15 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 717, __pyx_L1_error)
-          __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-          __pyx_v_j = __pyx_t_15;
-
-          /* "troplines/_fastsweep.pyx":718
- *                 m_noncorner += 1
- *                 for j in det_list:
- *                     if not union_flags[j]:             # <<<<<<<<<<<<<<
- *                         union_flags[j] = True
- *                         union_count += 1
-*/
-          __pyx_t_14 = __Pyx_PyObject_IsTrue(__Pyx_PyList_GET_ITEM(__pyx_v_union_flags, __pyx_v_j)); if (unlikely((__pyx_t_14 < 0))) __PYX_ERR(0, 718, __pyx_L1_error)
-          __pyx_t_2 = (!__pyx_t_14);
-          if (__pyx_t_2) {
-
-            /* "troplines/_fastsweep.pyx":719
- *                 for j in det_list:
- *                     if not union_flags[j]:
- *                         union_flags[j] = True             # <<<<<<<<<<<<<<
- *                         union_count += 1
- *             if cells[ti].bdry == 0 and det_count < 3:
-*/
-            if (unlikely((__Pyx_SetItemInt(__pyx_v_union_flags, __pyx_v_j, Py_True, int, 1, __Pyx_PyLong_From_int, 1, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference) < 0))) __PYX_ERR(0, 719, __pyx_L1_error)
-
-            /* "troplines/_fastsweep.pyx":720
- *                     if not union_flags[j]:
- *                         union_flags[j] = True
- *                         union_count += 1             # <<<<<<<<<<<<<<
- *             if cells[ti].bdry == 0 and det_count < 3:
- *                 violations.append(
-*/
-            __pyx_v_union_count = (__pyx_v_union_count + 1);
-
-            /* "troplines/_fastsweep.pyx":718
- *                 m_noncorner += 1
- *                 for j in det_list:
- *                     if not union_flags[j]:             # <<<<<<<<<<<<<<
- *                         union_flags[j] = True
- *                         union_count += 1
-*/
-          }
-
-          /* "troplines/_fastsweep.pyx":717
- *             if cells[ti].bdry < 2:
- *                 m_noncorner += 1
- *                 for j in det_list:             # <<<<<<<<<<<<<<
- *                     if not union_flags[j]:
- *                         union_flags[j] = True
-*/
-        }
-        __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-        /* "troplines/_fastsweep.pyx":715
- *                 )
- *             determined[ti] = det_list
- *             if cells[ti].bdry < 2:             # <<<<<<<<<<<<<<
- *                 m_noncorner += 1
- *                 for j in det_list:
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":721
- *                         union_flags[j] = True
- *                         union_count += 1
- *             if cells[ti].bdry == 0 and det_count < 3:             # <<<<<<<<<<<<<<
- *                 violations.append(
- *                     [
-*/
-      __pyx_t_14 = ((__pyx_v_cells[__pyx_v_ti]).bdry == 0);
-      if (__pyx_t_14) {
-      } else {
-        __pyx_t_2 = __pyx_t_14;
-        goto __pyx_L196_bool_binop_done;
-      }
-      __pyx_t_14 = (__pyx_v_det_count < 3);
-      __pyx_t_2 = __pyx_t_14;
-      __pyx_L196_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "troplines/_fastsweep.pyx":725
- *                     [
- *                         "determined_minimum",
- *                         f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determines "             # <<<<<<<<<<<<<<
- *                         f"{det_count} faces, needs 3",
- *                     ]
-*/
-        __pyx_t_7 = __Pyx_PyUnicode_From_PY_LONG_LONG((__pyx_v_cells[__pyx_v_ti]).dx, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 725, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_7);
-        __pyx_t_3 = __Pyx_PyUnicode_From_PY_LONG_LONG((__pyx_v_cells[__pyx_v_ti]).dy, 0, ' ', 'd'); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 725, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-
-        /* "troplines/_fastsweep.pyx":726
- *                         "determined_minimum",
- *                         f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determines "
- *                         f"{det_count} faces, needs 3",             # <<<<<<<<<<<<<<
- *                     ]
- *                 )
-*/
-        __pyx_t_9 = __Pyx_PyUnicode_From_int(__pyx_v_det_count, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 726, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_20[0] = __pyx_mstate_global->__pyx_kp_u_triangle_at;
-        __pyx_t_20[1] = __pyx_t_7;
-        __pyx_t_20[2] = __pyx_mstate_global->__pyx_kp_u__3;
-        __pyx_t_20[3] = __pyx_t_3;
-        __pyx_t_20[4] = __pyx_mstate_global->__pyx_kp_u_determines;
-        __pyx_t_20[5] = __pyx_t_9;
-        __pyx_t_20[6] = __pyx_mstate_global->__pyx_kp_u_faces_needs_3;
-
-        /* "troplines/_fastsweep.pyx":725
- *                     [
- *                         "determined_minimum",
- *                         f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determines "             # <<<<<<<<<<<<<<
- *                         f"{det_count} faces, needs 3",
- *                     ]
-*/
-        __pyx_t_4 = __Pyx_PyUnicode_Join(__pyx_t_20, 7, 13 * 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_3) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + 15, 127);
-        if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 725, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-        /* "troplines/_fastsweep.pyx":723
- *             if cells[ti].bdry == 0 and det_count < 3:
- *                 violations.append(
- *                     [             # <<<<<<<<<<<<<<
- *                         "determined_minimum",
- *                         f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determines "
-*/
-        __pyx_t_9 = PyList_New(2); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 723, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_determined_minimum);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_determined_minimum);
-        if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 0, __pyx_mstate_global->__pyx_n_u_determined_minimum) != (0)) __PYX_ERR(0, 723, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_4);
-        if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 1, __pyx_t_4) != (0)) __PYX_ERR(0, 723, __pyx_L1_error);
-        __pyx_t_4 = 0;
-
-        /* "troplines/_fastsweep.pyx":722
- *                         union_count += 1
- *             if cells[ti].bdry == 0 and det_count < 3:
- *                 violations.append(             # <<<<<<<<<<<<<<
- *                     [
- *                         "determined_minimum",
-*/
-        __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_9); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 722, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-        /* "troplines/_fastsweep.pyx":721
- *                         union_flags[j] = True
- *                         union_count += 1
- *             if cells[ti].bdry == 0 and det_count < 3:             # <<<<<<<<<<<<<<
- *                 violations.append(
- *                     [
-*/
-        goto __pyx_L195;
-      }
-
-      /* "troplines/_fastsweep.pyx":729
- *                     ]
- *                 )
- *             elif cells[ti].bdry == 1 and det_count < 1:             # <<<<<<<<<<<<<<
- *                 violations.append(
- *                     [
-*/
-      __pyx_t_14 = ((__pyx_v_cells[__pyx_v_ti]).bdry == 1);
-      if (__pyx_t_14) {
-      } else {
-        __pyx_t_2 = __pyx_t_14;
-        goto __pyx_L198_bool_binop_done;
-      }
-      __pyx_t_14 = (__pyx_v_det_count < 1);
-      __pyx_t_2 = __pyx_t_14;
-      __pyx_L198_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "troplines/_fastsweep.pyx":733
- *                     [
- *                         "determined_minimum",
- *                         f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determines "             # <<<<<<<<<<<<<<
- *                         f"{det_count} faces, needs 1",
- *                     ]
-*/
-        __pyx_t_9 = __Pyx_PyUnicode_From_PY_LONG_LONG((__pyx_v_cells[__pyx_v_ti]).dx, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 733, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_4 = __Pyx_PyUnicode_From_PY_LONG_LONG((__pyx_v_cells[__pyx_v_ti]).dy, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 733, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-
-        /* "troplines/_fastsweep.pyx":734
- *                         "determined_minimum",
- *                         f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determines "
- *                         f"{det_count} faces, needs 1",             # <<<<<<<<<<<<<<
- *                     ]
- *                 )
-*/
-        __pyx_t_3 = __Pyx_PyUnicode_From_int(__pyx_v_det_count, 0, ' ', 'd'); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 734, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_20[0] = __pyx_mstate_global->__pyx_kp_u_triangle_at;
-        __pyx_t_20[1] = __pyx_t_9;
-        __pyx_t_20[2] = __pyx_mstate_global->__pyx_kp_u__3;
-        __pyx_t_20[3] = __pyx_t_4;
-        __pyx_t_20[4] = __pyx_mstate_global->__pyx_kp_u_determines;
-        __pyx_t_20[5] = __pyx_t_3;
-        __pyx_t_20[6] = __pyx_mstate_global->__pyx_kp_u_faces_needs_1;
-
-        /* "troplines/_fastsweep.pyx":733
- *                     [
- *                         "determined_minimum",
- *                         f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determines "             # <<<<<<<<<<<<<<
- *                         f"{det_count} faces, needs 1",
- *                     ]
-*/
-        __pyx_t_7 = __Pyx_PyUnicode_Join(__pyx_t_20, 7, 13 * 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_3) + 15, 127);
-        if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 733, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_7);
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-        /* "troplines/_fastsweep.pyx":731
- *             elif cells[ti].bdry == 1 and det_count < 1:
- *                 violations.append(
- *                     [             # <<<<<<<<<<<<<<
- *                         "determined_minimum",
- *                         f"triangle at ({cells[ti].dx}, {cells[ti].dy}) determines "
-*/
-        __pyx_t_3 = PyList_New(2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 731, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_determined_minimum);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_determined_minimum);
-        if (__Pyx_PyList_SET_ITEM(__pyx_t_3, 0, __pyx_mstate_global->__pyx_n_u_determined_minimum) != (0)) __PYX_ERR(0, 731, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_7);
-        if (__Pyx_PyList_SET_ITEM(__pyx_t_3, 1, __pyx_t_7) != (0)) __PYX_ERR(0, 731, __pyx_L1_error);
-        __pyx_t_7 = 0;
-
-        /* "troplines/_fastsweep.pyx":730
- *                 )
- *             elif cells[ti].bdry == 1 and det_count < 1:
- *                 violations.append(             # <<<<<<<<<<<<<<
- *                     [
- *                         "determined_minimum",
-*/
-        __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_3); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 730, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-        /* "troplines/_fastsweep.pyx":729
- *                     ]
- *                 )
- *             elif cells[ti].bdry == 1 and det_count < 1:             # <<<<<<<<<<<<<<
- *                 violations.append(
- *                     [
-*/
-      }
-      __pyx_L195:;
-      __pyx_L172_continue:;
-    }
-
-    /* "troplines/_fastsweep.pyx":737
- *                     ]
- *                 )
- *         if not (k_faces >= union_count >= m_noncorner):             # <<<<<<<<<<<<<<
- *             violations.append(
- *                 ["determined_union", f"k={k_faces}, union={union_count}, m={m_noncorner}"]
-*/
-    __pyx_t_2 = (__pyx_v_k_faces >= __pyx_v_union_count);
-    if (__pyx_t_2) {
-      __pyx_t_2 = (__pyx_v_union_count >= __pyx_v_m_noncorner);
-    }
-    __pyx_t_14 = (!__pyx_t_2);
-    if (__pyx_t_14) {
-
-      /* "troplines/_fastsweep.pyx":739
- *         if not (k_faces >= union_count >= m_noncorner):
- *             violations.append(
- *                 ["determined_union", f"k={k_faces}, union={union_count}, m={m_noncorner}"]             # <<<<<<<<<<<<<<
- *             )
- *         for j in range(ncells):
-*/
-      __pyx_t_3 = __Pyx_PyUnicode_From_int(__pyx_v_k_faces, 0, ' ', 'd'); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 739, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_7 = __Pyx_PyUnicode_From_int(__pyx_v_union_count, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 739, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_4 = __Pyx_PyUnicode_From_int(__pyx_v_m_noncorner, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 739, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_32[0] = __pyx_mstate_global->__pyx_kp_u_k_3;
-      __pyx_t_32[1] = __pyx_t_3;
-      __pyx_t_32[2] = __pyx_mstate_global->__pyx_kp_u_union;
-      __pyx_t_32[3] = __pyx_t_7;
-      __pyx_t_32[4] = __pyx_mstate_global->__pyx_kp_u_m;
-      __pyx_t_32[5] = __pyx_t_4;
-      __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_32, 6, 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_3) + 8 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 4 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4), 127);
-      if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 739, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __pyx_t_4 = PyList_New(2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 739, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_determined_union);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_determined_union);
-      if (__Pyx_PyList_SET_ITEM(__pyx_t_4, 0, __pyx_mstate_global->__pyx_n_u_determined_union) != (0)) __PYX_ERR(0, 739, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_9);
-      if (__Pyx_PyList_SET_ITEM(__pyx_t_4, 1, __pyx_t_9) != (0)) __PYX_ERR(0, 739, __pyx_L1_error);
-      __pyx_t_9 = 0;
-
-      /* "troplines/_fastsweep.pyx":738
- *                 )
- *         if not (k_faces >= union_count >= m_noncorner):
- *             violations.append(             # <<<<<<<<<<<<<<
- *                 ["determined_union", f"k={k_faces}, union={union_count}, m={m_noncorner}"]
- *             )
-*/
-      __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_4); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 738, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-      /* "troplines/_fastsweep.pyx":737
- *                     ]
- *                 )
- *         if not (k_faces >= union_count >= m_noncorner):             # <<<<<<<<<<<<<<
- *             violations.append(
- *                 ["determined_union", f"k={k_faces}, union={union_count}, m={m_noncorner}"]
-*/
-    }
-
-    /* "troplines/_fastsweep.pyx":741
- *                 ["determined_union", f"k={k_faces}, union={union_count}, m={m_noncorner}"]
- *             )
- *         for j in range(ncells):             # <<<<<<<<<<<<<<
- *             if adj_tri_count[j] < 2:
- *                 continue
-*/
-    __pyx_t_10 = __pyx_v_ncells;
-    __pyx_t_11 = __pyx_t_10;
-    for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-      __pyx_v_j = __pyx_t_12;
-
-      /* "troplines/_fastsweep.pyx":742
- *             )
- *         for j in range(ncells):
- *             if adj_tri_count[j] < 2:             # <<<<<<<<<<<<<<
- *                 continue
- *             for i in range(cells[j].m):
-*/
-      __pyx_t_4 = PyObject_RichCompare(__Pyx_PyList_GET_ITEM(__pyx_v_adj_tri_count, __pyx_v_j), __pyx_mstate_global->__pyx_int_2, Py_LT); __Pyx_XGOTREF(__pyx_t_4); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 742, __pyx_L1_error)
-      __pyx_t_14 = __Pyx_PyObject_IsTrue(__pyx_t_4); if (unlikely((__pyx_t_14 < 0))) __PYX_ERR(0, 742, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (__pyx_t_14) {
-
-        /* "troplines/_fastsweep.pyx":743
- *         for j in range(ncells):
- *             if adj_tri_count[j] < 2:
- *                 continue             # <<<<<<<<<<<<<<
- *             for i in range(cells[j].m):
- *                 e = i + 1
-*/
-        goto __pyx_L201_continue;
-
-        /* "troplines/_fastsweep.pyx":742
- *             )
- *         for j in range(ncells):
- *             if adj_tri_count[j] < 2:             # <<<<<<<<<<<<<<
- *                 continue
- *             for i in range(cells[j].m):
-*/
-      }
-
-      /* "troplines/_fastsweep.pyx":744
- *             if adj_tri_count[j] < 2:
- *                 continue
- *             for i in range(cells[j].m):             # <<<<<<<<<<<<<<
- *                 e = i + 1
- *                 if e == cells[j].m:
-*/
-      __pyx_t_15 = (__pyx_v_cells[__pyx_v_j]).m;
-      __pyx_t_16 = __pyx_t_15;
-      for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-        __pyx_v_i = __pyx_t_17;
-
-        /* "troplines/_fastsweep.pyx":745
- *                 continue
- *             for i in range(cells[j].m):
- *                 e = i + 1             # <<<<<<<<<<<<<<
- *                 if e == cells[j].m:
- *                     e = 0
-*/
-        __pyx_v_e = (__pyx_v_i + 1);
-
-        /* "troplines/_fastsweep.pyx":746
- *             for i in range(cells[j].m):
- *                 e = i + 1
- *                 if e == cells[j].m:             # <<<<<<<<<<<<<<
- *                     e = 0
- *                 dx = cells[j].vx[e] - cells[j].vx[i]
-*/
-        __pyx_t_14 = (__pyx_v_e == (__pyx_v_cells[__pyx_v_j]).m);
-        if (__pyx_t_14) {
-
-          /* "troplines/_fastsweep.pyx":747
- *                 e = i + 1
- *                 if e == cells[j].m:
- *                     e = 0             # <<<<<<<<<<<<<<
- *                 dx = cells[j].vx[e] - cells[j].vx[i]
- *                 dy = cells[j].vy[e] - cells[j].vy[i]
-*/
-          __pyx_v_e = 0;
-
-          /* "troplines/_fastsweep.pyx":746
- *             for i in range(cells[j].m):
- *                 e = i + 1
- *                 if e == cells[j].m:             # <<<<<<<<<<<<<<
- *                     e = 0
- *                 dx = cells[j].vx[e] - cells[j].vx[i]
-*/
-        }
-
-        /* "troplines/_fastsweep.pyx":748
- *                 if e == cells[j].m:
- *                     e = 0
- *                 dx = cells[j].vx[e] - cells[j].vx[i]             # <<<<<<<<<<<<<<
- *                 dy = cells[j].vy[e] - cells[j].vy[i]
- *                 if dx < -1 or dx > 1 or dy < -1 or dy > 1:
-*/
-        __pyx_v_dx = (((__pyx_v_cells[__pyx_v_j]).vx[__pyx_v_e]) - ((__pyx_v_cells[__pyx_v_j]).vx[__pyx_v_i]));
-
-        /* "troplines/_fastsweep.pyx":749
- *                     e = 0
- *                 dx = cells[j].vx[e] - cells[j].vx[i]
- *                 dy = cells[j].vy[e] - cells[j].vy[i]             # <<<<<<<<<<<<<<
- *                 if dx < -1 or dx > 1 or dy < -1 or dy > 1:
- *                     violations.append(
-*/
-        __pyx_v_dy = (((__pyx_v_cells[__pyx_v_j]).vy[__pyx_v_e]) - ((__pyx_v_cells[__pyx_v_j]).vy[__pyx_v_i]));
-
-        /* "troplines/_fastsweep.pyx":750
- *                 dx = cells[j].vx[e] - cells[j].vx[i]
- *                 dy = cells[j].vy[e] - cells[j].vy[i]
- *                 if dx < -1 or dx > 1 or dy < -1 or dy > 1:             # <<<<<<<<<<<<<<
- *                     violations.append(
- *                         [
-*/
-        __pyx_t_2 = (__pyx_v_dx < -1LL);
-        if (!__pyx_t_2) {
-        } else {
-          __pyx_t_14 = __pyx_t_2;
-          goto __pyx_L208_bool_binop_done;
-        }
-        __pyx_t_2 = (__pyx_v_dx > 1);
-        if (!__pyx_t_2) {
-        } else {
-          __pyx_t_14 = __pyx_t_2;
-          goto __pyx_L208_bool_binop_done;
-        }
-        __pyx_t_2 = (__pyx_v_dy < -1LL);
-        if (!__pyx_t_2) {
-        } else {
-          __pyx_t_14 = __pyx_t_2;
-          goto __pyx_L208_bool_binop_done;
-        }
-        __pyx_t_2 = (__pyx_v_dy > 1);
-        __pyx_t_14 = __pyx_t_2;
-        __pyx_L208_bool_binop_done:;
-        if (__pyx_t_14) {
-
-          /* "troplines/_fastsweep.pyx":754
- *                         [
- *                             "unit_parallelogram",
- *                             f"parallelogram adjacent to {adj_tri_count[j]} "             # <<<<<<<<<<<<<<
- *                             f"triangles has a non-unit edge",
- *                         ]
-*/
-          __pyx_t_4 = __Pyx_PyObject_FormatSimple(__Pyx_PyList_GET_ITEM(__pyx_v_adj_tri_count, __pyx_v_j), __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 754, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_4);
-          __pyx_t_34[0] = __pyx_mstate_global->__pyx_kp_u_parallelogram_adjacent_to;
-          __pyx_t_34[1] = __pyx_t_4;
-          __pyx_t_34[2] = __pyx_mstate_global->__pyx_kp_u_triangles_has_a_non_unit_edge;
-          __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_34, 3, 26 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + 30, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_4));
-          if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 754, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-          /* "troplines/_fastsweep.pyx":752
- *                 if dx < -1 or dx > 1 or dy < -1 or dy > 1:
- *                     violations.append(
- *                         [             # <<<<<<<<<<<<<<
- *                             "unit_parallelogram",
- *                             f"parallelogram adjacent to {adj_tri_count[j]} "
-*/
-          __pyx_t_4 = PyList_New(2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 752, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_4);
-          __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_unit_parallelogram);
-          __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_unit_parallelogram);
-          if (__Pyx_PyList_SET_ITEM(__pyx_t_4, 0, __pyx_mstate_global->__pyx_n_u_unit_parallelogram) != (0)) __PYX_ERR(0, 752, __pyx_L1_error);
-          __Pyx_GIVEREF(__pyx_t_9);
-          if (__Pyx_PyList_SET_ITEM(__pyx_t_4, 1, __pyx_t_9) != (0)) __PYX_ERR(0, 752, __pyx_L1_error);
-          __pyx_t_9 = 0;
-
-          /* "troplines/_fastsweep.pyx":751
- *                 dy = cells[j].vy[e] - cells[j].vy[i]
- *                 if dx < -1 or dx > 1 or dy < -1 or dy > 1:
- *                     violations.append(             # <<<<<<<<<<<<<<
- *                         [
- *                             "unit_parallelogram",
-*/
-          __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_4); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 751, __pyx_L1_error)
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-          /* "troplines/_fastsweep.pyx":758
- *                         ]
- *                     )
- *                     break             # <<<<<<<<<<<<<<
- * 
- *     # --- the bound --------------------------------------------------------
-*/
-          goto __pyx_L205_break;
-
-          /* "troplines/_fastsweep.pyx":750
- *                 dx = cells[j].vx[e] - cells[j].vx[i]
- *                 dy = cells[j].vy[e] - cells[j].vy[i]
- *                 if dx < -1 or dx > 1 or dy < -1 or dy > 1:             # <<<<<<<<<<<<<<
- *                     violations.append(
- *                         [
-*/
-        }
-      }
-      __pyx_L205_break:;
-      __pyx_L201_continue:;
-    }
-
-    /* "troplines/_fastsweep.pyx":584
- *     cdef i64 basex, basey
- * 
- *     if tiling_ok:             # <<<<<<<<<<<<<<
- *         # cell edge directions
- *         for i in range(ncells):
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":761
- * 
- *     # --- the bound --------------------------------------------------------
- *     cdef int excess = b_pairwise - (n - 3)             # <<<<<<<<<<<<<<
- *     bound_holds = b_pairwise >= n - 3
- *     equality = b_pairwise == n - 3
-*/
-  __pyx_v_excess = (__pyx_v_b_pairwise - (__pyx_v_n - 3));
-
-  /* "troplines/_fastsweep.pyx":762
- *     # --- the bound --------------------------------------------------------
- *     cdef int excess = b_pairwise - (n - 3)
- *     bound_holds = b_pairwise >= n - 3             # <<<<<<<<<<<<<<
- *     equality = b_pairwise == n - 3
- *     consistent = (not equality) or bool(near_pencil)
-*/
-  __pyx_t_4 = __Pyx_PyBool_FromLong((__pyx_v_b_pairwise >= (__pyx_v_n - 3))); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 762, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_v_bound_holds = __pyx_t_4;
-  __pyx_t_4 = 0;
-
-  /* "troplines/_fastsweep.pyx":763
- *     cdef int excess = b_pairwise - (n - 3)
- *     bound_holds = b_pairwise >= n - 3
- *     equality = b_pairwise == n - 3             # <<<<<<<<<<<<<<
- *     consistent = (not equality) or bool(near_pencil)
- *     if n >= 4:
-*/
-  __pyx_t_4 = __Pyx_PyBool_FromLong((__pyx_v_b_pairwise == (__pyx_v_n - 3))); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 763, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_v_equality = __pyx_t_4;
-  __pyx_t_4 = 0;
-
-  /* "troplines/_fastsweep.pyx":764
- *     bound_holds = b_pairwise >= n - 3
- *     equality = b_pairwise == n - 3
- *     consistent = (not equality) or bool(near_pencil)             # <<<<<<<<<<<<<<
- *     if n >= 4:
- *         if not bound_holds:
-*/
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_v_equality); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 764, __pyx_L1_error)
-  __pyx_t_35 = (!__pyx_t_2);
-  if (!__pyx_t_35) {
-  } else {
-    __pyx_t_14 = __pyx_t_35;
-    goto __pyx_L212_bool_binop_done;
-  }
-  __pyx_t_35 = __Pyx_PyObject_IsTrue(__pyx_v_near_pencil); if (unlikely((__pyx_t_35 < 0))) __PYX_ERR(0, 764, __pyx_L1_error)
-  __pyx_t_14 = (!(!__pyx_t_35));
-  __pyx_L212_bool_binop_done:;
-  __pyx_v_consistent = __pyx_t_14;
-
-  /* "troplines/_fastsweep.pyx":765
- *     equality = b_pairwise == n - 3
- *     consistent = (not equality) or bool(near_pencil)
- *     if n >= 4:             # <<<<<<<<<<<<<<
- *         if not bound_holds:
- *             violations.append(["bound", f"b={b_pairwise} < v-3={n - 3}"])
-*/
-  __pyx_t_14 = (__pyx_v_n >= 4);
-  if (__pyx_t_14) {
-
-    /* "troplines/_fastsweep.pyx":766
- *     consistent = (not equality) or bool(near_pencil)
- *     if n >= 4:
- *         if not bound_holds:             # <<<<<<<<<<<<<<
- *             violations.append(["bound", f"b={b_pairwise} < v-3={n - 3}"])
- *         if equality and near_pencil is False:
-*/
-    __pyx_t_14 = __Pyx_PyObject_IsTrue(__pyx_v_bound_holds); if (unlikely((__pyx_t_14 < 0))) __PYX_ERR(0, 766, __pyx_L1_error)
-    __pyx_t_35 = (!__pyx_t_14);
-    if (__pyx_t_35) {
-
-      /* "troplines/_fastsweep.pyx":767
- *     if n >= 4:
- *         if not bound_holds:
- *             violations.append(["bound", f"b={b_pairwise} < v-3={n - 3}"])             # <<<<<<<<<<<<<<
- *         if equality and near_pencil is False:
- *             violations.append(
-*/
-      __pyx_t_4 = __Pyx_PyUnicode_From_int(__pyx_v_b_pairwise, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 767, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_9 = __Pyx_PyUnicode_From_long((__pyx_v_n - 3), 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 767, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_b_2;
-      __pyx_t_8[1] = __pyx_t_4;
-      __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_v_3;
-      __pyx_t_8[3] = __pyx_t_9;
-      __pyx_t_7 = __Pyx_PyUnicode_Join(__pyx_t_8, 4, 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + 7 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9), 127);
-      if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 767, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __pyx_t_9 = PyList_New(2); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 767, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_bound);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_bound);
-      if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 0, __pyx_mstate_global->__pyx_n_u_bound) != (0)) __PYX_ERR(0, 767, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_7);
-      if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 1, __pyx_t_7) != (0)) __PYX_ERR(0, 767, __pyx_L1_error);
-      __pyx_t_7 = 0;
-      __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_9); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 767, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-      /* "troplines/_fastsweep.pyx":766
- *     consistent = (not equality) or bool(near_pencil)
- *     if n >= 4:
- *         if not bound_holds:             # <<<<<<<<<<<<<<
- *             violations.append(["bound", f"b={b_pairwise} < v-3={n - 3}"])
- *         if equality and near_pencil is False:
-*/
-    }
-
-    /* "troplines/_fastsweep.pyx":768
- *         if not bound_holds:
- *             violations.append(["bound", f"b={b_pairwise} < v-3={n - 3}"])
- *         if equality and near_pencil is False:             # <<<<<<<<<<<<<<
- *             violations.append(
- *                 ["near_pencil", f"b=v-3={b_pairwise} but subdivision is not a near-pencil"]
-*/
-    __pyx_t_14 = __Pyx_PyObject_IsTrue(__pyx_v_equality); if (unlikely((__pyx_t_14 < 0))) __PYX_ERR(0, 768, __pyx_L1_error)
-    if (__pyx_t_14) {
-    } else {
-      __pyx_t_35 = __pyx_t_14;
-      goto __pyx_L217_bool_binop_done;
-    }
-    __pyx_t_14 = (__pyx_v_near_pencil == Py_False);
-    __pyx_t_35 = __pyx_t_14;
-    __pyx_L217_bool_binop_done:;
-    if (__pyx_t_35) {
-
-      /* "troplines/_fastsweep.pyx":770
- *         if equality and near_pencil is False:
- *             violations.append(
- *                 ["near_pencil", f"b=v-3={b_pairwise} but subdivision is not a near-pencil"]             # <<<<<<<<<<<<<<
- *             )
- * 
-*/
-      __pyx_t_9 = __Pyx_PyUnicode_From_int(__pyx_v_b_pairwise, 0, ' ', 'd'); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 770, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_34[0] = __pyx_mstate_global->__pyx_kp_u_b_v_3;
-      __pyx_t_34[1] = __pyx_t_9;
-      __pyx_t_34[2] = __pyx_mstate_global->__pyx_kp_u_but_subdivision_is_not_a_near_p;
-      __pyx_t_7 = __Pyx_PyUnicode_Join(__pyx_t_34, 3, 6 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_9) + 37, 127);
-      if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 770, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __pyx_t_9 = PyList_New(2); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 770, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_n_u_near_pencil);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_n_u_near_pencil);
-      if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 0, __pyx_mstate_global->__pyx_n_u_near_pencil) != (0)) __PYX_ERR(0, 770, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_7);
-      if (__Pyx_PyList_SET_ITEM(__pyx_t_9, 1, __pyx_t_7) != (0)) __PYX_ERR(0, 770, __pyx_L1_error);
-      __pyx_t_7 = 0;
-
-      /* "troplines/_fastsweep.pyx":769
- *             violations.append(["bound", f"b={b_pairwise} < v-3={n - 3}"])
- *         if equality and near_pencil is False:
- *             violations.append(             # <<<<<<<<<<<<<<
- *                 ["near_pencil", f"b=v-3={b_pairwise} but subdivision is not a near-pencil"]
- *             )
-*/
-      __pyx_t_28 = __Pyx_PyList_Append(__pyx_v_violations, __pyx_t_9); if (unlikely(__pyx_t_28 == ((int)-1))) __PYX_ERR(0, 769, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-      /* "troplines/_fastsweep.pyx":768
- *         if not bound_holds:
- *             violations.append(["bound", f"b={b_pairwise} < v-3={n - 3}"])
- *         if equality and near_pencil is False:             # <<<<<<<<<<<<<<
- *             violations.append(
- *                 ["near_pencil", f"b=v-3={b_pairwise} but subdivision is not a near-pencil"]
-*/
-    }
-
-    /* "troplines/_fastsweep.pyx":765
- *     equality = b_pairwise == n - 3
- *     consistent = (not equality) or bool(near_pencil)
- *     if n >= 4:             # <<<<<<<<<<<<<<
- *         if not bound_holds:
- *             violations.append(["bound", f"b={b_pairwise} < v-3={n - 3}"])
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":773
- *             )
- * 
- *     return {             # <<<<<<<<<<<<<<
- *         "v": n,
- *         "t": t_count,
-*/
-  __Pyx_XDECREF(__pyx_r);
-
-  /* "troplines/_fastsweep.pyx":774
- * 
- *     return {
- *         "v": n,             # <<<<<<<<<<<<<<
- *         "t": t_count,
- *         "triangles": triangles,
-*/
-  __pyx_t_9 = __Pyx_PyDict_NewPresized(12); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 774, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_v_n); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 774, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  if (PyDict_SetItem(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_v, __pyx_t_7) < (0)) __PYX_ERR(0, 774, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "troplines/_fastsweep.pyx":775
- *     return {
- *         "v": n,
- *         "t": t_count,             # <<<<<<<<<<<<<<
- *         "triangles": triangles,
- *         "b": b_faces,
-*/
-  __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_v_t_count); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 775, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  if (PyDict_SetItem(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_t_2, __pyx_t_7) < (0)) __PYX_ERR(0, 774, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "troplines/_fastsweep.pyx":776
- *         "v": n,
- *         "t": t_count,
- *         "triangles": triangles,             # <<<<<<<<<<<<<<
- *         "b": b_faces,
- *         "k": k_faces,
-*/
-  __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_v_triangles); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 776, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  if (PyDict_SetItem(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_triangles_3, __pyx_t_7) < (0)) __PYX_ERR(0, 774, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "troplines/_fastsweep.pyx":777
- *         "t": t_count,
- *         "triangles": triangles,
- *         "b": b_faces,             # <<<<<<<<<<<<<<
- *         "k": k_faces,
- *         "h": h_faces,
-*/
-  __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_v_b_faces); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 777, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  if (PyDict_SetItem(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_b_3, __pyx_t_7) < (0)) __PYX_ERR(0, 774, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "troplines/_fastsweep.pyx":778
- *         "triangles": triangles,
- *         "b": b_faces,
- *         "k": k_faces,             # <<<<<<<<<<<<<<
- *         "h": h_faces,
- *         "near_pencil": near_pencil,
-*/
-  __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_v_k_faces); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 778, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  if (PyDict_SetItem(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_k_4, __pyx_t_7) < (0)) __PYX_ERR(0, 774, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "troplines/_fastsweep.pyx":779
- *         "b": b_faces,
- *         "k": k_faces,
- *         "h": h_faces,             # <<<<<<<<<<<<<<
- *         "near_pencil": near_pencil,
- *         "bound_holds": bound_holds,
-*/
-  __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_v_h_faces); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 779, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  if (PyDict_SetItem(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_h_3, __pyx_t_7) < (0)) __PYX_ERR(0, 774, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "troplines/_fastsweep.pyx":780
- *         "k": k_faces,
- *         "h": h_faces,
- *         "near_pencil": near_pencil,             # <<<<<<<<<<<<<<
- *         "bound_holds": bound_holds,
- *         "equality": equality,
-*/
-  if (PyDict_SetItem(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_near_pencil, __pyx_v_near_pencil) < (0)) __PYX_ERR(0, 774, __pyx_L1_error)
-
-  /* "troplines/_fastsweep.pyx":781
- *         "h": h_faces,
- *         "near_pencil": near_pencil,
- *         "bound_holds": bound_holds,             # <<<<<<<<<<<<<<
- *         "equality": equality,
- *         "consistent": consistent,
-*/
-  if (PyDict_SetItem(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_bound_holds, __pyx_v_bound_holds) < (0)) __PYX_ERR(0, 774, __pyx_L1_error)
-
-  /* "troplines/_fastsweep.pyx":782
- *         "near_pencil": near_pencil,
- *         "bound_holds": bound_holds,
- *         "equality": equality,             # <<<<<<<<<<<<<<
- *         "consistent": consistent,
- *         "excess": excess,
-*/
-  if (PyDict_SetItem(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_equality, __pyx_v_equality) < (0)) __PYX_ERR(0, 774, __pyx_L1_error)
-
-  /* "troplines/_fastsweep.pyx":783
- *         "bound_holds": bound_holds,
- *         "equality": equality,
- *         "consistent": consistent,             # <<<<<<<<<<<<<<
- *         "excess": excess,
- *         "violations": violations,
-*/
-  __pyx_t_7 = __Pyx_PyBool_FromLong(__pyx_v_consistent); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  if (PyDict_SetItem(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_consistent, __pyx_t_7) < (0)) __PYX_ERR(0, 774, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "troplines/_fastsweep.pyx":784
- *         "equality": equality,
- *         "consistent": consistent,
- *         "excess": excess,             # <<<<<<<<<<<<<<
- *         "violations": violations,
- *     }
-*/
-  __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_v_excess); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 784, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  if (PyDict_SetItem(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_excess, __pyx_t_7) < (0)) __PYX_ERR(0, 774, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-
-  /* "troplines/_fastsweep.pyx":785
- *         "consistent": consistent,
- *         "excess": excess,
- *         "violations": violations,             # <<<<<<<<<<<<<<
- *     }
- * 
-*/
-  if (PyDict_SetItem(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_violations, __pyx_v_violations) < (0)) __PYX_ERR(0, 774, __pyx_L1_error)
-  __pyx_r = __pyx_t_9;
-  __pyx_t_9 = 0;
-  goto __pyx_L0;
-
-  /* "troplines/_fastsweep.pyx":273
- * 
- * 
- * def analyze_ints(points):             # <<<<<<<<<<<<<<
- *     """The per-configuration analysis record for integer points.
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_21);
-  __Pyx_XDECREF(__pyx_t_27);
-  __Pyx_AddTraceback("troplines._fastsweep.analyze_ints", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_violations);
-  __Pyx_XDECREF(__pyx_v_counts_repr);
-  __Pyx_XDECREF(__pyx_v_near_pencil);
-  __Pyx_XDECREF(__pyx_v_determined);
-  __Pyx_XDECREF(__pyx_v_union_flags);
-  __Pyx_XDECREF(__pyx_v_adj_tri_count);
-  __Pyx_XDECREF(__pyx_v_det_list);
-  __Pyx_XDECREF(__pyx_v_bound_holds);
-  __Pyx_XDECREF(__pyx_v_equality);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "troplines/_fastsweep.pyx":789
- * 
- * 
- * def has_ordinary_line(points):             # <<<<<<<<<<<<<<
- *     """True iff some stable line of the configuration passes through
- *     exactly two of the points. Fast predicate for witness searches."""
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9troplines_10_fastsweep_3has_ordinary_line(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9troplines_10_fastsweep_2has_ordinary_line, "True iff some stable line of the configuration passes through\n    exactly two of the points. Fast predicate for witness searches.");
-static PyMethodDef __pyx_mdef_9troplines_10_fastsweep_3has_ordinary_line = {"has_ordinary_line", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9troplines_10_fastsweep_3has_ordinary_line, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9troplines_10_fastsweep_2has_ordinary_line};
-static PyObject *__pyx_pw_9troplines_10_fastsweep_3has_ordinary_line(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_points = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("has_ordinary_line (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_points,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 789, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 789, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "has_ordinary_line", 0) < (0)) __PYX_ERR(0, 789, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("has_ordinary_line", 1, 1, 1, i); __PYX_ERR(0, 789, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 789, __pyx_L3_error)
-    }
-    __pyx_v_points = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("has_ordinary_line", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 789, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("troplines._fastsweep.has_ordinary_line", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9troplines_10_fastsweep_2has_ordinary_line(__pyx_self, __pyx_v_points);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9troplines_10_fastsweep_2has_ordinary_line(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_points) {
-  int __pyx_v_n;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_vx[__pyx_e_9troplines_10_fastsweep_MAXN];
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_vy[__pyx_e_9troplines_10_fastsweep_MAXN];
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_limit;
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_v_r1;
-  int __pyx_v_r2;
-  int __pyx_v_hits;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_stabkey[__pyx_e_9troplines_10_fastsweep_MAXCAND];
-  int __pyx_v_nstab;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_OFF;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_SHIFT;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_ax;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_ay;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_bx;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_by;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_dx;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_dy;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_denom;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_tn;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_sn;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_cx;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_cy;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_wx;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_v_wy;
-  int __pyx_v_incident;
-  int __pyx_v_mask;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8[4];
-  PyObject *__pyx_t_9 = NULL;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  __pyx_t_9troplines_10_fastsweep_i64 __pyx_t_13;
-  int __pyx_t_14;
-  int __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_t_17;
-  int __pyx_t_18;
-  int __pyx_t_19;
-  PyObject *__pyx_t_20[7];
-  PyObject *__pyx_t_21 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("has_ordinary_line", 0);
-
-  /* "troplines/_fastsweep.pyx":792
- *     """True iff some stable line of the configuration passes through
- *     exactly two of the points. Fast predicate for witness searches."""
- *     cdef int n = len(points)             # <<<<<<<<<<<<<<
- *     if n < 2:
- *         raise ValueError("need at least two points")
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_points); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 792, __pyx_L1_error)
-  __pyx_v_n = __pyx_t_1;
-
-  /* "troplines/_fastsweep.pyx":793
- *     exactly two of the points. Fast predicate for witness searches."""
- *     cdef int n = len(points)
- *     if n < 2:             # <<<<<<<<<<<<<<
- *         raise ValueError("need at least two points")
- *     if n > MAXN:
-*/
-  __pyx_t_2 = (__pyx_v_n < 2);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "troplines/_fastsweep.pyx":794
- *     cdef int n = len(points)
- *     if n < 2:
- *         raise ValueError("need at least two points")             # <<<<<<<<<<<<<<
- *     if n > MAXN:
- *         raise ValueError(f"kernel supports at most {MAXN} points, got {n}")
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_need_at_least_two_points};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 794, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 794, __pyx_L1_error)
-
-    /* "troplines/_fastsweep.pyx":793
- *     exactly two of the points. Fast predicate for witness searches."""
- *     cdef int n = len(points)
- *     if n < 2:             # <<<<<<<<<<<<<<
- *         raise ValueError("need at least two points")
- *     if n > MAXN:
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":795
- *     if n < 2:
- *         raise ValueError("need at least two points")
- *     if n > MAXN:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"kernel supports at most {MAXN} points, got {n}")
- *     cdef i64 vx[MAXN]
-*/
-  __pyx_t_2 = (__pyx_v_n > __pyx_e_9troplines_10_fastsweep_MAXN);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "troplines/_fastsweep.pyx":796
- *         raise ValueError("need at least two points")
- *     if n > MAXN:
- *         raise ValueError(f"kernel supports at most {MAXN} points, got {n}")             # <<<<<<<<<<<<<<
- *     cdef i64 vx[MAXN]
- *     cdef i64 vy[MAXN]
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_6 = __Pyx_PyUnicode_From___pyx_anon_enum(__pyx_e_9troplines_10_fastsweep_MAXN, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 796, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyUnicode_From_int(__pyx_v_n, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 796, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_kernel_supports_at_most;
-    __pyx_t_8[1] = __pyx_t_6;
-    __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_points_got;
-    __pyx_t_8[3] = __pyx_t_7;
-    __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_8, 4, 24 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 13 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7), 127);
-    if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 796, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_9};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 796, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 796, __pyx_L1_error)
-
-    /* "troplines/_fastsweep.pyx":795
- *     if n < 2:
- *         raise ValueError("need at least two points")
- *     if n > MAXN:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"kernel supports at most {MAXN} points, got {n}")
- *     cdef i64 vx[MAXN]
-*/
-  }
-
-  /* "troplines/_fastsweep.pyx":799
- *     cdef i64 vx[MAXN]
- *     cdef i64 vy[MAXN]
- *     cdef i64 limit = <i64>1 << 20             # <<<<<<<<<<<<<<
- *     cdef int i, j, r1, r2, hits
- *     for i in range(n):
-*/
-  __pyx_v_limit = (((__pyx_t_9troplines_10_fastsweep_i64)1) << 20);
-
-  /* "troplines/_fastsweep.pyx":801
- *     cdef i64 limit = <i64>1 << 20
- *     cdef int i, j, r1, r2, hits
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         vx[i] = -points[i][0]
- *         vy[i] = -points[i][1]
-*/
-  __pyx_t_10 = __pyx_v_n;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "troplines/_fastsweep.pyx":802
- *     cdef int i, j, r1, r2, hits
- *     for i in range(n):
- *         vx[i] = -points[i][0]             # <<<<<<<<<<<<<<
- *         vy[i] = -points[i][1]
- *         if vx[i] > limit or vx[i] < -limit or vy[i] > limit or vy[i] < -limit:
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_points, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 802, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_9 = __Pyx_GetItemInt(__pyx_t_3, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 802, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_3 = PyNumber_Negative(__pyx_t_9); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 802, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __pyx_t_13 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_3); if (unlikely((__pyx_t_13 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 802, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_vx[__pyx_v_i]) = __pyx_t_13;
-
-    /* "troplines/_fastsweep.pyx":803
- *     for i in range(n):
- *         vx[i] = -points[i][0]
- *         vy[i] = -points[i][1]             # <<<<<<<<<<<<<<
- *         if vx[i] > limit or vx[i] < -limit or vy[i] > limit or vy[i] < -limit:
- *             raise ValueError("kernel coordinate bound exceeded")
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_points, __pyx_v_i, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 803, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_9 = __Pyx_GetItemInt(__pyx_t_3, 1, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 803, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_3 = PyNumber_Negative(__pyx_t_9); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 803, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __pyx_t_13 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_3); if (unlikely((__pyx_t_13 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 803, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_vy[__pyx_v_i]) = __pyx_t_13;
-
-    /* "troplines/_fastsweep.pyx":804
- *         vx[i] = -points[i][0]
- *         vy[i] = -points[i][1]
- *         if vx[i] > limit or vx[i] < -limit or vy[i] > limit or vy[i] < -limit:             # <<<<<<<<<<<<<<
- *             raise ValueError("kernel coordinate bound exceeded")
- *     cdef i64 stabkey[MAXCAND]
-*/
-    __pyx_t_14 = ((__pyx_v_vx[__pyx_v_i]) > __pyx_v_limit);
-    if (!__pyx_t_14) {
-    } else {
-      __pyx_t_2 = __pyx_t_14;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_14 = ((__pyx_v_vx[__pyx_v_i]) < (-__pyx_v_limit));
-    if (!__pyx_t_14) {
-    } else {
-      __pyx_t_2 = __pyx_t_14;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_14 = ((__pyx_v_vy[__pyx_v_i]) > __pyx_v_limit);
-    if (!__pyx_t_14) {
-    } else {
-      __pyx_t_2 = __pyx_t_14;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_14 = ((__pyx_v_vy[__pyx_v_i]) < (-__pyx_v_limit));
-    __pyx_t_2 = __pyx_t_14;
-    __pyx_L8_bool_binop_done:;
-    if (unlikely(__pyx_t_2)) {
-
-      /* "troplines/_fastsweep.pyx":805
- *         vy[i] = -points[i][1]
- *         if vx[i] > limit or vx[i] < -limit or vy[i] > limit or vy[i] < -limit:
- *             raise ValueError("kernel coordinate bound exceeded")             # <<<<<<<<<<<<<<
- *     cdef i64 stabkey[MAXCAND]
- *     cdef int nstab = 0
-*/
-      __pyx_t_9 = NULL;
-      __pyx_t_5 = 1;
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_mstate_global->__pyx_kp_u_kernel_coordinate_bound_exceeded};
-        __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 805, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-      }
-      __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __PYX_ERR(0, 805, __pyx_L1_error)
-
-      /* "troplines/_fastsweep.pyx":804
- *         vx[i] = -points[i][0]
- *         vy[i] = -points[i][1]
- *         if vx[i] > limit or vx[i] < -limit or vy[i] > limit or vy[i] < -limit:             # <<<<<<<<<<<<<<
- *             raise ValueError("kernel coordinate bound exceeded")
- *     cdef i64 stabkey[MAXCAND]
-*/
-    }
-  }
-
-  /* "troplines/_fastsweep.pyx":807
- *             raise ValueError("kernel coordinate bound exceeded")
- *     cdef i64 stabkey[MAXCAND]
- *     cdef int nstab = 0             # <<<<<<<<<<<<<<
- *     cdef i64 OFF = <i64>1 << 23
- *     cdef i64 SHIFT = <i64>1 << 25
-*/
-  __pyx_v_nstab = 0;
-
-  /* "troplines/_fastsweep.pyx":808
- *     cdef i64 stabkey[MAXCAND]
- *     cdef int nstab = 0
- *     cdef i64 OFF = <i64>1 << 23             # <<<<<<<<<<<<<<
- *     cdef i64 SHIFT = <i64>1 << 25
- *     cdef i64 ax, ay, bx, by, dx, dy, denom, tn, sn, cx, cy, wx, wy
-*/
-  __pyx_v_OFF = (((__pyx_t_9troplines_10_fastsweep_i64)1) << 23);
-
-  /* "troplines/_fastsweep.pyx":809
- *     cdef int nstab = 0
- *     cdef i64 OFF = <i64>1 << 23
- *     cdef i64 SHIFT = <i64>1 << 25             # <<<<<<<<<<<<<<
- *     cdef i64 ax, ay, bx, by, dx, dy, denom, tn, sn, cx, cy, wx, wy
- *     for i in range(n):
-*/
-  __pyx_v_SHIFT = (((__pyx_t_9troplines_10_fastsweep_i64)1) << 25);
-
-  /* "troplines/_fastsweep.pyx":811
- *     cdef i64 SHIFT = <i64>1 << 25
- *     cdef i64 ax, ay, bx, by, dx, dy, denom, tn, sn, cx, cy, wx, wy
- *     for i in range(n):             # <<<<<<<<<<<<<<
- *         for j in range(i + 1, n):
- *             ax = vx[i]; ay = vy[i]
-*/
-  __pyx_t_10 = __pyx_v_n;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "troplines/_fastsweep.pyx":812
- *     cdef i64 ax, ay, bx, by, dx, dy, denom, tn, sn, cx, cy, wx, wy
- *     for i in range(n):
- *         for j in range(i + 1, n):             # <<<<<<<<<<<<<<
- *             ax = vx[i]; ay = vy[i]
- *             bx = vx[j]; by = vy[j]
-*/
-    __pyx_t_15 = __pyx_v_n;
-    __pyx_t_16 = __pyx_t_15;
-    for (__pyx_t_17 = (__pyx_v_i + 1); __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_j = __pyx_t_17;
-
-      /* "troplines/_fastsweep.pyx":813
- *     for i in range(n):
- *         for j in range(i + 1, n):
- *             ax = vx[i]; ay = vy[i]             # <<<<<<<<<<<<<<
- *             bx = vx[j]; by = vy[j]
- *             dx = bx - ax; dy = by - ay
-*/
-      __pyx_v_ax = (__pyx_v_vx[__pyx_v_i]);
-      __pyx_v_ay = (__pyx_v_vy[__pyx_v_i]);
-
-      /* "troplines/_fastsweep.pyx":814
- *         for j in range(i + 1, n):
- *             ax = vx[i]; ay = vy[i]
- *             bx = vx[j]; by = vy[j]             # <<<<<<<<<<<<<<
- *             dx = bx - ax; dy = by - ay
- *             if dy == 0:
-*/
-      __pyx_v_bx = (__pyx_v_vx[__pyx_v_j]);
-      __pyx_v_by = (__pyx_v_vy[__pyx_v_j]);
-
-      /* "troplines/_fastsweep.pyx":815
- *             ax = vx[i]; ay = vy[i]
- *             bx = vx[j]; by = vy[j]
- *             dx = bx - ax; dy = by - ay             # <<<<<<<<<<<<<<
- *             if dy == 0:
- *                 if ax < bx:
-*/
-      __pyx_v_dx = (__pyx_v_bx - __pyx_v_ax);
-      __pyx_v_dy = (__pyx_v_by - __pyx_v_ay);
-
-      /* "troplines/_fastsweep.pyx":816
- *             bx = vx[j]; by = vy[j]
- *             dx = bx - ax; dy = by - ay
- *             if dy == 0:             # <<<<<<<<<<<<<<
- *                 if ax < bx:
- *                     wx = ax; wy = ay
-*/
-      __pyx_t_2 = (__pyx_v_dy == 0);
-      if (__pyx_t_2) {
-
-        /* "troplines/_fastsweep.pyx":817
- *             dx = bx - ax; dy = by - ay
- *             if dy == 0:
- *                 if ax < bx:             # <<<<<<<<<<<<<<
- *                     wx = ax; wy = ay
- *                 else:
-*/
-        __pyx_t_2 = (__pyx_v_ax < __pyx_v_bx);
-        if (__pyx_t_2) {
-
-          /* "troplines/_fastsweep.pyx":818
- *             if dy == 0:
- *                 if ax < bx:
- *                     wx = ax; wy = ay             # <<<<<<<<<<<<<<
- *                 else:
- *                     wx = bx; wy = by
-*/
-          __pyx_v_wx = __pyx_v_ax;
-          __pyx_v_wy = __pyx_v_ay;
-
-          /* "troplines/_fastsweep.pyx":817
- *             dx = bx - ax; dy = by - ay
- *             if dy == 0:
- *                 if ax < bx:             # <<<<<<<<<<<<<<
- *                     wx = ax; wy = ay
- *                 else:
-*/
-          goto __pyx_L17;
-        }
-
-        /* "troplines/_fastsweep.pyx":820
- *                     wx = ax; wy = ay
- *                 else:
- *                     wx = bx; wy = by             # <<<<<<<<<<<<<<
- *             elif dx == 0:
- *                 if ay < by:
-*/
-        /*else*/ {
-          __pyx_v_wx = __pyx_v_bx;
-          __pyx_v_wy = __pyx_v_by;
-        }
-        __pyx_L17:;
-
-        /* "troplines/_fastsweep.pyx":816
- *             bx = vx[j]; by = vy[j]
- *             dx = bx - ax; dy = by - ay
- *             if dy == 0:             # <<<<<<<<<<<<<<
- *                 if ax < bx:
- *                     wx = ax; wy = ay
-*/
-        goto __pyx_L16;
-      }
-
-      /* "troplines/_fastsweep.pyx":821
- *                 else:
- *                     wx = bx; wy = by
- *             elif dx == 0:             # <<<<<<<<<<<<<<
- *                 if ay < by:
- *                     wx = ax; wy = ay
-*/
-      __pyx_t_2 = (__pyx_v_dx == 0);
-      if (__pyx_t_2) {
-
-        /* "troplines/_fastsweep.pyx":822
- *                     wx = bx; wy = by
- *             elif dx == 0:
- *                 if ay < by:             # <<<<<<<<<<<<<<
- *                     wx = ax; wy = ay
- *                 else:
-*/
-        __pyx_t_2 = (__pyx_v_ay < __pyx_v_by);
-        if (__pyx_t_2) {
-
-          /* "troplines/_fastsweep.pyx":823
- *             elif dx == 0:
- *                 if ay < by:
- *                     wx = ax; wy = ay             # <<<<<<<<<<<<<<
- *                 else:
- *                     wx = bx; wy = by
-*/
-          __pyx_v_wx = __pyx_v_ax;
-          __pyx_v_wy = __pyx_v_ay;
-
-          /* "troplines/_fastsweep.pyx":822
- *                     wx = bx; wy = by
- *             elif dx == 0:
- *                 if ay < by:             # <<<<<<<<<<<<<<
- *                     wx = ax; wy = ay
- *                 else:
-*/
-          goto __pyx_L18;
-        }
-
-        /* "troplines/_fastsweep.pyx":825
- *                     wx = ax; wy = ay
- *                 else:
- *                     wx = bx; wy = by             # <<<<<<<<<<<<<<
- *             elif dx == dy:
- *                 if ax > bx:
-*/
-        /*else*/ {
-          __pyx_v_wx = __pyx_v_bx;
-          __pyx_v_wy = __pyx_v_by;
-        }
-        __pyx_L18:;
-
-        /* "troplines/_fastsweep.pyx":821
- *                 else:
- *                     wx = bx; wy = by
- *             elif dx == 0:             # <<<<<<<<<<<<<<
- *                 if ay < by:
- *                     wx = ax; wy = ay
-*/
-        goto __pyx_L16;
-      }
-
-      /* "troplines/_fastsweep.pyx":826
- *                 else:
- *                     wx = bx; wy = by
- *             elif dx == dy:             # <<<<<<<<<<<<<<
- *                 if ax > bx:
- *                     wx = ax; wy = ay
-*/
-      __pyx_t_2 = (__pyx_v_dx == __pyx_v_dy);
-      if (__pyx_t_2) {
-
-        /* "troplines/_fastsweep.pyx":827
- *                     wx = bx; wy = by
- *             elif dx == dy:
- *                 if ax > bx:             # <<<<<<<<<<<<<<
- *                     wx = ax; wy = ay
- *                 else:
-*/
-        __pyx_t_2 = (__pyx_v_ax > __pyx_v_bx);
-        if (__pyx_t_2) {
-
-          /* "troplines/_fastsweep.pyx":828
- *             elif dx == dy:
- *                 if ax > bx:
- *                     wx = ax; wy = ay             # <<<<<<<<<<<<<<
- *                 else:
- *                     wx = bx; wy = by
-*/
-          __pyx_v_wx = __pyx_v_ax;
-          __pyx_v_wy = __pyx_v_ay;
-
-          /* "troplines/_fastsweep.pyx":827
- *                     wx = bx; wy = by
- *             elif dx == dy:
- *                 if ax > bx:             # <<<<<<<<<<<<<<
- *                     wx = ax; wy = ay
- *                 else:
-*/
-          goto __pyx_L19;
-        }
-
-        /* "troplines/_fastsweep.pyx":830
- *                     wx = ax; wy = ay
- *                 else:
- *                     wx = bx; wy = by             # <<<<<<<<<<<<<<
- *             else:
- *                 hits = 0
-*/
-        /*else*/ {
-          __pyx_v_wx = __pyx_v_bx;
-          __pyx_v_wy = __pyx_v_by;
-        }
-        __pyx_L19:;
-
-        /* "troplines/_fastsweep.pyx":826
- *                 else:
- *                     wx = bx; wy = by
- *             elif dx == dy:             # <<<<<<<<<<<<<<
- *                 if ax > bx:
- *                     wx = ax; wy = ay
-*/
-        goto __pyx_L16;
-      }
-
-      /* "troplines/_fastsweep.pyx":832
- *                     wx = bx; wy = by
- *             else:
- *                 hits = 0             # <<<<<<<<<<<<<<
- *                 wx = 0; wy = 0
- *                 for r1 in range(3):
-*/
-      /*else*/ {
-        __pyx_v_hits = 0;
-
-        /* "troplines/_fastsweep.pyx":833
- *             else:
- *                 hits = 0
- *                 wx = 0; wy = 0             # <<<<<<<<<<<<<<
- *                 for r1 in range(3):
- *                     for r2 in range(3):
-*/
-        __pyx_v_wx = 0;
-        __pyx_v_wy = 0;
-
-        /* "troplines/_fastsweep.pyx":834
- *                 hits = 0
- *                 wx = 0; wy = 0
- *                 for r1 in range(3):             # <<<<<<<<<<<<<<
- *                     for r2 in range(3):
- *                         denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2]
-*/
-        for (__pyx_t_18 = 0; __pyx_t_18 < 3; __pyx_t_18+=1) {
-          __pyx_v_r1 = __pyx_t_18;
-
-          /* "troplines/_fastsweep.pyx":835
- *                 wx = 0; wy = 0
- *                 for r1 in range(3):
- *                     for r2 in range(3):             # <<<<<<<<<<<<<<
- *                         denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2]
- *                         if denom == 0:
-*/
-          for (__pyx_t_19 = 0; __pyx_t_19 < 3; __pyx_t_19+=1) {
-            __pyx_v_r2 = __pyx_t_19;
-
-            /* "troplines/_fastsweep.pyx":836
- *                 for r1 in range(3):
- *                     for r2 in range(3):
- *                         denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2]             # <<<<<<<<<<<<<<
- *                         if denom == 0:
- *                             continue
-*/
-            __pyx_v_denom = (((__pyx_v_9troplines_10_fastsweep_DIRX[__pyx_v_r1]) * (__pyx_v_9troplines_10_fastsweep_DIRY[__pyx_v_r2])) - ((__pyx_v_9troplines_10_fastsweep_DIRY[__pyx_v_r1]) * (__pyx_v_9troplines_10_fastsweep_DIRX[__pyx_v_r2])));
-
-            /* "troplines/_fastsweep.pyx":837
- *                     for r2 in range(3):
- *                         denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2]
- *                         if denom == 0:             # <<<<<<<<<<<<<<
- *                             continue
- *                         tn = dx * DIRY[r2] - dy * DIRX[r2]
-*/
-            __pyx_t_2 = (__pyx_v_denom == 0);
-            if (__pyx_t_2) {
-
-              /* "troplines/_fastsweep.pyx":838
- *                         denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2]
- *                         if denom == 0:
- *                             continue             # <<<<<<<<<<<<<<
- *                         tn = dx * DIRY[r2] - dy * DIRX[r2]
- *                         sn = dx * DIRY[r1] - dy * DIRX[r1]
-*/
-              goto __pyx_L22_continue;
-
-              /* "troplines/_fastsweep.pyx":837
- *                     for r2 in range(3):
- *                         denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2]
- *                         if denom == 0:             # <<<<<<<<<<<<<<
- *                             continue
- *                         tn = dx * DIRY[r2] - dy * DIRX[r2]
-*/
-            }
-
-            /* "troplines/_fastsweep.pyx":839
- *                         if denom == 0:
- *                             continue
- *                         tn = dx * DIRY[r2] - dy * DIRX[r2]             # <<<<<<<<<<<<<<
- *                         sn = dx * DIRY[r1] - dy * DIRX[r1]
- *                         if denom < 0:
-*/
-            __pyx_v_tn = ((__pyx_v_dx * (__pyx_v_9troplines_10_fastsweep_DIRY[__pyx_v_r2])) - (__pyx_v_dy * (__pyx_v_9troplines_10_fastsweep_DIRX[__pyx_v_r2])));
-
-            /* "troplines/_fastsweep.pyx":840
- *                             continue
- *                         tn = dx * DIRY[r2] - dy * DIRX[r2]
- *                         sn = dx * DIRY[r1] - dy * DIRX[r1]             # <<<<<<<<<<<<<<
- *                         if denom < 0:
- *                             tn = -tn
-*/
-            __pyx_v_sn = ((__pyx_v_dx * (__pyx_v_9troplines_10_fastsweep_DIRY[__pyx_v_r1])) - (__pyx_v_dy * (__pyx_v_9troplines_10_fastsweep_DIRX[__pyx_v_r1])));
-
-            /* "troplines/_fastsweep.pyx":841
- *                         tn = dx * DIRY[r2] - dy * DIRX[r2]
- *                         sn = dx * DIRY[r1] - dy * DIRX[r1]
- *                         if denom < 0:             # <<<<<<<<<<<<<<
- *                             tn = -tn
- *                             sn = -sn
-*/
-            __pyx_t_2 = (__pyx_v_denom < 0);
-            if (__pyx_t_2) {
-
-              /* "troplines/_fastsweep.pyx":842
- *                         sn = dx * DIRY[r1] - dy * DIRX[r1]
- *                         if denom < 0:
- *                             tn = -tn             # <<<<<<<<<<<<<<
- *                             sn = -sn
- *                         if tn < 0 or sn < 0:
-*/
-              __pyx_v_tn = (-__pyx_v_tn);
-
-              /* "troplines/_fastsweep.pyx":843
- *                         if denom < 0:
- *                             tn = -tn
- *                             sn = -sn             # <<<<<<<<<<<<<<
- *                         if tn < 0 or sn < 0:
- *                             continue
-*/
-              __pyx_v_sn = (-__pyx_v_sn);
-
-              /* "troplines/_fastsweep.pyx":841
- *                         tn = dx * DIRY[r2] - dy * DIRX[r2]
- *                         sn = dx * DIRY[r1] - dy * DIRX[r1]
- *                         if denom < 0:             # <<<<<<<<<<<<<<
- *                             tn = -tn
- *                             sn = -sn
-*/
-            }
-
-            /* "troplines/_fastsweep.pyx":844
- *                             tn = -tn
- *                             sn = -sn
- *                         if tn < 0 or sn < 0:             # <<<<<<<<<<<<<<
- *                             continue
- *                         wx = ax + DIRX[r1] * tn
-*/
-            __pyx_t_14 = (__pyx_v_tn < 0);
-            if (!__pyx_t_14) {
-            } else {
-              __pyx_t_2 = __pyx_t_14;
-              goto __pyx_L27_bool_binop_done;
-            }
-            __pyx_t_14 = (__pyx_v_sn < 0);
-            __pyx_t_2 = __pyx_t_14;
-            __pyx_L27_bool_binop_done:;
-            if (__pyx_t_2) {
-
-              /* "troplines/_fastsweep.pyx":845
- *                             sn = -sn
- *                         if tn < 0 or sn < 0:
- *                             continue             # <<<<<<<<<<<<<<
- *                         wx = ax + DIRX[r1] * tn
- *                         wy = ay + DIRY[r1] * tn
-*/
-              goto __pyx_L22_continue;
-
-              /* "troplines/_fastsweep.pyx":844
- *                             tn = -tn
- *                             sn = -sn
- *                         if tn < 0 or sn < 0:             # <<<<<<<<<<<<<<
- *                             continue
- *                         wx = ax + DIRX[r1] * tn
-*/
-            }
-
-            /* "troplines/_fastsweep.pyx":846
- *                         if tn < 0 or sn < 0:
- *                             continue
- *                         wx = ax + DIRX[r1] * tn             # <<<<<<<<<<<<<<
- *                         wy = ay + DIRY[r1] * tn
- *                         hits += 1
-*/
-            __pyx_v_wx = (__pyx_v_ax + ((__pyx_v_9troplines_10_fastsweep_DIRX[__pyx_v_r1]) * __pyx_v_tn));
-
-            /* "troplines/_fastsweep.pyx":847
- *                             continue
- *                         wx = ax + DIRX[r1] * tn
- *                         wy = ay + DIRY[r1] * tn             # <<<<<<<<<<<<<<
- *                         hits += 1
- *                 if hits != 1:
-*/
-            __pyx_v_wy = (__pyx_v_ay + ((__pyx_v_9troplines_10_fastsweep_DIRY[__pyx_v_r1]) * __pyx_v_tn));
-
-            /* "troplines/_fastsweep.pyx":848
- *                         wx = ax + DIRX[r1] * tn
- *                         wy = ay + DIRY[r1] * tn
- *                         hits += 1             # <<<<<<<<<<<<<<
- *                 if hits != 1:
- *                     raise AssertionError(
-*/
-            __pyx_v_hits = (__pyx_v_hits + 1);
-            __pyx_L22_continue:;
-          }
-        }
-
-        /* "troplines/_fastsweep.pyx":849
- *                         wy = ay + DIRY[r1] * tn
- *                         hits += 1
- *                 if hits != 1:             # <<<<<<<<<<<<<<
- *                     raise AssertionError(
- *                         f"non-coaxial pair {i},{j} produced {hits} crossings"
-*/
-        __pyx_t_2 = (__pyx_v_hits != 1);
-        if (unlikely(__pyx_t_2)) {
-
-          /* "troplines/_fastsweep.pyx":850
- *                         hits += 1
- *                 if hits != 1:
- *                     raise AssertionError(             # <<<<<<<<<<<<<<
- *                         f"non-coaxial pair {i},{j} produced {hits} crossings"
- *                     )
-*/
-          __pyx_t_9 = NULL;
-
-          /* "troplines/_fastsweep.pyx":851
- *                 if hits != 1:
- *                     raise AssertionError(
- *                         f"non-coaxial pair {i},{j} produced {hits} crossings"             # <<<<<<<<<<<<<<
- *                     )
- *             stabkey[nstab] = (wx + OFF) * SHIFT + (wy + OFF)
-*/
-          __pyx_t_4 = __Pyx_PyUnicode_From_int(__pyx_v_i, 0, ' ', 'd'); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 851, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_4);
-          __pyx_t_7 = __Pyx_PyUnicode_From_int(__pyx_v_j, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 851, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_7);
-          __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_hits, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 851, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_6);
-          __pyx_t_20[0] = __pyx_mstate_global->__pyx_kp_u_non_coaxial_pair;
-          __pyx_t_20[1] = __pyx_t_4;
-          __pyx_t_20[2] = __pyx_mstate_global->__pyx_kp_u_;
-          __pyx_t_20[3] = __pyx_t_7;
-          __pyx_t_20[4] = __pyx_mstate_global->__pyx_kp_u_produced;
-          __pyx_t_20[5] = __pyx_t_6;
-          __pyx_t_20[6] = __pyx_mstate_global->__pyx_kp_u_crossings;
-          __pyx_t_21 = __Pyx_PyUnicode_Join(__pyx_t_20, 7, 17 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_4) + 1 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 10 * 2 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6), 127);
-          if (unlikely(!__pyx_t_21)) __PYX_ERR(0, 851, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_21);
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-          __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-          __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-          __pyx_t_5 = 1;
-          {
-            PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_t_21};
-            __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_AssertionError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-            __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-            __Pyx_DECREF(__pyx_t_21); __pyx_t_21 = 0;
-            if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 850, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_3);
-          }
-          __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-          __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-          __PYX_ERR(0, 850, __pyx_L1_error)
-
-          /* "troplines/_fastsweep.pyx":849
- *                         wy = ay + DIRY[r1] * tn
- *                         hits += 1
- *                 if hits != 1:             # <<<<<<<<<<<<<<
- *                     raise AssertionError(
- *                         f"non-coaxial pair {i},{j} produced {hits} crossings"
-*/
-        }
-      }
-      __pyx_L16:;
-
-      /* "troplines/_fastsweep.pyx":853
- *                         f"non-coaxial pair {i},{j} produced {hits} crossings"
- *                     )
- *             stabkey[nstab] = (wx + OFF) * SHIFT + (wy + OFF)             # <<<<<<<<<<<<<<
- *             nstab += 1
- *     qsort(stabkey, nstab, sizeof(i64), _cmp_i64)
-*/
-      (__pyx_v_stabkey[__pyx_v_nstab]) = (((__pyx_v_wx + __pyx_v_OFF) * __pyx_v_SHIFT) + (__pyx_v_wy + __pyx_v_OFF));
-
-      /* "troplines/_fastsweep.pyx":854
- *                     )
- *             stabkey[nstab] = (wx + OFF) * SHIFT + (wy + OFF)
- *             nstab += 1             # <<<<<<<<<<<<<<
- *     qsort(stabkey, nstab, sizeof(i64), _cmp_i64)
- *     cdef int incident, mask
-*/
-      __pyx_v_nstab = (__pyx_v_nstab + 1);
-    }
-  }
-
-  /* "troplines/_fastsweep.pyx":855
- *             stabkey[nstab] = (wx + OFF) * SHIFT + (wy + OFF)
- *             nstab += 1
- *     qsort(stabkey, nstab, sizeof(i64), _cmp_i64)             # <<<<<<<<<<<<<<
- *     cdef int incident, mask
- *     for i in range(nstab):
-*/
-  qsort(__pyx_v_stabkey, __pyx_v_nstab, (sizeof(__pyx_t_9troplines_10_fastsweep_i64)), __pyx_f_9troplines_10_fastsweep__cmp_i64);
-
-  /* "troplines/_fastsweep.pyx":857
- *     qsort(stabkey, nstab, sizeof(i64), _cmp_i64)
- *     cdef int incident, mask
- *     for i in range(nstab):             # <<<<<<<<<<<<<<
- *         if i > 0 and stabkey[i] == stabkey[i - 1]:
- *             continue
-*/
-  __pyx_t_10 = __pyx_v_nstab;
-  __pyx_t_11 = __pyx_t_10;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_i = __pyx_t_12;
-
-    /* "troplines/_fastsweep.pyx":858
- *     cdef int incident, mask
- *     for i in range(nstab):
- *         if i > 0 and stabkey[i] == stabkey[i - 1]:             # <<<<<<<<<<<<<<
- *             continue
- *         cx = stabkey[i] // SHIFT - OFF
-*/
-    __pyx_t_14 = (__pyx_v_i > 0);
-    if (__pyx_t_14) {
-    } else {
-      __pyx_t_2 = __pyx_t_14;
-      goto __pyx_L33_bool_binop_done;
-    }
-    __pyx_t_14 = ((__pyx_v_stabkey[__pyx_v_i]) == (__pyx_v_stabkey[(__pyx_v_i - 1)]));
-    __pyx_t_2 = __pyx_t_14;
-    __pyx_L33_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "troplines/_fastsweep.pyx":859
- *     for i in range(nstab):
- *         if i > 0 and stabkey[i] == stabkey[i - 1]:
- *             continue             # <<<<<<<<<<<<<<
- *         cx = stabkey[i] // SHIFT - OFF
- *         cy = stabkey[i] % SHIFT - OFF
-*/
-      goto __pyx_L30_continue;
-
-      /* "troplines/_fastsweep.pyx":858
- *     cdef int incident, mask
- *     for i in range(nstab):
- *         if i > 0 and stabkey[i] == stabkey[i - 1]:             # <<<<<<<<<<<<<<
- *             continue
- *         cx = stabkey[i] // SHIFT - OFF
-*/
-    }
-
-    /* "troplines/_fastsweep.pyx":860
- *         if i > 0 and stabkey[i] == stabkey[i - 1]:
- *             continue
- *         cx = stabkey[i] // SHIFT - OFF             # <<<<<<<<<<<<<<
- *         cy = stabkey[i] % SHIFT - OFF
- *         incident = 0
-*/
-    __pyx_v_cx = (((__pyx_v_stabkey[__pyx_v_i]) / __pyx_v_SHIFT) - __pyx_v_OFF);
-
-    /* "troplines/_fastsweep.pyx":861
- *             continue
- *         cx = stabkey[i] // SHIFT - OFF
- *         cy = stabkey[i] % SHIFT - OFF             # <<<<<<<<<<<<<<
- *         incident = 0
- *         for j in range(n):
-*/
-    __pyx_v_cy = (((__pyx_v_stabkey[__pyx_v_i]) % __pyx_v_SHIFT) - __pyx_v_OFF);
-
-    /* "troplines/_fastsweep.pyx":862
- *         cx = stabkey[i] // SHIFT - OFF
- *         cy = stabkey[i] % SHIFT - OFF
- *         incident = 0             # <<<<<<<<<<<<<<
- *         for j in range(n):
- *             mask = _argmask(vx[j], vy[j], cx, cy)
-*/
-    __pyx_v_incident = 0;
-
-    /* "troplines/_fastsweep.pyx":863
- *         cy = stabkey[i] % SHIFT - OFF
- *         incident = 0
- *         for j in range(n):             # <<<<<<<<<<<<<<
- *             mask = _argmask(vx[j], vy[j], cx, cy)
- *             if mask != 1 and mask != 2 and mask != 4:
-*/
-    __pyx_t_15 = __pyx_v_n;
-    __pyx_t_16 = __pyx_t_15;
-    for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-      __pyx_v_j = __pyx_t_17;
-
-      /* "troplines/_fastsweep.pyx":864
- *         incident = 0
- *         for j in range(n):
- *             mask = _argmask(vx[j], vy[j], cx, cy)             # <<<<<<<<<<<<<<
- *             if mask != 1 and mask != 2 and mask != 4:
- *                 incident += 1
-*/
-      __pyx_v_mask = __pyx_f_9troplines_10_fastsweep__argmask((__pyx_v_vx[__pyx_v_j]), (__pyx_v_vy[__pyx_v_j]), __pyx_v_cx, __pyx_v_cy);
-
-      /* "troplines/_fastsweep.pyx":865
- *         for j in range(n):
- *             mask = _argmask(vx[j], vy[j], cx, cy)
- *             if mask != 1 and mask != 2 and mask != 4:             # <<<<<<<<<<<<<<
- *                 incident += 1
- *         if incident == 2:
-*/
-      switch (__pyx_v_mask) {
-        case 1:
-        case 2:
-        case 4:
-        __pyx_t_2 = 0;
-        break;
-        default:
-        __pyx_t_2 = 1;
-        break;
-      }
-      if (__pyx_t_2) {
-
-        /* "troplines/_fastsweep.pyx":866
- *             mask = _argmask(vx[j], vy[j], cx, cy)
- *             if mask != 1 and mask != 2 and mask != 4:
- *                 incident += 1             # <<<<<<<<<<<<<<
- *         if incident == 2:
- *             return True
-*/
-        __pyx_v_incident = (__pyx_v_incident + 1);
-
-        /* "troplines/_fastsweep.pyx":865
- *         for j in range(n):
- *             mask = _argmask(vx[j], vy[j], cx, cy)
- *             if mask != 1 and mask != 2 and mask != 4:             # <<<<<<<<<<<<<<
- *                 incident += 1
- *         if incident == 2:
-*/
-      }
-    }
-
-    /* "troplines/_fastsweep.pyx":867
- *             if mask != 1 and mask != 2 and mask != 4:
- *                 incident += 1
- *         if incident == 2:             # <<<<<<<<<<<<<<
- *             return True
- *     return False
-*/
-    __pyx_t_2 = (__pyx_v_incident == 2);
-    if (__pyx_t_2) {
-
-      /* "troplines/_fastsweep.pyx":868
- *                 incident += 1
- *         if incident == 2:
- *             return True             # <<<<<<<<<<<<<<
- *     return False
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __Pyx_INCREF(Py_True);
-      __pyx_r = Py_True;
-      goto __pyx_L0;
-
-      /* "troplines/_fastsweep.pyx":867
- *             if mask != 1 and mask != 2 and mask != 4:
- *                 incident += 1
- *         if incident == 2:             # <<<<<<<<<<<<<<
- *             return True
- *     return False
-*/
-    }
-    __pyx_L30_continue:;
-  }
-
-  /* "troplines/_fastsweep.pyx":869
- *         if incident == 2:
- *             return True
- *     return False             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(Py_False);
-  __pyx_r = Py_False;
-  goto __pyx_L0;
-
-  /* "troplines/_fastsweep.pyx":789
- * 
- * 
- * def has_ordinary_line(points):             # <<<<<<<<<<<<<<
- *     """True iff some stable line of the configuration passes through
- *     exactly two of the points. Fast predicate for witness searches."""
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_21);
-  __Pyx_AddTraceback("troplines._fastsweep.has_ordinary_line", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__fastsweep(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__fastsweep},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_fastsweep",
-      __pyx_k_Compiled_integer_kernel_for_conf, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__fastsweep(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__fastsweep(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__fastsweep(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_fastsweep' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_fastsweep" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__fastsweep", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_troplines___fastsweep) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "troplines._fastsweep")) {
-      if (unlikely((PyDict_SetItemString(modules, "troplines._fastsweep", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "troplines/_fastsweep.pyx":29
- *     MAXSUM = 24       # Minkowski accumulator: 6 hull corners x 3 summands
- * 
- * cdef i64 NEG = <i64>-1 << 50             # <<<<<<<<<<<<<<
- * 
- * # ray directions in the fixed order W, S, NE
-*/
-  __pyx_v_9troplines_10_fastsweep_NEG = (((__pyx_t_9troplines_10_fastsweep_i64)-1L) << 50);
-
-  /* "troplines/_fastsweep.pyx":34
- * cdef i64 DIRX[3]
- * cdef i64 DIRY[3]
- * DIRX[0] = -1; DIRY[0] = 0             # <<<<<<<<<<<<<<
- * DIRX[1] = 0;  DIRY[1] = -1
- * DIRX[2] = 1;  DIRY[2] = 1
-*/
-  (__pyx_v_9troplines_10_fastsweep_DIRX[0]) = -1LL;
-  (__pyx_v_9troplines_10_fastsweep_DIRY[0]) = 0;
-
-  /* "troplines/_fastsweep.pyx":35
- * cdef i64 DIRY[3]
- * DIRX[0] = -1; DIRY[0] = 0
- * DIRX[1] = 0;  DIRY[1] = -1             # <<<<<<<<<<<<<<
- * DIRX[2] = 1;  DIRY[2] = 1
- * 
-*/
-  (__pyx_v_9troplines_10_fastsweep_DIRX[1]) = 0;
-  (__pyx_v_9troplines_10_fastsweep_DIRY[1]) = -1LL;
-
-  /* "troplines/_fastsweep.pyx":36
- * DIRX[0] = -1; DIRY[0] = 0
- * DIRX[1] = 0;  DIRY[1] = -1
- * DIRX[2] = 1;  DIRY[2] = 1             # <<<<<<<<<<<<<<
- * 
- * cdef int CLS_TRI = 0, CLS_PAR = 1, CLS_HEX = 2, CLS_NU4 = 3, CLS_NU5 = 4, CLS_NU6 = 5
-*/
-  (__pyx_v_9troplines_10_fastsweep_DIRX[2]) = 1;
-  (__pyx_v_9troplines_10_fastsweep_DIRY[2]) = 1;
-
-  /* "troplines/_fastsweep.pyx":38
- * DIRX[2] = 1;  DIRY[2] = 1
- * 
- * cdef int CLS_TRI = 0, CLS_PAR = 1, CLS_HEX = 2, CLS_NU4 = 3, CLS_NU5 = 4, CLS_NU6 = 5             # <<<<<<<<<<<<<<
- * 
- * CLASS_NAMES = ("Triangle", "Parallelogram", "Hexagon",
-*/
-  __pyx_v_9troplines_10_fastsweep_CLS_TRI = 0;
-  __pyx_v_9troplines_10_fastsweep_CLS_PAR = 1;
-  __pyx_v_9troplines_10_fastsweep_CLS_HEX = 2;
-  __pyx_v_9troplines_10_fastsweep_CLS_NU4 = 3;
-  __pyx_v_9troplines_10_fastsweep_CLS_NU5 = 4;
-  __pyx_v_9troplines_10_fastsweep_CLS_NU6 = 5;
-
-  /* "troplines/_fastsweep.pyx":40
- * cdef int CLS_TRI = 0, CLS_PAR = 1, CLS_HEX = 2, CLS_NU4 = 3, CLS_NU5 = 4, CLS_NU6 = 5
- * 
- * CLASS_NAMES = ("Triangle", "Parallelogram", "Hexagon",             # <<<<<<<<<<<<<<
- *                "NonUniform4", "NonUniform5", "NonUniform6")
- * 
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_CLASS_NAMES, __pyx_mstate_global->__pyx_tuple[0]) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-
-  /* "troplines/_fastsweep.pyx":273
- * 
- * 
- * def analyze_ints(points):             # <<<<<<<<<<<<<<
- *     """The per-configuration analysis record for integer points.
- * 
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9troplines_10_fastsweep_1analyze_ints, 0, __pyx_mstate_global->__pyx_n_u_analyze_ints, NULL, __pyx_mstate_global->__pyx_n_u_troplines__fastsweep, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 273, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_analyze_ints, __pyx_t_2) < (0)) __PYX_ERR(0, 273, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "troplines/_fastsweep.pyx":789
- * 
- * 
- * def has_ordinary_line(points):             # <<<<<<<<<<<<<<
- *     """True iff some stable line of the configuration passes through
- *     exactly two of the points. Fast predicate for witness searches."""
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9troplines_10_fastsweep_3has_ordinary_line, 0, __pyx_mstate_global->__pyx_n_u_has_ordinary_line, NULL, __pyx_mstate_global->__pyx_n_u_troplines__fastsweep, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 789, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_has_ordinary_line, __pyx_t_2) < (0)) __PYX_ERR(0, 789, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "troplines/_fastsweep.pyx":1
- * # cython: language_level=3             # <<<<<<<<<<<<<<
- * # cython: boundscheck=False, wraparound=False, cdivision=True
- * """Compiled integer kernel for configuration sweeps.
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init troplines._fastsweep", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init troplines._fastsweep");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "troplines/_fastsweep.pyx":40
- * cdef int CLS_TRI = 0, CLS_PAR = 1, CLS_HEX = 2, CLS_NU4 = 3, CLS_NU5 = 4, CLS_NU6 = 5
- * 
- * CLASS_NAMES = ("Triangle", "Parallelogram", "Hexagon",             # <<<<<<<<<<<<<<
- *                "NonUniform4", "NonUniform5", "NonUniform6")
- * 
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(6, __pyx_mstate_global->__pyx_n_u_Triangle, __pyx_mstate_global->__pyx_n_u_Parallelogram, __pyx_mstate_global->__pyx_n_u_Hexagon, __pyx_mstate_global->__pyx_n_u_NonUniform4, __pyx_mstate_global->__pyx_n_u_NonUniform5, __pyx_mstate_global->__pyx_n_u_NonUniform6); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 40, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 13; } index[] = {{1},{13},{9},{9},{13},{1},{2},{1},{45},{7},{4},{2},{12},{6},{5},{37},{18},{9},{22},{10},{10},{13},{13},{25},{13},{20},{15},{15},{4},{3},{20},{12},{25},{4},{3},{2},{32},{24},{9},{50},{4},{23},{24},{17},{9},{32},{26},{13},{10},{28},{4},{4},{34},{20},{13},{12},{10},{30},{8},{7},{11},{1},{7},{11},{11},{11},{3},{13},{20},{5},{8},{5},{4},{4},{13},{5},{12},{12},{10},{18},{2},{2},{1},{7},{10},{5},{5},{4},{4},{5},{11},{2},{2},{6},{5},{7},{4},{10},{5},{18},{3},{10},{16},{11},{12},{2},{2},{5},{9},{8},{10},{18},{16},{2},{2},{1},{8},{2},{6},{2},{8},{5},{3},{2},{2},{2},{1},{7},{10},{17},{4},{1},{2},{8},{13},{5},{1},{2},{1},{7},{10},{4},{5},{5},{11},{8},{4},{5},{13},{10},{1},{8},{5},{7},{6},{2},{4},{11},{5},{7},{2},{7},{6},{3},{2},{2},{12},{2},{2},{10},{1},{2},{2},{2},{12},{10},{2},{7},{5},{4},{4},{1},{7},{8},{2},{6},{9},{2},{9},{20},{11},{11},{18},{1},{6},{10},{2},{2},{4},{5},{2},{2},{4968},{845}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (3514 bytes) */
-const char* const cstring = "BZh91AY&SY<@(\301\000\003\341\377\377\377\377\377\377\377\377\377\376\277\377\377\377\277\377\377\377\300@@@@@@@@@@@@\000@\000`\016\177t\000\016;\334\310\344\323n\316J\366\367[u\222;\270\313\274\240\025\342\000\007\203\000\tD\021O#F\246\231\244zM4\362M4\332jbQ\247\224b4a\000\006\2004\000\r4\365\032\006\201\240\000h2@\004jd\3102\211\3511O\024=OS@4\r\0004\320\323@\320\000\000\001\241\246\203OD\321\352\0004\323A!*\001\211\3513S@\006\t\240d\323&\233S54\000\001\241\241\240\r\000\000\000h\320\002S$I\0216\246\232\032\000\000\320\036\233M&\2154\324\317T\374OBD\320\323\023M\014\2322\014\206\236\243&\2150M44 \311\200\023\000\230\2312`\000L\t\200\230\230&\000\000\000\000L\214\004\300\206\020\002D\200!\020#\023I\211\036\232\233H\375S\312z\200\320\323@\006\206\200\000\000h\032\017M@\003F\200\311[\276\266\320\345\276P\306\236\314!\257C\323\027\367\003\374$z\211\177\220\377K\375\252\024\241T\240\260\376\205\242\234\323\227I\304\220\355\001\325\312F\004t\006\000\266\002D\250\025\025\213^\305\204Y\"\302,\213Z\336\257\252\201\266\333\006\323\0301\203\030\r\227\272W.\256\257~ \017\374\205\240\260\2260\261\205\313\353\tX\013\005\202\310\262\347\262EK%\262B\334\301\260\001\264\330\206\333AB\200\251}T\311\255t\307\020\256IRHW\241\201$\262\323i\264\206\301\264tQ![R~\261J$r\245xF\372B\230\221\243\233\260\205\226\002lM\266\233\021yU\200o\232\007}\312txiC]\255\353r\026\364lo\\'\030Zu-i\223\223\224\246\023\211:L\202N\222s\200\264\350\022)7\"\210\264\224\250\334Z[j\034GgE\262\3344\267\020\314\010\320Y\022\320[\215\265\261\206\r\345\003fF@\362\203\"\014\240\3122\214\233\270\004q0\023LH\361\363\260\365c\2200\201\032\243T-L\344\341\310\360_9\334D\244\311\035\275P\032\352\226\375\250\227\022\314f2\330\264PD\2232\256\270\003\310\344;z\026[\314\031\034\206j\now\010\013\2151\005\357B\314\321\323\213RT\321@U\240\323\177\021\344\201\314\311\253\025a\020qd7Jn\255\243\034\373\222U\305*\3327rH\221\335\201\024\317\276LY\034`\033\274\301N\257M:\035%ZPtS\242\2059\312\352uG\351\345\300p\301\245~\237\22397""\205\365r\333\302\345U\006-O\r\362\227$\212O\303\215\311.eaL\230W\025uqO\237\350>\202\331\010Z\220]o~[\330\347\243\212\356{C\032\254\362\351\254$\303\214olNk\323\206\370F\024\214_,\017\266\305\363\241\201}|a]\244^A7P\016\000MY\r\363\230\032\203\214\n\302\020\366[\210\315\261\004\261\251,n\306\220\367\267d\2523\241\260\245\310,\000\336L\025\013\230V\260\213$w\257\253\330\312\014\213&L\235\325\246\226H\262\260X\332\252\240g\277s\317\230\265\311\222\351L>F\016\373\301\302\007\260\353\336\372t\316\243\024Z\275\206\355$3\342\215<h\021\203\355\r\035\301b\271==\3677]O\327S\237r[RE\374\016f\245zX\321f\343\211c\313\031\255\372yx\2258\341\256v\313\"\"H!\204\n\020J\r\355\374\210\351\253Y\266\330CE\2232\014\233\232\210\034\351\027\241\023\2068\034)H\233'\365\2756x6\357n\325\032\254#P4\022\323]\2708\013\245p.\\=\221\205\205\325=\246\246\014\006\022\300^\345-d\020\005\213\026ZV\210\242TW\017\014+\002\345\016\275\203N7'S\275\365\355\025\325\220U\317\311\263\275*\333\337\240\310\347#\203\2341\275\215Z\243:\364\364>\314\306\302\013@\026\223\246'\0020\013pj=\355Z\232\325\225)H\213l\210!EIJLs\244\224\216\207x\275\200\240\221D\254\202\242\271\354\312\240\252EEUP\250c\037\267\237\315\310\262\262,\245\216\346<;\204\027H\272k&\264\221o\375<\275\230\3021#\"\213\3378\n!\200\330\345k{,\214\032\244}\203\346\345\320Sk\344\363\274\243\222\244\033\032\240\331\00727\013\231v\027\212\250\252svE\242v\210M\304u\371\246N\316*I\222Q*\301\031\356b\204\322,+%sE\373\017\017\311\352k\326\324\250\023P$TI\250\324iX\263,\372R\022\006FR\220x\320j$\300\221\002\010b\222\027\306\217;_lB=\"\204w\334\372\340x\337\304\221\266?6@\316\363\253n~\236\036\357\223\245\247\241\337\313Z\265UU\232f\026>b\271\306\324\325\325\273\262\354\3606\245\375\246\330Y\312\265*\266\350\242}\275\271\235J\237l\003\220\013\351\326\276\261>\266\241<\264P\n\262\024\226\371>D\331|\313\341\243*Eq#M\177\304\312+\231s\002\035\n\315A\244\005\304\201\243\213#s\np#\242\346\325\240).\316.\0149\013\\E\365|s)[c\316\216\257\216\201y)\035\261/(:R\351;""\300\335j0j\211\2667\t\305d\022\225\\\312L\210\241Y\004\245\360x\206\327\036\335\033\305{\033\t{D6\225\005\204|\310\310E\t\260\033@\264\rZ#M:Y\315JlXQ.\264=\274\325J\352\245\020\004\024\002\206(\312nr\327S\3667\223\004\014j\240\273q\027\242S\263\003\240\016\201\035\013\241\035`\367<9\033\033cm\260\340\345\330\355K\1774\245+Yp\213\325\2441\241\212\030\313\020\306\337q7\000.\"\343\250\356\211\325\274-\230\307\256\305\214FAP\332\264\3646\320\231\335\261\216\310\251\306\241Hk\0246\203^\020\316E\002;A\270\356n\265P\016\300j\274\335\267\025\275\\\336\270e'\306\321\353\307\031\235\340j\010N8\372\360\253\330\203%\222\333\225\202t\031x\334\272\317\025\304\246$LF\"\252&\2106\321Te&q\303\205\316J\204\204\2446\316\330\305\327\251\004B\210\023R\n\312-\022\271\231\211\215\374?>t\316\355\352\032X\207\205\232\355\273N\005@\304\354tC\221\327\222\000\210\265\013\305\231\366!l[&Yv\315f\203\314A\017G.\261V]\232\371\026\3240j\213\253\353\275\027\327\033e\276-\r\335JB\355\301Y\237 o\201\250e:\373Y\337S\"7d\320\347F\263n\204U\342\315\346\303#\261E\345\243-\244\262f\327\201\266\325\257{\212\032\007\325@h]\213\030\244\313H0be\210\254\315k\234t\240\317\225\366>\005Q!\365\261N\232\230\030\361\307t\023\213\220\262\213\301`*\021\221\030\227\003\222\317<\243\356\354wq\202\215\267x%\003y\337i\006\274t$P\341p\213\210g\273O\"\226+m\231\331\324\361\251\303,\227\310\333dC\332P6=\023]\207e\270F\3142,\342\017\006Xl\335\245j\t\253|\250-$\225\242V'\307\230\314\242\322\306\214\223\220\265\025\240\274\217\025\005p\t\237B(P\342\233\235\262\264cpy\024\326\271\255\251\310\311x%\236\342\361\200\366)\007m\035)t\213\301\336^\n\330\260\303\362bx\275\010\234\005X\022\030JJ\023\244#\025\224DN\0347;3\025\244Q\366\270y\266\357\357\227f\220\271WS\226\275Z\225+\323\234\036cJ\227\262h\206E\346v\t\023{\005x\321\324\027 \027\003`\t\202\3610Md\310Y\263\267+\332\264\253\306\275\257\231X\210\252\373\3609\252\004c\256X\006\233\255#X^\014\344\247N\276ho\363\303nu\267\226\342\303\344\3070Ppt\266mc\241!\014\t\300\003\201\003""\003\201\030\001\265mQ3A{7C\025qi\017v\342\234\267\262\031u9\326\345XA<\355+\255\250\265-\025X\020z\330\322\023K\347\2558gK\004\352\224\254r\360\231i@Qt\344\353,\007\245\250\321\2555\210\270\342\006'\0221\004\234\234\334_\350\223f\335\366^\227\014\002\250\333\323\245\3120;,0\000\330\333\272\345R\231\220&/%\353\264[\356\266\210\356\310\333\254\246\312N\022m\274\275\207\022\2433\305\024F8\211)k\026\372\243vT\300\232\326*\356\014@\252\254\234\227\306\332\352e\021t\205\310\314\231%>=\224\267o/\033B\"_\257\306\315\017\017\343i6\230\217\314\333k\235\036\210\276\322\364\275\020iy\343`\377;\006\274]\350D\037R\213\303\201G\335\004p\311\210_\217\024\3550\351G?\21682\373c\204 \016<\025\016 \215\370\202E\020\206\374cr|H\331\020]h\362\n\305\"\026\275\210\n\256\275\253\361\220\256'\364\210<G\266?\250\325J\314\245I\302Tch\366\354<\343\250(=\022\022\216\332\007Q\r\270\373\325\210\004\204R9\3610z}\322\024Xl\034\207\327\024Y\016\261$\235\306\022\225\220V\214\244U&4\200Q\272?\"a\033\241G9v\003\256\251\3557\tC\243\211w\004\"\243+[\226\n\225PB\375\307\035.\233\241\236\222\317\004E\035aL2\2111D\226\004\242F\037m\217\262\21571\0334f\240Q\003G-CbQy\312P)\0204\\\233\324\252\254KbG4\273\264B\031u\360\325\347\0229\250\3414RCV\254\372\0014X\345\013\267\033\303H\331G\314\276\275\351`K\256\234%,\337fE\014\316\214\027&\300L\255\312!\rD'$\351\233\337\207\2608\224jjEk\037\244\204\037\017\320\277\275K\000\313\251\037\362\352t\266Q;\026X\264\340#H\227\276P}0\365\005\031\335]c\203}\360\2348\252Hs\024\243\240\335\037N\223\022\025}C\375\326\340\373\261\265~\337\337\260\002\200Z\202\004\014R\322d\220\t$W\350\200\344\222\2418z\016\035\375\356\374h9\033\014<\017Z(N\310R\350\t\212\375\374\020\355\220qU\217\326\260\002`\255\006,\326gdr9N4-\262I\034\247!$\027\253\341\004\240\257\346\032\031\240\264;#\265\2102F3\030\216\351\"m\320\230\243\343!\345,*\325\030%\035\342^\315\246Q\006\275\273\033\003\ntf\355\032)gz\031DCT\032.uh\031\227\020\352E\233\207\232b5\315x\330\n\023+$5\031\"\022\350\310;\215\255\20296\205""\261\225cg\261i2\025er\274\242\212\245%\221R\301\031D5\303G\000\344\231\013v\321\220\023N\031\214b\032<p\236L\260A\326\304m\022-Q\201\013\240\261J*\201|\364\225B\211?\221Qb\276iw\367\022c1a\244Z\206\213D\254?\312\306m((\304v{\231\014(\214\221m\346\016\330\245q\272dC\221\210\324\263-\270\266\261\324\023\327\022'\034\324<F\252:8\214\215\250\251|\345\254:?.\014eQ\224yR\271\014)W\317\227%&bg\016\034\026\316!\217rMkl9\260I\010\247\033\225\035\333\355[\200Ibb\223\334\300^\036\0013\007A\314r\252\016\260\306H\260\301)r8W\3708o\261\005G\025\243\"\253\177\254_\215fLp\221\r\007\270\347W[L7\342\324\216\004j\266\312H\310\353o\r\343\337\022\034\343}5\211\245\"\272Z\027\215\030z\332CUjjV\211\2612\351\245t\346^\274\252\2121hF\201\304\354\275\022\234[\315D\243?w\346\237\233\273\027j\303\232\306\264i\337z:\027\256\350\273\312\025$\244\335\273t\274\314\363v\252\275}3#\230\207_\255\305\2514\232\232\336&\rr\032\253\367\2645\254f\241\203CO\201\241xt\253J\253\255\177\272\334\234.V\361\346\340*\316\031*\366z\246tuu\212\312\352J\263\250y\274-\315\315\356in\216r\2127\243s6z\324UeY\277\005*\34736z\212\271\250\242\271\246S*\233\331#\335\247v\214^}\274E\003\253\363\0257\025N#\006\004f\321\201Vn\245\376gQvn\227W.;\\\247&\034}\312M \252\350\347\351\014\035M7\367\260O?\303\321<\037\344\354\035>\266\274e\303b\224\271*lC\003\207B\367\315\300\022\005\010\252\227h\004\010\207}gB\254PrU\334E\"\3300\342\\\354\026\206\031K\260\243A\014\020F\007w\017\207\231\274Ug\014\350==\001\026\350dn^\3549\247\272q\004H\022M*S$P\026\210qw\0044\376u\002kU\214\212&h\320\306U6\r\347L\225\320\253\247\304W\006\233\021\013\006K\315*\273\212\207\006\361\210w\300R\364 \\\221\201bA\017\n\3451V\256\314DD[\323\"}yw\212\022\323 \270\262C\207\016n&\211\214\232\205X1\2224\255\327kn\360\325\020\223\234\336\234+\027\213\252\024*sc`d\341\037C; d\365\241\021\241\271\332e\213\273\025\021n\013\026GI\344\326:#\221\234\222\312\035\341m\316G?\374]\311\024\341B@\361\000\243\004";
-    PyObject *data = __Pyx_DecompressString(cstring, 3514, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (3733 bytes) */
-const char* const cstring = "x\332\255XK{\323V\032\306\211\223\006\032\212\035;7H\250\034\207{\200\261\223@\007\310\323\307\271\225\2663\035\034\007:\235\026\364\310\262\222\210\330\222-\311\211\315\314tXz\251\245\226Zj\251\245\227^f\351\245\227\376\t\374\204y\277sl\307\t\001f\206)\265\"\235\353wy\277\367\373\316Y\270\237\\\020\224JQ\221-%'\334O\n;\272!h+kzY\263\314\233\332\312\355u%oIbR\220,\341\346\255\005\341\333[\217\004igG\325\024aG\265\204\035I\315\233\202\245\0139\275\240j\222\245\010\326\236\"\344\325\035\213O\020$-'\334\\\020\262+\370'\304V\204}\341\216\260\367\010\337\007w\027W\204l\331\022\330\303,gs\352\201j\252\272&\250\246\240\351\230/h\212d\334-*\232\254\346e%\237\027$C\221L\014-\320\206\274\005{\260\027Y*J\262jU\241\212\254(9%G\255&\353\027dC7MU\3335o\t9\305R\014\010\nU\373>L!W.\346U\231\304/\352\252\306dW\265\234R\201~2\272w\325\003\005\"\363\257\005\241 U\324\002\244\200\240\017\272m\032v5\205\304\311\317\305\005ao\005\377\357\221\346\232pW\260\014U\322v\363\212\371\010\373\357A\031%\267\253\220\231::\313dv\305\220\363\272\274\177\250\232\312\202\260\017\223\255\340\237bh\n\324\324u#\307\355\234\305\320\\O\335N\277Y.\026u\303b\212\027t\323\302.yE:\200\np\033\367\n&\365\371/\247\232\322\256\241(4!/Y\226*wM\000\247\025VH\r\326\005\303[\202\256u:O6[\207:o65]\273+\353\260\216\224\027\212\222j`{\375@1\362Rq\201}\223J0,44\2017\370\272g\332\242dH\371\274\222\327w\r\251 H\271\3270#\204\200\237;K/\010\273\260\217P4\364\\Y\306\356\246!\337\267\014\035n\203\377\356\213;\020\304<T\224\342\275b\265\262 X+\326\212\266\002\211\001-}G0`tE\370U\203_njw\023\267\000\363;\202\366\362\221`\221czNAc\366Q\357\223\201g\341\270\267\177\340\361\0339\021H\205\342e\r\366$\177.\010x\325\265\025\341\211@ _\373S*\223\021\177J\375y#\263\376T\251H\273\272\366\223\256=\327TDZa\351\370u\371\370\365\301_67\237\365[D\024\237U+\370\255\253\262%\376\244T\254-e'\363\364\373\315\355\355\216 \222,\213\005<*\370Ua>\021\022\212\014MR\276\270'I\232\224\257\276QD\262\244(J\032\260\006\014\341\r\021%Z\370\310Kf\025q\246""\337\223u\003F#\243J\025\251\232\315\212\014\320Y\261\353\276\254d*\025zT\263\212ie\025Kb@d\017qO\317\347\314l%[\225\305\235r>/\003lIz\354+U\212G\372\211d!\223E\247L\276\203H\220\025{d%y_F#@\241\232\026\234\317\244\027\325\034^UK\305\034FI\242\241\024\r\026\321\242\216iyE\256\310U\214\321\013\010g\2561\275\344\261\306q\260\037\277\211xR\354\366\2650g\345*\271\252\242\224\312R\036$\242T(\254L\350(B\017M\026\305]\251P\200\343\254\275?\354%\366\222{{\334*{=\253\000\005\"\217L\243*\222Z{\252e\252\370\0176%\005D\325\024{\226U-\245`\276~\375z\177\237/\263\337[\206\"\224~\311\274ZP\255\202\010Xa\226\246\030\"\234\013C\341i\356\323\317\004\005\211=\020\242\035Q\221\207?1D\223\n\364Bfg\017\350\307\254\255)D\247\364\0239\245j&|\307\036\030\362F\2070yi\227\007[Q/\026+EhO\006\341\013\032\t#i(\273\345\274d\300B\246)\231Y\023\2061ak>\000o9eG*\347A\003\264(|\016\246\026\013xT\360\253Z\035\357\210\242\005\340\340\t\247\302R\273\374)\352\373\226\326S\250\027\330\367\216\003\233\271\211/\301_I\\\223\202N<A\036\007\007R\276\254\230\007\252\016>#\2129\250\034T\017%\315:Ts\326\336a\345\260\3726\360n\364\334\320\230\035\261Sv\272\025\374\342\255Q\033\253%Z#_\325^;\001'|\272\2459\275\350'\232K\233\r\251Qz\367\325\271\241\t\373\2713\347\2549\245Vp\2446T{n\307l\014\275P\213\325\226\355a[\262\r'\354\304\316h\370\262\226\254\245k\262=f?p\"\316\252#9\246;\347\246\334\027\336\242\227\365\003~\304_\365w\352ku\243\021n\304\033[\215\322Q\2405:f\337vRN\272\273\\\000\263\023v\352\364g\277 \243\265\r{\234\355:\346,:Rk\364R\315\260\303v\334\3168\003N\014M9\266k\306\033\364\222^\332\223Z\241\t\373\265\033h\306\236\324S\365t;\030\266\303\357FHK\274\217\223}\"\3662f\306!\004\276;\252\223\001\317\037\357y\251V\262/\240'\345d\334\001\367\232kx\023\236\351\317\371)?S\037\250Cw,\372q!\303L\223ug\310\331rJn\340\314\206\210\275j\347\234k\334l\355\321\010\026b\255\033\360\331h\010\246V\234\204\223j\205\242\366&F\321\244\350\214\263\356\006\334\250\273\345Z^\302[\367\007\374y_\362\255z\262\276\r+\307Z\321I\373""\0002\007ZS\323\255\3504sK\316\215\271K\320 \342\255z9?\346'>\322A\263!^kj\326IC\213\316\0374\2330\306\252#\273\021w\325\225\316X<|F\303\025H\377\203+{c\3362\344\274^\037\254/\326\263\r(\201UI\223\024\315\211:\317\335\030\371\324\204G\267\260O\234\231<\316\374\231x7|.\034\265\027m\031\026\351H\221\"\251\266\335qWjw_Z\343S\316\240\223\370\310\210\366G&\207&\355\222s\001;n\271eXb\307_\363\315\372\\\035v\237\306\256\254\367\274;\351\005\000\001\303\017\263\326v\2100\304\266\274\354\334\363`\355;\360\306\232W\362G\031\346>\272d;x\276\026\256\335\262\037:w]\204\334\211\017\314;\001+\n\261\214=\000\323\374\314\2608\350>\364b\200\371\226Wj\021^\354\037\235CW\302\314Q6\363\263\246\267\203\227\021\325\374\321\267\306\305\332\317\240\225\014\264}\340\216\271}\r\003\316u8*v\214\375R\177h\016:K\216\341\206\231#\003\255\320U\300(\024\246\325\357\300(%\n\310I[zw\371D\324}z+\036\035\021g\003@\334\000\306\372\367\216\330\337\000pDC\226\233t\323n\316\233\367X \206\355k\\\266\262\275\206\227\020i\030\236`\230\002UH\037|\007[\022\271\021\372\"\035\360\2571d\303\256\313\366\027\014Pk\010\336\270\233n\215^\244\326\207P=\335\005s\272\263b\224\357z\352\275\315\036\240\303;]\277\264GBv\2004J\301\036q{\033$\213\240?\245\3422#tR\212+\264\212UCc0_\227\202\017`\357aO\372\274\336((\370\003\0044\005\001\246\335y\240\306\342@\362?\324HQ\216\225@f\360\336\260\273\353\275\360\023}F\032\263\357\201\311\302\234k\207\3544\031\034\302p}Oz6d\017\002\253\033\340\nb\243S\237\030\370\035g\340M>\273\363\347{lrr\221\001{\216\364\"\214\"S\222VL\313\013\316|'u\255#\310\273d\270\350g\353A\nfZ\344)e\250O\257u\251fA\2605\006\214u7\330IJ\t\352\375\036\306\010#\373t\260\224c\3062\275\270\227>\325;\206\270)\001\020\213n\326\013\202\340y\032\315\325c O\271\021\356\214\006/\016MQ\260O;\263n\001v=\031\365<\221r\206\032%\026\273HnN\"\331\305\235\277B\250!\344\311\254?\204d\026\340\241\337\245\217\n\305l;8\324\032!v\330tb\315+\367\2317\031,\177\203+\027\210/\332\250(*\000\371m\202\r\271\355\006U\004\030\333\274\217\252""\242\325\351\275\311\010\267\257\327\373W\275\3279\307\340w\326\324rm\025qw\205E\334\030\"\231'v\242,>\032\261\326\274\030k\3060\274\r\265\317\333\323\316-\244\234\177\370O\352}C\210mB_\303\224_\202\231\177\364K\3204t\303-y_!]\376\336H7$2\341HG\224u\2205Rp\377\006W\235\035\370\357%\245E\"\253+gQc\037r\273\340\260\310\342\204\203E|t\223f\2248\220!+\353\017\372K\310\0051\226\n\203\2155\024E\203G\311\2434\261\322\rDCt\234\222\353T\334M\000\215\210E\317\362W\032\001\370}\352*#\266E\026c\224\371\007\375\204\237\242\3748K\021\312Hi\251VbD4\201\252\"F\246|cG\355_\001\246eo\300\233\363\372\364\253\375\2559\211\224\325\\Xo\244P\231\031GW\232\333\317\233\317_\264G\010\310\230Y:E\353\0006m\002\344\017\001E1'\2112\301\004##\021.5'o#\253$\274\r?\314\252\2212\013\233\350Ug\027\304\010mff[37a\200q\250c\370\023\360\305P=\315*\201\031r\320\020\270:\313t-\243\276\332\362KPj<F\\3\336\016\002\267d\376\253\330\016\310\244\327\031X8\210\322\202\336G\336\226\332'\3711\301\370\206\n\212\346%Z|\030K\007(h6\234qf\300\004\261\325\000C&j\002\003\321\270N\325R\257\032A\355\304\212\234\034\305&\270\360\354\306I\273\314\250\177\016\031\201\242x\013\325a\234\302\251\016O\315\2717\220$\240\265\020k\tw\230\263\206\251Hk>\376\361(q\264\336|\226n\246\267\336]8w\376\"\270\n\251\311\031v\262T\020\202\376\355\t\273\324M\001\261S\224\303\331x\223\0015Dd\261\343\234\315\322\\g\224_\234I\222(\310Q\030\037WqD>Y\026T\031V\227\r\324\347\031\265L\t\340\254UV\260Q\001?\314\030p\225\034E\235W:Iy&\356&N\256ED6\347m\242<^\363\215z\004\025\177\211\257E\3747\340]\307&q\370\225*\240\325\272D\235'\327\002A\201\227\266\220~\266\334\003\010zZW@\322~\341,S\266h\037\247\210\367\240\331\347\374\020\262s\311\tRa\0171\326\211\204\341\204 \344+A\245\365\306`#\321H\221\323\373\007\364\323y7\030\355W\356c\026\204\017\352aX\tY\2338 \3042p\024.\310\3211\202\361\324\003Xm\t(\2402\3723:\251@0\030\342\202\200V\211yi\033) \345o3\313\032\215h#s\024<Z;*5\237e\232\031\004\355/\315_~k\376\366\262\371\362Ukt\034eC\244sj\231\207'\303\250""\201\344N\006\211\343\210\020A\270g\216\006\216\346\217d`\260\271\365\242\371\202O\177\325|%\322\356\253v\026Y#\211\242|\256c\2265\026\263F=Z\3170 \364#\016\301\017\037\200\263\336\307\036\021\004\242\215UL\274pF\251|\275s\230\212\260\242x\325g\221\364;\342\177\2072\035\341b\211\261\312\314u\224\013i\212\237\371k\255y\312@A\177\023\244\271\004\360\314o\200\275\025\004\022\221\337\354\r\024\360\210\264\351Y~l\371P\350\325\023-\341q=Q\337\240C\022\346M\307\261\313\3244\336\316\207j\247\271\256\014\274m\261\000\257\200k\227\221\202\307\340\3771\254Au=\343Z\306\260N\242=\302\343\220eA\324s\366!\213\344\021\252\207\"\274u\264\023\343\201\356\312\031\234\000\351\200F \342\325Q\234\361\313\373\237]\256]t\024f\310R+\304\013\300\010\303-E6;Gmt\313l\250\376\351\021\243S\016O\372\307\033$hZ\022\222\005\230/'\230{Iz\346`\323\271\t,1\352c\335\021\373\t\225\202tv\302\351&\345=\347G\307\030\005\314\214\363\035De\324j\261s\360\3245\346\335Tk\234\216\207O\201\251K\224\213\353\343 \002\253\361\360(vj\"\214\364\0065P\202\244\320h!\312\204\250\364\261;\312G\177\003a\030\247\344B\306F\331B\177\016\234\364\261m9\225R\342\347\244\037\346\242<f\247\234\251\316b\255\251\033n\251\177\016\205\341\222\373\006~N\234J\304T2P\265$\367\362\026c\312\313d5\240gl\222\245\371\353\314\324\333\336e?\351\247\377\273\025\316\217\242Z\033A\314}\353\201\270&\354]h\023\n7\303\327\260\\\270y\373Q=\306\323F\252}\022\244\377\354Dy\354DZ&\222$b\r\361H\016t\035;\004\256\311v\312wJ\036<\205w\323\232\202@Y\205\200a?\366\211\316\010;\r\321\025\307qm\266\310\252\032\252\227\003\247\222\3767p\364,\273e\03297>A\005\327\244\275\317\026%\222\010\362\263\317\000#\371\340\245\332\337Y\022@\226\247\236y\3735l\272\004\333\005\370\365U\244\226\352\2258\314J\310\346UT\310\251\346\335o\353\245\306@c\256\301\006\374\021\305\334(\013\226\2361\355\257\335\021\202>\t0L\207\312t\347A\267A}\237\354A\201\301\037T\t\215L\364\216%x{\033\240%\376\267{\266\341\276{\266\366\373\367l,\363\263\373\254\263\233>\347\256\355#\327^\355\377\357""\035V\337\321\227\220B\000\354^\361\264{w=\335C\360g\214hs\"\036\347\310>u>\035ft\231\352\226 \333,\275R\006\341\307\250%\226Cq\000\340eH\004#\201\325\251\331N\316\344G\330L\347b\255\364\221\216^\021\003\002\243\234\305\377\240y\021\241\306o\260\006\020\323\357/\236>\243Ap\003\255O\\*\261\002\347\007\026x\313\254\254\352\006\335(so\337=R\373\364\035\320\026\352\232\350Yw@\027\377\223K\227H?8>|\321\302\357W\014\346\2418\273\240\\\246CJ+D\2655\213\314\265N\215\336\n~YK\374\033\t\356\231[";
-    PyObject *data = __Pyx_DecompressString(cstring, 3733, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (7592 bytes) */
-const char* const bytes = ",/2, expected /2 for n=Counts(n=*Delta_2 at (), ?): affine fit fails to dominate the lift at () and (, b=b=b != k + h: b=v-3= but  but subdivision is not a near-pencilcell areas sum to cell at (cell capacity exceededcells at ( crossings) determined ) determines duplicate point at index faces give b= faces, maximum is 6 faces, needs 1 faces, needs 3, h= h=h != n - triangles: ) has edge () is not counterclockwise, k= k=k=kernel coordinate bound exceededkernel supports at most ) leaves ): lift and affine fit disagree at lattice point (, m=need at least one pointneed at least two pointsnon-coaxial pair ) overlap, pairwise intersections give b=parallelogram adjacent to  points, got  produced src/troplines/_fastsweep.pyx, t=t=n=t out of range [n, n(n-1)/2 + n]: t != triangles + b: triangle at (, triangles= triangles triangles has a non-unit edge, union= < v-3=CLASS_NAMESDHexagonNonUniform4NonUniform5NonUniform6OFFParallelogram__Pyx_PyDict_NextRefSHIFTTriangleacc_maccxaccyadj_tri_countalphaanalyze_ints__annotate__area_totalasyncio.coroutinesaxaybb_facesb_pairwisebasexbaseybestbetaboundbound_holdsbxbyc_fullcand2candkeycellcell_edgescellscline_in_tracebackclsconsistentcount_identitiescounts_reprcross_oraclecxcydenomdet_countdet_listdetermineddetermined_minimumdetermined_uniondxdyeequalityexexcessey__func__gammagoth0h1h2hh_facesh_pairwisehas_ordinary_linehitsiiiincident_is_coroutineitemsjjjkk_facesk_pairwiseliftlift2limitm_noncorner__main__maskmasksmax_triangles__module__n__name__ncandncand_uncellsnenearnear_pencilnstabnstab_unzok_flagpointspoppxpy__qualname__r1r2regularityssasbsc__set_name__setdefaultsnstabkeysum_msumxsumytt_count__test__titilingtiling_oktntrianglestroplines._fastsweepunion_countunion_flagsunit_parallelogramvvaluesviolationsvxvywantwidthwxwy\200\001\360\014\000\005\022\220\023\220A\220Q\330\004\007\200r\210\022\2101\330\010\016\210j\230\001\230\021\330\004\007\200r\210\022\2101\330\010\016\210j\230\001\320\0313\2601\3204F\300a\300q\360\016\000\005\026\220U""\230\"\230C\230q\330\004\010\210\005\210U\220!\2201\330\010\n\210!\2105\220\006\220a\220r\230\021\230!\330\010\n\210!\2105\220\006\220a\220r\230\021\230!\330\010\013\2102\210Q\210c\220\022\2206\230\023\230B\230a\230s\240\"\240A\240V\2503\250b\260\001\260\023\260B\260f\270C\270r\300\021\300#\300R\300q\310\001\330\014\022\220*\230A\230Q\330\010\n\210!\2105\220\001\220\022\2201\220A\330\010\n\210!\2105\220\001\220\022\2201\220A\330\004\010\210\005\210U\220!\2201\330\010\014\210E\220\025\220a\220r\230\022\2303\230a\330\014\017\210r\220\021\220#\220S\230\002\230!\2303\230d\240\"\240A\240S\250\003\2502\250Q\250a\330\020\026\220j\240\001\320!<\270A\270Q\340\004\021\220\021\360\010\000\005\026\220Q\340\004\025\220Q\330\004\023\2205\230\002\230#\230Q\330\004\025\220U\230\"\230C\230q\360\014\000\005\t\210\005\210U\220!\2201\330\010\017\210q\220\n\230\"\230A\230S\240\002\240%\240r\250\026\250s\260\"\260A\260S\270\002\270!\330\010\021\220\021\330\004\010\210\005\210U\220!\2201\330\010\014\210E\220\025\220a\220r\230\022\2303\230a\330\014\021\220\022\2201\220D\230\005\230R\230q\240\001\330\014\021\220\022\2201\220D\230\005\230R\230q\240\001\330\014\021\220\023\220B\220d\230%\230s\240\"\240A\340\014\023\2201\330\014\021\220\023\220E\230\021\330\014\020\220\006\220e\2301\230A\330\020\024\220F\230%\230q\240\001\330\024\034\230D\240\001\240\024\240R\240t\2501\250D\260\002\260$\260a\260t\2702\270T\300\021\300!\330\024\027\220v\230S\240\001\330\030\031\330\024\031\230\023\230B\230d\240!\2404\240r\250\023\250B\250d\260!\2601\330\024\031\230\023\230B\230d\240!\2404\240r\250\023\250B\250d\260!\2601\330\024\027\220v\230R\230q\330\030\035\230Q\230a\330\030\035\230Q\230a\330\024\027\220s\230\"\230B\230c\240\023\240B\240a\330\030\031\330\024\031\230\023\230B\230d\240!\2404\240r\250\021\330\024\031\230\023\230B\230d\240!\2404\240r\250\021\330\024\033\2301\230J\240c\250\022\2505\260\002\260&\270\003\2703\270b\300\001\330\024\035\230Q\330\024\034\230A\330\024\031\230\024\230U\240!\330\014\017""\210s\220#\220R\220s\230#\230S\240\002\240#\240S\250\003\2501\360\006\000\021\024\2203\220c\230\021\330\024\027\220s\230\"\230A\330\030\035\230T\240\025\240a\340\030\035\230T\240\025\240a\330\025\030\230\003\2301\330\024\027\220s\230\"\230A\330\030\035\230T\240\025\240a\340\030\035\230T\240\025\240a\340\024\027\220s\230\"\230A\330\030\035\230T\240\025\240a\340\030\035\230T\240\025\240a\330\020\027\220q\230\n\240#\240R\240u\250B\250f\260C\260s\270\"\270A\330\020\031\230\021\330\020\027\220q\230\t\240\027\250\001\250\026\250r\260\021\330\020\031\230\021\340\020\023\2205\230\003\2301\330\024\032\230.\250\001\330\030+\2501\250C\250q\260\014\270A\270Q\340\020\027\220q\230\n\240#\240R\240u\250B\250f\260C\260s\270\"\270A\330\020\031\230\021\340\004\t\210\021\210)\2207\230-\240q\330\004\t\210\021\210)\2207\230-\240q\330\004\027\220q\330\004\010\210\005\210U\220!\2201\330\010\013\2102\210S\220\002\220#\220W\230A\230S\240\003\2407\250!\2502\250R\250q\330\014\023\2201\220K\230w\240a\240q\330\014\027\220q\330\004\027\220q\330\004\010\210\005\210U\220!\2201\330\010\013\2102\210S\220\002\220#\220W\230A\230S\240\003\2407\250!\2502\250R\250q\330\014\023\2201\220K\230w\240a\240q\330\014\027\220q\340\004\032\230!\330\004\032\230!\330\004\010\210\005\210U\220!\2201\330\010\r\210W\220A\220S\230\003\2306\240\022\2401\330\010\r\210W\220A\220S\230\002\230&\240\002\240!\330\010\014\210E\220\025\220a\220q\330\014\017\210r\220\021\220#\220S\230\003\2304\230r\240\021\240#\240S\250\001\330\020\036\230a\330\020\021\330\004\032\230+\240R\240q\360\010\000\005\027\220a\360\032\000\005\t\210\005\210U\220!\2201\330\010\r\210W\220A\220S\230\003\2306\240\022\2401\330\010\r\210W\220A\220S\230\002\230&\240\002\240!\330\010\021\220\023\220E\230\023\230E\240\023\240E\250\021\330\010\014\210E\220\025\220a\220q\330\014\023\2208\2301\230B\230a\230t\2402\240Q\240d\250$\250a\330\014\021\220\021\220%\220q\330\014\017\210u\220C\220q\330\020\032\230!\330\021\026\220c\230\021\330\020\026\220a\330\021\026\220c\230""\021\330\020\026\220a\330\021\026\220c\230\021\330\020\026\220a\330\010\016\210c\220\022\2203\220c\230\023\230B\230c\240\023\240C\240r\250\021\330\010\013\2105\220\007\220s\230\"\230C\230s\240#\240Q\330\014\r\330\010\013\2107\220#\220Q\330\014\017\210s\220#\220Q\330\020\026\220a\330\021\024\220C\220q\330\020\026\220a\330\021\024\220C\220q\330\020\026\220a\340\020\026\220a\340\014\022\220+\230S\240\003\2407\250!\340\010\020\220\001\330\010\014\210A\210U\220#\220T\230\021\230%\230q\330\010\014\210E\220\025\220a\220q\330\014\023\2205\230\001\230\021\330\014\021\220\021\330\014\017\210u\220B\220a\330\020\022\220!\2206\230\023\230B\230a\230v\240S\250\006\250a\330\014\017\210u\220B\220a\330\020\022\220!\2206\230\023\230B\230a\230v\240S\250\006\250a\330\014\017\210u\220B\220a\330\020\022\220!\2206\230\023\230B\230a\230v\240S\250\006\250a\330\014\024\220A\330\014\020\220\006\220e\2301\230A\330\020\024\220F\230%\230q\240\001\330\024\030\230\001\230\031\240$\240a\240t\2502\250R\250q\260\001\330\024\030\230\001\230\031\240$\240a\240t\2502\250R\250q\260\001\330\024\035\230Q\330\014\024\220E\230\021\230&\240\006\240g\250V\2601\330\010\013\2107\220#\220Q\330\014\022\220.\240\001\240\021\330\010\017\210q\220\005\220Q\220a\330\010\022\220!\330\010\014\210E\220\021\330\010\014\210E\220\025\220a\220q\330\014\020\220\003\2201\220E\230\024\230Q\230a\330\014\020\220\003\2201\220E\230\024\230Q\230a\330\010\014\210G\2201\330\010\014\210F\220!\330\010\014\210F\220!\330\010\014\210I\220Q\330\010\014\210E\220\025\220a\220q\330\014\020\220\002\220\"\220A\330\014\017\210r\220\023\220A\330\020\024\220A\330\014\020\220\n\230$\230a\230s\240\"\240D\250\001\250\023\250B\250d\260!\2603\260b\270\004\270A\270Q\330\010\014\210H\220A\330\010\014\210E\220\025\220a\220q\330\014\020\220\002\220\"\220A\330\014\017\210r\220\023\220A\330\020\024\220A\330\014\017\210t\2201\220C\220s\230\"\230D\240\004\240A\240S\250\003\2501\330\020\024\220I\230Q\330\021\025\220Q\220c\230\023\230B\230d\240$\240a\240s\250#\250Q""\330\020\024\220I\230Q\330\021\025\220Q\220c\230\022\2304\230q\240\003\2403\240b\250\004\250D\260\001\260\023\260B\260d\270!\2703\270c\300\021\330\020\024\220I\230Q\360\006\000\005\030\220q\330\004\031\230\035\240m\2601\330\004\010\210\005\210U\220!\2201\330\010\013\2105\220\001\220\022\2205\230\003\2301\330\014\031\230\021\330\r\022\220!\2202\220U\230#\230X\240S\250\005\250Q\250b\260\005\260S\270\001\330\014\027\220q\340\014\027\220q\330\004\027\220x\230r\240\021\340\004\005\330\010\023\2201\220F\230!\320\033/\250q\260\001\330\010\014\210A\210\\\230\021\230,\240a\240q\340\004\007\200x\210s\220*\230B\230a\330\010\022\220'\230\021\230!\320\033/\320/F\300a\330\004\007\200x\210s\220(\230\"\230A\330\010\022\220'\230\021\230!\320\033/\250\177\270a\330\004\007\200x\210s\220\"\220B\220a\330\010\022\220'\230\021\230!\320\033/\320/F\300a\330\004\007\200u\210B\210c\220\033\230B\230c\240\022\2402\240S\250\003\2502\250R\250q\330\010\022\220'\230\021\330\014\r\320\r!\320!F\300a\340\004\010\210\t\220\031\230)\2404\240|\260<\270q\330\010\022\220'\230\021\330\014\r\330\020\021\330\020\037\230q\240\013\2501\250K\260q\270\001\330\020'\240q\250\016\260a\260~\300Q\300a\360\006\000\005\010\200x\210s\220\"\220D\230\n\240\"\240A\330\010\022\220'\230\021\330\014\r\320\r\036\230f\240A\240]\260!\2601\360\010\000\005\033\230!\330\004\032\230!\330\004\010\210\005\210U\220!\2201\330\010\017\210q\220\005\220Q\220a\330\010\014\210E\220\025\220a\220t\2301\330\014\017\210t\2203\220a\220s\230\"\230B\230c\240\024\240S\250\001\250\023\250B\250b\260\003\2604\260s\270!\2703\270b\300\004\300C\300q\310\003\3102\310Q\330\020\032\230'\240\021\330\024\025\330\030\031\330\030#\2401\240D\250\006\250a\250t\260=\300\001\300\021\330\030\036\230a\230t\2403\240a\240t\2501\250D\260\003\2601\260A\360\006\000\021\035\230A\330\020\021\330\010\013\2104\210q\330\014\r\330\010\026\220d\230!\330\004\007\200z\220\024\220[\240\003\2405\250\002\250\"\250A\330\010\022\220'\230\021\330\014\r\210Z\320\027+\2501\320,D\300A\300R""\300r\310\033\320TU\320UV\340\010\024\220A\330\004\007\200q\330\010\014\210E\220\025\220a\220q\330\014\017\210t\2201\330\020\021\330\014\020\220\005\220U\230!\2302\230R\230s\240!\330\020\023\2204\320\027*\250!\2501\250E\260\021\260$\260a\260u\270A\270Q\330\024\036\230g\240Q\330\030\031\330\034\035\330\034(\250\001\250\025\250a\250r\260\026\260q\270\005\270Q\270b\300\001\330\034\037\230q\240\005\240Q\240b\250\006\250a\250u\260A\260R\260q\360\006\000\025!\240\001\330\024\025\340\004\022\220!\360\010\000\005\036\230R\230r\240\021\360\010\000\005\034\2301\330\004\033\2301\360\010\000\005\010\200q\340\010\014\210E\220\025\220a\220q\330\014\023\2201\220E\230\021\230!\330\014\017\320\017\037\230q\240\006\240b\250\001\330\020\024\220E\230\025\230a\230t\2401\330\024\030\230\002\230\"\230A\330\024\027\220r\230\023\230D\240\001\330\030\034\230A\330\024\031\230\024\230S\240\001\240\023\240B\240d\250#\250Q\250a\330\024\031\230\024\230S\240\001\240\023\240B\240d\250#\250Q\250a\330\024\027\220u\230C\230s\240\"\240C\240s\250#\250R\250s\260#\260S\270\001\270\021\330\030\"\240'\250\021\330\034\035\330 !\330 +\2501\250D\260\006\260a\260t\320;K\3101\310D\320PQ\320QR\360\n\000\t\r\210F\220%\220q\230\006\230b\240\001\330\014\020\220\001\220\026\220q\330\010\014\210A\210U\220!\330\010\014\210E\220\025\220a\220q\330\014\020\220\006\220e\2301\230F\240\"\240A\330\020\025\220Q\220f\230A\330\014\020\220\006\220e\2301\230A\330\020\024\220F\230%\230q\240\006\240b\250\001\330\024\033\2304\230q\240\003\2402\240V\2502\250Q\330\024\027\220s\230\"\230B\230d\240$\240b\250\003\2502\250S\260\002\260&\270\002\270$\270c\300\021\330\030 \240\004\240B\240c\250\022\2503\250b\260\006\260b\270\004\270B\270b\300\001\300\021\330\030\033\2306\240\022\2401\330\034#\2401\330\024\027\220s\230\"\230B\230d\240$\240a\240s\250\"\250F\260\"\260C\260r\270\023\270C\270q\330\030 \240\004\240A\240S\250\002\250&\260\002\260#\260R\260s\270\"\270B\270a\270q\330\030\033\2306\240\022\2401\330\034#\2401\330\024\031\230\021\230#""\230R\230v\240R\240v\250Q\330\014\020\220\006\220e\2301\230F\240\"\240A\330\020\024\220A\220V\2305\240\001\240\021\340\010\022\220!\330\010\014\210E\220\025\220a\220q\330\014\017\210t\2201\330\020\021\330\014\023\2201\220E\230\021\230!\330\014\020\220\007\220q\230\004\230C\230q\240\004\240D\250\003\2501\250D\260\004\260C\260q\270\004\270D\300\003\3001\300A\330\030\034\230C\230q\240\004\240D\250\003\2501\250A\330\014\017\210r\220\023\220A\330\020\032\230'\240\021\330\024\025\220^\240;\250a\250t\2606\270\021\270$\270a\340\020\032\230!\330\020\021\330\014\021\220\024\220Q\220d\230#\230Q\230c\240\022\2406\250\022\2504\250s\260!\2601\330\014\021\220\024\220Q\220d\230#\230Q\230c\240\022\2406\250\022\2504\250s\260!\2601\330\014\021\220\024\220Q\220d\230#\230Q\230c\240\022\2406\250\022\2504\250s\260!\2601\330\014\024\220C\220r\230\024\230S\240\004\240C\240q\250\003\2502\250T\260\023\260A\260T\270\023\270C\270r\300\024\300S\310\004\310C\310q\320PS\320SU\320UY\320Y\\\320\\]\320]^\330\014\025\220T\230\023\230A\230S\240\002\240$\240c\250\021\250$\250c\260\023\260B\260d\270#\270T\300\023\300A\300S\310\002\310$\310c\320QR\320RV\320VY\320Y\\\320\\^\320^_\330\014\024\220B\220b\230\003\2302\230U\240\"\240D\250\003\2501\250C\250r\260\026\260r\270\024\270S\300\001\300\021\330\014\020\220\006\220e\2301\230A\330\020\023\2204\220q\330\024\025\330\020\024\220F\230%\230q\240\006\240b\250\001\330\024\033\2302\230R\230t\2401\240C\240r\250\026\250r\260\021\330\024\032\230&\240\002\240%\240r\250\023\250B\250f\260B\260a\330\024\027\220~\240Q\240f\250D\260\001\330\030\033\2304\230s\240!\330\034&\240g\250Q\330 !\330$%\330$/\250q\260\004\260F\270!\2704\270q\330$E\300Q\300e\3101\310A\360\006\000\035'\240a\330\034\035\330\031\035\230R\230q\330\030\"\240'\250\021\330\034\035\330 !\330 +\2501\250D\260\006\260a\260t\2701\330 ;\2701\270E\300\021\300!\360\006\000\031#\240!\330\030\031\360\006\000\t\020\210q\330\010\014\210E\220\025\220a\220q\330\014\017\210u\220A\220R\220u\230C\230x\240t\2505\260\001""\260\022\2606\270\022\2701\330\020\027\220q\330\020\021\330\010\026\220d\230!\2301\340\010\025\220Q\220f\230B\230a\330\010\026\220a\220w\230b\240\001\330\010\030\230\001\230\023\230B\230a\330\010\014\210F\220%\220q\230\001\330\014\017\210u\220A\220S\230\005\230S\240\001\330\020\021\330\014\024\220E\230\021\230#\230S\240\001\240\021\330\014\024\220E\230\021\230#\230S\240\001\240\021\330\014\020\220\005\220U\230!\2303\230e\2401\240C\240q\330\020\023\2205\230\001\230\023\230C\230q\240\003\2402\240Q\330\024\034\230E\240\021\240#\240S\250\001\250\021\330\020\023\2205\230\001\230\023\230C\230q\240\003\2402\240Q\330\024\034\230E\240\021\240#\240S\250\001\250\021\330\014\030\230\001\330\014\027\220q\330\014\020\220\005\220U\230!\2301\330\020\023\2202\220S\230\001\330\024\025\330\020\026\220e\2301\230B\230a\330\020\023\2204\220s\230(\240$\240d\250#\250Q\330\024\025\330\020\023\220<\230q\240\001\240\025\240a\240u\250A\250U\260!\2601\330\024!\240\021\330\024\034\230G\2401\240A\330\024\027\220t\2303\230a\330\030%\240Q\240f\250A\330\025\031\230\023\230H\240D\250\017\260q\270\001\270\025\270a\270t\3007\310!\330\024!\240\021\330\024\034\230G\2401\240A\330\014\017\210z\230\022\2301\330\020\026\220n\240A\330\024#\2401\240E\250\021\250#\250V\2601\260E\270\021\270#\270Q\330\024\026\220a\220q\340\014\026\220a\220v\230Q\330\014\017\210u\220A\220S\230\006\230b\240\001\330\020\037\230q\330\020\024\220E\230\021\330\024\027\220t\230;\240a\240q\330\030#\2401\240E\250\021\330\030'\240q\330\014\017\210u\220A\220S\230\006\230c\240\022\2404\240z\260\022\2601\330\020\032\230'\240\021\330\024\025\330\030\031\330\030'\240q\250\005\250Q\250c\260\026\260q\270\005\270Q\270c\300\021\330\030\032\230!\2301\360\006\000\022\027\220a\220s\230&\240\003\2402\240T\250\032\2602\260Q\330\020\032\230'\240\021\330\024\025\330\030\031\330\030'\240q\250\005\250Q\250c\260\026\260q\270\005\270Q\270c\300\021\330\030\032\230!\2301\360\006\000\t\014\2105\220\010\230\003\230?\250!\330\014\026\220g\230Q\330\020\021\320""\021%\240T\250\021\320*:\270!\320;K\3101\310A\340\010\014\210E\220\025\220a\220q\330\014\017\210}\230A\230S\240\002\240!\330\020\021\330\014\020\220\005\220U\230!\2305\240\001\240\022\2401\330\020\024\220B\220b\230\001\330\020\023\2202\220S\230\005\230Q\230b\240\001\330\024\030\230\001\330\020\025\220U\230!\2302\230S\240\001\240\023\240B\240e\2501\250B\250c\260\021\260!\330\020\025\220U\230!\2302\230S\240\001\240\023\240B\240e\2501\250B\250c\260\021\260!\330\020\023\2203\220c\230\022\2303\230c\240\022\2402\240S\250\003\2503\250b\260\003\2603\260b\270\001\330\024\036\230g\240Q\330\030\031\330\034\035\330\0348\270\001\270\035\300a\300q\360\010\000\025\026\360\006\000\005\027\220k\240\023\240B\240b\250\001\330\004\022\220+\230S\240\002\240\"\240A\330\004\017\210{\230#\230R\230r\240\021\330\004\022\220$\220j\240\003\2404\240q\250\001\330\004\007\200r\210\023\210A\330\010\013\2104\210q\330\014\026\220g\230Q\230a\230y\250\004\250A\320-?\270q\300\002\300\"\300A\330\010\013\2109\220D\230\014\240C\240q\330\014\026\220g\230Q\330\020\021\220\037\240\010\250\001\250\021\360\006\000\005\006\330\010\r\210Q\330\010\r\210Q\330\010\025\220Q\330\010\r\210Q\330\010\r\210Q\330\010\r\210Q\330\010\027\220q\330\010\027\220q\330\010\024\220A\330\010\026\220a\330\010\022\220!\330\010\026\220a\200\001\360\006\000\005\022\220\023\220A\220Q\330\004\007\200r\210\022\2101\330\010\016\210j\230\001\230\021\330\004\007\200r\210\022\2101\330\010\016\210j\230\001\320\0313\2601\3204F\300a\300q\360\006\000\005\026\220U\230\"\230C\230q\340\004\010\210\005\210U\220!\2201\330\010\n\210!\2105\220\001\220\026\220q\230\002\230!\2301\330\010\n\210!\2105\220\001\220\026\220q\230\002\230!\2301\330\010\013\2102\210Q\210c\220\022\2206\230\023\230B\230a\230s\240\"\240A\240V\2503\250b\260\001\260\023\260B\260f\270C\270r\300\021\300#\300R\300q\310\001\330\014\022\220*\230A\230Q\340\004\025\220Q\330\004\023\2205\230\002\230#\230Q\330\004\025\220U\230\"\230C\230q\340\004\010\210\005\210U\220!\2201\330\010\014\210E""\220\025\220a\220r\230\022\2303\230a\330\014\021\220\022\2201\220D\230\005\230R\230q\240\001\330\014\021\220\022\2201\220D\230\005\230R\230q\240\001\330\014\021\220\023\220B\220d\230%\230s\240\"\240A\330\014\017\210s\220#\220Q\330\020\023\2203\220b\230\001\330\024\031\230\024\230U\240!\340\024\031\230\024\230U\240!\330\021\024\220C\220q\330\020\023\2203\220b\230\001\330\024\031\230\024\230U\240!\340\024\031\230\024\230U\240!\330\021\024\220C\220q\330\020\023\2203\220b\230\001\330\024\031\230\024\230U\240!\340\024\031\230\024\230U\240!\340\020\027\220q\330\020\025\220S\230\005\230Q\330\020\024\220F\230%\230q\240\001\330\024\030\230\006\230e\2401\240A\330\030 \240\004\240A\240T\250\022\2504\250q\260\004\260B\260d\270!\2704\270r\300\024\300Q\300a\330\030\033\2306\240\023\240A\330\034\035\330\030\035\230S\240\002\240$\240a\240t\2502\250S\260\002\260$\260a\260q\330\030\035\230S\240\002\240$\240a\240t\2502\250S\260\002\260$\260a\260q\330\030\033\2306\240\022\2401\330\034!\240\021\240!\330\034!\240\021\240!\330\030\033\2303\230b\240\002\240#\240S\250\002\250!\330\034\035\330\030\035\230S\240\002\240$\240a\240t\2502\250Q\330\030\035\230S\240\002\240$\240a\240t\2502\250Q\330\030 \240\001\330\020\023\2205\230\003\2301\330\024\032\230.\250\001\330\030+\2501\250C\250q\260\014\270A\270Q\340\014\023\2201\220J\230c\240\022\2405\250\002\250&\260\003\2603\260b\270\001\330\014\025\220Q\330\004\t\210\021\210)\2207\230-\240q\340\004\010\210\005\210U\220!\2201\330\010\013\2102\210R\210r\220\024\220W\230A\230S\240\003\2407\250!\2502\250R\250q\330\014\r\330\010\r\210W\220A\220S\230\003\2306\240\022\2401\330\010\r\210W\220A\220S\230\002\230&\240\002\240!\330\010\023\2201\330\010\014\210E\220\025\220a\220q\330\014\023\2208\2301\230B\230a\230t\2402\240Q\240d\250$\250a\330\014\017\210u\220C\220r\230\024\230U\240#\240R\240t\2505\260\003\2601\330\020\034\230A\330\010\013\2109\220C\220q\330\014\023\2201\330\004\013\2101";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 202; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 60) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 202; i < 204; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 204; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 202;
-      for (Py_ssize_t i=0; i<2; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0,1,2};
-    for (int i = 0; i < 3; i++) {
-      numbertab[i] = PyLong_FromLong(cint_constants_1[i - 0]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<3; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 1;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 7;
-    unsigned int flags : 10;
-    unsigned int first_line : 10;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 101, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 273};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_points, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_px, __pyx_mstate->__pyx_n_u_py, __pyx_mstate->__pyx_n_u_vx, __pyx_mstate->__pyx_n_u_vy, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_r1, __pyx_mstate->__pyx_n_u_r2, __pyx_mstate->__pyx_n_u_limit, __pyx_mstate->__pyx_n_u_violations, __pyx_mstate->__pyx_n_u_candkey, __pyx_mstate->__pyx_n_u_ncand, __pyx_mstate->__pyx_n_u_stabkey, __pyx_mstate->__pyx_n_u_nstab, __pyx_mstate->__pyx_n_u_OFF, __pyx_mstate->__pyx_n_u_SHIFT, __pyx_mstate->__pyx_n_u_ax, __pyx_mstate->__pyx_n_u_ay, __pyx_mstate->__pyx_n_u_bx, __pyx_mstate->__pyx_n_u_by, __pyx_mstate->__pyx_n_u_dx, __pyx_mstate->__pyx_n_u_dy, __pyx_mstate->__pyx_n_u_denom, __pyx_mstate->__pyx_n_u_tn, __pyx_mstate->__pyx_n_u_sn, __pyx_mstate->__pyx_n_u_t_2, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_cx, __pyx_mstate->__pyx_n_u_cy, __pyx_mstate->__pyx_n_u_wx, __pyx_mstate->__pyx_n_u_wy, __pyx_mstate->__pyx_n_u_hits, __pyx_mstate->__pyx_n_u_ncand_u, __pyx_mstate->__pyx_n_u_nstab_u, __pyx_mstate->__pyx_n_u_b_pairwise, __pyx_mstate->__pyx_n_u_h_pairwise, __pyx_mstate->__pyx_n_u_k_pairwise, __pyx_mstate->__pyx_n_u_cells, __pyx_mstate->__pyx_n_u_ncells, __pyx_mstate->__pyx_n_u_masks, __pyx_mstate->__pyx_n_u_mask, __pyx_mstate->__pyx_n_u_c_full, __pyx_mstate->__pyx_n_u_nz, __pyx_mstate->__pyx_n_u_sa, __pyx_mstate->__pyx_n_u_sb, __pyx_mstate->__pyx_n_u_sc, __pyx_mstate->__pyx_n_u_cls, __pyx_mstate->__pyx_n_u_accx, __pyx_mstate->__pyx_n_u_accy, __pyx_mstate->__pyx_n_u_sumx, __pyx_mstate->__pyx_n_u_sumy, __pyx_mstate->__pyx_n_u_acc_m, __pyx_mstate->__pyx_n_u_sum_m, __pyx_mstate->__pyx_n_u_e, __pyx_mstate->__pyx_n_u_ex, __pyx_mstate->__pyx_n_u_ey, __pyx_mstate->__pyx_n_u_ne, __pyx_mstate->__pyx_n_u_cell, __pyx_mstate->__pyx_n_u_t_count, __pyx_mstate->__pyx_n_u_triangles_3, __pyx_mstate->__pyx_n_u_k_faces, __pyx_mstate->__pyx_n_u_h_faces, __pyx_mstate->__pyx_n_u_b_faces, __pyx_mstate->__pyx_n_u_counts_repr, __pyx_mstate->__pyx_n_u_tiling_ok, __pyx_mstate->__pyx_n_u_area_total, __pyx_mstate->__pyx_n_u_near_pencil, __pyx_mstate->__pyx_n_u_near, __pyx_mstate->__pyx_n_u_lift, __pyx_mstate->__pyx_n_u_lift2, __pyx_mstate->__pyx_n_u_ii, __pyx_mstate->__pyx_n_u_jj, __pyx_mstate->__pyx_n_u_width, __pyx_mstate->__pyx_n_u_best, __pyx_mstate->__pyx_n_u_cand2, __pyx_mstate->__pyx_n_u_D, __pyx_mstate->__pyx_n_u_h0, __pyx_mstate->__pyx_n_u_h1, __pyx_mstate->__pyx_n_u_h2, __pyx_mstate->__pyx_n_u_beta, __pyx_mstate->__pyx_n_u_gamma, __pyx_mstate->__pyx_n_u_alpha, __pyx_mstate->__pyx_n_u_want, __pyx_mstate->__pyx_n_u_got, __pyx_mstate->__pyx_n_u_ti, __pyx_mstate->__pyx_n_u_ok_flag, __pyx_mstate->__pyx_n_u_m_noncorner, __pyx_mstate->__pyx_n_u_union_count, __pyx_mstate->__pyx_n_u_det_count, __pyx_mstate->__pyx_n_u_basex, __pyx_mstate->__pyx_n_u_basey, __pyx_mstate->__pyx_n_u_determined_2, __pyx_mstate->__pyx_n_u_union_flags, __pyx_mstate->__pyx_n_u_adj_tri_count, __pyx_mstate->__pyx_n_u_det_list, __pyx_mstate->__pyx_n_u_excess, __pyx_mstate->__pyx_n_u_bound_holds, __pyx_mstate->__pyx_n_u_equality, __pyx_mstate->__pyx_n_u_consistent};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_troplines__fastsweep_pyx, __pyx_mstate->__pyx_n_u_analyze_ints, __pyx_mstate->__pyx_kp_b_iso88591_AQ_r_1_j_r_1_j_314Faq_U_Cq_U_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 29, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 789};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_points, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_vx, __pyx_mstate->__pyx_n_u_vy, __pyx_mstate->__pyx_n_u_limit, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_r1, __pyx_mstate->__pyx_n_u_r2, __pyx_mstate->__pyx_n_u_hits, __pyx_mstate->__pyx_n_u_stabkey, __pyx_mstate->__pyx_n_u_nstab, __pyx_mstate->__pyx_n_u_OFF, __pyx_mstate->__pyx_n_u_SHIFT, __pyx_mstate->__pyx_n_u_ax, __pyx_mstate->__pyx_n_u_ay, __pyx_mstate->__pyx_n_u_bx, __pyx_mstate->__pyx_n_u_by, __pyx_mstate->__pyx_n_u_dx, __pyx_mstate->__pyx_n_u_dy, __pyx_mstate->__pyx_n_u_denom, __pyx_mstate->__pyx_n_u_tn, __pyx_mstate->__pyx_n_u_sn, __pyx_mstate->__pyx_n_u_cx, __pyx_mstate->__pyx_n_u_cy, __pyx_mstate->__pyx_n_u_wx, __pyx_mstate->__pyx_n_u_wy, __pyx_mstate->__pyx_n_u_incident, __pyx_mstate->__pyx_n_u_mask};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_troplines__fastsweep_pyx, __pyx_mstate->__pyx_n_u_has_ordinary_line, __pyx_mstate->__pyx_kp_b_iso88591_AQ_r_1_j_r_1_j_314Faq_U_Cq_U_1_2, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
+/* Compiled integer kernel for configuration sweeps.
+ *
+ * This is an independent reimplementation of analysis.analyze_config for
+ * integer point configurations, written against the same mathematical
+ * contract rather than the Python code: closed-form ray crossings instead
+ * of the generic rational crossing routine, C arrays instead of objects,
+ * and the same suite names in the same order. troplines.kernel routes
+ * eligible configurations here and equivalence with the pure path is
+ * enforced by the test suite.
+ *
+ * Everything is 64-bit integer arithmetic. Coordinates must lie within
+ * +/- 2**20 (checked on entry), which bounds every intermediate
+ * comfortably below overflow. Python objects appear only at the boundary:
+ * the points are converted once on entry, and the record is built once at
+ * the end.
+ *
+ * Build: python3 setup.py build_ext --inplace, or directly with
+ *   cc -O2 -shared -fPIC -I<python include dir> _fastsweep.c -o _fastsweep<EXT_SUFFIX>
  */
-#pragma warning( disable : 4127 )
-#endif
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdarg.h>
+#include <stdlib.h>
 
+typedef long long i64;
 
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
+enum {
+    MAXN = 16,
+    MAXV = 8,          /* a subdivision cell has at most 6 corners */
+    MAXCELLS = 152,    /* n + n(n-1)/2 at n = 16, plus slack */
+    MAXCAND = 2240,    /* vertices + 10 candidate points per pair, plus slack */
+    MAXSUM = 24,       /* Minkowski accumulator: 6 hull corners x 3 summands */
 };
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
+
+#define NEG (-((i64)1 << 50))
+#define LIMIT ((i64)1 << 20)
+#define OFF ((i64)1 << 23)
+#define SHIFT ((i64)1 << 25)
+#define KEY(x, y) (((x) + OFF) * SHIFT + ((y) + OFF))
+#define KEY_X(key) ((key) / SHIFT - OFF)
+#define KEY_Y(key) ((key) % SHIFT - OFF)
+
+/* ray directions in the fixed order W, S, NE */
+static const i64 DIRX[3] = {-1, 0, 1};
+static const i64 DIRY[3] = {0, -1, 1};
+
+enum { CLS_TRI, CLS_PAR, CLS_HEX, CLS_NU4, CLS_NU5, CLS_NU6 };
+
+typedef struct {
+    int m;
+    i64 vx[MAXV];
+    i64 vy[MAXV];
+    int cls;
+    i64 dx;
+    i64 dy;
+    i64 area2;
+    int bdry;
+} Cell;
+
+static int
+_cmp_i64(const void *a, const void *b)
+{
+    i64 x = *(const i64 *)a;
+    i64 y = *(const i64 *)b;
+    return (x > y) - (x < y);
+}
+
+static inline i64
+_cross3(i64 ox, i64 oy, i64 ax, i64 ay, i64 bx, i64 by)
+{
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox);
+}
+
+static inline i64
+_gcd(i64 a, i64 b)
+{
+    i64 t;
+    if (a < 0)
+        a = -a;
+    if (b < 0)
+        b = -b;
+    while (b) {
+        t = a % b;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+/* Convex hull, counterclockwise, lex-min vertex first, collinear points
+ * dropped; 1 or 2 points for degenerate inputs. Returns the count. */
+static int
+_hull(const i64 *px, const i64 *py, int m, i64 *ox, i64 *oy)
+{
+    i64 sx[MAXSUM], sy[MAXSUM];
+    i64 hx[2 * MAXSUM], hy[2 * MAXSUM];
+    int i, j, k, cnt = 0, lo, hi;
+    /* insertion sort by (x, y) with dedup */
+    for (i = 0; i < m; i++) {
+        i64 kx = px[i], ky = py[i];
+        j = cnt;
+        while (j > 0 && (sx[j - 1] > kx || (sx[j - 1] == kx && sy[j - 1] > ky)))
+            j--;
+        if (j < cnt && sx[j] == kx && sy[j] == ky)
+            continue;
+        for (k = cnt; k > j; k--) {
+            sx[k] = sx[k - 1];
+            sy[k] = sy[k - 1];
         }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
+        sx[j] = kx;
+        sy[j] = ky;
+        cnt++;
+    }
+    if (cnt <= 2) {
+        for (i = 0; i < cnt; i++) {
+            ox[i] = sx[i];
+            oy[i] = sy[i];
         }
+        return cnt;
     }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
+    lo = 0;
+    for (i = 0; i < cnt; i++) {
+        while (lo >= 2 && _cross3(hx[lo - 2], hy[lo - 2], hx[lo - 1], hy[lo - 1], sx[i], sy[i]) <= 0)
+            lo--;
+        hx[lo] = sx[i];
+        hy[lo] = sy[i];
+        lo++;
+    }
+    hi = lo;
+    for (i = cnt - 1; i >= 0; i--) {
+        while (hi - lo >= 2 && _cross3(hx[hi - 2], hy[hi - 2], hx[hi - 1], hy[hi - 1], sx[i], sy[i]) <= 0)
+            hi--;
+        hx[hi] = sx[i];
+        hy[hi] = sy[i];
+        hi++;
+    }
+    /* hull = lower[:-1] + upper[:-1]; lower occupies [0, lo), upper [lo, hi) */
+    k = 0;
+    for (i = 0; i < lo - 1; i++, k++) {
+        ox[k] = hx[i];
+        oy[k] = hy[i];
+    }
+    for (i = lo; i < hi - 1; i++, k++) {
+        ox[k] = hx[i];
+        oy[k] = hy[i];
+    }
+    return k;
 }
 
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
+/* Argmax bitmask at q for the line with vertex v: bit0 = x term,
+ * bit1 = y term, bit2 = constant term. */
+static inline int
+_argmask(i64 vx, i64 vy, i64 qx, i64 qy)
+{
+    i64 t1 = qx - vx;
+    i64 t2 = qy - vy;
+    i64 m = t1;
+    if (t2 > m)
+        m = t2;
+    if (0 > m)
+        m = 0;
+    return (t1 == m) | ((t2 == m) << 1) | ((0 == m) << 2);
 }
 
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
+static inline int
+_cell_contains(const Cell *c, i64 x, i64 y)
+{
+    for (int i = 0; i < c->m; i++) {
+        int j = i + 1 == c->m ? 0 : i + 1;
+        if (_cross3(c->vx[i], c->vy[i], c->vx[j], c->vy[j], x, y) < 0)
+            return 0;
     }
     return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
+}
+
+/* Separating-axis test flush with an edge of either polygon. */
+static int
+_interiors_disjoint(const Cell *p, const Cell *q)
+{
+    for (int k = 0; k < 2; k++) {
+        const Cell *a = k == 0 ? p : q;
+        const Cell *b = k == 0 ? q : p;
+        for (int i = 0; i < a->m; i++) {
+            int j = i + 1 == a->m ? 0 : i + 1;
+            int all_out = 1;
+            for (int v = 0; v < b->m; v++) {
+                if (_cross3(a->vx[i], a->vy[i], a->vx[j], a->vy[j], b->vx[v], b->vy[v]) > 0) {
+                    all_out = 0;
+                    break;
+                }
+            }
+            if (all_out)
+                return 1;
+        }
+    }
     return 0;
 }
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
 
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
+/* Positive-length collinear overlap between any edges. */
+static int
+_shares_edge(const Cell *p, const Cell *q)
 {
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
+    for (int i = 0; i < p->m; i++) {
+        int i2 = i + 1 == p->m ? 0 : i + 1;
+        i64 ax = p->vx[i], ay = p->vy[i];
+        i64 dx = p->vx[i2] - ax, dy = p->vy[i2] - ay;
+        i64 len2 = dx * dx + dy * dy;
+        for (int j = 0; j < q->m; j++) {
+            int j2 = j + 1 == q->m ? 0 : j + 1;
+            if ((q->vx[j] - ax) * dy != (q->vy[j] - ay) * dx)
+                continue;
+            if ((q->vx[j2] - ax) * dy != (q->vy[j2] - ay) * dx)
+                continue;
+            i64 tc = (q->vx[j] - ax) * dx + (q->vy[j] - ay) * dy;
+            i64 td = (q->vx[j2] - ax) * dx + (q->vy[j2] - ay) * dy;
+            i64 lo = tc < td ? tc : td;
+            i64 hi = tc > td ? tc : td;
+            if (hi > len2)
+                hi = len2;
+            if (lo < 0)
+                lo = 0;
+            if (hi > lo)
+                return 1;
+        }
+    }
+    return 0;
 }
 
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
+/* Bitmask of edge direction classes: 1 horizontal, 2 vertical,
+ * 4 antidiagonal, 8 anything else. */
+static int
+_edge_class_mask(const Cell *c)
+{
+    int mask = 0;
+    for (int i = 0; i < c->m; i++) {
+        int j = i + 1 == c->m ? 0 : i + 1;
+        i64 dx = c->vx[j] - c->vx[i];
+        i64 dy = c->vy[j] - c->vy[i];
+        i64 g = _gcd(dx, dy);
+        dx /= g;
+        dy /= g;
+        if (dy < 0 || (dy == 0 && dx < 0)) {
+            dx = -dx;
+            dy = -dy;
         }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
+        if (dx == 1 && dy == 0)
+            mask |= 1;
+        else if (dx == 0 && dy == 1)
+            mask |= 2;
+        else if (dx == -1 && dy == 1)
+            mask |= 4;
         else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
+            mask |= 8;
     }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
+    return mask;
 }
 
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
+/* Parallelogram in one of the three corner slots of the triangle with
+ * right-angle corner (bx, by). */
+static int
+_corner_pattern(const Cell *s, i64 bx, i64 by)
 {
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
+    int mask = _edge_class_mask(s);
+    int i;
+    i64 mx, my, ay;
+    if (mask == 3) {  /* horizontal + vertical: maximal corner at the base */
+        mx = s->vx[0];
+        my = s->vy[0];
+        for (i = 1; i < s->m; i++) {
+            if (s->vx[i] > mx)
+                mx = s->vx[i];
+            if (s->vy[i] > my)
+                my = s->vy[i];
         }
-        name++;
+        return mx == bx && my == by;
     }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
+    if (mask == 6) {  /* vertical + antidiagonal: max-x then min-y corner */
+        mx = s->vx[0];
+        for (i = 1; i < s->m; i++)
+            if (s->vx[i] > mx)
+                mx = s->vx[i];
+        ay = NEG;
+        for (i = 0; i < s->m; i++)
+            if (s->vx[i] == mx && (ay == NEG || s->vy[i] < ay))
+                ay = s->vy[i];
+        return mx == bx && ay == by + 1;
     }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
+    if (mask == 5) {  /* horizontal + antidiagonal: unique min-x corner */
+        mx = s->vx[0];
+        my = s->vy[0];
+        for (i = 1; i < s->m; i++) {
+            if (s->vx[i] < mx) {
+                mx = s->vx[i];
+                my = s->vy[i];
             }
         }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
+        return mx == bx + 1 && my == by;
     }
     return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
 }
 
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
+/* Transversal crossings between the 3 x 3 ray pairs of the lines with
+ * vertices a and a + (dx, dy), written to (cx, cy); returns their count. */
+static int
+_ray_crossings(i64 ax, i64 ay, i64 dx, i64 dy, i64 *cx, i64 *cy)
 {
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
+    int hits = 0;
+    for (int r1 = 0; r1 < 3; r1++) {
+        for (int r2 = 0; r2 < 3; r2++) {
+            i64 denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2];
+            if (denom == 0)
+                continue;
+            i64 tn = dx * DIRY[r2] - dy * DIRX[r2];
+            i64 sn = dx * DIRY[r1] - dy * DIRX[r1];
+            if (denom < 0) {
+                tn = -tn;
+                sn = -sn;
+            }
+            if (tn < 0 || sn < 0)
+                continue;
+            cx[hits] = ax + DIRX[r1] * tn;
+            cy[hits] = ay + DIRY[r1] * tn;
+            hits++;
+        }
+    }
+    return hits;
+}
+
+/* The stable point of two lines whose vertices lie on a common ray axis:
+ * the vertex that lies on the other line. */
+static void
+_coaxial_point(i64 ax, i64 ay, i64 bx, i64 by, i64 *wx, i64 *wy)
+{
+    int first;
+    if (by == ay)
+        first = ax < bx;
+    else if (bx == ax)
+        first = ay < by;
     else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
+        first = ax > bx;
+    *wx = first ? ax : bx;
+    *wy = first ? ay : by;
 }
 
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
+static inline int
+_coaxial(i64 dx, i64 dy)
 {
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
+    return dy == 0 || dx == 0 || dx == dy;
 }
 
-/* PyErrFetchRestore (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
+static int
+_sort_unique(i64 *keys, int count)
+{
+    int unique = 0;
+    qsort(keys, (size_t)count, sizeof(i64), _cmp_i64);
+    for (int i = 0; i < count; i++)
+        if (i == 0 || keys[i] != keys[i - 1])
+            keys[unique++] = keys[i];
+    return unique;
 }
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
 
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
+/* ---- the Python boundary ------------------------------------------------ */
+
+/* Read a sequence of distinct integer pairs within the coordinate bound
+ * into (px, py); the point count, or -1 with an exception set. */
+static int
+_read_points(PyObject *points, int min_n, const char *too_few, i64 *px, i64 *py)
+{
+    Py_ssize_t n = PyObject_Length(points);
+    if (n < 0)
+        return -1;
+    if (n < min_n) {
+        PyErr_SetString(PyExc_ValueError, too_few);
+        return -1;
     }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
+    if (n > MAXN) {
+        PyErr_Format(PyExc_ValueError, "kernel supports at most %d points, got %zd", MAXN, n);
+        return -1;
     }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
+    /* a private tuple: __index__ may run Python code that edits the input */
+    PyObject *seq = PySequence_Tuple(points);
+    if (seq == NULL)
+        return -1;
+    if (PyTuple_GET_SIZE(seq) != n) {
+        PyErr_SetString(PyExc_ValueError, "points changed size during the call");
+        goto fail;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *point = PyTuple_GET_ITEM(seq, i);
+        PyObject *coords[2];
+        i64 xy[2];
+        if (PyTuple_Check(point) && PyTuple_GET_SIZE(point) == 2) {
+            coords[0] = PyTuple_GET_ITEM(point, 0);
+            coords[1] = PyTuple_GET_ITEM(point, 1);
+        } else if (PyList_Check(point) && PyList_GET_SIZE(point) == 2) {
+            coords[0] = PyList_GET_ITEM(point, 0);
+            coords[1] = PyList_GET_ITEM(point, 1);
         } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
+            PyErr_Format(PyExc_ValueError,
+                         "point at index %zd is not a tuple or list of two coordinates", i);
+            goto fail;
         }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* CIntToDigits (used by CIntToPyUnicode) */
-static const char DIGIT_PAIRS_10[2*10*10+1] = {
-    "00010203040506070809"
-    "10111213141516171819"
-    "20212223242526272829"
-    "30313233343536373839"
-    "40414243444546474849"
-    "50515253545556575859"
-    "60616263646566676869"
-    "70717273747576777879"
-    "80818283848586878889"
-    "90919293949596979899"
-};
-static const char DIGIT_PAIRS_8[2*8*8+1] = {
-    "0001020304050607"
-    "1011121314151617"
-    "2021222324252627"
-    "3031323334353637"
-    "4041424344454647"
-    "5051525354555657"
-    "6061626364656667"
-    "7071727374757677"
-};
-static const char DIGITS_HEX[2*16+1] = {
-    "0123456789abcdef"
-    "0123456789ABCDEF"
-};
-
-/* BuildPyUnicode (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char) {
-    PyObject *uval;
-    Py_ssize_t uoffset = ulength - clength;
-#if CYTHON_USE_UNICODE_INTERNALS
-    Py_ssize_t i;
-    void *udata;
-    uval = PyUnicode_New(ulength, 127);
-    if (unlikely(!uval)) return NULL;
-    udata = PyUnicode_DATA(uval);
-    if (uoffset > 0) {
-        i = 0;
-        if (prepend_sign) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, 0, '-');
-            i++;
-        }
-        for (; i < uoffset; i++) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, i, padding_char);
-        }
-    }
-    for (i=0; i < clength; i++) {
-        __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, uoffset+i, chars[i]);
-    }
-#else
-    {
-        PyObject *sign = NULL, *padding = NULL;
-        uval = NULL;
-        if (uoffset > 0) {
-            prepend_sign = !!prepend_sign;
-            if (uoffset > prepend_sign) {
-                padding = PyUnicode_FromOrdinal(padding_char);
-                if (likely(padding) && uoffset > prepend_sign + 1) {
-                    PyObject *tmp = PySequence_Repeat(padding, uoffset - prepend_sign);
-                    Py_DECREF(padding);
-                    padding = tmp;
-                }
-                if (unlikely(!padding)) goto done_or_error;
-            }
-            if (prepend_sign) {
-                sign = PyUnicode_FromOrdinal('-');
-                if (unlikely(!sign)) goto done_or_error;
-            }
-        }
-        uval = PyUnicode_DecodeASCII(chars, clength, NULL);
-        if (likely(uval) && padding) {
-            PyObject *tmp = PyUnicode_Concat(padding, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-        if (likely(uval) && sign) {
-            PyObject *tmp = PyUnicode_Concat(sign, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-done_or_error:
-        Py_XDECREF(padding);
-        Py_XDECREF(sign);
-    }
-#endif
-    return uval;
-}
-
-/* COrdinalToPyUnicode (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value) {
-    return value <= 1114111;
-}
-static PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t ulength, char padding_char) {
-    Py_ssize_t padding_length = ulength - 1;
-    if (likely((padding_length <= 250) && (value < 0xD800 || value > 0xDFFF))) {
-        char chars[256];
-        if (value <= 255) {
-            memset(chars, padding_char, (size_t) padding_length);
-            chars[ulength-1] = (char) value;
-            return PyUnicode_DecodeLatin1(chars, ulength, NULL);
-        }
-        char *cpos = chars + sizeof(chars);
-        if (value < 0x800) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xc0 | (value & 0x1f));
-        } else if (value < 0x10000) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xe0 | (value & 0x0f));
-        } else {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xf0 | (value & 0x07));
-        }
-        cpos -= padding_length;
-        memset(cpos, padding_char, (size_t) padding_length);
-        return PyUnicode_DecodeUTF8(cpos, chars + sizeof(chars) - cpos, NULL);
-    }
-    if (value <= 127 && CYTHON_USE_UNICODE_INTERNALS) {
-        const char chars[1] = {(char) value};
-        return __Pyx_PyUnicode_BuildFromAscii(ulength, chars, 1, 0, padding_char);
-    }
-    {
-        PyObject *uchar, *padding_uchar, *padding, *result;
-        padding_uchar = PyUnicode_FromOrdinal(padding_char);
-        if (unlikely(!padding_uchar)) return NULL;
-        padding = PySequence_Repeat(padding_uchar, padding_length);
-        Py_DECREF(padding_uchar);
-        if (unlikely(!padding)) return NULL;
-        uchar = PyUnicode_FromOrdinal(value);
-        if (unlikely(!uchar)) {
-            Py_DECREF(padding);
-            return NULL;
-        }
-        result = PyUnicode_Concat(padding, uchar);
-        Py_DECREF(padding);
-        Py_DECREF(uchar);
-        return result;
-    }
-}
-
-/* CIntToPyUnicode */
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From___pyx_anon_enum(int value, Py_ssize_t width, char padding_char) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!(is_unsigned || value == 0 || value > 0) ||
-                    !(sizeof(value) <= 2 || value & ~ (int) 0x01fffff || __Pyx_CheckUnicodeValue((int) value)))) {
-        PyErr_SetString(PyExc_OverflowError, "%c arg not in range(0x110000)");
-        return NULL;
-    }
-    if (width <= 1) {
-        return PyUnicode_FromOrdinal((int) value);
-    }
-    return __Pyx_PyUnicode_FromOrdinal_Padded((int) value, width, padding_char);
-}
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From___pyx_anon_enum(int value, Py_ssize_t width, char padding_char, char format_char) {
-    char digits[sizeof(int)*3+2];
-    char *dpos, *end = digits + sizeof(int)*3+2;
-    const char *hex_digits = DIGITS_HEX;
-    Py_ssize_t length, ulength;
-    int prepend_sign, last_one_off;
-    int remaining;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (format_char == 'X') {
-        hex_digits += 16;
-        format_char = 'x';
-    }
-    remaining = value;
-    last_one_off = 0;
-    dpos = end;
-    do {
-        int digit_pos;
-        switch (format_char) {
-        case 'o':
-            digit_pos = abs((int)(remaining % (8*8)));
-            remaining = (int) (remaining / (8*8));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_8 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 8);
-            break;
-        case 'd':
-            digit_pos = abs((int)(remaining % (10*10)));
-            remaining = (int) (remaining / (10*10));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_10 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 10);
-            break;
-        case 'x':
-            *(--dpos) = hex_digits[abs((int)(remaining % 16))];
-            remaining = (int) (remaining / 16);
-            break;
-        default:
-            assert(0);
-            break;
-        }
-    } while (unlikely(remaining != 0));
-    assert(!last_one_off || *dpos == '0');
-    dpos += last_one_off;
-    length = end - dpos;
-    ulength = length;
-    prepend_sign = 0;
-    if (!is_unsigned && value <= neg_one) {
-        if (padding_char == ' ' || width <= length + 1) {
-            *(--dpos) = '-';
-            ++length;
-        } else {
-            prepend_sign = 1;
-        }
-        ++ulength;
-    }
-    if (width > ulength) {
-        ulength = width;
-    }
-    if (ulength == 1) {
-        return PyUnicode_FromOrdinal(*dpos);
-    }
-    return __Pyx_PyUnicode_BuildFromAscii(ulength, dpos, (int) length, prepend_sign, padding_char);
-}
-
-/* CIntToPyUnicode */
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!(is_unsigned || value == 0 || value > 0) ||
-                    !(sizeof(value) <= 2 || value & ~ (int) 0x01fffff || __Pyx_CheckUnicodeValue((int) value)))) {
-        PyErr_SetString(PyExc_OverflowError, "%c arg not in range(0x110000)");
-        return NULL;
-    }
-    if (width <= 1) {
-        return PyUnicode_FromOrdinal((int) value);
-    }
-    return __Pyx_PyUnicode_FromOrdinal_Padded((int) value, width, padding_char);
-}
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char) {
-    char digits[sizeof(int)*3+2];
-    char *dpos, *end = digits + sizeof(int)*3+2;
-    const char *hex_digits = DIGITS_HEX;
-    Py_ssize_t length, ulength;
-    int prepend_sign, last_one_off;
-    int remaining;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (format_char == 'X') {
-        hex_digits += 16;
-        format_char = 'x';
-    }
-    remaining = value;
-    last_one_off = 0;
-    dpos = end;
-    do {
-        int digit_pos;
-        switch (format_char) {
-        case 'o':
-            digit_pos = abs((int)(remaining % (8*8)));
-            remaining = (int) (remaining / (8*8));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_8 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 8);
-            break;
-        case 'd':
-            digit_pos = abs((int)(remaining % (10*10)));
-            remaining = (int) (remaining / (10*10));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_10 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 10);
-            break;
-        case 'x':
-            *(--dpos) = hex_digits[abs((int)(remaining % 16))];
-            remaining = (int) (remaining / 16);
-            break;
-        default:
-            assert(0);
-            break;
-        }
-    } while (unlikely(remaining != 0));
-    assert(!last_one_off || *dpos == '0');
-    dpos += last_one_off;
-    length = end - dpos;
-    ulength = length;
-    prepend_sign = 0;
-    if (!is_unsigned && value <= neg_one) {
-        if (padding_char == ' ' || width <= length + 1) {
-            *(--dpos) = '-';
-            ++length;
-        } else {
-            prepend_sign = 1;
-        }
-        ++ulength;
-    }
-    if (width > ulength) {
-        ulength = width;
-    }
-    if (ulength == 1) {
-        return PyUnicode_FromOrdinal(*dpos);
-    }
-    return __Pyx_PyUnicode_BuildFromAscii(ulength, dpos, (int) length, prepend_sign, padding_char);
-}
-
-/* JoinPyUnicode */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char) {
-#if CYTHON_USE_UNICODE_INTERNALS && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    PyObject *result_uval;
-    int result_ukind, kind_shift;
-    Py_ssize_t i, char_pos;
-    void *result_udata;
-    if (max_char > 1114111) max_char = 1114111;
-    result_uval = PyUnicode_New(result_ulength, max_char);
-    if (unlikely(!result_uval)) return NULL;
-    result_ukind = (max_char <= 255) ? PyUnicode_1BYTE_KIND : (max_char <= 65535) ? PyUnicode_2BYTE_KIND : PyUnicode_4BYTE_KIND;
-    kind_shift = (result_ukind == PyUnicode_4BYTE_KIND) ? 2 : result_ukind - 1;
-    result_udata = PyUnicode_DATA(result_uval);
-    assert(kind_shift == 2 || kind_shift == 1 || kind_shift == 0);
-    if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - result_ulength < 0))
-        goto overflow;
-    char_pos = 0;
-    for (i=0; i < value_count; i++) {
-        int ukind;
-        Py_ssize_t ulength;
-        void *udata;
-        PyObject *uval = values[i];
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (__Pyx_PyUnicode_READY(uval) == (-1))
-            goto bad;
-        #endif
-        ulength = __Pyx_PyUnicode_GET_LENGTH(uval);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(ulength < 0)) goto bad;
-        #endif
-        if (unlikely(!ulength))
-            continue;
-        if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - ulength < char_pos))
-            goto overflow;
-        ukind = __Pyx_PyUnicode_KIND(uval);
-        udata = __Pyx_PyUnicode_DATA(uval);
-        if (ukind == result_ukind) {
-            memcpy((char *)result_udata + (char_pos << kind_shift), udata, (size_t) (ulength << kind_shift));
-        } else {
-            #if PY_VERSION_HEX >= 0x030d0000
-            if (unlikely(PyUnicode_CopyCharacters(result_uval, char_pos, uval, 0, ulength) < 0)) goto bad;
-            #elif CYTHON_COMPILING_IN_CPYTHON || defined(_PyUnicode_FastCopyCharacters)
-            _PyUnicode_FastCopyCharacters(result_uval, char_pos, uval, 0, ulength);
-            #else
-            Py_ssize_t j;
-            for (j=0; j < ulength; j++) {
-                Py_UCS4 uchar = __Pyx_PyUnicode_READ(ukind, udata, j);
-                __Pyx_PyUnicode_WRITE(result_ukind, result_udata, char_pos+j, uchar);
-            }
-            #endif
-        }
-        char_pos += ulength;
-    }
-    return result_uval;
-overflow:
-    PyErr_SetString(PyExc_OverflowError, "join() result is too long for a Python string");
-bad:
-    Py_DECREF(result_uval);
-    return NULL;
-#else
-    Py_ssize_t i;
-    PyObject *result = NULL;
-    PyObject *value_tuple = PyTuple_New(value_count);
-    if (unlikely(!value_tuple)) return NULL;
-    CYTHON_UNUSED_VAR(max_char);
-    CYTHON_UNUSED_VAR(result_ulength);
-    for (i=0; i<value_count; i++) {
-        Py_INCREF(values[i]);
-        if (__Pyx_PyTuple_SET_ITEM(value_tuple, i, values[i]) != (0)) goto bad;
-    }
-    result = PyUnicode_Join(__pyx_mstate_global->__pyx_empty_unicode, value_tuple);
-bad:
-    Py_DECREF(value_tuple);
-    return result;
-#endif
-}
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* CIntToPyUnicode */
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_PY_LONG_LONG(PY_LONG_LONG value, Py_ssize_t width, char padding_char) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!(is_unsigned || value == 0 || value > 0) ||
-                    !(sizeof(value) <= 2 || value & ~ (PY_LONG_LONG) 0x01fffff || __Pyx_CheckUnicodeValue((int) value)))) {
-        PyErr_SetString(PyExc_OverflowError, "%c arg not in range(0x110000)");
-        return NULL;
-    }
-    if (width <= 1) {
-        return PyUnicode_FromOrdinal((int) value);
-    }
-    return __Pyx_PyUnicode_FromOrdinal_Padded((int) value, width, padding_char);
-}
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_PY_LONG_LONG(PY_LONG_LONG value, Py_ssize_t width, char padding_char, char format_char) {
-    char digits[sizeof(PY_LONG_LONG)*3+2];
-    char *dpos, *end = digits + sizeof(PY_LONG_LONG)*3+2;
-    const char *hex_digits = DIGITS_HEX;
-    Py_ssize_t length, ulength;
-    int prepend_sign, last_one_off;
-    PY_LONG_LONG remaining;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (format_char == 'X') {
-        hex_digits += 16;
-        format_char = 'x';
-    }
-    remaining = value;
-    last_one_off = 0;
-    dpos = end;
-    do {
-        int digit_pos;
-        switch (format_char) {
-        case 'o':
-            digit_pos = abs((int)(remaining % (8*8)));
-            remaining = (PY_LONG_LONG) (remaining / (8*8));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_8 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 8);
-            break;
-        case 'd':
-            digit_pos = abs((int)(remaining % (10*10)));
-            remaining = (PY_LONG_LONG) (remaining / (10*10));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_10 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 10);
-            break;
-        case 'x':
-            *(--dpos) = hex_digits[abs((int)(remaining % 16))];
-            remaining = (PY_LONG_LONG) (remaining / 16);
-            break;
-        default:
-            assert(0);
-            break;
-        }
-    } while (unlikely(remaining != 0));
-    assert(!last_one_off || *dpos == '0');
-    dpos += last_one_off;
-    length = end - dpos;
-    ulength = length;
-    prepend_sign = 0;
-    if (!is_unsigned && value <= neg_one) {
-        if (padding_char == ' ' || width <= length + 1) {
-            *(--dpos) = '-';
-            ++length;
-        } else {
-            prepend_sign = 1;
-        }
-        ++ulength;
-    }
-    if (width > ulength) {
-        ulength = width;
-    }
-    if (ulength == 1) {
-        return PyUnicode_FromOrdinal(*dpos);
-    }
-    return __Pyx_PyUnicode_BuildFromAscii(ulength, dpos, (int) length, prepend_sign, padding_char);
-}
-
-/* PyLongBinop */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject* __Pyx_Fallback___Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, int inplace) {
-    return (inplace ? PyNumber_InPlaceAdd : PyNumber_Add)(op1, op2);
-}
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject* __Pyx_Unpacked___Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(inplace);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    long a;
-    const PY_LONG_LONG llb = intval;
-    PY_LONG_LONG lla;
-    if (unlikely(__Pyx_PyLong_IsZero(op1))) {
-        return __Pyx_NewRef(op2);
-    }
-    const int is_positive = __Pyx_PyLong_IsPos(op1);
-    const digit* digits = __Pyx_PyLong_Digits(op1);
-    const Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-    if (likely(size == 1)) {
-        a = (long) digits[0];
-        if (!is_positive) a *= -1;
-    } else {
-        switch (size) {
-            case 2:
-                if (8 * sizeof(long) - 1 > 2 * PyLong_SHIFT) {
-                    a = (long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
+        /* own the coordinates: a list point may be edited by __index__ */
+        Py_INCREF(coords[0]);
+        Py_INCREF(coords[1]);
+        int overflow = 0, failed = 0;
+        for (int c = 0; c < 2 && !failed; c++) {
+            PyObject *index = PyNumber_Index(coords[c]);
+            if (index == NULL) {
+                failed = 1;
                 break;
-            case 3:
-                if (8 * sizeof(long) - 1 > 3 * PyLong_SHIFT) {
-                    a = (long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 4:
-                if (8 * sizeof(long) - 1 > 4 * PyLong_SHIFT) {
-                    a = (long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-        }
-        return PyLong_Type.tp_as_number->nb_add(op1, op2);
-    }
-    calculate_long:
-        {
-            long x;
-            x = a + b;
-            return PyLong_FromLong(x);
-        }
-    calculate_long_long:
-        {
-            PY_LONG_LONG llx;
-            llx = lla + llb;
-            return PyLong_FromLongLong(llx);
-        }
-    
-}
-#endif
-static PyObject* __Pyx_Float___Pyx_PyLong_AddObjC(PyObject *float_val, long intval, int zerodivision_check) {
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    double a = __Pyx_PyFloat_AS_DOUBLE(float_val);
-        double result;
-        
-        result = ((double)a) + (double)b;
-        return PyFloat_FromDouble(result);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        return __Pyx_Unpacked___Pyx_PyLong_AddObjC(op1, op2, intval, inplace, zerodivision_check);
-    }
-    #endif
-    if (PyFloat_CheckExact(op1)) {
-        return __Pyx_Float___Pyx_PyLong_AddObjC(op1, intval, zerodivision_check);
-    }
-    return __Pyx_Fallback___Pyx_PyLong_AddObjC(op1, op2, inplace);
-}
-#endif
-
-/* SetItemInt */
-static int __Pyx_SetItemInt_Generic(PyObject *o, PyObject *j, PyObject *v) {
-    int r;
-    if (unlikely(!j)) return -1;
-    r = PyObject_SetItem(o, j, v);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE int __Pyx_SetItemInt_Fast(PyObject *o, Py_ssize_t i, PyObject *v, int is_list,
-                                               int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE && !CYTHON_AVOID_BORROWED_REFS
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = (!wraparound) ? i : ((likely(i >= 0)) ? i : i + PyList_GET_SIZE(o));
-        if ((CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared))) {
-            Py_INCREF(v);
-            return PyList_SetItem(o, n, v);
-        } else if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o)))) {
-            PyObject* old;
-            Py_INCREF(v);
-            old = PyList_GET_ITEM(o, n);
-            PyList_SET_ITEM(o, n, v);
-            Py_DECREF(old);
-            return 0;
-        }
-    } else
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_ass_subscript) {
-            int r;
-            PyObject *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return -1;
-            r = mm->mp_ass_subscript(o, key, v);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_ass_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return -1;
-                    PyErr_Clear();
-                }
             }
-            return sm->sq_ass_item(o, i, v);
+            int over = 0;
+            xy[c] = PyLong_AsLongLongAndOverflow(index, &over);
+            Py_DECREF(index);
+            failed = xy[c] == -1 && PyErr_Occurred();
+            overflow |= over;
         }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_SetItem(o, i, v);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_SetItemInt_Generic(o, PyLong_FromSsize_t(i), v);
-}
-
-/* CIntToPyUnicode */
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_long(long value, Py_ssize_t width, char padding_char) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!(is_unsigned || value == 0 || value > 0) ||
-                    !(sizeof(value) <= 2 || value & ~ (long) 0x01fffff || __Pyx_CheckUnicodeValue((int) value)))) {
-        PyErr_SetString(PyExc_OverflowError, "%c arg not in range(0x110000)");
-        return NULL;
-    }
-    if (width <= 1) {
-        return PyUnicode_FromOrdinal((int) value);
-    }
-    return __Pyx_PyUnicode_FromOrdinal_Padded((int) value, width, padding_char);
-}
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_long(long value, Py_ssize_t width, char padding_char, char format_char) {
-    char digits[sizeof(long)*3+2];
-    char *dpos, *end = digits + sizeof(long)*3+2;
-    const char *hex_digits = DIGITS_HEX;
-    Py_ssize_t length, ulength;
-    int prepend_sign, last_one_off;
-    long remaining;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (format_char == 'X') {
-        hex_digits += 16;
-        format_char = 'x';
-    }
-    remaining = value;
-    last_one_off = 0;
-    dpos = end;
-    do {
-        int digit_pos;
-        switch (format_char) {
-        case 'o':
-            digit_pos = abs((int)(remaining % (8*8)));
-            remaining = (long) (remaining / (8*8));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_8 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 8);
-            break;
-        case 'd':
-            digit_pos = abs((int)(remaining % (10*10)));
-            remaining = (long) (remaining / (10*10));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_10 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 10);
-            break;
-        case 'x':
-            *(--dpos) = hex_digits[abs((int)(remaining % 16))];
-            remaining = (long) (remaining / 16);
-            break;
-        default:
-            assert(0);
-            break;
+        Py_DECREF(coords[0]);
+        Py_DECREF(coords[1]);
+        if (failed)
+            goto fail;
+        if (overflow || xy[0] > LIMIT || xy[0] < -LIMIT || xy[1] > LIMIT || xy[1] < -LIMIT) {
+            PyErr_SetString(PyExc_ValueError, "kernel coordinate bound exceeded");
+            goto fail;
         }
-    } while (unlikely(remaining != 0));
-    assert(!last_one_off || *dpos == '0');
-    dpos += last_one_off;
-    length = end - dpos;
-    ulength = length;
-    prepend_sign = 0;
-    if (!is_unsigned && value <= neg_one) {
-        if (padding_char == ' ' || width <= length + 1) {
-            *(--dpos) = '-';
-            ++length;
-        } else {
-            prepend_sign = 1;
-        }
-        ++ulength;
+        px[i] = xy[0];
+        py[i] = xy[1];
     }
-    if (width > ulength) {
-        ulength = width;
-    }
-    if (ulength == 1) {
-        return PyUnicode_FromOrdinal(*dpos);
-    }
-    return __Pyx_PyUnicode_BuildFromAscii(ulength, dpos, (int) length, prepend_sign, padding_char);
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType (used by FetchCommonType) */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
+    Py_DECREF(seq);
+    for (int i = 0; i < n; i++)
+        for (int j = i + 1; j < n; j++)
+            if (px[i] == px[j] && py[i] == py[j]) {
+                PyErr_Format(PyExc_ValueError, "duplicate point at index %d", j);
+                return -1;
             }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
+    return (int)n;
+fail:
+    Py_DECREF(seq);
     return -1;
 }
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
+
+/* Append [suite, message] to violations; -1 with an exception set. */
+static int
+_violate(PyObject *violations, const char *suite, const char *format, ...)
+{
+    va_list va;
+    va_start(va, format);
+    PyObject *message = PyUnicode_FromFormatV(format, va);
+    va_end(va);
+    if (message == NULL)
         return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
+    PyObject *entry = Py_BuildValue("[sN]", suite, message);
+    if (entry == NULL)
         return -1;
-    }
-    return 0;
+    int rc = PyList_Append(violations, entry);
+    Py_DECREF(entry);
+    return rc;
 }
 
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
+#define VIOLATE(...) \
+    do { \
+        if (_violate(violations, __VA_ARGS__) < 0) \
+            return -1; \
+    } while (0)
 
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
+#define COUNTS "Counts(n=%d, t=%d, triangles=%d, b=%d, k=%d, h=%d)"
+#define COUNTS_ARGS n, t_count, triangles, b_faces, k_faces, h_faces
 
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
+/* The near-pencil flag: False, True, or None when the cells do not tile */
+enum { NEAR_NO, NEAR_YES, NEAR_UNTILED };
 
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
+/* What analyze_ints returns besides the violations. */
+typedef struct {
+    int t, triangles, b, k, h;
+    int near_pencil;
+    int excess;
+} Summary;
+
+/* The lift of n * Delta_2 by dynamic programming over the points, then
+ * the scan that each cell's affine fit matches the lift on the cell and
+ * dominates it elsewhere; stops at the first violation. -1 with an
+ * exception set. */
 static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
+_regularity(const Cell *cells, int ncells, int n, const i64 *px, const i64 *py,
+            PyObject *violations)
 {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
+    i64 lift[(MAXN + 1) * (MAXN + 1)], lift2[(MAXN + 1) * (MAXN + 1)];
+    int i, j, ii, jj, width = n + 1;
+    for (ii = 0; ii < width * width; ii++)
+        lift[ii] = NEG;
+    lift[0] = 0;
+    for (j = 0; j < n; j++) {
+        for (ii = 0; ii < width * width; ii++)
+            lift2[ii] = NEG;
+        for (ii = 0; ii < width; ii++) {
+            for (jj = 0; jj < width - ii; jj++) {
+                i64 best = lift[ii * width + jj];
+                if (ii > 0 && lift[(ii - 1) * width + jj] != NEG) {
+                    i64 cand = lift[(ii - 1) * width + jj] + px[j];
+                    if (cand > best)
+                        best = cand;
+                }
+                if (jj > 0 && lift[ii * width + jj - 1] != NEG) {
+                    i64 cand = lift[ii * width + jj - 1] + py[j];
+                    if (cand > best)
+                        best = cand;
+                }
+                lift2[ii * width + jj] = best;
             }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
         }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
+        for (ii = 0; ii < width * width; ii++)
+            lift[ii] = lift2[ii];
     }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
+
+    for (i = 0; i < ncells; i++) {
+        const Cell *cell = &cells[i];
+        i64 D = _cross3(cell->vx[0], cell->vy[0], cell->vx[1], cell->vy[1],
+                        cell->vx[2], cell->vy[2]);
+        if (D <= 0) {
+            VIOLATE("regularity", "cell at (%lld, %lld) is not counterclockwise",
+                    cell->dx, cell->dy);
+            return 0;
         }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
+        i64 h0 = lift[cell->vx[0] * width + cell->vy[0]];
+        i64 h1 = lift[cell->vx[1] * width + cell->vy[1]];
+        i64 h2 = lift[cell->vx[2] * width + cell->vy[2]];
+        i64 beta = (h1 - h0) * (cell->vy[2] - cell->vy[0]) - (h2 - h0) * (cell->vy[1] - cell->vy[0]);
+        i64 gamma = (cell->vx[1] - cell->vx[0]) * (h2 - h0) - (cell->vx[2] - cell->vx[0]) * (h1 - h0);
+        i64 alpha = D * h0 - beta * cell->vx[0] - gamma * cell->vy[0];
+        for (ii = 0; ii < width; ii++) {
+            for (jj = 0; jj < width - ii; jj++) {
+                i64 want = D * lift[ii * width + jj];
+                i64 got = alpha + beta * ii + gamma * jj;
+                if (_cell_contains(cell, ii, jj)) {
+                    if (got != want) {
+                        VIOLATE("regularity",
+                                "cell at (%lld, %lld): lift and affine fit disagree "
+                                "at lattice point (%d, %d)", cell->dx, cell->dy, ii, jj);
+                        return 0;
+                    }
+                } else if (got < want) {
+                    VIOLATE("regularity",
+                            "cell at (%lld, %lld): affine fit fails to dominate the lift "
+                            "at (%d, %d)", cell->dx, cell->dy, ii, jj);
+                    return 0;
+                }
+            }
+        }
     }
-    return result;
+    return 0;
 }
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
+
+/* The suites that need a tiling: the tiling itself, cell edge directions,
+ * regularity against the lift, the near-pencil flag and the determined
+ * faces. Returns the near-pencil flag, NEAR_UNTILED when the cells do not
+ * tile n * Delta_2, or -1 with an exception set. */
+static int
+_tiled_suites(const Cell *cells, int ncells, int n, int k_faces, const i64 *px,
+              const i64 *py, PyObject *violations)
 {
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
+    int i, j, e;
+    i64 dx, dy;
+
+    /* --- tiling ---------------------------------------------------------- */
+    i64 area_total = 0;
+    for (i = 0; i < ncells; i++) {
+        const Cell *cell = &cells[i];
+        for (j = 0; j < cell->m; j++) {
+            if (cell->vx[j] < 0 || cell->vy[j] < 0 || cell->vx[j] + cell->vy[j] > n) {
+                VIOLATE("tiling", "cell at (%lld, %lld) leaves %d*Delta_2 at (%lld,%lld)",
+                        cell->dx, cell->dy, n, cell->vx[j], cell->vy[j]);
+                return NEAR_UNTILED;
+            }
+        }
+        area_total += cell->area2;
+    }
+    if (area_total != (i64)n * n) {
+        VIOLATE("tiling", "cell areas sum to %lld/2, expected %d/2 for n=%d",
+                area_total, n * n, n);
+        return NEAR_UNTILED;
+    }
+    for (i = 0; i < ncells; i++) {
+        for (j = i + 1; j < ncells; j++) {
+            if (!_interiors_disjoint(&cells[i], &cells[j])) {
+                VIOLATE("tiling", "cells at (%lld, %lld) and (%lld, %lld) overlap",
+                        cells[i].dx, cells[i].dy, cells[j].dx, cells[j].dy);
+                return NEAR_UNTILED;
+            }
+        }
+    }
+
+    /* --- cell edge directions ------------------------------------------- */
+    for (i = 0; i < ncells; i++) {
+        const Cell *cell = &cells[i];
+        if (!(_edge_class_mask(cell) & 8))
+            continue;
+        for (j = 0; j < cell->m; j++) {
+            e = j + 1 == cell->m ? 0 : j + 1;
+            dx = cell->vx[e] - cell->vx[j];
+            dy = cell->vy[e] - cell->vy[j];
+            if (!(dx == 0 || dy == 0 || dx == -dy))
+                VIOLATE("cell_edges", "cell at (%lld, %lld) has edge (%lld,%lld)",
+                        cell->dx, cell->dy, dx, dy);
+        }
+    }
+
+    if (_regularity(cells, ncells, n, px, py, violations) < 0)
+        return -1;
+
+    /* --- near-pencil and the determined-face suites ---------------------- */
+    int near_pencil = NEAR_YES;
+    for (i = 0; i < ncells; i++) {
+        if (cells[i].cls == CLS_TRI && cells[i].bdry < 1) {
+            near_pencil = NEAR_NO;
+            break;
+        }
+    }
+
+    unsigned char union_flags[MAXCELLS] = {0};
+    int adj_tri_count[MAXCELLS] = {0};
+    int determined[MAXCELLS];
+    int m_noncorner = 0, union_count = 0;
+    for (int ti = 0; ti < ncells; ti++) {
+        const Cell *tri = &cells[ti];
+        if (tri->cls != CLS_TRI)
+            continue;
+        i64 basex = tri->vx[0], basey = tri->vy[0];
+        for (j = 1; j < tri->m; j++) {
+            if (tri->vx[j] < basex)
+                basex = tri->vx[j];
+            if (tri->vy[j] < basey)
+                basey = tri->vy[j];
+        }
+        int det_count = 0;
+        for (j = 0; j < ncells; j++) {
+            int cls = cells[j].cls;
+            if (j == ti || (cls != CLS_PAR && cls != CLS_HEX))
+                continue;
+            if (_shares_edge(tri, &cells[j])) {
+                determined[det_count++] = j;
+                if (cls == CLS_PAR)
+                    adj_tri_count[j]++;
+            } else if (cls == CLS_PAR && _corner_pattern(&cells[j], basex, basey)) {
+                determined[det_count++] = j;
+            }
+        }
+        if (det_count > 6) {
+            PyErr_Format(PyExc_AssertionError,
+                         "triangle at (%lld, %lld) determined %d faces, maximum is 6",
+                         tri->dx, tri->dy, det_count);
             return -1;
         }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* PyDictVersioning (used by CLineInTraceback) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by CLineInTraceback) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
+        if (tri->bdry < 2) {
+            m_noncorner++;
+            for (j = 0; j < det_count; j++) {
+                if (!union_flags[determined[j]]) {
+                    union_flags[determined[j]] = 1;
+                    union_count++;
+                }
             }
         }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
+        if (tri->bdry == 0 && det_count < 3)
+            VIOLATE("determined_minimum", "triangle at (%lld, %lld) determines %d faces, needs 3",
+                    tri->dx, tri->dy, det_count);
+        else if (tri->bdry == 1 && det_count < 1)
+            VIOLATE("determined_minimum", "triangle at (%lld, %lld) determines %d faces, needs 1",
+                    tri->dx, tri->dy, det_count);
     }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((PY_LONG_LONG) 1) << (sizeof(PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u__4);
-    }
-    goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
+    if (!(k_faces >= union_count && union_count >= m_noncorner))
+        VIOLATE("determined_union", "k=%d, union=%d, m=%d", k_faces, union_count, m_noncorner);
+    for (j = 0; j < ncells; j++) {
+        if (adj_tri_count[j] < 2)
+            continue;
+        for (i = 0; i < cells[j].m; i++) {
+            e = i + 1 == cells[j].m ? 0 : i + 1;
+            dx = cells[j].vx[e] - cells[j].vx[i];
+            dy = cells[j].vy[e] - cells[j].vy[i];
+            if (dx < -1 || dx > 1 || dy < -1 || dy > 1) {
+                VIOLATE("unit_parallelogram",
+                        "parallelogram adjacent to %d triangles has a non-unit edge",
+                        adj_tri_count[j]);
                 break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
-
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
             }
         }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
     }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
+    return near_pencil;
 }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
+
+/* The analysis of n distinct points within the coordinate bound, its
+ * violations appended to the list; -1 with an exception set. */
+static int
+_analyze(const i64 *px, const i64 *py, int n, PyObject *violations, Summary *out)
+{
+    i64 vx[MAXN], vy[MAXN];
+    int i, j, e;
+    for (i = 0; i < n; i++) {
+        vx[i] = -px[i];
+        vy[i] = -py[i];
     }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
+
+    /* --- pairwise stable intersections and candidate points ------------ */
+    i64 candkey[MAXCAND];
+    int ncand = 0;
+    i64 stabkey[MAXCAND];
+    int nstab = 0;
+    i64 cx, cy, wx, wy, dx, dy;
+    i64 crossx[6], crossy[6];
+
+    for (i = 0; i < n; i++)
+        candkey[ncand++] = KEY(vx[i], vy[i]);
+    for (i = 0; i < n; i++) {
+        for (j = i + 1; j < n; j++) {
+            dx = vx[j] - vx[i];
+            dy = vy[j] - vy[i];
+            int hits = _ray_crossings(vx[i], vy[i], dx, dy, crossx, crossy);
+            for (int h = 0; h < hits; h++)
+                candkey[ncand++] = KEY(crossx[h], crossy[h]);
+            if (_coaxial(dx, dy)) {
+                _coaxial_point(vx[i], vy[i], vx[j], vy[j], &wx, &wy);
+                stabkey[nstab++] = KEY(wx, wy);
+                candkey[ncand++] = KEY(wx, wy);
+            } else {
+                if (hits != 1) {
+                    PyErr_Format(PyExc_AssertionError,
+                                 "non-coaxial pair %d,%d produced %d crossings", i, j, hits);
+                    return -1;
+                }
+                stabkey[nstab++] = KEY(crossx[0], crossy[0]);
+            }
+        }
+    }
+    int ncand_u = _sort_unique(candkey, ncand);
+    int nstab_u = _sort_unique(stabkey, nstab);
+
+    int b_pairwise = nstab_u;
+    int h_pairwise = 0;
+    for (i = 0; i < nstab_u; i++) {
+        cx = KEY_X(stabkey[i]);
+        cy = KEY_Y(stabkey[i]);
+        for (j = 0; j < n; j++) {
+            if (vx[j] == cx && vy[j] == cy) {
+                h_pairwise++;
+                break;
+            }
+        }
+    }
+    int k_pairwise = b_pairwise - h_pairwise;
+
+    /* --- arrangement vertices and their dual cells ---------------------- */
+    Cell cells[MAXCELLS];
+    int ncells = 0;
+    int masks[MAXN];
+    i64 accx[MAXSUM], accy[MAXSUM], sumx[MAXSUM], sumy[MAXSUM];
+
+    for (i = 0; i < ncand_u; i++) {
+        cx = KEY_X(candkey[i]);
+        cy = KEY_Y(candkey[i]);
+        int c_full = 0, sa = 0, sb = 0, sc = 0, cls;
+        for (j = 0; j < n; j++) {
+            int mask = _argmask(vx[j], vy[j], cx, cy);
+            masks[j] = mask;
+            if (mask == 7)
+                c_full++;
+            else if (mask == 5)
+                sa++;
+            else if (mask == 6)
+                sb++;
+            else if (mask == 3)
+                sc++;
+        }
+        int nz = (sa > 0) + (sb > 0) + (sc > 0);
+        if (!(c_full == 1 || nz >= 2))
+            continue;
+        if (c_full == 1)
+            cls = nz == 0 ? CLS_TRI : nz == 1 ? CLS_NU4 : nz == 2 ? CLS_NU5 : CLS_NU6;
+        else
+            cls = nz == 2 ? CLS_PAR : CLS_HEX;
+        /* Minkowski sum of per-line argmax exponent hulls */
+        int acc_m = 1;
+        accx[0] = 0;
+        accy[0] = 0;
+        for (j = 0; j < n; j++) {
+            i64 ex[3], ey[3];
+            int ne = 0, sum_m = 0;
+            if (masks[j] & 1) {
+                ex[ne] = 1;
+                ey[ne++] = 0;
+            }
+            if (masks[j] & 2) {
+                ex[ne] = 0;
+                ey[ne++] = 1;
+            }
+            if (masks[j] & 4) {
+                ex[ne] = 0;
+                ey[ne++] = 0;
+            }
+            for (int r1 = 0; r1 < acc_m; r1++) {
+                for (int r2 = 0; r2 < ne; r2++) {
+                    sumx[sum_m] = accx[r1] + ex[r2];
+                    sumy[sum_m] = accy[r1] + ey[r2];
+                    sum_m++;
+                }
+            }
+            acc_m = _hull(sumx, sumy, sum_m, accx, accy);
+        }
+        if (ncells >= MAXCELLS) {
+            PyErr_SetString(PyExc_AssertionError, "cell capacity exceeded");
             return -1;
         }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
+        Cell *cell = &cells[ncells++];
+        cell->m = acc_m;
+        cell->cls = cls;
+        cell->dx = cx;
+        cell->dy = cy;
+        cell->area2 = 0;
+        cell->bdry = 0;
+        for (j = 0; j < acc_m; j++) {
+            cell->vx[j] = accx[j];
+            cell->vy[j] = accy[j];
         }
-        new_data->allocated = to_allocate;
+        for (j = 0; j < acc_m; j++) {
+            e = j + 1 == acc_m ? 0 : j + 1;
+            cell->area2 += accx[j] * accy[e] - accy[j] * accx[e];
+            if ((accx[j] == 0 && accx[e] == 0) || (accy[j] == 0 && accy[e] == 0)
+                || (accx[j] + accy[j] == n && accx[e] + accy[e] == n))
+                cell->bdry++;
+        }
     }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
+
+    /* --- counts and identity suites ------------------------------------- */
+    int t_count = ncells;
+    int triangles = 0, k_faces = 0, h_faces = 0;
+    for (i = 0; i < ncells; i++) {
+        if (cells[i].cls == CLS_TRI)
+            triangles++;
+        else if (cells[i].cls == CLS_PAR || cells[i].cls == CLS_HEX)
+            k_faces++;
+        else
+            h_faces++;
     }
-    *old_data = new_data;
+    int b_faces = t_count - triangles;
+
+    if (t_count != triangles + b_faces)
+        VIOLATE("count_identities", "t != triangles + b: " COUNTS, COUNTS_ARGS);
+    if (b_faces != k_faces + h_faces)
+        VIOLATE("count_identities", "b != k + h: " COUNTS, COUNTS_ARGS);
+    if (h_faces != n - triangles)
+        VIOLATE("count_identities", "h != n - triangles: " COUNTS, COUNTS_ARGS);
+    if (!(n <= t_count && t_count <= n * (n - 1) / 2 + n))
+        VIOLATE("count_identities", "t out of range [n, n(n-1)/2 + n]: " COUNTS, COUNTS_ARGS);
+    if (b_faces != b_pairwise || k_faces != k_pairwise || h_faces != h_pairwise)
+        VIOLATE("cross_oracle",
+                "faces give b=%d k=%d h=%d, pairwise intersections give b=%d k=%d h=%d",
+                b_faces, k_faces, h_faces, b_pairwise, k_pairwise, h_pairwise);
+    if (t_count == n && triangles > 3)
+        VIOLATE("max_triangles", "t=n=%d but %d triangles", t_count, triangles);
+
+    int near_pencil = _tiled_suites(cells, ncells, n, k_faces, px, py, violations);
+    if (near_pencil < 0)
+        return -1;
+
+    /* --- the bound --------------------------------------------------------- */
+    int excess = b_pairwise - (n - 3);
+    if (n >= 4) {
+        if (excess < 0)
+            VIOLATE("bound", "b=%d < v-3=%d", b_pairwise, n - 3);
+        if (excess == 0 && near_pencil == NEAR_NO)
+            VIOLATE("near_pencil", "b=v-3=%d but subdivision is not a near-pencil", b_pairwise);
+    }
+    out->t = t_count;
+    out->triangles = triangles;
+    out->b = b_faces;
+    out->k = k_faces;
+    out->h = h_faces;
+    out->near_pencil = near_pencil;
+    out->excess = excess;
     return 0;
 }
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
+
+/* The 12 record keys, interned once per module. */
+static const char *const RECORD_KEYS[] = {
+    "v", "t", "triangles", "b", "k", "h", "near_pencil",
+    "bound_holds", "equality", "consistent", "excess", "violations",
+};
+#define NKEYS ((int)(sizeof(RECORD_KEYS) / sizeof(RECORD_KEYS[0])))
+
+typedef struct {
+    PyObject *keys[NKEYS];
+} ModuleState;
+
+/* The record dict, built once; NULL with an exception set. */
+static PyObject *
+_record(ModuleState *state, int n, const Summary *s, PyObject *violations)
+{
+    int equality = s->excess == 0;
+    PyObject *near_pencil = s->near_pencil == NEAR_UNTILED ? Py_None
+                            : s->near_pencil == NEAR_YES ? Py_True : Py_False;
+    PyObject *values[NKEYS] = {
+        PyLong_FromLong(n),
+        PyLong_FromLong(s->t),
+        PyLong_FromLong(s->triangles),
+        PyLong_FromLong(s->b),
+        PyLong_FromLong(s->k),
+        PyLong_FromLong(s->h),
+        Py_NewRef(near_pencil),
+        PyBool_FromLong(s->excess >= 0),
+        PyBool_FromLong(equality),
+        PyBool_FromLong(!equality || s->near_pencil == NEAR_YES),
+        PyLong_FromLong(s->excess),
+        Py_NewRef(violations),
+    };
+    PyObject *record = PyDict_New();
+    for (int k = 0; k < NKEYS; k++) {
+        if (record != NULL && (values[k] == NULL
+                               || PyDict_SetItem(record, state->keys[k], values[k]) < 0))
+            Py_CLEAR(record);
+        Py_XDECREF(values[k]);
     }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
+    return record;
 }
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
+
+PyDoc_STRVAR(analyze_ints_doc,
+"analyze_ints(points)\n--\n\n"
+"The per-configuration analysis record for integer points.\n\n"
+"points is a sequence of 1 to 16 distinct (x, y) tuples or lists of\n"
+"integers within +/- 2**20. Same shape as analysis.analyze_config:\n"
+"counts, flags, excess and the violations list with the shared suite\n"
+"vocabulary.");
+
+static PyObject *
+analyze_ints(PyObject *module, PyObject *points)
+{
+    i64 px[MAXN], py[MAXN];
+    Summary summary;
+    int n = _read_points(points, 1, "need at least one point", px, py);
+    if (n < 0)
+        return NULL;
+    PyObject *violations = PyList_New(0);
+    if (violations == NULL)
+        return NULL;
+    PyObject *record = NULL;
+    if (_analyze(px, py, n, violations, &summary) == 0)
+        record = _record(PyModule_GetState(module), n, &summary, violations);
+    Py_DECREF(violations);
+    return record;
 }
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
+
+PyDoc_STRVAR(has_ordinary_line_doc,
+"has_ordinary_line(points)\n--\n\n"
+"True iff some stable line of the configuration passes through exactly\n"
+"two of the points. Fast predicate for witness searches; takes points as\n"
+"analyze_ints does, at least two of them.");
+
+static PyObject *
+has_ordinary_line(PyObject *Py_UNUSED(module), PyObject *points)
+{
+    i64 px[MAXN], py[MAXN], vx[MAXN], vy[MAXN];
+    i64 stabkey[MAXCAND], crossx[6], crossy[6], wx, wy;
+    int nstab = 0, i, j;
+    int n = _read_points(points, 2, "need at least two points", px, py);
+    if (n < 0)
+        return NULL;
+    for (i = 0; i < n; i++) {
+        vx[i] = -px[i];
+        vy[i] = -py[i];
+    }
+    for (i = 0; i < n; i++) {
+        for (j = i + 1; j < n; j++) {
+            i64 dx = vx[j] - vx[i], dy = vy[j] - vy[i];
+            if (_coaxial(dx, dy)) {
+                _coaxial_point(vx[i], vy[i], vx[j], vy[j], &wx, &wy);
+            } else {
+                int hits = _ray_crossings(vx[i], vy[i], dx, dy, crossx, crossy);
+                if (hits != 1)
+                    return PyErr_Format(PyExc_AssertionError,
+                                        "non-coaxial pair %d,%d produced %d crossings",
+                                        i, j, hits);
+                wx = crossx[0];
+                wy = crossy[0];
+            }
+            stabkey[nstab++] = KEY(wx, wy);
         }
-        goto done;
     }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
+    nstab = _sort_unique(stabkey, nstab);
+    for (i = 0; i < nstab; i++) {
+        i64 cx = KEY_X(stabkey[i]), cy = KEY_Y(stabkey[i]);
+        int incident = 0;
+        for (j = 0; j < n; j++) {
+            int mask = _argmask(vx[j], vy[j], cx, cy);
+            if (mask != 1 && mask != 2 && mask != 4)
+                incident++;
         }
+        if (incident == 2)
+            Py_RETURN_TRUE;
     }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
+    Py_RETURN_FALSE;
+}
+
+/* ---- module definition (multi-phase initialization, PEP 489) ------------ */
+
+static PyMethodDef fastsweep_methods[] = {
+    {"analyze_ints", analyze_ints, METH_O, analyze_ints_doc},
+    {"has_ordinary_line", has_ordinary_line, METH_O, has_ordinary_line_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static int
+fastsweep_exec(PyObject *module)
+{
+    ModuleState *state = PyModule_GetState(module);
+    for (int k = 0; k < NKEYS; k++) {
+        state->keys[k] = PyUnicode_InternFromString(RECORD_KEYS[k]);
+        if (state->keys[k] == NULL)
+            return -1;
     }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
     return 0;
 }
-#endif
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+static int
+fastsweep_traverse(PyObject *module, visitproc visit, void *arg)
+{
+    ModuleState *state = PyModule_GetState(module);
+    for (int k = 0; k < NKEYS; k++)
+        Py_VISIT(state->keys[k]);
+    return 0;
+}
 
+static int
+fastsweep_clear(PyObject *module)
+{
+    ModuleState *state = PyModule_GetState(module);
+    for (int k = 0; k < NKEYS; k++)
+        Py_CLEAR(state->keys[k]);
+    return 0;
+}
 
+static void
+fastsweep_free(void *module)
+{
+    fastsweep_clear((PyObject *)module);
+}
 
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+static PyModuleDef_Slot fastsweep_slots[] = {
+    {Py_mod_exec, fastsweep_exec},
+    {0, NULL},
+};
+
+PyDoc_STRVAR(fastsweep_doc,
+"Compiled integer kernel for configuration sweeps: an independent\n"
+"reimplementation of analysis.analyze_config for integer points.");
+
+static struct PyModuleDef fastsweep_module = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "troplines._fastsweep",
+    .m_doc = fastsweep_doc,
+    .m_size = sizeof(ModuleState),
+    .m_methods = fastsweep_methods,
+    .m_slots = fastsweep_slots,
+    .m_traverse = fastsweep_traverse,
+    .m_clear = fastsweep_clear,
+    .m_free = fastsweep_free,
+};
+
+PyMODINIT_FUNC
+PyInit__fastsweep(void)
+{
+    return PyModuleDef_Init(&fastsweep_module);
+}

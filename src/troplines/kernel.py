@@ -2,7 +2,7 @@
 
 Verification sweeps call analyze() here instead of the pure routine in
 troplines.analysis. kernel_pairs() is the one eligibility rule: a
-configuration fits the compiled kernel built from _fastsweep.pyx when it
+configuration fits the compiled kernel built from _fastsweep.c when it
 has at most 16 points with integer coordinates of magnitude at most
 2**20. When the extension is importable, eligible configurations go to
 it and everything else to the pure-Python implementation; without the

@@ -336,9 +336,9 @@ def sg_failure_search(
     stop_after witnesses are found. Exhausting the stream first issues a
     BudgetExhausted warning and returns whatever was found.
     """
-    if n not in (4, 5):
+    if n < 4:
         raise InvalidSweep(
-            f"ordinary-line failures are searched at n = 4 or 5, got {n}"
+            f"ordinary-line failures are searched at n >= 4, got {n}"
         )
     if params.n != n:
         raise InvalidSweep(f"params.n = {params.n} does not match n = {n}")

@@ -4,7 +4,6 @@ import importlib.machinery
 import importlib.util
 import shutil
 import subprocess
-import sys
 import sysconfig
 from pathlib import Path
 
@@ -15,8 +14,10 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "troplines"
 
 @pytest.fixture(scope="session")
 def built_kernel(tmp_path_factory):
-    """The shipped C compiled with cc -O0 outside the source tree and
-    loaded under its own name, whether or not an extension is installed."""
+    """The kernel's C source compiled with cc -O0, every warning an error,
+    outside the source tree and loaded under its own name, whether or not
+    an extension is installed. The module uses multi-phase initialization,
+    so loading it leaves sys.modules and the process's backend alone."""
     compiler = shutil.which("cc")
     if compiler is None:
         pytest.skip("no C compiler")
@@ -24,20 +25,13 @@ def built_kernel(tmp_path_factory):
         f"_fastsweep{sysconfig.get_config_var('EXT_SUFFIX')}"
     )
     subprocess.run(
-        [compiler, "-O0", "-shared", "-fPIC", "-w",
+        [compiler, "-O0", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
          f"-I{sysconfig.get_paths()['include']}", str(SOURCE / "_fastsweep.c"),
          "-o", str(target)],
         check=True, timeout=300,
     )
-    name = "troplines._fastsweep"
-    registered = name in sys.modules
-    loader = importlib.machinery.ExtensionFileLoader(name, str(target))
-    kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-    try:
-        loader.exec_module(kernel)
-    finally:
-        # the module enters itself in sys.modules; later tests keep the
-        # backend the process selected
-        if not registered:
-            sys.modules.pop(name, None)
+    loader = importlib.machinery.ExtensionFileLoader("troplines._fastsweep", str(target))
+    kernel = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(kernel)
     return kernel

@@ -2,9 +2,7 @@
 
 import json
 import random
-import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -72,36 +70,6 @@ def test_both_backends_serialize_identically():
     assert json.loads(fast)["v"] == 5
 
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "troplines"
-
-
-def test_shipped_c_echoes_the_current_pyx():
-    # Cython copies each source line it translates into a comment of the
-    # generated C, marked with "# <<<<<<<<<<<<<<" under the header
-    # /* "troplines/_fastsweep.pyx":N. A .pyx edited without regenerating
-    # the shipped C shows up as an echoed line that no longer matches.
-    pyx = (SOURCE / "_fastsweep.pyx").read_text(encoding="utf-8").splitlines()
-    header = re.compile(r'/\* "troplines/_fastsweep\.pyx":(\d+)$')
-    marker = "             # <<<<<<<<<<<<<<"
-    line_no = None
-    matched, drifted = 0, []
-    for text in (SOURCE / "_fastsweep.c").read_text(encoding="utf-8").splitlines():
-        found = header.search(text)
-        if found:
-            line_no = int(found.group(1))
-        elif line_no is not None and text.endswith(marker):
-            echoed = text[len(" * "):-len(marker)]
-            if line_no <= len(pyx) and echoed == pyx[line_no - 1]:
-                matched += 1
-            else:
-                drifted.append(line_no)
-            line_no = None
-    assert drifted == []
-    # every translated statement is echoed; far fewer would mean the
-    # format was misread and the check proved nothing
-    assert matched > 700
-
-
 def _agreement_sample():
     """Fixed n = 12-16 configurations: wide ones reaching +-2**20, corner
     points exactly at the bound, and crowded small-range ones full of
@@ -144,3 +112,101 @@ def test_built_kernel_agrees_with_the_pure_reference(built_kernel):
     # the pure route
     for points in _agreement_sample():
         assert built_kernel.analyze_ints(points) == analyze_config(point_config(points)), points
+
+
+NOT_A_PAIR = "is not a tuple or list of two coordinates"
+
+# (points, exception, message): malformed input the extension must refuse
+MALFORMED_POINTS = [
+    ([(0,), (1, 2)], ValueError, f"point at index 0 {NOT_A_PAIR}"),
+    ([(5,), (1, 2), (3, 4)], ValueError, f"point at index 0 {NOT_A_PAIR}"),
+    ([(0, 0, 5), (1, 2)], ValueError, f"point at index 0 {NOT_A_PAIR}"),
+    ([(0, 0), 7], ValueError, f"point at index 1 {NOT_A_PAIR}"),
+    ([(0, 0), "ab"], ValueError, f"point at index 1 {NOT_A_PAIR}"),
+    ([(0.5, 1), (1, 2)], TypeError, "integer"),
+    ([(Fraction(1, 2), 1), (1, 2)], TypeError, "integer"),
+    ([(Fraction(4, 1), 1), (1, 2)], TypeError, "integer"),
+    ([(0, 0), (1, "2")], TypeError, "integer"),
+    ([(0, 0), (2**70, 1)], ValueError, "kernel coordinate bound exceeded"),
+    ([(1, 1), (1, 1)], ValueError, "duplicate point at index 1"),
+    ([(0, 0), (1, 1), (0, 0)], ValueError, "duplicate point at index 2"),
+]
+
+
+def test_kernel_rejects_malformed_points(built_kernel):
+    for points, error, message in MALFORMED_POINTS:
+        for function in (built_kernel.analyze_ints, built_kernel.has_ordinary_line):
+            with pytest.raises(error, match=message):
+                function(points)
+    # ints, bools and lists pass; they agree with the tuple form
+    assert built_kernel.analyze_ints([[True, False], [0, 1], [3, 5]]) == \
+        built_kernel.analyze_ints([(1, 0), (0, 1), (3, 5)])
+    assert built_kernel.has_ordinary_line([[1, 0], (0, 1)]) is True
+
+
+# Maps of Z^2 that carry tropical lines to tropical lines: each permutes or
+# shifts the homogeneous coordinates of TP^2 or scales all of them, so it
+# keeps every stable line and the combinatorics of the dual subdivision.
+def _translate(points, rng):
+    dx, dy = rng.randint(-20, 20), rng.randint(-20, 20)
+    return [(x + dx, y + dy) for x, y in points]
+
+
+def _swap(points, rng):
+    return [(y, x) for x, y in points]
+
+
+def _rotate(points, rng):
+    return [(y - x, -x) for x, y in points]
+
+
+def _scale(points, rng):
+    factor = rng.randint(2, 4)
+    return [(factor * x, factor * y) for x, y in points]
+
+
+def _shuffle(points, rng):
+    return rng.sample(points, len(points))
+
+
+def _negate(points, rng):
+    return [(-x, -y) for x, y in points]
+
+
+SYMMETRIES = [_translate, _swap, _rotate, _scale, _shuffle]
+INVARIANT_FIELDS = ("v", "t", "triangles", "b", "k", "h", "near_pencil", "excess")
+
+
+def _invariants(record):
+    return (tuple(record[f] for f in INVARIANT_FIELDS),
+            {suite for suite, _ in record["violations"]})
+
+
+def _backends(kernel):
+    return {"pure": lambda points: analyze_config(point_config(points)),
+            "compiled": kernel.analyze_ints}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                    min_size=3, max_size=9, unique=True),
+    rng=st.randoms(use_true_random=False),
+)
+def test_tropical_symmetries_keep_the_record(built_kernel, points, rng):
+    for name, analyze_points in _backends(built_kernel).items():
+        expected = _invariants(analyze_points(points))
+        for symmetry in SYMMETRIES:
+            image = symmetry(points, rng)
+            assert _invariants(analyze_points(image)) == expected, (name, symmetry.__name__, points)
+
+
+def test_negation_is_not_a_symmetry(built_kernel):
+    # the control: max-plus becomes min-plus, so the record changes
+    rng = random.Random(7)
+    sample = [list({(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(7)})
+              for _ in range(30)]
+    for name, analyze_points in _backends(built_kernel).items():
+        changed = sum(_invariants(analyze_points(p)) != _invariants(analyze_points(_negate(p, rng)))
+                      for p in sample)
+        assert changed >= len(sample) // 2, name

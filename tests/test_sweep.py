@@ -326,3 +326,19 @@ def test_failure_search_takes_the_kernel_route(built_kernel, monkeypatch):
         compiled = sg_failure_search(5, params, stop_after=200)
     assert [c.points for c in compiled] == [c.points for c in pure]
     assert len(pure) == 90
+
+
+# configurations on the 4x4 grid with no ordinary stable line, by n
+GRID4_CENSUS = {4: 10, 5: 90, 6: 54, 7: 52}
+
+
+@pytest.mark.parametrize(
+    "route,n",
+    [("pure", n) for n in (4, 5, 6)] + [("kernel", n) for n in sorted(GRID4_CENSUS)],
+)
+def test_failure_search_census_on_the_4x4_grid(request, monkeypatch, route, n):
+    compiled = request.getfixturevalue("built_kernel") if route == "kernel" else None
+    monkeypatch.setattr(kernel, "_COMPILED", compiled)
+    with pytest.warns(BudgetExhausted):
+        witnesses = sg_failure_search(n, SweepParams(n=n, mode=Exhaustive(4)), stop_after=10**6)
+    assert len(witnesses) == GRID4_CENSUS[n]
