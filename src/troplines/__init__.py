@@ -45,7 +45,6 @@ from .incidence import (
     StableLineRecord,
     dbe_check,
     dualize_points,
-    incidence_preserved,
     ordinary_stable_lines,
     point_config,
     stable_line_two_points,
@@ -62,9 +61,7 @@ from .lines import (
 )
 from .subdivision import (
     DualSubdivision,
-    check_regularity,
     determined_faces,
-    determined_union_count,
     dual_subdivision,
     is_near_pencil,
 )
@@ -117,17 +114,14 @@ __all__ = [
     "VertexData",
     "arrangement_vertices",
     "build_arrangement",
-    "check_regularity",
     "classify_cell",
     "counts",
     "dbe_check",
     "determined_faces",
-    "determined_union_count",
     "dual_cell",
     "dual_subdivision",
     "dualize_points",
     "enumerate_configs",
-    "incidence_preserved",
     "is_near_pencil",
     "line_from_coefficients",
     "line_from_vertex",

@@ -4,29 +4,39 @@ An arrangement is an ordered list of distinct tropical lines. Its
 arrangement vertices (points dual to 2D cells of the Newton subdivision)
 are found by candidate generation: every line vertex and every
 transversal ray crossing (together these cover every pairwise stable
-intersection), filtered by the local 2D-cell criterion. That criterion
-reads off the per-line argmax sets at the candidate q:
+intersection), filtered by the local 2D-cell criterion. With q = (x, y),
+a line with vertex (a, b) and d = a - b, the criterion counts
 
     c   = number of lines with vertex at q (0 or 1, vertices are distinct)
-    s_a = number of lines with argmax {1,3} at q (q on their south ray;
+    s_a = lines with a = x and b > y (q on their south ray, argmax {1,3};
           they contribute a horizontal edge conv{(0,0),(1,0)} to the cell)
-    s_b = number of lines with argmax {2,3} (west ray; vertical edge)
-    s_c = number of lines with argmax {1,2} (northeast ray; diagonal edge)
+    s_b = lines with b = y and a > x (west ray, argmax {2,3}; vertical edge)
+    s_c = lines with d = x - y and a < x (northeast ray, argmax {1,2};
+          diagonal edge)
 
 q is an arrangement vertex iff c = 1 or at least two of s_a, s_b, s_c are
 nonzero. The dual cell is the Minkowski sum over all lines of the convex
 hull of their argmax exponent sets (1 -> (1,0), 2 -> (0,1), 3 -> (0,0)),
 so it is positioned absolutely inside n * Delta_2, and (c, s_a, s_b, s_c)
 are exactly the cell-shape parameters: one triangle summand plus segments
-of those three directions and lengths. dual_cell walks the boundary of
-that sum directly from these parameters.
+of those three directions and lengths. The rest of the lines only shift
+the cell: those with argmax {1} (a < x and d < x - y) by one along x,
+those with argmax {2} (b < y and d > x - y) by one along y. dual_cell
+walks the boundary of the sum directly from these six numbers.
+
+None of the counts looks at every line. The lines are bucketed once per
+arrangement by a, by b and by d, each bucket sorted, so the shape
+parameters are bisections; the shift counts are read from two rank-prefix
+tables, O(n^2) to build and O(log n) per candidate.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import add
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .errors import DuplicateLine, EmptyArrangement, NotAVertex
@@ -84,37 +94,22 @@ def build_arrangement(lines: Sequence[TropicalLine]) -> Arrangement:
 
 @dataclass(frozen=True)
 class VertexData:
-    """Per-line argmax data of the arrangement polynomial at one point."""
+    """The cell-shape parameters and shift counts of the arrangement at one
+    point: only_x lines have argmax {1} there and only_y lines argmax {2}."""
 
     point: Point2
-    per_line_argmax: Tuple[FrozenSet[int], ...]
     c: int
     s_a: int
     s_b: int
     s_c: int
+    only_x: int
+    only_y: int
 
     @property
     def is_vertex(self) -> bool:
         """The local 2D-cell criterion."""
         nonzero = (self.s_a > 0) + (self.s_b > 0) + (self.s_c > 0)
         return self.c == 1 or nonzero >= 2
-
-
-def vertex_data(arr: Arrangement, q: Point2) -> VertexData:
-    argmaxes = []
-    c = s_a = s_b = s_c = 0
-    for line in arr.lines:
-        _, members = eval_argmax(line, q)
-        argmaxes.append(members)
-        if len(members) == 3:
-            c += 1
-        elif members == frozenset({1, 3}):
-            s_a += 1
-        elif members == frozenset({2, 3}):
-            s_b += 1
-        elif members == frozenset({1, 2}):
-            s_c += 1
-    return VertexData(q, tuple(argmaxes), c, s_a, s_b, s_c)
 
 
 def candidate_points(arr: Arrangement) -> Set[Point2]:
@@ -130,11 +125,61 @@ def candidate_points(arr: Arrangement) -> Set[Point2]:
     return candidates
 
 
+def _sorted_buckets(pairs: Iterable[Tuple[Rational, Rational]]) -> Dict[Rational, List[Rational]]:
+    """key -> the sorted values paired with it."""
+    buckets: Dict[Rational, List[Rational]] = {}
+    for key, value in pairs:
+        buckets.setdefault(key, []).append(value)
+    for values in buckets.values():
+        values.sort()
+    return buckets
+
+
+def _dominance_counter(pairs: Sequence[Tuple[Rational, Rational]]):
+    """A function (u0, v0) -> #{(u, v) in pairs : u < u0 and v < v0}.
+
+    table[i][j] counts the pairs whose u is among the i smallest distinct
+    u values and whose v is among the j smallest distinct v values, so a
+    query is two bisections into those values.
+    """
+    us = sorted({u for u, _ in pairs})
+    vs = sorted({v for _, v in pairs})
+    table = [[0] * (len(vs) + 1) for _ in range(len(us) + 1)]
+    for u, v in pairs:
+        table[bisect_left(us, u) + 1][bisect_left(vs, v) + 1] += 1
+    for i in range(1, len(table)):
+        table[i] = list(map(add, itertools.accumulate(table[i]), table[i - 1]))
+
+    def below(u0: Rational, v0: Rational) -> int:
+        return table[bisect_left(us, u0)][bisect_left(vs, v0)]
+
+    return below
+
+
 def arrangement_vertices(arr: Arrangement) -> List[VertexData]:
     """All arrangement vertices, sorted lexicographically by point."""
+    vertices = {line.vertex for line in arr.lines}
+    by_a = _sorted_buckets((a, b) for a, b in vertices)
+    by_b = _sorted_buckets((b, a) for a, b in vertices)
+    by_d = _sorted_buckets((a - b, a) for a, b in vertices)
+    # argmax {1}: a < x and a - b < x - y; argmax {2}: b < y and b - a < y - x
+    only_x = _dominance_counter([(a, a - b) for a, b in vertices])
+    only_y = _dominance_counter([(b, b - a) for a, b in vertices])
+    empty: List[Rational] = []
     kept = []
     for q in candidate_points(arr):
-        vd = vertex_data(arr, q)
+        x, y = q
+        column = by_a.get(x, empty)
+        row = by_b.get(y, empty)
+        vd = VertexData(
+            q,
+            int(q in vertices),
+            len(column) - bisect_right(column, y),
+            len(row) - bisect_right(row, x),
+            bisect_left(by_d.get(x - y, empty), x),
+            only_x(x, x - y),
+            only_y(y, y - x),
+        )
         if vd.is_vertex:
             kept.append(vd)
     kept.sort(key=lambda vd: vd.point)
@@ -194,10 +239,6 @@ class CellPolygon:
         return doubled_area(self.vertices)
 
 
-_ONLY_1 = frozenset({1})
-_ONLY_2 = frozenset({2})
-
-
 def dual_cell(arr: Arrangement, vd: VertexData) -> CellPolygon:
     """The cell dual to vd.point, walked along its edges.
 
@@ -205,15 +246,14 @@ def dual_cell(arr: Arrangement, vd: VertexData) -> CellPolygon:
     argmax exponent sets: the lines with argmax {1} or {2} shift it by
     one unit each along x or y, the line with its vertex at the point
     adds a unit triangle, and the s_a, s_b, s_c lines add unit H, V and
-    D segments. So the lex-min corner is
-    (#lines with argmax {1}, #lines with argmax {2} + s_c), and from
+    D segments. So the lex-min corner is (only_x, only_y + s_c), and from
     there the counterclockwise boundary steps SE s_c, E s_a + c, N s_b,
     NW s_c + c, W s_a and S s_b + c, skipping steps of zero length.
     """
     if not vd.is_vertex:
         raise NotAVertex(f"{vd.point} fails the 2D-cell criterion")
-    x = sum(1 for members in vd.per_line_argmax if members == _ONLY_1)
-    y = sum(1 for members in vd.per_line_argmax if members == _ONLY_2) + vd.s_c
+    x = vd.only_x
+    y = vd.only_y + vd.s_c
     corners = []
     for (dx, dy), length in (
         ((1, -1), vd.s_c),

@@ -91,14 +91,6 @@ def dualize_points(cfg: PointConfig) -> Arrangement:
     )
 
 
-def incidence_preserved(p: Point2, q: Point2) -> bool:
-    """Whether p lies on the line dual to q; symmetric in p and q."""
-    forward = contains(line_from_vertex(Point2(-q.x, -q.y)), p)
-    backward = contains(line_from_vertex(Point2(-p.x, -p.y)), q)
-    assert forward == backward, f"duality broke incidence symmetry at {p}, {q}"
-    return forward
-
-
 def stable_lines_through(cfg: PointConfig) -> List[StableLineRecord]:
     """All stable lines determined by the configuration, one per distinct
     stable intersection of the dual arrangement, sorted by line vertex."""

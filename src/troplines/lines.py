@@ -42,29 +42,10 @@ class Point2(NamedTuple):
         return Point2(self.x * factor, self.y * factor)
 
 
-def cross(p: Point2, q: Point2) -> Rational:
-    return p.x * q.y - p.y * q.x
-
-
 # Axis directions of a tropical line, named by compass heading.
 W = "W"
 S = "S"
 NE = "NE"
-
-RAY_DIRECTIONS = {
-    W: Point2(-1, 0),
-    S: Point2(0, -1),
-    NE: Point2(1, 1),
-}
-
-# Two-element argmax set carried by each open ray: on the south ray the
-# x-term and constant tie, on the west ray the y-term and constant, on
-# the northeast ray the two linear terms.
-ARGMAX_OF_RAY = {
-    S: frozenset({1, 3}),
-    W: frozenset({2, 3}),
-    NE: frozenset({1, 2}),
-}
 
 
 class TropicalLine(NamedTuple):
@@ -138,39 +119,36 @@ class StableIntersectionResult(NamedTuple):
     kind: IntersectionKind
 
 
-def _ray_crossing(v: Point2, d: Point2, w: Point2, e: Point2) -> Optional[Point2]:
-    """Intersection point of two closed rays, or None.
-
-    Parallel rays return None even when collinear; overlap segments are
-    handled by the callers (their endpoints are line vertices, which are
-    always candidates in their own right).
-    """
-    denom = cross(d, e)
-    if denom == 0:
-        return None
-    # any two distinct directions among W, S and NE have cross product
-    # +1 or -1, so dividing by denom is multiplying by it
-    delta = w - v
-    t = cross(delta, e) * denom
-    s = cross(delta, d) * denom
-    if t < 0 or s < 0:
-        return None
-    return v + d.scale(t)
-
-
 def ray_crossings(L1: TropicalLine, L2: TropicalLine) -> Set[Point2]:
     """All transversal crossing points between rays of the two lines.
 
     For non-coaxial vertices this is exactly one point. Coaxial pairs
     yield the endpoints of ray overlaps that happen to be transversal
     crossings too (possibly none).
+
+    Rays are closed. Parallel rays never cross here, even when collinear:
+    the endpoints of such an overlap are line vertices, which callers
+    treat in their own right. That leaves the six pairs of rays in
+    different directions, each crossing at a corner read off the two
+    vertices (a1, b1), (a2, b2) with d = a - b.
     """
+    a1, b1 = L1.vertex
+    a2, b2 = L2.vertex
+    d1 = a1 - b1
+    d2 = a2 - b2
     points: Set[Point2] = set()
-    for d in RAY_DIRECTIONS.values():
-        for e in RAY_DIRECTIONS.values():
-            hit = _ray_crossing(L1.vertex, d, L2.vertex, e)
-            if hit is not None:
-                points.add(hit)
+    if a2 <= a1 and b1 <= b2:  # west ray of L1, south ray of L2
+        points.add(Point2(a2, b1))
+    if a1 <= a2 and b2 <= b1:  # south ray of L1, west ray of L2
+        points.add(Point2(a1, b2))
+    if b2 <= b1 and d2 <= d1:  # west ray of L1, northeast ray of L2
+        points.add(Point2(a2 + b1 - b2, b1))
+    if b1 <= b2 and d1 <= d2:  # northeast ray of L1, west ray of L2
+        points.add(Point2(a1 + b2 - b1, b2))
+    if a2 <= a1 and d1 <= d2:  # south ray of L1, northeast ray of L2
+        points.add(Point2(a1, b2 + a1 - a2))
+    if a1 <= a2 and d2 <= d1:  # northeast ray of L1, south ray of L2
+        points.add(Point2(a2, b1 + a2 - a1))
     return points
 
 

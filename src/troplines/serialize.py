@@ -21,6 +21,7 @@ from .arrangement import (
     build_arrangement,
     classify_cell,
     counts_from_classes,
+    type_tuple,
 )
 from .errors import InputFormatError
 from .incidence import PointConfig, _dbe_verdict, dualize_points, point_config
@@ -179,7 +180,7 @@ def analyze_report(kind: str, obj: Any) -> dict:
         "vertices": [
             {
                 "point": point_to_json(vd.point),
-                "type": [argmax_str(s) for s in vd.per_line_argmax],
+                "type": [argmax_str(s) for s in type_tuple(arr, vd.point)],
                 "class": cls.value,
                 "c": vd.c,
                 "s_a": vd.s_a,

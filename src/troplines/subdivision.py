@@ -7,8 +7,8 @@ separate so each can audit the other:
     arrangement vertex, walked from its shape parameters, and
   * the lift route (product_coefficients): the coefficient table of the
     tropical product of the n line polynomials, whose regular subdivision
-    the Minkowski cells must reproduce. check_regularity verifies that
-    cell by cell with exact arithmetic.
+    the Minkowski cells must reproduce. check_regularity_detailed
+    verifies that cell by cell with exact arithmetic.
 
 The tiling is checked on the n^2 unit triangles of n * Delta_2: each
 cell is rasterized into the triangles it covers, and the resulting owner
@@ -52,21 +52,27 @@ def product_coefficients(arr: Arrangement) -> LiftTable:
     h(i, j) maximizes, over ordered partitions of the lines into an
     x-set I of size i, a y-set J of size j and a constant set for the
     rest, the sum of the chosen coefficients. Dynamic programming over
-    the lines, O(n^3).
+    the lines, O(n^3): after k lines, rows[i][j] = h(i, j) for
+    i + j <= k, and the next line's row i is the elementwise max of row
+    i (constant term), row i shifted one along j plus b (y-term) and row
+    i - 1 plus a (x-term). The constant coefficient is 0, so the first
+    choice keeps the value.
     """
-    dp: Dict[LatticePoint, Rational] = {(0, 0): 0}
+    rows: List[List[Rational]] = [[0]]
     for line in arr.lines:
-        a, b, c = line.coefficients
-        new_dp: Dict[LatticePoint, Rational] = {}
-        for (i, j), value in dp.items():
-            for di, dj, coeff in ((1, 0, a), (0, 1, b), (0, 0, c)):
-                key = (i + di, j + dj)
-                candidate = value + coeff
-                best = new_dp.get(key)
-                if best is None or candidate > best:
-                    new_dp[key] = candidate
-        dp = new_dp
-    return dp
+        a, b, _ = line.coefficients
+        grown = []
+        above: List[Rational] = []
+        for row in rows:
+            # row i over j = 0 .. len(row): constant term, or y-term on j - 1
+            new = [row[0], *map(max, row[1:], [h + b for h in row]), row[-1] + b]
+            if above:
+                new = list(map(max, new, [h + a for h in above]))
+            grown.append(new)
+            above = row
+        grown.append([above[0] + a])
+        rows = grown
+    return {(i, j): h for i, row in enumerate(rows) for j, h in enumerate(row)}
 
 
 # A unit triangle of n * Delta_2: (i, j, 0) is conv{(i,j), (i+1,j), (i,j+1)}
@@ -186,7 +192,7 @@ def dual_subdivision(arr: Arrangement, vertex_data=None) -> DualSubdivision:
     Validation is the tiling contract of tile(): every cell inside
     n * Delta_2, areas summing to n^2 / 2 exactly, and every unit triangle
     owned by exactly one cell. The owner grid also gives the cell
-    adjacency that check_regularity and determined_faces read.
+    adjacency that check_regularity_detailed and determined_faces read.
 
     Callers that already hold the arrangement's vertex data may pass it
     to skip the vertex scan.
@@ -255,11 +261,6 @@ def check_regularity_detailed(sub: DualSubdivision) -> Tuple[bool, Optional[str]
                         f"the lift at {point}"
                     )
     return True, None
-
-
-def check_regularity(sub: DualSubdivision) -> bool:
-    ok, _ = check_regularity_detailed(sub)
-    return ok
 
 
 def boundary_edge_count(cell: CellPolygon, n: int) -> int:
@@ -365,13 +366,3 @@ def determined_faces(sub: DualSubdivision, T: CellPolygon) -> List[CellPolygon]:
             f"triangle at {T.dual_point} determined {len(faces)} faces, maximum is 6"
         )
     return faces
-
-
-def determined_union_count(sub: DualSubdivision) -> int:
-    """Size of the union of determined faces over non-corner triangles."""
-    union: Set[Tuple[LatticePoint, ...]] = set()
-    for T in sub.cells:
-        if T.cell_class is CellClass.TRIANGLE and not is_corner_triangle(T, sub.n):
-            for S in determined_faces(sub, T):
-                union.add(S.vertices)
-    return len(union)

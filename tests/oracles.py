@@ -1,5 +1,12 @@
 """Reference constructions, global-scan checks and specs, small n only.
 
+The library reads each arrangement vertex's shape parameters and shift
+counts from sorted buckets of the line vertices. The vertex reference
+evaluates every line's argmax set at the point instead, O(n) per point.
+The library finds ray crossings by a closed form over the six pairs of
+non-parallel rays; the crossing reference solves all nine ray pairs as
+generic 2x2 systems.
+
 The library walks each dual cell along its edges from the cell's shape
 parameters. The Minkowski reference builds the same cell the direct
 way, as successive convex hulls of pairwise sums of the per-line
@@ -22,17 +29,145 @@ adjacency or the corner-slot index of the subdivision under test.
 
 The stable intersection of two tropical lines is checked against its
 definition, the limit of transversal intersections under perturbation.
+Helpers the library itself no longer needs (the boolean regularity
+check, the determined-union count and the duality incidence check) live
+here for the tests that pin them.
 A sweep's JSONL line is specified as the json.dumps of its record, which
-the library writes out directly.
+the library writes out directly. coordinate_sets draws the distinct
+points (or line vertices) that the route checks run on.
 """
 
 import json
 import math
+from fractions import Fraction
 
-from troplines.arrangement import SEMIUNIFORM, CellClass, polygon_edges
+from hypothesis import strategies as st
+
+from troplines.arrangement import (
+    SEMIUNIFORM,
+    CellClass,
+    VertexData,
+    candidate_points,
+    polygon_edges,
+)
 from troplines.errors import IdenticalLines, NotTransversal, TilingFailure
-from troplines.lines import TropicalLine, coaxial_points, contains, ray_crossings
-from troplines.subdivision import triangle_base
+from troplines.lines import (
+    Point2,
+    TropicalLine,
+    coaxial_points,
+    contains,
+    eval_argmax,
+    line_from_vertex,
+)
+from troplines.subdivision import (
+    check_regularity_detailed,
+    determined_faces,
+    is_corner_triangle,
+    triangle_base,
+)
+
+
+RAY_DIRECTIONS = (Point2(-1, 0), Point2(0, -1), Point2(1, 1))  # W, S, NE
+
+
+def _cross(p, q):
+    return p.x * q.y - p.y * q.x
+
+
+def _ray_crossing(v, d, w, e):
+    """Intersection point of the closed rays v + t d and w + s e, or None
+    when they miss or are parallel."""
+    denom = _cross(d, e)
+    if denom == 0:
+        return None
+    # any two distinct directions among W, S and NE have cross product
+    # +1 or -1, so dividing by denom is multiplying by it
+    delta = w - v
+    t = _cross(delta, e) * denom
+    s = _cross(delta, d) * denom
+    if t < 0 or s < 0:
+        return None
+    return v + d.scale(t)
+
+
+@st.composite
+def coordinate_sets(draw, max_size):
+    """Up to max_size distinct coordinate pairs. Spreads 1-3 put many
+    pairs on a common axis and can fill the whole grid; spread 1000 puts
+    almost none; a denominator above 1 makes them rational."""
+    spread = draw(st.sampled_from([1, 2, 3, 1000]))
+    denominator = draw(st.sampled_from([1, 1, 2, 3]))
+    if spread <= 3:
+        grid = [(x, y) for x in range(-spread, spread + 1)
+                for y in range(-spread, spread + 1)]
+        size = draw(st.integers(1, min(max_size, len(grid))))
+        chosen = draw(st.permutations(grid))[:size]
+    else:
+        size = draw(st.integers(1, max_size))
+        coordinate = st.integers(-spread, spread)
+        chosen = draw(st.lists(st.tuples(coordinate, coordinate),
+                               min_size=size, max_size=size, unique=True))
+    if denominator == 1:
+        return chosen
+    return [(Fraction(x, denominator), Fraction(y, denominator)) for x, y in chosen]
+
+
+def generic_ray_crossings(L1, L2):
+    """Transversal ray crossings of two lines, by trying all nine ray pairs."""
+    points = set()
+    for d in RAY_DIRECTIONS:
+        for e in RAY_DIRECTIONS:
+            hit = _ray_crossing(L1.vertex, d, L2.vertex, e)
+            if hit is not None:
+                points.add(hit)
+    return points
+
+
+def vertex_data(arr, q):
+    """VertexData at q from every line's argmax set there."""
+    tally = {}
+    for line in arr.lines:
+        members = eval_argmax(line, q)[1]
+        tally[members] = tally.get(members, 0) + 1
+    return VertexData(
+        q,
+        c=tally.get(frozenset({1, 2, 3}), 0),
+        s_a=tally.get(frozenset({1, 3}), 0),
+        s_b=tally.get(frozenset({2, 3}), 0),
+        s_c=tally.get(frozenset({1, 2}), 0),
+        only_x=tally.get(frozenset({1}), 0),
+        only_y=tally.get(frozenset({2}), 0),
+    )
+
+
+def arrangement_vertices_scan(arr):
+    """The candidates that pass the 2D-cell criterion, each scanned over
+    every line, sorted by point."""
+    found = [vertex_data(arr, q) for q in candidate_points(arr)]
+    return sorted((vd for vd in found if vd.is_vertex), key=lambda vd: vd.point)
+
+
+def check_regularity(sub):
+    ok, _ = check_regularity_detailed(sub)
+    return ok
+
+
+def determined_union_count(sub):
+    """Size of the union of determined faces over non-corner triangles."""
+    union = set()
+    for T in sub.cells:
+        if T.cell_class is CellClass.TRIANGLE and not is_corner_triangle(T, sub.n):
+            for S in determined_faces(sub, T):
+                union.add(S.vertices)
+    return len(union)
+
+
+def incidence_preserved(p, q):
+    """Whether p lies on the line dual to q; symmetric in p and q."""
+    forward = contains(line_from_vertex(Point2(-q.x, -q.y)), p)
+    backward = contains(line_from_vertex(Point2(-p.x, -p.y)), q)
+    assert forward == backward, f"duality broke incidence symmetry at {p}, {q}"
+    return forward
 
 
 def perturbed_intersection_oracle(L1, L2, eps, direction):
@@ -50,7 +185,7 @@ def perturbed_intersection_oracle(L1, L2, eps, direction):
         raise NotTransversal(
             f"shift {direction} by {eps} leaves vertices {L1.vertex}, {shifted_vertex} degenerate"
         )
-    crossings = ray_crossings(L1, TropicalLine(shifted_vertex))
+    crossings = generic_ray_crossings(L1, TropicalLine(shifted_vertex))
     if len(crossings) != 1:
         raise AssertionError(
             f"perturbed pair {L1.vertex}, {shifted_vertex} produced crossings {sorted(crossings)}"
@@ -120,11 +255,12 @@ def canonical_ccw(poly):
     return tuple(poly[start:]) + tuple(poly[:start])
 
 
-def minkowski_cell(vd):
-    """Corners of the cell dual to vd, as the Minkowski sum of the per-line
-    argmax exponent hulls: counterclockwise, lex-min first."""
+def minkowski_cell(argmaxes):
+    """Corners of the cell whose lines have these argmax sets, as the
+    Minkowski sum of the per-line argmax exponent hulls: counterclockwise,
+    lex-min first."""
     acc = [(0, 0)]
-    for members in vd.per_line_argmax:
+    for members in argmaxes:
         acc = minkowski_sum(acc, [EXPONENTS[m] for m in members])
     return canonical_ccw(acc)
 

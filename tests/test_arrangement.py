@@ -51,6 +51,9 @@ from oracles import (
     lattice_points,
     minkowski_cell,
     minkowski_sum,
+    arrangement_vertices_scan,
+    coordinate_sets,
+    vertex_data,
 )
 
 lattice_pt = st.tuples(
@@ -251,9 +254,9 @@ def test_pencil_like_arrangement_vertices_and_types():
         frozenset({2, 3}),
         frozenset({1, 2}),
     )
-    # the type coordinates at a vertex are the VertexData argmax list
+    # the bucketed counts at a vertex are the tallies of its type
     for vd in vds:
-        assert type_tuple(arr, vd.point) == vd.per_line_argmax
+        assert vd == vertex_data(arr, vd.point)
 
 
 def test_every_type_coordinate_is_nonempty():
@@ -272,7 +275,7 @@ def test_shape_parameters_partition_the_lines():
             verts.add((rng.randint(-7, 7), rng.randint(-7, 7)))
         arr = _arr(*verts)
         for vd in arrangement_vertices(arr):
-            singles = sum(1 for s in vd.per_line_argmax if len(s) == 1)
+            singles = sum(1 for s in type_tuple(arr, vd.point) if len(s) == 1)
             assert vd.c + vd.s_a + vd.s_b + vd.s_c + singles == arr.n
 
 
@@ -288,6 +291,13 @@ def test_vertex_enumeration_is_translation_equivariant():
     ]
     for a, b in zip(vds, shifted):
         assert (a.c, a.s_a, a.s_b, a.s_c) == (b.c, b.s_a, b.s_b, b.s_c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coordinate_sets(max_size=40))
+def test_bucketed_vertices_match_the_per_line_scan(vertices):
+    arr = _arr(*vertices)
+    assert arrangement_vertices(arr) == arrangement_vertices_scan(arr)
 
 
 def test_candidates_are_the_vertices_stable_points_and_crossings():
@@ -327,17 +337,18 @@ def test_candidates_are_the_vertices_stable_points_and_crossings():
 def test_classification_table(c, s, expected):
     vd = VertexData(
         point=Point2(0, 0),
-        per_line_argmax=(),
         c=c,
         s_a=s[0],
         s_b=s[1],
         s_c=s[2],
+        only_x=0,
+        only_y=0,
     )
     assert classify_cell(vd) is expected
 
 
 def test_classify_rejects_non_vertices():
-    vd = VertexData(Point2(0, 0), (), c=0, s_a=1, s_b=0, s_c=0)
+    vd = VertexData(Point2(0, 0), c=0, s_a=1, s_b=0, s_c=0, only_x=0, only_y=0)
     assert not vd.is_vertex
     with pytest.raises(NotAVertex):
         classify_cell(vd)
@@ -414,7 +425,7 @@ def test_dual_cell_matches_the_minkowski_reference(vertices):
     arr = _arr(*vertices)
     for vd in arrangement_vertices(arr):
         cell = dual_cell(arr, vd)
-        assert cell.vertices == minkowski_cell(vd), (vertices, vd.point)
+        assert cell.vertices == minkowski_cell(type_tuple(arr, vd.point)), (vertices, vd.point)
         assert all(type(c) is int for corner in cell.vertices for c in corner)
 
 

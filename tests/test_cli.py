@@ -1,7 +1,11 @@
 """End-to-end CLI behavior through main(argv): outputs and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -96,6 +100,20 @@ def test_verify_flag_validation(capsys):
     assert "--range" in capsys.readouterr().err
     assert main(["verify", "--n", "3", "--mode", "exhaustive", "--grid", "1"]) == 2
     assert "grid_size" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli():
+    # python -m troplines is the CLI: a random sweep without --samples is a
+    # usage error, exit 2
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "troplines", "verify", "--n", "4", "--mode", "random"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "--samples" in done.stderr
 
 
 def test_verify_exhaustive_summary(capsys):

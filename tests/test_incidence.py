@@ -18,13 +18,14 @@ from troplines.incidence import (
     StableLineKind,
     dbe_check,
     dualize_points,
-    incidence_preserved,
     ordinary_stable_lines,
     point_config,
     stable_line_two_points,
     stable_lines_through,
 )
 from troplines.lines import Point2, contains
+
+from oracles import incidence_preserved
 
 # four points whose dual lines all pass through the origin: one stable
 # line carries all of them

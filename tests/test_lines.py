@@ -32,7 +32,11 @@ from troplines.lines import (
     ray_crossings,
 )
 
-from oracles import lines_through_point, perturbed_intersection_oracle
+from oracles import (
+    generic_ray_crossings,
+    lines_through_point,
+    perturbed_intersection_oracle,
+)
 
 
 def test_point_arithmetic():
@@ -254,6 +258,20 @@ def test_non_coaxial_pairs_have_one_transversal_crossing():
         else:
             seen_coaxial_sizes.add(len(crossings))
     assert seen_coaxial_sizes <= {0, 1, 2}
+
+
+def test_ray_crossings_match_the_nine_pair_solver():
+    rng = random.Random(8)
+    for trial in range(3000):
+        spread = (2, 3, 50)[trial % 3]
+        den = 1 if trial % 4 else rng.randint(2, 5)
+        v1, v2 = (
+            Point2(Fraction(rng.randint(-spread, spread), den),
+                   Fraction(rng.randint(-spread, spread), den))
+            for _ in range(2)
+        )
+        L1, L2 = line_from_vertex(v1), line_from_vertex(v2)
+        assert ray_crossings(L1, L2) == generic_ray_crossings(L1, L2), (v1, v2)
 
 
 def test_lines_through_point_reports_indices():

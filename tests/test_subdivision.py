@@ -19,20 +19,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from troplines.analysis import analyze_config
 from troplines.arrangement import (
     CellClass,
     CellPolygon,
     build_arrangement,
+    doubled_area,
     polygon_edges,
 )
 from troplines.errors import NotATriangle, TilingFailure
+from troplines.incidence import dualize_points, point_config
 from troplines.lines import Point2, line_from_vertex
 from troplines.subdivision import (
     boundary_edge_count,
-    check_regularity,
     check_regularity_detailed,
     determined_faces,
-    determined_union_count,
     dual_subdivision,
     is_corner_triangle,
     is_near_pencil,
@@ -42,7 +43,11 @@ from troplines.subdivision import (
 )
 
 from oracles import (
+    canonical_ccw,
+    check_regularity,
+    coordinate_sets,
     determined_faces_scan,
+    determined_union_count,
     regularity_scan,
     shares_edge,
     simplex_lattice_points,
@@ -495,3 +500,42 @@ def test_owner_grid_checks_agree_with_the_global_scans(verts, case, rnd):
         for T in sub.cells:
             if T.cell_class is CellClass.TRIANGLE:
                 assert determined_faces(sub, T) == determined_faces_scan(sub.cells, T)
+
+
+# ---------------------------------------------------------------------------
+# symmetries: cells follow the maps of the plane that keep tropical lines
+# ---------------------------------------------------------------------------
+
+# Swapping x and y swaps the exponents i and j. The rotation
+# (x, y) -> (y - x, -x) permutes the homogeneous coordinates of TP^2
+# cyclically, so it permutes each exponent triple (i, j, n - i - j) to
+# (j, n - i - j, i). Both maps are linear, so they commute with the
+# duality p -> -p and move the dual points the same way.
+CELL_MAPS = {
+    "swap": (lambda x, y: (y, x), lambda n, i, j: (j, i)),
+    "rotation": (lambda x, y: (y - x, -x), lambda n, i, j: (j, n - i - j)),
+}
+
+
+def _cells_by_vertices(sub):
+    return {cell.vertices: (cell.cell_class, cell.dual_point) for cell in sub.cells}
+
+
+@settings(max_examples=40, deadline=None)
+@given(coordinate_sets(max_size=24))
+def test_cells_follow_the_swap_and_the_rotation(points):
+    sub = dual_subdivision(dualize_points(point_config(points)))
+    record = analyze_config(point_config(points))
+    for name, (move, exponents) in CELL_MAPS.items():
+        image_points = [move(x, y) for x, y in points]
+        expected = {}
+        for cell in sub.cells:
+            corners = [exponents(sub.n, i, j) for i, j in cell.vertices]
+            if doubled_area(corners) < 0:
+                corners.reverse()
+            expected[canonical_ccw(corners)] = (
+                cell.cell_class, Point2(*move(*cell.dual_point)))
+        image = dual_subdivision(dualize_points(point_config(image_points)))
+        assert set(_cells_by_vertices(image)) == set(expected), name
+        assert _cells_by_vertices(image) == expected, name
+        assert analyze_config(point_config(image_points)) == record, name
