@@ -2,11 +2,22 @@
  *
  * This is an independent reimplementation of analysis.analyze_config for
  * integer point configurations, written against the same mathematical
- * contract rather than the Python code: closed-form ray crossings instead
- * of the generic rational crossing routine, C arrays instead of objects,
- * and the same suite names in the same order. troplines.kernel routes
- * eligible configurations here and equivalence with the pure path is
- * enforced by the test suite.
+ * contract rather than the Python code, with the same suite names in the
+ * same order. troplines.kernel routes eligible configurations here and
+ * equivalence with the pure path is enforced by the test suite.
+ *
+ * Per configuration:
+ *   - stable points and candidate vertices come from closed-form ray
+ *     crossings of each pair of lines;
+ *   - each candidate's argmax counts over the lines (c, s_a, s_b, s_c and
+ *     the two shift counts) classify it and fix its dual cell, whose
+ *     boundary is walked in closed form;
+ *   - each cell is rasterized into one owner grid of the n^2 unit
+ *     triangles of n * Delta_2, which checks the tiling, and the grid's
+ *     edge adjacency gives a local regularity check against the lift and
+ *     the faces each triangle determines.
+ * The candidate scan and the lift take O(n^3) steps; the subdivision
+ * checks are near-linear in the n^2 unit triangles.
  *
  * Everything is 64-bit integer arithmetic. Coordinates must lie within
  * +/- 2**20 (checked on entry), which bounds every intermediate
@@ -30,7 +41,6 @@ enum {
     MAXV = 8,          /* a subdivision cell has at most 6 corners */
     MAXCELLS = 152,    /* n + n(n-1)/2 at n = 16, plus slack */
     MAXCAND = 2240,    /* vertices + 10 candidate points per pair, plus slack */
-    MAXSUM = 24,       /* Minkowski accumulator: 6 hull corners x 3 summands */
 };
 
 #define NEG (-((i64)1 << 50))
@@ -44,6 +54,23 @@ enum {
 /* ray directions in the fixed order W, S, NE */
 static const i64 DIRX[3] = {-1, 0, 1};
 static const i64 DIRY[3] = {0, -1, 1};
+
+/* A dual cell's counterclockwise boundary from its lex-min corner: SE s_c,
+ * E s_a + c, N s_b, NW s_c + c, W s_a and S s_b + c. */
+static const i64 STEPX[6] = {1, 1, 0, -1, -1, 0};
+static const i64 STEPY[6] = {-1, 0, 1, 1, 0, -1};
+
+/* A unit triangle of n * Delta_2: (i, j, 0) is conv{(i,j), (i+1,j), (i,j+1)}
+ * and (i, j, 1) is conv{(i+1,j), (i,j+1), (i+1,j+1)}; its owner sits at
+ * owner[OWNER(i, j, down)]. Every edge between two of them joins an upward
+ * triangle (i, j, 0) to the downward one at (i + NBR_DI[e], j + NBR_DJ[e])
+ * across its bottom, left or diagonal edge e, whose vertex opposite that
+ * edge is (i + OPP_DI[e], j + OPP_DJ[e]). */
+#define OWNER(i, j, down) (2 * ((j) * n + (i)) + (down))
+static const int NBR_DI[3] = {0, -1, 0};
+static const int NBR_DJ[3] = {-1, 0, 0};
+static const int OPP_DI[3] = {1, -1, 1};
+static const int OPP_DJ[3] = {-1, 1, 1};
 
 enum { CLS_TRI, CLS_PAR, CLS_HEX, CLS_NU4, CLS_NU5, CLS_NU6 };
 
@@ -72,82 +99,6 @@ _cross3(i64 ox, i64 oy, i64 ax, i64 ay, i64 bx, i64 by)
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox);
 }
 
-static inline i64
-_gcd(i64 a, i64 b)
-{
-    i64 t;
-    if (a < 0)
-        a = -a;
-    if (b < 0)
-        b = -b;
-    while (b) {
-        t = a % b;
-        a = b;
-        b = t;
-    }
-    return a;
-}
-
-/* Convex hull, counterclockwise, lex-min vertex first, collinear points
- * dropped; 1 or 2 points for degenerate inputs. Returns the count. */
-static int
-_hull(const i64 *px, const i64 *py, int m, i64 *ox, i64 *oy)
-{
-    i64 sx[MAXSUM], sy[MAXSUM];
-    i64 hx[2 * MAXSUM], hy[2 * MAXSUM];
-    int i, j, k, cnt = 0, lo, hi;
-    /* insertion sort by (x, y) with dedup */
-    for (i = 0; i < m; i++) {
-        i64 kx = px[i], ky = py[i];
-        j = cnt;
-        while (j > 0 && (sx[j - 1] > kx || (sx[j - 1] == kx && sy[j - 1] > ky)))
-            j--;
-        if (j < cnt && sx[j] == kx && sy[j] == ky)
-            continue;
-        for (k = cnt; k > j; k--) {
-            sx[k] = sx[k - 1];
-            sy[k] = sy[k - 1];
-        }
-        sx[j] = kx;
-        sy[j] = ky;
-        cnt++;
-    }
-    if (cnt <= 2) {
-        for (i = 0; i < cnt; i++) {
-            ox[i] = sx[i];
-            oy[i] = sy[i];
-        }
-        return cnt;
-    }
-    lo = 0;
-    for (i = 0; i < cnt; i++) {
-        while (lo >= 2 && _cross3(hx[lo - 2], hy[lo - 2], hx[lo - 1], hy[lo - 1], sx[i], sy[i]) <= 0)
-            lo--;
-        hx[lo] = sx[i];
-        hy[lo] = sy[i];
-        lo++;
-    }
-    hi = lo;
-    for (i = cnt - 1; i >= 0; i--) {
-        while (hi - lo >= 2 && _cross3(hx[hi - 2], hy[hi - 2], hx[hi - 1], hy[hi - 1], sx[i], sy[i]) <= 0)
-            hi--;
-        hx[hi] = sx[i];
-        hy[hi] = sy[i];
-        hi++;
-    }
-    /* hull = lower[:-1] + upper[:-1]; lower occupies [0, lo), upper [lo, hi) */
-    k = 0;
-    for (i = 0; i < lo - 1; i++, k++) {
-        ox[k] = hx[i];
-        oy[k] = hy[i];
-    }
-    for (i = lo; i < hi - 1; i++, k++) {
-        ox[k] = hx[i];
-        oy[k] = hy[i];
-    }
-    return k;
-}
-
 /* Argmax bitmask at q for the line with vertex v: bit0 = x term,
  * bit1 = y term, bit2 = constant term. */
 static inline int
@@ -163,141 +114,99 @@ _argmask(i64 vx, i64 vy, i64 qx, i64 qy)
     return (t1 == m) | ((t2 == m) << 1) | ((0 == m) << 2);
 }
 
-static inline int
-_cell_contains(const Cell *c, i64 x, i64 y)
+/* The corners of the cell with shape parameters (c, s_a, s_b, s_c) and
+ * shift counts (only_x, only_y): the Minkowski sum of a unit triangle when
+ * c = 1 and of unit H, V and D segments s_a, s_b and s_c times, shifted by
+ * (only_x, only_y). Walked counterclockwise from the lex-min corner
+ * (only_x, only_y + s_c), skipping steps of zero length; returns the
+ * corner count. */
+static int
+_walk_cell(int c, int sa, int sb, int sc, int only_x, int only_y, i64 *ox, i64 *oy)
 {
-    for (int i = 0; i < c->m; i++) {
-        int j = i + 1 == c->m ? 0 : i + 1;
-        if (_cross3(c->vx[i], c->vy[i], c->vx[j], c->vy[j], x, y) < 0)
-            return 0;
+    const int length[6] = {sc, sa + c, sb, sc + c, sa, sb + c};
+    i64 x = only_x, y = only_y + sc;
+    int m = 0;
+    for (int k = 0; k < 6; k++) {
+        if (length[k] == 0)
+            continue;
+        ox[m] = x;
+        oy[m] = y;
+        m++;
+        x += STEPX[k] * length[k];
+        y += STEPY[k] * length[k];
+    }
+    return m;
+}
+
+/* Claim for cell k, which lies inside n * Delta_2, the unit triangles whose
+ * centroids lie strictly inside it; the test runs in coordinates scaled by
+ * 3, so it is exact. Returns a cell that already owned one of them, or -1. */
+static int
+_rasterize(const Cell *cell, int k, int n, int *owner)
+{
+    i64 xlo = cell->vx[0], xhi = xlo, ylo = cell->vy[0], yhi = ylo;
+    for (int v = 1; v < cell->m; v++) {
+        xlo = cell->vx[v] < xlo ? cell->vx[v] : xlo;
+        xhi = cell->vx[v] > xhi ? cell->vx[v] : xhi;
+        ylo = cell->vy[v] < ylo ? cell->vy[v] : ylo;
+        yhi = cell->vy[v] > yhi ? cell->vy[v] : yhi;
+    }
+    for (i64 j = ylo; j < yhi; j++) {
+        for (i64 i = xlo; i < xhi; i++) {
+            for (int down = 0; down < 2; down++) {
+                i64 cx = 3 * i + 1 + down, cy = 3 * j + 1 + down;
+                int inside = 1;
+                for (int v = 0; v < cell->m && inside; v++) {
+                    int w = v + 1 == cell->m ? 0 : v + 1;
+                    inside = _cross3(3 * cell->vx[v], 3 * cell->vy[v],
+                                     3 * cell->vx[w], 3 * cell->vy[w], cx, cy) > 0;
+                }
+                if (!inside)
+                    continue;
+                int *slot = &owner[OWNER(i, j, down)];
+                if (*slot >= 0)
+                    return *slot;
+                *slot = k;
+            }
+        }
+    }
+    return -1;
+}
+
+/* The base of the triangle in whose corner slot the parallelogram s would
+ * sit, as in subdivision._corner_slot_base: the maximal corner of an H + V
+ * rectangle; one below the corner of maximal x, then minimal y, of a V + D
+ * one; one left of the unique corner of minimal x of an H + D one. 0 when
+ * the edges are not two of those directions. */
+static int
+_corner_slot_base(const Cell *s, i64 *bx, i64 *by)
+{
+    int mask = 0, lo = 0, hi = 0;
+    i64 ymax = s->vy[0];
+    for (int i = 0; i < s->m; i++) {
+        int j = i + 1 == s->m ? 0 : i + 1;
+        i64 dx = s->vx[j] - s->vx[i], dy = s->vy[j] - s->vy[i];
+        mask |= dy == 0 ? 1 : dx == 0 ? 2 : dx == -dy ? 4 : 8;
+        if (s->vx[i] < s->vx[lo])
+            lo = i;
+        if (s->vx[i] > s->vx[hi] || (s->vx[i] == s->vx[hi] && s->vy[i] < s->vy[hi]))
+            hi = i;
+        if (s->vy[i] > ymax)
+            ymax = s->vy[i];
+    }
+    if (mask == 3) {
+        *bx = s->vx[hi];
+        *by = ymax;
+    } else if (mask == 6) {
+        *bx = s->vx[hi];
+        *by = s->vy[hi] - 1;
+    } else if (mask == 5) {
+        *bx = s->vx[lo] - 1;
+        *by = s->vy[lo];
+    } else {
+        return 0;
     }
     return 1;
-}
-
-/* Separating-axis test flush with an edge of either polygon. */
-static int
-_interiors_disjoint(const Cell *p, const Cell *q)
-{
-    for (int k = 0; k < 2; k++) {
-        const Cell *a = k == 0 ? p : q;
-        const Cell *b = k == 0 ? q : p;
-        for (int i = 0; i < a->m; i++) {
-            int j = i + 1 == a->m ? 0 : i + 1;
-            int all_out = 1;
-            for (int v = 0; v < b->m; v++) {
-                if (_cross3(a->vx[i], a->vy[i], a->vx[j], a->vy[j], b->vx[v], b->vy[v]) > 0) {
-                    all_out = 0;
-                    break;
-                }
-            }
-            if (all_out)
-                return 1;
-        }
-    }
-    return 0;
-}
-
-/* Positive-length collinear overlap between any edges. */
-static int
-_shares_edge(const Cell *p, const Cell *q)
-{
-    for (int i = 0; i < p->m; i++) {
-        int i2 = i + 1 == p->m ? 0 : i + 1;
-        i64 ax = p->vx[i], ay = p->vy[i];
-        i64 dx = p->vx[i2] - ax, dy = p->vy[i2] - ay;
-        i64 len2 = dx * dx + dy * dy;
-        for (int j = 0; j < q->m; j++) {
-            int j2 = j + 1 == q->m ? 0 : j + 1;
-            if ((q->vx[j] - ax) * dy != (q->vy[j] - ay) * dx)
-                continue;
-            if ((q->vx[j2] - ax) * dy != (q->vy[j2] - ay) * dx)
-                continue;
-            i64 tc = (q->vx[j] - ax) * dx + (q->vy[j] - ay) * dy;
-            i64 td = (q->vx[j2] - ax) * dx + (q->vy[j2] - ay) * dy;
-            i64 lo = tc < td ? tc : td;
-            i64 hi = tc > td ? tc : td;
-            if (hi > len2)
-                hi = len2;
-            if (lo < 0)
-                lo = 0;
-            if (hi > lo)
-                return 1;
-        }
-    }
-    return 0;
-}
-
-/* Bitmask of edge direction classes: 1 horizontal, 2 vertical,
- * 4 antidiagonal, 8 anything else. */
-static int
-_edge_class_mask(const Cell *c)
-{
-    int mask = 0;
-    for (int i = 0; i < c->m; i++) {
-        int j = i + 1 == c->m ? 0 : i + 1;
-        i64 dx = c->vx[j] - c->vx[i];
-        i64 dy = c->vy[j] - c->vy[i];
-        i64 g = _gcd(dx, dy);
-        dx /= g;
-        dy /= g;
-        if (dy < 0 || (dy == 0 && dx < 0)) {
-            dx = -dx;
-            dy = -dy;
-        }
-        if (dx == 1 && dy == 0)
-            mask |= 1;
-        else if (dx == 0 && dy == 1)
-            mask |= 2;
-        else if (dx == -1 && dy == 1)
-            mask |= 4;
-        else
-            mask |= 8;
-    }
-    return mask;
-}
-
-/* Parallelogram in one of the three corner slots of the triangle with
- * right-angle corner (bx, by). */
-static int
-_corner_pattern(const Cell *s, i64 bx, i64 by)
-{
-    int mask = _edge_class_mask(s);
-    int i;
-    i64 mx, my, ay;
-    if (mask == 3) {  /* horizontal + vertical: maximal corner at the base */
-        mx = s->vx[0];
-        my = s->vy[0];
-        for (i = 1; i < s->m; i++) {
-            if (s->vx[i] > mx)
-                mx = s->vx[i];
-            if (s->vy[i] > my)
-                my = s->vy[i];
-        }
-        return mx == bx && my == by;
-    }
-    if (mask == 6) {  /* vertical + antidiagonal: max-x then min-y corner */
-        mx = s->vx[0];
-        for (i = 1; i < s->m; i++)
-            if (s->vx[i] > mx)
-                mx = s->vx[i];
-        ay = NEG;
-        for (i = 0; i < s->m; i++)
-            if (s->vx[i] == mx && (ay == NEG || s->vy[i] < ay))
-                ay = s->vy[i];
-        return mx == bx && ay == by + 1;
-    }
-    if (mask == 5) {  /* horizontal + antidiagonal: unique min-x corner */
-        mx = s->vx[0];
-        my = s->vy[0];
-        for (i = 1; i < s->m; i++) {
-            if (s->vx[i] < mx) {
-                mx = s->vx[i];
-                my = s->vy[i];
-            }
-        }
-        return mx == bx + 1 && my == by;
-    }
-    return 0;
 }
 
 /* Transversal crossings between the 3 x 3 ray pairs of the lines with
@@ -327,26 +236,30 @@ _ray_crossings(i64 ax, i64 ay, i64 dx, i64 dy, i64 *cx, i64 *cy)
     return hits;
 }
 
-/* The stable point of two lines whose vertices lie on a common ray axis:
- * the vertex that lies on the other line. */
-static void
-_coaxial_point(i64 ax, i64 ay, i64 bx, i64 by, i64 *wx, i64 *wy)
+/* The ray crossings of lines i and j into (cx, cy), their count in *hits,
+ * and the pair's stable point into (wx, wy): when the vertices lie on a
+ * common ray axis, the vertex that lies on the other line, else the single
+ * transversal crossing. -1 with an AssertionError set when a non-coaxial
+ * pair does not cross exactly once. */
+static int
+_stable_point(const i64 *vx, const i64 *vy, int i, int j, i64 *cx, i64 *cy, int *hits,
+              i64 *wx, i64 *wy)
 {
-    int first;
-    if (by == ay)
-        first = ax < bx;
-    else if (bx == ax)
-        first = ay < by;
-    else
-        first = ax > bx;
-    *wx = first ? ax : bx;
-    *wy = first ? ay : by;
-}
-
-static inline int
-_coaxial(i64 dx, i64 dy)
-{
-    return dy == 0 || dx == 0 || dx == dy;
+    i64 dx = vx[j] - vx[i], dy = vy[j] - vy[i];
+    *hits = _ray_crossings(vx[i], vy[i], dx, dy, cx, cy);
+    if (dy == 0 || dx == 0 || dx == dy) {
+        int first = dy == 0 ? dx > 0 : dx == 0 ? dy > 0 : dx < 0;
+        *wx = first ? vx[i] : vx[j];
+        *wy = first ? vy[i] : vy[j];
+    } else if (*hits == 1) {
+        *wx = cx[0];
+        *wy = cy[0];
+    } else {
+        PyErr_Format(PyExc_AssertionError,
+                     "non-coaxial pair %d,%d produced %d crossings", i, j, *hits);
+        return -1;
+    }
+    return 0;
 }
 
 static int
@@ -478,77 +391,94 @@ typedef struct {
     int excess;
 } Summary;
 
-/* The lift of n * Delta_2 by dynamic programming over the points, then
- * the scan that each cell's affine fit matches the lift on the cell and
- * dominates it elsewhere; stops at the first violation. -1 with an
- * exception set. */
-static int
-_regularity(const Cell *cells, int ncells, int n, const i64 *px, const i64 *py,
-            PyObject *violations)
+/* The lift of n * Delta_2: the coefficient table of the tropical product
+ * of the n line polynomials, by dynamic programming over the points. After
+ * point j, LIFT(ii, jj) for ii + jj <= j + 1 is the best of keeping the
+ * value (constant term) or adding point j's x or y coordinate to the value
+ * one step below; updated in place, high indices first. */
+#define LIFT(x, y) lift[(x) * (n + 1) + (y)]
+static void
+_lift(int n, const i64 *px, const i64 *py, i64 *lift)
 {
-    i64 lift[(MAXN + 1) * (MAXN + 1)], lift2[(MAXN + 1) * (MAXN + 1)];
-    int i, j, ii, jj, width = n + 1;
-    for (ii = 0; ii < width * width; ii++)
-        lift[ii] = NEG;
-    lift[0] = 0;
-    for (j = 0; j < n; j++) {
-        for (ii = 0; ii < width * width; ii++)
-            lift2[ii] = NEG;
-        for (ii = 0; ii < width; ii++) {
-            for (jj = 0; jj < width - ii; jj++) {
-                i64 best = lift[ii * width + jj];
-                if (ii > 0 && lift[(ii - 1) * width + jj] != NEG) {
-                    i64 cand = lift[(ii - 1) * width + jj] + px[j];
-                    if (cand > best)
-                        best = cand;
-                }
-                if (jj > 0 && lift[ii * width + jj - 1] != NEG) {
-                    i64 cand = lift[ii * width + jj - 1] + py[j];
-                    if (cand > best)
-                        best = cand;
-                }
-                lift2[ii * width + jj] = best;
+    LIFT(0, 0) = 0;
+    for (int j = 0; j < n; j++) {
+        for (int ii = j + 1; ii >= 0; ii--) {
+            for (int jj = j + 1 - ii; jj >= 0; jj--) {
+                i64 best = ii + jj <= j ? LIFT(ii, jj) : NEG;
+                if (ii > 0 && LIFT(ii - 1, jj) + px[j] > best)
+                    best = LIFT(ii - 1, jj) + px[j];
+                if (jj > 0 && LIFT(ii, jj - 1) + py[j] > best)
+                    best = LIFT(ii, jj - 1) + py[j];
+                LIFT(ii, jj) = best;
             }
         }
-        for (ii = 0; ii < width * width; ii++)
-            lift[ii] = lift2[ii];
     }
+}
 
-    for (i = 0; i < ncells; i++) {
-        const Cell *cell = &cells[i];
-        i64 D = _cross3(cell->vx[0], cell->vy[0], cell->vx[1], cell->vy[1],
-                        cell->vx[2], cell->vy[2]);
-        if (D <= 0) {
+/* The regularity of the tiling against the lift, read off the owner grid:
+ * each cell's affine fit through its first three corners must equal the
+ * lift at the corners of every unit triangle it owns, and across every edge
+ * between two cells the fit of the upward triangle's owner must dominate
+ * the lift at the opposite vertex of the downward one. On a tiling this
+ * local test is the global one (see subdivision.check_regularity_detailed).
+ * Stops at the first violation; -1 with an exception set. */
+static int
+_regularity(const Cell *cells, int ncells, int n, const i64 *px, const i64 *py,
+            const int *owner, PyObject *violations)
+{
+    i64 lift[(MAXN + 1) * (MAXN + 1)];
+    i64 det[MAXCELLS], alpha[MAXCELLS], beta[MAXCELLS], gamma[MAXCELLS];
+    int i, j, k;
+#define FIT(k, x, y) (alpha[k] + beta[k] * (x) + gamma[k] * (y))
+    _lift(n, px, py, lift);
+    for (k = 0; k < ncells; k++) {
+        const Cell *cell = &cells[k];
+        det[k] = _cross3(cell->vx[0], cell->vy[0], cell->vx[1], cell->vy[1],
+                         cell->vx[2], cell->vy[2]);
+        if (det[k] <= 0) {
             VIOLATE("regularity", "cell at (%lld, %lld) is not counterclockwise",
                     cell->dx, cell->dy);
             return 0;
         }
-        i64 h0 = lift[cell->vx[0] * width + cell->vy[0]];
-        i64 h1 = lift[cell->vx[1] * width + cell->vy[1]];
-        i64 h2 = lift[cell->vx[2] * width + cell->vy[2]];
-        i64 beta = (h1 - h0) * (cell->vy[2] - cell->vy[0]) - (h2 - h0) * (cell->vy[1] - cell->vy[0]);
-        i64 gamma = (cell->vx[1] - cell->vx[0]) * (h2 - h0) - (cell->vx[2] - cell->vx[0]) * (h1 - h0);
-        i64 alpha = D * h0 - beta * cell->vx[0] - gamma * cell->vy[0];
-        for (ii = 0; ii < width; ii++) {
-            for (jj = 0; jj < width - ii; jj++) {
-                i64 want = D * lift[ii * width + jj];
-                i64 got = alpha + beta * ii + gamma * jj;
-                if (_cell_contains(cell, ii, jj)) {
-                    if (got != want) {
+        i64 h0 = LIFT(cell->vx[0], cell->vy[0]);
+        i64 h1 = LIFT(cell->vx[1], cell->vy[1]);
+        i64 h2 = LIFT(cell->vx[2], cell->vy[2]);
+        beta[k] = (h1 - h0) * (cell->vy[2] - cell->vy[0]) - (h2 - h0) * (cell->vy[1] - cell->vy[0]);
+        gamma[k] = (cell->vx[1] - cell->vx[0]) * (h2 - h0) - (cell->vx[2] - cell->vx[0]) * (h1 - h0);
+        alpha[k] = det[k] * h0 - beta[k] * cell->vx[0] - gamma[k] * cell->vy[0];
+    }
+    for (j = 0; j < n; j++) {
+        for (i = 0; i + j < n; i++) {
+            for (int down = 0; down < 2 && i + j + down < n; down++) {
+                k = owner[OWNER(i, j, down)];
+                const int cx[3] = {i + 1, i, i + down}, cy[3] = {j, j + 1, j + down};
+                for (int v = 0; v < 3; v++) {
+                    if (FIT(k, cx[v], cy[v]) != det[k] * LIFT(cx[v], cy[v])) {
                         VIOLATE("regularity",
                                 "cell at (%lld, %lld): lift and affine fit disagree "
-                                "at lattice point (%d, %d)", cell->dx, cell->dy, ii, jj);
+                                "at lattice point (%d, %d)", cells[k].dx, cells[k].dy,
+                                cx[v], cy[v]);
                         return 0;
                     }
-                } else if (got < want) {
+                }
+            }
+            k = owner[OWNER(i, j, 0)];
+            for (int e = 0; e < 3; e++) {
+                int ni = i + NBR_DI[e], nj = j + NBR_DJ[e];
+                if (ni < 0 || nj < 0 || ni + nj > n - 2 || owner[OWNER(ni, nj, 1)] == k)
+                    continue;
+                int ox = i + OPP_DI[e], oy = j + OPP_DJ[e];
+                if (FIT(k, ox, oy) < det[k] * LIFT(ox, oy)) {
                     VIOLATE("regularity",
                             "cell at (%lld, %lld): affine fit fails to dominate the lift "
-                            "at (%d, %d)", cell->dx, cell->dy, ii, jj);
+                            "at (%d, %d)", cells[k].dx, cells[k].dy, ox, oy);
                     return 0;
                 }
             }
         }
     }
+#undef FIT
+#undef LIFT
     return 0;
 }
 
@@ -560,7 +490,7 @@ static int
 _tiled_suites(const Cell *cells, int ncells, int n, int k_faces, const i64 *px,
               const i64 *py, PyObject *violations)
 {
-    int i, j, e;
+    int i, j, e, k;
     i64 dx, dy;
 
     /* --- tiling ---------------------------------------------------------- */
@@ -581,12 +511,24 @@ _tiled_suites(const Cell *cells, int ncells, int n, int k_faces, const i64 *px,
                 area_total, n * n, n);
         return NEAR_UNTILED;
     }
-    for (i = 0; i < ncells; i++) {
-        for (j = i + 1; j < ncells; j++) {
-            if (!_interiors_disjoint(&cells[i], &cells[j])) {
-                VIOLATE("tiling", "cells at (%lld, %lld) and (%lld, %lld) overlap",
-                        cells[i].dx, cells[i].dy, cells[j].dx, cells[j].dy);
-                return NEAR_UNTILED;
+    int owner[2 * MAXN * MAXN];
+    for (i = 0; i < 2 * n * n; i++)
+        owner[i] = -1;
+    for (k = 0; k < ncells; k++) {
+        int first = _rasterize(&cells[k], k, n, owner);
+        if (first >= 0) {
+            VIOLATE("tiling", "cells at (%lld, %lld) and (%lld, %lld) overlap",
+                    cells[first].dx, cells[first].dy, cells[k].dx, cells[k].dy);
+            return NEAR_UNTILED;
+        }
+    }
+    for (j = 0; j < n; j++) {
+        for (i = 0; i + j < n; i++) {
+            for (int down = 0; down < 2 && i + j + down < n; down++) {
+                if (owner[OWNER(i, j, down)] < 0) {
+                    VIOLATE("tiling", "no cell covers unit triangle (%d, %d, %d)", i, j, down);
+                    return NEAR_UNTILED;
+                }
             }
         }
     }
@@ -594,8 +536,6 @@ _tiled_suites(const Cell *cells, int ncells, int n, int k_faces, const i64 *px,
     /* --- cell edge directions ------------------------------------------- */
     for (i = 0; i < ncells; i++) {
         const Cell *cell = &cells[i];
-        if (!(_edge_class_mask(cell) & 8))
-            continue;
         for (j = 0; j < cell->m; j++) {
             e = j + 1 == cell->m ? 0 : j + 1;
             dx = cell->vx[e] - cell->vx[j];
@@ -606,7 +546,7 @@ _tiled_suites(const Cell *cells, int ncells, int n, int k_faces, const i64 *px,
         }
     }
 
-    if (_regularity(cells, ncells, n, px, py, violations) < 0)
+    if (_regularity(cells, ncells, n, px, py, owner, violations) < 0)
         return -1;
 
     /* --- near-pencil and the determined-face suites ---------------------- */
@@ -618,32 +558,51 @@ _tiled_suites(const Cell *cells, int ncells, int n, int k_faces, const i64 *px,
         }
     }
 
+    /* the parallelograms in each triangle's corner slots, as linked lists;
+     * a triangle cell is the one unit triangle at its lex-min corner */
+    int slot_head[MAXCELLS], slot_next[MAXCELLS];
+    for (k = 0; k < ncells; k++)
+        slot_head[k] = -1;
+    for (k = 0; k < ncells; k++) {
+        i64 bx, by;
+        if (cells[k].cls != CLS_PAR || !_corner_slot_base(&cells[k], &bx, &by)
+            || bx < 0 || by < 0 || bx + by >= n)
+            continue;
+        int tri = owner[OWNER(bx, by, 0)];
+        if (cells[tri].cls == CLS_TRI) {
+            slot_next[k] = slot_head[tri];
+            slot_head[tri] = k;
+        }
+    }
+
     unsigned char union_flags[MAXCELLS] = {0};
     int adj_tri_count[MAXCELLS] = {0};
+    int seen_by[MAXCELLS];
     int determined[MAXCELLS];
     int m_noncorner = 0, union_count = 0;
+    for (k = 0; k < ncells; k++)
+        seen_by[k] = -1;
     for (int ti = 0; ti < ncells; ti++) {
         const Cell *tri = &cells[ti];
         if (tri->cls != CLS_TRI)
             continue;
-        i64 basex = tri->vx[0], basey = tri->vy[0];
-        for (j = 1; j < tri->m; j++) {
-            if (tri->vx[j] < basex)
-                basex = tri->vx[j];
-            if (tri->vy[j] < basey)
-                basey = tri->vy[j];
-        }
         int det_count = 0;
-        for (j = 0; j < ncells; j++) {
-            int cls = cells[j].cls;
-            if (j == ti || (cls != CLS_PAR && cls != CLS_HEX))
+        for (e = 0; e < 3; e++) {
+            int ni = (int)tri->vx[0] + NBR_DI[e], nj = (int)tri->vy[0] + NBR_DJ[e];
+            if (ni < 0 || nj < 0 || ni + nj > n - 2)
                 continue;
-            if (_shares_edge(tri, &cells[j])) {
-                determined[det_count++] = j;
-                if (cls == CLS_PAR)
-                    adj_tri_count[j]++;
-            } else if (cls == CLS_PAR && _corner_pattern(&cells[j], basex, basey)) {
-                determined[det_count++] = j;
+            k = owner[OWNER(ni, nj, 1)];
+            if ((cells[k].cls != CLS_PAR && cells[k].cls != CLS_HEX) || seen_by[k] == ti)
+                continue;
+            seen_by[k] = ti;
+            determined[det_count++] = k;
+            if (cells[k].cls == CLS_PAR)
+                adj_tri_count[k]++;
+        }
+        for (k = slot_head[ti]; k >= 0; k = slot_next[k]) {
+            if (seen_by[k] != ti) {
+                seen_by[k] = ti;
+                determined[det_count++] = k;
             }
         }
         if (det_count > 6) {
@@ -705,30 +664,20 @@ _analyze(const i64 *px, const i64 *py, int n, PyObject *violations, Summary *out
     int ncand = 0;
     i64 stabkey[MAXCAND];
     int nstab = 0;
-    i64 cx, cy, wx, wy, dx, dy;
+    i64 cx, cy, wx, wy;
     i64 crossx[6], crossy[6];
+    int hits;
 
     for (i = 0; i < n; i++)
         candkey[ncand++] = KEY(vx[i], vy[i]);
     for (i = 0; i < n; i++) {
         for (j = i + 1; j < n; j++) {
-            dx = vx[j] - vx[i];
-            dy = vy[j] - vy[i];
-            int hits = _ray_crossings(vx[i], vy[i], dx, dy, crossx, crossy);
+            if (_stable_point(vx, vy, i, j, crossx, crossy, &hits, &wx, &wy) < 0)
+                return -1;
             for (int h = 0; h < hits; h++)
                 candkey[ncand++] = KEY(crossx[h], crossy[h]);
-            if (_coaxial(dx, dy)) {
-                _coaxial_point(vx[i], vy[i], vx[j], vy[j], &wx, &wy);
-                stabkey[nstab++] = KEY(wx, wy);
-                candkey[ncand++] = KEY(wx, wy);
-            } else {
-                if (hits != 1) {
-                    PyErr_Format(PyExc_AssertionError,
-                                 "non-coaxial pair %d,%d produced %d crossings", i, j, hits);
-                    return -1;
-                }
-                stabkey[nstab++] = KEY(crossx[0], crossy[0]);
-            }
+            stabkey[nstab++] = KEY(wx, wy);
+            candkey[ncand++] = KEY(wx, wy);
         }
     }
     int ncand_u = _sort_unique(candkey, ncand);
@@ -751,80 +700,38 @@ _analyze(const i64 *px, const i64 *py, int n, PyObject *violations, Summary *out
     /* --- arrangement vertices and their dual cells ---------------------- */
     Cell cells[MAXCELLS];
     int ncells = 0;
-    int masks[MAXN];
-    i64 accx[MAXSUM], accy[MAXSUM], sumx[MAXSUM], sumy[MAXSUM];
 
     for (i = 0; i < ncand_u; i++) {
         cx = KEY_X(candkey[i]);
         cy = KEY_Y(candkey[i]);
-        int c_full = 0, sa = 0, sb = 0, sc = 0, cls;
-        for (j = 0; j < n; j++) {
-            int mask = _argmask(vx[j], vy[j], cx, cy);
-            masks[j] = mask;
-            if (mask == 7)
-                c_full++;
-            else if (mask == 5)
-                sa++;
-            else if (mask == 6)
-                sb++;
-            else if (mask == 3)
-                sc++;
-        }
+        /* lines through q with argmax {1,2,3}, {1,3}, {2,3}, {1,2}, {1}, {2} */
+        int count[8] = {0};
+        for (j = 0; j < n; j++)
+            count[_argmask(vx[j], vy[j], cx, cy)]++;
+        int c = count[7], sa = count[5], sb = count[6], sc = count[3], cls;
         int nz = (sa > 0) + (sb > 0) + (sc > 0);
-        if (!(c_full == 1 || nz >= 2))
+        if (!(c == 1 || nz >= 2))
             continue;
-        if (c_full == 1)
+        if (c == 1)
             cls = nz == 0 ? CLS_TRI : nz == 1 ? CLS_NU4 : nz == 2 ? CLS_NU5 : CLS_NU6;
         else
             cls = nz == 2 ? CLS_PAR : CLS_HEX;
-        /* Minkowski sum of per-line argmax exponent hulls */
-        int acc_m = 1;
-        accx[0] = 0;
-        accy[0] = 0;
-        for (j = 0; j < n; j++) {
-            i64 ex[3], ey[3];
-            int ne = 0, sum_m = 0;
-            if (masks[j] & 1) {
-                ex[ne] = 1;
-                ey[ne++] = 0;
-            }
-            if (masks[j] & 2) {
-                ex[ne] = 0;
-                ey[ne++] = 1;
-            }
-            if (masks[j] & 4) {
-                ex[ne] = 0;
-                ey[ne++] = 0;
-            }
-            for (int r1 = 0; r1 < acc_m; r1++) {
-                for (int r2 = 0; r2 < ne; r2++) {
-                    sumx[sum_m] = accx[r1] + ex[r2];
-                    sumy[sum_m] = accy[r1] + ey[r2];
-                    sum_m++;
-                }
-            }
-            acc_m = _hull(sumx, sumy, sum_m, accx, accy);
-        }
         if (ncells >= MAXCELLS) {
             PyErr_SetString(PyExc_AssertionError, "cell capacity exceeded");
             return -1;
         }
         Cell *cell = &cells[ncells++];
-        cell->m = acc_m;
+        cell->m = _walk_cell(c, sa, sb, sc, count[1], count[2], cell->vx, cell->vy);
         cell->cls = cls;
         cell->dx = cx;
         cell->dy = cy;
         cell->area2 = 0;
         cell->bdry = 0;
-        for (j = 0; j < acc_m; j++) {
-            cell->vx[j] = accx[j];
-            cell->vy[j] = accy[j];
-        }
-        for (j = 0; j < acc_m; j++) {
-            e = j + 1 == acc_m ? 0 : j + 1;
-            cell->area2 += accx[j] * accy[e] - accy[j] * accx[e];
-            if ((accx[j] == 0 && accx[e] == 0) || (accy[j] == 0 && accy[e] == 0)
-                || (accx[j] + accy[j] == n && accx[e] + accy[e] == n))
+        for (j = 0; j < cell->m; j++) {
+            e = j + 1 == cell->m ? 0 : j + 1;
+            i64 ax = cell->vx[j], ay = cell->vy[j], bx = cell->vx[e], by = cell->vy[e];
+            cell->area2 += ax * by - ay * bx;
+            if ((ax == 0 && bx == 0) || (ay == 0 && by == 0) || (ax + ay == n && bx + by == n))
                 cell->bdry++;
         }
     }
@@ -958,7 +865,7 @@ has_ordinary_line(PyObject *Py_UNUSED(module), PyObject *points)
 {
     i64 px[MAXN], py[MAXN], vx[MAXN], vy[MAXN];
     i64 stabkey[MAXCAND], crossx[6], crossy[6], wx, wy;
-    int nstab = 0, i, j;
+    int nstab = 0, hits, i, j;
     int n = _read_points(points, 2, "need at least two points", px, py);
     if (n < 0)
         return NULL;
@@ -968,18 +875,8 @@ has_ordinary_line(PyObject *Py_UNUSED(module), PyObject *points)
     }
     for (i = 0; i < n; i++) {
         for (j = i + 1; j < n; j++) {
-            i64 dx = vx[j] - vx[i], dy = vy[j] - vy[i];
-            if (_coaxial(dx, dy)) {
-                _coaxial_point(vx[i], vy[i], vx[j], vy[j], &wx, &wy);
-            } else {
-                int hits = _ray_crossings(vx[i], vy[i], dx, dy, crossx, crossy);
-                if (hits != 1)
-                    return PyErr_Format(PyExc_AssertionError,
-                                        "non-coaxial pair %d,%d produced %d crossings",
-                                        i, j, hits);
-                wx = crossx[0];
-                wy = crossy[0];
-            }
+            if (_stable_point(vx, vy, i, j, crossx, crossy, &hits, &wx, &wy) < 0)
+                return NULL;
             stabkey[nstab++] = KEY(wx, wy);
         }
     }

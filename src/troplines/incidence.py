@@ -18,17 +18,19 @@ asserts that equivalence on every run.
 from __future__ import annotations
 
 import enum
+import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .arrangement import Arrangement, build_arrangement
+from .arrangement import Arrangement, _sorted_buckets, build_arrangement
 from .errors import EqualPoints, TooFewPoints
 from .lines import (
     IntersectionKind,
     Point2,
     TropicalLine,
     contains,
-    eval_argmax,
     line_from_vertex,
     pairwise_stable_intersection,
 )
@@ -103,6 +105,16 @@ def stable_lines_through(cfg: PointConfig) -> List[StableLineRecord]:
             result = pairwise_stable_intersection(arr.lines[i], arr.lines[j])
             kinds_seen.setdefault(result.point, set()).add(result.kind)
     dual_vertices = {line.vertex for line in arr.lines}
+    # line i passes through q at its vertex or on one of its rays: the
+    # south ray when its vertex is above q, the west ray when it is right
+    # of q, the northeast ray when it is left of q on the diagonal. So the
+    # vertices are bucketed by x, by y and by x - y, each bucket sorted.
+    vertices = list(enumerate(line.vertex for line in arr.lines))
+    by_x = _sorted_buckets((a, (b, i)) for i, (a, b) in vertices)
+    by_y = _sorted_buckets((b, (a, i)) for i, (a, b) in vertices)
+    by_d = _sorted_buckets((a - b, (a, i)) for i, (a, b) in vertices)
+    empty: List[Tuple[Rational, int]] = []
+    first = itemgetter(0)
     records = []
     for q, kinds in kinds_seen.items():
         witnessed = q in dual_vertices
@@ -110,10 +122,17 @@ def stable_lines_through(cfg: PointConfig) -> List[StableLineRecord]:
             f"kind bookkeeping mismatch at {q}: vertex coincidence {witnessed}, "
             f"pair kinds {kinds}"
         )
+        x, y = q
+        column = by_x.get(x, empty)
+        row = by_y.get(y, empty)
+        diagonal = by_d.get(x - y, empty)
         incident = frozenset(
             i
-            for i, line in enumerate(arr.lines)
-            if len(eval_argmax(line, q)[1]) >= 2
+            for _, i in itertools.chain(
+                column[bisect_left(column, y, key=first):],
+                row[bisect_right(row, x, key=first):],
+                diagonal[:bisect_left(diagonal, x, key=first)],
+            )
         )
         assert len(incident) >= 2, f"stable point {q} incident to {incident}"
         record = StableLineRecord(

@@ -32,15 +32,6 @@ class Point2(NamedTuple):
     x: Rational
     y: Rational
 
-    def __add__(self, other):
-        return Point2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        return Point2(self.x - other.x, self.y - other.y)
-
-    def scale(self, factor: Rational) -> "Point2":
-        return Point2(self.x * factor, self.y * factor)
-
 
 # Axis directions of a tropical line, named by compass heading.
 W = "W"

@@ -280,7 +280,8 @@ def run_sweep(
     """Run the sweep and collect every violation with its configuration.
 
     jobs > 1 analyzes ordered chunks of the configuration stream on that
-    many processes; the report does not depend on the worker count. sink,
+    many processes, or one per chunk when there are fewer chunks; the
+    report does not depend on the worker count. sink,
     when given, receives (index, config, excess, violations) for every
     configuration in order, as soon as that configuration is analyzed. A
     JsonlSink receives the same records as lines encoded by the workers.
@@ -294,7 +295,8 @@ def run_sweep(
     # one configuration at a time in process, each record out before the
     # next; for workers about what Pool.map would pick, capped so the
     # chunks in flight stay small however large the sweep
-    size = 1 if jobs == 1 else max(1, min(1024, _sweep_size(params) // (4 * jobs)))
+    total = _sweep_size(params)
+    size = 1 if jobs == 1 else max(1, min(1024, total // (4 * jobs)))
     chunks = _chunks(params, size, stream is not None)
     histogram: Dict[int, int] = {}
     violations: List[Tuple[Tuple[IntPair, ...], str, str]] = []
@@ -302,7 +304,9 @@ def run_sweep(
         if jobs == 1:
             results: Iterator = ((chunk, _analyze_chunk(chunk)) for chunk in chunks)
         else:
-            pool = stack.enter_context(multiprocessing.Pool(processes=jobs))
+            # no more workers than chunks
+            workers = max(1, min(jobs, -(-total // size)))
+            pool = stack.enter_context(multiprocessing.Pool(processes=workers))
             results = _pooled(pool, chunks, 2 * jobs)
         for chunk, (records, text) in results:
             if stream is not None:

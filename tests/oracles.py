@@ -30,8 +30,10 @@ adjacency or the corner-slot index of the subdivision under test.
 The stable intersection of two tropical lines is checked against its
 definition, the limit of transversal intersections under perturbation.
 Helpers the library itself no longer needs (the boolean regularity
-check, the determined-union count and the duality incidence check) live
-here for the tests that pin them.
+check, the determined-union count, the duality incidence check and
+point arithmetic) live here for the tests that pin them. The library
+finds the lines through each stable point from buckets of the line
+vertices; incident_lines_scan evaluates every line's argmax there.
 A sweep's JSONL line is specified as the json.dumps of its record, which
 the library writes out directly. coordinate_sets draws the distinct
 points (or line vertices) that the route checks run on.
@@ -70,6 +72,18 @@ from troplines.subdivision import (
 RAY_DIRECTIONS = (Point2(-1, 0), Point2(0, -1), Point2(1, 1))  # W, S, NE
 
 
+def point_add(p, q):
+    return Point2(p.x + q.x, p.y + q.y)
+
+
+def point_sub(p, q):
+    return Point2(p.x - q.x, p.y - q.y)
+
+
+def point_scale(p, factor):
+    return Point2(p.x * factor, p.y * factor)
+
+
 def _cross(p, q):
     return p.x * q.y - p.y * q.x
 
@@ -82,12 +96,12 @@ def _ray_crossing(v, d, w, e):
         return None
     # any two distinct directions among W, S and NE have cross product
     # +1 or -1, so dividing by denom is multiplying by it
-    delta = w - v
+    delta = point_sub(w, v)
     t = _cross(delta, e) * denom
     s = _cross(delta, d) * denom
     if t < 0 or s < 0:
         return None
-    return v + d.scale(t)
+    return point_add(v, point_scale(d, t))
 
 
 @st.composite
@@ -180,7 +194,7 @@ def perturbed_intersection_oracle(L1, L2, eps, direction):
         raise IdenticalLines(f"both lines have vertex {L1.vertex}")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    shifted_vertex = L2.vertex + direction.scale(eps)
+    shifted_vertex = point_add(L2.vertex, point_scale(direction, eps))
     if shifted_vertex == L1.vertex or coaxial_points(L1.vertex, shifted_vertex) is not None:
         raise NotTransversal(
             f"shift {direction} by {eps} leaves vertices {L1.vertex}, {shifted_vertex} degenerate"
@@ -191,6 +205,14 @@ def perturbed_intersection_oracle(L1, L2, eps, direction):
             f"perturbed pair {L1.vertex}, {shifted_vertex} produced crossings {sorted(crossings)}"
         )
     return crossings.pop()
+
+
+def incident_lines_scan(arr, q):
+    """The indices of the lines through q, by evaluating every line's
+    argmax set there: q is on a line where two or more terms attain it."""
+    return frozenset(
+        i for i, line in enumerate(arr.lines) if len(eval_argmax(line, q)[1]) >= 2
+    )
 
 
 def lines_through_point(lines, q):

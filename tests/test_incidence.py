@@ -10,6 +10,7 @@ branch.
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from troplines.arrangement import counts
 from troplines.errors import EqualPoints, TooFewPoints
@@ -25,7 +26,7 @@ from troplines.incidence import (
 )
 from troplines.lines import Point2, contains
 
-from oracles import incidence_preserved
+from oracles import coordinate_sets, incidence_preserved, incident_lines_scan
 
 # four points whose dual lines all pass through the origin: one stable
 # line carries all of them
@@ -53,6 +54,18 @@ def test_dualize_points_negates_vertices():
         Point2(2, 0),
         Point2(-2, -2),
     ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(coords=coordinate_sets(max_size=14))
+def test_incident_lines_match_the_argmax_scan(coords):
+    # the buckets find each stable point's lines; the scan evaluates all
+    assume(len(coords) >= 2)
+    cfg = point_config(coords)
+    arr = dualize_points(cfg)
+    for record in stable_lines_through(cfg):
+        q = Point2(-record.line.vertex.x, -record.line.vertex.y)
+        assert record.incident == incident_lines_scan(arr, q), q
 
 
 def test_dualize_is_an_involution():

@@ -1,8 +1,14 @@
 """Backend selection and pure/compiled agreement."""
 
+import hashlib
+import itertools
 import json
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +148,98 @@ def test_kernel_rejects_malformed_points(built_kernel):
     assert built_kernel.analyze_ints([[True, False], [0, 1], [3, 5]]) == \
         built_kernel.analyze_ints([(1, 0), (0, 1), (3, 5)])
     assert built_kernel.has_ordinary_line([[1, 0], (0, 1)]) is True
+
+
+# sha256 of the kernel's records as json.dumps(record, sort_keys=True), one
+# a line, for every subset of 3 to 6 points of the 4 x 4 grid in
+# itertools.combinations order (14,756 configurations)
+GRID_RECORDS_SHA256 = "562eaab1995bac04609e5ab62ae47384c857dfcce2703970a617c5e62448ccce"
+
+
+def test_kernel_records_are_pinned(built_kernel):
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    digest = hashlib.sha256()
+    for n in range(3, 7):
+        for points in itertools.combinations(grid, n):
+            record = built_kernel.analyze_ints(points)
+            digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == GRID_RECORDS_SHA256
+
+
+def test_regularity_rejects_a_lift_convex_across_each_edge_direction(
+    built_kernel, kernel_variant
+):
+    # negating the lift after it is computed keeps it affine on every cell,
+    # so only the dominance test across cell edges can reject it; the three
+    # coaxial pairs each have one interior edge, horizontal, vertical and
+    # diagonal in turn
+    anchor = "    _lift(n, px, py, lift);\n"
+
+    def negate_lift(source):
+        assert source.count(anchor) == 1
+        return source.replace(anchor, anchor + (
+            "    for (i = 0; i <= n; i++)\n"
+            "        for (j = 0; i + j <= n; j++)\n"
+            "            LIFT(i, j) = -LIFT(i, j);\n"))
+
+    faulty = kernel_variant(negate_lift)
+    for points in ([(0, 0), (1, 0)], [(0, 0), (0, 1)], [(0, 0), (1, 1)]):
+        assert built_kernel.analyze_ints(points)["violations"] == []
+        [[suite, detail]] = faulty.analyze_ints(points)["violations"]
+        assert suite == "regularity" and "fails to dominate the lift" in detail, points
+
+
+def _ubsan_corpus():
+    """About 3,000 seeded configurations of 1 to 16 points: spread to the
+    coordinate bound, in range 1000, and crowded into range 3 with many
+    coaxial pairs; then whole rows, columns and diagonals."""
+    rng = random.Random(2020)
+    corpus = []
+    for index in range(3000):
+        n = 1 + index % MAX_KERNEL_POINTS
+        spread = (COORD_LIMIT, 1000, 3)[index % 3]
+        points = set()
+        while len(points) < n:
+            points.add((rng.randint(-spread, spread), rng.randint(-spread, spread)))
+        corpus.append(sorted(points))
+    for n in range(2, MAX_KERNEL_POINTS + 1):
+        corpus += [[(i, 0) for i in range(n)], [(0, i) for i in range(n)],
+                   [(i, i) for i in range(n)],
+                   [(i * COORD_LIMIT // n, -i * COORD_LIMIT // n) for i in range(n)]]
+    return corpus
+
+
+# runs in a child process, so that a sanitizer abort fails one test
+_UBSAN_CHILD = """
+import pickle, sys
+sys.path.insert(0, sys.argv[1])
+from conftest import load_kernel
+kernel = load_kernel(sys.argv[2])
+corpus, malformed = pickle.load(sys.stdin.buffer)
+for points in corpus:
+    assert kernel.analyze_ints(points)["violations"] == [], points
+    if len(points) >= 2:
+        kernel.has_ordinary_line(points)
+for points, error in malformed:
+    for function in (kernel.analyze_ints, kernel.has_ordinary_line):
+        try:
+            function(points)
+        except error:
+            continue
+        raise AssertionError(f"{points} passed")
+"""
+
+
+def test_kernel_has_no_undefined_behaviour(ubsan_kernel):
+    malformed = [(points, error) for points, error, _ in MALFORMED_POINTS]
+    done = subprocess.run(
+        [sys.executable, "-c", _UBSAN_CHILD, str(Path(__file__).parent), str(ubsan_kernel)],
+        input=pickle.dumps((_ubsan_corpus(), malformed)),
+        capture_output=True, timeout=600,
+    )
+    stderr = done.stderr.decode(errors="replace")
+    assert done.returncode == 0, stderr[-3000:]
+    assert "runtime error" not in stderr, stderr[-3000:]
 
 
 # Maps of Z^2 that carry tropical lines to tropical lines: each permutes or

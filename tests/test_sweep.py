@@ -140,6 +140,34 @@ def test_jobs_must_be_positive():
         run_sweep(SweepParams(n=2, mode=Exhaustive(2)), jobs=0)
 
 
+class _PoolRefused(Exception):
+    pass
+
+
+def test_sweeps_start_no_more_workers_than_chunks(monkeypatch):
+    # the stand-in pool records its size and refuses, so nothing is forked
+    # and nothing is analyzed
+    started = []
+
+    def refusing_pool(processes):
+        started.append(processes)
+        raise _PoolRefused
+
+    monkeypatch.setattr(multiprocessing, "Pool", refusing_pool)
+    cases = [
+        (SweepParams(n=3, mode=Random(samples=1, coord_range=5)), 4, 1),
+        (SweepParams(n=3, mode=Random(samples=3, coord_range=5)), 4, 3),
+        # 1,820 configurations in 17 chunks of 113
+        (SweepParams(n=4, mode=Exhaustive(4)), 4, 4),
+        # 376,992 configurations in 369 chunks of 1,024
+        (SweepParams(n=5, mode=Exhaustive(6)), 2, 2),
+    ]
+    for params, jobs, _ in cases:
+        with pytest.raises(_PoolRefused):
+            run_sweep(params, jobs=jobs)
+    assert started == [workers for _, _, workers in cases]
+
+
 def test_sink_sees_every_config_in_order():
     rows = []
     params = SweepParams(n=3, mode=Random(samples=40, coord_range=6, seed=9))
