@@ -20,10 +20,19 @@
  * checks are near-linear in the n^2 unit triangles.
  *
  * Everything is 64-bit integer arithmetic. Coordinates must lie within
- * +/- 2**20 (checked on entry), which bounds every intermediate
- * comfortably below overflow. Python objects appear only at the boundary:
- * the points are converted once on entry, and the record is built once at
- * the end.
+ * +/- 2**20 and there are at most MAXN = 128 = 2**7 points (both checked on
+ * entry), which bounds every intermediate well below 2**63:
+ *   - ray crossings lie within 2**20 + 2**22 < OFF = 2**23 of the origin, so
+ *     a candidate key is below 2**24 * SHIFT = 2**49;
+ *   - the lift is a sum of at most n coordinates, |LIFT| <= 2**27;
+ *   - regularity runs on corners inside n * Delta_2, so corner differences
+ *     are at most 2**7 and det <= 2**15; beta and gamma are at most
+ *     2 * 2**28 * 2**7 = 2**36, alpha at most 2**42 + 2 * 2**43 < 2**45;
+ *   - the largest terms, FIT <= 2**45 + 2 * 2**43 < 2**46 and
+ *     det * LIFT <= 2**42, keep 17 bits of headroom.
+ * Scratch memory is one allocation per call, sized from n. Python objects
+ * appear only at the boundary: the points are converted once on entry, and
+ * the record is built once at the end.
  *
  * Build: python3 setup.py build_ext --inplace, or directly with
  *   cc -O2 -shared -fPIC -I<python include dir> _fastsweep.c -o _fastsweep<EXT_SUFFIX>
@@ -37,10 +46,8 @@
 typedef long long i64;
 
 enum {
-    MAXN = 16,
+    MAXN = 128,
     MAXV = 8,          /* a subdivision cell has at most 6 corners */
-    MAXCELLS = 152,    /* n + n(n-1)/2 at n = 16, plus slack */
-    MAXCAND = 2240,    /* vertices + 10 candidate points per pair, plus slack */
 };
 
 #define NEG (-((i64)1 << 50))
@@ -84,6 +91,56 @@ typedef struct {
     i64 area2;
     int bdry;
 } Cell;
+
+/* One analysis' scratch memory, carved from a single allocation sized from
+ * n. There are at most n + 7 n(n-1)/2 candidate points: the vertices, then
+ * for each pair at most six ray crossings and its stable point. Every cell
+ * comes from a distinct candidate, so the cells and the per-cell arrays
+ * take as many entries; the stable points take n(n-1)/2, the lift
+ * (n + 1)^2 and the owner grid 2 n^2. Nothing is initialized here. */
+typedef struct {
+    void *block;
+    i64 *candkey, *stabkey, *lift, *det, *alpha, *beta, *gamma;
+    Cell *cells;
+    int *slot_head, *slot_next, *union_flags, *adj_tri_count, *seen_by, *determined;
+    int *owner;
+} Scratch;
+
+/* Carve s for n points; -1 with MemoryError set. Free s->block after. */
+static int
+_scratch_new(int n, Scratch *s)
+{
+    size_t pairs = (size_t)n * (n - 1) / 2, cand = n + 7 * pairs;
+    size_t owner_slots = 2 * (size_t)n * n, lift_slots = (size_t)(n + 1) * (n + 1);
+    /* widest alignment first, so each array starts aligned; the owner grid,
+     * indexed by geometry, last, next to any allocator's guard bytes */
+    size_t bytes = (cand + pairs + lift_slots + 4 * cand) * sizeof(i64) + cand * sizeof(Cell)
+                   + (6 * cand + owner_slots) * sizeof(int);
+    char *at = PyMem_Malloc(bytes);
+    s->block = at;
+    if (at == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+#define CARVE(field, count) (s->field = (void *)at, at += (count) * sizeof(*s->field))
+    CARVE(candkey, cand);
+    CARVE(stabkey, pairs);
+    CARVE(lift, lift_slots);
+    CARVE(det, cand);
+    CARVE(alpha, cand);
+    CARVE(beta, cand);
+    CARVE(gamma, cand);
+    CARVE(cells, cand);
+    CARVE(slot_head, cand);
+    CARVE(slot_next, cand);
+    CARVE(union_flags, cand);
+    CARVE(adj_tri_count, cand);
+    CARVE(seen_by, cand);
+    CARVE(determined, cand);
+    CARVE(owner, owner_slots);
+#undef CARVE
+    return 0;
+}
 
 static int
 _cmp_i64(const void *a, const void *b)
@@ -423,11 +480,12 @@ _lift(int n, const i64 *px, const i64 *py, i64 *lift)
  * local test is the global one (see subdivision.check_regularity_detailed).
  * Stops at the first violation; -1 with an exception set. */
 static int
-_regularity(const Cell *cells, int ncells, int n, const i64 *px, const i64 *py,
-            const int *owner, PyObject *violations)
+_regularity(const Scratch *s, int ncells, int n, const i64 *px, const i64 *py,
+            PyObject *violations)
 {
-    i64 lift[(MAXN + 1) * (MAXN + 1)];
-    i64 det[MAXCELLS], alpha[MAXCELLS], beta[MAXCELLS], gamma[MAXCELLS];
+    const Cell *cells = s->cells;
+    const int *owner = s->owner;
+    i64 *lift = s->lift, *det = s->det, *alpha = s->alpha, *beta = s->beta, *gamma = s->gamma;
     int i, j, k;
 #define FIT(k, x, y) (alpha[k] + beta[k] * (x) + gamma[k] * (y))
     _lift(n, px, py, lift);
@@ -487,9 +545,13 @@ _regularity(const Cell *cells, int ncells, int n, const i64 *px, const i64 *py,
  * faces. Returns the near-pencil flag, NEAR_UNTILED when the cells do not
  * tile n * Delta_2, or -1 with an exception set. */
 static int
-_tiled_suites(const Cell *cells, int ncells, int n, int k_faces, const i64 *px,
+_tiled_suites(const Scratch *s, int ncells, int n, int k_faces, const i64 *px,
               const i64 *py, PyObject *violations)
 {
+    const Cell *cells = s->cells;
+    int *owner = s->owner, *slot_head = s->slot_head, *slot_next = s->slot_next;
+    int *union_flags = s->union_flags, *adj_tri_count = s->adj_tri_count;
+    int *seen_by = s->seen_by, *determined = s->determined;
     int i, j, e, k;
     i64 dx, dy;
 
@@ -511,7 +573,6 @@ _tiled_suites(const Cell *cells, int ncells, int n, int k_faces, const i64 *px,
                 area_total, n * n, n);
         return NEAR_UNTILED;
     }
-    int owner[2 * MAXN * MAXN];
     for (i = 0; i < 2 * n * n; i++)
         owner[i] = -1;
     for (k = 0; k < ncells; k++) {
@@ -546,7 +607,7 @@ _tiled_suites(const Cell *cells, int ncells, int n, int k_faces, const i64 *px,
         }
     }
 
-    if (_regularity(cells, ncells, n, px, py, owner, violations) < 0)
+    if (_regularity(s, ncells, n, px, py, violations) < 0)
         return -1;
 
     /* --- near-pencil and the determined-face suites ---------------------- */
@@ -560,7 +621,6 @@ _tiled_suites(const Cell *cells, int ncells, int n, int k_faces, const i64 *px,
 
     /* the parallelograms in each triangle's corner slots, as linked lists;
      * a triangle cell is the one unit triangle at its lex-min corner */
-    int slot_head[MAXCELLS], slot_next[MAXCELLS];
     for (k = 0; k < ncells; k++)
         slot_head[k] = -1;
     for (k = 0; k < ncells; k++) {
@@ -575,13 +635,12 @@ _tiled_suites(const Cell *cells, int ncells, int n, int k_faces, const i64 *px,
         }
     }
 
-    unsigned char union_flags[MAXCELLS] = {0};
-    int adj_tri_count[MAXCELLS] = {0};
-    int seen_by[MAXCELLS];
-    int determined[MAXCELLS];
     int m_noncorner = 0, union_count = 0;
-    for (k = 0; k < ncells; k++)
+    for (k = 0; k < ncells; k++) {
+        union_flags[k] = 0;
+        adj_tri_count[k] = 0;
         seen_by[k] = -1;
+    }
     for (int ti = 0; ti < ncells; ti++) {
         const Cell *tri = &cells[ti];
         if (tri->cls != CLS_TRI)
@@ -647,10 +706,12 @@ _tiled_suites(const Cell *cells, int ncells, int n, int k_faces, const i64 *px,
     return near_pencil;
 }
 
-/* The analysis of n distinct points within the coordinate bound, its
- * violations appended to the list; -1 with an exception set. */
+/* The analysis of n distinct points within the coordinate bound, in scratch
+ * memory s carved for n, its violations appended to the list; -1 with an
+ * exception set. */
 static int
-_analyze(const i64 *px, const i64 *py, int n, PyObject *violations, Summary *out)
+_analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violations,
+         Summary *out)
 {
     i64 vx[MAXN], vy[MAXN];
     int i, j, e;
@@ -660,10 +721,8 @@ _analyze(const i64 *px, const i64 *py, int n, PyObject *violations, Summary *out
     }
 
     /* --- pairwise stable intersections and candidate points ------------ */
-    i64 candkey[MAXCAND];
-    int ncand = 0;
-    i64 stabkey[MAXCAND];
-    int nstab = 0;
+    i64 *candkey = s->candkey, *stabkey = s->stabkey;
+    int ncand = 0, nstab = 0;
     i64 cx, cy, wx, wy;
     i64 crossx[6], crossy[6];
     int hits;
@@ -698,7 +757,7 @@ _analyze(const i64 *px, const i64 *py, int n, PyObject *violations, Summary *out
     int k_pairwise = b_pairwise - h_pairwise;
 
     /* --- arrangement vertices and their dual cells ---------------------- */
-    Cell cells[MAXCELLS];
+    Cell *cells = s->cells;
     int ncells = 0;
 
     for (i = 0; i < ncand_u; i++) {
@@ -716,10 +775,6 @@ _analyze(const i64 *px, const i64 *py, int n, PyObject *violations, Summary *out
             cls = nz == 0 ? CLS_TRI : nz == 1 ? CLS_NU4 : nz == 2 ? CLS_NU5 : CLS_NU6;
         else
             cls = nz == 2 ? CLS_PAR : CLS_HEX;
-        if (ncells >= MAXCELLS) {
-            PyErr_SetString(PyExc_AssertionError, "cell capacity exceeded");
-            return -1;
-        }
         Cell *cell = &cells[ncells++];
         cell->m = _walk_cell(c, sa, sb, sc, count[1], count[2], cell->vx, cell->vy);
         cell->cls = cls;
@@ -764,7 +819,7 @@ _analyze(const i64 *px, const i64 *py, int n, PyObject *violations, Summary *out
     if (t_count == n && triangles > 3)
         VIOLATE("max_triangles", "t=n=%d but %d triangles", t_count, triangles);
 
-    int near_pencil = _tiled_suites(cells, ncells, n, k_faces, px, py, violations);
+    int near_pencil = _tiled_suites(s, ncells, n, k_faces, px, py, violations);
     if (near_pencil < 0)
         return -1;
 
@@ -831,8 +886,9 @@ _record(ModuleState *state, int n, const Summary *s, PyObject *violations)
 PyDoc_STRVAR(analyze_ints_doc,
 "analyze_ints(points)\n--\n\n"
 "The per-configuration analysis record for integer points.\n\n"
-"points is a sequence of 1 to 16 distinct (x, y) tuples or lists of\n"
-"integers within +/- 2**20. Same shape as analysis.analyze_config:\n"
+"points is a sequence of 1 to MAX_POINTS (128) distinct (x, y) tuples\n"
+"or lists of integers within +/- 2**20. Same shape as\n"
+"analysis.analyze_config:\n"
 "counts, flags, excess and the violations list with the shared suite\n"
 "vocabulary.");
 
@@ -841,16 +897,16 @@ analyze_ints(PyObject *module, PyObject *points)
 {
     i64 px[MAXN], py[MAXN];
     Summary summary;
+    Scratch scratch;
     int n = _read_points(points, 1, "need at least one point", px, py);
-    if (n < 0)
-        return NULL;
-    PyObject *violations = PyList_New(0);
-    if (violations == NULL)
+    if (n < 0 || _scratch_new(n, &scratch) < 0)
         return NULL;
     PyObject *record = NULL;
-    if (_analyze(px, py, n, violations, &summary) == 0)
+    PyObject *violations = PyList_New(0);
+    if (violations != NULL && _analyze(px, py, n, &scratch, violations, &summary) == 0)
         record = _record(PyModule_GetState(module), n, &summary, violations);
-    Py_DECREF(violations);
+    Py_XDECREF(violations);
+    PyMem_Free(scratch.block);
     return record;
 }
 
@@ -864,24 +920,30 @@ static PyObject *
 has_ordinary_line(PyObject *Py_UNUSED(module), PyObject *points)
 {
     i64 px[MAXN], py[MAXN], vx[MAXN], vy[MAXN];
-    i64 stabkey[MAXCAND], crossx[6], crossy[6], wx, wy;
+    i64 crossx[6], crossy[6], wx, wy;
     int nstab = 0, hits, i, j;
     int n = _read_points(points, 2, "need at least two points", px, py);
     if (n < 0)
         return NULL;
+    i64 *stabkey = PyMem_New(i64, (size_t)n * (n - 1) / 2);
+    if (stabkey == NULL)
+        return PyErr_NoMemory();
+    PyObject *result = Py_False;
     for (i = 0; i < n; i++) {
         vx[i] = -px[i];
         vy[i] = -py[i];
     }
     for (i = 0; i < n; i++) {
         for (j = i + 1; j < n; j++) {
-            if (_stable_point(vx, vy, i, j, crossx, crossy, &hits, &wx, &wy) < 0)
-                return NULL;
+            if (_stable_point(vx, vy, i, j, crossx, crossy, &hits, &wx, &wy) < 0) {
+                result = NULL;
+                goto done;
+            }
             stabkey[nstab++] = KEY(wx, wy);
         }
     }
     nstab = _sort_unique(stabkey, nstab);
-    for (i = 0; i < nstab; i++) {
+    for (i = 0; i < nstab && result == Py_False; i++) {
         i64 cx = KEY_X(stabkey[i]), cy = KEY_Y(stabkey[i]);
         int incident = 0;
         for (j = 0; j < n; j++) {
@@ -890,9 +952,11 @@ has_ordinary_line(PyObject *Py_UNUSED(module), PyObject *points)
                 incident++;
         }
         if (incident == 2)
-            Py_RETURN_TRUE;
+            result = Py_True;
     }
-    Py_RETURN_FALSE;
+done:
+    PyMem_Free(stabkey);
+    return Py_XNewRef(result);
 }
 
 /* ---- module definition (multi-phase initialization, PEP 489) ------------ */
@@ -912,7 +976,7 @@ fastsweep_exec(PyObject *module)
         if (state->keys[k] == NULL)
             return -1;
     }
-    return 0;
+    return PyModule_AddIntConstant(module, "MAX_POINTS", MAXN);
 }
 
 static int

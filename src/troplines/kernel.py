@@ -3,7 +3,7 @@
 Verification sweeps call analyze() here instead of the pure routine in
 troplines.analysis. kernel_pairs() is the one eligibility rule: a
 configuration fits the compiled kernel built from _fastsweep.c when it
-has at most 16 points with integer coordinates of magnitude at most
+has at most 128 points with integer coordinates of magnitude at most
 2**20. When the extension is importable, eligible configurations go to
 it and everything else to the pure-Python implementation; without the
 extension every call is pure. Both produce the same analysis record,
@@ -23,7 +23,7 @@ from .analysis import analyze_config
 from .incidence import PointConfig, ordinary_stable_lines
 
 COORD_LIMIT = 1 << 20
-MAX_KERNEL_POINTS = 16
+MAX_KERNEL_POINTS = 128
 
 try:
     from . import _fastsweep as _COMPILED

@@ -2,6 +2,7 @@
 
 import importlib.machinery
 import importlib.util
+import os
 import shutil
 import subprocess
 import sys
@@ -59,24 +60,49 @@ def kernel_variant(tmp_path):
     return build
 
 
-@pytest.fixture(scope="session")
-def ubsan_kernel(tmp_path_factory):
-    """The path of the kernel compiled at -O1 with the undefined-behaviour
-    sanitizer, which aborts at the first report. Skips the test when the
-    toolchain cannot build it or this interpreter cannot load it."""
-    directory = tmp_path_factory.mktemp("ubsan")
+def _sanitized_kernel(directory, flags, env=None):
+    """The path of the kernel compiled at -O1 with the sanitizer flags into
+    directory, once a child interpreter with env added to its environment
+    has loaded it. Skips the test when the toolchain cannot build it or
+    the interpreter cannot load it."""
     try:
-        target = compile_kernel(directory, "-O1", "-fsanitize=undefined",
-                                "-fno-sanitize-recover=all")
+        target = compile_kernel(directory, "-O1", *flags)
     except subprocess.CalledProcessError:
-        pytest.skip("the C compiler cannot build with -fsanitize=undefined")
+        pytest.skip(f"the C compiler cannot build with {' '.join(flags)}")
     probe = subprocess.run(
         [sys.executable, "-c",
          "import sys; sys.path.insert(0, sys.argv[1]); import conftest; "
          "conftest.load_kernel(sys.argv[2])",
          str(Path(__file__).parent), str(target)],
-        capture_output=True, timeout=120,
+        capture_output=True, timeout=120, env={**os.environ, **(env or {})},
     )
     if probe.returncode != 0:
         pytest.skip(f"the sanitized kernel does not load: {probe.stderr[-300:]!r}")
     return target
+
+
+@pytest.fixture(scope="session")
+def ubsan_kernel(tmp_path_factory):
+    """The path of the kernel compiled with the undefined-behaviour
+    sanitizer, which aborts at the first report."""
+    return _sanitized_kernel(tmp_path_factory.mktemp("ubsan"),
+                             ["-fsanitize=undefined", "-fno-sanitize-recover=all"])
+
+
+@pytest.fixture(scope="session")
+def asan_kernel(tmp_path_factory):
+    """(path, environment) of the kernel compiled with the address
+    sanitizer, which aborts at the first heap overrun, and the additions
+    to the environment under which an interpreter not built with the
+    sanitizer loads it: the sanitizer's runtime preloaded, leak checks off
+    (the interpreter keeps memory until exit) and Python's allocator
+    replaced by malloc, so that every block the kernel allocates has guard
+    bytes. Skips the test when the compiler has no such runtime."""
+    compiler = shutil.which("cc")
+    runtime = compiler and subprocess.run(
+        [compiler, "-print-file-name=libasan.so"], capture_output=True, text=True, timeout=60,
+    ).stdout.strip()
+    if not runtime or not Path(runtime).is_absolute():
+        pytest.skip("the C compiler has no address-sanitizer runtime")
+    env = {"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0", "PYTHONMALLOC": "malloc"}
+    return _sanitized_kernel(tmp_path_factory.mktemp("asan"), ["-fsanitize=address"], env), env

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import os
 import pickle
 import random
 import subprocess
@@ -76,21 +77,37 @@ def test_both_backends_serialize_identically():
     assert json.loads(fast)["v"] == 5
 
 
+# sizes past 16 points, up to the kernel's limit
+LARGE_SIZES = (17, 24, 32, 48, 64, 96, 128)
+CORNERS = [(COORD_LIMIT, COORD_LIMIT), (-COORD_LIMIT, -COORD_LIMIT),
+           (COORD_LIMIT, -COORD_LIMIT), (-COORD_LIMIT, COORD_LIMIT)]
+
+
+def _crowded_range(n):
+    """The smallest range, at least 4, whose box [-r, r]^2 holds n points."""
+    r = 4
+    while (2 * r + 1) ** 2 < n:
+        r += 1
+    return r
+
+
+def _seeded_points(rng, n, spread, fixed=()):
+    points = set(fixed)
+    while len(points) < n:
+        points.add((rng.randint(-spread, spread), rng.randint(-spread, spread)))
+    return sorted(points)
+
+
 def _agreement_sample():
-    """Fixed n = 12-16 configurations: wide ones reaching +-2**20, corner
-    points exactly at the bound, and crowded small-range ones full of
-    coaxial pairs."""
+    """Fixed configurations of n = 12-16 points and of each of
+    LARGE_SIZES: wide ones reaching +-2**20, ones with corner points
+    exactly at the bound, and crowded small-range ones full of coaxial
+    pairs."""
     rng = random.Random(416)
-    corners = [(COORD_LIMIT, COORD_LIMIT), (-COORD_LIMIT, -COORD_LIMIT),
-               (COORD_LIMIT, -COORD_LIMIT), (-COORD_LIMIT, COORD_LIMIT)]
-    sample = []
-    for n in range(12, MAX_KERNEL_POINTS + 1):
-        for spread, fixed in ((COORD_LIMIT, corners), (COORD_LIMIT, []), (4, [])):
-            points = set(fixed)
-            while len(points) < n:
-                points.add((rng.randint(-spread, spread), rng.randint(-spread, spread)))
-            sample.append(sorted(points))
-    return sample
+    return [_seeded_points(rng, n, spread, fixed)
+            for n in (*range(12, 17), *LARGE_SIZES)
+            for spread, fixed in ((COORD_LIMIT, CORNERS), (COORD_LIMIT, []),
+                                  (_crowded_range(n), []))]
 
 
 @settings(max_examples=50, deadline=None)
@@ -111,6 +128,16 @@ def test_has_ordinary_line_matches_the_pure_reference(built_kernel, points):
     reference = len(ordinary_stable_lines(cfg)) > 0
     assert built_kernel.has_ordinary_line(points) == reference
     assert has_ordinary_line(cfg) == reference
+
+
+def test_kernel_limit_is_the_extension_limit(built_kernel):
+    assert MAX_KERNEL_POINTS == built_kernel.MAX_POINTS
+    too_many = [(i, i * i % 1000) for i in range(MAX_KERNEL_POINTS + 1)]
+    message = f"at most {MAX_KERNEL_POINTS} points, got {MAX_KERNEL_POINTS + 1}"
+    for function in (built_kernel.analyze_ints, built_kernel.has_ordinary_line):
+        with pytest.raises(ValueError, match=message):
+            function(too_many)
+        function(too_many[:-1])
 
 
 def test_built_kernel_agrees_with_the_pure_reference(built_kernel):
@@ -189,28 +216,37 @@ def test_regularity_rejects_a_lift_convex_across_each_edge_direction(
         assert suite == "regularity" and "fails to dominate the lift" in detail, points
 
 
-def _ubsan_corpus():
+def _lines(n):
+    """A row, a column, a diagonal and a long antidiagonal of n points."""
+    return [[(i, 0) for i in range(n)], [(0, i) for i in range(n)],
+            [(i, i) for i in range(n)],
+            [(i * COORD_LIMIT // n, -i * COORD_LIMIT // n) for i in range(n)]]
+
+
+def _sanitizer_corpus():
     """About 3,000 seeded configurations of 1 to 16 points: spread to the
     coordinate bound, in range 1000, and crowded into range 3 with many
-    coaxial pairs; then whole rows, columns and diagonals."""
+    coaxial pairs; then whole rows, columns and diagonals. Then for each
+    of LARGE_SIZES, configurations with corners at the bound, spread to
+    it, in range 1000 and crowded, and rows, columns and diagonals at the
+    kernel's limit."""
     rng = random.Random(2020)
     corpus = []
     for index in range(3000):
-        n = 1 + index % MAX_KERNEL_POINTS
+        n = 1 + index % 16
         spread = (COORD_LIMIT, 1000, 3)[index % 3]
-        points = set()
-        while len(points) < n:
-            points.add((rng.randint(-spread, spread), rng.randint(-spread, spread)))
-        corpus.append(sorted(points))
-    for n in range(2, MAX_KERNEL_POINTS + 1):
-        corpus += [[(i, 0) for i in range(n)], [(0, i) for i in range(n)],
-                   [(i, i) for i in range(n)],
-                   [(i * COORD_LIMIT // n, -i * COORD_LIMIT // n) for i in range(n)]]
-    return corpus
+        corpus.append(_seeded_points(rng, n, spread))
+    for n in range(2, 17):
+        corpus += _lines(n)
+    for n in LARGE_SIZES:
+        corpus += [_seeded_points(rng, n, COORD_LIMIT, CORNERS),
+                   _seeded_points(rng, n, COORD_LIMIT), _seeded_points(rng, n, 1000),
+                   _seeded_points(rng, n, _crowded_range(n))]
+    return corpus + _lines(MAX_KERNEL_POINTS)
 
 
 # runs in a child process, so that a sanitizer abort fails one test
-_UBSAN_CHILD = """
+_SANITIZER_CHILD = """
 import pickle, sys
 sys.path.insert(0, sys.argv[1])
 from conftest import load_kernel
@@ -230,16 +266,31 @@ for points, error in malformed:
 """
 
 
-def test_kernel_has_no_undefined_behaviour(ubsan_kernel):
+def _run_sanitized(kernel_path, env=None):
+    """The stderr of a child interpreter running the sanitizer corpus and
+    the malformed inputs through the kernel at kernel_path, with env added
+    to its environment; fails the test when the child fails."""
     malformed = [(points, error) for points, error, _ in MALFORMED_POINTS]
     done = subprocess.run(
-        [sys.executable, "-c", _UBSAN_CHILD, str(Path(__file__).parent), str(ubsan_kernel)],
-        input=pickle.dumps((_ubsan_corpus(), malformed)),
-        capture_output=True, timeout=600,
+        [sys.executable, "-c", _SANITIZER_CHILD, str(Path(__file__).parent), str(kernel_path)],
+        input=pickle.dumps((_sanitizer_corpus(), malformed)),
+        capture_output=True, timeout=600, env={**os.environ, **(env or {})},
     )
     stderr = done.stderr.decode(errors="replace")
     assert done.returncode == 0, stderr[-3000:]
+    return stderr
+
+
+def test_kernel_has_no_undefined_behaviour(ubsan_kernel):
+    stderr = _run_sanitized(ubsan_kernel)
     assert "runtime error" not in stderr, stderr[-3000:]
+
+
+def test_kernel_stays_inside_its_memory(asan_kernel):
+    # heap overruns of the scratch block, which UBSan cannot see
+    path, env = asan_kernel
+    stderr = _run_sanitized(path, env)
+    assert "AddressSanitizer" not in stderr, stderr[-3000:]
 
 
 # Maps of Z^2 that carry tropical lines to tropical lines: each permutes or

@@ -1,5 +1,6 @@
 """Sweep enumeration, streaming, and the ordinary-line failure search."""
 
+import io
 import itertools
 import multiprocessing
 import random
@@ -18,6 +19,7 @@ from troplines.incidence import ordinary_stable_lines, point_config
 from troplines.sweep import (
     ALL_CHECKS,
     Exhaustive,
+    JsonlSink,
     Random,
     SweepParams,
     _config_list,
@@ -312,7 +314,9 @@ def _corner_config(n, coord_range):
     "params, extreme, fits",
     [
         (SweepParams(n=16, mode=Exhaustive(5)), _last_lattice_config(16, 5), True),
-        (SweepParams(n=17, mode=Exhaustive(5)), _last_lattice_config(17, 5), False),
+        (SweepParams(n=17, mode=Exhaustive(5)), _last_lattice_config(17, 5), True),
+        (SweepParams(n=128, mode=Exhaustive(12)), _last_lattice_config(128, 12), True),
+        (SweepParams(n=129, mode=Exhaustive(12)), _last_lattice_config(129, 12), False),
         (SweepParams(n=3, mode=Random(samples=1, coord_range=2**20)),
          _corner_config(3, 2**20), True),
         (SweepParams(n=3, mode=Random(samples=1, coord_range=2**20 + 1)),
@@ -322,7 +326,8 @@ def _corner_config(n, coord_range):
         (SweepParams(n=3, mode=Exhaustive(2**20 + 2)),
          _last_lattice_config(3, 2**20 + 2), False),
     ],
-    ids=["n16", "n17", "range-limit", "range-past", "grid-limit", "grid-past"],
+    ids=["n16", "n17", "n-limit", "n-past", "range-limit", "range-past", "grid-limit",
+         "grid-past"],
 )
 def test_kernel_route_agrees_with_kernel_pairs_at_its_boundaries(
     monkeypatch, params, extreme, fits
@@ -354,6 +359,47 @@ def test_failure_search_takes_the_kernel_route(built_kernel, monkeypatch):
         compiled = sg_failure_search(5, params, stop_after=200)
     assert [c.points for c in compiled] == [c.points for c in pure]
     assert len(pure) == 90
+
+
+def test_failure_search_takes_the_kernel_route_past_16_points(built_kernel, monkeypatch):
+    params = SweepParams(n=20, mode=Random(samples=20, coord_range=2, seed=20))
+    monkeypatch.setattr(kernel, "_COMPILED", None)
+    with pytest.warns(BudgetExhausted):
+        pure = sg_failure_search(20, params, stop_after=100)
+
+    def not_this_route(cfg):
+        raise AssertionError("the search went through kernel.has_ordinary_line")
+
+    monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
+    monkeypatch.setattr(kernel, "has_ordinary_line", not_this_route)
+    with pytest.warns(BudgetExhausted):
+        compiled = sg_failure_search(20, params, stop_after=100)
+    assert [c.points for c in compiled] == [c.points for c in pure]
+    assert len(pure) == 15
+
+
+@pytest.mark.parametrize("n, coord_range", [(24, 6), (40, 1000)])
+def test_large_random_sweeps_write_the_same_jsonl_on_both_routes(
+    built_kernel, monkeypatch, n, coord_range
+):
+    params = SweepParams(n=n, mode=Random(samples=8, coord_range=coord_range, seed=n))
+
+    def jsonl():
+        stream = io.StringIO()
+        report = run_sweep(params, sink=JsonlSink(stream))
+        return stream.getvalue().encode(), _summary(report)
+
+    def not_this_route(cfg):
+        raise AssertionError("the sweep went through kernel.analyze")
+
+    monkeypatch.setattr(kernel, "_COMPILED", None)
+    assert not sweep._kernel_route(params)
+    pure = jsonl()
+    monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
+    monkeypatch.setattr(kernel, "analyze", not_this_route)
+    assert sweep._kernel_route(params)
+    assert jsonl() == pure
+    assert pure[0].count(b"\n") == 8
 
 
 # configurations on the 4x4 grid with no ordinary stable line, by n
