@@ -30,9 +30,14 @@
  *     2 * 2**28 * 2**7 = 2**36, alpha at most 2**42 + 2 * 2**43 < 2**45;
  *   - the largest terms, FIT <= 2**45 + 2 * 2**43 < 2**46 and
  *     det * LIFT <= 2**42, keep 17 bits of headroom.
- * Scratch memory is one allocation per call, sized from n. Python objects
- * appear only at the boundary: the points are converted once on entry, and
- * the record is built once at the end.
+ * Python objects appear only at the boundary: the points are converted once
+ * on entry. analyze_ints takes one configuration, with scratch memory
+ * allocated for the call and sized from n, and builds its record dict once
+ * at the end. analyze_chunk takes a sweep's chunk of configurations, with
+ * one scratch allocation for the chunk sized from its largest n; it writes
+ * each configuration's JSONL line straight into one text buffer and its
+ * excess into one bytes object, and makes Python objects only for the
+ * records that have violations.
  *
  * Build: python3 setup.py build_ext --inplace, or directly with
  *   cc -O2 -shared -fPIC -I<python include dir> _fastsweep.c -o _fastsweep<EXT_SUFFIX>
@@ -959,11 +964,213 @@ done:
     return Py_XNewRef(result);
 }
 
+/* ---- the chunk entry -------------------------------------------------- */
+
+/* A growing buffer for a chunk's JSONL text. */
+typedef struct {
+    char *data;
+    size_t used, size;
+} Text;
+
+/* Room for extra more bytes; -1 with MemoryError set. */
+static int
+_text_reserve(Text *text, size_t extra)
+{
+    if (text->used + extra <= text->size)
+        return 0;
+    size_t size = 2 * text->size + extra;
+    char *data = PyMem_Realloc(text->data, size);
+    if (data == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    text->data = data;
+    text->size = size;
+    return 0;
+}
+
+static char *
+_put(char *at, const char *bytes, size_t length)
+{
+    memcpy(at, bytes, length);
+    return at + length;
+}
+
+#define PUT_LITERAL(at, literal) _put(at, literal, sizeof(literal) - 1)
+
+/* v in decimal, as Python's "%d" writes it; at most 20 characters. */
+static char *
+_put_int(char *at, i64 v)
+{
+    char digits[20];
+    int k = 0;
+    unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
+    if (v < 0)
+        *at++ = '-';
+    do {
+        digits[k++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    while (k)
+        *at++ = digits[--k];
+    return at;
+}
+
+/* A JSONL line's bytes besides its violations, for n points within the
+ * coordinate bound: each point "[x,y]," takes at most 2 * 8 + 4. */
+#define LINE_BYTES(n) (128 + 20 * (size_t)(n))
+
+/* Append one sweep record's JSONL line, the bytes of
+ * serialize.sweep_line_json: {"config":[[x,y],...],"excess":e,"index":i,
+ * "violations":[["suite","detail"],...]}. The kernel's suite names and
+ * messages are printable ASCII without quotes or backslashes (the test
+ * suite pins every format string), which json.dumps writes unescaped. */
+static int
+_put_line(Text *text, i64 index, const i64 *px, const i64 *py, int n, int excess,
+          PyObject *violations)
+{
+    Py_ssize_t count = violations == NULL ? 0 : PyList_GET_SIZE(violations);
+    if (_text_reserve(text, LINE_BYTES(n)) < 0)
+        return -1;
+    char *at = text->data + text->used;
+    at = PUT_LITERAL(at, "{\"config\":[");
+    for (int i = 0; i < n; i++) {
+        at = PUT_LITERAL(at, "[");
+        at = _put_int(at, px[i]);
+        at = PUT_LITERAL(at, ",");
+        at = _put_int(at, py[i]);
+        at = i + 1 < n ? PUT_LITERAL(at, "],") : PUT_LITERAL(at, "]");
+    }
+    at = PUT_LITERAL(at, "],\"excess\":");
+    at = _put_int(at, excess);
+    at = PUT_LITERAL(at, ",\"index\":");
+    at = _put_int(at, index);
+    at = PUT_LITERAL(at, ",\"violations\":[");
+    text->used = at - text->data;
+    for (Py_ssize_t v = 0; v < count; v++) {
+        PyObject *entry = PyList_GET_ITEM(violations, v);
+        Py_ssize_t suite_len, detail_len;
+        const char *suite = PyUnicode_AsUTF8AndSize(PyList_GET_ITEM(entry, 0), &suite_len);
+        if (suite == NULL)
+            return -1;
+        const char *detail = PyUnicode_AsUTF8AndSize(PyList_GET_ITEM(entry, 1), &detail_len);
+        if (detail == NULL || _text_reserve(text, suite_len + detail_len + 8) < 0)
+            return -1;
+        at = text->data + text->used;
+        at = v > 0 ? PUT_LITERAL(at, ",[\"") : PUT_LITERAL(at, "[\"");
+        at = _put(at, suite, suite_len);
+        at = PUT_LITERAL(at, "\",\"");
+        at = _put(at, detail, detail_len);
+        at = PUT_LITERAL(at, "\"]");
+        text->used = at - text->data;
+    }
+    if (_text_reserve(text, 4) < 0)
+        return -1;
+    at = PUT_LITERAL(text->data + text->used, "]}\n");
+    text->used = at - text->data;
+    return 0;
+}
+
+/* The entries of violations whose suite name is in checks, as a new list;
+ * NULL with an exception set. */
+static PyObject *
+_kept(PyObject *violations, PyObject *checks)
+{
+    PyObject *kept = PyList_New(0);
+    for (Py_ssize_t v = 0; kept != NULL && v < PyList_GET_SIZE(violations); v++) {
+        PyObject *entry = PyList_GET_ITEM(violations, v);
+        int in = PySequence_Contains(checks, PyList_GET_ITEM(entry, 0));
+        if (in < 0 || (in && PyList_Append(kept, entry) < 0))
+            Py_CLEAR(kept);
+    }
+    return kept;
+}
+
+PyDoc_STRVAR(analyze_chunk_doc,
+"analyze_chunk(configs, start, checks, encode)\n--\n\n"
+"A sweep's chunk of configurations analyzed in one call: configs is a\n"
+"sequence of point sequences, each taken as analyze_ints takes it, and\n"
+"the first of them has sweep index start. Returns (excesses, flagged,\n"
+"text): excesses holds each configuration's excess as a native int\n"
+"(array('i') bytes); flagged lists (offset, violations) in offset order\n"
+"for the configurations that have violations whose suite is in checks,\n"
+"with only those violations; text is the chunk's JSONL lines, each\n"
+"serialize.sweep_line_json's line of the record plus a newline, or None\n"
+"when encode is false.");
+
+static PyObject *
+analyze_chunk(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *configs, *checks;
+    Py_ssize_t start;
+    int encode;
+    if (!PyArg_ParseTuple(args, "OnOp:analyze_chunk", &configs, &start, &checks, &encode))
+        return NULL;
+    /* a private tuple, as _read_points takes the points */
+    PyObject *seq = PySequence_Tuple(configs);
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t count = PyTuple_GET_SIZE(seq);
+    PyObject *excesses = PyBytes_FromStringAndSize(NULL, count * (Py_ssize_t)sizeof(int));
+    PyObject *flagged = PyList_New(0);
+    PyObject *violations = PyList_New(0);
+    PyObject *kept = NULL, *lines, *result = NULL;
+    Text text = {NULL, 0, 0};
+    Scratch scratch = {0};
+    int capacity = 0;
+    if (excesses == NULL || flagged == NULL || violations == NULL)
+        goto done;
+    for (Py_ssize_t offset = 0; offset < count; offset++) {
+        i64 px[MAXN], py[MAXN];
+        Summary summary;
+        int n = _read_points(PyTuple_GET_ITEM(seq, offset), 1, "need at least one point", px, py);
+        if (n < 0)
+            goto done;
+        if (n > capacity) {
+            PyMem_Free(scratch.block);
+            if (_scratch_new(n, &scratch) < 0)
+                goto done;
+            capacity = n;
+        }
+        if (_analyze(px, py, n, &scratch, violations, &summary) < 0)
+            goto done;
+        memcpy(PyBytes_AS_STRING(excesses) + offset * sizeof(int), &summary.excess, sizeof(int));
+        Py_CLEAR(kept);
+        if (PyList_GET_SIZE(violations) > 0) {
+            kept = _kept(violations, checks);
+            if (kept == NULL || PyList_SetSlice(violations, 0, PY_SSIZE_T_MAX, NULL) < 0)
+                goto done;
+            if (PyList_GET_SIZE(kept) > 0) {
+                PyObject *entry = Py_BuildValue("(nO)", offset, kept);
+                int rc = entry == NULL ? -1 : PyList_Append(flagged, entry);
+                Py_XDECREF(entry);
+                if (rc < 0)
+                    goto done;
+            }
+        }
+        if (encode && _put_line(&text, start + offset, px, py, n, summary.excess, kept) < 0)
+            goto done;
+    }
+    lines = encode ? PyUnicode_DecodeASCII(text.data, text.used, NULL) : Py_NewRef(Py_None);
+    if (lines != NULL)
+        result = Py_BuildValue("(OON)", excesses, flagged, lines);
+done:
+    PyMem_Free(scratch.block);
+    PyMem_Free(text.data);
+    Py_XDECREF(kept);
+    Py_XDECREF(violations);
+    Py_XDECREF(flagged);
+    Py_XDECREF(excesses);
+    Py_DECREF(seq);
+    return result;
+}
+
 /* ---- module definition (multi-phase initialization, PEP 489) ------------ */
 
 static PyMethodDef fastsweep_methods[] = {
     {"analyze_ints", analyze_ints, METH_O, analyze_ints_doc},
     {"has_ordinary_line", has_ordinary_line, METH_O, has_ordinary_line_doc},
+    {"analyze_chunk", analyze_chunk, METH_VARARGS, analyze_chunk_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -28,7 +28,7 @@ from .lines import Point2
 from .rationals import Rational
 from .serialize import analyze_report, load_input, parse_rational, rational_to_json
 from .svg import render_svg
-from .sweep import Exhaustive, JsonlSink, Random, SweepParams, run_sweep
+from .sweep import Exhaustive, JsonlSink, Random, SweepParams, _kernel_route, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,6 +142,7 @@ def cmd_verify(args) -> int:
         "histogram": {str(k): v for k, v in report.histogram.items()},
         "elapsed": report.elapsed,
         "backend": kernel.backend_name(),
+        "route": "compiled" if _kernel_route(params) else "pure",
     }
     print(json.dumps(summary, indent=2))
     if report.violations:

@@ -6,12 +6,15 @@ identities, determined-face inequalities) and every violation is kept
 with the configuration that produced it, so a failing sweep replays as a
 standalone test case. Violations are data, not exceptions.
 
-Each sweep reads one lazy configuration stream in a fixed order; workers
-take it in ordered chunks, a bounded number at a time, so memory does not
-grow with the sweep size and results are identical for any worker count
-and fixed parameters (elapsed time aside). When n and the grid or range
-fit the compiled kernel, the stream's int tuples go to it directly, and
-JSONL lines are encoded next to the analysis, in the workers.
+Each sweep reads one lazy configuration stream in a fixed order, cut
+into ordered chunks; workers take a bounded number of chunks at a time, so
+memory does not grow with the sweep size and results are identical for
+any worker count and fixed parameters (elapsed time aside). JSONL lines
+are encoded next to the analysis, in the workers. When n and the grid or
+range fit the compiled kernel, each chunk's int tuples go to it in one
+call, which returns the chunk's excesses, its violations and its JSONL
+text; the main process then touches single records only for a plain
+callable sink.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import multiprocessing
 import random
 import time
 import warnings
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
@@ -215,35 +219,55 @@ class _Chunk(NamedTuple):
     encode: bool
 
 
-def _analyze_chunk(chunk: _Chunk) -> Tuple[List[Tuple[int, list]], Optional[str]]:
-    """The (excess, violations in chunk.checks) of each configuration of
-    the chunk in order, and their JSONL lines, newline-terminated and
-    joined, when chunk.encode is set (None otherwise).
+@contextlib.contextmanager
+def _naming(pairs: Tuple[IntPair, ...]) -> Iterator[None]:
+    """Raise an AssertionError from the analysis of pairs again, naming
+    the points."""
+    try:
+        yield
+    except AssertionError as exc:
+        raise AssertionError(
+            f"{str(exc) or 'assertion failed'} at points {[list(p) for p in pairs]}"
+        ) from exc
 
-    The kernel route passes the int tuples straight to the extension;
-    otherwise each configuration goes through kernel.analyze. An
+
+def _analyze_chunk(chunk: _Chunk) -> Tuple[array, List[Tuple[int, list]], Optional[str]]:
+    """The excess of each configuration of the chunk in order, the
+    (offset in the chunk, violations in chunk.checks) of those that have
+    any, and their JSONL lines, newline-terminated and joined, when
+    chunk.encode is set (None otherwise).
+
+    The kernel route passes the chunk's int tuples to the extension in one
+    call; otherwise each configuration goes through kernel.analyze. An
     AssertionError from either is raised again naming the points.
     """
-    analyze_ints = kernel._COMPILED.analyze_ints if chunk.compiled else None
-    checks = chunk.checks
-    records: List[Tuple[int, list]] = []
-    lines: List[str] = []
-    for index, pairs in enumerate(chunk.configs, chunk.start):
+    if chunk.compiled:
+        analyze_chunk = kernel._COMPILED.analyze_chunk
         try:
-            if analyze_ints is not None:
-                record = analyze_ints(pairs)
-            else:
-                record = kernel.analyze(point_config(pairs))
-        except AssertionError as exc:
-            raise AssertionError(
-                f"{str(exc) or 'assertion failed'} at points {[list(p) for p in pairs]}"
-            ) from exc
+            raw, flagged, text = analyze_chunk(
+                chunk.configs, chunk.start, chunk.checks, chunk.encode)
+        except AssertionError:
+            # the kernel is deterministic, so the configuration that failed
+            # fails again on its own
+            for offset, pairs in enumerate(chunk.configs):
+                with _naming(pairs):
+                    analyze_chunk((pairs,), chunk.start + offset, chunk.checks, False)
+            raise
+        return array("i", raw), flagged, text
+    excesses = array("i")
+    flagged = []
+    lines: List[str] = []
+    for offset, pairs in enumerate(chunk.configs):
+        with _naming(pairs):
+            record = kernel.analyze(point_config(pairs))
         excess = record["excess"]
-        bad = [v for v in record["violations"] if v[0] in checks]
-        records.append((excess, bad))
+        bad = [v for v in record["violations"] if v[0] in chunk.checks]
+        excesses.append(excess)
+        if bad:
+            flagged.append((offset, bad))
         if chunk.encode:
-            lines.append(sweep_line_json(index, pairs, excess, bad))
-    return records, "\n".join(lines) + "\n" if chunk.encode else None
+            lines.append(sweep_line_json(chunk.start + offset, pairs, excess, bad))
+    return excesses, flagged, "\n".join(lines) + "\n" if chunk.encode else None
 
 
 def _chunks(params: SweepParams, size: int, encode: bool) -> Iterator[_Chunk]:
@@ -256,6 +280,14 @@ def _chunks(params: SweepParams, size: int, encode: bool) -> Iterator[_Chunk]:
         _Chunk(number * size, part, params.checks, compiled, encode)
         for number, part in enumerate(parts)
     )
+
+
+def _chunk_size(total: int, jobs: int) -> int:
+    """Configurations per chunk for a sweep of total on jobs processes: one
+    at a time in process, each record out before the next; for workers
+    about what Pool.map would pick, capped so the chunks in flight stay
+    small however large the sweep."""
+    return 1 if jobs == 1 else max(1, min(1024, total // (4 * jobs)))
 
 
 def _pooled(pool, chunks: Iterator[_Chunk], window: int) -> Iterator:
@@ -292,11 +324,8 @@ def run_sweep(
     stream = None
     if isinstance(sink, JsonlSink):
         stream, sink = sink.stream, None
-    # one configuration at a time in process, each record out before the
-    # next; for workers about what Pool.map would pick, capped so the
-    # chunks in flight stay small however large the sweep
     total = _sweep_size(params)
-    size = 1 if jobs == 1 else max(1, min(1024, total // (4 * jobs)))
+    size = _chunk_size(total, jobs)
     chunks = _chunks(params, size, stream is not None)
     histogram: Dict[int, int] = {}
     violations: List[Tuple[Tuple[IntPair, ...], str, str]] = []
@@ -308,17 +337,17 @@ def run_sweep(
             workers = max(1, min(jobs, -(-total // size)))
             pool = stack.enter_context(multiprocessing.Pool(processes=workers))
             results = _pooled(pool, chunks, 2 * jobs)
-        for chunk, (records, text) in results:
+        for chunk, (excesses, flagged, text) in results:
             if stream is not None:
                 stream.write(text)
-            for index, (pairs, (excess, bad)) in enumerate(
-                zip(chunk.configs, records), chunk.start
-            ):
+            for excess in excesses:
                 histogram[excess] = histogram.get(excess, 0) + 1
-                for suite, detail in bad:
-                    violations.append((pairs, suite, detail))
-                if sink is not None:
-                    sink(index, pairs, excess, bad)
+            for offset, bad in flagged:
+                violations += [(chunk.configs[offset], suite, detail) for suite, detail in bad]
+            if sink is not None:
+                bad_at = dict(flagged)
+                for offset, (pairs, excess) in enumerate(zip(chunk.configs, excesses)):
+                    sink(chunk.start + offset, pairs, excess, bad_at.get(offset, []))
 
     elapsed = time.perf_counter() - start
     return SweepReport(

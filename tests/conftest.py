@@ -1,12 +1,18 @@
 """Fixtures shared by several test modules."""
 
+import contextlib
 import importlib.machinery
 import importlib.util
 import os
+import pickle
+import select
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
+import time
+import traceback
 from pathlib import Path
 
 import pytest
@@ -41,6 +47,69 @@ def load_kernel(path):
     return kernel
 
 
+# seconds a child of in_child may take; far more than any test needs
+CHILD_TIMEOUT = 60
+
+
+def _in_child(function):
+    """function() called in a forked child process, which inherits the
+    loaded kernels and the test's patches; its result, pickled back.
+
+    A fault in the child, such as a heap overrun that aborts it, fails the
+    calling test with the child's status instead of ending the test run;
+    an exception in the child fails it with the child's traceback. A child
+    still running after CHILD_TIMEOUT seconds (a sweep whose worker died
+    waits forever) is killed with its own workers, and fails the test."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child: its own process group, for its workers too; it leaves
+        # without running the parent's exit handlers
+        try:
+            os.setpgid(0, 0)
+            os.close(read)
+            try:
+                payload = pickle.dumps((True, function()))
+            except BaseException:
+                payload = pickle.dumps((False, traceback.format_exc()))
+            with os.fdopen(write, "wb") as out:
+                out.write(payload)
+        finally:
+            os._exit(0)
+    os.close(write)
+    chunks = []
+    deadline = time.monotonic() + CHILD_TIMEOUT
+    with os.fdopen(read, "rb", buffering=0) as source:
+        while select.select([source], [], [], max(0, deadline - time.monotonic()))[0]:
+            chunk = source.read(1 << 20)
+            if not chunk:
+                break
+            chunks.append(chunk)
+        else:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise AssertionError(f"the child process ran past {CHILD_TIMEOUT} s and was killed")
+    _, status = os.waitpid(pid, 0)
+    if not chunks:
+        died = (f"signal {signal.Signals(os.WTERMSIG(status)).name}"
+                if os.WIFSIGNALED(status) else f"exit code {os.waitstatus_to_exitcode(status)}")
+        raise AssertionError(f"the child process died ({died}) without a result")
+    ok, value = pickle.loads(b"".join(chunks))
+    if not ok:
+        raise AssertionError(f"the child process raised:\n{value}")
+    return value
+
+
+@pytest.fixture(scope="session")
+def in_child():
+    """A function that calls a function of no arguments in a forked child
+    process and returns its result. Tests that run the compiled kernel's
+    analysis call it there, so that a memory fault in the kernel fails one
+    test by name while the rest of the run goes on."""
+    return _in_child
+
+
 @pytest.fixture(scope="session")
 def built_kernel(tmp_path_factory):
     """The kernel's C source compiled with cc -O0 outside the source tree
@@ -48,16 +117,24 @@ def built_kernel(tmp_path_factory):
     return load_kernel(compile_kernel(tmp_path_factory.mktemp("kernel"), "-O0"))
 
 
-@pytest.fixture
-def kernel_variant(tmp_path):
-    """A function that takes an edit, a function from C source text to C
-    source text, and returns the kernel compiled from the edited source as
-    built_kernel is compiled, and loaded."""
-    def build(edit):
-        source = tmp_path / "_fastsweep.c"
-        source.write_text(edit((SOURCE / "_fastsweep.c").read_text()))
-        return load_kernel(compile_kernel(tmp_path, "-O0", source=source))
-    return build
+_LIFT_ANCHOR = "    _lift(n, px, py, lift);\n"
+
+
+@pytest.fixture(scope="session")
+def negated_lift_kernel(tmp_path_factory):
+    """The kernel compiled as built_kernel is, from its source with the
+    lift negated after it is computed, and loaded. The negated lift stays
+    affine on every cell, so only the dominance test across cell edges can
+    reject it, as a regularity violation."""
+    text = (SOURCE / "_fastsweep.c").read_text()
+    assert text.count(_LIFT_ANCHOR) == 1
+    directory = tmp_path_factory.mktemp("negated_lift")
+    source = directory / "_fastsweep.c"
+    source.write_text(text.replace(_LIFT_ANCHOR, _LIFT_ANCHOR + (
+        "    for (i = 0; i <= n; i++)\n"
+        "        for (j = 0; i + j <= n; j++)\n"
+        "            LIFT(i, j) = -LIFT(i, j);\n")))
+    return load_kernel(compile_kernel(directory, "-O0", source=source))
 
 
 def _sanitized_kernel(directory, flags, env=None):

@@ -122,8 +122,27 @@ def test_verify_exhaustive_summary(capsys):
     assert summary["configs_tested"] == 84
     assert summary["violations"] == 0
     assert summary["backend"] in ("pure", "compiled")
+    assert summary["route"] == summary["backend"]
     assert set(summary["histogram"]) <= {"0", "1", "2", "3"}
     assert sum(summary["histogram"].values()) == 84
+
+
+def test_verify_summary_names_the_route_the_sweep_took(built_kernel, in_child, monkeypatch,
+                                                        capsys):
+    # the backend is the extension that loaded; the route is where the
+    # sweep's configurations went
+    monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
+
+    def summary(n, *mode):
+        assert main(["verify", "--n", str(n), *mode]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    small = in_child(lambda: summary(3, "--mode", "exhaustive", "--grid", "3"))
+    assert (small["backend"], small["route"]) == ("compiled", "compiled")
+    # past the kernel's 128 points, and past its coordinate bound
+    for n, coord_range in ((129, 6), (3, 2**20 + 1)):
+        past = summary(n, "--mode", "random", "--samples", "1", "--range", str(coord_range))
+        assert (past["backend"], past["route"]) == ("compiled", "pure"), n
 
 
 def test_verify_jsonl_stream_is_reproducible(tmp_path, capsys):
@@ -233,15 +252,25 @@ def test_verify_internal_assertion_names_the_configuration(monkeypatch, capsys, 
             raise AssertionError("cell areas drifted")
         return real(point_config(points))
 
+    def broken_chunk(configs, start, checks, encode):
+        # a stand-in for the chunk entry: the whole chunk fails when the
+        # target is in it, and every other configuration has excess 0
+        if target in configs:
+            raise AssertionError("cell areas drifted")
+        return bytes(4 * len(configs)), [], "\n" * len(configs) if encode else None
+
     if backend == "pure":
         monkeypatch.setattr(kernel, "_COMPILED", None)
         monkeypatch.setattr(kernel, "analyze_config", lambda cfg: broken(cfg.points))
     else:
-        monkeypatch.setattr(kernel, "_COMPILED", types.SimpleNamespace(analyze_ints=broken))
-    assert main(["verify", "--n", "3", "--mode", "exhaustive", "--grid", "3",
-                 "--jobs", "1"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "internal error: cell areas drifted at points [[0, 0], [0, 1], [1, 2]]\n"
-    )
+        monkeypatch.setattr(kernel, "_COMPILED", types.SimpleNamespace(analyze_chunk=broken_chunk))
+    # in process, one configuration per chunk, and on two workers, where
+    # the target's chunk of ten fails as a whole
+    for jobs in ("1", "2"):
+        assert main(["verify", "--n", "3", "--mode", "exhaustive", "--grid", "3",
+                     "--jobs", jobs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: cell areas drifted at points [[0, 0], [0, 1], [1, 2]]\n"
+        )

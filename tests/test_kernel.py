@@ -6,8 +6,10 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +27,10 @@ from troplines.kernel import (
     has_ordinary_line,
     kernel_pairs,
 )
+from troplines.sweep import ALL_CHECKS
+
+from conftest import SOURCE
+from oracles import sweep_line_spec
 
 compiled_only = pytest.mark.skipif(
     backend_name() != "compiled", reason="compiled extension not active"
@@ -112,11 +118,11 @@ def _agreement_sample():
 
 @settings(max_examples=50, deadline=None)
 @given(points=int_configs)
-def test_analyze_matches_the_pure_reference(built_kernel, points):
+def test_analyze_matches_the_pure_reference(built_kernel, in_child, points):
     points = sorted(points)
     cfg = point_config(points)
     reference = analyze_config(cfg)
-    assert built_kernel.analyze_ints(points) == reference
+    assert in_child(lambda: built_kernel.analyze_ints(points)) == reference
     assert analyze(cfg) == reference
 
 
@@ -130,21 +136,24 @@ def test_has_ordinary_line_matches_the_pure_reference(built_kernel, points):
     assert has_ordinary_line(cfg) == reference
 
 
-def test_kernel_limit_is_the_extension_limit(built_kernel):
+def test_kernel_limit_is_the_extension_limit(built_kernel, in_child):
     assert MAX_KERNEL_POINTS == built_kernel.MAX_POINTS
     too_many = [(i, i * i % 1000) for i in range(MAX_KERNEL_POINTS + 1)]
     message = f"at most {MAX_KERNEL_POINTS} points, got {MAX_KERNEL_POINTS + 1}"
-    for function in (built_kernel.analyze_ints, built_kernel.has_ordinary_line):
+    for function in (built_kernel.analyze_ints, built_kernel.has_ordinary_line,
+                     lambda points: built_kernel.analyze_chunk((points,), 0, ALL_CHECKS, True)):
         with pytest.raises(ValueError, match=message):
             function(too_many)
-        function(too_many[:-1])
+        in_child(lambda: function(too_many[:-1]))
 
 
-def test_built_kernel_agrees_with_the_pure_reference(built_kernel):
+def test_built_kernel_agrees_with_the_pure_reference(built_kernel, in_child):
     # the kernel's own pairwise tiling and global regularity scans audit
     # the pure route
-    for points in _agreement_sample():
-        assert built_kernel.analyze_ints(points) == analyze_config(point_config(points)), points
+    sample = _agreement_sample()
+    records = in_child(lambda: [built_kernel.analyze_ints(points) for points in sample])
+    for points, record in zip(sample, records, strict=True):
+        assert record == analyze_config(point_config(points)), points
 
 
 NOT_A_PAIR = "is not a tuple or list of two coordinates"
@@ -166,14 +175,24 @@ MALFORMED_POINTS = [
 ]
 
 
-def test_kernel_rejects_malformed_points(built_kernel):
-    for points, error, message in MALFORMED_POINTS:
-        for function in (built_kernel.analyze_ints, built_kernel.has_ordinary_line):
-            with pytest.raises(error, match=message):
-                function(points)
+def test_kernel_rejects_malformed_points(built_kernel, in_child):
+    def last_in_chunk(points):
+        # after two valid configurations, which the chunk analyzes first
+        return built_kernel.analyze_chunk(
+            ([(0, 0), (1, 2)], [(3, 1), (0, 0), (2, 2)], points), 0, ALL_CHECKS, True)
+
+    def reject_all():
+        for points, error, message in MALFORMED_POINTS:
+            for function in (built_kernel.analyze_ints, built_kernel.has_ordinary_line,
+                             last_in_chunk):
+                with pytest.raises(error, match=message):
+                    function(points)
+
+    in_child(reject_all)
     # ints, bools and lists pass; they agree with the tuple form
-    assert built_kernel.analyze_ints([[True, False], [0, 1], [3, 5]]) == \
-        built_kernel.analyze_ints([(1, 0), (0, 1), (3, 5)])
+    lists, tuples = in_child(lambda: [built_kernel.analyze_ints(points) for points in (
+        [[True, False], [0, 1], [3, 5]], [(1, 0), (0, 1), (3, 5)])])
+    assert lists == tuples
     assert built_kernel.has_ordinary_line([[1, 0], (0, 1)]) is True
 
 
@@ -183,37 +202,90 @@ def test_kernel_rejects_malformed_points(built_kernel):
 GRID_RECORDS_SHA256 = "562eaab1995bac04609e5ab62ae47384c857dfcce2703970a617c5e62448ccce"
 
 
-def test_kernel_records_are_pinned(built_kernel):
+def test_kernel_records_are_pinned(built_kernel, in_child):
     grid = [(x, y) for x in range(4) for y in range(4)]
-    digest = hashlib.sha256()
-    for n in range(3, 7):
-        for points in itertools.combinations(grid, n):
-            record = built_kernel.analyze_ints(points)
-            digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-    assert digest.hexdigest() == GRID_RECORDS_SHA256
+
+    def records_digest():
+        digest = hashlib.sha256()
+        for n in range(3, 7):
+            for points in itertools.combinations(grid, n):
+                record = built_kernel.analyze_ints(points)
+                digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        return digest.hexdigest()
+
+    assert in_child(records_digest) == GRID_RECORDS_SHA256
+
+
+# the coaxial pairs, each with one interior edge, horizontal, vertical and
+# diagonal in turn
+COAXIAL_PAIRS = ([(0, 0), (1, 0)], [(0, 0), (0, 1)], [(0, 0), (1, 1)])
 
 
 def test_regularity_rejects_a_lift_convex_across_each_edge_direction(
-    built_kernel, kernel_variant
+    built_kernel, negated_lift_kernel, in_child
 ):
-    # negating the lift after it is computed keeps it affine on every cell,
-    # so only the dominance test across cell edges can reject it; the three
-    # coaxial pairs each have one interior edge, horizontal, vertical and
-    # diagonal in turn
-    anchor = "    _lift(n, px, py, lift);\n"
-
-    def negate_lift(source):
-        assert source.count(anchor) == 1
-        return source.replace(anchor, anchor + (
-            "    for (i = 0; i <= n; i++)\n"
-            "        for (j = 0; i + j <= n; j++)\n"
-            "            LIFT(i, j) = -LIFT(i, j);\n"))
-
-    faulty = kernel_variant(negate_lift)
-    for points in ([(0, 0), (1, 0)], [(0, 0), (0, 1)], [(0, 0), (1, 1)]):
-        assert built_kernel.analyze_ints(points)["violations"] == []
-        [[suite, detail]] = faulty.analyze_ints(points)["violations"]
+    faulty = negated_lift_kernel
+    for points in COAXIAL_PAIRS:
+        sound, broken = in_child(lambda: (built_kernel.analyze_ints(points)["violations"],
+                                          faulty.analyze_ints(points)["violations"]))
+        assert sound == []
+        [[suite, detail]] = broken
         assert suite == "regularity" and "fails to dominate the lift" in detail, points
+
+
+def test_chunk_lines_match_the_spec_on_records_with_violations(negated_lift_kernel, in_child):
+    faulty = negated_lift_kernel
+    rng = random.Random(11)
+    configs = tuple([*COAXIAL_PAIRS, *(_seeded_points(rng, 2 + k % 9, 4) for k in range(60)),
+                     [(0, 0)], [(-COORD_LIMIT, COORD_LIMIT), (COORD_LIMIT, -COORD_LIMIT)]])
+    start = 2**40
+    (raw, flagged, text), records = in_child(lambda: (
+        faulty.analyze_chunk(configs, start, ALL_CHECKS, True),
+        [faulty.analyze_ints(points) for points in configs]))
+    assert text == "".join(
+        sweep_line_spec(start + offset, points, record["excess"], record["violations"]) + "\n"
+        for offset, (points, record) in enumerate(zip(configs, records, strict=True)))
+    assert list(array("i", raw)) == [record["excess"] for record in records]
+    assert flagged == [(offset, record["violations"])
+                       for offset, record in enumerate(records) if record["violations"]]
+    assert 3 <= len(flagged) < len(configs)
+
+    # suites outside checks are dropped from the records and the lines
+    raw_bound, flagged_bound, text_bound = in_child(lambda: faulty.analyze_chunk(
+        configs, start, frozenset({"bound", "tiling"}), True))
+    assert (raw_bound, flagged_bound) == (raw, [])
+    assert text_bound == "".join(
+        sweep_line_spec(start + offset, points, record["excess"], []) + "\n"
+        for offset, (points, record) in enumerate(zip(configs, records)))
+    assert in_child(lambda: faulty.analyze_chunk(configs, start, ALL_CHECKS, False)) == \
+        (raw, flagged, None)
+
+
+def _kernel_messages():
+    """(suite, format string) of every VIOLATE call in the kernel's source,
+    with the COUNTS macro expanded; the number of calls."""
+    source = (SOURCE / "_fastsweep.c").read_text()
+    literal = r'"(?:[^"\\\n]|\\.)*"'
+    [counts] = re.findall(rf"#define COUNTS ({literal})", source)
+    calls = re.findall(
+        rf"VIOLATE\(\s*({literal})\s*,\s*((?:(?:{literal}|COUNTS)\s*)+)", source)
+    messages = [(suite[1:-1], "".join(part[1:-1] for part in re.findall(
+                     literal, fmt.replace("COUNTS", counts))))
+                for suite, fmt in calls]
+    return messages, source.count("VIOLATE(") - 1  # less the macro itself
+
+
+def test_kernel_violation_texts_need_no_json_escaping():
+    # the chunk entry writes suite names and messages into JSONL unescaped:
+    # that equals json.dumps only for printable ASCII without " or \, and
+    # with integer conversions only, whose digits and signs are safe too
+    messages, calls = _kernel_messages()
+    assert len(messages) == calls >= 20
+    for suite, fmt in messages:
+        assert suite in ALL_CHECKS, suite
+        for text in (suite, fmt):
+            assert all(" " <= c <= "~" and c not in '"\\' for c in text), text
+        assert re.fullmatch(r"(?:[^%]|%d|%lld)*", fmt), fmt
 
 
 def _lines(n):
@@ -247,33 +319,76 @@ def _sanitizer_corpus():
 
 # runs in a child process, so that a sanitizer abort fails one test
 _SANITIZER_CHILD = """
-import pickle, sys
+import gc, itertools, pickle, sys, tracemalloc
+from array import array
 sys.path.insert(0, sys.argv[1])
 from conftest import load_kernel
 kernel = load_kernel(sys.argv[2])
-corpus, malformed = pickle.load(sys.stdin.buffer)
+corpus, malformed, checks = pickle.load(sys.stdin.buffer)
+excesses = []
 for points in corpus:
-    assert kernel.analyze_ints(points)["violations"] == [], points
+    record = kernel.analyze_ints(points)
+    assert record["violations"] == [], points
+    excesses.append(record["excess"])
     if len(points) >= 2:
         kernel.has_ordinary_line(points)
+
+def chunk(configs):
+    return kernel.analyze_chunk(tuple(configs), 0, checks, True)
+
+# the chunk entry: one chunk per n, then one of a single configuration and
+# one whose sizes go up and down, so that its scratch memory grows
+by_n = sorted(range(len(corpus)), key=lambda i: len(corpus[i]))
+for n, group in itertools.groupby(by_n, key=lambda i: len(corpus[i])):
+    group = list(group)
+    raw, flagged, text = chunk(corpus[i] for i in group)
+    assert raw == array("i", [excesses[i] for i in group]).tobytes() and flagged == [], n
+    assert text.count("\\n") == len(group), n
+for size in (1, 300):
+    assert chunk(corpus[:size])[0] == array("i", excesses[:size]).tobytes(), size
 for points, error in malformed:
-    for function in (kernel.analyze_ints, kernel.has_ordinary_line):
+    for function in (kernel.analyze_ints, kernel.has_ordinary_line,
+                     lambda points: chunk([corpus[17], corpus[18], points])):
         try:
             function(points)
         except error:
             continue
         raise AssertionError(f"{points} passed")
+
+# a leak on either way out of the chunk entry grows the traced memory
+last, error = malformed[-1]
+assert error is ValueError
+
+def both_ways():
+    chunk(corpus[16:19])
+    try:
+        chunk([corpus[16], corpus[17], last])
+    except ValueError:
+        return
+    raise AssertionError(f"{last} passed")
+
+for _ in range(100):
+    both_ways()
+gc.collect()
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+for _ in range(1000):
+    both_ways()
+gc.collect()
+grown = tracemalloc.get_traced_memory()[0] - before
+assert grown < 16384, f"the chunk entry leaks: {grown} bytes more after 1000 round trips"
 """
 
 
 def _run_sanitized(kernel_path, env=None):
     """The stderr of a child interpreter running the sanitizer corpus and
-    the malformed inputs through the kernel at kernel_path, with env added
-    to its environment; fails the test when the child fails."""
+    the malformed inputs through the kernel at kernel_path, one
+    configuration at a time and in chunks, with env added to its
+    environment; fails the test when the child fails."""
     malformed = [(points, error) for points, error, _ in MALFORMED_POINTS]
     done = subprocess.run(
         [sys.executable, "-c", _SANITIZER_CHILD, str(Path(__file__).parent), str(kernel_path)],
-        input=pickle.dumps((_sanitizer_corpus(), malformed)),
+        input=pickle.dumps((_sanitizer_corpus(), malformed, ALL_CHECKS)),
         capture_output=True, timeout=600, env={**os.environ, **(env or {})},
     )
     stderr = done.stderr.decode(errors="replace")
@@ -331,9 +446,12 @@ def _invariants(record):
             {suite for suite, _ in record["violations"]})
 
 
-def _backends(kernel):
-    return {"pure": lambda points: analyze_config(point_config(points)),
-            "compiled": kernel.analyze_ints}
+def _backends(kernel, in_child):
+    """Per backend, a function from a list of configurations to their
+    invariants; the compiled one runs the kernel in a child process."""
+    return {"pure": lambda batch: [_invariants(analyze_config(point_config(p))) for p in batch],
+            "compiled": lambda batch: in_child(
+                lambda: [_invariants(kernel.analyze_ints(p)) for p in batch])}
 
 
 @settings(max_examples=40, deadline=None)
@@ -342,20 +460,20 @@ def _backends(kernel):
                     min_size=3, max_size=9, unique=True),
     rng=st.randoms(use_true_random=False),
 )
-def test_tropical_symmetries_keep_the_record(built_kernel, points, rng):
-    for name, analyze_points in _backends(built_kernel).items():
-        expected = _invariants(analyze_points(points))
-        for symmetry in SYMMETRIES:
-            image = symmetry(points, rng)
-            assert _invariants(analyze_points(image)) == expected, (name, symmetry.__name__, points)
+def test_tropical_symmetries_keep_the_record(built_kernel, in_child, points, rng):
+    for name, invariants in _backends(built_kernel, in_child).items():
+        images = [symmetry(points, rng) for symmetry in SYMMETRIES]
+        expected, *seen = invariants([points, *images])
+        for symmetry, got in zip(SYMMETRIES, seen, strict=True):
+            assert got == expected, (name, symmetry.__name__, points)
 
 
-def test_negation_is_not_a_symmetry(built_kernel):
+def test_negation_is_not_a_symmetry(built_kernel, in_child):
     # the control: max-plus becomes min-plus, so the record changes
     rng = random.Random(7)
     sample = [list({(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(7)})
               for _ in range(30)]
-    for name, analyze_points in _backends(built_kernel).items():
-        changed = sum(_invariants(analyze_points(p)) != _invariants(analyze_points(_negate(p, rng)))
-                      for p in sample)
+    for name, invariants in _backends(built_kernel, in_child).items():
+        both = invariants(sample + [_negate(p, rng) for p in sample])
+        changed = sum(a != b for a, b in zip(both[:len(sample)], both[len(sample):]))
         assert changed >= len(sample) // 2, name

@@ -4,6 +4,7 @@ import io
 import itertools
 import multiprocessing
 import random
+import types
 
 import pytest
 
@@ -260,6 +261,24 @@ def _summary(report):
     return report.configs_tested, report.violations, report.histogram
 
 
+def _jsonl_and_summary(params, jobs=1):
+    """The sweep's JSONL bytes through a JsonlSink and its report's summary."""
+    stream = io.StringIO()
+    report = run_sweep(params, jobs=jobs, sink=JsonlSink(stream))
+    return stream.getvalue().encode(), _summary(report)
+
+
+def _rows_and_summary(params, jobs=1):
+    """The records a plain sink receives and the report's summary."""
+    rows = []
+    report = run_sweep(params, jobs=jobs, sink=lambda *row: rows.append(row))
+    return rows, _summary(report)
+
+
+def _not_this_route(cfg):
+    raise AssertionError("the sweep went through kernel.analyze")
+
+
 @pytest.fixture(scope="module", params=sorted(ROUTE_SWEEPS))
 def pure_route(request, tmp_path_factory):
     """The sweep on the pure route: its CLI JSONL bytes at two jobs, and
@@ -275,7 +294,7 @@ def pure_route(request, tmp_path_factory):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_compiled_route_matches_the_pure_route(
-    built_kernel, pure_route, monkeypatch, tmp_path, capsys, jobs
+    built_kernel, in_child, pure_route, monkeypatch, tmp_path, capsys, jobs
 ):
     args, params, stream, rows, report = pure_route
     if isinstance(params.mode, Random):
@@ -283,19 +302,90 @@ def test_compiled_route_matches_the_pure_route(
     # worker-encoded lines are the spec's lines of the sink's records
     assert stream == "".join(sweep_line_spec(*row) + "\n" for row in rows).encode()
 
-    def not_this_route(cfg):
-        raise AssertionError("the sweep went through kernel.analyze")
-
-    # forked workers inherit both patches
+    # the child and its forked workers inherit both patches
     monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
-    monkeypatch.setattr(kernel, "analyze", not_this_route)
+    monkeypatch.setattr(kernel, "analyze", _not_this_route)
     assert sweep._kernel_route(params)
-    assert _verify_jsonl(args, jobs, tmp_path / "compiled.jsonl") == stream
-    compiled_rows = []
-    compiled = run_sweep(params, jobs=jobs, sink=lambda *row: compiled_rows.append(row))
+    compiled_stream, (compiled_rows, compiled) = in_child(lambda: (
+        _verify_jsonl(args, jobs, tmp_path / "compiled.jsonl"),
+        _rows_and_summary(params, jobs)))
+    assert compiled_stream == stream
     assert compiled_rows == rows
-    assert _summary(compiled) == _summary(report)
+    assert compiled == _summary(report)
     capsys.readouterr()
+
+
+# 2,100 configurations: two whole chunks and a partial one at each chunk
+# size above 1
+BOUNDARY_SWEEP = SweepParams(n=4, mode=Random(samples=2100, coord_range=3, seed=1025))
+
+
+@pytest.fixture(scope="module")
+def boundary_pure_route():
+    """BOUNDARY_SWEEP's JSONL and summary, and its sink records, on the
+    pure route at two jobs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_COMPILED", None)
+        return _jsonl_and_summary(BOUNDARY_SWEEP, 2), _rows_and_summary(BOUNDARY_SWEEP, 2)
+
+
+@pytest.mark.parametrize("size", [1, 1023, 1024, 1025])
+def test_chunk_boundaries_keep_the_pure_route_stream(
+    built_kernel, in_child, boundary_pure_route, monkeypatch, size
+):
+    calls = []
+
+    def counted(configs, *args):
+        calls.append(len(configs))
+        return built_kernel.analyze_chunk(configs, *args)
+
+    monkeypatch.setattr(kernel, "_COMPILED", types.SimpleNamespace(analyze_chunk=counted))
+    monkeypatch.setattr(kernel, "analyze", _not_this_route)
+    monkeypatch.setattr(sweep, "_chunk_size", lambda total, jobs: size)
+    in_process, pooled, sizes = in_child(lambda: (
+        (_jsonl_and_summary(BOUNDARY_SWEEP), _rows_and_summary(BOUNDARY_SWEEP)),
+        (_jsonl_and_summary(BOUNDARY_SWEEP, 2), _rows_and_summary(BOUNDARY_SWEEP, 2)),
+        calls))
+    assert in_process == pooled == boundary_pure_route
+    # one call of the chunk entry per chunk, in process, for each of the
+    # two sweeps
+    whole, rest = divmod(BOUNDARY_SWEEP.mode.samples, size)
+    assert sizes == 2 * ([size] * whole + [rest] * (rest > 0))
+
+
+# both routes filter the faulty kernel's regularity violations: the pure
+# route in Python, the kernel route in the chunk entry
+@pytest.mark.parametrize("checks", [ALL_CHECKS, frozenset({"regularity", "bound"}),
+                                    frozenset({"bound", "tiling"})],
+                         ids=["all", "regularity-and-bound", "bound-and-tiling"])
+def test_restricted_checks_filter_the_same_way_on_both_routes(
+    negated_lift_kernel, in_child, monkeypatch, checks
+):
+    params = SweepParams(n=3, mode=Exhaustive(3), checks=checks)
+
+    def both_sinks():
+        return [(_jsonl_and_summary(params, jobs), _rows_and_summary(params, jobs))
+                for jobs in (1, 2)]
+
+    monkeypatch.setattr(kernel, "_COMPILED", None)
+    monkeypatch.setattr(
+        kernel, "analyze", lambda cfg: negated_lift_kernel.analyze_ints(kernel.kernel_pairs(cfg)))
+    assert not sweep._kernel_route(params)
+    python = in_child(both_sinks)
+    monkeypatch.setattr(kernel, "_COMPILED", negated_lift_kernel)
+    monkeypatch.setattr(kernel, "analyze", _not_this_route)
+    assert sweep._kernel_route(params)
+    assert in_child(both_sinks) == python
+
+    [((stream, summary), (rows, _)), pooled] = python
+    assert pooled == python[0]
+    assert stream == "".join(sweep_line_spec(*row) + "\n" for row in rows).encode()
+    kept = [(pairs, *violation) for _, pairs, _, bad in rows for violation in bad]
+    assert summary[1] == kept
+    if "regularity" in checks:
+        assert len(kept) > 10 and {suite for _, suite, _ in kept} == {"regularity"}
+    else:
+        assert kept == []
 
 
 def _last_lattice_config(n, grid_size):
@@ -380,25 +470,16 @@ def test_failure_search_takes_the_kernel_route_past_16_points(built_kernel, monk
 
 @pytest.mark.parametrize("n, coord_range", [(24, 6), (40, 1000)])
 def test_large_random_sweeps_write_the_same_jsonl_on_both_routes(
-    built_kernel, monkeypatch, n, coord_range
+    built_kernel, in_child, monkeypatch, n, coord_range
 ):
     params = SweepParams(n=n, mode=Random(samples=8, coord_range=coord_range, seed=n))
-
-    def jsonl():
-        stream = io.StringIO()
-        report = run_sweep(params, sink=JsonlSink(stream))
-        return stream.getvalue().encode(), _summary(report)
-
-    def not_this_route(cfg):
-        raise AssertionError("the sweep went through kernel.analyze")
-
     monkeypatch.setattr(kernel, "_COMPILED", None)
     assert not sweep._kernel_route(params)
-    pure = jsonl()
+    pure = _jsonl_and_summary(params)
     monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
-    monkeypatch.setattr(kernel, "analyze", not_this_route)
+    monkeypatch.setattr(kernel, "analyze", _not_this_route)
     assert sweep._kernel_route(params)
-    assert jsonl() == pure
+    assert in_child(lambda: _jsonl_and_summary(params)) == pure
     assert pure[0].count(b"\n") == 8
 
 
