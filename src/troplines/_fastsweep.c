@@ -7,21 +7,32 @@
  * equivalence with the pure path is enforced by the test suite.
  *
  * Per configuration:
- *   - stable points and candidate vertices come from closed-form ray
- *     crossings of each pair of lines;
- *   - each candidate's argmax counts over the lines (c, s_a, s_b, s_c and
- *     the two shift counts) classify it and fix its dual cell, whose
- *     boundary is walked in closed form;
+ *   - two lines cross at most once off their vertices, at a point six
+ *     strict sign tests on the vertices' offset find; that crossing, or for
+ *     a pair on a common ray axis one of its vertices, is the pair's stable
+ *     point, and the vertices and crossings are the candidate vertices;
+ *   - candidates and stable points are sorted and deduplicated without a
+ *     comparator callback: by insertion up to SMALL_SORT keys, else by a
+ *     radix sort over the bytes in which the keys' fields differ;
+ *   - the argmax counts over the lines (c, s_a, s_b, s_c and the two shift
+ *     counts), taken for LANES candidates at a time, classify each
+ *     candidate and fix its dual cell, whose boundary is walked in closed
+ *     form;
  *   - each cell is rasterized into one owner grid of the n^2 unit
  *     triangles of n * Delta_2, which checks the tiling, and the grid's
  *     edge adjacency gives a local regularity check against the lift and
  *     the faces each triangle determines.
- * The candidate scan and the lift take O(n^3) steps; the subdivision
- * checks are near-linear in the n^2 unit triangles.
+ * The argmax counts and the lift take O(n^3) steps; the subdivision checks
+ * are near-linear in the n^2 unit triangles. On a 2-core x86 host at -O2,
+ * analyze_chunk takes about 2 us per configuration over the 376,992
+ * five-point subsets of the 6 x 6 grid, and in range 1000 about 0.12 ms
+ * per configuration at n = 32, 0.5 ms at n = 64 and 2.6 ms at n = 128
+ * (fastest of five runs in one process).
  *
- * Everything is 64-bit integer arithmetic. Coordinates must lie within
- * +/- 2**20 and there are at most MAXN = 128 = 2**7 points (both checked on
- * entry), which bounds every intermediate well below 2**63:
+ * The geometry is exact integer arithmetic, in 64 bits where no comment
+ * bounds a 32-bit term. Coordinates must lie within +/- 2**20 and there
+ * are at most MAXN = 128 = 2**7 points (both checked on entry), which
+ * bounds every intermediate well below 2**63:
  *   - ray crossings lie within 2**20 + 2**22 < OFF = 2**23 of the origin, so
  *     a candidate key is below 2**24 * SHIFT = 2**49;
  *   - the lift is a sum of at most n coordinates, |LIFT| <= 2**27;
@@ -46,26 +57,27 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdarg.h>
-#include <stdlib.h>
 
 typedef long long i64;
 
 enum {
     MAXN = 128,
-    MAXV = 8,          /* a subdivision cell has at most 6 corners */
+    MAXV = 8,          /* a subdivision cell has at most 6 corners, then its first again */
+    /* the argmax counts take the candidates LANES at a time, as 32-bit
+     * coordinates, so that a compiler can count a block of them against
+     * each line with vector instructions; there are NCOUNTS of them */
+    LANES = 4,
+    NCOUNTS = 6,
 };
 
 #define NEG (-((i64)1 << 50))
 #define LIMIT ((i64)1 << 20)
 #define OFF ((i64)1 << 23)
-#define SHIFT ((i64)1 << 25)
+#define SHIFT_BITS 25
+#define SHIFT ((i64)1 << SHIFT_BITS)
 #define KEY(x, y) (((x) + OFF) * SHIFT + ((y) + OFF))
 #define KEY_X(key) ((key) / SHIFT - OFF)
 #define KEY_Y(key) ((key) % SHIFT - OFF)
-
-/* ray directions in the fixed order W, S, NE */
-static const i64 DIRX[3] = {-1, 0, 1};
-static const i64 DIRY[3] = {0, -1, 1};
 
 /* A dual cell's counterclockwise boundary from its lex-min corner: SE s_c,
  * E s_a + c, N s_b, NW s_c + c, W s_a and S s_b + c. */
@@ -76,16 +88,24 @@ static const i64 STEPY[6] = {-1, 0, 1, 1, 0, -1};
  * and (i, j, 1) is conv{(i+1,j), (i,j+1), (i+1,j+1)}; its owner sits at
  * owner[OWNER(i, j, down)]. Every edge between two of them joins an upward
  * triangle (i, j, 0) to the downward one at (i + NBR_DI[e], j + NBR_DJ[e])
- * across its bottom, left or diagonal edge e, whose vertex opposite that
- * edge is (i + OPP_DI[e], j + OPP_DJ[e]). */
+ * across its bottom, left or diagonal edge e. */
 #define OWNER(i, j, down) (2 * ((j) * n + (i)) + (down))
 static const int NBR_DI[3] = {0, -1, 0};
 static const int NBR_DJ[3] = {-1, 0, 0};
-static const int OPP_DI[3] = {1, -1, 1};
-static const int OPP_DJ[3] = {-1, 1, 1};
 
 enum { CLS_TRI, CLS_PAR, CLS_HEX, CLS_NU4, CLS_NU5, CLS_NU6 };
 
+/* A vertex's cell class by whether one line has its vertex there (c = 1)
+ * and by how many of s_a, s_b and s_c are positive: with c = 1 a triangle,
+ * or a non-uniform cell with 4, 5 or 6 sides; otherwise, with two or three
+ * positive, a parallelogram or a hexagon. */
+static const int CLASS[2][4] = {
+    {-1, -1, CLS_PAR, CLS_HEX},
+    {CLS_TRI, CLS_NU4, CLS_NU5, CLS_NU6},
+};
+
+/* A cell's m corners, counterclockwise, with the first repeated at index m,
+ * so that edge j runs from corner j to corner j + 1. */
 typedef struct {
     int m;
     i64 vx[MAXV];
@@ -93,34 +113,37 @@ typedef struct {
     int cls;
     i64 dx;
     i64 dy;
-    i64 area2;
     int bdry;
 } Cell;
 
 /* One analysis' scratch memory, carved from a single allocation sized from
- * n. There are at most n + 7 n(n-1)/2 candidate points: the vertices, then
- * for each pair at most six ray crossings and its stable point. Every cell
- * comes from a distinct candidate, so the cells and the per-cell arrays
- * take as many entries; the stable points take n(n-1)/2, the lift
- * (n + 1)^2 and the owner grid 2 n^2. Nothing is initialized here. */
+ * n. There are at most n + n(n-1)/2 candidate points: the vertices, then
+ * for each pair of lines the one crossing off their vertices that a pair
+ * not on a common ray axis has, which is its stable point. Every cell
+ * comes from a distinct candidate, so the cells, the per-cell arrays and
+ * the sort's second buffer take as many entries, and the candidates'
+ * coordinates and argmax counts one more block of LANES; the stable points
+ * take n(n-1)/2, the lift (n + 2)^2 with its border and the owner grid
+ * 2 n^2. Nothing is initialized here. */
 typedef struct {
     void *block;
-    i64 *candkey, *stabkey, *lift, *det, *alpha, *beta, *gamma;
+    i64 *candkey, *sortbuf, *stabkey, *lift, *det, *alpha, *beta, *gamma;
     Cell *cells;
-    int *slot_head, *slot_next, *union_flags, *adj_tri_count, *seen_by, *determined;
-    int *owner;
+    int *qx, *qy, *counts, *tris, *pars, *slot_head, *slot_next, *union_flags;
+    int *adj_tri_count, *seen_by, *determined, *owner;
+    int stride;    /* of the argmax counts, cand + LANES */
 } Scratch;
 
 /* Carve s for n points; -1 with MemoryError set. Free s->block after. */
 static int
 _scratch_new(int n, Scratch *s)
 {
-    size_t pairs = (size_t)n * (n - 1) / 2, cand = n + 7 * pairs;
-    size_t owner_slots = 2 * (size_t)n * n, lift_slots = (size_t)(n + 1) * (n + 1);
+    size_t pairs = (size_t)n * (n - 1) / 2, cand = n + pairs;
+    size_t owner_slots = 2 * (size_t)n * n, lift_slots = (size_t)(n + 2) * (n + 2);
     /* widest alignment first, so each array starts aligned; the owner grid,
      * indexed by geometry, last, next to any allocator's guard bytes */
-    size_t bytes = (cand + pairs + lift_slots + 4 * cand) * sizeof(i64) + cand * sizeof(Cell)
-                   + (6 * cand + owner_slots) * sizeof(int);
+    size_t bytes = (2 * cand + pairs + lift_slots + 4 * cand) * sizeof(i64) + cand * sizeof(Cell)
+                   + ((2 + NCOUNTS) * (cand + LANES) + 8 * cand + owner_slots) * sizeof(int);
     char *at = PyMem_Malloc(bytes);
     s->block = at;
     if (at == NULL) {
@@ -129,6 +152,7 @@ _scratch_new(int n, Scratch *s)
     }
 #define CARVE(field, count) (s->field = (void *)at, at += (count) * sizeof(*s->field))
     CARVE(candkey, cand);
+    CARVE(sortbuf, cand);
     CARVE(stabkey, pairs);
     CARVE(lift, lift_slots);
     CARVE(det, cand);
@@ -136,6 +160,12 @@ _scratch_new(int n, Scratch *s)
     CARVE(beta, cand);
     CARVE(gamma, cand);
     CARVE(cells, cand);
+    s->stride = (int)(cand + LANES);
+    CARVE(qx, cand + LANES);
+    CARVE(qy, cand + LANES);
+    CARVE(counts, NCOUNTS * (cand + LANES));
+    CARVE(tris, cand);
+    CARVE(pars, cand);
     CARVE(slot_head, cand);
     CARVE(slot_next, cand);
     CARVE(union_flags, cand);
@@ -145,14 +175,6 @@ _scratch_new(int n, Scratch *s)
     CARVE(owner, owner_slots);
 #undef CARVE
     return 0;
-}
-
-static int
-_cmp_i64(const void *a, const void *b)
-{
-    i64 x = *(const i64 *)a;
-    i64 y = *(const i64 *)b;
-    return (x > y) - (x < y);
 }
 
 static inline i64
@@ -176,12 +198,42 @@ _argmask(i64 vx, i64 vy, i64 qx, i64 qy)
     return (t1 == m) | ((t2 == m) << 1) | ((0 == m) << 2);
 }
 
+/* At each candidate q, the numbers of lines whose argmax is
+ * {x, y, constant}, {x, constant}, {y, constant}, {x, y}, {x} and {y}, as
+ * _argmask reads it, into counts[k * stride + q] for k = 0..5, for the
+ * ncand candidates (qx, qy), ncand a whole number of blocks. |q| < 2**23
+ * and |v| <= 2**20, so the differences fit in an int. */
+static void
+_argmax_counts(const int *lx, const int *ly, int n, const int *qx, const int *qy, int ncand,
+               int stride, int *counts)
+{
+    for (int b = 0; b < ncand; b += LANES) {
+        int acc[NCOUNTS][LANES] = {{0}};
+        for (int j = 0; j < n; j++) {
+            for (int l = 0; l < LANES; l++) {
+                int t1 = qx[b + l] - lx[j], t2 = qy[b + l] - ly[j];
+                acc[0][l] += (t1 == 0) & (t2 == 0);
+                acc[1][l] += (t1 == 0) & (t2 < 0);
+                acc[2][l] += (t2 == 0) & (t1 < 0);
+                acc[3][l] += (t1 == t2) & (t1 > 0);
+                acc[4][l] += (t1 > 0) & (t1 > t2);
+                acc[5][l] += (t2 > 0) & (t2 > t1);
+            }
+        }
+        for (int k = 0; k < NCOUNTS; k++)
+            for (int l = 0; l < LANES; l++)
+                counts[k * stride + b + l] = acc[k][l];
+    }
+}
+
 /* The corners of the cell with shape parameters (c, s_a, s_b, s_c) and
  * shift counts (only_x, only_y): the Minkowski sum of a unit triangle when
  * c = 1 and of unit H, V and D segments s_a, s_b and s_c times, shifted by
  * (only_x, only_y). Walked counterclockwise from the lex-min corner
  * (only_x, only_y + s_c), skipping steps of zero length; returns the
- * corner count. */
+ * corner count m and repeats the first corner at index m. Each step writes
+ * its start, which the next step overwrites when the step has zero
+ * length. */
 static int
 _walk_cell(int c, int sa, int sb, int sc, int only_x, int only_y, i64 *ox, i64 *oy)
 {
@@ -189,46 +241,71 @@ _walk_cell(int c, int sa, int sb, int sc, int only_x, int only_y, i64 *ox, i64 *
     i64 x = only_x, y = only_y + sc;
     int m = 0;
     for (int k = 0; k < 6; k++) {
-        if (length[k] == 0)
-            continue;
         ox[m] = x;
         oy[m] = y;
-        m++;
+        m += length[k] != 0;
         x += STEPX[k] * length[k];
         y += STEPY[k] * length[k];
     }
+    ox[m] = ox[0];
+    oy[m] = oy[0];
     return m;
 }
 
 /* Claim for cell k, which lies inside n * Delta_2, the unit triangles whose
- * centroids lie strictly inside it; the test runs in coordinates scaled by
- * 3, so it is exact. Returns a cell that already owned one of them, or -1. */
+ * centroids lie strictly inside it, adding their number to *claimed.
+ * Returns a cell that already owned one of them, or -1.
+ *
+ * The centroid c lies strictly left of the edge from v to v + e when
+ * cross(3e, c - 3v) > 0 in coordinates scaled by 3, that is when
+ * e_x c_y - e_y c_x > 3 cross(v, e), exact in integers, or
+ * e_x (c_y - 3 v_y) - e_y (c_x - 3 v_x) > 0. Row by row the centroids step
+ * by 3 in y, so the left side steps by 3 e_x, and along a row by 3 in x,
+ * so it steps by -3 e_y; a downward centroid lies (1, 1) past the upward
+ * one. The corners lie in n * Delta_2, so every term fits in an int; the
+ * tests run over all MAXV lanes without branches, the lanes past the last
+ * edge testing 1 > 0. */
 static int
-_rasterize(const Cell *cell, int k, int n, int *owner)
+_rasterize(const Cell *cell, int k, int n, int *owner, int *claimed)
 {
-    i64 xlo = cell->vx[0], xhi = xlo, ylo = cell->vy[0], yhi = ylo;
-    for (int v = 1; v < cell->m; v++) {
-        xlo = cell->vx[v] < xlo ? cell->vx[v] : xlo;
-        xhi = cell->vx[v] > xhi ? cell->vx[v] : xhi;
-        ylo = cell->vy[v] < ylo ? cell->vy[v] : ylo;
-        yhi = cell->vy[v] > yhi ? cell->vy[v] : yhi;
+    int ex[MAXV] = {0}, ey[MAXV] = {0}, start[MAXV], row[MAXV];
+    int xlo = (int)cell->vx[0], xhi = xlo, ylo = (int)cell->vy[0], yhi = ylo;
+    for (int v = 0; v < cell->m; v++) {
+        int x = (int)cell->vx[v], y = (int)cell->vy[v];
+        xlo = x < xlo ? x : xlo;
+        xhi = x > xhi ? x : xhi;
+        ylo = y < ylo ? y : ylo;
+        yhi = y > yhi ? y : yhi;
     }
-    for (i64 j = ylo; j < yhi; j++) {
-        for (i64 i = xlo; i < xhi; i++) {
+    for (int v = 0; v < MAXV; v++)
+        start[v] = 1;
+    for (int v = 0; v < cell->m; v++) {
+        int x = (int)cell->vx[v], y = (int)cell->vy[v];
+        ex[v] = (int)cell->vx[v + 1] - x;
+        ey[v] = (int)cell->vy[v + 1] - y;
+        /* at the upward centroid (3 xlo + 1, 3 ylo + 1) */
+        start[v] = ex[v] * (3 * (ylo - y) + 1) - ey[v] * (3 * (xlo - x) + 1);
+    }
+    for (int j = ylo; j < yhi; j++) {
+        for (int v = 0; v < MAXV; v++) {
+            row[v] = start[v];
+            start[v] += 3 * ex[v];
+        }
+        for (int i = xlo; i < xhi; i++) {
+            /* bit 0 when the upward centroid fails a test, bit 1 the downward */
+            int outside = 0;
+            for (int v = 0; v < MAXV; v++) {
+                outside |= (row[v] <= 0) | (row[v] + ex[v] - ey[v] <= 0) << 1;
+                row[v] -= 3 * ey[v];
+            }
             for (int down = 0; down < 2; down++) {
-                i64 cx = 3 * i + 1 + down, cy = 3 * j + 1 + down;
-                int inside = 1;
-                for (int v = 0; v < cell->m && inside; v++) {
-                    int w = v + 1 == cell->m ? 0 : v + 1;
-                    inside = _cross3(3 * cell->vx[v], 3 * cell->vy[v],
-                                     3 * cell->vx[w], 3 * cell->vy[w], cx, cy) > 0;
-                }
-                if (!inside)
+                if (outside >> down & 1)
                     continue;
                 int *slot = &owner[OWNER(i, j, down)];
                 if (*slot >= 0)
                     return *slot;
                 *slot = k;
+                ++*claimed;
             }
         }
     }
@@ -246,7 +323,7 @@ _corner_slot_base(const Cell *s, i64 *bx, i64 *by)
     int mask = 0, lo = 0, hi = 0;
     i64 ymax = s->vy[0];
     for (int i = 0; i < s->m; i++) {
-        int j = i + 1 == s->m ? 0 : i + 1;
+        int j = i + 1;
         i64 dx = s->vx[j] - s->vx[i], dy = s->vy[j] - s->vy[i];
         mask |= dy == 0 ? 1 : dx == 0 ? 2 : dx == -dy ? 4 : 8;
         if (s->vx[i] < s->vx[lo])
@@ -271,67 +348,131 @@ _corner_slot_base(const Cell *s, i64 *bx, i64 *by)
     return 1;
 }
 
-/* Transversal crossings between the 3 x 3 ray pairs of the lines with
- * vertices a and a + (dx, dy), written to (cx, cy); returns their count. */
+/* The keys of the crossings between the 3 x 3 ray pairs of the lines with
+ * vertices a and a + (dx, dy) that lie off both vertices, in ray-pair
+ * order, written to keys, which has room for six; returns their count.
+ * Rays of one direction are parallel, and each other pair (r1 from a, r2
+ * from a + d) meets where t r1 - s r2 = d, off the vertices when t, s > 0:
+ * a strict sign test on d. A crossing at a vertex has d on a ray axis, and
+ * is a candidate already as that vertex. Every crossing is written and a
+ * missed one overwritten by the next, without branches. */
 static int
-_ray_crossings(i64 ax, i64 ay, i64 dx, i64 dy, i64 *cx, i64 *cy)
+_ray_crossings(i64 ax, i64 ay, i64 dx, i64 dy, i64 *keys)
 {
     int hits = 0;
-    for (int r1 = 0; r1 < 3; r1++) {
-        for (int r2 = 0; r2 < 3; r2++) {
-            i64 denom = DIRX[r1] * DIRY[r2] - DIRY[r1] * DIRX[r2];
-            if (denom == 0)
-                continue;
-            i64 tn = dx * DIRY[r2] - dy * DIRX[r2];
-            i64 sn = dx * DIRY[r1] - dy * DIRX[r1];
-            if (denom < 0) {
-                tn = -tn;
-                sn = -sn;
-            }
-            if (tn < 0 || sn < 0)
-                continue;
-            cx[hits] = ax + DIRX[r1] * tn;
-            cy[hits] = ay + DIRY[r1] * tn;
-            hits++;
-        }
-    }
+    keys[hits] = KEY(ax + dx, ay); /* W, S */
+    hits += (dx < 0) & (dy > 0);
+    keys[hits] = KEY(ax + dx - dy, ay); /* W, NE */
+    hits += (dx < dy) & (dy < 0);
+    keys[hits] = KEY(ax, ay + dy); /* S, W */
+    hits += (dy < 0) & (dx > 0);
+    keys[hits] = KEY(ax, ay + dy - dx); /* S, NE */
+    hits += (dy < dx) & (dx < 0);
+    keys[hits] = KEY(ax + dy, ay + dy); /* NE, W */
+    hits += (0 < dy) & (dy < dx);
+    keys[hits] = KEY(ax + dx, ay + dx); /* NE, S */
+    hits += (0 < dx) & (dx < dy);
     return hits;
 }
 
-/* The ray crossings of lines i and j into (cx, cy), their count in *hits,
- * and the pair's stable point into (wx, wy): when the vertices lie on a
- * common ray axis, the vertex that lies on the other line, else the single
- * transversal crossing. -1 with an AssertionError set when a non-coaxial
- * pair does not cross exactly once. */
-static int
-_stable_point(const i64 *vx, const i64 *vy, int i, int j, i64 *cx, i64 *cy, int *hits,
-              i64 *wx, i64 *wy)
+/* The keys of the ray crossings of lines i and j off their vertices into
+ * keys, which has room for six, their count in *hits, and the key of the
+ * pair's stable point: when the vertices lie on a common ray axis, the
+ * vertex that lies on the other line, and the pair crosses only there;
+ * else the pair's single crossing. So it is always one of the vertices or
+ * crossings. -1 with an AssertionError set when a pair crosses otherwise. */
+static i64
+_stable_point(const i64 *vx, const i64 *vy, int i, int j, i64 *keys, int *hits)
 {
     i64 dx = vx[j] - vx[i], dy = vy[j] - vy[i];
-    *hits = _ray_crossings(vx[i], vy[i], dx, dy, cx, cy);
-    if (dy == 0 || dx == 0 || dx == dy) {
-        int first = dy == 0 ? dx > 0 : dx == 0 ? dy > 0 : dx < 0;
-        *wx = first ? vx[i] : vx[j];
-        *wy = first ? vy[i] : vy[j];
-    } else if (*hits == 1) {
-        *wx = cx[0];
-        *wy = cy[0];
-    } else {
-        PyErr_Format(PyExc_AssertionError,
-                     "non-coaxial pair %d,%d produced %d crossings", i, j, *hits);
-        return -1;
-    }
-    return 0;
+    *hits = _ray_crossings(vx[i], vy[i], dx, dy, keys);
+    /* the vertices are distinct, so at most one of the three axes holds */
+    int coaxial = (dy == 0) | (dx == 0) | (dx == dy);
+    int first = ((dy == 0) & (dx > 0)) | ((dx == 0) & (dy > 0)) | ((dx == dy) & (dx < 0));
+    i64 vertex = first ? KEY(vx[i], vy[i]) : KEY(vx[j], vy[j]);
+    if (*hits == !coaxial)
+        return coaxial ? vertex : keys[0];
+    PyErr_Format(PyExc_AssertionError, "%s pair %d,%d produced %d crossings",
+                 coaxial ? "coaxial" : "non-coaxial", i, j, *hits);
+    return -1;
 }
 
+/* Runs of at most SMALL_SORT keys are sorted by insertion, longer ones by
+ * radix. */
+#define SMALL_SORT 96
+
+/* A radix digit of a key: byte `byte` of one of its fields, the y field in
+ * the low SHIFT_BITS bits or the x field above them, less the field's least
+ * value among the keys. */
+typedef struct {
+    int shift, byte;
+    i64 mask, base;
+} Digit;
+
+#define DIGIT(key, d) ((int)(((((key) >> (d).shift) & (d).mask) - (d).base) >> 8 * (d).byte) & 255)
+
+/* Sort count keys in place and drop repeats; the number of unique keys.
+ * Short runs are sorted by insertion. Longer ones take a
+ * least-significant-digit radix sort, y field before x field, over the
+ * bytes in which their fields' spans among these keys can differ, which
+ * ping-pongs with buf, as large as keys. */
 static int
-_sort_unique(i64 *keys, int count)
+_sort_unique(i64 *keys, int count, i64 *buf)
 {
     int unique = 0;
-    qsort(keys, (size_t)count, sizeof(i64), _cmp_i64);
+    if (count <= SMALL_SORT) {
+        for (int i = 1; i < count; i++) {
+            i64 key = keys[i];
+            int at = i;
+            for (; at > 0 && keys[at - 1] > key; at--)
+                keys[at] = keys[at - 1];
+            keys[at] = key;
+        }
+        /* each key is written after the last one kept, and kept unless it
+         * repeats that one */
+        unique = count > 0;
+        for (int i = 1; i < count; i++) {
+            keys[unique] = keys[i];
+            unique += keys[i] != keys[unique - 1];
+        }
+        return unique;
+    }
+    i64 ylo = keys[0] & (SHIFT - 1), yhi = ylo, xlo = keys[0] >> SHIFT_BITS, xhi = xlo;
+    for (int i = 1; i < count; i++) {
+        i64 y = keys[i] & (SHIFT - 1), x = keys[i] >> SHIFT_BITS;
+        ylo = y < ylo ? y : ylo;
+        yhi = y > yhi ? y : yhi;
+        xlo = x < xlo ? x : xlo;
+        xhi = x > xhi ? x : xhi;
+    }
+    /* each field is below 2**24, so it has at most three bytes */
+    Digit digits[6];
+    int passes = 0;
+    for (int byte = 0; (yhi - ylo) >> 8 * byte; byte++)
+        digits[passes++] = (Digit){0, byte, SHIFT - 1, ylo};
+    for (int byte = 0; (xhi - xlo) >> 8 * byte; byte++)
+        digits[passes++] = (Digit){SHIFT_BITS, byte, -1, xlo};
+    int bucket[6][256] = {{0}};
     for (int i = 0; i < count; i++)
-        if (i == 0 || keys[i] != keys[i - 1])
-            keys[unique++] = keys[i];
+        for (int d = 0; d < passes; d++)
+            bucket[d][DIGIT(keys[i], digits[d])]++;
+    i64 *from = keys, *to = buf;
+    for (int d = 0; d < passes; d++) {
+        int *at = bucket[d], sum = 0;
+        for (int b = 0; b < 256; b++) {
+            int size = at[b];
+            at[b] = sum;
+            sum += size;
+        }
+        for (int i = 0; i < count; i++)
+            to[at[DIGIT(from[i], digits[d])]++] = from[i];
+        i64 *swap = from;
+        from = to;
+        to = swap;
+    }
+    for (int i = 0; i < count; i++)
+        if (unique == 0 || from[i] != keys[unique - 1])
+            keys[unique++] = from[i];
     return unique;
 }
 
@@ -457,21 +598,29 @@ typedef struct {
  * of the n line polynomials, by dynamic programming over the points. After
  * point j, LIFT(ii, jj) for ii + jj <= j + 1 is the best of keeping the
  * value (constant term) or adding point j's x or y coordinate to the value
- * one step below; updated in place, high indices first. */
-#define LIFT(x, y) lift[(x) * (n + 1) + (y)]
+ * one step below; updated in place, high indices first, and on the new
+ * diagonal ii + jj = j + 1 without a value to keep. The table has a border
+ * row and column at index -1 that hold NEG, so the steps from the border
+ * lose every comparison. */
+#define LIFT(x, y) lift[((x) + 1) * (n + 2) + (y) + 1]
 static void
 _lift(int n, const i64 *px, const i64 *py, i64 *lift)
 {
+    for (int k = -1; k <= n; k++)
+        LIFT(k, -1) = LIFT(-1, k) = NEG;
     LIFT(0, 0) = 0;
     for (int j = 0; j < n; j++) {
+        i64 x = px[j], y = py[j];
         for (int ii = j + 1; ii >= 0; ii--) {
-            for (int jj = j + 1 - ii; jj >= 0; jj--) {
-                i64 best = ii + jj <= j ? LIFT(ii, jj) : NEG;
-                if (ii > 0 && LIFT(ii - 1, jj) + px[j] > best)
-                    best = LIFT(ii - 1, jj) + px[j];
-                if (jj > 0 && LIFT(ii, jj - 1) + py[j] > best)
-                    best = LIFT(ii, jj - 1) + py[j];
-                LIFT(ii, jj) = best;
+            int jj = j + 1 - ii;
+            i64 with_x = LIFT(ii - 1, jj) + x, with_y = LIFT(ii, jj - 1) + y;
+            LIFT(ii, jj) = with_y > with_x ? with_y : with_x;
+            while (jj-- > 0) {
+                i64 best = LIFT(ii, jj);
+                with_x = LIFT(ii - 1, jj) + x;
+                with_y = LIFT(ii, jj - 1) + y;
+                best = with_x > best ? with_x : best;
+                LIFT(ii, jj) = with_y > best ? with_y : best;
             }
         }
     }
@@ -510,59 +659,101 @@ _regularity(const Scratch *s, int ncells, int n, const i64 *px, const i64 *py,
         gamma[k] = (cell->vx[1] - cell->vx[0]) * (h2 - h0) - (cell->vx[2] - cell->vx[0]) * (h1 - h0);
         alpha[k] = det[k] * h0 - beta[k] * cell->vx[0] - gamma[k] * cell->vy[0];
     }
+    /* The triangles in order, each upward one (i, j, 0) with its corners
+     * (i + 1, j), (i, j + 1), (i, j), then the downward one (i, j, 1) with
+     * (i + 1, j), (i, j + 1), (i + 1, j + 1), then the upward one's edges to
+     * the downward ones below, left and across its diagonal, whose opposite
+     * vertices are (i + 1, j - 1), (i - 1, j + 1) and (i + 1, j + 1). A
+     * corner where the same cell's fit has passed already, as a corner of
+     * the downward triangle below, to the left or of the upward one, is not
+     * tested again: the first failure stays the first. */
+    int at_x, at_y;
+#define AGREE(cell, x, y) \
+    do { \
+        if (FIT(cell, x, y) != det[cell] * LIFT(x, y)) { \
+            k = cell, at_x = x, at_y = y; \
+            goto disagree; \
+        } \
+    } while (0)
+#define DOMINATE(cell, x, y) \
+    do { \
+        if (FIT(cell, x, y) < det[cell] * LIFT(x, y)) { \
+            k = cell, at_x = x, at_y = y; \
+            goto undominated; \
+        } \
+    } while (0)
     for (j = 0; j < n; j++) {
+        int left = -1, across = -1;
         for (i = 0; i + j < n; i++) {
-            for (int down = 0; down < 2 && i + j + down < n; down++) {
-                k = owner[OWNER(i, j, down)];
-                const int cx[3] = {i + 1, i, i + down}, cy[3] = {j, j + 1, j + down};
-                for (int v = 0; v < 3; v++) {
-                    if (FIT(k, cx[v], cy[v]) != det[k] * LIFT(cx[v], cy[v])) {
-                        VIOLATE("regularity",
-                                "cell at (%lld, %lld): lift and affine fit disagree "
-                                "at lattice point (%d, %d)", cells[k].dx, cells[k].dy,
-                                cx[v], cy[v]);
-                        return 0;
-                    }
+            int up = owner[OWNER(i, j, 0)], below = j > 0 ? owner[OWNER(i, j - 1, 1)] : -1;
+            if (up != below)
+                AGREE(up, i + 1, j);
+            if (up != left)
+                AGREE(up, i, j + 1);
+            if (up != left && up != below)
+                AGREE(up, i, j);
+            if (i + j + 1 < n) {
+                across = owner[OWNER(i, j, 1)];
+                if (across != up) {
+                    AGREE(across, i + 1, j);
+                    AGREE(across, i, j + 1);
                 }
+                AGREE(across, i + 1, j + 1);
             }
-            k = owner[OWNER(i, j, 0)];
-            for (int e = 0; e < 3; e++) {
-                int ni = i + NBR_DI[e], nj = j + NBR_DJ[e];
-                if (ni < 0 || nj < 0 || ni + nj > n - 2 || owner[OWNER(ni, nj, 1)] == k)
-                    continue;
-                int ox = i + OPP_DI[e], oy = j + OPP_DJ[e];
-                if (FIT(k, ox, oy) < det[k] * LIFT(ox, oy)) {
-                    VIOLATE("regularity",
-                            "cell at (%lld, %lld): affine fit fails to dominate the lift "
-                            "at (%d, %d)", cells[k].dx, cells[k].dy, ox, oy);
-                    return 0;
-                }
-            }
+            if (j > 0 && below != up)
+                DOMINATE(up, i + 1, j - 1);
+            if (i > 0 && left != up)
+                DOMINATE(up, i - 1, j + 1);
+            if (i + j + 1 < n && across != up)
+                DOMINATE(up, i + 1, j + 1);
+            left = across;
         }
     }
+    return 0;
+disagree:
+    VIOLATE("regularity", "cell at (%lld, %lld): lift and affine fit disagree "
+            "at lattice point (%d, %d)", cells[k].dx, cells[k].dy, at_x, at_y);
+    return 0;
+undominated:
+    VIOLATE("regularity", "cell at (%lld, %lld): affine fit fails to dominate the lift "
+            "at (%d, %d)", cells[k].dx, cells[k].dy, at_x, at_y);
+    return 0;
+#undef DOMINATE
+#undef AGREE
 #undef FIT
 #undef LIFT
-    return 0;
 }
+
+/* What the walk of the cells finds besides the cells: the face counts,
+ * the triangles and parallelograms in cell order, the near-pencil flag,
+ * and for the tiling and edge-direction suites the doubled area and
+ * whether their scans have a violation to find. */
+typedef struct {
+    int ncells, triangles, k_faces, h_faces, parallelograms;
+    int near_pencil;   /* every triangle has a boundary edge */
+    int outside;       /* some corner lies outside n * Delta_2 */
+    int skew;          /* some edge is not horizontal, vertical or diagonal */
+    i64 area2;
+} Faces;
 
 /* The suites that need a tiling: the tiling itself, cell edge directions,
  * regularity against the lift, the near-pencil flag and the determined
  * faces. Returns the near-pencil flag, NEAR_UNTILED when the cells do not
  * tile n * Delta_2, or -1 with an exception set. */
 static int
-_tiled_suites(const Scratch *s, int ncells, int n, int k_faces, const i64 *px,
-              const i64 *py, PyObject *violations)
+_tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 *py,
+              PyObject *violations)
 {
     const Cell *cells = s->cells;
+    const int *tris = s->tris, *pars = s->pars;
     int *owner = s->owner, *slot_head = s->slot_head, *slot_next = s->slot_next;
     int *union_flags = s->union_flags, *adj_tri_count = s->adj_tri_count;
     int *seen_by = s->seen_by, *determined = s->determined;
-    int i, j, e, k;
+    int ncells = f->ncells, i, j, e, k;
     i64 dx, dy;
 
     /* --- tiling ---------------------------------------------------------- */
-    i64 area_total = 0;
-    for (i = 0; i < ncells; i++) {
+    for (i = 0; i < ncells && f->outside; i++) {
         const Cell *cell = &cells[i];
         for (j = 0; j < cell->m; j++) {
             if (cell->vx[j] < 0 || cell->vy[j] < 0 || cell->vx[j] + cell->vy[j] > n) {
@@ -571,24 +762,26 @@ _tiled_suites(const Scratch *s, int ncells, int n, int k_faces, const i64 *px,
                 return NEAR_UNTILED;
             }
         }
-        area_total += cell->area2;
     }
-    if (area_total != (i64)n * n) {
+    if (f->area2 != (i64)n * n) {
         VIOLATE("tiling", "cell areas sum to %lld/2, expected %d/2 for n=%d",
-                area_total, n * n, n);
+                f->area2, n * n, n);
         return NEAR_UNTILED;
     }
     for (i = 0; i < 2 * n * n; i++)
         owner[i] = -1;
+    int claimed = 0;
     for (k = 0; k < ncells; k++) {
-        int first = _rasterize(&cells[k], k, n, owner);
+        int first = _rasterize(&cells[k], k, n, owner, &claimed);
         if (first >= 0) {
             VIOLATE("tiling", "cells at (%lld, %lld) and (%lld, %lld) overlap",
                     cells[first].dx, cells[first].dy, cells[k].dx, cells[k].dy);
             return NEAR_UNTILED;
         }
     }
-    for (j = 0; j < n; j++) {
+    /* each claim took a distinct one of the n^2 triangles, so the scan for
+     * the first one left uncovered can only find one when claims fall short */
+    for (j = 0; j < n && claimed < n * n; j++) {
         for (i = 0; i + j < n; i++) {
             for (int down = 0; down < 2 && i + j + down < n; down++) {
                 if (owner[OWNER(i, j, down)] < 0) {
@@ -600,12 +793,11 @@ _tiled_suites(const Scratch *s, int ncells, int n, int k_faces, const i64 *px,
     }
 
     /* --- cell edge directions ------------------------------------------- */
-    for (i = 0; i < ncells; i++) {
+    for (i = 0; i < ncells && f->skew; i++) {
         const Cell *cell = &cells[i];
         for (j = 0; j < cell->m; j++) {
-            e = j + 1 == cell->m ? 0 : j + 1;
-            dx = cell->vx[e] - cell->vx[j];
-            dy = cell->vy[e] - cell->vy[j];
+            dx = cell->vx[j + 1] - cell->vx[j];
+            dy = cell->vy[j + 1] - cell->vy[j];
             if (!(dx == 0 || dy == 0 || dx == -dy))
                 VIOLATE("cell_edges", "cell at (%lld, %lld) has edge (%lld,%lld)",
                         cell->dx, cell->dy, dx, dy);
@@ -615,23 +807,15 @@ _tiled_suites(const Scratch *s, int ncells, int n, int k_faces, const i64 *px,
     if (_regularity(s, ncells, n, px, py, violations) < 0)
         return -1;
 
-    /* --- near-pencil and the determined-face suites ---------------------- */
-    int near_pencil = NEAR_YES;
-    for (i = 0; i < ncells; i++) {
-        if (cells[i].cls == CLS_TRI && cells[i].bdry < 1) {
-            near_pencil = NEAR_NO;
-            break;
-        }
-    }
-
+    /* --- the determined-face suites ---------------------------------------- */
     /* the parallelograms in each triangle's corner slots, as linked lists;
      * a triangle cell is the one unit triangle at its lex-min corner */
-    for (k = 0; k < ncells; k++)
-        slot_head[k] = -1;
-    for (k = 0; k < ncells; k++) {
+    for (i = 0; i < f->triangles; i++)
+        slot_head[tris[i]] = -1;
+    for (i = 0; i < f->parallelograms; i++) {
         i64 bx, by;
-        if (cells[k].cls != CLS_PAR || !_corner_slot_base(&cells[k], &bx, &by)
-            || bx < 0 || by < 0 || bx + by >= n)
+        k = pars[i];
+        if (!_corner_slot_base(&cells[k], &bx, &by) || bx < 0 || by < 0 || bx + by >= n)
             continue;
         int tri = owner[OWNER(bx, by, 0)];
         if (cells[tri].cls == CLS_TRI) {
@@ -646,10 +830,9 @@ _tiled_suites(const Scratch *s, int ncells, int n, int k_faces, const i64 *px,
         adj_tri_count[k] = 0;
         seen_by[k] = -1;
     }
-    for (int ti = 0; ti < ncells; ti++) {
+    for (i = 0; i < f->triangles; i++) {
+        int ti = tris[i];
         const Cell *tri = &cells[ti];
-        if (tri->cls != CLS_TRI)
-            continue;
         int det_count = 0;
         for (e = 0; e < 3; e++) {
             int ni = (int)tri->vx[0] + NBR_DI[e], nj = (int)tri->vy[0] + NBR_DJ[e];
@@ -691,24 +874,26 @@ _tiled_suites(const Scratch *s, int ncells, int n, int k_faces, const i64 *px,
             VIOLATE("determined_minimum", "triangle at (%lld, %lld) determines %d faces, needs 1",
                     tri->dx, tri->dy, det_count);
     }
-    if (!(k_faces >= union_count && union_count >= m_noncorner))
-        VIOLATE("determined_union", "k=%d, union=%d, m=%d", k_faces, union_count, m_noncorner);
-    for (j = 0; j < ncells; j++) {
-        if (adj_tri_count[j] < 2)
+    if (!(f->k_faces >= union_count && union_count >= m_noncorner))
+        VIOLATE("determined_union", "k=%d, union=%d, m=%d", f->k_faces, union_count,
+                m_noncorner);
+    /* only a parallelogram can be adjacent to triangles */
+    for (j = 0; j < f->parallelograms; j++) {
+        const Cell *cell = &cells[pars[j]];
+        if (adj_tri_count[pars[j]] < 2)
             continue;
-        for (i = 0; i < cells[j].m; i++) {
-            e = i + 1 == cells[j].m ? 0 : i + 1;
-            dx = cells[j].vx[e] - cells[j].vx[i];
-            dy = cells[j].vy[e] - cells[j].vy[i];
+        for (i = 0; i < cell->m; i++) {
+            dx = cell->vx[i + 1] - cell->vx[i];
+            dy = cell->vy[i + 1] - cell->vy[i];
             if (dx < -1 || dx > 1 || dy < -1 || dy > 1) {
                 VIOLATE("unit_parallelogram",
                         "parallelogram adjacent to %d triangles has a non-unit edge",
-                        adj_tri_count[j]);
+                        adj_tri_count[pars[j]]);
                 break;
             }
         }
     }
-    return near_pencil;
+    return f->near_pencil ? NEAR_YES : NEAR_NO;
 }
 
 /* The analysis of n distinct points within the coordinate bound, in scratch
@@ -719,94 +904,94 @@ _analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violat
          Summary *out)
 {
     i64 vx[MAXN], vy[MAXN];
-    int i, j, e;
+    int lx[MAXN], ly[MAXN];
+    int i, j;
     for (i = 0; i < n; i++) {
-        vx[i] = -px[i];
-        vy[i] = -py[i];
+        lx[i] = (int)(vx[i] = -px[i]);
+        ly[i] = (int)(vy[i] = -py[i]);
     }
 
     /* --- pairwise stable intersections and candidate points ------------ */
     i64 *candkey = s->candkey, *stabkey = s->stabkey;
-    int ncand = 0, nstab = 0;
-    i64 cx, cy, wx, wy;
-    i64 crossx[6], crossy[6];
-    int hits;
+    int ncand = 0, nstab = 0, hits;
+    i64 vkey[MAXN], cross[6];
 
     for (i = 0; i < n; i++)
-        candkey[ncand++] = KEY(vx[i], vy[i]);
+        candkey[ncand++] = vkey[i] = KEY(vx[i], vy[i]);
     for (i = 0; i < n; i++) {
         for (j = i + 1; j < n; j++) {
-            if (_stable_point(vx, vy, i, j, crossx, crossy, &hits, &wx, &wy) < 0)
+            i64 key = _stable_point(vx, vy, i, j, cross, &hits);
+            if (key < 0)
                 return -1;
-            for (int h = 0; h < hits; h++)
-                candkey[ncand++] = KEY(crossx[h], crossy[h]);
-            stabkey[nstab++] = KEY(wx, wy);
-            candkey[ncand++] = KEY(wx, wy);
+            /* at most one crossing, written always and kept when there is one */
+            candkey[ncand] = cross[0];
+            ncand += hits;
+            stabkey[nstab++] = key;
         }
     }
-    int ncand_u = _sort_unique(candkey, ncand);
-    int nstab_u = _sort_unique(stabkey, nstab);
+    int ncand_u = _sort_unique(candkey, ncand, s->sortbuf);
+    int nstab_u = _sort_unique(stabkey, nstab, s->sortbuf);
+    _sort_unique(vkey, n, s->sortbuf);
 
+    /* the stable points that are line vertices, by merging the sorted keys */
     int b_pairwise = nstab_u;
     int h_pairwise = 0;
-    for (i = 0; i < nstab_u; i++) {
-        cx = KEY_X(stabkey[i]);
-        cy = KEY_Y(stabkey[i]);
-        for (j = 0; j < n; j++) {
-            if (vx[j] == cx && vy[j] == cy) {
-                h_pairwise++;
-                break;
-            }
-        }
+    for (i = 0, j = 0; i < nstab_u && j < n;) {
+        if (stabkey[i] == vkey[j])
+            h_pairwise++;
+        if (stabkey[i] <= vkey[j])
+            i++;
+        else
+            j++;
     }
     int k_pairwise = b_pairwise - h_pairwise;
 
     /* --- arrangement vertices and their dual cells ---------------------- */
     Cell *cells = s->cells;
-    int ncells = 0;
+    Faces f = {.near_pencil = 1};
+    int *qx = s->qx, *qy = s->qy;
+    for (i = 0; i < ncand_u; i++) {
+        qx[i] = (int)KEY_X(candkey[i]);
+        qy[i] = (int)KEY_Y(candkey[i]);
+    }
+    for (; i % LANES; i++)
+        qx[i] = qy[i] = 0;
+    int stride = s->stride;
+    _argmax_counts(lx, ly, n, qx, qy, i, stride, s->counts);
 
     for (i = 0; i < ncand_u; i++) {
-        cx = KEY_X(candkey[i]);
-        cy = KEY_Y(candkey[i]);
-        /* lines through q with argmax {1,2,3}, {1,3}, {2,3}, {1,2}, {1}, {2} */
-        int count[8] = {0};
-        for (j = 0; j < n; j++)
-            count[_argmask(vx[j], vy[j], cx, cy)]++;
-        int c = count[7], sa = count[5], sb = count[6], sc = count[3], cls;
+        const int *count = s->counts + i;
+        int c = count[0], sa = count[stride], sb = count[2 * stride], sc = count[3 * stride];
         int nz = (sa > 0) + (sb > 0) + (sc > 0);
         if (!(c == 1 || nz >= 2))
             continue;
-        if (c == 1)
-            cls = nz == 0 ? CLS_TRI : nz == 1 ? CLS_NU4 : nz == 2 ? CLS_NU5 : CLS_NU6;
-        else
-            cls = nz == 2 ? CLS_PAR : CLS_HEX;
-        Cell *cell = &cells[ncells++];
-        cell->m = _walk_cell(c, sa, sb, sc, count[1], count[2], cell->vx, cell->vy);
+        int cls = CLASS[c == 1][nz], k = f.ncells++, bdry = 0;
+        Cell *cell = &cells[k];
+        cell->m = _walk_cell(c, sa, sb, sc, count[4 * stride], count[5 * stride], cell->vx,
+                             cell->vy);
         cell->cls = cls;
-        cell->dx = cx;
-        cell->dy = cy;
-        cell->area2 = 0;
-        cell->bdry = 0;
+        cell->dx = qx[i];
+        cell->dy = qy[i];
         for (j = 0; j < cell->m; j++) {
-            e = j + 1 == cell->m ? 0 : j + 1;
-            i64 ax = cell->vx[j], ay = cell->vy[j], bx = cell->vx[e], by = cell->vy[e];
-            cell->area2 += ax * by - ay * bx;
-            if ((ax == 0 && bx == 0) || (ay == 0 && by == 0) || (ax + ay == n && bx + by == n))
-                cell->bdry++;
+            i64 ax = cell->vx[j], ay = cell->vy[j], bx = cell->vx[j + 1], by = cell->vy[j + 1];
+            f.area2 += ax * by - ay * bx;
+            bdry += ((ax == 0) & (bx == 0)) | ((ay == 0) & (by == 0))
+                    | ((ax + ay == n) & (bx + by == n));
+            f.outside |= (ax < 0) | (ay < 0) | (ax + ay > n);
+            f.skew |= (bx != ax) & (by != ay) & (bx - ax != ay - by);
         }
+        cell->bdry = bdry;
+        /* appended to its list, which moves on only when the class matches */
+        s->tris[f.triangles] = s->pars[f.parallelograms] = k;
+        f.triangles += cls == CLS_TRI;
+        f.parallelograms += cls == CLS_PAR;
+        f.k_faces += (cls == CLS_PAR) | (cls == CLS_HEX);
+        f.h_faces += cls >= CLS_NU4;
+        f.near_pencil &= (cls != CLS_TRI) | (bdry >= 1);
     }
 
     /* --- counts and identity suites ------------------------------------- */
-    int t_count = ncells;
-    int triangles = 0, k_faces = 0, h_faces = 0;
-    for (i = 0; i < ncells; i++) {
-        if (cells[i].cls == CLS_TRI)
-            triangles++;
-        else if (cells[i].cls == CLS_PAR || cells[i].cls == CLS_HEX)
-            k_faces++;
-        else
-            h_faces++;
-    }
+    int t_count = f.ncells, triangles = f.triangles, k_faces = f.k_faces, h_faces = f.h_faces;
     int b_faces = t_count - triangles;
 
     if (t_count != triangles + b_faces)
@@ -824,7 +1009,7 @@ _analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violat
     if (t_count == n && triangles > 3)
         VIOLATE("max_triangles", "t=n=%d but %d triangles", t_count, triangles);
 
-    int near_pencil = _tiled_suites(s, ncells, n, k_faces, px, py, violations);
+    int near_pencil = _tiled_suites(s, &f, n, px, py, violations);
     if (near_pencil < 0)
         return -1;
 
@@ -924,13 +1109,13 @@ PyDoc_STRVAR(has_ordinary_line_doc,
 static PyObject *
 has_ordinary_line(PyObject *Py_UNUSED(module), PyObject *points)
 {
-    i64 px[MAXN], py[MAXN], vx[MAXN], vy[MAXN];
-    i64 crossx[6], crossy[6], wx, wy;
+    i64 px[MAXN], py[MAXN], vx[MAXN], vy[MAXN], cross[6];
     int nstab = 0, hits, i, j;
     int n = _read_points(points, 2, "need at least two points", px, py);
     if (n < 0)
         return NULL;
-    i64 *stabkey = PyMem_New(i64, (size_t)n * (n - 1) / 2);
+    size_t pairs = (size_t)n * (n - 1) / 2;
+    i64 *stabkey = PyMem_New(i64, 2 * pairs);
     if (stabkey == NULL)
         return PyErr_NoMemory();
     PyObject *result = Py_False;
@@ -940,14 +1125,15 @@ has_ordinary_line(PyObject *Py_UNUSED(module), PyObject *points)
     }
     for (i = 0; i < n; i++) {
         for (j = i + 1; j < n; j++) {
-            if (_stable_point(vx, vy, i, j, crossx, crossy, &hits, &wx, &wy) < 0) {
+            i64 key = _stable_point(vx, vy, i, j, cross, &hits);
+            if (key < 0) {
                 result = NULL;
                 goto done;
             }
-            stabkey[nstab++] = KEY(wx, wy);
+            stabkey[nstab++] = key;
         }
     }
-    nstab = _sort_unique(stabkey, nstab);
+    nstab = _sort_unique(stabkey, nstab, stabkey + pairs);
     for (i = 0; i < nstab && result == Py_False; i++) {
         i64 cx = KEY_X(stabkey[i]), cy = KEY_Y(stabkey[i]);
         int incident = 0;
@@ -1007,6 +1193,10 @@ _put_int(char *at, i64 v)
     unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
     if (v < 0)
         *at++ = '-';
+    if (u < 10) {
+        *at++ = (char)('0' + u);
+        return at;
+    }
     do {
         digits[k++] = (char)('0' + u % 10);
         u /= 10;

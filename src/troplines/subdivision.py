@@ -98,15 +98,17 @@ class DualSubdivision:
 
 
 def _unit_triangles(cell: CellPolygon) -> List[UnitTriangle]:
-    """The unit triangles whose centroids lie strictly inside the cell.
+    """The unit triangles that make up the cell, row by row.
 
-    Candidates come row by row from the x-extent of the edges crossing
-    the row; the centroid test runs in coordinates scaled by 3, so it is
-    exact in integers. An edge outside the H/V/D directions means the cell
-    is not a union of unit triangles: that is a TilingFailure.
+    Each lattice row j of the convex cell lies between two of its edges
+    that are not horizontal. Where the left one crosses the row's bottom
+    and top at x = l_b and l_t and the right one at r_b and r_t, the
+    cell holds the upward triangles (i, j, 0) with l_b <= i < r_b and the
+    downward ones (i, j, 1) with l_t <= i < r_t. An edge outside the
+    H/V/D directions means the cell is not a union of unit triangles:
+    that is a TilingFailure.
     """
-    rows: Dict[int, List[int]] = {}
-    edges = []
+    rows: Dict[int, List[Tuple[int, int]]] = {}
     for (ax, ay), (bx, by) in polygon_edges(cell.vertices):
         dx, dy = bx - ax, by - ay
         if not (dx == 0 or dy == 0 or dx == -dy):
@@ -114,18 +116,22 @@ def _unit_triangles(cell: CellPolygon) -> List[UnitTriangle]:
                 f"cell at {cell.dual_point} has edge ({dx},{dy}) outside the "
                 f"H/V/D directions"
             )
-        edges.append((3 * ax, 3 * ay, dx, dy))
         if dy:
             step = dx // dy  # 0 on a vertical edge, -1 on a diagonal one
             for y in range(min(ay, by), max(ay, by)):
                 x = ax + step * (y - ay)
-                rows.setdefault(y, []).extend((x, x + step))
+                rows.setdefault(y, []).append((x, x + step))
     found = []
-    for j, xs in rows.items():
-        for i in range(min(xs), max(xs)):
-            for down, cx, cy in ((0, 3 * i + 1, 3 * j + 1), (1, 3 * i + 2, 3 * j + 2)):
-                if all(ux * (cy - ey) - uy * (cx - ex) > 0 for ex, ey, ux, uy in edges):
-                    found.append((i, j, down))
+    for j, crossings in rows.items():
+        # the left side crosses the bottom left of the right side, or at
+        # the same point and then the top left of it
+        left_b, left_t = min(crossings)
+        right_b, right_t = max(crossings)
+        for i in range(left_t, right_b):
+            if i >= left_b:
+                found.append((i, j, 0))
+            if i < right_t:
+                found.append((i, j, 1))
     return found
 
 

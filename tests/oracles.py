@@ -17,7 +17,10 @@ grid: tiling by rasterization, regularity locally across interior edges,
 determined faces by adjacency lookup. These are the direct scans it
 replaced, kept as independent oracles for the tests:
 
-  * tiling: pairwise separating axes between all cells, O(cells^2);
+  * tiling: pairwise separating axes between all cells, O(cells^2),
+    and each cell's unit triangles by the centroid rule, every candidate
+    of its bounding box tested against every edge, where the library
+    reads them off the row extents;
   * regularity: each cell's affine fit against the lift at every lattice
     point of n * Delta_2, O(cells * n^2);
   * determined faces: every cell tested against each triangle, with
@@ -365,6 +368,22 @@ def tiling_scan(n, cells):
                 raise TilingFailure(
                     f"cells at {p.dual_point} and {q.dual_point} overlap"
                 )
+
+
+def unit_triangles_by_centroid(cell):
+    """The unit triangles (i, j, down) of the cell's bounding box whose
+    centroids lie strictly inside the cell, each centroid tested against
+    every edge in coordinates scaled by 3, so exactly."""
+    xs = [x for x, _ in cell.vertices]
+    ys = [y for _, y in cell.vertices]
+    edges = [(3 * ax, 3 * ay, bx - ax, by - ay)
+             for (ax, ay), (bx, by) in polygon_edges(cell.vertices)]
+    return [(i, j, down)
+            for j in range(min(ys), max(ys))
+            for i in range(min(xs), max(xs))
+            for down in (0, 1)
+            if all(ux * (3 * j + 1 + down - ey) - uy * (3 * i + 1 + down - ex) > 0
+                   for ex, ey, ux, uy in edges)]
 
 
 def regularity_scan(n, cells, lift):

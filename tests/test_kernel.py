@@ -216,6 +216,82 @@ def test_kernel_records_are_pinned(built_kernel, in_child):
     assert in_child(records_digest) == GRID_RECORDS_SHA256
 
 
+def test_grid_stream_matches_the_benchmark_digest(built_kernel, in_child):
+    # the sweep-grid benchmark's JSONL stream, every 5-subset of the 6 x 6
+    # grid in chunks of 1024, against the digest its gate checks
+    digests = json.loads((SOURCE.parent.parent / "perfbench" / "digests.json").read_text())
+    grid = [(x, y) for x in range(6) for y in range(6)]
+
+    def stream_digest():
+        configs = itertools.combinations(grid, 5)
+        digest, start = hashlib.sha256(), 0
+        while chunk := tuple(itertools.islice(configs, 1024)):
+            digest.update(built_kernel.analyze_chunk(chunk, start, ALL_CHECKS, True)[2].encode())
+            start += len(chunk)
+        return digest.hexdigest(), start
+
+    assert in_child(stream_digest) == (digests["sweep-grid"], 376992)
+
+
+# the directions of a line's three rays, W, S and NE
+RAYS = ((-1, 0), (0, -1), (1, 1))
+
+
+def _raw_key_count(points):
+    """The kernel's candidate points before repeats are dropped: one per
+    line vertex (the point negated) and one per pair of non-parallel rays
+    of two lines that meet off both vertices, solved as a 2 x 2 system by
+    Cramer's rule."""
+    vertices = [(-x, -y) for x, y in points]
+    count = len(vertices)
+    for (ax, ay), (bx, by) in itertools.combinations(vertices, 2):
+        dx, dy = bx - ax, by - ay
+        for (ux, uy), (wx, wy) in itertools.product(RAYS, RAYS):
+            # a + t u = b + s w
+            det = ux * wy - uy * wx
+            if det:
+                t, s = Fraction(dx * wy - dy * wx, det), Fraction(uy * dx - ux * dy, det)
+                count += t > 0 and s > 0
+    return count
+
+
+def _small_sort():
+    [threshold] = re.findall(r"#define SMALL_SORT (\d+)", (SOURCE / "_fastsweep.c").read_text())
+    return int(threshold)
+
+
+def _configs_with_raw_key_counts(counts):
+    """For each raw key count, the first seeded configuration that has it,
+    drawn crowded into small boxes so that coaxial pairs add crossings."""
+    rng = random.Random(96)
+    found = {}
+    while len(found) < len(counts):
+        points = _seeded_points(rng, rng.randint(8, 16), rng.randint(2, 8))
+        if (count := _raw_key_count(points)) in counts:
+            found.setdefault(count, points)
+    return [found[count] for count in counts]
+
+
+def test_every_ray_crossing_sector_and_sort_size_matches_the_pure_reference(
+    built_kernel, in_child
+):
+    # two lines at every offset in [-3, 3]^2: each sector and each axis
+    # between sectors of the closed-form crossings
+    pairs = [[(0, 0), (dx, dy)] for dx in range(-3, 4) for dy in range(-3, 4) if dx or dy]
+    assert {_raw_key_count(points) for points in pairs} == {2, 3}
+    # raw key counts just below, at and just above the small-sort threshold
+    threshold = _small_sort()
+    sizes = _configs_with_raw_key_counts([threshold - 1, threshold, threshold + 1])
+    sample = pairs + [[(x + 5, y - 2) for x, y in points] for points in pairs] + sizes
+    records, ordinary = in_child(lambda: (
+        [built_kernel.analyze_ints(points) for points in sample],
+        [built_kernel.has_ordinary_line(points) for points in sample]))
+    for points, record, has in zip(sample, records, ordinary, strict=True):
+        cfg = point_config(points)
+        assert record == analyze_config(cfg), points
+        assert has == (len(ordinary_stable_lines(cfg)) > 0), points
+
+
 # the coaxial pairs, each with one interior edge, horizontal, vertical and
 # diagonal in turn
 COAXIAL_PAIRS = ([(0, 0), (1, 0)], [(0, 0), (0, 1)], [(0, 0), (1, 1)])

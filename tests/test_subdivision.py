@@ -52,6 +52,7 @@ from oracles import (
     shares_edge,
     simplex_lattice_points,
     tiling_scan,
+    unit_triangles_by_centroid,
 )
 
 
@@ -126,6 +127,26 @@ def test_two_generic_lines_tile_with_three_cells():
         (CellClass.TRIANGLE, ((1, 0), (2, 0), (1, 1)), 1),
     ]
     assert sum(a for _, _, a in got) == 4
+
+
+def test_row_extents_and_centroids_give_the_same_unit_triangles():
+    # every cell of the n = 7, range 20 random stream of seed 1 (the
+    # benchmark's pure sweep): the library's row extents against the
+    # centroid rule over each cell's bounding box
+    from troplines.arrangement import arrangement_vertices, dual_cell
+    from troplines.subdivision import _unit_triangles
+    from troplines.sweep import Random, SweepParams, _config_list
+
+    cells = 0
+    for pairs in _config_list(SweepParams(7, Random(samples=300, coord_range=20, seed=1))):
+        arr = dualize_points(point_config(pairs))
+        for vd in arrangement_vertices(arr):
+            cell = dual_cell(arr, vd)
+            found = _unit_triangles(cell)
+            assert len(found) == len(set(found)) == cell.doubled_area(), cell
+            assert set(found) == set(unit_triangles_by_centroid(cell)), cell
+            cells += 1
+    assert cells == 7441
 
 
 def test_tiling_holds_on_random_configurations():
