@@ -43,12 +43,12 @@
  *     det * LIFT <= 2**42, keep 17 bits of headroom.
  * Python objects appear only at the boundary: the points are converted once
  * on entry. analyze_ints takes one configuration, with scratch memory
- * allocated for the call and sized from n, and builds its record dict once
- * at the end. analyze_chunk takes a sweep's chunk of configurations, with
+ * allocated for the call and sized from n, and builds its record dict at
+ * the end. analyze_chunk takes a sweep's chunk of configurations, with
  * one scratch allocation for the chunk sized from its largest n; it writes
  * each configuration's JSONL line straight into one text buffer and its
- * excess into one bytes object, and makes Python objects only for the
- * records that have violations.
+ * excess into one bytes object, and passes on, as they are, only the
+ * violation lists of the records that have any.
  *
  * Build: python3 setup.py build_ext --inplace, or directly with
  *   cc -O2 -shared -fPIC -I<python include dir> _fastsweep.c -o _fastsweep<EXT_SUFFIX>
@@ -1031,46 +1031,21 @@ _analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violat
     return 0;
 }
 
-/* The 12 record keys, interned once per module. */
-static const char *const RECORD_KEYS[] = {
-    "v", "t", "triangles", "b", "k", "h", "near_pencil",
-    "bound_holds", "equality", "consistent", "excess", "violations",
-};
-#define NKEYS ((int)(sizeof(RECORD_KEYS) / sizeof(RECORD_KEYS[0])))
-
-typedef struct {
-    PyObject *keys[NKEYS];
-} ModuleState;
-
-/* The record dict, built once; NULL with an exception set. */
+/* The record dict; NULL with an exception set. */
 static PyObject *
-_record(ModuleState *state, int n, const Summary *s, PyObject *violations)
+_record(int n, const Summary *s, PyObject *violations)
 {
     int equality = s->excess == 0;
     PyObject *near_pencil = s->near_pencil == NEAR_UNTILED ? Py_None
                             : s->near_pencil == NEAR_YES ? Py_True : Py_False;
-    PyObject *values[NKEYS] = {
-        PyLong_FromLong(n),
-        PyLong_FromLong(s->t),
-        PyLong_FromLong(s->triangles),
-        PyLong_FromLong(s->b),
-        PyLong_FromLong(s->k),
-        PyLong_FromLong(s->h),
-        Py_NewRef(near_pencil),
-        PyBool_FromLong(s->excess >= 0),
-        PyBool_FromLong(equality),
-        PyBool_FromLong(!equality || s->near_pencil == NEAR_YES),
-        PyLong_FromLong(s->excess),
-        Py_NewRef(violations),
-    };
-    PyObject *record = PyDict_New();
-    for (int k = 0; k < NKEYS; k++) {
-        if (record != NULL && (values[k] == NULL
-                               || PyDict_SetItem(record, state->keys[k], values[k]) < 0))
-            Py_CLEAR(record);
-        Py_XDECREF(values[k]);
-    }
-    return record;
+    return Py_BuildValue(
+        "{s:i,s:i,s:i,s:i,s:i,s:i,s:O,s:O,s:O,s:O,s:i,s:O}",
+        "v", n, "t", s->t, "triangles", s->triangles, "b", s->b, "k", s->k, "h", s->h,
+        "near_pencil", near_pencil,
+        "bound_holds", s->excess >= 0 ? Py_True : Py_False,
+        "equality", equality ? Py_True : Py_False,
+        "consistent", !equality || s->near_pencil == NEAR_YES ? Py_True : Py_False,
+        "excess", s->excess, "violations", violations);
 }
 
 PyDoc_STRVAR(analyze_ints_doc,
@@ -1083,7 +1058,7 @@ PyDoc_STRVAR(analyze_ints_doc,
 "vocabulary.");
 
 static PyObject *
-analyze_ints(PyObject *module, PyObject *points)
+analyze_ints(PyObject *Py_UNUSED(module), PyObject *points)
 {
     i64 px[MAXN], py[MAXN];
     Summary summary;
@@ -1094,7 +1069,7 @@ analyze_ints(PyObject *module, PyObject *points)
     PyObject *record = NULL;
     PyObject *violations = PyList_New(0);
     if (violations != NULL && _analyze(px, py, n, &scratch, violations, &summary) == 0)
-        record = _record(PyModule_GetState(module), n, &summary, violations);
+        record = _record(n, &summary, violations);
     Py_XDECREF(violations);
     PyMem_Free(scratch.block);
     return record;
@@ -1219,7 +1194,7 @@ static int
 _put_line(Text *text, i64 index, const i64 *px, const i64 *py, int n, int excess,
           PyObject *violations)
 {
-    Py_ssize_t count = violations == NULL ? 0 : PyList_GET_SIZE(violations);
+    Py_ssize_t count = PyList_GET_SIZE(violations);
     if (_text_reserve(text, LINE_BYTES(n)) < 0)
         return -1;
     char *at = text->data + text->used;
@@ -1261,40 +1236,24 @@ _put_line(Text *text, i64 index, const i64 *px, const i64 *py, int n, int excess
     return 0;
 }
 
-/* The entries of violations whose suite name is in checks, as a new list;
- * NULL with an exception set. */
-static PyObject *
-_kept(PyObject *violations, PyObject *checks)
-{
-    PyObject *kept = PyList_New(0);
-    for (Py_ssize_t v = 0; kept != NULL && v < PyList_GET_SIZE(violations); v++) {
-        PyObject *entry = PyList_GET_ITEM(violations, v);
-        int in = PySequence_Contains(checks, PyList_GET_ITEM(entry, 0));
-        if (in < 0 || (in && PyList_Append(kept, entry) < 0))
-            Py_CLEAR(kept);
-    }
-    return kept;
-}
-
 PyDoc_STRVAR(analyze_chunk_doc,
-"analyze_chunk(configs, start, checks, encode)\n--\n\n"
+"analyze_chunk(configs, start, encode)\n--\n\n"
 "A sweep's chunk of configurations analyzed in one call: configs is a\n"
 "sequence of point sequences, each taken as analyze_ints takes it, and\n"
 "the first of them has sweep index start. Returns (excesses, flagged,\n"
 "text): excesses holds each configuration's excess as a native int\n"
 "(array('i') bytes); flagged lists (offset, violations) in offset order\n"
-"for the configurations that have violations whose suite is in checks,\n"
-"with only those violations; text is the chunk's JSONL lines, each\n"
-"serialize.sweep_line_json's line of the record plus a newline, or None\n"
-"when encode is false.");
+"for the configurations that have violations; text is the chunk's JSONL\n"
+"lines, each serialize.sweep_line_json's line of the record plus a\n"
+"newline, or None when encode is false.");
 
 static PyObject *
 analyze_chunk(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *configs, *checks;
+    PyObject *configs;
     Py_ssize_t start;
     int encode;
-    if (!PyArg_ParseTuple(args, "OnOp:analyze_chunk", &configs, &start, &checks, &encode))
+    if (!PyArg_ParseTuple(args, "Onp:analyze_chunk", &configs, &start, &encode))
         return NULL;
     /* a private tuple, as _read_points takes the points */
     PyObject *seq = PySequence_Tuple(configs);
@@ -1304,7 +1263,7 @@ analyze_chunk(PyObject *Py_UNUSED(module), PyObject *args)
     PyObject *excesses = PyBytes_FromStringAndSize(NULL, count * (Py_ssize_t)sizeof(int));
     PyObject *flagged = PyList_New(0);
     PyObject *violations = PyList_New(0);
-    PyObject *kept = NULL, *lines, *result = NULL;
+    PyObject *lines, *result = NULL;
     Text text = {NULL, 0, 0};
     Scratch scratch = {0};
     int capacity = 0;
@@ -1325,21 +1284,17 @@ analyze_chunk(PyObject *Py_UNUSED(module), PyObject *args)
         if (_analyze(px, py, n, &scratch, violations, &summary) < 0)
             goto done;
         memcpy(PyBytes_AS_STRING(excesses) + offset * sizeof(int), &summary.excess, sizeof(int));
-        Py_CLEAR(kept);
-        if (PyList_GET_SIZE(violations) > 0) {
-            kept = _kept(violations, checks);
-            if (kept == NULL || PyList_SetSlice(violations, 0, PY_SSIZE_T_MAX, NULL) < 0)
-                goto done;
-            if (PyList_GET_SIZE(kept) > 0) {
-                PyObject *entry = Py_BuildValue("(nO)", offset, kept);
-                int rc = entry == NULL ? -1 : PyList_Append(flagged, entry);
-                Py_XDECREF(entry);
-                if (rc < 0)
-                    goto done;
-            }
-        }
-        if (encode && _put_line(&text, start + offset, px, py, n, summary.excess, kept) < 0)
+        if (encode && _put_line(&text, start + offset, px, py, n, summary.excess, violations) < 0)
             goto done;
+        if (PyList_GET_SIZE(violations) > 0) {
+            /* flagged takes the list, and the next record starts a new one */
+            PyObject *entry = Py_BuildValue("(nN)", offset, violations);
+            int rc = entry == NULL ? -1 : PyList_Append(flagged, entry);
+            Py_XDECREF(entry);
+            violations = PyList_New(0);
+            if (rc < 0 || violations == NULL)
+                goto done;
+        }
     }
     lines = encode ? PyUnicode_DecodeASCII(text.data, text.used, NULL) : Py_NewRef(Py_None);
     if (lines != NULL)
@@ -1347,7 +1302,6 @@ analyze_chunk(PyObject *Py_UNUSED(module), PyObject *args)
 done:
     PyMem_Free(scratch.block);
     PyMem_Free(text.data);
-    Py_XDECREF(kept);
     Py_XDECREF(violations);
     Py_XDECREF(flagged);
     Py_XDECREF(excesses);
@@ -1367,37 +1321,7 @@ static PyMethodDef fastsweep_methods[] = {
 static int
 fastsweep_exec(PyObject *module)
 {
-    ModuleState *state = PyModule_GetState(module);
-    for (int k = 0; k < NKEYS; k++) {
-        state->keys[k] = PyUnicode_InternFromString(RECORD_KEYS[k]);
-        if (state->keys[k] == NULL)
-            return -1;
-    }
     return PyModule_AddIntConstant(module, "MAX_POINTS", MAXN);
-}
-
-static int
-fastsweep_traverse(PyObject *module, visitproc visit, void *arg)
-{
-    ModuleState *state = PyModule_GetState(module);
-    for (int k = 0; k < NKEYS; k++)
-        Py_VISIT(state->keys[k]);
-    return 0;
-}
-
-static int
-fastsweep_clear(PyObject *module)
-{
-    ModuleState *state = PyModule_GetState(module);
-    for (int k = 0; k < NKEYS; k++)
-        Py_CLEAR(state->keys[k]);
-    return 0;
-}
-
-static void
-fastsweep_free(void *module)
-{
-    fastsweep_clear((PyObject *)module);
 }
 
 static PyModuleDef_Slot fastsweep_slots[] = {
@@ -1413,12 +1337,8 @@ static struct PyModuleDef fastsweep_module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "troplines._fastsweep",
     .m_doc = fastsweep_doc,
-    .m_size = sizeof(ModuleState),
     .m_methods = fastsweep_methods,
     .m_slots = fastsweep_slots,
-    .m_traverse = fastsweep_traverse,
-    .m_clear = fastsweep_clear,
-    .m_free = fastsweep_free,
 };
 
 PyMODINIT_FUNC

@@ -69,7 +69,7 @@ class RangeTooSmall(TroplinesError):
 
 
 class InvalidSweep(TroplinesError):
-    """Sweep parameters violate a precondition (sizes, modes, checks)."""
+    """Sweep parameters violate a precondition (sizes, modes)."""
 
 
 class InputFormatError(TroplinesError):

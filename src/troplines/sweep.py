@@ -38,24 +38,6 @@ from .serialize import sweep_line_json
 
 IntPair = Tuple[int, int]
 
-# the invariant suites a sweep can enable; analysis records tag each
-# violation with one of these
-ALL_CHECKS = frozenset(
-    {
-        "bound",
-        "near_pencil",
-        "cross_oracle",
-        "count_identities",
-        "tiling",
-        "regularity",
-        "cell_edges",
-        "max_triangles",
-        "determined_union",
-        "determined_minimum",
-        "unit_parallelogram",
-    }
-)
-
 
 @dataclass(frozen=True)
 class Exhaustive:
@@ -81,14 +63,10 @@ Mode = Union[Exhaustive, Random]
 class SweepParams:
     n: int
     mode: Mode
-    checks: frozenset = ALL_CHECKS
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidSweep(f"n must be at least 1, got {self.n}")
-        unknown = set(self.checks) - ALL_CHECKS
-        if unknown:
-            raise InvalidSweep(f"unknown check suites: {sorted(unknown)}")
         if isinstance(self.mode, Exhaustive):
             if self.mode.grid_size < 2:
                 raise InvalidSweep(
@@ -209,12 +187,11 @@ class JsonlSink:
 
 class _Chunk(NamedTuple):
     """Consecutive configurations of one sweep, from index start on, with
-    what the analysis of each needs: the check suites kept, whether the
-    sweep takes the kernel route and whether to encode JSONL lines."""
+    whether the sweep takes the kernel route and whether to encode JSONL
+    lines."""
 
     start: int
     configs: Tuple[Tuple[IntPair, ...], ...]
-    checks: frozenset
     compiled: bool
     encode: bool
 
@@ -233,9 +210,9 @@ def _naming(pairs: Tuple[IntPair, ...]) -> Iterator[None]:
 
 def _analyze_chunk(chunk: _Chunk) -> Tuple[array, List[Tuple[int, list]], Optional[str]]:
     """The excess of each configuration of the chunk in order, the
-    (offset in the chunk, violations in chunk.checks) of those that have
-    any, and their JSONL lines, newline-terminated and joined, when
-    chunk.encode is set (None otherwise).
+    (offset in the chunk, violations) of those that have any, and the
+    chunk's JSONL lines, newline-terminated and joined, when chunk.encode
+    is set (None otherwise).
 
     The kernel route passes the chunk's int tuples to the extension in one
     call; otherwise each configuration goes through kernel.analyze. An
@@ -244,14 +221,13 @@ def _analyze_chunk(chunk: _Chunk) -> Tuple[array, List[Tuple[int, list]], Option
     if chunk.compiled:
         analyze_chunk = kernel._COMPILED.analyze_chunk
         try:
-            raw, flagged, text = analyze_chunk(
-                chunk.configs, chunk.start, chunk.checks, chunk.encode)
+            raw, flagged, text = analyze_chunk(chunk.configs, chunk.start, chunk.encode)
         except AssertionError:
             # the kernel is deterministic, so the configuration that failed
             # fails again on its own
             for offset, pairs in enumerate(chunk.configs):
                 with _naming(pairs):
-                    analyze_chunk((pairs,), chunk.start + offset, chunk.checks, False)
+                    analyze_chunk((pairs,), chunk.start + offset, False)
             raise
         return array("i", raw), flagged, text
     excesses = array("i")
@@ -261,7 +237,7 @@ def _analyze_chunk(chunk: _Chunk) -> Tuple[array, List[Tuple[int, list]], Option
         with _naming(pairs):
             record = kernel.analyze(point_config(pairs))
         excess = record["excess"]
-        bad = [v for v in record["violations"] if v[0] in chunk.checks]
+        bad = record["violations"]
         excesses.append(excess)
         if bad:
             flagged.append((offset, bad))
@@ -277,7 +253,7 @@ def _chunks(params: SweepParams, size: int, encode: bool) -> Iterator[_Chunk]:
     compiled = _kernel_route(params)
     parts = iter(lambda: tuple(itertools.islice(configs, size)), ())
     return (
-        _Chunk(number * size, part, params.checks, compiled, encode)
+        _Chunk(number * size, part, compiled, encode)
         for number, part in enumerate(parts)
     )
 
@@ -358,9 +334,7 @@ def run_sweep(
     )
 
 
-def sg_failure_search(
-    n: int, params: SweepParams, stop_after: int = 1
-) -> List[PointConfig]:
+def sg_failure_search(params: SweepParams, stop_after: int = 1) -> List[PointConfig]:
     """Configurations with no ordinary stable line (no stable line through
     exactly two of the points).
 
@@ -369,12 +343,10 @@ def sg_failure_search(
     stop_after witnesses are found. Exhausting the stream first issues a
     BudgetExhausted warning and returns whatever was found.
     """
-    if n < 4:
+    if params.n < 4:
         raise InvalidSweep(
-            f"ordinary-line failures are searched at n >= 4, got {n}"
+            f"ordinary-line failures are searched at n >= 4, got {params.n}"
         )
-    if params.n != n:
-        raise InvalidSweep(f"params.n = {params.n} does not match n = {n}")
     has_ordinary_line = (
         kernel._COMPILED.has_ordinary_line if _kernel_route(params) else None
     )

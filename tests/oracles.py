@@ -38,7 +38,8 @@ point arithmetic) live here for the tests that pin them. The library
 finds the lines through each stable point from buckets of the line
 vertices; incident_lines_scan evaluates every line's argmax there.
 A sweep's JSONL line is specified as the json.dumps of its record, which
-the library writes out directly. coordinate_sets draws the distinct
+the library writes out directly; SUITES names the suites its violations
+are tagged with. coordinate_sets draws the distinct
 points (or line vertices) that the route checks run on.
 """
 
@@ -221,6 +222,24 @@ def incident_lines_scan(arr, q):
 def lines_through_point(lines, q):
     """Indices of the lines containing q."""
     return [i for i, line in enumerate(lines) if contains(line, q)]
+
+
+# the invariant suites of analysis records, each violation tagged with one
+SUITES = frozenset(
+    {
+        "bound",
+        "near_pencil",
+        "cross_oracle",
+        "count_identities",
+        "tiling",
+        "regularity",
+        "cell_edges",
+        "max_triangles",
+        "determined_union",
+        "determined_minimum",
+        "unit_parallelogram",
+    }
+)
 
 
 def sweep_line_spec(index, config, excess, violations):

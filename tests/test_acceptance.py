@@ -206,8 +206,8 @@ def test_criterion_6_structural_invariants(corpus):
 
 def test_criterion_7_ordinary_line_failures_exist():
     start = time.perf_counter()
-    found4 = sg_failure_search(4, SweepParams(n=4, mode=Exhaustive(6)))
-    found5 = sg_failure_search(5, SweepParams(n=5, mode=Exhaustive(6)))
+    found4 = sg_failure_search(SweepParams(n=4, mode=Exhaustive(6)))
+    found5 = sg_failure_search(SweepParams(n=5, mode=Exhaustive(6)))
     elapsed = time.perf_counter() - start
     ok = len(found4) == 1 and len(found5) == 1 and elapsed < 60.0
     from troplines.incidence import ordinary_stable_lines

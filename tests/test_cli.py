@@ -252,7 +252,7 @@ def test_verify_internal_assertion_names_the_configuration(monkeypatch, capsys, 
             raise AssertionError("cell areas drifted")
         return real(point_config(points))
 
-    def broken_chunk(configs, start, checks, encode):
+    def broken_chunk(configs, start, encode):
         # a stand-in for the chunk entry: the whole chunk fails when the
         # target is in it, and every other configuration has excess 0
         if target in configs:

@@ -27,10 +27,9 @@ from troplines.kernel import (
     has_ordinary_line,
     kernel_pairs,
 )
-from troplines.sweep import ALL_CHECKS
 
 from conftest import SOURCE
-from oracles import sweep_line_spec
+from oracles import SUITES, sweep_line_spec
 
 compiled_only = pytest.mark.skipif(
     backend_name() != "compiled", reason="compiled extension not active"
@@ -141,7 +140,7 @@ def test_kernel_limit_is_the_extension_limit(built_kernel, in_child):
     too_many = [(i, i * i % 1000) for i in range(MAX_KERNEL_POINTS + 1)]
     message = f"at most {MAX_KERNEL_POINTS} points, got {MAX_KERNEL_POINTS + 1}"
     for function in (built_kernel.analyze_ints, built_kernel.has_ordinary_line,
-                     lambda points: built_kernel.analyze_chunk((points,), 0, ALL_CHECKS, True)):
+                     lambda points: built_kernel.analyze_chunk((points,), 0, True)):
         with pytest.raises(ValueError, match=message):
             function(too_many)
         in_child(lambda: function(too_many[:-1]))
@@ -179,7 +178,7 @@ def test_kernel_rejects_malformed_points(built_kernel, in_child):
     def last_in_chunk(points):
         # after two valid configurations, which the chunk analyzes first
         return built_kernel.analyze_chunk(
-            ([(0, 0), (1, 2)], [(3, 1), (0, 0), (2, 2)], points), 0, ALL_CHECKS, True)
+            ([(0, 0), (1, 2)], [(3, 1), (0, 0), (2, 2)], points), 0, True)
 
     def reject_all():
         for points, error, message in MALFORMED_POINTS:
@@ -226,7 +225,7 @@ def test_grid_stream_matches_the_benchmark_digest(built_kernel, in_child):
         configs = itertools.combinations(grid, 5)
         digest, start = hashlib.sha256(), 0
         while chunk := tuple(itertools.islice(configs, 1024)):
-            digest.update(built_kernel.analyze_chunk(chunk, start, ALL_CHECKS, True)[2].encode())
+            digest.update(built_kernel.analyze_chunk(chunk, start, True)[2].encode())
             start += len(chunk)
         return digest.hexdigest(), start
 
@@ -316,7 +315,7 @@ def test_chunk_lines_match_the_spec_on_records_with_violations(negated_lift_kern
                      [(0, 0)], [(-COORD_LIMIT, COORD_LIMIT), (COORD_LIMIT, -COORD_LIMIT)]])
     start = 2**40
     (raw, flagged, text), records = in_child(lambda: (
-        faulty.analyze_chunk(configs, start, ALL_CHECKS, True),
+        faulty.analyze_chunk(configs, start, True),
         [faulty.analyze_ints(points) for points in configs]))
     assert text == "".join(
         sweep_line_spec(start + offset, points, record["excess"], record["violations"]) + "\n"
@@ -325,16 +324,7 @@ def test_chunk_lines_match_the_spec_on_records_with_violations(negated_lift_kern
     assert flagged == [(offset, record["violations"])
                        for offset, record in enumerate(records) if record["violations"]]
     assert 3 <= len(flagged) < len(configs)
-
-    # suites outside checks are dropped from the records and the lines
-    raw_bound, flagged_bound, text_bound = in_child(lambda: faulty.analyze_chunk(
-        configs, start, frozenset({"bound", "tiling"}), True))
-    assert (raw_bound, flagged_bound) == (raw, [])
-    assert text_bound == "".join(
-        sweep_line_spec(start + offset, points, record["excess"], []) + "\n"
-        for offset, (points, record) in enumerate(zip(configs, records)))
-    assert in_child(lambda: faulty.analyze_chunk(configs, start, ALL_CHECKS, False)) == \
-        (raw, flagged, None)
+    assert in_child(lambda: faulty.analyze_chunk(configs, start, False)) == (raw, flagged, None)
 
 
 def _kernel_messages():
@@ -358,10 +348,20 @@ def test_kernel_violation_texts_need_no_json_escaping():
     messages, calls = _kernel_messages()
     assert len(messages) == calls >= 20
     for suite, fmt in messages:
-        assert suite in ALL_CHECKS, suite
+        assert suite in SUITES, suite
         for text in (suite, fmt):
             assert all(" " <= c <= "~" and c not in '"\\' for c in text), text
         assert re.fullmatch(r"(?:[^%]|%d|%lld)*", fmt), fmt
+
+
+def test_suites_are_the_ones_both_routes_report():
+    # every suite name is reported by the kernel or the pure analysis, and
+    # nothing they report is missing from the vocabulary
+    kernel_suites = {suite for suite, _ in _kernel_messages()[0]}
+    pure_suites = set(re.findall(r'violations\.append\(\s*\(\s*"(\w+)"',
+                                 (SOURCE / "analysis.py").read_text()))
+    assert len(pure_suites) >= 10
+    assert SUITES == kernel_suites | pure_suites
 
 
 def _lines(n):
@@ -400,7 +400,7 @@ from array import array
 sys.path.insert(0, sys.argv[1])
 from conftest import load_kernel
 kernel = load_kernel(sys.argv[2])
-corpus, malformed, checks = pickle.load(sys.stdin.buffer)
+corpus, malformed = pickle.load(sys.stdin.buffer)
 excesses = []
 for points in corpus:
     record = kernel.analyze_ints(points)
@@ -410,7 +410,7 @@ for points in corpus:
         kernel.has_ordinary_line(points)
 
 def chunk(configs):
-    return kernel.analyze_chunk(tuple(configs), 0, checks, True)
+    return kernel.analyze_chunk(tuple(configs), 0, True)
 
 # the chunk entry: one chunk per n, then one of a single configuration and
 # one whose sizes go up and down, so that its scratch memory grows
@@ -464,7 +464,7 @@ def _run_sanitized(kernel_path, env=None):
     malformed = [(points, error) for points, error, _ in MALFORMED_POINTS]
     done = subprocess.run(
         [sys.executable, "-c", _SANITIZER_CHILD, str(Path(__file__).parent), str(kernel_path)],
-        input=pickle.dumps((_sanitizer_corpus(), malformed, ALL_CHECKS)),
+        input=pickle.dumps((_sanitizer_corpus(), malformed)),
         capture_output=True, timeout=600, env={**os.environ, **(env or {})},
     )
     stderr = done.stderr.decode(errors="replace")

@@ -23,9 +23,8 @@ from troplines.serialize import (
     sweep_line_json,
 )
 from troplines.subdivision import dual_subdivision
-from troplines.sweep import ALL_CHECKS
 
-from oracles import sweep_line_spec
+from oracles import SUITES, sweep_line_spec
 
 
 @pytest.mark.parametrize(
@@ -214,7 +213,7 @@ coordinate = st.integers(-(2**70), 2**70)
     index=st.integers(0, 2**64),
     config=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=16),
     excess=st.integers(-(2**40), 2**40),
-    violations=st.lists(st.tuples(st.sampled_from(sorted(ALL_CHECKS)), st.text())),
+    violations=st.lists(st.tuples(st.sampled_from(sorted(SUITES)), st.text())),
 )
 @example(index=0, config=[(0, 0)], excess=0, violations=[])
 @example(

@@ -18,7 +18,6 @@ from troplines.errors import (
 )
 from troplines.incidence import ordinary_stable_lines, point_config
 from troplines.sweep import (
-    ALL_CHECKS,
     Exhaustive,
     JsonlSink,
     Random,
@@ -56,7 +55,6 @@ def test_enumeration_rejects_a_grid_with_too_few_points():
         dict(n=3, mode=Random(samples=0, coord_range=5)),
         dict(n=3, mode=Random(samples=10, coord_range=0)),
         dict(n=3, mode="exhaustive"),
-        dict(n=3, mode=Exhaustive(3), checks=frozenset({"bound", "nonsense"})),
     ],
 )
 def test_parameter_validation(kwargs):
@@ -194,16 +192,6 @@ def test_histogram_keys_are_sorted_and_sum_to_the_total():
     assert all(k >= 0 for k in keys)
 
 
-def test_restricting_checks_keeps_the_histogram():
-    full = run_sweep(SweepParams(n=3, mode=Exhaustive(3)))
-    only_bound = run_sweep(
-        SweepParams(n=3, mode=Exhaustive(3), checks=frozenset({"bound"}))
-    )
-    assert full.histogram == only_bound.histogram
-    assert full.configs_tested == only_bound.configs_tested == 84
-    assert ALL_CHECKS >= {"bound", "near_pencil", "tiling", "regularity"}
-
-
 def test_exhaustive_grid_four_histogram_is_frozen():
     report = run_sweep(SweepParams(n=4, mode=Exhaustive(4)), jobs=2)
     assert report.passed
@@ -214,15 +202,11 @@ def test_failure_search_finds_grid_witnesses():
     # the 3x3 grid holds exactly one four-point configuration with no
     # ordinary stable line
     with pytest.warns(BudgetExhausted):
-        only = sg_failure_search(
-            4, SweepParams(n=4, mode=Exhaustive(3)), stop_after=10
-        )
+        only = sg_failure_search(SweepParams(n=4, mode=Exhaustive(3)), stop_after=10)
     assert [tuple(p) for p in only[0].points] == [(0, 1), (1, 0), (1, 1), (2, 2)]
     assert len(only) == 1
 
-    witnesses = sg_failure_search(
-        4, SweepParams(n=4, mode=Exhaustive(4)), stop_after=2
-    )
+    witnesses = sg_failure_search(SweepParams(n=4, mode=Exhaustive(4)), stop_after=2)
     assert len(witnesses) == 2
     for cfg in witnesses:
         assert ordinary_stable_lines(cfg) == []
@@ -230,15 +214,13 @@ def test_failure_search_finds_grid_witnesses():
 
 def test_failure_search_argument_validation():
     with pytest.raises(InvalidSweep):
-        sg_failure_search(3, SweepParams(n=3, mode=Exhaustive(3)))
-    with pytest.raises(InvalidSweep):
-        sg_failure_search(4, SweepParams(n=5, mode=Exhaustive(3)))
+        sg_failure_search(SweepParams(n=3, mode=Exhaustive(3)))
 
 
 def test_failure_search_warns_when_the_budget_runs_out():
     params = SweepParams(n=4, mode=Random(samples=3, coord_range=30, seed=1))
     with pytest.warns(BudgetExhausted):
-        witnesses = sg_failure_search(4, params, stop_after=1)
+        witnesses = sg_failure_search(params, stop_after=1)
     assert witnesses == []
 
 
@@ -353,15 +335,10 @@ def test_chunk_boundaries_keep_the_pure_route_stream(
     assert sizes == 2 * ([size] * whole + [rest] * (rest > 0))
 
 
-# both routes filter the faulty kernel's regularity violations: the pure
-# route in Python, the kernel route in the chunk entry
-@pytest.mark.parametrize("checks", [ALL_CHECKS, frozenset({"regularity", "bound"}),
-                                    frozenset({"bound", "tiling"})],
-                         ids=["all", "regularity-and-bound", "bound-and-tiling"])
-def test_restricted_checks_filter_the_same_way_on_both_routes(
-    negated_lift_kernel, in_child, monkeypatch, checks
-):
-    params = SweepParams(n=3, mode=Exhaustive(3), checks=checks)
+# both routes report the faulty kernel's regularity violations: the pure
+# route record by record, the kernel route from the chunk entry
+def test_both_routes_report_the_same_violations(negated_lift_kernel, in_child, monkeypatch):
+    params = SweepParams(n=3, mode=Exhaustive(3))
 
     def both_sinks():
         return [(_jsonl_and_summary(params, jobs), _rows_and_summary(params, jobs))
@@ -380,12 +357,9 @@ def test_restricted_checks_filter_the_same_way_on_both_routes(
     [((stream, summary), (rows, _)), pooled] = python
     assert pooled == python[0]
     assert stream == "".join(sweep_line_spec(*row) + "\n" for row in rows).encode()
-    kept = [(pairs, *violation) for _, pairs, _, bad in rows for violation in bad]
-    assert summary[1] == kept
-    if "regularity" in checks:
-        assert len(kept) > 10 and {suite for _, suite, _ in kept} == {"regularity"}
-    else:
-        assert kept == []
+    reported = [(pairs, *violation) for _, pairs, _, bad in rows for violation in bad]
+    assert summary[1] == reported
+    assert len(reported) > 10 and {suite for _, suite, _ in reported} == {"regularity"}
 
 
 def _last_lattice_config(n, grid_size):
@@ -438,7 +412,7 @@ def test_last_lattice_config_is_the_last_subset():
 def test_failure_search_takes_the_kernel_route(built_kernel, monkeypatch):
     params = SweepParams(n=5, mode=Exhaustive(4))
     with pytest.warns(BudgetExhausted):
-        pure = sg_failure_search(5, params, stop_after=200)
+        pure = sg_failure_search(params, stop_after=200)
 
     def not_this_route(cfg):
         raise AssertionError("the search went through kernel.has_ordinary_line")
@@ -446,7 +420,7 @@ def test_failure_search_takes_the_kernel_route(built_kernel, monkeypatch):
     monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
     monkeypatch.setattr(kernel, "has_ordinary_line", not_this_route)
     with pytest.warns(BudgetExhausted):
-        compiled = sg_failure_search(5, params, stop_after=200)
+        compiled = sg_failure_search(params, stop_after=200)
     assert [c.points for c in compiled] == [c.points for c in pure]
     assert len(pure) == 90
 
@@ -455,7 +429,7 @@ def test_failure_search_takes_the_kernel_route_past_16_points(built_kernel, monk
     params = SweepParams(n=20, mode=Random(samples=20, coord_range=2, seed=20))
     monkeypatch.setattr(kernel, "_COMPILED", None)
     with pytest.warns(BudgetExhausted):
-        pure = sg_failure_search(20, params, stop_after=100)
+        pure = sg_failure_search(params, stop_after=100)
 
     def not_this_route(cfg):
         raise AssertionError("the search went through kernel.has_ordinary_line")
@@ -463,7 +437,7 @@ def test_failure_search_takes_the_kernel_route_past_16_points(built_kernel, monk
     monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
     monkeypatch.setattr(kernel, "has_ordinary_line", not_this_route)
     with pytest.warns(BudgetExhausted):
-        compiled = sg_failure_search(20, params, stop_after=100)
+        compiled = sg_failure_search(params, stop_after=100)
     assert [c.points for c in compiled] == [c.points for c in pure]
     assert len(pure) == 15
 
@@ -495,5 +469,5 @@ def test_failure_search_census_on_the_4x4_grid(request, monkeypatch, route, n):
     compiled = request.getfixturevalue("built_kernel") if route == "kernel" else None
     monkeypatch.setattr(kernel, "_COMPILED", compiled)
     with pytest.warns(BudgetExhausted):
-        witnesses = sg_failure_search(n, SweepParams(n=n, mode=Exhaustive(4)), stop_after=10**6)
+        witnesses = sg_failure_search(SweepParams(n=n, mode=Exhaustive(4)), stop_after=10**6)
     assert len(witnesses) == GRID4_CENSUS[n]
