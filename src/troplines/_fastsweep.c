@@ -3,8 +3,9 @@
  * This is an independent reimplementation of analysis.analyze_config for
  * integer point configurations, written against the same mathematical
  * contract rather than the Python code, with the same suite names in the
- * same order. troplines.kernel routes eligible configurations here and
- * equivalence with the pure path is enforced by the test suite.
+ * same order. A sweep runs here when kernel.stream_eligible admits every
+ * configuration it can generate, and equivalence with the pure path is
+ * enforced by the test suite.
  *
  * Per configuration:
  *   - two lines cross at most once off their vertices, at a point six

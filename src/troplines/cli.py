@@ -125,8 +125,9 @@ def cmd_verify(args) -> int:
                       seed=args.seed)
     params = SweepParams(n=args.n, mode=mode)
 
-    # line-buffered: each record reaches the file whole, as soon as its
-    # configuration is analyzed
+    # line-buffered: each write reaches the file whole, at --jobs 1 one
+    # record as soon as its configuration is analyzed, above 1 a chunk's
+    # lines as soon as the chunk comes back
     stream = (open(args.jsonl, "w", encoding="utf-8", buffering=1)
               if args.jsonl else None)
     try:

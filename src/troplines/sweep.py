@@ -10,11 +10,15 @@ Each sweep reads one lazy configuration stream in a fixed order, cut
 into ordered chunks; workers take a bounded number of chunks at a time, so
 memory does not grow with the sweep size and results are identical for
 any worker count and fixed parameters (elapsed time aside). JSONL lines
-are encoded next to the analysis, in the workers. When n and the grid or
-range fit the compiled kernel, each chunk's int tuples go to it in one
-call, which returns the chunk's excesses, its violations and its JSONL
-text; the main process then touches single records only for a plain
-callable sink.
+are encoded next to the analysis, in the workers. Each mode validates
+itself and knows its size, its coordinate reach and its stream.
+
+A sweep, or a failure search, picks its route once, from n and the
+mode's reach: when every configuration it can generate fits the compiled
+kernel, each chunk's int tuples go to it in one call, which returns the
+chunk's excesses, its violations and its JSONL text, and the main process
+touches single records only for a plain callable sink; otherwise every
+configuration goes through the pure reference analysis.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, TextIO,
 
 from . import kernel
 from .errors import BudgetExhausted, GridTooSmall, InvalidSweep, RangeTooSmall
-from .incidence import PointConfig, point_config
+from .incidence import PointConfig, ordinary_stable_lines, point_config
 from .serialize import sweep_line_json
 
 IntPair = Tuple[int, int]
@@ -45,6 +49,28 @@ class Exhaustive:
 
     grid_size: int
 
+    def validate(self, n: int) -> None:
+        if self.grid_size < 2:
+            raise InvalidSweep(f"grid_size must be at least 2, got {self.grid_size}")
+        if self.grid_size ** 2 < n:
+            raise GridTooSmall(
+                f"grid {self.grid_size}x{self.grid_size} has {self.grid_size ** 2} "
+                f"points, fewer than n={n}"
+            )
+
+    def size(self, n: int) -> int:
+        return math.comb(self.grid_size ** 2, n)
+
+    @property
+    def reach(self) -> int:
+        """The largest coordinate magnitude of a configuration."""
+        return self.grid_size - 1
+
+    def configs(self, n: int) -> Iterator[Tuple[IntPair, ...]]:
+        """The n-subsets in lexicographic order, generated lazily."""
+        lattice = [(x, y) for x in range(self.grid_size) for y in range(self.grid_size)]
+        return itertools.combinations(lattice, n)
+
 
 @dataclass(frozen=True)
 class Random:
@@ -54,6 +80,45 @@ class Random:
     samples: int
     coord_range: int
     seed: int = 0
+
+    def validate(self, n: int) -> None:
+        if self.samples < 1:
+            raise InvalidSweep(f"samples must be at least 1, got {self.samples}")
+        if self.coord_range < 1:
+            raise InvalidSweep(f"coord_range must be at least 1, got {self.coord_range}")
+        if (2 * self.coord_range + 1) ** 2 < n:
+            raise RangeTooSmall(
+                f"a box of side {2 * self.coord_range + 1} holds fewer than {n} "
+                f"distinct points"
+            )
+
+    def size(self, n: int) -> int:
+        return self.samples
+
+    @property
+    def reach(self) -> int:
+        """The largest coordinate magnitude of a configuration."""
+        return self.coord_range
+
+    def draw(self, n: int, rng: random.Random) -> Tuple[IntPair, ...]:
+        """n distinct points from the box, uniform with rejection of
+        repeats."""
+        r = self.coord_range
+        chosen: List[IntPair] = []
+        seen = set()
+        while len(chosen) < n:
+            p = (rng.randint(-r, r), rng.randint(-r, r))
+            if p in seen:
+                continue
+            seen.add(p)
+            chosen.append(p)
+        return tuple(chosen)
+
+    def configs(self, n: int) -> Iterator[Tuple[IntPair, ...]]:
+        """The samples draws from one RNG seeded with seed, generated
+        lazily."""
+        rng = random.Random(self.seed)
+        return (self.draw(n, rng) for _ in range(self.samples))
 
 
 Mode = Union[Exhaustive, Random]
@@ -67,27 +132,9 @@ class SweepParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidSweep(f"n must be at least 1, got {self.n}")
-        if isinstance(self.mode, Exhaustive):
-            if self.mode.grid_size < 2:
-                raise InvalidSweep(
-                    f"grid_size must be at least 2, got {self.mode.grid_size}"
-                )
-        elif isinstance(self.mode, Random):
-            if self.mode.samples < 1:
-                raise InvalidSweep(
-                    f"samples must be at least 1, got {self.mode.samples}"
-                )
-            if self.mode.coord_range < 1:
-                raise InvalidSweep(
-                    f"coord_range must be at least 1, got {self.mode.coord_range}"
-                )
-            if (2 * self.mode.coord_range + 1) ** 2 < self.n:
-                raise RangeTooSmall(
-                    f"a box of side {2 * self.mode.coord_range + 1} holds fewer "
-                    f"than {self.n} distinct points"
-                )
-        else:
+        if not isinstance(self.mode, (Exhaustive, Random)):
             raise InvalidSweep(f"unknown mode {self.mode!r}")
+        self.mode.validate(self.n)
 
 
 @dataclass
@@ -102,69 +149,31 @@ class SweepReport:
         return not self.violations
 
 
-def _lattice_configs(n: int, grid_size: int) -> Iterator[Tuple[IntPair, ...]]:
-    if grid_size * grid_size < n:
-        raise GridTooSmall(
-            f"grid {grid_size}x{grid_size} has {grid_size * grid_size} points, "
-            f"fewer than n={n}"
-        )
-    lattice = [(x, y) for x in range(grid_size) for y in range(grid_size)]
-    return itertools.combinations(lattice, n)
-
-
-def _random_pairs(n: int, coord_range: int, rng: random.Random) -> Tuple[IntPair, ...]:
-    if (2 * coord_range + 1) ** 2 < n:
-        raise RangeTooSmall(
-            f"a box of side {2 * coord_range + 1} holds fewer than {n} "
-            f"distinct points"
-        )
-    chosen: List[IntPair] = []
-    seen = set()
-    while len(chosen) < n:
-        p = (rng.randint(-coord_range, coord_range),
-             rng.randint(-coord_range, coord_range))
-        if p in seen:
-            continue
-        seen.add(p)
-        chosen.append(p)
-    return tuple(chosen)
-
-
 def enumerate_configs(n: int, grid_size: int) -> Iterator[PointConfig]:
     """All n-subsets of the grid_size x grid_size lattice, lexicographic."""
-    return map(point_config, _lattice_configs(n, grid_size))
+    mode = Exhaustive(grid_size)
+    mode.validate(n)
+    return map(point_config, mode.configs(n))
 
 
 def random_config(n: int, coord_range: int, rng: random.Random) -> PointConfig:
     """n distinct integer points from [-coord_range, coord_range]^2,
     uniform with rejection of repeats."""
-    return point_config(_random_pairs(n, coord_range, rng))
+    mode = Random(samples=1, coord_range=coord_range)
+    mode.validate(n)
+    return point_config(mode.draw(n, rng))
 
 
 def _config_list(params: SweepParams) -> Iterator[Tuple[IntPair, ...]]:
     """The sweep's configurations as int-pair tuples, generated lazily in
-    their fixed order: enumerate_configs' order, or random_config's draws
-    from one RNG seeded with the mode's seed."""
-    mode = params.mode
-    if isinstance(mode, Exhaustive):
-        return _lattice_configs(params.n, mode.grid_size)
-    rng = random.Random(mode.seed)
-    return (_random_pairs(params.n, mode.coord_range, rng) for _ in range(mode.samples))
-
-
-def _sweep_size(params: SweepParams) -> int:
-    if isinstance(params.mode, Exhaustive):
-        return math.comb(params.mode.grid_size ** 2, params.n)
-    return params.mode.samples
+    their fixed order."""
+    return params.mode.configs(params.n)
 
 
 def _kernel_route(params: SweepParams) -> bool:
-    """Whether every configuration of the sweep goes to the compiled
-    kernel as int tuples, decided from n and the largest coordinate
-    magnitude the mode can generate, without generating anything."""
-    mode = params.mode
-    reach = mode.grid_size - 1 if isinstance(mode, Exhaustive) else mode.coord_range
-    return kernel.stream_eligible(params.n, reach)
+    """Whether the whole sweep runs on the compiled kernel, decided from n
+    and the mode's coordinate reach without generating anything."""
+    return kernel.stream_eligible(params.n, params.mode.reach)
 
 
 class JsonlSink:
@@ -215,7 +224,7 @@ def _analyze_chunk(chunk: _Chunk) -> Tuple[array, List[Tuple[int, list]], Option
     is set (None otherwise).
 
     The kernel route passes the chunk's int tuples to the extension in one
-    call; otherwise each configuration goes through kernel.analyze. An
+    call; the pure route takes each configuration through kernel.analyze. An
     AssertionError from either is raised again naming the points.
     """
     if chunk.compiled:
@@ -300,7 +309,7 @@ def run_sweep(
     stream = None
     if isinstance(sink, JsonlSink):
         stream, sink = sink.stream, None
-    total = _sweep_size(params)
+    total = params.mode.size(params.n)
     size = _chunk_size(total, jobs)
     chunks = _chunks(params, size, stream is not None)
     histogram: Dict[int, int] = {}
@@ -338,24 +347,22 @@ def sg_failure_search(params: SweepParams, stop_after: int = 1) -> List[PointCon
     """Configurations with no ordinary stable line (no stable line through
     exactly two of the points).
 
-    Streams the configurations described by params, as int tuples straight
-    to the compiled kernel when the whole sweep fits it, and stops once
-    stop_after witnesses are found. Exhausting the stream first issues a
-    BudgetExhausted warning and returns whatever was found.
+    Streams the configurations described by params, on the compiled kernel
+    when the whole sweep fits it and on the pure reference otherwise, and
+    stops once stop_after witnesses are found. Exhausting the stream first
+    issues a BudgetExhausted warning and returns whatever was found.
     """
     if params.n < 4:
         raise InvalidSweep(
             f"ordinary-line failures are searched at n >= 4, got {params.n}"
         )
-    has_ordinary_line = (
-        kernel._COMPILED.has_ordinary_line if _kernel_route(params) else None
-    )
+    compiled = kernel._COMPILED if _kernel_route(params) else None
     witnesses: List[PointConfig] = []
     for pairs in _config_list(params):
-        if has_ordinary_line is not None:
-            ordinary = has_ordinary_line(pairs)
+        if compiled is not None:
+            ordinary = compiled.has_ordinary_line(pairs)
         else:
-            ordinary = kernel.has_ordinary_line(point_config(pairs))
+            ordinary = len(ordinary_stable_lines(point_config(pairs))) > 0
         if not ordinary:
             witnesses.append(point_config(pairs))
             if len(witnesses) >= stop_after:

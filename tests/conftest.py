@@ -120,30 +120,36 @@ def built_kernel(tmp_path_factory):
 _LIFT_ANCHOR = "    _lift(n, px, py, lift);\n"
 
 
-@pytest.fixture(scope="session")
-def negated_lift_kernel(tmp_path_factory):
-    """The kernel compiled as built_kernel is, from its source with the
-    lift negated after it is computed, and loaded. The negated lift stays
-    affine on every cell, so only the dominance test across cell edges can
-    reject it, as a regularity violation."""
+def _negated_lift_source(directory):
+    """The kernel's source with the lift negated after it is computed,
+    written into directory; its path. The negated lift stays affine on
+    every cell, so only the dominance test across cell edges can reject
+    it, as a regularity violation."""
     text = (SOURCE / "_fastsweep.c").read_text()
     assert text.count(_LIFT_ANCHOR) == 1
-    directory = tmp_path_factory.mktemp("negated_lift")
-    source = directory / "_fastsweep.c"
+    source = Path(directory) / "_fastsweep.c"
     source.write_text(text.replace(_LIFT_ANCHOR, _LIFT_ANCHOR + (
         "    for (i = 0; i <= n; i++)\n"
         "        for (j = 0; i + j <= n; j++)\n"
         "            LIFT(i, j) = -LIFT(i, j);\n")))
-    return load_kernel(compile_kernel(directory, "-O0", source=source))
+    return source
 
 
-def _sanitized_kernel(directory, flags, env=None):
-    """The path of the kernel compiled at -O1 with the sanitizer flags into
-    directory, once a child interpreter with env added to its environment
-    has loaded it. Skips the test when the toolchain cannot build it or
-    the interpreter cannot load it."""
+@pytest.fixture(scope="session")
+def negated_lift_kernel(tmp_path_factory):
+    """The kernel compiled as built_kernel is, from _negated_lift_source,
+    and loaded."""
+    directory = tmp_path_factory.mktemp("negated_lift")
+    return load_kernel(compile_kernel(directory, "-O0", source=_negated_lift_source(directory)))
+
+
+def _sanitized_kernel(directory, flags, env=None, source=SOURCE / "_fastsweep.c"):
+    """The path of the kernel source compiled at -O1 with the sanitizer
+    flags into directory, once a child interpreter with env added to its
+    environment has loaded it. Skips the test when the toolchain cannot
+    build it or the interpreter cannot load it."""
     try:
-        target = compile_kernel(directory, "-O1", *flags)
+        target = compile_kernel(directory, "-O1", *flags, source=source)
     except subprocess.CalledProcessError:
         pytest.skip(f"the C compiler cannot build with {' '.join(flags)}")
     probe = subprocess.run(
@@ -158,28 +164,51 @@ def _sanitized_kernel(directory, flags, env=None):
     return target
 
 
+UBSAN = ["-fsanitize=undefined", "-fno-sanitize-recover=all"]
+ASAN = ["-fsanitize=address"]
+
+
 @pytest.fixture(scope="session")
 def ubsan_kernel(tmp_path_factory):
     """The path of the kernel compiled with the undefined-behaviour
     sanitizer, which aborts at the first report."""
-    return _sanitized_kernel(tmp_path_factory.mktemp("ubsan"),
-                             ["-fsanitize=undefined", "-fno-sanitize-recover=all"])
+    return _sanitized_kernel(tmp_path_factory.mktemp("ubsan"), UBSAN)
 
 
 @pytest.fixture(scope="session")
-def asan_kernel(tmp_path_factory):
-    """(path, environment) of the kernel compiled with the address
-    sanitizer, which aborts at the first heap overrun, and the additions
-    to the environment under which an interpreter not built with the
-    sanitizer loads it: the sanitizer's runtime preloaded, leak checks off
-    (the interpreter keeps memory until exit) and Python's allocator
-    replaced by malloc, so that every block the kernel allocates has guard
-    bytes. Skips the test when the compiler has no such runtime."""
+def ubsan_negated_lift_kernel(tmp_path_factory):
+    """The path of _negated_lift_source compiled as ubsan_kernel is."""
+    directory = tmp_path_factory.mktemp("ubsan_negated_lift")
+    return _sanitized_kernel(directory, UBSAN, source=_negated_lift_source(directory))
+
+
+@pytest.fixture(scope="session")
+def asan_env():
+    """The additions to the environment under which an interpreter not
+    built with the address sanitizer loads a kernel built with it: the
+    sanitizer's runtime preloaded, leak checks off (the interpreter keeps
+    memory until exit) and Python's allocator replaced by malloc, so that
+    every block the kernel allocates has guard bytes. Skips the test when
+    the compiler has no such runtime."""
     compiler = shutil.which("cc")
     runtime = compiler and subprocess.run(
         [compiler, "-print-file-name=libasan.so"], capture_output=True, text=True, timeout=60,
     ).stdout.strip()
     if not runtime or not Path(runtime).is_absolute():
         pytest.skip("the C compiler has no address-sanitizer runtime")
-    env = {"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0", "PYTHONMALLOC": "malloc"}
-    return _sanitized_kernel(tmp_path_factory.mktemp("asan"), ["-fsanitize=address"], env), env
+    return {"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0", "PYTHONMALLOC": "malloc"}
+
+
+@pytest.fixture(scope="session")
+def asan_kernel(tmp_path_factory, asan_env):
+    """(path, asan_env) of the kernel compiled with the address sanitizer,
+    which aborts at the first heap overrun."""
+    return _sanitized_kernel(tmp_path_factory.mktemp("asan"), ASAN, asan_env), asan_env
+
+
+@pytest.fixture(scope="session")
+def asan_negated_lift_kernel(tmp_path_factory, asan_env):
+    """(path, asan_env) of _negated_lift_source compiled as asan_kernel is."""
+    directory = tmp_path_factory.mktemp("asan_negated_lift")
+    source = _negated_lift_source(directory)
+    return _sanitized_kernel(directory, ASAN, asan_env, source=source), asan_env

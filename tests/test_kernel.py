@@ -17,16 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from troplines import kernel
 from troplines.analysis import analyze_config
 from troplines.incidence import ordinary_stable_lines, point_config
-from troplines.kernel import (
-    COORD_LIMIT,
-    MAX_KERNEL_POINTS,
-    analyze,
-    backend_name,
-    has_ordinary_line,
-    kernel_pairs,
-)
+from troplines.kernel import COORD_LIMIT, MAX_KERNEL_POINTS, backend_name, stream_eligible
 
 from conftest import SOURCE
 from oracles import SUITES, sweep_line_spec
@@ -48,37 +42,50 @@ int_configs = st.lists(
 )
 
 
-# (points, eligible): the boundaries of the one eligibility rule
+# (n, reach, eligible): the boundaries of the one eligibility rule
 ELIGIBILITY_CASES = [
-    ([(0, 0), (3, 1), (-2, 5)], True),
-    ([(0, 0), (Fraction(1, 2), 3)], False),
-    ([(0, 0), (Fraction(4, 1), 3)], True),
-    ([(0, 0), (COORD_LIMIT, -COORD_LIMIT)], True),
-    ([(0, 0), (COORD_LIMIT + 1, 1)], False),
-    ([(0, 0), (1, -COORD_LIMIT - 1)], False),
-    ([(i, i * i) for i in range(MAX_KERNEL_POINTS)], True),
-    ([(i, i * i) for i in range(MAX_KERNEL_POINTS + 1)], False),
+    (3, 5, True),
+    (MAX_KERNEL_POINTS, COORD_LIMIT, True),
+    (MAX_KERNEL_POINTS + 1, 5, False),
+    (3, COORD_LIMIT + 1, False),
+]
+
+# (points, None or what the extension raises, its message): its own
+# checks at the coordinate bound, and on coordinates no sweep generates
+# (test_kernel_limit_is_the_extension_limit covers the point count)
+EXTENSION_CASES = [
+    ([(0, 0), (COORD_LIMIT, -COORD_LIMIT)], None, ""),
+    ([(0, 0), (COORD_LIMIT + 1, 1)], ValueError, "kernel coordinate bound exceeded"),
+    ([(0, 0), (1, -COORD_LIMIT - 1)], ValueError, "kernel coordinate bound exceeded"),
+    ([(0, 0), (Fraction(1, 2), 3)], TypeError, "integer"),
+    ([(0, 0), (Fraction(4, 1), 3)], TypeError, "integer"),
 ]
 
 
-def test_eligibility_fallbacks():
-    for points, eligible in ELIGIBILITY_CASES:
-        cfg = point_config(points)
-        pairs = kernel_pairs(cfg)
-        if eligible:
-            assert pairs == [(int(x), int(y)) for x, y in points], points
-            assert all(type(c) is int for pair in pairs for c in pair)
-        else:
-            assert pairs is None, points
-        # eligible or not, the dispatcher's record is the reference record
-        assert analyze(cfg) == analyze_config(cfg), points
+def test_eligibility_fallbacks(built_kernel, in_child, monkeypatch):
+    monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
+    for n, reach, eligible in ELIGIBILITY_CASES:
+        assert stream_eligible(n, reach) is eligible, (n, reach)
+    monkeypatch.setattr(kernel, "_COMPILED", None)
+    for n, reach, _ in ELIGIBILITY_CASES:
+        assert stream_eligible(n, reach) is False, (n, reach)
+
+    def at_the_boundaries():
+        for points, error, message in EXTENSION_CASES:
+            if error is None:
+                assert built_kernel.analyze_ints(points)["v"] == len(points)
+                continue
+            with pytest.raises(error, match=message):
+                built_kernel.analyze_ints(points)
+
+    in_child(at_the_boundaries)
 
 
 @compiled_only
 def test_both_backends_serialize_identically():
-    cfg = point_config([(0, 0), (3, 1), (1, 4), (-2, 2), (5, 5)])
-    fast = json.dumps(analyze(cfg), sort_keys=True)
-    assert fast == json.dumps(analyze_config(cfg), sort_keys=True)
+    points = [(0, 0), (3, 1), (1, 4), (-2, 2), (5, 5)]
+    fast = json.dumps(kernel._COMPILED.analyze_ints(points), sort_keys=True)
+    assert fast == json.dumps(analyze_config(point_config(points)), sort_keys=True)
     assert json.loads(fast)["v"] == 5
 
 
@@ -122,7 +129,6 @@ def test_analyze_matches_the_pure_reference(built_kernel, in_child, points):
     cfg = point_config(points)
     reference = analyze_config(cfg)
     assert in_child(lambda: built_kernel.analyze_ints(points)) == reference
-    assert analyze(cfg) == reference
 
 
 @settings(max_examples=50, deadline=None)
@@ -132,7 +138,6 @@ def test_has_ordinary_line_matches_the_pure_reference(built_kernel, points):
     cfg = point_config(points)
     reference = len(ordinary_stable_lines(cfg)) > 0
     assert built_kernel.has_ordinary_line(points) == reference
-    assert has_ordinary_line(cfg) == reference
 
 
 def test_kernel_limit_is_the_extension_limit(built_kernel, in_child):
@@ -308,6 +313,19 @@ def test_regularity_rejects_a_lift_convex_across_each_edge_direction(
         assert suite == "regularity" and "fails to dominate the lift" in detail, points
 
 
+def _assert_chunk_matches_records(configs, start, chunk, records):
+    """The chunk entry's (excesses, flagged, JSONL text) for configs from
+    index start on are those of the full records of the same
+    configurations."""
+    raw, flagged, text = chunk
+    assert text == "".join(
+        sweep_line_spec(start + offset, points, record["excess"], record["violations"]) + "\n"
+        for offset, (points, record) in enumerate(zip(configs, records, strict=True)))
+    assert list(array("i", raw)) == [record["excess"] for record in records]
+    assert flagged == [(offset, record["violations"])
+                       for offset, record in enumerate(records) if record["violations"]]
+
+
 def test_chunk_lines_match_the_spec_on_records_with_violations(negated_lift_kernel, in_child):
     faulty = negated_lift_kernel
     rng = random.Random(11)
@@ -317,12 +335,7 @@ def test_chunk_lines_match_the_spec_on_records_with_violations(negated_lift_kern
     (raw, flagged, text), records = in_child(lambda: (
         faulty.analyze_chunk(configs, start, True),
         [faulty.analyze_ints(points) for points in configs]))
-    assert text == "".join(
-        sweep_line_spec(start + offset, points, record["excess"], record["violations"]) + "\n"
-        for offset, (points, record) in enumerate(zip(configs, records, strict=True)))
-    assert list(array("i", raw)) == [record["excess"] for record in records]
-    assert flagged == [(offset, record["violations"])
-                       for offset, record in enumerate(records) if record["violations"]]
+    _assert_chunk_matches_records(configs, start, (raw, flagged, text), records)
     assert 3 <= len(flagged) < len(configs)
     assert in_child(lambda: faulty.analyze_chunk(configs, start, False)) == (raw, flagged, None)
 
@@ -456,19 +469,55 @@ assert grown < 16384, f"the chunk entry leaks: {grown} bytes more after 1000 rou
 """
 
 
+def _run_child(script, payload, kernel_path, env=None):
+    """(stdout, stderr) of a child interpreter running script with the
+    tests' directory and kernel_path as arguments, payload pickled on its
+    stdin and env added to its environment; fails the test when the child
+    fails."""
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(Path(__file__).parent), str(kernel_path)],
+        input=pickle.dumps(payload),
+        capture_output=True, timeout=600, env={**os.environ, **(env or {})},
+    )
+    stderr = done.stderr.decode(errors="replace")
+    assert done.returncode == 0, stderr[-3000:]
+    return done.stdout, stderr
+
+
 def _run_sanitized(kernel_path, env=None):
     """The stderr of a child interpreter running the sanitizer corpus and
     the malformed inputs through the kernel at kernel_path, one
     configuration at a time and in chunks, with env added to its
     environment; fails the test when the child fails."""
     malformed = [(points, error) for points, error, _ in MALFORMED_POINTS]
-    done = subprocess.run(
-        [sys.executable, "-c", _SANITIZER_CHILD, str(Path(__file__).parent), str(kernel_path)],
-        input=pickle.dumps((_sanitizer_corpus(), malformed)),
-        capture_output=True, timeout=600, env={**os.environ, **(env or {})},
-    )
-    stderr = done.stderr.decode(errors="replace")
-    assert done.returncode == 0, stderr[-3000:]
+    return _run_child(_SANITIZER_CHILD, (_sanitizer_corpus(), malformed), kernel_path, env)[1]
+
+
+# runs in a child process: the configurations on stdin through the chunk
+# entry, JSONL on, and through the full-record entry, both pickled to stdout
+_RECORDS_CHILD = """
+import pickle, sys
+sys.path.insert(0, sys.argv[1])
+from conftest import load_kernel
+kernel = load_kernel(sys.argv[2])
+configs = pickle.load(sys.stdin.buffer)
+pickle.dump((kernel.analyze_chunk(configs, 0, True),
+             [kernel.analyze_ints(points) for points in configs]), sys.stdout.buffer)
+"""
+
+
+def _run_sanitized_violations(kernel_path, env=None):
+    """The stderr of a child interpreter running every 3-subset of the
+    3 x 3 grid through the negated-lift kernel at kernel_path, with env
+    added to its environment; fails the test unless the chunk entry's
+    flagged records, excesses and lines are those of the full records,
+    with some violations among them."""
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    configs = tuple(itertools.combinations(grid, 3))
+    stdout, stderr = _run_child(_RECORDS_CHILD, configs, kernel_path, env)
+    chunk, records = pickle.loads(stdout)
+    _assert_chunk_matches_records(configs, 0, chunk, records)
+    assert chunk[1], "no record with violations"
     return stderr
 
 
@@ -481,6 +530,20 @@ def test_kernel_stays_inside_its_memory(asan_kernel):
     # heap overruns of the scratch block, which UBSan cannot see
     path, env = asan_kernel
     stderr = _run_sanitized(path, env)
+    assert "AddressSanitizer" not in stderr, stderr[-3000:]
+
+
+# the same two builds of the negated-lift kernel, so that records with
+# violations go through the chunk entry's flagged hand-off and the
+# violation loop of its JSONL writer
+def test_violations_have_no_undefined_behaviour(ubsan_negated_lift_kernel):
+    stderr = _run_sanitized_violations(ubsan_negated_lift_kernel)
+    assert "runtime error" not in stderr, stderr[-3000:]
+
+
+def test_violations_stay_inside_the_kernels_memory(asan_negated_lift_kernel):
+    path, env = asan_negated_lift_kernel
+    stderr = _run_sanitized_violations(path, env)
     assert "AddressSanitizer" not in stderr, stderr[-3000:]
 
 

@@ -4,6 +4,7 @@ import io
 import itertools
 import multiprocessing
 import random
+import re
 import types
 
 import pytest
@@ -16,7 +17,7 @@ from troplines.errors import (
     InvalidSweep,
     RangeTooSmall,
 )
-from troplines.incidence import ordinary_stable_lines, point_config
+from troplines.incidence import ordinary_stable_lines
 from troplines.sweep import (
     Exhaustive,
     JsonlSink,
@@ -346,7 +347,7 @@ def test_both_routes_report_the_same_violations(negated_lift_kernel, in_child, m
 
     monkeypatch.setattr(kernel, "_COMPILED", None)
     monkeypatch.setattr(
-        kernel, "analyze", lambda cfg: negated_lift_kernel.analyze_ints(kernel.kernel_pairs(cfg)))
+        kernel, "analyze", lambda cfg: negated_lift_kernel.analyze_ints(list(cfg.points)))
     assert not sweep._kernel_route(params)
     python = in_child(both_sinks)
     monkeypatch.setattr(kernel, "_COMPILED", negated_lift_kernel)
@@ -393,11 +394,25 @@ def _corner_config(n, coord_range):
     ids=["n16", "n17", "n-limit", "n-past", "range-limit", "range-past", "grid-limit",
          "grid-past"],
 )
-def test_kernel_route_agrees_with_kernel_pairs_at_its_boundaries(
-    monkeypatch, params, extreme, fits
+def test_kernel_route_agrees_with_the_extension_at_its_boundaries(
+    built_kernel, in_child, monkeypatch, params, extreme, fits
 ):
-    assert (kernel.kernel_pairs(point_config(extreme)) is not None) is fits
-    monkeypatch.setattr(kernel, "_COMPILED", object())
+    # the sweep's most extreme configuration is accepted exactly when the
+    # route fits, and otherwise refused by the extension's own limits
+    def refusal():
+        try:
+            built_kernel.analyze_ints(extreme)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    refused = in_child(refusal)
+    if fits:
+        assert refused is None
+    else:
+        assert refused and re.search(r"at most 128 points|kernel coordinate bound exceeded",
+                                     refused)
+    monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
     assert sweep._kernel_route(params) is fits
     monkeypatch.setattr(kernel, "_COMPILED", None)
     assert sweep._kernel_route(params) is False
@@ -415,10 +430,10 @@ def test_failure_search_takes_the_kernel_route(built_kernel, monkeypatch):
         pure = sg_failure_search(params, stop_after=200)
 
     def not_this_route(cfg):
-        raise AssertionError("the search went through kernel.has_ordinary_line")
+        raise AssertionError("the search went through ordinary_stable_lines")
 
     monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
-    monkeypatch.setattr(kernel, "has_ordinary_line", not_this_route)
+    monkeypatch.setattr(sweep, "ordinary_stable_lines", not_this_route)
     with pytest.warns(BudgetExhausted):
         compiled = sg_failure_search(params, stop_after=200)
     assert [c.points for c in compiled] == [c.points for c in pure]
@@ -432,10 +447,10 @@ def test_failure_search_takes_the_kernel_route_past_16_points(built_kernel, monk
         pure = sg_failure_search(params, stop_after=100)
 
     def not_this_route(cfg):
-        raise AssertionError("the search went through kernel.has_ordinary_line")
+        raise AssertionError("the search went through ordinary_stable_lines")
 
     monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
-    monkeypatch.setattr(kernel, "has_ordinary_line", not_this_route)
+    monkeypatch.setattr(sweep, "ordinary_stable_lines", not_this_route)
     with pytest.warns(BudgetExhausted):
         compiled = sg_failure_search(params, stop_after=100)
     assert [c.points for c in compiled] == [c.points for c in pure]
