@@ -32,7 +32,6 @@ from .errors import (
     InvalidSweep,
     NotATriangle,
     NotAVertex,
-    NotTransversal,
     RangeTooSmall,
     TilingFailure,
     TooFewPoints,
@@ -97,7 +96,6 @@ __all__ = [
     "InvalidSweep",
     "NotATriangle",
     "NotAVertex",
-    "NotTransversal",
     "Point2",
     "PointConfig",
     "Random",

@@ -231,10 +231,6 @@ class CellPolygon:
     cell_class: CellClass
     dual_point: Point2
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.vertices)
-
     def doubled_area(self) -> int:
         return doubled_area(self.vertices)
 

@@ -28,7 +28,7 @@ from .lines import Point2
 from .rationals import Rational
 from .serialize import analyze_report, load_input, parse_rational, rational_to_json
 from .svg import render_svg
-from .sweep import Exhaustive, JsonlSink, Random, SweepParams, _kernel_route, run_sweep
+from .sweep import Exhaustive, JsonlSink, Random, SweepParams, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,9 +125,8 @@ def cmd_verify(args) -> int:
                       seed=args.seed)
     params = SweepParams(n=args.n, mode=mode)
 
-    # line-buffered: each write reaches the file whole, at --jobs 1 one
-    # record as soon as its configuration is analyzed, above 1 a chunk's
-    # lines as soon as the chunk comes back
+    # line-buffered: each write reaches the file whole, a chunk's lines as
+    # soon as the chunk is analyzed, the first after one configuration
     stream = (open(args.jsonl, "w", encoding="utf-8", buffering=1)
               if args.jsonl else None)
     try:
@@ -143,7 +142,7 @@ def cmd_verify(args) -> int:
         "histogram": {str(k): v for k, v in report.histogram.items()},
         "elapsed": report.elapsed,
         "backend": kernel.backend_name(),
-        "route": "compiled" if _kernel_route(params) else "pure",
+        "route": report.route,
     }
     print(json.dumps(summary, indent=2))
     if report.violations:

@@ -25,10 +25,6 @@ class IdenticalLines(TroplinesError):
     """Two tropical lines that must be distinct have the same vertex."""
 
 
-class NotTransversal(TroplinesError):
-    """A perturbed line pair is still degenerate for the chosen direction."""
-
-
 class DuplicateLine(TroplinesError):
     """An arrangement was given the same line twice."""
 

@@ -26,7 +26,6 @@ may be elongated).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -300,24 +299,11 @@ def is_near_pencil(sub: DualSubdivision) -> bool:
 # determined faces
 # ---------------------------------------------------------------------------
 
-def _primitive(vec: Tuple[int, int]) -> Tuple[int, int]:
-    g = math.gcd(abs(vec[0]), abs(vec[1]))
-    p = (vec[0] // g, vec[1] // g)
-    # normalize sign so each direction class has one representative
-    if p[1] < 0 or (p[1] == 0 and p[0] < 0):
-        p = (-p[0], -p[1])
-    return p
-
-
-# direction classes, sign-normalized by _primitive
-_H = (1, 0)
-_V = (0, 1)
-_D = (-1, 1)
-
-
-def _edge_classes(cell: CellPolygon) -> Set[Tuple[int, int]]:
+def _edge_classes(cell: CellPolygon) -> Set[str]:
+    """The directions of the cell's edges: "H" horizontal, "V" vertical
+    and "D" diagonal, the only three a validated subdivision has."""
     return {
-        _primitive((b[0] - a[0], b[1] - a[1]))
+        "H" if a[1] == b[1] else "V" if a[0] == b[0] else "D"
         for a, b in polygon_edges(cell.vertices)
     }
 
@@ -344,9 +330,9 @@ def _corner_slot_base(S: CellPolygon) -> LatticePoint:
     """
     classes = _edge_classes(S)
     verts = S.vertices
-    if classes == {_H, _V}:
+    if classes == {"H", "V"}:
         return (max(v[0] for v in verts), max(v[1] for v in verts))
-    if classes == {_V, _D}:
+    if classes == {"V", "D"}:
         max_x = max(v[0] for v in verts)
         anchor = min((v for v in verts if v[0] == max_x), key=lambda v: v[1])
         return (anchor[0], anchor[1] - 1)

@@ -143,6 +143,7 @@ class SweepReport:
     violations: List[Tuple[Tuple[IntPair, ...], str, str]]
     histogram: Dict[int, int]
     elapsed: float
+    route: str  # "compiled" or "pure"
 
     @property
     def passed(self) -> bool:
@@ -183,7 +184,10 @@ class JsonlSink:
     run_sweep recognizes it: the lines are encoded where the
     configurations are analyzed, in the workers when there are any, and
     each chunk's lines reach the stream in one write as soon as the chunk
-    is analyzed. The bytes are the same as calling it once per record.
+    is analyzed. The bytes are the same as calling it once per record. The
+    first chunk holds one configuration, so the first line comes after
+    one analysis, and an interrupted sweep leaves whole lines, at most one
+    chunk short of the records analyzed.
     """
 
     def __init__(self, stream: TextIO) -> None:
@@ -255,24 +259,30 @@ def _analyze_chunk(chunk: _Chunk) -> Tuple[array, List[Tuple[int, list]], Option
     return excesses, flagged, "\n".join(lines) + "\n" if chunk.encode else None
 
 
-def _chunks(params: SweepParams, size: int, encode: bool) -> Iterator[_Chunk]:
-    """The sweep's configuration stream, set up at the call and cut
-    lazily into chunks of size configurations."""
+def _chunk_schedule(total: int, jobs: int) -> Iterator[int]:
+    """The sizes of the chunks of a sweep of total configurations on jobs
+    processes, in order: 1, 2, 4, … so the first record comes after one
+    analysis, doubling up to about what Pool.map would pick, capped at
+    1024 so the chunks in flight stay small however large the sweep."""
+    cap = max(1, min(1024, total // (4 * jobs)))
+    size = 1
+    while True:
+        yield size
+        size = min(2 * size, cap)
+
+
+def _chunks(params: SweepParams, sizes: Iterator[int], compiled: bool,
+            encode: bool) -> Iterator[_Chunk]:
+    """The sweep's configuration stream cut lazily into chunks of the
+    given sizes in turn."""
     configs = _config_list(params)
-    compiled = _kernel_route(params)
-    parts = iter(lambda: tuple(itertools.islice(configs, size)), ())
-    return (
-        _Chunk(number * size, part, compiled, encode)
-        for number, part in enumerate(parts)
-    )
-
-
-def _chunk_size(total: int, jobs: int) -> int:
-    """Configurations per chunk for a sweep of total on jobs processes: one
-    at a time in process, each record out before the next; for workers
-    about what Pool.map would pick, capped so the chunks in flight stay
-    small however large the sweep."""
-    return 1 if jobs == 1 else max(1, min(1024, total // (4 * jobs)))
+    start = 0
+    for size in sizes:
+        part = tuple(itertools.islice(configs, size))
+        if not part:
+            return
+        yield _Chunk(start, part, compiled, encode)
+        start += size
 
 
 def _pooled(pool, chunks: Iterator[_Chunk], window: int) -> Iterator:
@@ -296,12 +306,13 @@ def run_sweep(
 ) -> SweepReport:
     """Run the sweep and collect every violation with its configuration.
 
-    jobs > 1 analyzes ordered chunks of the configuration stream on that
-    many processes, or one per chunk when there are fewer chunks; the
-    report does not depend on the worker count. sink,
-    when given, receives (index, config, excess, violations) for every
-    configuration in order, as soon as that configuration is analyzed. A
-    JsonlSink receives the same records as lines encoded by the workers.
+    The stream's chunks (_chunk_schedule) are analyzed in process or, for
+    jobs > 1, on that many processes, or one per configuration when there
+    are fewer; the report does not depend on the worker count. sink, when
+    given, receives (index, config, excess, violations) for every
+    configuration in order, as soon as its chunk is analyzed. A JsonlSink
+    receives the same records as lines encoded by the workers. The
+    report's route names the route the sweep took.
     """
     if jobs < 1:
         raise InvalidSweep(f"jobs must be at least 1, got {jobs}")
@@ -309,18 +320,18 @@ def run_sweep(
     stream = None
     if isinstance(sink, JsonlSink):
         stream, sink = sink.stream, None
+    compiled = _kernel_route(params)
     total = params.mode.size(params.n)
-    size = _chunk_size(total, jobs)
-    chunks = _chunks(params, size, stream is not None)
+    chunks = _chunks(params, _chunk_schedule(total, jobs), compiled, stream is not None)
     histogram: Dict[int, int] = {}
     violations: List[Tuple[Tuple[IntPair, ...], str, str]] = []
     with contextlib.ExitStack() as stack:
         if jobs == 1:
             results: Iterator = ((chunk, _analyze_chunk(chunk)) for chunk in chunks)
         else:
-            # no more workers than chunks
-            workers = max(1, min(jobs, -(-total // size)))
-            pool = stack.enter_context(multiprocessing.Pool(processes=workers))
+            # no more workers than chunks: below 4 * jobs configurations
+            # each chunk holds one
+            pool = stack.enter_context(multiprocessing.Pool(processes=min(jobs, total)))
             results = _pooled(pool, chunks, 2 * jobs)
         for chunk, (excesses, flagged, text) in results:
             if stream is not None:
@@ -340,6 +351,7 @@ def run_sweep(
         violations=violations,
         histogram=dict(sorted(histogram.items())),
         elapsed=elapsed,
+        route="compiled" if compiled else "pure",
     )
 
 

@@ -56,7 +56,7 @@ from troplines.arrangement import (
     candidate_points,
     polygon_edges,
 )
-from troplines.errors import IdenticalLines, NotTransversal, TilingFailure
+from troplines.errors import IdenticalLines, TilingFailure, TroplinesError
 from troplines.lines import (
     Point2,
     TropicalLine,
@@ -74,6 +74,10 @@ from troplines.subdivision import (
 
 
 RAY_DIRECTIONS = (Point2(-1, 0), Point2(0, -1), Point2(1, 1))  # W, S, NE
+
+
+class NotTransversal(TroplinesError):
+    """A perturbed line pair is still degenerate for the chosen direction."""
 
 
 def point_add(p, q):

@@ -435,7 +435,7 @@ def test_cell_edges_use_only_the_three_directions(vertices):
     arr = _arr(*vertices)
     for vd in arrangement_vertices(arr):
         cell = dual_cell(arr, vd)
-        assert 3 <= cell.edge_count <= 6
+        assert 3 <= len(cell.vertices) <= 6
         for a, b in polygon_edges(cell.vertices):
             dx, dy = b[0] - a[0], b[1] - a[1]
             g = math.gcd(abs(dx), abs(dy))

@@ -169,7 +169,8 @@ def test_verify_jsonl_lines_are_written_as_they_arrive(tmp_path, monkeypatch, ca
     def one_record(params, jobs, sink):
         sink(0, ((0, 0), (1, 0), (0, 1)), 0, [])
         seen.append(path.read_text())
-        return SweepReport(configs_tested=1, violations=[], histogram={0: 1}, elapsed=0.0)
+        return SweepReport(configs_tested=1, violations=[], histogram={0: 1}, elapsed=0.0,
+                           route="pure")
 
     monkeypatch.setattr(cli, "run_sweep", one_record)
     assert main(["verify", "--n", "3", "--mode", "exhaustive", "--grid", "3",

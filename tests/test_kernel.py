@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +22,7 @@ from troplines import kernel
 from troplines.analysis import analyze_config
 from troplines.incidence import ordinary_stable_lines, point_config
 from troplines.kernel import COORD_LIMIT, MAX_KERNEL_POINTS, backend_name, stream_eligible
+from troplines.sweep import Exhaustive, JsonlSink, SweepParams, run_sweep
 
 from conftest import SOURCE
 from oracles import SUITES, sweep_line_spec
@@ -220,21 +222,38 @@ def test_kernel_records_are_pinned(built_kernel, in_child):
     assert in_child(records_digest) == GRID_RECORDS_SHA256
 
 
-def test_grid_stream_matches_the_benchmark_digest(built_kernel, in_child):
+class _HashingStream:
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+
+
+def test_grid_stream_matches_the_benchmark_digest(built_kernel, in_child, monkeypatch):
     # the sweep-grid benchmark's JSONL stream, every 5-subset of the 6 x 6
-    # grid in chunks of 1024, against the digest its gate checks
+    # grid through run_sweep at one job, against the digest its gate checks
     digests = json.loads((SOURCE.parent.parent / "perfbench" / "digests.json").read_text())
-    grid = [(x, y) for x in range(6) for y in range(6)]
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return built_kernel.analyze_chunk(*args)
+
+    monkeypatch.setattr(kernel, "_COMPILED", types.SimpleNamespace(analyze_chunk=counted))
 
     def stream_digest():
-        configs = itertools.combinations(grid, 5)
-        digest, start = hashlib.sha256(), 0
-        while chunk := tuple(itertools.islice(configs, 1024)):
-            digest.update(built_kernel.analyze_chunk(chunk, start, True)[2].encode())
-            start += len(chunk)
-        return digest.hexdigest(), start
+        stream = _HashingStream()
+        report = run_sweep(SweepParams(5, Exhaustive(6)), jobs=1, sink=JsonlSink(stream))
+        return stream.digest.hexdigest(), report.configs_tested, report.route, len(calls)
 
-    assert in_child(stream_digest) == (digests["sweep-grid"], 376992)
+    digest, configs, route, chunks = in_child(stream_digest)
+    assert (digest, configs, route) == (digests["sweep-grid"], 376992, "compiled")
+    # chunks of 1, 2, 4, ..., 512, then 1024: 378 calls for 376,992
+    # configurations
+    assert chunks <= 400
 
 
 # the directions of a line's three rays, W, S and NE

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from troplines.errors import EqualPoints, IdenticalLines, NotTransversal
+from troplines.errors import EqualPoints, IdenticalLines
 from troplines.lines import (
     NE,
     S,
@@ -33,6 +33,7 @@ from troplines.lines import (
 )
 
 from oracles import (
+    NotTransversal,
     generic_ray_crossings,
     lines_through_point,
     perturbed_intersection_oracle,

@@ -159,9 +159,11 @@ def test_sweeps_start_no_more_workers_than_chunks(monkeypatch):
     cases = [
         (SweepParams(n=3, mode=Random(samples=1, coord_range=5)), 4, 1),
         (SweepParams(n=3, mode=Random(samples=3, coord_range=5)), 4, 3),
-        # 1,820 configurations in 17 chunks of 113
+        # 1,820 configurations in 22 chunks: 1, 2, 4, ..., 64, then 14 of
+        # 113 and one of 111
         (SweepParams(n=4, mode=Exhaustive(4)), 4, 4),
-        # 376,992 configurations in 369 chunks of 1,024
+        # 376,992 configurations in 378 chunks: 1, 2, 4, ..., 512, then 367
+        # of 1,024 and one of 161
         (SweepParams(n=5, mode=Exhaustive(6)), 2, 2),
     ]
     for params, jobs, _ in cases:
@@ -289,12 +291,17 @@ def test_compiled_route_matches_the_pure_route(
     monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
     monkeypatch.setattr(kernel, "analyze", _not_this_route)
     assert sweep._kernel_route(params)
-    compiled_stream, (compiled_rows, compiled) = in_child(lambda: (
-        _verify_jsonl(args, jobs, tmp_path / "compiled.jsonl"),
-        _rows_and_summary(params, jobs)))
+
+    def compiled_route():
+        compiled_rows = []
+        compiled = run_sweep(params, jobs=jobs, sink=lambda *row: compiled_rows.append(row))
+        return _verify_jsonl(args, jobs, tmp_path / "compiled.jsonl"), compiled_rows, compiled
+
+    compiled_stream, compiled_rows, compiled = in_child(compiled_route)
     assert compiled_stream == stream
     assert compiled_rows == rows
-    assert compiled == _summary(report)
+    assert _summary(compiled) == _summary(report)
+    assert (compiled.route, report.route) == ("compiled", "pure")
     capsys.readouterr()
 
 
@@ -324,7 +331,7 @@ def test_chunk_boundaries_keep_the_pure_route_stream(
 
     monkeypatch.setattr(kernel, "_COMPILED", types.SimpleNamespace(analyze_chunk=counted))
     monkeypatch.setattr(kernel, "analyze", _not_this_route)
-    monkeypatch.setattr(sweep, "_chunk_size", lambda total, jobs: size)
+    monkeypatch.setattr(sweep, "_chunk_schedule", lambda total, jobs: itertools.repeat(size))
     in_process, pooled, sizes = in_child(lambda: (
         (_jsonl_and_summary(BOUNDARY_SWEEP), _rows_and_summary(BOUNDARY_SWEEP)),
         (_jsonl_and_summary(BOUNDARY_SWEEP, 2), _rows_and_summary(BOUNDARY_SWEEP, 2)),
@@ -334,6 +341,30 @@ def test_chunk_boundaries_keep_the_pure_route_stream(
     # two sweeps
     whole, rest = divmod(BOUNDARY_SWEEP.mode.samples, size)
     assert sizes == 2 * ([size] * whole + [rest] * (rest > 0))
+
+
+@pytest.mark.parametrize("jobs, sizes", [
+    # the cap is 2,100 // 4 configurations at one job, 2,100 // 8 at two
+    (1, [2 ** k for k in range(10)] + [525, 525, 27]),
+    (2, [2 ** k for k in range(9)] + [262] * 6 + [17]),
+])
+def test_chunks_double_from_one_up_to_the_cap(
+    built_kernel, in_child, boundary_pure_route, monkeypatch, tmp_path, jobs, sizes
+):
+    # each call of the chunk entry appends its chunk's start and size to a
+    # file, so the calls in forked workers are seen too
+    log = tmp_path / "calls"
+
+    def counted(configs, start, encode):
+        with open(log, "a") as fh:
+            fh.write(f"{start} {len(configs)}\n")
+        return built_kernel.analyze_chunk(configs, start, encode)
+
+    monkeypatch.setattr(kernel, "_COMPILED", types.SimpleNamespace(analyze_chunk=counted))
+    monkeypatch.setattr(kernel, "analyze", _not_this_route)
+    assert in_child(lambda: _jsonl_and_summary(BOUNDARY_SWEEP, jobs)) == boundary_pure_route[0]
+    calls = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+    assert calls == list(zip(itertools.accumulate([0] + sizes[:-1]), sizes))
 
 
 # both routes report the faulty kernel's regularity violations: the pure
