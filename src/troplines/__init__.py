@@ -46,7 +46,6 @@ from .incidence import (
     dualize_points,
     ordinary_stable_lines,
     point_config,
-    stable_line_two_points,
     stable_lines_through,
 )
 from .lines import (
@@ -69,8 +68,6 @@ from .sweep import (
     Random,
     SweepParams,
     SweepReport,
-    enumerate_configs,
-    random_config,
     run_sweep,
     sg_failure_search,
 )
@@ -119,17 +116,14 @@ __all__ = [
     "dual_cell",
     "dual_subdivision",
     "dualize_points",
-    "enumerate_configs",
     "is_near_pencil",
     "line_from_coefficients",
     "line_from_vertex",
     "ordinary_stable_lines",
     "pairwise_stable_intersection",
     "point_config",
-    "random_config",
     "run_sweep",
     "sg_failure_search",
-    "stable_line_two_points",
     "stable_lines_through",
     "type_tuple",
     "__version__",

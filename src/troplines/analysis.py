@@ -14,13 +14,16 @@ The record is a plain JSON-friendly dict:
   violations                 list of [suite, detail] pairs, empty when
                              the configuration passes everything
 
-Suites: bound, near_pencil, cross_oracle, count_identities, tiling,
-regularity, cell_edges, max_triangles, determined_union,
-determined_minimum, unit_parallelogram. Violations are data, not
-exceptions: the harness records them with the config for replay. Here a
-cell edge outside the H/V/D directions fails the unit-triangle tiling
-check, so it is reported as tiling; cell_edges comes from the compiled
-kernel, which checks edges separately.
+Suites, in the order both routes report them: count_identities,
+cross_oracle, max_triangles, tiling, cell_edges, regularity,
+determined_minimum (per triangle), determined_union, unit_parallelogram
+(per parallelogram), bound, near_pencil. Violations are data, not
+exceptions: the harness records them with the config for replay. Past
+the tiling both routes write the same texts, so a configuration failing
+those suites has the same record on both. The tiling texts are this
+route's own, as they also reach analyze and render through
+TilingFailure; and a cell edge outside the H/V/D directions fails the
+tiling here, where the kernel reports it as cell_edges.
 """
 
 from __future__ import annotations
@@ -37,14 +40,15 @@ from .arrangement import (
 )
 from .errors import TilingFailure
 from .incidence import PointConfig, dualize_points
-from .lines import Point2, pairwise_stable_intersection
+from .lines import stable_intersections
 from .subdivision import (
     boundary_edge_count,
     check_regularity_detailed,
     determined_faces,
     dual_subdivision,
-    is_corner_triangle,
     is_near_pencil,
+    point_text,
+    triangle_neighbours,
 )
 
 _UNIT_EDGE_VECTORS = {(1, 0), (0, 1), (1, -1), (-1, 0), (0, -1), (-1, 1)}
@@ -57,12 +61,7 @@ def analyze_config(cfg: PointConfig) -> dict:
 
     # route one: distinct pairwise stable intersections, classified by
     # whether the point coincides with a line vertex
-    stable_points: Set[Point2] = set()
-    for i in range(arr.n):
-        for j in range(i + 1, arr.n):
-            stable_points.add(
-                pairwise_stable_intersection(arr.lines[i], arr.lines[j]).point
-            )
+    stable_points = stable_intersections(arr.lines)
     dual_vertices = {line.vertex for line in arr.lines}
     b_pairwise = len(stable_points)
     h_pairwise = sum(1 for q in stable_points if q in dual_vertices)
@@ -100,53 +99,39 @@ def analyze_config(cfg: PointConfig) -> dict:
             violations.append(("regularity", diagnostic))
         near = is_near_pencil(sub)
 
-        triangles = [c for c in sub.cells if c.cell_class is CellClass.TRIANGLE]
-        faces_of = {T.vertices: determined_faces(sub, T) for T in triangles}
+        # each triangle in cell order: its determined faces, and the
+        # parallelograms it shares an edge with
         union: Set[tuple] = set()
         m = 0
-        for T in triangles:
-            if not is_corner_triangle(T, sub.n):
+        hits: Dict[tuple, int] = {}
+        for T in (c for c in sub.cells if c.cell_class is CellClass.TRIANGLE):
+            faces = determined_faces(sub, T)
+            bcount = boundary_edge_count(T, sub.n)
+            if bcount < 2:
                 m += 1
-                union.update(S.vertices for S in faces_of[T.vertices])
+                union.update(S.vertices for S in faces)
+                need = 3 if bcount == 0 else 1
+                if len(faces) < need:
+                    violations.append(("determined_minimum", (
+                        f"triangle at {point_text(T.dual_point)} determines "
+                        f"{len(faces)} faces, needs {need}")))
+            for S in triangle_neighbours(sub, T):
+                if S.cell_class is CellClass.PARALLELOGRAM:
+                    hits[S.vertices] = hits.get(S.vertices, 0) + 1
         if not (cnt.k >= len(union) >= m):
             violations.append(
                 ("determined_union", f"k={cnt.k}, union={len(union)}, m={m}")
             )
-        for T in triangles:
-            bcount = boundary_edge_count(T, sub.n)
-            if bcount >= 2:
-                continue
-            need = 3 if bcount == 0 else 1
-            got = len(faces_of[T.vertices])
-            if got < need:
-                violations.append(
-                    (
-                        "determined_minimum",
-                        f"triangle at {T.dual_point} determines {got} faces, needs {need}",
-                    )
-                )
         # a parallelogram sharing edges with two different triangles has
         # both its parallel pairs pinned to triangle edges, so all four
         # edges must be unit; corner-slot determinations pin nothing and
         # are excluded (small configs realize elongated ones)
-        hits: Dict[tuple, int] = {}
-        for T in triangles:
-            for S in sub.neighbours[T.vertices]:
-                if S.cell_class is CellClass.PARALLELOGRAM:
-                    hits[S.vertices] = hits.get(S.vertices, 0) + 1
-        for verts, count in hits.items():
-            if count < 2:
-                continue
-            for a, b in polygon_edges(verts):
-                if (b[0] - a[0], b[1] - a[1]) not in _UNIT_EDGE_VECTORS:
-                    violations.append(
-                        (
-                            "unit_parallelogram",
-                            f"parallelogram {verts} adjacent to {count} triangles "
-                            f"has a non-unit edge",
-                        )
-                    )
-                    break
+        for S in sub.cells:
+            count = hits.get(S.vertices, 0)
+            if count >= 2 and any((b[0] - a[0], b[1] - a[1]) not in _UNIT_EDGE_VECTORS
+                                  for a, b in polygon_edges(S.vertices)):
+                violations.append(("unit_parallelogram", (
+                    f"parallelogram adjacent to {count} triangles has a non-unit edge")))
 
     excess = b_pairwise - (v - 3)
     bound_holds = b_pairwise >= v - 3

@@ -22,7 +22,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .arrangement import Arrangement, _sorted_buckets, build_arrangement
 from .errors import EqualPoints, TooFewPoints
@@ -32,7 +32,7 @@ from .lines import (
     TropicalLine,
     contains,
     line_from_vertex,
-    pairwise_stable_intersection,
+    stable_intersections,
 )
 from .rationals import Rational
 from .subdivision import dual_subdivision, is_near_pencil
@@ -99,11 +99,7 @@ def stable_lines_through(cfg: PointConfig) -> List[StableLineRecord]:
     if cfg.v < 2:
         raise TooFewPoints(f"need at least 2 points, got {cfg.v}")
     arr = dualize_points(cfg)
-    kinds_seen: Dict[Point2, Set[IntersectionKind]] = {}
-    for i in range(arr.n):
-        for j in range(i + 1, arr.n):
-            result = pairwise_stable_intersection(arr.lines[i], arr.lines[j])
-            kinds_seen.setdefault(result.point, set()).add(result.kind)
+    kinds_seen = stable_intersections(arr.lines)
     dual_vertices = {line.vertex for line in arr.lines}
     # line i passes through q at its vertex or on one of its rays: the
     # south ray when its vertex is above q, the west ray when it is right
@@ -180,11 +176,6 @@ def cramer_stable_line(
         f"Cramer line {line.vertex} misses an input point {tuple(p1)}, {tuple(p2)}"
     )
     return (o1, o2, o3), line
-
-
-def stable_line_two_points(p1: Point2, p2: Point2) -> TropicalLine:
-    """The stable line through two points, by the tropical Cramer rule."""
-    return cramer_stable_line(p1, p2)[1]
 
 
 def dbe_check(cfg: PointConfig) -> DbeVerdict:

@@ -22,7 +22,7 @@ perturbation definition, which the tests keep as an oracle.
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import EqualPoints, IdenticalLines
 from .rationals import Rational
@@ -173,3 +173,16 @@ def pairwise_stable_intersection(L1: TropicalLine, L2: TropicalLine) -> StableIn
             f"coaxial pair {v1}, {v2}: expected exactly one vertex on the other line, got {on_other}"
         )
     return StableIntersectionResult(on_other[0], IntersectionKind.SECOND)
+
+
+def stable_intersections(
+    lines: Sequence[TropicalLine],
+) -> Dict[Point2, Set[IntersectionKind]]:
+    """Each distinct stable intersection of a pair of the lines, with the
+    kinds of the pairs that meet there."""
+    found: Dict[Point2, Set[IntersectionKind]] = {}
+    for i, L1 in enumerate(lines):
+        for L2 in lines[i + 1:]:
+            result = pairwise_stable_intersection(L1, L2)
+            found.setdefault(result.point, set()).add(result.kind)
+    return found

@@ -12,16 +12,19 @@ separate so each can audit the other:
 
 The tiling is checked on the n^2 unit triangles of n * Delta_2: each
 cell is rasterized into the triangles it covers, and the resulting owner
-grid must assign every triangle to one cell. The same grid gives the
-cell adjacency, so regularity is checked locally across interior edges
-and determined faces are looked up, all in time near-linear in n^2.
+grid must assign every triangle to one cell. That grid is the only
+adjacency structure, as in the compiled kernel: regularity is checked
+in one scan of it, row by row, and reports its first failure in the
+kernel's order and words, and a triangle cell's edge neighbours are
+the owners of the three downward triangles around its one upward
+triangle. All of it takes time near-linear in n^2.
 
 On top of the validated subdivision sit the lattice predicates the
-de Bruijn-Erdos argument needs: boundary edges, near-pencils, corner
-triangles, and the determined semiuniform faces of a triangle (the three
-edge-adjacency slots plus the three corner-anchored parallelogram
-patterns, transcribed from the paper-figure templates; each pattern edge
-may be elongated).
+de Bruijn-Erdos argument needs: boundary edges (a corner triangle has
+two), near-pencils, and the determined semiuniform faces of a triangle
+(the three edge-adjacency slots plus the three corner-anchored
+parallelogram patterns, transcribed from the paper-figure templates;
+each pattern edge may be elongated).
 """
 
 from __future__ import annotations
@@ -81,17 +84,14 @@ UnitTriangle = Tuple[int, int, int]
 
 @dataclass
 class DualSubdivision:
-    """A validated subdivision, as built by dual_subdivision. owner,
-    neighbours and corner_slots are derived from cells once."""
+    """A validated subdivision, as built by dual_subdivision. owner and
+    corner_slots are derived from cells once."""
 
     n: int
     cells: List[CellPolygon]
     lift: LiftTable
     # the index into cells of the cell owning each unit triangle
     owner: Dict[UnitTriangle, int] = field(repr=False)
-    # cell vertices -> the cells sharing an edge of positive length with
-    # it, sorted by their vertices
-    neighbours: Dict[Tuple[LatticePoint, ...], List[CellPolygon]] = field(repr=False)
     # triangle base -> the parallelograms sitting in one of its corner slots
     corner_slots: Dict[LatticePoint, List[CellPolygon]] = field(repr=False)
 
@@ -167,30 +167,6 @@ def tile(n: int, cells: List[CellPolygon]) -> Dict[UnitTriangle, int]:
     return owner
 
 
-def _neighbours(
-    cells: List[CellPolygon], owner: Dict[UnitTriangle, int]
-) -> Dict[Tuple[LatticePoint, ...], List[CellPolygon]]:
-    """Edge adjacency read off the owner grid: every edge between unit
-    triangles of two different cells. Each edge joins an upward triangle
-    to a downward one, so the three edges of each upward triangle visit
-    all of them."""
-    adjacent: List[Set[int]] = [set() for _ in cells]
-    for (i, j, down), k in owner.items():
-        if down:
-            continue
-        for tri in ((i, j - 1, 1), (i - 1, j, 1), (i, j, 1)):
-            other = owner.get(tri)
-            if other is not None and other != k:
-                adjacent[k].add(other)
-                adjacent[other].add(k)
-    return {
-        cell.vertices: sorted(
-            (cells[other] for other in adjacent[k]), key=lambda c: c.vertices
-        )
-        for k, cell in enumerate(cells)
-    }
-
-
 def dual_subdivision(arr: Arrangement, vertex_data=None) -> DualSubdivision:
     """Assemble and validate the subdivision dual to the arrangement.
 
@@ -216,55 +192,81 @@ def dual_subdivision(arr: Arrangement, vertex_data=None) -> DualSubdivision:
         cells=cells,
         lift=product_coefficients(arr),
         owner=owner,
-        neighbours=_neighbours(cells, owner),
         corner_slots=corner_slots,
     )
 
 
+def point_text(point) -> str:
+    """A point as the violation texts of both routes write it, "(x, y)"."""
+    return f"({point[0]}, {point[1]})"
+
+
 def check_regularity_detailed(sub: DualSubdivision) -> Tuple[bool, Optional[str]]:
-    """Verify the Minkowski cells against the lift, exactly.
+    """Verify the Minkowski cells against the lift exactly, reporting the
+    first failure in the compiled kernel's order and words.
 
-    For each cell, the affine function through its lifted vertices must
-    exist (coplanar lifts), agree with h on the cell's lattice points (the
-    corners of its unit triangles), and dominate h at the vertices of
-    every edge-adjacent cell. Everything is cross-multiplied by the
-    (positive) fit determinant so integer inputs stay integer.
+    Each cell must be counterclockwise, which gives the affine fit through
+    the lift at its first three corners. Then one scan of the owner grid,
+    row by row: at each (i, j) the fit of the owner of (i, j, 0) must equal
+    h at its corners (i + 1, j), (i, j + 1) and (i, j), and the fit of the
+    owner of (i, j, 1) at (i + 1, j), (i, j + 1) and (i + 1, j + 1),
+    skipping corners the same cell passed earlier in the scan. Across each
+    edge of (i, j, 0) to a downward triangle of another cell, the upward
+    owner's fit must dominate h at that triangle's opposite vertex,
+    (i + 1, j - 1), (i - 1, j + 1) or (i + 1, j + 1). All is cross-multiplied
+    by the positive fit determinant, so integer inputs stay integer.
 
-    On a tiling of the convex n * Delta_2 this local test is the global
-    one: the fits glue to a continuous piecewise-affine function equal to
-    h at every lattice point, and concavity across each interior edge
-    makes it concave, so every fit dominates h everywhere (De Loera,
-    Rambau and Santos, Triangulations, ch. 2).
+    One vertex decides each edge: the two fits equal h at the edge's ends,
+    so their difference is affine and zero along it, and one lattice point
+    of the neighbour off the edge fixes its sign on that side. On a tiling
+    of the convex n * Delta_2 this local test is the global one: the fits
+    glue to a continuous piecewise-affine function equal to h at every
+    lattice point and concave across each interior edge, hence concave, so
+    every fit dominates h everywhere (De Loera, Rambau and Santos,
+    Triangulations, ch. 2).
     """
-    fits = []
+    lift, owner, fits = sub.lift, sub.owner, []
     for cell in sub.cells:
-        v0, v1, v2 = cell.vertices[0], cell.vertices[1], cell.vertices[2]
+        v0, v1, v2 = cell.vertices[:3]
         det = (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (v1[1] - v0[1])
         if det <= 0:
-            return False, f"cell at {cell.dual_point} is not counterclockwise"
-        h0 = sub.lift[v0]
-        h1 = sub.lift[v1]
-        h2 = sub.lift[v2]
+            return False, f"cell at {point_text(cell.dual_point)} is not counterclockwise"
+        h0, h1, h2 = lift[v0], lift[v1], lift[v2]
         beta = (h1 - h0) * (v2[1] - v0[1]) - (h2 - h0) * (v1[1] - v0[1])
         gamma = (v1[0] - v0[0]) * (h2 - h0) - (v2[0] - v0[0]) * (h1 - h0)
         alpha = det * h0 - beta * v0[0] - gamma * v0[1]
         fits.append((det, alpha, beta, gamma))
-    for (i, j, down), k in sub.owner.items():
-        det, alpha, beta, gamma = fits[k]
-        for point in ((i + 1, j), (i, j + 1), (i + down, j + down)):
-            if alpha + beta * point[0] + gamma * point[1] != det * sub.lift[point]:
-                return False, (
-                    f"cell at {sub.cells[k].dual_point}: lift and affine fit "
-                    f"disagree at lattice point {point}"
-                )
-    for cell, (det, alpha, beta, gamma) in zip(sub.cells, fits):
-        for other in sub.neighbours[cell.vertices]:
-            for point in other.vertices:
-                if alpha + beta * point[0] + gamma * point[1] < det * sub.lift[point]:
+    for j in range(sub.n):
+        left = None
+        for i in range(sub.n - j):
+            up = owner[i, j, 0]
+            below = owner.get((i, j - 1, 1))
+            across = owner.get((i, j, 1))
+            corners = [(up, i + 1, j)] if up != below else []
+            if up != left:
+                corners.append((up, i, j + 1))
+                if up != below:
+                    corners.append((up, i, j))
+            if across is not None:
+                if across != up:
+                    corners += [(across, i + 1, j), (across, i, j + 1)]
+                corners.append((across, i + 1, j + 1))
+            for k, x, y in corners:
+                det, alpha, beta, gamma = fits[k]
+                if alpha + beta * x + gamma * y != det * lift[x, y]:
                     return False, (
-                        f"cell at {cell.dual_point}: affine fit fails to dominate "
-                        f"the lift at {point}"
+                        f"cell at {point_text(sub.cells[k].dual_point)}: lift and "
+                        f"affine fit disagree at lattice point ({x}, {y})"
                     )
+            det, alpha, beta, gamma = fits[up]
+            for other, x, y in ((below, i + 1, j - 1), (left, i - 1, j + 1),
+                                (across, i + 1, j + 1)):
+                if other not in (None, up) and alpha + beta * x + gamma * y < det * lift[x, y]:
+                    return False, (
+                        f"cell at {point_text(sub.cells[up].dual_point)}: affine fit "
+                        f"fails to dominate the lift at ({x}, {y})"
+                    )
+            left = across
     return True, None
 
 
@@ -279,11 +281,6 @@ def boundary_edge_count(cell: CellPolygon, n: int) -> int:
         elif a[0] + a[1] == n and b[0] + b[1] == n:
             count += 1
     return count
-
-
-def is_corner_triangle(cell: CellPolygon, n: int) -> bool:
-    """Triangles with two (or, when n = 1, three) boundary edges."""
-    return cell.cell_class is CellClass.TRIANGLE and boundary_edge_count(cell, n) >= 2
 
 
 def is_near_pencil(sub: DualSubdivision) -> bool:
@@ -340,6 +337,15 @@ def _corner_slot_base(S: CellPolygon) -> LatticePoint:
     return (anchor[0] - 1, anchor[1])
 
 
+def triangle_neighbours(sub: DualSubdivision, T: CellPolygon) -> List[CellPolygon]:
+    """The cells sharing an edge with the triangle T, which is the one
+    upward unit triangle (i, j, 0) at its base: the owners of the downward
+    ones below it, left of it and across its diagonal, where they exist."""
+    i, j = triangle_base(T)
+    found = {sub.owner.get(tri) for tri in ((i, j - 1, 1), (i - 1, j, 1), (i, j, 1))}
+    return [sub.cells[k] for k in found if k is not None]
+
+
 def determined_faces(sub: DualSubdivision, T: CellPolygon) -> List[CellPolygon]:
     """Semiuniform faces determined by the triangle T.
 
@@ -347,9 +353,8 @@ def determined_faces(sub: DualSubdivision, T: CellPolygon) -> List[CellPolygon]:
     in one of the three corner slots; corner-slot faces are parallelograms
     by definition, so hexagons can only enter through adjacency.
     """
-    base = triangle_base(T)
-    found = {S.vertices: S for S in sub.corner_slots.get(base, ())}
-    for S in sub.neighbours[T.vertices]:
+    found = {S.vertices: S for S in sub.corner_slots.get(triangle_base(T), ())}
+    for S in triangle_neighbours(sub, T):
         if S.cell_class in SEMIUNIFORM:
             found[S.vertices] = S
     faces = [found[verts] for verts in sorted(found)]

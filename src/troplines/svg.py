@@ -14,10 +14,10 @@ iterated in a fixed order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Set, Tuple
+from typing import List
 
 from .arrangement import Arrangement, arrangement_vertices, dual_cell
-from .lines import IntersectionKind, Point2, pairwise_stable_intersection
+from .lines import IntersectionKind, Point2, stable_intersections
 
 PANEL = 360.0
 MARGIN = 24.0
@@ -120,11 +120,7 @@ def render_svg(arr: Arrangement) -> str:
 
     # stable intersections, marked by kind; a point that is any pair's
     # vertex-located intersection is a line vertex, so the square wins
-    marks: Dict[Point2, Set[IntersectionKind]] = {}
-    for i in range(arr.n):
-        for j in range(i + 1, arr.n):
-            res = pairwise_stable_intersection(arr.lines[i], arr.lines[j])
-            marks.setdefault(res.point, set()).add(res.kind)
+    marks = stable_intersections(arr.lines)
     for point in sorted(marks):
         cx, cy = left.x(point.x), left.y(point.y)
         if IntersectionKind.SECOND in marks[point]:

@@ -150,21 +150,6 @@ class SweepReport:
         return not self.violations
 
 
-def enumerate_configs(n: int, grid_size: int) -> Iterator[PointConfig]:
-    """All n-subsets of the grid_size x grid_size lattice, lexicographic."""
-    mode = Exhaustive(grid_size)
-    mode.validate(n)
-    return map(point_config, mode.configs(n))
-
-
-def random_config(n: int, coord_range: int, rng: random.Random) -> PointConfig:
-    """n distinct integer points from [-coord_range, coord_range]^2,
-    uniform with rejection of repeats."""
-    mode = Random(samples=1, coord_range=coord_range)
-    mode.validate(n)
-    return point_config(mode.draw(n, rng))
-
-
 def _config_list(params: SweepParams) -> Iterator[Tuple[IntPair, ...]]:
     """The sweep's configurations as int-pair tuples, generated lazily in
     their fixed order."""

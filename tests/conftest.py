@@ -6,6 +6,7 @@ import importlib.util
 import os
 import pickle
 import select
+import shlex
 import shutil
 import signal
 import subprocess
@@ -112,35 +113,69 @@ def in_child():
 
 @pytest.fixture(scope="session")
 def built_kernel(tmp_path_factory):
-    """The kernel's C source compiled with cc -O0 outside the source tree
-    and loaded, whether or not an extension is installed."""
-    return load_kernel(compile_kernel(tmp_path_factory.mktemp("kernel"), "-O0"))
+    """The kernel's C source compiled outside the source tree with the
+    interpreter's own CFLAGS, as setup.py build_ext and pip build it, and
+    loaded, whether or not an extension is installed."""
+    flags = shlex.split(sysconfig.get_config_var("CFLAGS") or "")
+    return load_kernel(compile_kernel(tmp_path_factory.mktemp("kernel"), *flags))
 
 
 _LIFT_ANCHOR = "    _lift(n, px, py, lift);\n"
 
+# One-line faults of the kernel's source, each (anchor, replacement): the
+# anchor occurs once in _fastsweep.c and is replaced. The negated lift
+# stays affine on every cell, so only the dominance test across cell
+# edges can reject it; the bent lift, which adds (i * j) mod 3, is not
+# affine on most cells, so the agreement test rejects it too; and without
+# determined faces every triangle that needs some fails the two
+# determined-face suites.
+NEGATED_LIFT = (_LIFT_ANCHOR, _LIFT_ANCHOR + (
+    "    for (i = 0; i <= n; i++)\n"
+    "        for (j = 0; i + j <= n; j++)\n"
+    "            LIFT(i, j) = -LIFT(i, j);\n"))
+BENT_LIFT = (_LIFT_ANCHOR, _LIFT_ANCHOR + (
+    "    for (i = 0; i <= n; i++)\n"
+    "        for (j = 0; i + j <= n; j++)\n"
+    "            LIFT(i, j) += (i * j) % 3;\n"))
+_DETERMINED_ANCHOR = "        if (det_count > 6) {\n"
+NO_DETERMINED_FACES = (_DETERMINED_ANCHOR, "        det_count = 0;\n" + _DETERMINED_ANCHOR)
 
-def _negated_lift_source(directory):
-    """The kernel's source with the lift negated after it is computed,
-    written into directory; its path. The negated lift stays affine on
-    every cell, so only the dominance test across cell edges can reject
-    it, as a regularity violation."""
+
+def _mutated_source(directory, anchor, replacement):
+    """The kernel's source with its one occurrence of anchor replaced,
+    written into directory; its path."""
     text = (SOURCE / "_fastsweep.c").read_text()
-    assert text.count(_LIFT_ANCHOR) == 1
+    assert text.count(anchor) == 1, anchor
     source = Path(directory) / "_fastsweep.c"
-    source.write_text(text.replace(_LIFT_ANCHOR, _LIFT_ANCHOR + (
-        "    for (i = 0; i <= n; i++)\n"
-        "        for (j = 0; i + j <= n; j++)\n"
-        "            LIFT(i, j) = -LIFT(i, j);\n")))
+    source.write_text(text.replace(anchor, replacement))
     return source
+
+
+def _mutant_kernel(tmp_path_factory, name, mutation):
+    """The kernel with the mutation compiled with cc -O0, and loaded."""
+    directory = tmp_path_factory.mktemp(name)
+    return load_kernel(compile_kernel(
+        directory, "-O0", source=_mutated_source(directory, *mutation)))
 
 
 @pytest.fixture(scope="session")
 def negated_lift_kernel(tmp_path_factory):
-    """The kernel compiled as built_kernel is, from _negated_lift_source,
-    and loaded."""
-    directory = tmp_path_factory.mktemp("negated_lift")
-    return load_kernel(compile_kernel(directory, "-O0", source=_negated_lift_source(directory)))
+    """The kernel with the lift negated after it is computed."""
+    return _mutant_kernel(tmp_path_factory, "negated_lift", NEGATED_LIFT)
+
+
+@pytest.fixture(scope="session")
+def bent_lift_kernel(tmp_path_factory):
+    """The kernel with (i * j) mod 3 added to the lift after it is
+    computed."""
+    return _mutant_kernel(tmp_path_factory, "bent_lift", BENT_LIFT)
+
+
+@pytest.fixture(scope="session")
+def no_determined_faces_kernel(tmp_path_factory):
+    """The kernel with every triangle's determined faces dropped before
+    the determined-face suites count them."""
+    return _mutant_kernel(tmp_path_factory, "no_determined_faces", NO_DETERMINED_FACES)
 
 
 def _sanitized_kernel(directory, flags, env=None, source=SOURCE / "_fastsweep.c"):
@@ -177,9 +212,9 @@ def ubsan_kernel(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def ubsan_negated_lift_kernel(tmp_path_factory):
-    """The path of _negated_lift_source compiled as ubsan_kernel is."""
+    """The path of the negated-lift kernel compiled as ubsan_kernel is."""
     directory = tmp_path_factory.mktemp("ubsan_negated_lift")
-    return _sanitized_kernel(directory, UBSAN, source=_negated_lift_source(directory))
+    return _sanitized_kernel(directory, UBSAN, source=_mutated_source(directory, *NEGATED_LIFT))
 
 
 @pytest.fixture(scope="session")
@@ -208,7 +243,8 @@ def asan_kernel(tmp_path_factory, asan_env):
 
 @pytest.fixture(scope="session")
 def asan_negated_lift_kernel(tmp_path_factory, asan_env):
-    """(path, asan_env) of _negated_lift_source compiled as asan_kernel is."""
+    """(path, asan_env) of the negated-lift kernel compiled as asan_kernel
+    is."""
     directory = tmp_path_factory.mktemp("asan_negated_lift")
-    source = _negated_lift_source(directory)
+    source = _mutated_source(directory, *NEGATED_LIFT)
     return _sanitized_kernel(directory, ASAN, asan_env, source=source), asan_env

@@ -13,8 +13,11 @@ way, as successive convex hulls of pairwise sums of the per-line
 argmax exponent sets, and reads nothing but those sets.
 
 The library validates a subdivision through its unit-triangle owner
-grid: tiling by rasterization, regularity locally across interior edges,
-determined faces by adjacency lookup. These are the direct scans it
+grid, its only adjacency structure: tiling by rasterization, regularity
+in one scan of the grid (each cell's fit at the corners of its unit
+triangles, and dominance at one vertex across each edge between two
+cells), and a triangle's edge neighbours as the owners of the three
+downward unit triangles around it. These are the direct scans it
 replaced, kept as independent oracles for the tests:
 
   * tiling: pairwise separating axes between all cells, O(cells^2),
@@ -27,16 +30,17 @@ replaced, kept as independent oracles for the tests:
     positive-length edge sharing and the corner-slot templates matched
     directly.
 
-Each scan reads only the cells and the lift, never the owner grid, the
-adjacency or the corner-slot index of the subdivision under test.
+Each scan reads only the cells and the lift, never the owner grid or
+the corner-slot index of the subdivision under test.
 
 The stable intersection of two tropical lines is checked against its
 definition, the limit of transversal intersections under perturbation.
 Helpers the library itself no longer needs (the boolean regularity
-check, the determined-union count, the duality incidence check and
-point arithmetic) live here for the tests that pin them. The library
-finds the lines through each stable point from buckets of the line
-vertices; incident_lines_scan evaluates every line's argmax there.
+check, the corner-triangle test, the determined-union count, the
+duality incidence check and point arithmetic) live here for the tests
+that pin them. The library finds the lines through each stable point
+from buckets of the line vertices; incident_lines_scan evaluates every
+line's argmax there.
 A sweep's JSONL line is specified as the json.dumps of its record, which
 the library writes out directly; SUITES names the suites its violations
 are tagged with. coordinate_sets draws the distinct
@@ -66,9 +70,9 @@ from troplines.lines import (
     line_from_vertex,
 )
 from troplines.subdivision import (
+    boundary_edge_count,
     check_regularity_detailed,
     determined_faces,
-    is_corner_triangle,
     triangle_base,
 )
 
@@ -172,6 +176,11 @@ def arrangement_vertices_scan(arr):
 def check_regularity(sub):
     ok, _ = check_regularity_detailed(sub)
     return ok
+
+
+def is_corner_triangle(cell, n):
+    """Triangles with two (or, when n = 1, three) boundary edges."""
+    return cell.cell_class is CellClass.TRIANGLE and boundary_edge_count(cell, n) >= 2
 
 
 def determined_union_count(sub):

@@ -17,9 +17,9 @@ from troplines.analysis import analyze_config
 from troplines.cli import main
 from troplines.incidence import (
     StableLineKind,
+    cramer_stable_line,
     dbe_check,
     point_config,
-    stable_line_two_points,
     stable_lines_through,
 )
 from troplines.kernel import backend_name
@@ -174,13 +174,13 @@ def test_criterion_5_two_point_stable_lines():
         cases += 1
         by_kind[kind] += 1
         records = stable_lines_through(point_config([p1, p2]))
-        line = stable_line_two_points(p1, p2)
+        line = cramer_stable_line(p1, p2)[1]
         ok = ok and len(records) == 1 and records[0].line == line
         ok = ok and contains(line, p1) and contains(line, p2)
         if not ok:
             break
     ok = ok and all(count >= 1000 for count in by_kind.values())
-    worked = stable_line_two_points(Point2(-3, 2), Point2(-1, 2))
+    worked = cramer_stable_line(Point2(-3, 2), Point2(-1, 2))[1]
     ok = ok and worked.vertex == Point2(-1, 2)
     # canonical form of the projective class (2 : -1 : 1)
     ok = ok and worked.coefficients == (1, -2, 0)

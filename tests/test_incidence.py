@@ -17,11 +17,11 @@ from troplines.errors import EqualPoints, TooFewPoints
 from troplines.incidence import (
     PointConfig,
     StableLineKind,
+    cramer_stable_line,
     dbe_check,
     dualize_points,
     ordinary_stable_lines,
     point_config,
-    stable_line_two_points,
     stable_lines_through,
 )
 from troplines.lines import Point2, contains
@@ -168,21 +168,21 @@ def test_known_configurations_without_ordinary_lines(witness):
 
 
 def test_cramer_line_worked_example():
-    line = stable_line_two_points(Point2(-3, 2), Point2(-1, 2))
+    line = cramer_stable_line(Point2(-3, 2), Point2(-1, 2))[1]
     assert line.vertex == Point2(-1, 2)
 
 
 def test_cramer_line_diagonal_coaxial_pair():
     # both points on the northeast ray: the stable line's vertex is the
     # southwestern point (a vertex at (2,2) could not contain (0,0))
-    line = stable_line_two_points(Point2(0, 0), Point2(2, 2))
+    line = cramer_stable_line(Point2(0, 0), Point2(2, 2))[1]
     assert line.vertex == Point2(0, 0)
     assert contains(line, Point2(0, 0)) and contains(line, Point2(2, 2))
 
 
 def test_cramer_line_rejects_equal_points():
     with pytest.raises(EqualPoints):
-        stable_line_two_points(Point2(1, 1), Point2(1, 1))
+        cramer_stable_line(Point2(1, 1), Point2(1, 1))
 
 
 def test_cramer_agrees_with_dual_route_on_forced_samples():
@@ -205,7 +205,7 @@ def test_cramer_agrees_with_dual_route_on_forced_samples():
         cases += 1
         records = stable_lines_through(point_config([p1, p2]))
         assert len(records) == 1
-        assert stable_line_two_points(p1, p2) == records[0].line
+        assert cramer_stable_line(p1, p2)[1] == records[0].line
 
 
 def test_bound_verdicts():

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from troplines import kernel
+from troplines import analysis, kernel, subdivision
 from troplines.analysis import analyze_config
 from troplines.incidence import ordinary_stable_lines, point_config
 from troplines.kernel import COORD_LIMIT, MAX_KERNEL_POINTS, backend_name, stream_eligible
+from troplines.subdivision import product_coefficients
 from troplines.sweep import Exhaustive, JsonlSink, SweepParams, run_sweep
 
 from conftest import SOURCE
@@ -357,6 +358,55 @@ def test_chunk_lines_match_the_spec_on_records_with_violations(negated_lift_kern
     _assert_chunk_matches_records(configs, start, (raw, flagged, text), records)
     assert 3 <= len(flagged) < len(configs)
     assert in_child(lambda: faulty.analyze_chunk(configs, start, False)) == (raw, flagged, None)
+
+
+def _negated_lift(arr):
+    return {point: -h for point, h in product_coefficients(arr).items()}
+
+
+def _bent_lift(arr):
+    return {(i, j): h + (i * j) % 3 for (i, j), h in product_coefficients(arr).items()}
+
+
+def _fault_corpus(fault):
+    """Every 3- and 4-subset of the 3 x 3 grid for the negated lift, 500
+    seeded configurations of 4 to 9 points in range 6 for the others."""
+    if fault == "negated-lift":
+        grid = [(x, y) for x in range(3) for y in range(3)]
+        return [list(c) for n in (3, 4) for c in itertools.combinations(grid, n)]
+    rng = random.Random(19)
+    return [_seeded_points(rng, 4 + k % 6, 6) for k in range(500)]
+
+
+# fault -> (the faulty kernel's fixture, the same fault in the pure route
+# as (module, name, replacement), the suites it fires)
+FAULTS = {
+    "negated-lift": ("negated_lift_kernel",
+                     (subdivision, "product_coefficients", _negated_lift), {"regularity"}),
+    "bent-lift": ("bent_lift_kernel",
+                  (subdivision, "product_coefficients", _bent_lift), {"regularity"}),
+    "no-determined-faces": ("no_determined_faces_kernel",
+                            (analysis, "determined_faces", lambda sub, T: []),
+                            {"determined_minimum", "determined_union"}),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_both_routes_report_a_fault_alike(fault, request, in_child, monkeypatch):
+    # the same fault in either route gives the same records, violations
+    # included, in the same order and words
+    fixture, patch, suites = FAULTS[fault]
+    faulty = request.getfixturevalue(fixture)
+    monkeypatch.setattr(*patch)
+    corpus = _fault_corpus(fault)
+    pure, compiled = in_child(lambda: (
+        [analyze_config(point_config(points)) for points in corpus],
+        [faulty.analyze_ints(points) for points in corpus]))
+    for points, expected, record in zip(corpus, pure, compiled, strict=True):
+        assert record == expected, points
+    fired = [{suite for suite, _ in record["violations"]} for record in pure]
+    assert set().union(*fired) == suites
+    assert suites in fired
 
 
 def _kernel_messages():

@@ -35,7 +35,6 @@ from troplines.subdivision import (
     check_regularity_detailed,
     determined_faces,
     dual_subdivision,
-    is_corner_triangle,
     is_near_pencil,
     product_coefficients,
     tile,
@@ -48,6 +47,7 @@ from oracles import (
     coordinate_sets,
     determined_faces_scan,
     determined_union_count,
+    is_corner_triangle,
     regularity_scan,
     shares_edge,
     simplex_lattice_points,

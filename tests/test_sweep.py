@@ -24,8 +24,6 @@ from troplines.sweep import (
     Random,
     SweepParams,
     _config_list,
-    enumerate_configs,
-    random_config,
     run_sweep,
     sg_failure_search,
 )
@@ -34,18 +32,15 @@ from oracles import sweep_line_spec
 
 
 def test_enumeration_counts_and_order():
-    singles = list(enumerate_configs(1, 2))
-    assert len(singles) == 4
-    assert [tuple(c.points[0]) for c in singles] == [
-        (0, 0), (0, 1), (1, 0), (1, 1)
-    ]
-    assert sum(1 for _ in enumerate_configs(2, 2)) == 6
-    assert sum(1 for _ in enumerate_configs(4, 4)) == 1820
+    singles = list(Exhaustive(2).configs(1))
+    assert singles == [((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
+    assert sum(1 for _ in Exhaustive(2).configs(2)) == 6
+    assert sum(1 for _ in Exhaustive(4).configs(4)) == 1820
 
 
 def test_enumeration_rejects_a_grid_with_too_few_points():
     with pytest.raises(GridTooSmall):
-        list(enumerate_configs(5, 2))
+        SweepParams(n=5, mode=Exhaustive(2))
 
 
 @pytest.mark.parametrize(
@@ -67,20 +62,17 @@ def test_range_too_small_for_distinct_points():
     with pytest.raises(RangeTooSmall):
         SweepParams(n=10, mode=Random(samples=1, coord_range=1))
     with pytest.raises(RangeTooSmall):
-        random_config(10, 1, random.Random(0))
+        Random(samples=1, coord_range=1).validate(10)
 
 
 def test_random_config_is_seeded_and_distinct():
-    a = random_config(6, 8, random.Random(5))
-    b = random_config(6, 8, random.Random(5))
-    assert a.points == b.points
-    assert len(set(a.points)) == 6
-    c = random_config(6, 8, random.Random(6))
-    assert c.points != a.points
-
-
-def _as_pairs(cfg):
-    return tuple((p.x, p.y) for p in cfg.points)
+    mode = Random(samples=1, coord_range=8)
+    a = mode.draw(6, random.Random(5))
+    b = mode.draw(6, random.Random(5))
+    assert a == b
+    assert len(set(a)) == 6
+    c = mode.draw(6, random.Random(6))
+    assert c != a
 
 
 def test_every_generator_yields_the_same_configurations_in_order():
@@ -88,12 +80,12 @@ def test_every_generator_yields_the_same_configurations_in_order():
     params = SweepParams(n=3, mode=Exhaustive(4))
     lattice = [(x, y) for x in range(4) for y in range(4)]
     expected = list(itertools.combinations(lattice, 3))
-    assert [_as_pairs(c) for c in enumerate_configs(3, 4)] == expected
+    assert list(Exhaustive(4).configs(3)) == expected
     assert list(_config_list(params)) == expected
 
     params = SweepParams(n=3, mode=Random(samples=60, coord_range=6, seed=9))
     rng = random.Random(9)
-    drawn = [_as_pairs(random_config(3, 6, rng)) for _ in range(60)]
+    drawn = [params.mode.draw(3, rng) for _ in range(60)]
     assert list(_config_list(params)) == drawn
     assert drawn[:2] == [((1, 3), (-1, -2), (-4, -4)), ((4, -6), (-1, 2), (1, 3))]
 
