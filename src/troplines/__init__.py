@@ -17,7 +17,6 @@ from .arrangement import (
     arrangement_vertices,
     build_arrangement,
     classify_cell,
-    counts,
     dual_cell,
     type_tuple,
 )
@@ -53,7 +52,6 @@ from .lines import (
     Point2,
     StableIntersectionResult,
     TropicalLine,
-    line_from_coefficients,
     line_from_vertex,
     pairwise_stable_intersection,
 )
@@ -110,14 +108,12 @@ __all__ = [
     "arrangement_vertices",
     "build_arrangement",
     "classify_cell",
-    "counts",
     "dbe_check",
     "determined_faces",
     "dual_cell",
     "dual_subdivision",
     "dualize_points",
     "is_near_pencil",
-    "line_from_coefficients",
     "line_from_vertex",
     "ordinary_stable_lines",
     "pairwise_stable_intersection",

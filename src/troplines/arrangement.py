@@ -299,16 +299,6 @@ def counts_from_classes(n: int, classes: Iterable[CellClass]) -> Counts:
     return Counts(n=n, t=t, triangles=triangles, b=t - triangles, k=k, h=h)
 
 
-def counts(arr: Arrangement) -> Counts:
-    """Face counts of the arrangement; identities asserted."""
-    classes = [classify_cell(vd) for vd in arrangement_vertices(arr)]
-    result = counts_from_classes(arr.n, classes)
-    problems = verify_count_identities(result)
-    if problems:
-        raise AssertionError("; ".join(problems))
-    return result
-
-
 def type_tuple(arr: Arrangement, q: Point2) -> Tuple[FrozenSet[int], ...]:
     """The tropical oriented matroid type of q: per-line argmax sets."""
     return tuple(eval_argmax(line, q)[1] for line in arr.lines)

@@ -22,7 +22,7 @@ import sys
 from typing import List, Optional
 
 from . import kernel
-from .errors import InputFormatError, TilingFailure, TroplinesError
+from .errors import InputFormatError, InvalidSweep, TilingFailure, TroplinesError
 from .incidence import cramer_stable_line, dualize_points
 from .lines import Point2
 from .rationals import Rational
@@ -124,6 +124,8 @@ def cmd_verify(args) -> int:
         mode = Random(samples=args.samples, coord_range=args.coord_range,
                       seed=args.seed)
     params = SweepParams(n=args.n, mode=mode)
+    if args.jobs < 1:  # refused before --jsonl truncates its file
+        raise InvalidSweep(f"jobs must be at least 1, got {args.jobs}")
 
     # line-buffered: each write reaches the file whole, a chunk's lines as
     # soon as the chunk is analyzed, the first after one configuration

@@ -160,17 +160,15 @@ def cramer_stable_line(
     """The Cramer triple (|O1| : |O2| : |O3|) of the two-point system and
     the stable line it gives.
 
-    The 2x3 system has rows (p.x, p.y, 0); the three signed minors (each
-    a 2x2 tropical permanent) give the line's coefficients, and the
-    vertex is read off as usual.
+    The 2x3 system has rows (p.x, p.y, 0); |Oi| is the tropical permanent
+    max(a + d, b + c) of the 2x2 minor without column i. The triple gives
+    the line's coefficients, and the vertex is read off as usual.
     """
-    from .semiring import TropMatrix2x3, cramer_stable_solution
-
     if p1 == p2:
         raise EqualPoints(f"both points are {tuple(p1)}")
-    o1, o2, o3 = cramer_stable_solution(
-        TropMatrix2x3((p1.x, p1.y, 0), (p2.x, p2.y, 0))
-    )
+    o1 = max(p1.y, p2.y)
+    o2 = max(p1.x, p2.x)
+    o3 = max(p1.x + p2.y, p1.y + p2.x)
     line = line_from_vertex(Point2(o3 - o1, o3 - o2))
     assert contains(line, p1) and contains(line, p2), (
         f"Cramer line {line.vertex} misses an input point {tuple(p1)}, {tuple(p2)}"

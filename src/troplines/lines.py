@@ -52,11 +52,6 @@ def line_from_vertex(v: Point2) -> TropicalLine:
     return TropicalLine(Point2(*v))
 
 
-def line_from_coefficients(a: Rational, b: Rational, c: Rational) -> TropicalLine:
-    """Line of max(a+x, b+y, c); vertex is (c-a, c-b)."""
-    return TropicalLine(Point2(c - a, c - b))
-
-
 def eval_argmax(L: TropicalLine, q: Point2) -> Tuple[Rational, FrozenSet[int]]:
     """Value and argmax set of the normalized polynomial at q.
 

@@ -125,7 +125,9 @@ def load_input(path: str) -> Tuple[str, Any]:
         raise InputFormatError(f"{path}: empty input file")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past
+        # Python's int-digit limit; RecursionError, arrays nested too deep
         raise InputFormatError(f"{path}: invalid JSON ({exc})") from None
     return parse_input(data)
 

@@ -224,6 +224,12 @@ def check_regularity_detailed(sub: DualSubdivision) -> Tuple[bool, Optional[str]
     lattice point and concave across each interior edge, hence concave, so
     every fit dominates h everywhere (De Loera, Rambau and Santos,
     Triangulations, ch. 2).
+
+    The tests below and left of one (i, j) never both fail, so their order
+    is free: the fits around (i, j) already agree with h at its six
+    neighbours, their folds across the six edges at (i, j) balance, and
+    the two folds sum to those of the edges checked earlier at (i - 1, j)
+    and (i, j - 1), which passed.
     """
     lift, owner, fits = sub.lift, sub.owner, []
     for cell in sub.cells:

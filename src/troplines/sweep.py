@@ -156,12 +156,6 @@ def _config_list(params: SweepParams) -> Iterator[Tuple[IntPair, ...]]:
     return params.mode.configs(params.n)
 
 
-def _kernel_route(params: SweepParams) -> bool:
-    """Whether the whole sweep runs on the compiled kernel, decided from n
-    and the mode's coordinate reach without generating anything."""
-    return kernel.stream_eligible(params.n, params.mode.reach)
-
-
 class JsonlSink:
     """A run_sweep sink that writes each record to stream as its JSONL
     line, sweep_line_json plus a newline.
@@ -305,7 +299,7 @@ def run_sweep(
     stream = None
     if isinstance(sink, JsonlSink):
         stream, sink = sink.stream, None
-    compiled = _kernel_route(params)
+    compiled = kernel.stream_eligible(params.n, params.mode.reach)
     total = params.mode.size(params.n)
     chunks = _chunks(params, _chunk_schedule(total, jobs), compiled, stream is not None)
     histogram: Dict[int, int] = {}
@@ -353,7 +347,9 @@ def sg_failure_search(params: SweepParams, stop_after: int = 1) -> List[PointCon
         raise InvalidSweep(
             f"ordinary-line failures are searched at n >= 4, got {params.n}"
         )
-    compiled = kernel._COMPILED if _kernel_route(params) else None
+    if stop_after < 1:
+        raise InvalidSweep(f"stop_after must be at least 1, got {stop_after}")
+    compiled = kernel._COMPILED if kernel.stream_eligible(params.n, params.mode.reach) else None
     witnesses: List[PointConfig] = []
     for pairs in _config_list(params):
         if compiled is not None:

@@ -128,7 +128,10 @@ _LIFT_ANCHOR = "    _lift(n, px, py, lift);\n"
 # edges can reject it; the bent lift, which adds (i * j) mod 3, is not
 # affine on most cells, so the agreement test rejects it too; and without
 # determined faces every triangle that needs some fails the two
-# determined-face suites.
+# determined-face suites. The raised lift, 40 more at (0, 3) and 80 more at
+# (1, 3), makes some configurations fail the dominance tests below and
+# across the diagonal of the upward triangle (0, 2, 0) at once, so the first
+# failure reported depends on the order of the two.
 NEGATED_LIFT = (_LIFT_ANCHOR, _LIFT_ANCHOR + (
     "    for (i = 0; i <= n; i++)\n"
     "        for (j = 0; i + j <= n; j++)\n"
@@ -137,6 +140,9 @@ BENT_LIFT = (_LIFT_ANCHOR, _LIFT_ANCHOR + (
     "    for (i = 0; i <= n; i++)\n"
     "        for (j = 0; i + j <= n; j++)\n"
     "            LIFT(i, j) += (i * j) % 3;\n"))
+RAISED_LIFT = (_LIFT_ANCHOR, _LIFT_ANCHOR + (
+    "    if (n >= 4)\n"
+    "        LIFT(0, 3) += 40, LIFT(1, 3) += 80;\n"))
 _DETERMINED_ANCHOR = "        if (det_count > 6) {\n"
 NO_DETERMINED_FACES = (_DETERMINED_ANCHOR, "        det_count = 0;\n" + _DETERMINED_ANCHOR)
 
@@ -169,6 +175,13 @@ def bent_lift_kernel(tmp_path_factory):
     """The kernel with (i * j) mod 3 added to the lift after it is
     computed."""
     return _mutant_kernel(tmp_path_factory, "bent_lift", BENT_LIFT)
+
+
+@pytest.fixture(scope="session")
+def raised_lift_kernel(tmp_path_factory):
+    """The kernel with the lift raised at (0, 3) and (1, 3) after it is
+    computed."""
+    return _mutant_kernel(tmp_path_factory, "raised_lift", RAISED_LIFT)
 
 
 @pytest.fixture(scope="session")

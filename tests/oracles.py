@@ -36,8 +36,9 @@ the corner-slot index of the subdivision under test.
 The stable intersection of two tropical lines is checked against its
 definition, the limit of transversal intersections under perturbation.
 Helpers the library itself no longer needs (the boolean regularity
-check, the corner-triangle test, the determined-union count, the
-duality incidence check and point arithmetic) live here for the tests
+check, the corner-triangle test, the determined-union count, the face
+counts of an arrangement, the duality incidence check and point
+arithmetic) live here for the tests
 that pin them. The library finds the lines through each stable point
 from buckets of the line vertices; incident_lines_scan evaluates every
 line's argmax there.
@@ -57,8 +58,12 @@ from troplines.arrangement import (
     SEMIUNIFORM,
     CellClass,
     VertexData,
+    arrangement_vertices,
     candidate_points,
+    classify_cell,
+    counts_from_classes,
     polygon_edges,
+    verify_count_identities,
 )
 from troplines.errors import IdenticalLines, TilingFailure, TroplinesError
 from troplines.lines import (
@@ -181,6 +186,17 @@ def check_regularity(sub):
 def is_corner_triangle(cell, n):
     """Triangles with two (or, when n = 1, three) boundary edges."""
     return cell.cell_class is CellClass.TRIANGLE and boundary_edge_count(cell, n) >= 2
+
+
+def counts(arr):
+    """Face counts of the arrangement from its cell classes; identities
+    asserted."""
+    result = counts_from_classes(
+        arr.n, [classify_cell(vd) for vd in arrangement_vertices(arr)])
+    problems = verify_count_identities(result)
+    if problems:
+        raise AssertionError("; ".join(problems))
+    return result
 
 
 def determined_union_count(sub):

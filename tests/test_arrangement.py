@@ -25,7 +25,6 @@ from troplines.arrangement import (
     build_arrangement,
     candidate_points,
     classify_cell,
-    counts,
     counts_from_classes,
     doubled_area,
     dual_cell,
@@ -52,6 +51,7 @@ from oracles import (
     minkowski_cell,
     minkowski_sum,
     arrangement_vertices_scan,
+    counts,
     coordinate_sets,
     vertex_data,
 )

@@ -71,6 +71,21 @@ def test_analyze_malformed_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "render"])
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"points": [[' + "1" * 5_000 + ", 0]]}"],
+    ids=["nested-too-deep", "int-past-digit-limit"],
+)
+def test_json_the_parser_refuses_is_an_input_error(tmp_path, capsys, command, text):
+    # json.loads raises RecursionError and ValueError here, not
+    # JSONDecodeError; both are bad input, exit 2
+    path = _write(tmp_path, "bad.json", text)
+    args = [command, path] + (["--svg", str(tmp_path / "x.svg")] if command == "render" else [])
+    assert main(args) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_render_writes_valid_svg(tmp_path):
     path = _write(tmp_path, "pencil.json", PENCIL_POINTS)
     out = tmp_path / "picture.svg"
@@ -100,6 +115,15 @@ def test_verify_flag_validation(capsys):
     assert "--range" in capsys.readouterr().err
     assert main(["verify", "--n", "3", "--mode", "exhaustive", "--grid", "1"]) == 2
     assert "grid_size" in capsys.readouterr().err
+
+
+def test_verify_refuses_jobs_below_one_before_touching_the_jsonl_file(tmp_path, capsys):
+    target = tmp_path / "kept.jsonl"
+    target.write_bytes(b"kept\n")
+    assert main(["verify", "--n", "3", "--mode", "exhaustive", "--grid", "3",
+                 "--jobs", "0", "--jsonl", str(target)]) == 2
+    assert "jobs must be at least 1, got 0" in capsys.readouterr().err
+    assert target.read_bytes() == b"kept\n"
 
 
 def test_module_entry_point_runs_the_cli():

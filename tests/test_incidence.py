@@ -11,8 +11,8 @@ import random
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from troplines.arrangement import counts
 from troplines.errors import EqualPoints, TooFewPoints
 from troplines.incidence import (
     PointConfig,
@@ -24,9 +24,9 @@ from troplines.incidence import (
     point_config,
     stable_lines_through,
 )
-from troplines.lines import Point2, contains
+from troplines.lines import Point2, contains, line_from_vertex
 
-from oracles import coordinate_sets, incidence_preserved, incident_lines_scan
+from oracles import coordinate_sets, counts, incidence_preserved, incident_lines_scan
 
 # four points whose dual lines all pass through the origin: one stable
 # line carries all of them
@@ -168,8 +168,38 @@ def test_known_configurations_without_ordinary_lines(witness):
 
 
 def test_cramer_line_worked_example():
-    line = cramer_stable_line(Point2(-3, 2), Point2(-1, 2))[1]
-    assert line.vertex == Point2(-1, 2)
+    assert cramer_stable_line(Point2(-3, 2), Point2(-1, 2)) == (
+        (2, -1, 1), line_from_vertex(Point2(-1, 2)))
+    assert cramer_stable_line(Point2(-5, 1), Point2(-2, 1))[0] == (1, -2, -1)
+
+
+scalars = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+points = st.builds(Point2, scalars, scalars)
+
+
+@given(points, points)
+def test_cramer_triple_is_the_permanents_of_the_point_rows(p1, p2):
+    # |Oi| is the permanent of the rows (x, y, 0) without column i, each
+    # written out as the larger of its two diagonal products
+    assume(p1 != p2)
+    rows = ((p1.x, p1.y, 0), (p2.x, p2.y, 0))
+    expected = []
+    for drop in range(3):
+        a, b = (c for c in range(3) if c != drop)
+        expected.append(max(rows[0][a] + rows[1][b], rows[0][b] + rows[1][a]))
+    assert cramer_stable_line(p1, p2)[0] == tuple(expected)
+
+
+@given(points, points, scalars, scalars)
+def test_cramer_line_translates_with_its_points(p1, p2, s, t):
+    assume(p1 != p2)
+    (o1, o2, o3), line = cramer_stable_line(p1, p2)
+    moved = cramer_stable_line(Point2(p1.x + s, p1.y + t), Point2(p2.x + s, p2.y + t))
+    assert moved == ((o1 + t, o2 + s, o3 + s + t),
+                     line_from_vertex(Point2(line.vertex.x + s, line.vertex.y + t)))
 
 
 def test_cramer_line_diagonal_coaxial_pair():

@@ -368,6 +368,14 @@ def _bent_lift(arr):
     return {(i, j): h + (i * j) % 3 for (i, j), h in product_coefficients(arr).items()}
 
 
+def _raised_lift(arr):
+    lift = product_coefficients(arr)
+    if arr.n >= 4:
+        lift[0, 3] += 40
+        lift[1, 3] += 80
+    return lift
+
+
 def _fault_corpus(fault):
     """Every 3- and 4-subset of the 3 x 3 grid for the negated lift, 500
     seeded configurations of 4 to 9 points in range 6 for the others."""
@@ -385,6 +393,8 @@ FAULTS = {
                      (subdivision, "product_coefficients", _negated_lift), {"regularity"}),
     "bent-lift": ("bent_lift_kernel",
                   (subdivision, "product_coefficients", _bent_lift), {"regularity"}),
+    "raised-lift": ("raised_lift_kernel",
+                    (subdivision, "product_coefficients", _raised_lift), {"regularity"}),
     "no-determined-faces": ("no_determined_faces_kernel",
                             (analysis, "determined_faces", lambda sub, T: []),
                             {"determined_minimum", "determined_union"}),

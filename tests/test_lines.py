@@ -26,7 +26,6 @@ from troplines.lines import (
     coaxial_points,
     contains,
     eval_argmax,
-    line_from_coefficients,
     line_from_vertex,
     pairwise_stable_intersection,
     ray_crossings,
@@ -60,10 +59,6 @@ def test_vertex_round_trip():
 def test_coefficients_are_normalized_to_constant_zero():
     assert line_from_vertex(Point2(0, 0)).coefficients == (0, 0, 0)
     assert line_from_vertex(Point2(-1, 2)).coefficients == (1, -2, 0)
-    assert line_from_coefficients(0, 0, 0).vertex == Point2(0, 0)
-    # coefficients are projective: shifting all three keeps the vertex
-    assert line_from_coefficients(1, -2, 0).vertex == Point2(-1, 2)
-    assert line_from_coefficients(4, 1, 3).vertex == Point2(-1, 2)
 
 
 def test_eval_argmax_cases():

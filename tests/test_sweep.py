@@ -210,6 +210,9 @@ def test_failure_search_finds_grid_witnesses():
 def test_failure_search_argument_validation():
     with pytest.raises(InvalidSweep):
         sg_failure_search(SweepParams(n=3, mode=Exhaustive(3)))
+    for stop_after in (0, -1):
+        with pytest.raises(InvalidSweep, match="stop_after must be at least 1"):
+            sg_failure_search(SweepParams(n=4, mode=Exhaustive(3)), stop_after=stop_after)
 
 
 def test_failure_search_warns_when_the_budget_runs_out():
@@ -282,7 +285,7 @@ def test_compiled_route_matches_the_pure_route(
     # the child and its forked workers inherit both patches
     monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
     monkeypatch.setattr(kernel, "analyze", _not_this_route)
-    assert sweep._kernel_route(params)
+    assert kernel.stream_eligible(params.n, params.mode.reach)
 
     def compiled_route():
         compiled_rows = []
@@ -371,11 +374,11 @@ def test_both_routes_report_the_same_violations(negated_lift_kernel, in_child, m
     monkeypatch.setattr(kernel, "_COMPILED", None)
     monkeypatch.setattr(
         kernel, "analyze", lambda cfg: negated_lift_kernel.analyze_ints(list(cfg.points)))
-    assert not sweep._kernel_route(params)
+    assert not kernel.stream_eligible(params.n, params.mode.reach)
     python = in_child(both_sinks)
     monkeypatch.setattr(kernel, "_COMPILED", negated_lift_kernel)
     monkeypatch.setattr(kernel, "analyze", _not_this_route)
-    assert sweep._kernel_route(params)
+    assert kernel.stream_eligible(params.n, params.mode.reach)
     assert in_child(both_sinks) == python
 
     [((stream, summary), (rows, _)), pooled] = python
@@ -436,9 +439,9 @@ def test_kernel_route_agrees_with_the_extension_at_its_boundaries(
         assert refused and re.search(r"at most 128 points|kernel coordinate bound exceeded",
                                      refused)
     monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
-    assert sweep._kernel_route(params) is fits
+    assert kernel.stream_eligible(params.n, params.mode.reach) is fits
     monkeypatch.setattr(kernel, "_COMPILED", None)
-    assert sweep._kernel_route(params) is False
+    assert kernel.stream_eligible(params.n, params.mode.reach) is False
 
 
 def test_last_lattice_config_is_the_last_subset():
@@ -486,11 +489,11 @@ def test_large_random_sweeps_write_the_same_jsonl_on_both_routes(
 ):
     params = SweepParams(n=n, mode=Random(samples=8, coord_range=coord_range, seed=n))
     monkeypatch.setattr(kernel, "_COMPILED", None)
-    assert not sweep._kernel_route(params)
+    assert not kernel.stream_eligible(params.n, params.mode.reach)
     pure = _jsonl_and_summary(params)
     monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
     monkeypatch.setattr(kernel, "analyze", _not_this_route)
-    assert sweep._kernel_route(params)
+    assert kernel.stream_eligible(params.n, params.mode.reach)
     assert in_child(lambda: _jsonl_and_summary(params)) == pure
     assert pure[0].count(b"\n") == 8
 
