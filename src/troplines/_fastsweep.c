@@ -18,7 +18,9 @@
  *   - the argmax counts over the lines (c, s_a, s_b, s_c and the two shift
  *     counts), taken for LANES candidates at a time, classify each
  *     candidate and fix its dual cell, whose boundary is walked in closed
- *     form;
+ *     form; c + s_a + s_b + s_c lines pass through an arrangement vertex,
+ *     so the vertices where that sum is 2 are the ordinary stable lines,
+ *     those through exactly two points;
  *   - each cell is rasterized into one owner grid of the n^2 unit
  *     triangles of n * Delta_2, which checks the tiling, and the grid's
  *     edge adjacency gives a local regularity check against the lift and
@@ -49,7 +51,8 @@
  * one scratch allocation for the chunk sized from its largest n; it writes
  * each configuration's JSONL line straight into one text buffer and its
  * excess into one bytes object, and passes on, as they are, only the
- * violation lists of the records that have any.
+ * violation lists of the records that have any and the offsets of those
+ * with no ordinary stable line.
  *
  * Build: python3 setup.py build_ext --inplace, or directly with
  *   cc -O2 -shared -fPIC -I<python include dir> _fastsweep.c -o _fastsweep<EXT_SUFFIX>
@@ -184,24 +187,10 @@ _cross3(i64 ox, i64 oy, i64 ax, i64 ay, i64 bx, i64 by)
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox);
 }
 
-/* Argmax bitmask at q for the line with vertex v: bit0 = x term,
- * bit1 = y term, bit2 = constant term. */
-static inline int
-_argmask(i64 vx, i64 vy, i64 qx, i64 qy)
-{
-    i64 t1 = qx - vx;
-    i64 t2 = qy - vy;
-    i64 m = t1;
-    if (t2 > m)
-        m = t2;
-    if (0 > m)
-        m = 0;
-    return (t1 == m) | ((t2 == m) << 1) | ((0 == m) << 2);
-}
-
 /* At each candidate q, the numbers of lines whose argmax is
- * {x, y, constant}, {x, constant}, {y, constant}, {x, y}, {x} and {y}, as
- * _argmask reads it, into counts[k * stride + q] for k = 0..5, for the
+ * {x, y, constant}, {x, constant}, {y, constant}, {x, y}, {x} and {y}, the
+ * terms of max(q_x - v_x, q_y - v_y, 0) for the line with vertex v that
+ * attain the maximum, into counts[k * stride + q] for k = 0..5, for the
  * ncand candidates (qx, qy), ncand a whole number of blocks. |q| < 2**23
  * and |v| <= 2**20, so the differences fit in an int. */
 static void
@@ -482,13 +471,13 @@ _sort_unique(i64 *keys, int count, i64 *buf)
 /* Read a sequence of distinct integer pairs within the coordinate bound
  * into (px, py); the point count, or -1 with an exception set. */
 static int
-_read_points(PyObject *points, int min_n, const char *too_few, i64 *px, i64 *py)
+_read_points(PyObject *points, i64 *px, i64 *py)
 {
     Py_ssize_t n = PyObject_Length(points);
     if (n < 0)
         return -1;
-    if (n < min_n) {
-        PyErr_SetString(PyExc_ValueError, too_few);
+    if (n < 1) {
+        PyErr_SetString(PyExc_ValueError, "need at least one point");
         return -1;
     }
     if (n > MAXN) {
@@ -590,7 +579,7 @@ enum { NEAR_NO, NEAR_YES, NEAR_UNTILED };
 
 /* What analyze_ints returns besides the violations. */
 typedef struct {
-    int t, triangles, b, k, h;
+    int t, triangles, b, k, h, ordinary;
     int near_pencil;
     int excess;
 } Summary;
@@ -727,10 +716,11 @@ undominated:
 
 /* What the walk of the cells finds besides the cells: the face counts,
  * the triangles and parallelograms in cell order, the near-pencil flag,
- * and for the tiling and edge-direction suites the doubled area and
- * whether their scans have a violation to find. */
+ * the ordinary stable points (c + s_a + s_b + s_c = 2 lines pass through
+ * the vertex), and for the tiling and edge-direction suites the doubled
+ * area and whether their scans have a violation to find. */
 typedef struct {
-    int ncells, triangles, k_faces, h_faces, parallelograms;
+    int ncells, triangles, k_faces, h_faces, parallelograms, ordinary;
     int near_pencil;   /* every triangle has a boundary edge */
     int outside;       /* some corner lies outside n * Delta_2 */
     int skew;          /* some edge is not horizontal, vertical or diagonal */
@@ -967,6 +957,7 @@ _analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violat
         if (!(c == 1 || nz >= 2))
             continue;
         int cls = CLASS[c == 1][nz], k = f.ncells++, bdry = 0;
+        f.ordinary += c + sa + sb + sc == 2;
         Cell *cell = &cells[k];
         cell->m = _walk_cell(c, sa, sb, sc, count[4 * stride], count[5 * stride], cell->vx,
                              cell->vy);
@@ -1027,6 +1018,7 @@ _analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violat
     out->b = b_faces;
     out->k = k_faces;
     out->h = h_faces;
+    out->ordinary = f.ordinary;
     out->near_pencil = near_pencil;
     out->excess = excess;
     return 0;
@@ -1040,8 +1032,9 @@ _record(int n, const Summary *s, PyObject *violations)
     PyObject *near_pencil = s->near_pencil == NEAR_UNTILED ? Py_None
                             : s->near_pencil == NEAR_YES ? Py_True : Py_False;
     return Py_BuildValue(
-        "{s:i,s:i,s:i,s:i,s:i,s:i,s:O,s:O,s:O,s:O,s:i,s:O}",
+        "{s:i,s:i,s:i,s:i,s:i,s:i,s:i,s:O,s:O,s:O,s:O,s:i,s:O}",
         "v", n, "t", s->t, "triangles", s->triangles, "b", s->b, "k", s->k, "h", s->h,
+        "ordinary", s->ordinary,
         "near_pencil", near_pencil,
         "bound_holds", s->excess >= 0 ? Py_True : Py_False,
         "equality", equality ? Py_True : Py_False,
@@ -1064,7 +1057,7 @@ analyze_ints(PyObject *Py_UNUSED(module), PyObject *points)
     i64 px[MAXN], py[MAXN];
     Summary summary;
     Scratch scratch;
-    int n = _read_points(points, 1, "need at least one point", px, py);
+    int n = _read_points(points, px, py);
     if (n < 0 || _scratch_new(n, &scratch) < 0)
         return NULL;
     PyObject *record = NULL;
@@ -1074,56 +1067,6 @@ analyze_ints(PyObject *Py_UNUSED(module), PyObject *points)
     Py_XDECREF(violations);
     PyMem_Free(scratch.block);
     return record;
-}
-
-PyDoc_STRVAR(has_ordinary_line_doc,
-"has_ordinary_line(points)\n--\n\n"
-"True iff some stable line of the configuration passes through exactly\n"
-"two of the points. Fast predicate for witness searches; takes points as\n"
-"analyze_ints does, at least two of them.");
-
-static PyObject *
-has_ordinary_line(PyObject *Py_UNUSED(module), PyObject *points)
-{
-    i64 px[MAXN], py[MAXN], vx[MAXN], vy[MAXN], cross[6];
-    int nstab = 0, hits, i, j;
-    int n = _read_points(points, 2, "need at least two points", px, py);
-    if (n < 0)
-        return NULL;
-    size_t pairs = (size_t)n * (n - 1) / 2;
-    i64 *stabkey = PyMem_New(i64, 2 * pairs);
-    if (stabkey == NULL)
-        return PyErr_NoMemory();
-    PyObject *result = Py_False;
-    for (i = 0; i < n; i++) {
-        vx[i] = -px[i];
-        vy[i] = -py[i];
-    }
-    for (i = 0; i < n; i++) {
-        for (j = i + 1; j < n; j++) {
-            i64 key = _stable_point(vx, vy, i, j, cross, &hits);
-            if (key < 0) {
-                result = NULL;
-                goto done;
-            }
-            stabkey[nstab++] = key;
-        }
-    }
-    nstab = _sort_unique(stabkey, nstab, stabkey + pairs);
-    for (i = 0; i < nstab && result == Py_False; i++) {
-        i64 cx = KEY_X(stabkey[i]), cy = KEY_Y(stabkey[i]);
-        int incident = 0;
-        for (j = 0; j < n; j++) {
-            int mask = _argmask(vx[j], vy[j], cx, cy);
-            if (mask != 1 && mask != 2 && mask != 4)
-                incident++;
-        }
-        if (incident == 2)
-            result = Py_True;
-    }
-done:
-    PyMem_Free(stabkey);
-    return Py_XNewRef(result);
 }
 
 /* ---- the chunk entry -------------------------------------------------- */
@@ -1242,9 +1185,11 @@ PyDoc_STRVAR(analyze_chunk_doc,
 "A sweep's chunk of configurations analyzed in one call: configs is a\n"
 "sequence of point sequences, each taken as analyze_ints takes it, and\n"
 "the first of them has sweep index start. Returns (excesses, flagged,\n"
-"text): excesses holds each configuration's excess as a native int\n"
+"bare, text): excesses holds each configuration's excess as a native int\n"
 "(array('i') bytes); flagged lists (offset, violations) in offset order\n"
-"for the configurations that have violations; text is the chunk's JSONL\n"
+"for the configurations that have violations; bare lists the offsets, in\n"
+"order, of the configurations whose record has ordinary == 0, no stable\n"
+"line through exactly two points; text is the chunk's JSONL\n"
 "lines, each serialize.sweep_line_json's line of the record plus a\n"
 "newline, or None when encode is false.");
 
@@ -1263,17 +1208,18 @@ analyze_chunk(PyObject *Py_UNUSED(module), PyObject *args)
     Py_ssize_t count = PyTuple_GET_SIZE(seq);
     PyObject *excesses = PyBytes_FromStringAndSize(NULL, count * (Py_ssize_t)sizeof(int));
     PyObject *flagged = PyList_New(0);
+    PyObject *bare = PyList_New(0);
     PyObject *violations = PyList_New(0);
     PyObject *lines, *result = NULL;
     Text text = {NULL, 0, 0};
     Scratch scratch = {0};
     int capacity = 0;
-    if (excesses == NULL || flagged == NULL || violations == NULL)
+    if (excesses == NULL || flagged == NULL || bare == NULL || violations == NULL)
         goto done;
     for (Py_ssize_t offset = 0; offset < count; offset++) {
         i64 px[MAXN], py[MAXN];
         Summary summary;
-        int n = _read_points(PyTuple_GET_ITEM(seq, offset), 1, "need at least one point", px, py);
+        int n = _read_points(PyTuple_GET_ITEM(seq, offset), px, py);
         if (n < 0)
             goto done;
         if (n > capacity) {
@@ -1296,14 +1242,22 @@ analyze_chunk(PyObject *Py_UNUSED(module), PyObject *args)
             if (rc < 0 || violations == NULL)
                 goto done;
         }
+        if (summary.ordinary == 0) {
+            PyObject *at = PyLong_FromSsize_t(offset);
+            int rc = at == NULL ? -1 : PyList_Append(bare, at);
+            Py_XDECREF(at);
+            if (rc < 0)
+                goto done;
+        }
     }
     lines = encode ? PyUnicode_DecodeASCII(text.data, text.used, NULL) : Py_NewRef(Py_None);
     if (lines != NULL)
-        result = Py_BuildValue("(OON)", excesses, flagged, lines);
+        result = Py_BuildValue("(OOON)", excesses, flagged, bare, lines);
 done:
     PyMem_Free(scratch.block);
     PyMem_Free(text.data);
     Py_XDECREF(violations);
+    Py_XDECREF(bare);
     Py_XDECREF(flagged);
     Py_XDECREF(excesses);
     Py_DECREF(seq);
@@ -1314,7 +1268,6 @@ done:
 
 static PyMethodDef fastsweep_methods[] = {
     {"analyze_ints", analyze_ints, METH_O, analyze_ints_doc},
-    {"has_ordinary_line", has_ordinary_line, METH_O, has_ordinary_line_doc},
     {"analyze_chunk", analyze_chunk, METH_VARARGS, analyze_chunk_doc},
     {NULL, NULL, 0, NULL},
 };

@@ -9,6 +9,9 @@ names below are a shared contract.
 The record is a plain JSON-friendly dict:
 
   v, t, triangles, b, k, h   counts (b, k, h confirmed by two routes)
+  ordinary                   stable lines through exactly two points, the
+                             arrangement vertices where c + s_a + s_b + s_c,
+                             the number of lines through them, is 2
   near_pencil                bool, or None if the subdivision failed
   bound_holds, equality, consistent, excess
   violations                 list of [suite, detail] pairs, empty when
@@ -71,6 +74,7 @@ def analyze_config(cfg: PointConfig) -> dict:
     vertex_data = arrangement_vertices(arr)
     classes = [classify_cell(vd) for vd in vertex_data]
     cnt = counts_from_classes(arr.n, classes)
+    ordinary = sum(vd.c + vd.s_a + vd.s_b + vd.s_c == 2 for vd in vertex_data)
     for problem in verify_count_identities(cnt):
         violations.append(("count_identities", problem))
     if (cnt.b, cnt.k, cnt.h) != (b_pairwise, k_pairwise, h_pairwise):
@@ -152,6 +156,7 @@ def analyze_config(cfg: PointConfig) -> dict:
         "b": cnt.b,
         "k": cnt.k,
         "h": cnt.h,
+        "ordinary": ordinary,
         "near_pencil": near,
         "bound_holds": bound_holds,
         "equality": equality,

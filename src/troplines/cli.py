@@ -25,8 +25,8 @@ from . import kernel
 from .errors import InputFormatError, InvalidSweep, TilingFailure, TroplinesError
 from .incidence import cramer_stable_line, dualize_points
 from .lines import Point2
-from .rationals import Rational
-from .serialize import analyze_report, load_input, parse_rational, rational_to_json
+from .serialize import analyze_report, load_input, parse_rational
+from .subdivision import point_text
 from .svg import render_svg
 from .sweep import Exhaustive, JsonlSink, Random, SweepParams, run_sweep
 
@@ -80,10 +80,6 @@ def _maybe_int(text: str):
         return int(text)
     except ValueError:
         return text
-
-
-def _fmt_rational(r: Rational) -> str:
-    return str(rational_to_json(r))
 
 
 def cmd_analyze(args) -> int:
@@ -141,6 +137,7 @@ def cmd_verify(args) -> int:
     summary = {
         "configs_tested": report.configs_tested,
         "violations": len(report.violations),
+        "no_ordinary_line": report.no_ordinary_line,
         "histogram": {str(k): v for k, v in report.histogram.items()},
         "elapsed": report.elapsed,
         "backend": kernel.backend_name(),
@@ -161,9 +158,8 @@ def cmd_stable_line(args) -> int:
     p1 = _parse_cli_point(args.p1, "--p1")
     p2 = _parse_cli_point(args.p2, "--p2")
     triple, line = cramer_stable_line(p1, p2)
-    coeffs = " : ".join(_fmt_rational(o) for o in triple)
-    vx, vy = line.vertex
-    print(f"coefficients ({coeffs}), vertex ({_fmt_rational(vx)}, {_fmt_rational(vy)})")
+    coeffs = " : ".join(str(o) for o in triple)
+    print(f"coefficients ({coeffs}), vertex {point_text(line.vertex)}")
     return 0
 
 

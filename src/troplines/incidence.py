@@ -35,7 +35,7 @@ from .lines import (
     stable_intersections,
 )
 from .rationals import Rational
-from .subdivision import dual_subdivision, is_near_pencil
+from .subdivision import dual_subdivision, is_near_pencil, point_text
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class PointConfig:
         for index, p in enumerate(self.points):
             if p in seen:
                 raise EqualPoints(
-                    f"point {index} repeats point {seen[p]}: {tuple(p)}",
+                    f"point {index} repeats point {seen[p]}: {point_text(p)}",
                     index=index,
                     earlier=seen[p],
                 )
@@ -165,13 +165,14 @@ def cramer_stable_line(
     the line's coefficients, and the vertex is read off as usual.
     """
     if p1 == p2:
-        raise EqualPoints(f"both points are {tuple(p1)}")
+        raise EqualPoints(f"both points are {point_text(p1)}")
     o1 = max(p1.y, p2.y)
     o2 = max(p1.x, p2.x)
     o3 = max(p1.x + p2.y, p1.y + p2.x)
     line = line_from_vertex(Point2(o3 - o1, o3 - o2))
     assert contains(line, p1) and contains(line, p2), (
-        f"Cramer line {line.vertex} misses an input point {tuple(p1)}, {tuple(p2)}"
+        f"Cramer line {point_text(line.vertex)} misses an input point {point_text(p1)}, "
+        f"{point_text(p2)}"
     )
     return (o1, o2, o3), line
 

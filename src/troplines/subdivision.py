@@ -197,7 +197,8 @@ def dual_subdivision(arr: Arrangement, vertex_data=None) -> DualSubdivision:
 
 
 def point_text(point) -> str:
-    """A point as the violation texts of both routes write it, "(x, y)"."""
+    """A point as every message writes it, "(x, y)", with a non-integer
+    coordinate as p/q."""
     return f"({point[0]}, {point[1]})"
 
 

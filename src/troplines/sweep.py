@@ -16,9 +16,12 @@ itself and knows its size, its coordinate reach and its stream.
 A sweep, or a failure search, picks its route once, from n and the
 mode's reach: when every configuration it can generate fits the compiled
 kernel, each chunk's int tuples go to it in one call, which returns the
-chunk's excesses, its violations and its JSONL text, and the main process
-touches single records only for a plain callable sink; otherwise every
-configuration goes through the pure reference analysis.
+chunk's excesses, its violations, the offsets of its configurations with
+no ordinary stable line and its JSONL text, and the main process touches
+single records only for a plain callable sink; otherwise every
+configuration goes through the pure reference analysis. The report counts,
+and the failure search returns, the configurations whose record has
+ordinary == 0.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, TextIO,
 
 from . import kernel
 from .errors import BudgetExhausted, GridTooSmall, InvalidSweep, RangeTooSmall
-from .incidence import PointConfig, ordinary_stable_lines, point_config
+from .incidence import PointConfig, point_config
 from .serialize import sweep_line_json
 
 IntPair = Tuple[int, int]
@@ -144,6 +147,7 @@ class SweepReport:
     histogram: Dict[int, int]
     elapsed: float
     route: str  # "compiled" or "pure"
+    no_ordinary_line: int  # configurations with no stable line through two points
 
     @property
     def passed(self) -> bool:
@@ -200,11 +204,14 @@ def _naming(pairs: Tuple[IntPair, ...]) -> Iterator[None]:
         ) from exc
 
 
-def _analyze_chunk(chunk: _Chunk) -> Tuple[array, List[Tuple[int, list]], Optional[str]]:
+def _analyze_chunk(
+    chunk: _Chunk,
+) -> Tuple[array, List[Tuple[int, list]], List[int], Optional[str]]:
     """The excess of each configuration of the chunk in order, the
-    (offset in the chunk, violations) of those that have any, and the
-    chunk's JSONL lines, newline-terminated and joined, when chunk.encode
-    is set (None otherwise).
+    (offset in the chunk, violations) of those that have any, the offsets
+    of those whose record has ordinary == 0, and the chunk's JSONL lines,
+    newline-terminated and joined, when chunk.encode is set (None
+    otherwise).
 
     The kernel route passes the chunk's int tuples to the extension in one
     call; the pure route takes each configuration through kernel.analyze. An
@@ -213,7 +220,8 @@ def _analyze_chunk(chunk: _Chunk) -> Tuple[array, List[Tuple[int, list]], Option
     if chunk.compiled:
         analyze_chunk = kernel._COMPILED.analyze_chunk
         try:
-            raw, flagged, text = analyze_chunk(chunk.configs, chunk.start, chunk.encode)
+            raw, flagged, bare, text = analyze_chunk(chunk.configs, chunk.start,
+                                                     chunk.encode)
         except AssertionError:
             # the kernel is deterministic, so the configuration that failed
             # fails again on its own
@@ -221,9 +229,10 @@ def _analyze_chunk(chunk: _Chunk) -> Tuple[array, List[Tuple[int, list]], Option
                 with _naming(pairs):
                     analyze_chunk((pairs,), chunk.start + offset, False)
             raise
-        return array("i", raw), flagged, text
+        return array("i", raw), flagged, bare, text
     excesses = array("i")
     flagged = []
+    bare = []
     lines: List[str] = []
     for offset, pairs in enumerate(chunk.configs):
         with _naming(pairs):
@@ -233,9 +242,11 @@ def _analyze_chunk(chunk: _Chunk) -> Tuple[array, List[Tuple[int, list]], Option
         excesses.append(excess)
         if bad:
             flagged.append((offset, bad))
+        if record["ordinary"] == 0:
+            bare.append(offset)
         if chunk.encode:
             lines.append(sweep_line_json(chunk.start + offset, pairs, excess, bad))
-    return excesses, flagged, "\n".join(lines) + "\n" if chunk.encode else None
+    return excesses, flagged, bare, "\n".join(lines) + "\n" if chunk.encode else None
 
 
 def _chunk_schedule(total: int, jobs: int) -> Iterator[int]:
@@ -291,7 +302,8 @@ def run_sweep(
     given, receives (index, config, excess, violations) for every
     configuration in order, as soon as its chunk is analyzed. A JsonlSink
     receives the same records as lines encoded by the workers. The
-    report's route names the route the sweep took.
+    report's route names the route the sweep took, and no_ordinary_line
+    counts the configurations with no ordinary stable line.
     """
     if jobs < 1:
         raise InvalidSweep(f"jobs must be at least 1, got {jobs}")
@@ -304,6 +316,7 @@ def run_sweep(
     chunks = _chunks(params, _chunk_schedule(total, jobs), compiled, stream is not None)
     histogram: Dict[int, int] = {}
     violations: List[Tuple[Tuple[IntPair, ...], str, str]] = []
+    no_ordinary_line = 0
     with contextlib.ExitStack() as stack:
         if jobs == 1:
             results: Iterator = ((chunk, _analyze_chunk(chunk)) for chunk in chunks)
@@ -312,9 +325,10 @@ def run_sweep(
             # each chunk holds one
             pool = stack.enter_context(multiprocessing.Pool(processes=min(jobs, total)))
             results = _pooled(pool, chunks, 2 * jobs)
-        for chunk, (excesses, flagged, text) in results:
+        for chunk, (excesses, flagged, bare, text) in results:
             if stream is not None:
                 stream.write(text)
+            no_ordinary_line += len(bare)
             for excess in excesses:
                 histogram[excess] = histogram.get(excess, 0) + 1
             for offset, bad in flagged:
@@ -331,17 +345,20 @@ def run_sweep(
         histogram=dict(sorted(histogram.items())),
         elapsed=elapsed,
         route="compiled" if compiled else "pure",
+        no_ordinary_line=no_ordinary_line,
     )
 
 
 def sg_failure_search(params: SweepParams, stop_after: int = 1) -> List[PointConfig]:
     """Configurations with no ordinary stable line (no stable line through
-    exactly two of the points).
+    exactly two of the points), in sweep order.
 
-    Streams the configurations described by params, on the compiled kernel
-    when the whole sweep fits it and on the pure reference otherwise, and
-    stops once stop_after witnesses are found. Exhausting the stream first
-    issues a BudgetExhausted warning and returns whatever was found.
+    Reads the sweep's own chunks, at the one-job schedule and on the route
+    run_sweep takes, in process and without JSONL, and keeps the
+    configurations whose record has ordinary == 0; stops after the chunk
+    that brings the count to stop_after and returns the first stop_after.
+    Exhausting the stream first issues a BudgetExhausted warning and
+    returns whatever was found.
     """
     if params.n < 4:
         raise InvalidSweep(
@@ -349,17 +366,14 @@ def sg_failure_search(params: SweepParams, stop_after: int = 1) -> List[PointCon
         )
     if stop_after < 1:
         raise InvalidSweep(f"stop_after must be at least 1, got {stop_after}")
-    compiled = kernel._COMPILED if kernel.stream_eligible(params.n, params.mode.reach) else None
+    compiled = kernel.stream_eligible(params.n, params.mode.reach)
+    sizes = _chunk_schedule(params.mode.size(params.n), 1)
     witnesses: List[PointConfig] = []
-    for pairs in _config_list(params):
-        if compiled is not None:
-            ordinary = compiled.has_ordinary_line(pairs)
-        else:
-            ordinary = len(ordinary_stable_lines(point_config(pairs))) > 0
-        if not ordinary:
-            witnesses.append(point_config(pairs))
-            if len(witnesses) >= stop_after:
-                return witnesses
+    for chunk in _chunks(params, sizes, compiled, False):
+        _, _, bare, _ = _analyze_chunk(chunk)
+        witnesses += [point_config(chunk.configs[offset]) for offset in bare]
+        if len(witnesses) >= stop_after:
+            return witnesses[:stop_after]
     warnings.warn(
         BudgetExhausted(
             f"search ended with {len(witnesses)} of {stop_after} witnesses"

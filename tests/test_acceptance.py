@@ -76,6 +76,7 @@ def test_criterion_1_worked_pencil_example():
         "b": 1,
         "k": 0,
         "h": 1,
+        "ordinary": 0,
         "near_pencil": True,
         "bound_holds": True,
         "equality": True,

@@ -16,6 +16,7 @@ RECORD_KEYS = {
     "b",
     "k",
     "h",
+    "ordinary",
     "near_pencil",
     "bound_holds",
     "equality",
@@ -34,6 +35,7 @@ def test_pencil_record_is_frozen():
         "b": 1,
         "k": 0,
         "h": 1,
+        "ordinary": 0,
         "near_pencil": True,
         "bound_holds": True,
         "equality": True,
@@ -46,7 +48,7 @@ def test_pencil_record_is_frozen():
 def test_record_schema():
     record = analyze_config(point_config([(0, 0), (1, 3), (3, 1), (5, 4)]))
     assert set(record) == RECORD_KEYS
-    for key in ("v", "t", "triangles", "b", "k", "h", "excess"):
+    for key in ("v", "t", "triangles", "b", "k", "h", "ordinary", "excess"):
         assert isinstance(record[key], int), key
     for key in ("near_pencil", "bound_holds", "equality", "consistent"):
         assert isinstance(record[key], bool), key

@@ -55,9 +55,12 @@ def test_analyze_lines_file(tmp_path, capsys):
 
 
 def test_analyze_duplicate_point_is_a_usage_error(tmp_path, capsys):
-    path = _write(tmp_path, "dup.json", '{"points": [[0, 0], [1, 1], [0, 0]]}')
-    assert main(["analyze", path]) == 2
-    assert "duplicate point at index 2" in capsys.readouterr().err
+    # (points, the repeated point as the message writes it)
+    for points, text in (("[0, 0]", "(0, 0)"), ('["1/2", 3]', "(1/2, 3)")):
+        path = _write(tmp_path, "dup.json", f'{{"points": [{points}, [1, 1], {points}]}}')
+        assert main(["analyze", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: duplicate point at index 2: point 2 repeats point 0: {text}\n")
 
 
 def test_analyze_missing_file(capsys):
@@ -194,7 +197,7 @@ def test_verify_jsonl_lines_are_written_as_they_arrive(tmp_path, monkeypatch, ca
         sink(0, ((0, 0), (1, 0), (0, 1)), 0, [])
         seen.append(path.read_text())
         return SweepReport(configs_tested=1, violations=[], histogram={0: 1}, elapsed=0.0,
-                           route="pure")
+                           route="pure", no_ordinary_line=0)
 
     monkeypatch.setattr(cli, "run_sweep", one_record)
     assert main(["verify", "--n", "3", "--mode", "exhaustive", "--grid", "3",
@@ -217,8 +220,9 @@ def test_stable_line_accepts_fractions(capsys):
 
 
 def test_stable_line_rejects_equal_points(capsys):
-    assert main(["stable-line", "--p1", "1,1", "--p2", "1,1"]) == 2
-    assert "error:" in capsys.readouterr().err
+    for point, text in (("1,1", "(1, 1)"), ("12,-58/9", "(12, -58/9)")):
+        assert main(["stable-line", "--p1", point, "--p2", point]) == 2
+        assert capsys.readouterr().err == f"error: both points are {text}\n"
 
 
 def test_stable_line_rejects_malformed_point(capsys):
@@ -281,10 +285,11 @@ def test_verify_internal_assertion_names_the_configuration(monkeypatch, capsys, 
 
     def broken_chunk(configs, start, encode):
         # a stand-in for the chunk entry: the whole chunk fails when the
-        # target is in it, and every other configuration has excess 0
+        # target is in it, and every other configuration has excess 0 and
+        # an ordinary line
         if target in configs:
             raise AssertionError("cell areas drifted")
-        return bytes(4 * len(configs)), [], "\n" * len(configs) if encode else None
+        return bytes(4 * len(configs)), [], [], "\n" * len(configs) if encode else None
 
     if backend == "pure":
         monkeypatch.setattr(kernel, "_COMPILED", None)

@@ -136,18 +136,19 @@ def test_analyze_matches_the_pure_reference(built_kernel, in_child, points):
 
 @settings(max_examples=50, deadline=None)
 @given(points=int_configs)
-def test_has_ordinary_line_matches_the_pure_reference(built_kernel, points):
+def test_ordinary_count_matches_the_pure_reference(built_kernel, points):
+    # the count read off the arrangement vertices against the stable lines
+    # found pair by pair
     points = sorted(points)
-    cfg = point_config(points)
-    reference = len(ordinary_stable_lines(cfg)) > 0
-    assert built_kernel.has_ordinary_line(points) == reference
+    reference = len(ordinary_stable_lines(point_config(points)))
+    assert built_kernel.analyze_ints(points)["ordinary"] == reference
 
 
 def test_kernel_limit_is_the_extension_limit(built_kernel, in_child):
     assert MAX_KERNEL_POINTS == built_kernel.MAX_POINTS
     too_many = [(i, i * i % 1000) for i in range(MAX_KERNEL_POINTS + 1)]
     message = f"at most {MAX_KERNEL_POINTS} points, got {MAX_KERNEL_POINTS + 1}"
-    for function in (built_kernel.analyze_ints, built_kernel.has_ordinary_line,
+    for function in (built_kernel.analyze_ints,
                      lambda points: built_kernel.analyze_chunk((points,), 0, True)):
         with pytest.raises(ValueError, match=message):
             function(too_many)
@@ -190,8 +191,7 @@ def test_kernel_rejects_malformed_points(built_kernel, in_child):
 
     def reject_all():
         for points, error, message in MALFORMED_POINTS:
-            for function in (built_kernel.analyze_ints, built_kernel.has_ordinary_line,
-                             last_in_chunk):
+            for function in (built_kernel.analyze_ints, last_in_chunk):
                 with pytest.raises(error, match=message):
                     function(points)
 
@@ -200,13 +200,12 @@ def test_kernel_rejects_malformed_points(built_kernel, in_child):
     lists, tuples = in_child(lambda: [built_kernel.analyze_ints(points) for points in (
         [[True, False], [0, 1], [3, 5]], [(1, 0), (0, 1), (3, 5)])])
     assert lists == tuples
-    assert built_kernel.has_ordinary_line([[1, 0], (0, 1)]) is True
 
 
 # sha256 of the kernel's records as json.dumps(record, sort_keys=True), one
 # a line, for every subset of 3 to 6 points of the 4 x 4 grid in
 # itertools.combinations order (14,756 configurations)
-GRID_RECORDS_SHA256 = "562eaab1995bac04609e5ab62ae47384c857dfcce2703970a617c5e62448ccce"
+GRID_RECORDS_SHA256 = "0075b257fd2f54613a141af10827758f0f69b055981f34dc4dc0ad9c7f5d71b1"
 
 
 def test_kernel_records_are_pinned(built_kernel, in_child):
@@ -248,10 +247,12 @@ def test_grid_stream_matches_the_benchmark_digest(built_kernel, in_child, monkey
     def stream_digest():
         stream = _HashingStream()
         report = run_sweep(SweepParams(5, Exhaustive(6)), jobs=1, sink=JsonlSink(stream))
-        return stream.digest.hexdigest(), report.configs_tested, report.route, len(calls)
+        return (stream.digest.hexdigest(), report.configs_tested, report.route,
+                report.no_ordinary_line, len(calls))
 
-    digest, configs, route, chunks = in_child(stream_digest)
+    digest, configs, route, no_ordinary, chunks = in_child(stream_digest)
     assert (digest, configs, route) == (digests["sweep-grid"], 376992, "compiled")
+    assert no_ordinary == 3302
     # chunks of 1, 2, 4, ..., 512, then 1024: 378 calls for 376,992
     # configurations
     assert chunks <= 400
@@ -307,13 +308,11 @@ def test_every_ray_crossing_sector_and_sort_size_matches_the_pure_reference(
     threshold = _small_sort()
     sizes = _configs_with_raw_key_counts([threshold - 1, threshold, threshold + 1])
     sample = pairs + [[(x + 5, y - 2) for x, y in points] for points in pairs] + sizes
-    records, ordinary = in_child(lambda: (
-        [built_kernel.analyze_ints(points) for points in sample],
-        [built_kernel.has_ordinary_line(points) for points in sample]))
-    for points, record, has in zip(sample, records, ordinary, strict=True):
+    records = in_child(lambda: [built_kernel.analyze_ints(points) for points in sample])
+    for points, record in zip(sample, records, strict=True):
         cfg = point_config(points)
         assert record == analyze_config(cfg), points
-        assert has == (len(ordinary_stable_lines(cfg)) > 0), points
+        assert record["ordinary"] == len(ordinary_stable_lines(cfg)), points
 
 
 # the coaxial pairs, each with one interior edge, horizontal, vertical and
@@ -334,16 +333,17 @@ def test_regularity_rejects_a_lift_convex_across_each_edge_direction(
 
 
 def _assert_chunk_matches_records(configs, start, chunk, records):
-    """The chunk entry's (excesses, flagged, JSONL text) for configs from
-    index start on are those of the full records of the same
-    configurations."""
-    raw, flagged, text = chunk
+    """The chunk entry's (excesses, flagged, offsets with no ordinary line,
+    JSONL text) for configs from index start on are those of the full
+    records of the same configurations."""
+    raw, flagged, bare, text = chunk
     assert text == "".join(
         sweep_line_spec(start + offset, points, record["excess"], record["violations"]) + "\n"
         for offset, (points, record) in enumerate(zip(configs, records, strict=True)))
     assert list(array("i", raw)) == [record["excess"] for record in records]
     assert flagged == [(offset, record["violations"])
                        for offset, record in enumerate(records) if record["violations"]]
+    assert bare == [offset for offset, record in enumerate(records) if record["ordinary"] == 0]
 
 
 def test_chunk_lines_match_the_spec_on_records_with_violations(negated_lift_kernel, in_child):
@@ -352,12 +352,13 @@ def test_chunk_lines_match_the_spec_on_records_with_violations(negated_lift_kern
     configs = tuple([*COAXIAL_PAIRS, *(_seeded_points(rng, 2 + k % 9, 4) for k in range(60)),
                      [(0, 0)], [(-COORD_LIMIT, COORD_LIMIT), (COORD_LIMIT, -COORD_LIMIT)]])
     start = 2**40
-    (raw, flagged, text), records = in_child(lambda: (
+    (raw, flagged, bare, text), records = in_child(lambda: (
         faulty.analyze_chunk(configs, start, True),
         [faulty.analyze_ints(points) for points in configs]))
-    _assert_chunk_matches_records(configs, start, (raw, flagged, text), records)
+    _assert_chunk_matches_records(configs, start, (raw, flagged, bare, text), records)
     assert 3 <= len(flagged) < len(configs)
-    assert in_child(lambda: faulty.analyze_chunk(configs, start, False)) == (raw, flagged, None)
+    assert in_child(lambda: faulty.analyze_chunk(configs, start, False)) == (
+        raw, flagged, bare, None)
 
 
 def _negated_lift(arr):
@@ -493,13 +494,12 @@ sys.path.insert(0, sys.argv[1])
 from conftest import load_kernel
 kernel = load_kernel(sys.argv[2])
 corpus, malformed = pickle.load(sys.stdin.buffer)
-excesses = []
+excesses, ordinary = [], []
 for points in corpus:
     record = kernel.analyze_ints(points)
     assert record["violations"] == [], points
     excesses.append(record["excess"])
-    if len(points) >= 2:
-        kernel.has_ordinary_line(points)
+    ordinary.append(record["ordinary"])
 
 def chunk(configs):
     return kernel.analyze_chunk(tuple(configs), 0, True)
@@ -509,13 +509,14 @@ def chunk(configs):
 by_n = sorted(range(len(corpus)), key=lambda i: len(corpus[i]))
 for n, group in itertools.groupby(by_n, key=lambda i: len(corpus[i])):
     group = list(group)
-    raw, flagged, text = chunk(corpus[i] for i in group)
+    raw, flagged, bare, text = chunk(corpus[i] for i in group)
     assert raw == array("i", [excesses[i] for i in group]).tobytes() and flagged == [], n
+    assert bare == [k for k, i in enumerate(group) if ordinary[i] == 0], n
     assert text.count("\\n") == len(group), n
 for size in (1, 300):
     assert chunk(corpus[:size])[0] == array("i", excesses[:size]).tobytes(), size
 for points, error in malformed:
-    for function in (kernel.analyze_ints, kernel.has_ordinary_line,
+    for function in (kernel.analyze_ints,
                      lambda points: chunk([corpus[17], corpus[18], points])):
         try:
             function(points)
@@ -523,12 +524,14 @@ for points, error in malformed:
             continue
         raise AssertionError(f"{points} passed")
 
-# a leak on either way out of the chunk entry grows the traced memory
+# a leak on either way out of the chunk entry grows the traced memory; the
+# one point of corpus[16] has no ordinary line, so the list of such offsets
+# holds an entry on the error exit too
 last, error = malformed[-1]
-assert error is ValueError
+assert error is ValueError and ordinary[16] == 0
 
 def both_ways():
-    chunk(corpus[16:19])
+    assert chunk(corpus[16:19])[2] == [0]
     try:
         chunk([corpus[16], corpus[17], last])
     except ValueError:
@@ -656,7 +659,7 @@ def _negate(points, rng):
 
 
 SYMMETRIES = [_translate, _swap, _rotate, _scale, _shuffle]
-INVARIANT_FIELDS = ("v", "t", "triangles", "b", "k", "h", "near_pencil", "excess")
+INVARIANT_FIELDS = ("v", "t", "triangles", "b", "k", "h", "ordinary", "near_pencil", "excess")
 
 
 def _invariants(record):

@@ -1,5 +1,6 @@
 """Sweep enumeration, streaming, and the ordinary-line failure search."""
 
+import contextlib
 import io
 import itertools
 import multiprocessing
@@ -222,13 +223,14 @@ def test_failure_search_warns_when_the_budget_runs_out():
     assert witnesses == []
 
 
-# (CLI arguments, the same sweep's parameters)
+# (CLI arguments, the same sweep's parameters, its configurations with no
+# ordinary stable line)
 ROUTE_SWEEPS = {
     "exhaustive": (["--n", "4", "--mode", "exhaustive", "--grid", "4"],
-                   SweepParams(n=4, mode=Exhaustive(4))),
+                   SweepParams(n=4, mode=Exhaustive(4)), 10),
     "random": (["--n", "5", "--mode", "random", "--samples", "300", "--range", "7",
                 "--seed", "11"],
-               SweepParams(n=5, mode=Random(samples=300, coord_range=7, seed=11))),
+               SweepParams(n=5, mode=Random(samples=300, coord_range=7, seed=11)), 1),
 }
 
 
@@ -238,7 +240,7 @@ def _verify_jsonl(args, jobs, path):
 
 
 def _summary(report):
-    return report.configs_tested, report.violations, report.histogram
+    return report.configs_tested, report.violations, report.histogram, report.no_ordinary_line
 
 
 def _jsonl_and_summary(params, jobs=1):
@@ -261,22 +263,26 @@ def _not_this_route(cfg):
 
 @pytest.fixture(scope="module", params=sorted(ROUTE_SWEEPS))
 def pure_route(request, tmp_path_factory):
-    """The sweep on the pure route: its CLI JSONL bytes at two jobs, and
-    its records and report from run_sweep at one job."""
-    args, params = ROUTE_SWEEPS[request.param]
-    with pytest.MonkeyPatch.context() as mp:
+    """The sweep on the pure route: its CLI JSONL bytes and printed summary
+    at two jobs, and its records and report from run_sweep at one job."""
+    args, params, _ = ROUTE_SWEEPS[request.param]
+    printed = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(printed):
         mp.setattr(kernel, "_COMPILED", None)
         stream = _verify_jsonl(args, 2, tmp_path_factory.mktemp("pure") / "pure.jsonl")
         rows = []
         report = run_sweep(params, sink=lambda *row: rows.append(row))
-    return args, params, stream, rows, report
+    return request.param, stream, printed.getvalue(), rows, report
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_compiled_route_matches_the_pure_route(
     built_kernel, in_child, pure_route, monkeypatch, tmp_path, capsys, jobs
 ):
-    args, params, stream, rows, report = pure_route
+    name, stream, printed, rows, report = pure_route
+    args, params, no_ordinary = ROUTE_SWEEPS[name]
+    assert f'"no_ordinary_line": {no_ordinary},' in printed
+    assert report.no_ordinary_line == no_ordinary
     if isinstance(params.mode, Random):
         assert min(x for _, pairs, _, _ in rows for p in pairs for x in p) < 0
     # worker-encoded lines are the spec's lines of the sink's records
@@ -452,14 +458,12 @@ def test_last_lattice_config_is_the_last_subset():
 
 def test_failure_search_takes_the_kernel_route(built_kernel, monkeypatch):
     params = SweepParams(n=5, mode=Exhaustive(4))
+    monkeypatch.setattr(kernel, "_COMPILED", None)
     with pytest.warns(BudgetExhausted):
         pure = sg_failure_search(params, stop_after=200)
 
-    def not_this_route(cfg):
-        raise AssertionError("the search went through ordinary_stable_lines")
-
     monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
-    monkeypatch.setattr(sweep, "ordinary_stable_lines", not_this_route)
+    monkeypatch.setattr(kernel, "analyze", _not_this_route)
     with pytest.warns(BudgetExhausted):
         compiled = sg_failure_search(params, stop_after=200)
     assert [c.points for c in compiled] == [c.points for c in pure]
@@ -472,11 +476,8 @@ def test_failure_search_takes_the_kernel_route_past_16_points(built_kernel, monk
     with pytest.warns(BudgetExhausted):
         pure = sg_failure_search(params, stop_after=100)
 
-    def not_this_route(cfg):
-        raise AssertionError("the search went through ordinary_stable_lines")
-
     monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
-    monkeypatch.setattr(sweep, "ordinary_stable_lines", not_this_route)
+    monkeypatch.setattr(kernel, "analyze", _not_this_route)
     with pytest.warns(BudgetExhausted):
         compiled = sg_failure_search(params, stop_after=100)
     assert [c.points for c in compiled] == [c.points for c in pure]
@@ -509,6 +510,9 @@ GRID4_CENSUS = {4: 10, 5: 90, 6: 54, 7: 52}
 def test_failure_search_census_on_the_4x4_grid(request, monkeypatch, route, n):
     compiled = request.getfixturevalue("built_kernel") if route == "kernel" else None
     monkeypatch.setattr(kernel, "_COMPILED", compiled)
+    params = SweepParams(n=n, mode=Exhaustive(4))
     with pytest.warns(BudgetExhausted):
-        witnesses = sg_failure_search(SweepParams(n=n, mode=Exhaustive(4)), stop_after=10**6)
+        witnesses = sg_failure_search(params, stop_after=10**6)
     assert len(witnesses) == GRID4_CENSUS[n]
+    if route == "kernel":
+        assert run_sweep(params).no_ordinary_line == GRID4_CENSUS[n]
