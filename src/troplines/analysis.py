@@ -1,10 +1,15 @@
-"""One-pass analysis of a point configuration: every invariant suite.
+"""One-pass analysis of a configuration: every invariant suite.
 
 This is the reference implementation of the per-configuration record the
 sweep harness accumulates. The compiled kernel reimplements the same
 record independently for integer configurations; the two must agree (a
 property the test suite enforces), so the exact field set and the suite
 names below are a shared contract.
+
+analyze_arrangement runs the suites on an arrangement, read as the dual
+of v = n points, and returns the record with the geometry it was read
+from; analyze_config is the record for a point configuration's dual, and
+`troplines analyze` reports a whole Analysis, of a lines file as given.
 
 The record is a plain JSON-friendly dict:
 
@@ -24,17 +29,19 @@ determined_minimum (per triangle), determined_union, unit_parallelogram
 exceptions: the harness records them with the config for replay. Past
 the tiling both routes write the same texts, so a configuration failing
 those suites has the same record on both. The tiling texts are this
-route's own, as they also reach analyze and render through
-TilingFailure; and a cell edge outside the H/V/D directions fails the
-tiling here, where the kernel reports it as cell_edges.
+route's own, those of the TilingFailure it catches; and a cell edge
+outside the H/V/D directions fails the tiling here, where the kernel
+reports it as cell_edges.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .arrangement import (
+    Arrangement,
     CellClass,
+    VertexData,
     arrangement_vertices,
     classify_cell,
     counts_from_classes,
@@ -45,6 +52,7 @@ from .errors import TilingFailure
 from .incidence import PointConfig, dualize_points
 from .lines import stable_intersections
 from .subdivision import (
+    DualSubdivision,
     boundary_edge_count,
     check_regularity_detailed,
     determined_faces,
@@ -57,10 +65,22 @@ from .subdivision import (
 _UNIT_EDGE_VECTORS = {(1, 0), (0, 1), (1, -1), (-1, 0), (0, -1), (-1, 1)}
 
 
+class Analysis(NamedTuple):
+    """A record and its geometry; sub is None when the cells do not tile."""
+    record: dict
+    vertex_data: List[VertexData]
+    classes: List[CellClass]
+    sub: Optional[DualSubdivision]
+
+
 def analyze_config(cfg: PointConfig) -> dict:
+    return analyze_arrangement(dualize_points(cfg)).record
+
+
+def analyze_arrangement(arr: Arrangement) -> Analysis:
+    """Every suite on the arrangement dual to v = arr.n points."""
     violations: List[Tuple[str, str]] = []
-    arr = dualize_points(cfg)
-    v = cfg.v
+    v = arr.n
 
     # route one: distinct pairwise stable intersections, classified by
     # whether the point coincides with a line vertex
@@ -149,7 +169,7 @@ def analyze_config(cfg: PointConfig) -> dict:
                 ("near_pencil", f"b=v-3={b_pairwise} but subdivision is not a near-pencil")
             )
 
-    return {
+    record = {
         "v": v,
         "t": cnt.t,
         "triangles": cnt.triangles,
@@ -164,3 +184,4 @@ def analyze_config(cfg: PointConfig) -> dict:
         "excess": excess,
         "violations": [[suite, detail] for suite, detail in violations],
     }
+    return Analysis(record, vertex_data, classes, sub)

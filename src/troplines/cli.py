@@ -22,10 +22,10 @@ import sys
 from typing import List, Optional
 
 from . import kernel
-from .errors import InputFormatError, InvalidSweep, TilingFailure, TroplinesError
+from .errors import InputFormatError, InvalidSweep, InvariantViolation, TroplinesError
 from .incidence import cramer_stable_line, dualize_points
 from .lines import Point2
-from .serialize import analyze_report, load_input, parse_rational
+from .serialize import analyze_report, ascii_int, load_input, parse_rational
 from .subdivision import point_text
 from .svg import render_svg
 from .sweep import Exhaustive, JsonlSink, Random, SweepParams, run_sweep
@@ -75,11 +75,10 @@ def _parse_cli_point(text: str, flag: str) -> Point2:
 
 
 def _maybe_int(text: str):
-    text = text.strip()
     try:
-        return int(text)
+        return ascii_int(text)
     except ValueError:
-        return text
+        return text.strip()
 
 
 def cmd_analyze(args) -> int:
@@ -189,7 +188,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except TilingFailure as exc:
+    except InvariantViolation as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
     except (InputFormatError, TroplinesError) as exc:

@@ -2,9 +2,9 @@
 
 Geometric preconditions raise subclasses of TroplinesError so callers (and
 the CLI, which maps them to exit code 2) can distinguish bad input from
-genuine bugs. TilingFailure is the exception: it signals an internal
-inconsistency in the subdivision pipeline and should never be caught as
-"bad input".
+genuine bugs. TilingFailure (an inconsistency in the subdivision pipeline)
+and InvariantViolation (a configuration failing an analysis suite) are the
+exceptions: neither should be caught as "bad input".
 """
 
 
@@ -46,6 +46,10 @@ class NotAVertex(TroplinesError):
 
 class TilingFailure(TroplinesError):
     """The dual cells fail to tile n * Delta_2. Indicates a bug, not bad input."""
+
+
+class InvariantViolation(TroplinesError):
+    """A configuration failed an analysis suite; the message is "suite: detail"."""
 
 
 class NotATriangle(TroplinesError):

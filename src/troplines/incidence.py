@@ -182,14 +182,12 @@ def dbe_check(cfg: PointConfig) -> DbeVerdict:
 
     b is the number of distinct stable lines; the bound is b >= v - 3,
     and when it is attained the dual subdivision must be a near-pencil.
+    The point-side verdict (stable_lines_through and the subdivision),
+    independent of the analysis that `troplines analyze` reports.
     """
     if cfg.v < 4:
         raise TooFewPoints(f"the bound is stated for v >= 4, got {cfg.v}")
-    return _dbe_verdict(cfg, is_near_pencil(dual_subdivision(dualize_points(cfg))))
-
-
-def _dbe_verdict(cfg: PointConfig, near_pencil: bool) -> DbeVerdict:
-    """dbe_check for a caller that already holds the dual subdivision."""
+    near_pencil = is_near_pencil(dual_subdivision(dualize_points(cfg)))
     b = len(stable_lines_through(cfg))
     equality = b == cfg.v - 3
     return DbeVerdict(

@@ -6,7 +6,8 @@ Parse errors raise InputFormatError with a message naming the offending
 field, which the CLI maps to exit code 2.
 
 Report builders return plain JSON-ready structures; rationals serialize
-back to the same integer-or-"p/q" convention.
+back to the same integer-or-"p/q" convention. The analysis report only
+formats analysis.analyze_arrangement, the analysis the sweeps run.
 """
 
 from __future__ import annotations
@@ -15,19 +16,20 @@ import json
 from fractions import Fraction
 from typing import Any, Dict, List, Tuple
 
-from .arrangement import (
-    argmax_str,
-    arrangement_vertices,
-    build_arrangement,
-    classify_cell,
-    counts_from_classes,
-    type_tuple,
-)
-from .errors import InputFormatError
-from .incidence import PointConfig, _dbe_verdict, dualize_points, point_config
+from .analysis import analyze_arrangement
+from .arrangement import argmax_str, build_arrangement, type_tuple
+from .errors import InputFormatError, InvariantViolation
+from .incidence import dualize_points, point_config
 from .lines import Point2, line_from_vertex
 from .rationals import Rational
-from .subdivision import DualSubdivision, dual_subdivision, is_near_pencil
+from .subdivision import DualSubdivision
+
+
+def ascii_int(text: str) -> int:
+    """int(text), refusing the "_" separators and non-ASCII digits int() takes."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
 
 
 def parse_rational(value: Any, where: str) -> Rational:
@@ -43,7 +45,7 @@ def parse_rational(value: Any, where: str) -> Rational:
                 f'{where}: rational strings look like "p/q", got {value!r}'
             )
         try:
-            num, den = int(parts[0]), int(parts[1])
+            num, den = ascii_int(parts[0]), ascii_int(parts[1])
         except ValueError:
             raise InputFormatError(
                 f'{where}: rational strings look like "p/q" with integer '
@@ -62,11 +64,7 @@ def parse_rational(value: Any, where: str) -> Rational:
 
 
 def rational_to_json(r: Rational) -> Any:
-    if isinstance(r, Fraction):
-        if r.denominator == 1:
-            return int(r)
-        return f"{r.numerator}/{r.denominator}"
-    return r
+    return int(r) if r.denominator == 1 else str(r)
 
 
 def point_to_json(p: Point2) -> List[Any]:
@@ -150,65 +148,44 @@ def subdivision_to_json(sub: DualSubdivision) -> dict:
     }
 
 
+_COUNT_KEYS = ("t", "triangles", "b", "k", "h")
+_DBE_KEYS = ("v", "b", "bound_holds", "equality", "near_pencil", "consistent")
+
+
 def analyze_report(kind: str, obj: Any) -> dict:
     """The full analysis report for cmd_analyze, JSON-ready.
 
-    For points input the report covers the dual arrangement and adds the
-    incidence verdict when the configuration has at least 4 points.
+    The report reads everything off the one analysis of the arrangement:
+    the dual one for points input, the given one for lines input. Points
+    input adds the points and the incidence verdict, null below 4 points.
+    A configuration that fails a suite has no report: InvariantViolation
+    names its first violation.
     """
-    if kind == "points":
-        cfg: PointConfig = obj
-        arr = dualize_points(cfg)
-    else:
-        cfg = None
-        arr = obj
-
-    vertex_data = arrangement_vertices(arr)
-    classes = [classify_cell(vd) for vd in vertex_data]
-    cnt = counts_from_classes(arr.n, classes)
-    sub = dual_subdivision(arr, vertex_data)
-    near_pencil = is_near_pencil(sub)
+    arr = dualize_points(obj) if kind == "points" else obj
+    record, vertex_data, classes, sub = analyze_arrangement(arr)
+    if record["violations"]:
+        suite, detail = record["violations"][0]
+        raise InvariantViolation(f"{suite}: {detail}")
 
     report: Dict[str, Any] = {
         "input": kind,
-        "counts": {
-            "n": cnt.n,
-            "t": cnt.t,
-            "triangles": cnt.triangles,
-            "b": cnt.b,
-            "k": cnt.k,
-            "h": cnt.h,
-        },
+        "counts": {"n": arr.n, **{key: record[key] for key in _COUNT_KEYS}},
         "vertices": [
             {
                 "point": point_to_json(vd.point),
                 "type": [argmax_str(s) for s in type_tuple(arr, vd.point)],
                 "class": cls.value,
-                "c": vd.c,
-                "s_a": vd.s_a,
-                "s_b": vd.s_b,
-                "s_c": vd.s_c,
+                "c": vd.c, "s_a": vd.s_a, "s_b": vd.s_b, "s_c": vd.s_c,
             }
             for vd, cls in zip(vertex_data, classes)
         ],
-        "near_pencil": near_pencil,
+        "near_pencil": record["near_pencil"],
         "subdivision": subdivision_to_json(sub),
     }
     if kind == "points":
-        report["points"] = [point_to_json(p) for p in cfg.points]
-        if cfg.v >= 4:
-            # dbe_check, on the subdivision already built
-            verdict = _dbe_verdict(cfg, near_pencil)
-            report["dbe"] = {
-                "v": verdict.v,
-                "b": verdict.b,
-                "bound_holds": verdict.bound_holds,
-                "equality": verdict.equality,
-                "near_pencil": verdict.near_pencil,
-                "consistent": verdict.consistent,
-            }
-        else:
-            report["dbe"] = None
+        report["points"] = [point_to_json(p) for p in obj.points]
+        dbe = {key: record[key] for key in _DBE_KEYS}
+        report["dbe"] = dbe if record["v"] >= 4 else None
     return report
 
 

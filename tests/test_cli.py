@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from troplines import cli, kernel, serialize
+from troplines import analysis, cli, kernel, subdivision
 from troplines.cli import main
 from troplines.incidence import point_config
 from troplines.sweep import SweepReport
@@ -52,6 +52,23 @@ def test_analyze_lines_file(tmp_path, capsys):
     assert report["input"] == "lines"
     assert report["counts"] == {"n": 1, "t": 1, "triangles": 1, "b": 0, "k": 0, "h": 0}
     assert "dbe" not in report
+
+
+def test_analyze_enforces_every_suite(tmp_path, monkeypatch, capsys):
+    # the negated lift of tests/test_kernel.py breaks no suite before
+    # regularity: the report of a wrong lift must not be written
+    real = subdivision.product_coefficients
+    monkeypatch.setattr(subdivision, "product_coefficients",
+                        lambda arr: {point: -h for point, h in real(arr).items()})
+    lines = '{"lines": [{"vertex": [0, 0]}, {"vertex": ["1/2", -3]}]}'
+    for name, text in (("pencil.json", PENCIL_POINTS), ("lines.json", lines)):
+        out = tmp_path / f"{name}.report"
+        assert main(["analyze", _write(tmp_path, name, text), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("violation: regularity: ")
 
 
 def test_analyze_duplicate_point_is_a_usage_error(tmp_path, capsys):
@@ -228,6 +245,15 @@ def test_stable_line_rejects_equal_points(capsys):
 def test_stable_line_rejects_malformed_point(capsys):
     assert main(["stable-line", "--p1", "3", "--p2", "1,2"]) == 2
     assert "expected x,y" in capsys.readouterr().err
+    # int() alone reads "1_0" as 10 and the Arabic-Indic digit three as 3
+    for p1, p2, text in (("1_0,2", "\u0663,4", "--p1 x: rational strings look like "
+                          "\"p/q\", got '1_0'"),
+                         ("1,2", "\u0663,4", "--p2 x: rational strings look like "
+                          "\"p/q\", got '\u0663'")):
+        assert main(["stable-line", "--p1", p1, "--p2", p2]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {text}\n"
 
 
 def test_missing_subcommand_is_a_parser_error(capsys):
@@ -265,7 +291,7 @@ def test_internal_assertion_is_exit_3_not_a_counterexample(tmp_path, monkeypatch
     def broken(*args, **kwargs):
         raise AssertionError("cell areas drifted")
 
-    monkeypatch.setattr(serialize, "dual_subdivision", broken)
+    monkeypatch.setattr(analysis, "dual_subdivision", broken)
     path = _write(tmp_path, "pencil.json", PENCIL_POINTS)
     assert main(["analyze", path]) == 3
     captured = capsys.readouterr()

@@ -1,6 +1,8 @@
 """JSON input parsing, error wording, and report shapes."""
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from troplines.errors import DuplicateLine, EqualPoints, InputFormatError
-from troplines import incidence, serialize, subdivision
+from troplines import analysis, incidence, subdivision
 from troplines.incidence import dbe_check, point_config
 from troplines.lines import Point2
 from troplines.serialize import (
@@ -36,6 +38,9 @@ from oracles import SUITES, sweep_line_spec
         ("-9/6", Fraction(-3, 2)),
         ("4/2", 2),
         ("0/5", 0),
+        (" 1/2", Fraction(1, 2)),
+        ("+3/4", Fraction(3, 4)),
+        ("1/-2", Fraction(-1, 2)),
     ],
 )
 def test_parse_rational_accepts(value, expected):
@@ -53,6 +58,9 @@ def test_parse_rational_accepts(value, expected):
         ("a/b", "integer"),
         ("1/0", "zero denominator"),
         (None, "expected a number, got NoneType"),
+        # int() alone takes digit separators and any Unicode decimal digit
+        ("1_0/3", 'rational strings look like "p/q" with integer parts'),
+        ("\u0661/\u0662", 'rational strings look like "p/q" with integer parts'),
     ],
 )
 def test_parse_rational_rejects_with_named_field(value, fragment):
@@ -92,6 +100,8 @@ def test_parse_lines_input():
         ({"lines": [{"vertex": [0]}]}, "lines[0].vertex: expected a pair [x, y]"),
         ({"points": [[0, 0], [1, 2, 3]]}, "points[1]: expected a pair [x, y]"),
         ({"points": [[0, "1/0"]]}, "points[0][1]: zero denominator"),
+        ({"points": [["1_0/3", 2]]}, "points[0][0]: rational strings look like"),
+        ({"points": [["\u0661/\u0662", 0]]}, "points[0][0]: rational strings look like"),
     ],
 )
 def test_parse_input_errors_name_the_field(data, fragment):
@@ -167,7 +177,7 @@ def test_points_report_builds_the_subdivision_once(monkeypatch):
         built.append(args)
         return subdivision.dual_subdivision(*args, **kwargs)
 
-    for module in (serialize, incidence):
+    for module in (analysis, incidence):
         monkeypatch.setattr(module, "dual_subdivision", spy)
     report = analyze_report("points", cfg)
     assert len(built) == 1
@@ -194,6 +204,45 @@ def test_analyze_report_for_lines():
     assert "dbe" not in report and "points" not in report
     assert report["counts"]["n"] == 2
     assert report["subdivision"]["n"] == 2
+
+
+def _report_corpus():
+    """Seeded analyze inputs in a fixed order: points and lines files of 1
+    to 12 entries, integer and "p/q" coordinates, a sixth of them points
+    files below 4 points, whose reports have a null verdict."""
+    rng = random.Random(22)
+    corpus = []
+    for k in range(240):
+        kind = ("points", "lines")[k % 2]
+        seen, entries = [], []
+        while len(entries) < 1 + k % 12:
+            pair = []
+            for _ in range(2):
+                num = rng.randint(-6, 6)
+                den = rng.choice((1, 1, 2, 3)) if k % 3 else 1
+                pair.append(num if den == 1 and rng.random() < 0.7 else f"{num}/{den}")
+            value = tuple(Fraction(c) for c in pair)
+            if value not in seen:
+                seen.append(value)
+                entries.append(pair if kind == "points" else {"vertex": pair})
+        corpus.append({kind: entries})
+    return corpus
+
+
+# sha256 of the reports below, computed with the analyze_report that
+# rebuilt the pipeline itself before it read analysis.analyze_arrangement
+REPORT_CORPUS_SHA256 = "96ca76f2cd5279c0bbf8b7b83a2cb363c768bec719498ea0856fbc03a9f815b3"
+
+
+def test_analyze_reports_keep_their_bytes():
+    digest = hashlib.sha256()
+    nulls = 0
+    for data in _report_corpus():
+        report = analyze_report(*parse_input(data))
+        nulls += report.get("dbe", 0) is None
+        digest.update((json.dumps(report, indent=2) + "\n").encode())
+    assert nulls == 40
+    assert digest.hexdigest() == REPORT_CORPUS_SHA256
 
 
 def test_sweep_line_json_is_compact_and_deterministic():
