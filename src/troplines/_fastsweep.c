@@ -22,9 +22,10 @@
  *     so the vertices where that sum is 2 are the ordinary stable lines,
  *     those through exactly two points;
  *   - each cell is rasterized into one owner grid of the n^2 unit
- *     triangles of n * Delta_2, which checks the tiling, and the grid's
- *     edge adjacency gives a local regularity check against the lift and
- *     the faces each triangle determines.
+ *     triangles of n * Delta_2, which checks the tiling and is the only
+ *     adjacency structure: its edge adjacency gives a local regularity
+ *     check against the lift, and the owners of six unit triangles around
+ *     each triangle cell give the faces it determines.
  * The argmax counts and the lift take O(n^3) steps; the subdivision checks
  * are near-linear in the n^2 unit triangles. On a 2-core x86 host at -O2,
  * analyze_chunk takes about 2 us per configuration over the 376,992
@@ -92,10 +93,12 @@ static const i64 STEPY[6] = {-1, 0, 1, 1, 0, -1};
  * and (i, j, 1) is conv{(i+1,j), (i,j+1), (i+1,j+1)}; its owner sits at
  * owner[OWNER(i, j, down)]. Every edge between two of them joins an upward
  * triangle (i, j, 0) to the downward one at (i + NBR_DI[e], j + NBR_DJ[e])
- * across its bottom, left or diagonal edge e. */
+ * across its bottom, left or diagonal edge e < 3. For e = 3, 4 and 5 that
+ * downward triangle lies at the corner p, p + (0,1) or p + (1,0) of the
+ * upward one at p, and a parallelogram in the corner slot there owns it. */
 #define OWNER(i, j, down) (2 * ((j) * n + (i)) + (down))
-static const int NBR_DI[3] = {0, -1, 0};
-static const int NBR_DJ[3] = {-1, 0, 0};
+static const int NBR_DI[6] = {0, -1, 0, -1, -1, 1};
+static const int NBR_DJ[6] = {-1, 0, 0, -1, 1, -1};
 
 enum { CLS_TRI, CLS_PAR, CLS_HEX, CLS_NU4, CLS_NU5, CLS_NU6 };
 
@@ -124,17 +127,16 @@ typedef struct {
  * n. There are at most n + n(n-1)/2 candidate points: the vertices, then
  * for each pair of lines the one crossing off their vertices that a pair
  * not on a common ray axis has, which is its stable point. Every cell
- * comes from a distinct candidate, so the cells, the per-cell arrays and
- * the sort's second buffer take as many entries, and the candidates'
- * coordinates and argmax counts one more block of LANES; the stable points
- * take n(n-1)/2, the lift (n + 2)^2 with its border and the owner grid
- * 2 n^2. Nothing is initialized here. */
+ * comes from a distinct candidate, so the cells, the four per-cell fit and
+ * four per-cell int arrays and the sort's second buffer take as many
+ * entries, and the candidates' coordinates and argmax counts one more block
+ * of LANES; the stable points take n(n-1)/2, the lift (n + 2)^2 with its
+ * border and the owner grid 2 n^2. Nothing is initialized here. */
 typedef struct {
     void *block;
     i64 *candkey, *sortbuf, *stabkey, *lift, *det, *alpha, *beta, *gamma;
     Cell *cells;
-    int *qx, *qy, *counts, *tris, *pars, *slot_head, *slot_next, *union_flags;
-    int *adj_tri_count, *seen_by, *determined, *owner;
+    int *qx, *qy, *counts, *union_flags, *adj_tri_count, *seen_by, *determined, *owner;
     int stride;    /* of the argmax counts, cand + LANES */
 } Scratch;
 
@@ -147,7 +149,7 @@ _scratch_new(int n, Scratch *s)
     /* widest alignment first, so each array starts aligned; the owner grid,
      * indexed by geometry, last, next to any allocator's guard bytes */
     size_t bytes = (2 * cand + pairs + lift_slots + 4 * cand) * sizeof(i64) + cand * sizeof(Cell)
-                   + ((2 + NCOUNTS) * (cand + LANES) + 8 * cand + owner_slots) * sizeof(int);
+                   + ((2 + NCOUNTS) * (cand + LANES) + 4 * cand + owner_slots) * sizeof(int);
     char *at = PyMem_Malloc(bytes);
     s->block = at;
     if (at == NULL) {
@@ -168,10 +170,6 @@ _scratch_new(int n, Scratch *s)
     CARVE(qx, cand + LANES);
     CARVE(qy, cand + LANES);
     CARVE(counts, NCOUNTS * (cand + LANES));
-    CARVE(tris, cand);
-    CARVE(pars, cand);
-    CARVE(slot_head, cand);
-    CARVE(slot_next, cand);
     CARVE(union_flags, cand);
     CARVE(adj_tri_count, cand);
     CARVE(seen_by, cand);
@@ -714,13 +712,13 @@ undominated:
 #undef LIFT
 }
 
-/* What the walk of the cells finds besides the cells: the face counts,
- * the triangles and parallelograms in cell order, the near-pencil flag,
- * the ordinary stable points (c + s_a + s_b + s_c = 2 lines pass through
- * the vertex), and for the tiling and edge-direction suites the doubled
- * area and whether their scans have a violation to find. */
+/* What the walk of the cells finds besides the cells: the face counts, the
+ * near-pencil flag, the ordinary stable points (c + s_a + s_b + s_c = 2
+ * lines pass through the vertex), and for the tiling and edge-direction
+ * suites the doubled area and whether their scans have a violation to
+ * find. */
 typedef struct {
-    int ncells, triangles, k_faces, h_faces, parallelograms, ordinary;
+    int ncells, triangles, k_faces, h_faces, ordinary;
     int near_pencil;   /* every triangle has a boundary edge */
     int outside;       /* some corner lies outside n * Delta_2 */
     int skew;          /* some edge is not horizontal, vertical or diagonal */
@@ -736,9 +734,7 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
               PyObject *violations)
 {
     const Cell *cells = s->cells;
-    const int *tris = s->tris, *pars = s->pars;
-    int *owner = s->owner, *slot_head = s->slot_head, *slot_next = s->slot_next;
-    int *union_flags = s->union_flags, *adj_tri_count = s->adj_tri_count;
+    int *owner = s->owner, *union_flags = s->union_flags, *adj_tri_count = s->adj_tri_count;
     int *seen_by = s->seen_by, *determined = s->determined;
     int ncells = f->ncells, i, j, e, k;
     i64 dx, dy;
@@ -799,49 +795,37 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
         return -1;
 
     /* --- the determined-face suites ---------------------------------------- */
-    /* the parallelograms in each triangle's corner slots, as linked lists;
-     * a triangle cell is the one unit triangle at its lex-min corner */
-    for (i = 0; i < f->triangles; i++)
-        slot_head[tris[i]] = -1;
-    for (i = 0; i < f->parallelograms; i++) {
-        i64 bx, by;
-        k = pars[i];
-        if (!_corner_slot_base(&cells[k], &bx, &by) || bx < 0 || by < 0 || bx + by >= n)
-            continue;
-        int tri = owner[OWNER(bx, by, 0)];
-        if (cells[tri].cls == CLS_TRI) {
-            slot_next[k] = slot_head[tri];
-            slot_head[tri] = k;
-        }
-    }
-
     int m_noncorner = 0, union_count = 0;
     for (k = 0; k < ncells; k++) {
         union_flags[k] = 0;
         adj_tri_count[k] = 0;
         seen_by[k] = -1;
     }
-    for (i = 0; i < f->triangles; i++) {
-        int ti = tris[i];
+    /* each triangle cell, the one unit triangle at its lex-min corner, in
+     * cell order: its semiuniform edge neighbours, then the parallelograms
+     * in its corner slots */
+    for (int ti = 0; ti < ncells; ti++) {
         const Cell *tri = &cells[ti];
+        if (tri->cls != CLS_TRI)
+            continue;
         int det_count = 0;
-        for (e = 0; e < 3; e++) {
+        for (e = 0; e < 6; e++) {
+            i64 bx, by;
             int ni = (int)tri->vx[0] + NBR_DI[e], nj = (int)tri->vy[0] + NBR_DJ[e];
             if (ni < 0 || nj < 0 || ni + nj > n - 2)
                 continue;
             k = owner[OWNER(ni, nj, 1)];
-            if ((cells[k].cls != CLS_PAR && cells[k].cls != CLS_HEX) || seen_by[k] == ti)
+            /* an edge neighbour counts when it is semiuniform, a corner's
+             * owner when it is a parallelogram in that corner's slot */
+            int found = e < 3 ? cells[k].cls == CLS_PAR || cells[k].cls == CLS_HEX
+                              : cells[k].cls == CLS_PAR && _corner_slot_base(&cells[k], &bx, &by)
+                                    && bx == tri->vx[0] && by == tri->vy[0];
+            if (!found || seen_by[k] == ti)
                 continue;
             seen_by[k] = ti;
             determined[det_count++] = k;
-            if (cells[k].cls == CLS_PAR)
+            if (e < 3 && cells[k].cls == CLS_PAR)
                 adj_tri_count[k]++;
-        }
-        for (k = slot_head[ti]; k >= 0; k = slot_next[k]) {
-            if (seen_by[k] != ti) {
-                seen_by[k] = ti;
-                determined[det_count++] = k;
-            }
         }
         if (det_count > 6) {
             PyErr_Format(PyExc_AssertionError,
@@ -869,9 +853,9 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
         VIOLATE("determined_union", "k=%d, union=%d, m=%d", f->k_faces, union_count,
                 m_noncorner);
     /* only a parallelogram can be adjacent to triangles */
-    for (j = 0; j < f->parallelograms; j++) {
-        const Cell *cell = &cells[pars[j]];
-        if (adj_tri_count[pars[j]] < 2)
+    for (k = 0; k < ncells; k++) {
+        const Cell *cell = &cells[k];
+        if (adj_tri_count[k] < 2)
             continue;
         for (i = 0; i < cell->m; i++) {
             dx = cell->vx[i + 1] - cell->vx[i];
@@ -879,7 +863,7 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
             if (dx < -1 || dx > 1 || dy < -1 || dy > 1) {
                 VIOLATE("unit_parallelogram",
                         "parallelogram adjacent to %d triangles has a non-unit edge",
-                        adj_tri_count[pars[j]]);
+                        adj_tri_count[k]);
                 break;
             }
         }
@@ -973,10 +957,7 @@ _analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violat
             f.skew |= (bx != ax) & (by != ay) & (bx - ax != ay - by);
         }
         cell->bdry = bdry;
-        /* appended to its list, which moves on only when the class matches */
-        s->tris[f.triangles] = s->pars[f.parallelograms] = k;
         f.triangles += cls == CLS_TRI;
-        f.parallelograms += cls == CLS_PAR;
         f.k_faces += (cls == CLS_PAR) | (cls == CLS_HEX);
         f.h_faces += cls >= CLS_NU4;
         f.near_pencil &= (cls != CLS_TRI) | (bdry >= 1);

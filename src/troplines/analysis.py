@@ -43,8 +43,8 @@ from .arrangement import (
     CellClass,
     VertexData,
     arrangement_vertices,
-    classify_cell,
     counts_from_classes,
+    dual_cell,
     polygon_edges,
     verify_count_identities,
 )
@@ -66,10 +66,10 @@ _UNIT_EDGE_VECTORS = {(1, 0), (0, 1), (1, -1), (-1, 0), (0, -1), (-1, 1)}
 
 
 class Analysis(NamedTuple):
-    """A record and its geometry; sub is None when the cells do not tile."""
+    """A record and its geometry; sub is None when the cells do not tile,
+    and else holds the vertices' dual cells in vertex order."""
     record: dict
     vertex_data: List[VertexData]
-    classes: List[CellClass]
     sub: Optional[DualSubdivision]
 
 
@@ -90,10 +90,10 @@ def analyze_arrangement(arr: Arrangement) -> Analysis:
     h_pairwise = sum(1 for q in stable_points if q in dual_vertices)
     k_pairwise = b_pairwise - h_pairwise
 
-    # route two: arrangement vertices and their dual cell classes
+    # route two: arrangement vertices and their dual cells, each built once
     vertex_data = arrangement_vertices(arr)
-    classes = [classify_cell(vd) for vd in vertex_data]
-    cnt = counts_from_classes(arr.n, classes)
+    cells = [dual_cell(arr, vd) for vd in vertex_data]
+    cnt = counts_from_classes(arr.n, [cell.cell_class for cell in cells])
     ordinary = sum(vd.c + vd.s_a + vd.s_b + vd.s_c == 2 for vd in vertex_data)
     for problem in verify_count_identities(cnt):
         violations.append(("count_identities", problem))
@@ -112,7 +112,7 @@ def analyze_arrangement(arr: Arrangement) -> Analysis:
 
     sub = None
     try:
-        sub = dual_subdivision(arr, vertex_data)
+        sub = dual_subdivision(arr, cells)
     except TilingFailure as exc:
         violations.append(("tiling", str(exc)))
 
@@ -184,4 +184,4 @@ def analyze_arrangement(arr: Arrangement) -> Analysis:
         "excess": excess,
         "violations": [[suite, detail] for suite, detail in violations],
     }
-    return Analysis(record, vertex_data, classes, sub)
+    return Analysis(record, vertex_data, sub)

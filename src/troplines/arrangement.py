@@ -246,8 +246,6 @@ def dual_cell(arr: Arrangement, vd: VertexData) -> CellPolygon:
     there the counterclockwise boundary steps SE s_c, E s_a + c, N s_b,
     NW s_c + c, W s_a and S s_b + c, skipping steps of zero length.
     """
-    if not vd.is_vertex:
-        raise NotAVertex(f"{vd.point} fails the 2D-cell criterion")
     x = vd.only_x
     y = vd.only_y + vd.s_c
     corners = []

@@ -98,7 +98,11 @@ def stable_lines_through(cfg: PointConfig) -> List[StableLineRecord]:
     stable intersection of the dual arrangement, sorted by line vertex."""
     if cfg.v < 2:
         raise TooFewPoints(f"need at least 2 points, got {cfg.v}")
-    arr = dualize_points(cfg)
+    return _stable_lines(cfg, dualize_points(cfg))
+
+
+def _stable_lines(cfg: PointConfig, arr: Arrangement) -> List[StableLineRecord]:
+    """stable_lines_through, given the arrangement dual to cfg."""
     kinds_seen = stable_intersections(arr.lines)
     dual_vertices = {line.vertex for line in arr.lines}
     # line i passes through q at its vertex or on one of its rays: the
@@ -187,8 +191,9 @@ def dbe_check(cfg: PointConfig) -> DbeVerdict:
     """
     if cfg.v < 4:
         raise TooFewPoints(f"the bound is stated for v >= 4, got {cfg.v}")
-    near_pencil = is_near_pencil(dual_subdivision(dualize_points(cfg)))
-    b = len(stable_lines_through(cfg))
+    arr = dualize_points(cfg)
+    near_pencil = is_near_pencil(dual_subdivision(arr))
+    b = len(_stable_lines(cfg, arr))
     equality = b == cfg.v - 3
     return DbeVerdict(
         v=cfg.v,

@@ -162,7 +162,7 @@ def analyze_report(kind: str, obj: Any) -> dict:
     names its first violation.
     """
     arr = dualize_points(obj) if kind == "points" else obj
-    record, vertex_data, classes, sub = analyze_arrangement(arr)
+    record, vertex_data, sub = analyze_arrangement(arr)
     if record["violations"]:
         suite, detail = record["violations"][0]
         raise InvariantViolation(f"{suite}: {detail}")
@@ -174,10 +174,10 @@ def analyze_report(kind: str, obj: Any) -> dict:
             {
                 "point": point_to_json(vd.point),
                 "type": [argmax_str(s) for s in type_tuple(arr, vd.point)],
-                "class": cls.value,
+                "class": cell.cell_class.value,
                 "c": vd.c, "s_a": vd.s_a, "s_b": vd.s_b, "s_c": vd.s_c,
             }
-            for vd, cls in zip(vertex_data, classes)
+            for vd, cell in zip(vertex_data, sub.cells)
         ],
         "near_pencil": record["near_pencil"],
         "subdivision": subdivision_to_json(sub),

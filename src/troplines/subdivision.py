@@ -15,9 +15,10 @@ cell is rasterized into the triangles it covers, and the resulting owner
 grid must assign every triangle to one cell. That grid is the only
 adjacency structure, as in the compiled kernel: regularity is checked
 in one scan of it, row by row, and reports its first failure in the
-kernel's order and words, and a triangle cell's edge neighbours are
-the owners of the three downward triangles around its one upward
-triangle. All of it takes time near-linear in n^2.
+kernel's order and words. A triangle cell's edge neighbours are the
+owners of the three downward triangles around its one upward triangle,
+and a parallelogram in one of its corner slots owns the downward
+triangle at that slot's corner. All of it takes time near-linear in n^2.
 
 On top of the validated subdivision sit the lattice predicates the
 de Bruijn-Erdos argument needs: boundary edges (a corner triangle has
@@ -30,7 +31,7 @@ each pattern edge may be elongated).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .arrangement import (
     Arrangement,
@@ -84,16 +85,14 @@ UnitTriangle = Tuple[int, int, int]
 
 @dataclass
 class DualSubdivision:
-    """A validated subdivision, as built by dual_subdivision. owner and
-    corner_slots are derived from cells once."""
+    """A validated subdivision, as built by dual_subdivision. owner, its
+    one adjacency structure, is derived from cells once."""
 
     n: int
     cells: List[CellPolygon]
     lift: LiftTable
     # the index into cells of the cell owning each unit triangle
     owner: Dict[UnitTriangle, int] = field(repr=False)
-    # triangle base -> the parallelograms sitting in one of its corner slots
-    corner_slots: Dict[LatticePoint, List[CellPolygon]] = field(repr=False)
 
 
 def _unit_triangles(cell: CellPolygon) -> List[UnitTriangle]:
@@ -167,7 +166,7 @@ def tile(n: int, cells: List[CellPolygon]) -> Dict[UnitTriangle, int]:
     return owner
 
 
-def dual_subdivision(arr: Arrangement, vertex_data=None) -> DualSubdivision:
+def dual_subdivision(arr: Arrangement, cells=None) -> DualSubdivision:
     """Assemble and validate the subdivision dual to the arrangement.
 
     Validation is the tiling contract of tile(): every cell inside
@@ -175,24 +174,16 @@ def dual_subdivision(arr: Arrangement, vertex_data=None) -> DualSubdivision:
     owned by exactly one cell. The owner grid also gives the cell
     adjacency that check_regularity_detailed and determined_faces read.
 
-    Callers that already hold the arrangement's vertex data may pass it
-    to skip the vertex scan.
+    Callers that already hold the arrangement's cells, one dual_cell per
+    vertex, may pass them to skip building them again.
     """
-    n = arr.n
-    if vertex_data is None:
-        vertex_data = arrangement_vertices(arr)
-    cells = [dual_cell(arr, vd) for vd in vertex_data]
-    owner = tile(n, cells)
-    corner_slots: Dict[LatticePoint, List[CellPolygon]] = {}
-    for cell in cells:
-        if cell.cell_class is CellClass.PARALLELOGRAM:
-            corner_slots.setdefault(_corner_slot_base(cell), []).append(cell)
+    if cells is None:
+        cells = [dual_cell(arr, vd) for vd in arrangement_vertices(arr)]
     return DualSubdivision(
-        n=n,
+        n=arr.n,
         cells=cells,
         lift=product_coefficients(arr),
-        owner=owner,
-        corner_slots=corner_slots,
+        owner=tile(arr.n, cells),
     )
 
 
@@ -303,15 +294,6 @@ def is_near_pencil(sub: DualSubdivision) -> bool:
 # determined faces
 # ---------------------------------------------------------------------------
 
-def _edge_classes(cell: CellPolygon) -> Set[str]:
-    """The directions of the cell's edges: "H" horizontal, "V" vertical
-    and "D" diagonal, the only three a validated subdivision has."""
-    return {
-        "H" if a[1] == b[1] else "V" if a[0] == b[0] else "D"
-        for a, b in polygon_edges(cell.vertices)
-    }
-
-
 def triangle_base(T: CellPolygon) -> LatticePoint:
     """The right-angle corner of a triangle cell conv{p, p+(1,0), p+(0,1)}."""
     if T.cell_class is not CellClass.TRIANGLE:
@@ -323,17 +305,20 @@ def _corner_slot_base(S: CellPolygon) -> LatticePoint:
     """The base of the one triangle in whose corner slot parallelogram S
     would sit.
 
-    The slots, with p = base, s and t arbitrary positive lattice lengths:
+    The slots, with p = (i, j) = base, s and t positive lattice lengths,
+    and the downward unit triangle at the slot's corner, which S owns:
 
       at p          spanned by (-1,0) and (0,-1): the axis rectangle whose
-                    maximal corner is p;
+                    maximal corner is p; (i - 1, j - 1, 1);
       at p + (0,1)  spanned by (0,1) and (-1,1): anchored at its corner of
-                    maximal x and, among those, minimal y;
+                    maximal x and then minimal y; (i - 1, j + 1, 1);
       at p + (1,0)  spanned by (1,0) and (1,-1): anchored at its corner of
-                    minimal x.
+                    minimal x; (i + 1, j - 1, 1).
     """
-    classes = _edge_classes(S)
     verts = S.vertices
+    # its edges' directions: horizontal, vertical or diagonal
+    classes = {"H" if a[1] == b[1] else "V" if a[0] == b[0] else "D"
+               for a, b in polygon_edges(verts)}
     if classes == {"H", "V"}:
         return (max(v[0] for v in verts), max(v[1] for v in verts))
     if classes == {"V", "D"}:
@@ -358,9 +343,16 @@ def determined_faces(sub: DualSubdivision, T: CellPolygon) -> List[CellPolygon]:
 
     Either edge-adjacent to T (any semiuniform shape) or a parallelogram
     in one of the three corner slots; corner-slot faces are parallelograms
-    by definition, so hexagons can only enter through adjacency.
+    by definition, so hexagons can only enter through adjacency. A slot's
+    parallelogram owns the downward unit triangle at the slot's corner, so
+    T takes each such owner whose slot base is its own.
     """
-    found = {S.vertices: S for S in sub.corner_slots.get(triangle_base(T), ())}
+    i, j = base = triangle_base(T)
+    corners = ((i - 1, j - 1, 1), (i - 1, j + 1, 1), (i + 1, j - 1, 1))
+    found = {}
+    for S in (sub.cells[k] for k in map(sub.owner.get, corners) if k is not None):
+        if S.cell_class is CellClass.PARALLELOGRAM and _corner_slot_base(S) == base:
+            found[S.vertices] = S
     for S in triangle_neighbours(sub, T):
         if S.cell_class in SEMIUNIFORM:
             found[S.vertices] = S

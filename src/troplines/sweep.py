@@ -34,7 +34,7 @@ import random
 import time
 import warnings
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
 
@@ -314,7 +314,7 @@ def run_sweep(
     compiled = kernel.stream_eligible(params.n, params.mode.reach)
     total = params.mode.size(params.n)
     chunks = _chunks(params, _chunk_schedule(total, jobs), compiled, stream is not None)
-    histogram: Dict[int, int] = {}
+    histogram: Counter = Counter()
     violations: List[Tuple[Tuple[IntPair, ...], str, str]] = []
     no_ordinary_line = 0
     with contextlib.ExitStack() as stack:
@@ -329,8 +329,7 @@ def run_sweep(
             if stream is not None:
                 stream.write(text)
             no_ordinary_line += len(bare)
-            for excess in excesses:
-                histogram[excess] = histogram.get(excess, 0) + 1
+            histogram.update(excesses)
             for offset, bad in flagged:
                 violations += [(chunk.configs[offset], suite, detail) for suite, detail in bad]
             if sink is not None:

@@ -30,8 +30,8 @@ replaced, kept as independent oracles for the tests:
     positive-length edge sharing and the corner-slot templates matched
     directly.
 
-Each scan reads only the cells and the lift, never the owner grid or
-the corner-slot index of the subdivision under test.
+Each scan reads only the cells and the lift, never the owner grid of
+the subdivision under test.
 
 The stable intersection of two tropical lines is checked against its
 definition, the limit of transversal intersections under perturbation.

@@ -5,9 +5,10 @@ import random
 import pytest
 
 import troplines.analysis as analysis
+import troplines.arrangement as arrangement
 from troplines.analysis import analyze_config
 from troplines.arrangement import Counts, verify_count_identities
-from troplines.incidence import point_config
+from troplines.incidence import dualize_points, point_config
 
 RECORD_KEYS = {
     "v",
@@ -129,3 +130,27 @@ def test_near_pencil_violation_wording(monkeypatch):
     assert ["near_pencil", "b=v-3=1 but subdivision is not a near-pencil"] in (
         record["violations"]
     )
+
+
+def test_each_vertex_is_classified_once_per_analysis(monkeypatch):
+    # the analysis builds each vertex's dual cell once, and the counts and
+    # the subdivision both read it: a second classification pass over the
+    # vertices shows up as a repeated point
+    classify = arrangement.classify_cell
+    calls = []
+
+    def spy(vd):
+        calls.append(vd.point)
+        return classify(vd)
+
+    monkeypatch.setattr(arrangement, "classify_cell", spy)
+    monkeypatch.setattr(analysis, "classify_cell", spy, raising=False)
+    rng = random.Random(3)
+    for _ in range(20):
+        pts = set()
+        while len(pts) < 7:
+            pts.add((rng.randint(-20, 20), rng.randint(-20, 20)))
+        calls.clear()
+        result = analysis.analyze_arrangement(dualize_points(point_config(sorted(pts))))
+        assert result.sub is not None
+        assert sorted(calls) == [vd.point for vd in result.vertex_data]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import troplines.incidence as incidence
 from troplines.errors import EqualPoints, TooFewPoints
 from troplines.incidence import (
     PointConfig,
@@ -247,6 +248,21 @@ def test_bound_verdicts():
     assert not loose.near_pencil
     assert loose.b > loose.v - 3
     assert loose.consistent
+
+
+def test_bound_check_dualizes_once(monkeypatch):
+    # the subdivision and the stable lines read one dual arrangement
+    dualize = incidence.dualize_points
+    calls = []
+
+    def spy(cfg):
+        calls.append(cfg)
+        return dualize(cfg)
+
+    monkeypatch.setattr(incidence, "dualize_points", spy)
+    verdict = dbe_check(point_config(FOUR_POINT_PENCIL))
+    assert len(calls) == 1
+    assert (verdict.b, verdict.near_pencil) == (1, True)
 
 
 def test_bound_check_needs_four_points():

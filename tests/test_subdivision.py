@@ -163,21 +163,17 @@ def test_tiling_holds_on_random_configurations():
 
 
 def test_missing_cell_is_a_tiling_failure():
-    from troplines.arrangement import arrangement_vertices
-
     arr = _arr((0, 0), (2, 1))
-    vds = arrangement_vertices(arr)
+    cells = dual_subdivision(arr).cells
     with pytest.raises(TilingFailure, match="areas sum"):
-        dual_subdivision(arr, vds[:-1])
+        dual_subdivision(arr, cells[:-1])
 
 
 def test_duplicated_cell_is_a_tiling_failure():
-    from troplines.arrangement import arrangement_vertices
-
     arr = _arr((0, 0), (0, 2), (2, 0), (-2, -2))
-    vds = arrangement_vertices(arr)
-    triangles = [vd for vd in vds if vd.point != Point2(0, 0)]
-    center = [vd for vd in vds if vd.point == Point2(0, 0)]
+    cells = dual_subdivision(arr).cells
+    triangles = [c for c in cells if c.dual_point != Point2(0, 0)]
+    center = [c for c in cells if c.dual_point == Point2(0, 0)]
     # swap one unit triangle for a copy of another: areas still sum, the
     # copies overlap
     tampered = [triangles[0], triangles[0], triangles[2]] + center
