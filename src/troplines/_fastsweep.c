@@ -25,7 +25,11 @@
  *     triangles of n * Delta_2, which checks the tiling and is the only
  *     adjacency structure: its edge adjacency gives a local regularity
  *     check against the lift, and the owners of six unit triangles around
- *     each triangle cell give the faces it determines.
+ *     each triangle cell give the faces it determines;
+ *   - all a cell's data stays in its Cell: its corners and class from the
+ *     walk, its affine fit from the regularity check and its two tallies
+ *     from the determined faces, whose finds for one triangle, at most
+ *     six, stay on the stack.
  * The argmax counts and the lift take O(n^3) steps; the subdivision checks
  * are near-linear in the n^2 unit triangles. On a 2-core x86 host at -O2,
  * analyze_chunk takes about 2 us per configuration over the 376,992
@@ -111,8 +115,12 @@ static const int CLASS[2][4] = {
     {CLS_TRI, CLS_NU4, CLS_NU5, CLS_NU6},
 };
 
-/* A cell's m corners, counterclockwise, with the first repeated at index m,
- * so that edge j runs from corner j to corner j + 1. */
+/* A dual cell of the arrangement vertex (dx, dy): its m corners,
+ * counterclockwise, with the first repeated at index m, so that edge j runs
+ * from corner j to corner j + 1; its class and number of boundary edges.
+ * The walk fills these and zeroes the two face tallies; the regularity
+ * check sets the affine fit, det * lift = alpha + beta x + gamma y through
+ * the first three corners. */
 typedef struct {
     int m;
     i64 vx[MAXV];
@@ -121,26 +129,30 @@ typedef struct {
     i64 dx;
     i64 dy;
     int bdry;
+    int in_union;  /* a triangle not at a corner of n * Delta_2 determines it */
+    int adj_tris;  /* how many triangles a parallelogram shares an edge with */
+    i64 det, alpha, beta, gamma;
 } Cell;
 
 /* One analysis' scratch memory, carved from a single allocation sized from
  * n. There are at most n + n(n-1)/2 candidate points: the vertices, then
  * for each pair of lines the one crossing off their vertices that a pair
  * not on a common ray axis has, which is its stable point. Every cell
- * comes from a distinct candidate, so the cells, the four per-cell fit and
- * four per-cell int arrays and the sort's second buffer take as many
- * entries, and the candidates' coordinates and argmax counts one more block
- * of LANES; the stable points take n(n-1)/2, the lift (n + 2)^2 with its
- * border and the owner grid 2 n^2. Nothing is initialized here. */
+ * comes from a distinct candidate, so the cells and the sort's second
+ * buffer take as many entries, and the candidates' coordinates and argmax
+ * counts one more block of LANES; the stable points take n(n-1)/2, the
+ * lift (n + 2)^2 with its border and the owner grid 2 n^2. Nothing is
+ * initialized here. */
 typedef struct {
     void *block;
-    i64 *candkey, *sortbuf, *stabkey, *lift, *det, *alpha, *beta, *gamma;
+    i64 *candkey, *sortbuf, *stabkey, *lift;
     Cell *cells;
-    int *qx, *qy, *counts, *union_flags, *adj_tri_count, *seen_by, *determined, *owner;
+    int *qx, *qy, *counts, *owner;
     int stride;    /* of the argmax counts, cand + LANES */
 } Scratch;
 
-/* Carve s for n points; -1 with MemoryError set. Free s->block after. */
+/* Carve s's nine arrays for n points; -1 with MemoryError set. Free
+ * s->block after. */
 static int
 _scratch_new(int n, Scratch *s)
 {
@@ -148,8 +160,8 @@ _scratch_new(int n, Scratch *s)
     size_t owner_slots = 2 * (size_t)n * n, lift_slots = (size_t)(n + 2) * (n + 2);
     /* widest alignment first, so each array starts aligned; the owner grid,
      * indexed by geometry, last, next to any allocator's guard bytes */
-    size_t bytes = (2 * cand + pairs + lift_slots + 4 * cand) * sizeof(i64) + cand * sizeof(Cell)
-                   + ((2 + NCOUNTS) * (cand + LANES) + 4 * cand + owner_slots) * sizeof(int);
+    size_t bytes = (2 * cand + pairs + lift_slots) * sizeof(i64) + cand * sizeof(Cell)
+                   + ((2 + NCOUNTS) * (cand + LANES) + owner_slots) * sizeof(int);
     char *at = PyMem_Malloc(bytes);
     s->block = at;
     if (at == NULL) {
@@ -161,19 +173,11 @@ _scratch_new(int n, Scratch *s)
     CARVE(sortbuf, cand);
     CARVE(stabkey, pairs);
     CARVE(lift, lift_slots);
-    CARVE(det, cand);
-    CARVE(alpha, cand);
-    CARVE(beta, cand);
-    CARVE(gamma, cand);
     CARVE(cells, cand);
     s->stride = (int)(cand + LANES);
     CARVE(qx, cand + LANES);
     CARVE(qy, cand + LANES);
     CARVE(counts, NCOUNTS * (cand + LANES));
-    CARVE(union_flags, cand);
-    CARVE(adj_tri_count, cand);
-    CARVE(seen_by, cand);
-    CARVE(determined, cand);
     CARVE(owner, owner_slots);
 #undef CARVE
     return 0;
@@ -300,13 +304,13 @@ _rasterize(const Cell *cell, int k, int n, int *owner, int *claimed)
     return -1;
 }
 
-/* The base of the triangle in whose corner slot the parallelogram s would
- * sit, as in subdivision._corner_slot_base: the maximal corner of an H + V
- * rectangle; one below the corner of maximal x, then minimal y, of a V + D
- * one; one left of the unique corner of minimal x of an H + D one. 0 when
- * the edges are not two of those directions. */
+/* Whether the parallelogram s sits in the corner slot of the triangle with
+ * base (x, y). The base, as in subdivision._corner_slot_base, is the
+ * maximal corner of an H + V rectangle; one below the corner of maximal x,
+ * then minimal y, of a V + D one; one left of the unique corner of minimal
+ * x of an H + D one. 0 when the edges are not two of those directions. */
 static int
-_corner_slot_base(const Cell *s, i64 *bx, i64 *by)
+_in_corner_slot(const Cell *s, i64 x, i64 y)
 {
     int mask = 0, lo = 0, hi = 0;
     i64 ymax = s->vy[0];
@@ -321,19 +325,13 @@ _corner_slot_base(const Cell *s, i64 *bx, i64 *by)
         if (s->vy[i] > ymax)
             ymax = s->vy[i];
     }
-    if (mask == 3) {
-        *bx = s->vx[hi];
-        *by = ymax;
-    } else if (mask == 6) {
-        *bx = s->vx[hi];
-        *by = s->vy[hi] - 1;
-    } else if (mask == 5) {
-        *bx = s->vx[lo] - 1;
-        *by = s->vy[lo];
-    } else {
-        return 0;
-    }
-    return 1;
+    if (mask == 3)
+        return s->vx[hi] == x && ymax == y;
+    if (mask == 6)
+        return s->vx[hi] == x && s->vy[hi] - 1 == y;
+    if (mask == 5)
+        return s->vx[lo] - 1 == x && s->vy[lo] == y;
+    return 0;
 }
 
 /* The keys of the crossings between the 3 x 3 ray pairs of the lines with
@@ -625,17 +623,17 @@ static int
 _regularity(const Scratch *s, int ncells, int n, const i64 *px, const i64 *py,
             PyObject *violations)
 {
-    const Cell *cells = s->cells;
+    Cell *cells = s->cells;
     const int *owner = s->owner;
-    i64 *lift = s->lift, *det = s->det, *alpha = s->alpha, *beta = s->beta, *gamma = s->gamma;
+    i64 *lift = s->lift;
     int i, j, k;
-#define FIT(k, x, y) (alpha[k] + beta[k] * (x) + gamma[k] * (y))
+#define FIT(k, x, y) (cells[k].alpha + cells[k].beta * (x) + cells[k].gamma * (y))
     _lift(n, px, py, lift);
     for (k = 0; k < ncells; k++) {
-        const Cell *cell = &cells[k];
-        det[k] = _cross3(cell->vx[0], cell->vy[0], cell->vx[1], cell->vy[1],
-                         cell->vx[2], cell->vy[2]);
-        if (det[k] <= 0) {
+        Cell *cell = &cells[k];
+        cell->det = _cross3(cell->vx[0], cell->vy[0], cell->vx[1], cell->vy[1],
+                            cell->vx[2], cell->vy[2]);
+        if (cell->det <= 0) {
             VIOLATE("regularity", "cell at (%lld, %lld) is not counterclockwise",
                     cell->dx, cell->dy);
             return 0;
@@ -643,9 +641,11 @@ _regularity(const Scratch *s, int ncells, int n, const i64 *px, const i64 *py,
         i64 h0 = LIFT(cell->vx[0], cell->vy[0]);
         i64 h1 = LIFT(cell->vx[1], cell->vy[1]);
         i64 h2 = LIFT(cell->vx[2], cell->vy[2]);
-        beta[k] = (h1 - h0) * (cell->vy[2] - cell->vy[0]) - (h2 - h0) * (cell->vy[1] - cell->vy[0]);
-        gamma[k] = (cell->vx[1] - cell->vx[0]) * (h2 - h0) - (cell->vx[2] - cell->vx[0]) * (h1 - h0);
-        alpha[k] = det[k] * h0 - beta[k] * cell->vx[0] - gamma[k] * cell->vy[0];
+        cell->beta = (h1 - h0) * (cell->vy[2] - cell->vy[0])
+                     - (h2 - h0) * (cell->vy[1] - cell->vy[0]);
+        cell->gamma = (cell->vx[1] - cell->vx[0]) * (h2 - h0)
+                      - (cell->vx[2] - cell->vx[0]) * (h1 - h0);
+        cell->alpha = cell->det * h0 - cell->beta * cell->vx[0] - cell->gamma * cell->vy[0];
     }
     /* The triangles in order, each upward one (i, j, 0) with its corners
      * (i + 1, j), (i, j + 1), (i, j), then the downward one (i, j, 1) with
@@ -658,14 +658,14 @@ _regularity(const Scratch *s, int ncells, int n, const i64 *px, const i64 *py,
     int at_x, at_y;
 #define AGREE(cell, x, y) \
     do { \
-        if (FIT(cell, x, y) != det[cell] * LIFT(x, y)) { \
+        if (FIT(cell, x, y) != cells[cell].det * LIFT(x, y)) { \
             k = cell, at_x = x, at_y = y; \
             goto disagree; \
         } \
     } while (0)
 #define DOMINATE(cell, x, y) \
     do { \
-        if (FIT(cell, x, y) < det[cell] * LIFT(x, y)) { \
+        if (FIT(cell, x, y) < cells[cell].det * LIFT(x, y)) { \
             k = cell, at_x = x, at_y = y; \
             goto undominated; \
         } \
@@ -733,9 +733,8 @@ static int
 _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 *py,
               PyObject *violations)
 {
-    const Cell *cells = s->cells;
-    int *owner = s->owner, *union_flags = s->union_flags, *adj_tri_count = s->adj_tri_count;
-    int *seen_by = s->seen_by, *determined = s->determined;
+    Cell *cells = s->cells;
+    int *owner = s->owner;
     int ncells = f->ncells, i, j, e, k;
     i64 dx, dy;
 
@@ -796,11 +795,6 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
 
     /* --- the determined-face suites ---------------------------------------- */
     int m_noncorner = 0, union_count = 0;
-    for (k = 0; k < ncells; k++) {
-        union_flags[k] = 0;
-        adj_tri_count[k] = 0;
-        seen_by[k] = -1;
-    }
     /* each triangle cell, the one unit triangle at its lex-min corner, in
      * cell order: its semiuniform edge neighbours, then the parallelograms
      * in its corner slots */
@@ -808,24 +802,27 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
         const Cell *tri = &cells[ti];
         if (tri->cls != CLS_TRI)
             continue;
-        int det_count = 0;
+        int determined[6], det_count = 0;
         for (e = 0; e < 6; e++) {
-            i64 bx, by;
             int ni = (int)tri->vx[0] + NBR_DI[e], nj = (int)tri->vy[0] + NBR_DJ[e];
             if (ni < 0 || nj < 0 || ni + nj > n - 2)
                 continue;
             k = owner[OWNER(ni, nj, 1)];
             /* an edge neighbour counts when it is semiuniform, a corner's
-             * owner when it is a parallelogram in that corner's slot */
+             * owner when it is a parallelogram in that corner's slot, and
+             * each face once */
             int found = e < 3 ? cells[k].cls == CLS_PAR || cells[k].cls == CLS_HEX
-                              : cells[k].cls == CLS_PAR && _corner_slot_base(&cells[k], &bx, &by)
-                                    && bx == tri->vx[0] && by == tri->vy[0];
-            if (!found || seen_by[k] == ti)
+                              : cells[k].cls == CLS_PAR
+                                    && _in_corner_slot(&cells[k], tri->vx[0], tri->vy[0]);
+            if (!found)
                 continue;
-            seen_by[k] = ti;
+            for (j = 0; j < det_count && determined[j] != k; j++)
+                ;
+            if (j < det_count)
+                continue;
             determined[det_count++] = k;
             if (e < 3 && cells[k].cls == CLS_PAR)
-                adj_tri_count[k]++;
+                cells[k].adj_tris++;
         }
         if (det_count > 6) {
             PyErr_Format(PyExc_AssertionError,
@@ -836,10 +833,8 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
         if (tri->bdry < 2) {
             m_noncorner++;
             for (j = 0; j < det_count; j++) {
-                if (!union_flags[determined[j]]) {
-                    union_flags[determined[j]] = 1;
-                    union_count++;
-                }
+                union_count += !cells[determined[j]].in_union;
+                cells[determined[j]].in_union = 1;
             }
         }
         if (tri->bdry == 0 && det_count < 3)
@@ -855,7 +850,7 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
     /* only a parallelogram can be adjacent to triangles */
     for (k = 0; k < ncells; k++) {
         const Cell *cell = &cells[k];
-        if (adj_tri_count[k] < 2)
+        if (cell->adj_tris < 2)
             continue;
         for (i = 0; i < cell->m; i++) {
             dx = cell->vx[i + 1] - cell->vx[i];
@@ -863,7 +858,7 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
             if (dx < -1 || dx > 1 || dy < -1 || dy > 1) {
                 VIOLATE("unit_parallelogram",
                         "parallelogram adjacent to %d triangles has a non-unit edge",
-                        adj_tri_count[k]);
+                        cell->adj_tris);
                 break;
             }
         }
@@ -957,6 +952,7 @@ _analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violat
             f.skew |= (bx != ax) & (by != ay) & (bx - ax != ay - by);
         }
         cell->bdry = bdry;
+        cell->in_union = cell->adj_tris = 0;
         f.triangles += cls == CLS_TRI;
         f.k_faces += (cls == CLS_PAR) | (cls == CLS_HEX);
         f.h_faces += cls >= CLS_NU4;

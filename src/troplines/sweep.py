@@ -161,24 +161,20 @@ def _config_list(params: SweepParams) -> Iterator[Tuple[IntPair, ...]]:
 
 
 class JsonlSink:
-    """A run_sweep sink that writes each record to stream as its JSONL
-    line, sweep_line_json plus a newline.
+    """The run_sweep sink for a JSONL stream: each record reaches stream
+    as its line, sweep_line_json plus a newline.
 
-    run_sweep recognizes it: the lines are encoded where the
-    configurations are analyzed, in the workers when there are any, and
-    each chunk's lines reach the stream in one write as soon as the chunk
-    is analyzed. The bytes are the same as calling it once per record. The
-    first chunk holds one configuration, so the first line comes after
-    one analysis, and an interrupted sweep leaves whole lines, at most one
-    chunk short of the records analyzed.
+    run_sweep takes the stream instead of calling the sink: the lines are
+    encoded where the configurations are analyzed, in the workers when
+    there are any, and each chunk's lines reach the stream in one write as
+    soon as the chunk is analyzed. The first chunk holds one
+    configuration, so the first line comes after one analysis, and an
+    interrupted sweep leaves whole lines, at most one chunk short of the
+    records analyzed.
     """
 
     def __init__(self, stream: TextIO) -> None:
         self.stream = stream
-
-    def __call__(self, index: int, config: Tuple[IntPair, ...], excess: int,
-                 violations: list) -> None:
-        self.stream.write(sweep_line_json(index, config, excess, violations) + "\n")
 
 
 class _Chunk(NamedTuple):
@@ -292,7 +288,7 @@ def _pooled(pool, chunks: Iterator[_Chunk], window: int) -> Iterator:
 def run_sweep(
     params: SweepParams,
     jobs: int = 1,
-    sink: Optional[Callable[[int, Tuple[IntPair, ...], int, list], None]] = None,
+    sink: Union[Callable[[int, Tuple[IntPair, ...], int, list], None], JsonlSink, None] = None,
 ) -> SweepReport:
     """Run the sweep and collect every violation with its configuration.
 
@@ -300,8 +296,8 @@ def run_sweep(
     jobs > 1, on that many processes, or one per configuration when there
     are fewer; the report does not depend on the worker count. sink, when
     given, receives (index, config, excess, violations) for every
-    configuration in order, as soon as its chunk is analyzed. A JsonlSink
-    receives the same records as lines encoded by the workers. The
+    configuration in order, as soon as its chunk is analyzed. A JsonlSink's
+    stream receives the same records as lines encoded by the workers. The
     report's route names the route the sweep took, and no_ordinary_line
     counts the configurations with no ordinary stable line.
     """

@@ -131,7 +131,10 @@ _LIFT_ANCHOR = "    _lift(n, px, py, lift);\n"
 # determined-face suites. The raised lift, 40 more at (0, 3) and 80 more at
 # (1, 3), makes some configurations fail the dominance tests below and
 # across the diagonal of the upward triangle (0, 2, 0) at once, so the first
-# failure reported depends on the order of the two.
+# failure reported depends on the order of the two. The unit-edge test that
+# takes an edge with dx = 1 for a long one fails every parallelogram that
+# shares edges with two triangles, since one of its edge pairs has such an
+# edge.
 NEGATED_LIFT = (_LIFT_ANCHOR, _LIFT_ANCHOR + (
     "    for (i = 0; i <= n; i++)\n"
     "        for (j = 0; i + j <= n; j++)\n"
@@ -145,6 +148,8 @@ RAISED_LIFT = (_LIFT_ANCHOR, _LIFT_ANCHOR + (
     "        LIFT(0, 3) += 40, LIFT(1, 3) += 80;\n"))
 _DETERMINED_ANCHOR = "        if (det_count > 6) {\n"
 NO_DETERMINED_FACES = (_DETERMINED_ANCHOR, "        det_count = 0;\n" + _DETERMINED_ANCHOR)
+_UNIT_EDGE_ANCHOR = "if (dx < -1 || dx > 1 || dy < -1 || dy > 1) {"
+LONG_UNIT_EDGE = (_UNIT_EDGE_ANCHOR, _UNIT_EDGE_ANCHOR.replace("dx > 1", "dx > 0"))
 
 
 def _mutated_source(directory, anchor, replacement):
@@ -191,13 +196,34 @@ def no_determined_faces_kernel(tmp_path_factory):
     return _mutant_kernel(tmp_path_factory, "no_determined_faces", NO_DETERMINED_FACES)
 
 
+@pytest.fixture(scope="session")
+def long_unit_edge_kernel(tmp_path_factory):
+    """The kernel with an edge of dx = 1 taken for a non-unit one by the
+    unit-parallelogram suite."""
+    return _mutant_kernel(tmp_path_factory, "long_unit_edge", LONG_UNIT_EDGE)
+
+
+# an extension of nothing under the kernel's name, which any toolchain that
+# can build and load extensions with a sanitizer's flags builds and loads
+_EMPTY_EXTENSION = """#include <Python.h>
+static struct PyModuleDef empty = {
+    .m_base = PyModuleDef_HEAD_INIT, .m_name = "troplines._fastsweep"};
+PyMODINIT_FUNC PyInit__fastsweep(void) { return PyModuleDef_Init(&empty); }
+"""
+
+
 def _sanitized_kernel(directory, flags, env=None, source=SOURCE / "_fastsweep.c"):
     """The path of the kernel source compiled at -O1 with the sanitizer
-    flags into directory, once a child interpreter with env added to its
-    environment has loaded it. Skips the test when the toolchain cannot
-    build it or the interpreter cannot load it."""
+    flags into directory. Skips the test when the toolchain cannot build
+    an empty extension with those flags, or a child interpreter with env
+    added to its environment cannot load it. A kernel that then does not
+    build fails the test here, and one that does not load fails it in the
+    child that runs it."""
+    empty = Path(directory) / "empty"
+    empty.mkdir()
+    (empty / "empty.c").write_text(_EMPTY_EXTENSION)
     try:
-        target = compile_kernel(directory, "-O1", *flags, source=source)
+        target = compile_kernel(empty, "-O1", *flags, source=empty / "empty.c")
     except subprocess.CalledProcessError:
         pytest.skip(f"the C compiler cannot build with {' '.join(flags)}")
     probe = subprocess.run(
@@ -208,8 +234,9 @@ def _sanitized_kernel(directory, flags, env=None, source=SOURCE / "_fastsweep.c"
         capture_output=True, timeout=120, env={**os.environ, **(env or {})},
     )
     if probe.returncode != 0:
-        pytest.skip(f"the sanitized kernel does not load: {probe.stderr[-300:]!r}")
-    return target
+        pytest.skip(f"an extension built with {' '.join(flags)} does not load: "
+                    f"{probe.stderr[-300:]!r}")
+    return compile_kernel(directory, "-O1", *flags, source=source)
 
 
 UBSAN = ["-fsanitize=undefined", "-fno-sanitize-recover=all"]

@@ -13,6 +13,7 @@ import pytest
 from troplines import analysis, cli, kernel, subdivision
 from troplines.cli import main
 from troplines.incidence import point_config
+from troplines.serialize import sweep_line_json
 from troplines.sweep import SweepReport
 
 PENCIL_POINTS = '{"points": [[0, 0], [0, -2], [-2, 0], [2, 2]]}'
@@ -211,7 +212,7 @@ def test_verify_jsonl_lines_are_written_as_they_arrive(tmp_path, monkeypatch, ca
     seen = []
 
     def one_record(params, jobs, sink):
-        sink(0, ((0, 0), (1, 0), (0, 1)), 0, [])
+        sink.stream.write(sweep_line_json(0, ((0, 0), (1, 0), (0, 1)), 0, []) + "\n")
         seen.append(path.read_text())
         return SweepReport(configs_tested=1, violations=[], histogram={0: 1}, elapsed=0.0,
                            route="pure", no_ordinary_line=0)
