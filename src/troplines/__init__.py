@@ -6,121 +6,61 @@ classification, point-line duality with stable lines through point
 configurations, and exhaustive or randomized verification sweeps for the
 incidence bound b >= v - 3 (with the near-pencil characterization of
 equality).
+
+Every name in __all__ is importable from here, but each is loaded from
+its submodule on first access (PEP 562), so importing the package, or
+troplines.cli for a compiled sweep, does not load the pure geometry.
 """
 
-from .arrangement import (
-    Arrangement,
-    CellClass,
-    CellPolygon,
-    Counts,
-    VertexData,
-    arrangement_vertices,
-    build_arrangement,
-    classify_cell,
-    dual_cell,
-    type_tuple,
-)
-from .errors import (
-    BudgetExhausted,
-    DuplicateLine,
-    EmptyArrangement,
-    EqualPoints,
-    GridTooSmall,
-    IdenticalLines,
-    InputFormatError,
-    InvalidSweep,
-    NotATriangle,
-    NotAVertex,
-    RangeTooSmall,
-    TilingFailure,
-    TooFewPoints,
-    TroplinesError,
-)
-from .incidence import (
-    DbeVerdict,
-    PointConfig,
-    StableLineKind,
-    StableLineRecord,
-    dbe_check,
-    dualize_points,
-    ordinary_stable_lines,
-    point_config,
-    stable_lines_through,
-)
-from .lines import (
-    IntersectionKind,
-    Point2,
-    StableIntersectionResult,
-    TropicalLine,
-    line_from_vertex,
-    pairwise_stable_intersection,
-)
-from .subdivision import (
-    DualSubdivision,
-    determined_faces,
-    dual_subdivision,
-    is_near_pencil,
-)
-from .sweep import (
-    Exhaustive,
-    Random,
-    SweepParams,
-    SweepReport,
-    run_sweep,
-    sg_failure_search,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arrangement",
-    "BudgetExhausted",
-    "CellClass",
-    "CellPolygon",
-    "Counts",
-    "DbeVerdict",
-    "DualSubdivision",
-    "DuplicateLine",
-    "EmptyArrangement",
-    "EqualPoints",
-    "Exhaustive",
-    "GridTooSmall",
-    "IdenticalLines",
-    "InputFormatError",
-    "IntersectionKind",
-    "InvalidSweep",
-    "NotATriangle",
-    "NotAVertex",
-    "Point2",
-    "PointConfig",
-    "Random",
-    "RangeTooSmall",
-    "StableIntersectionResult",
-    "StableLineKind",
-    "StableLineRecord",
-    "SweepParams",
-    "SweepReport",
-    "TilingFailure",
-    "TooFewPoints",
-    "TropicalLine",
-    "TroplinesError",
-    "VertexData",
-    "arrangement_vertices",
-    "build_arrangement",
-    "classify_cell",
-    "dbe_check",
-    "determined_faces",
-    "dual_cell",
-    "dual_subdivision",
-    "dualize_points",
-    "is_near_pencil",
-    "line_from_vertex",
-    "ordinary_stable_lines",
-    "pairwise_stable_intersection",
-    "point_config",
-    "run_sweep",
-    "sg_failure_search",
-    "stable_lines_through",
-    "type_tuple",
-    "__version__",
-]
+# the submodule that defines each exported name
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "arrangement": (
+            "Arrangement", "CellClass", "CellPolygon", "Counts", "VertexData",
+            "arrangement_vertices", "build_arrangement", "classify_cell", "dual_cell",
+            "type_tuple",
+        ),
+        "errors": (
+            "BudgetExhausted", "DuplicateLine", "EmptyArrangement", "EqualPoints",
+            "GridTooSmall", "IdenticalLines", "InputFormatError", "InvalidSweep",
+            "NotATriangle", "NotAVertex", "RangeTooSmall", "TilingFailure", "TooFewPoints",
+            "TroplinesError",
+        ),
+        "incidence": (
+            "DbeVerdict", "PointConfig", "StableLineKind", "StableLineRecord", "dbe_check",
+            "dualize_points", "ordinary_stable_lines", "point_config", "stable_lines_through",
+        ),
+        "lines": (
+            "IntersectionKind", "Point2", "StableIntersectionResult", "TropicalLine",
+            "line_from_vertex", "pairwise_stable_intersection",
+        ),
+        "subdivision": (
+            "DualSubdivision", "determined_faces", "dual_subdivision", "is_near_pencil",
+        ),
+        "sweep": (
+            "Exhaustive", "Random", "SweepParams", "SweepReport", "run_sweep",
+            "sg_failure_search",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

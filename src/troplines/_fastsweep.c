@@ -824,12 +824,7 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
             if (e < 3 && cells[k].cls == CLS_PAR)
                 cells[k].adj_tris++;
         }
-        if (det_count > 6) {
-            PyErr_Format(PyExc_AssertionError,
-                         "triangle at (%lld, %lld) determined %d faces, maximum is 6",
-                         tri->dx, tri->dy, det_count);
-            return -1;
-        }
+        /* each e adds at most one face, so det_count <= 6 */
         if (tri->bdry < 2) {
             m_noncorner++;
             for (j = 0; j < det_count; j++) {

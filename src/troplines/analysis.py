@@ -57,7 +57,6 @@ from .subdivision import (
     check_regularity_detailed,
     determined_faces,
     dual_subdivision,
-    is_near_pencil,
     point_text,
     triangle_neighbours,
 )
@@ -121,16 +120,20 @@ def analyze_arrangement(arr: Arrangement) -> Analysis:
         ok, diagnostic = check_regularity_detailed(sub)
         if not ok:
             violations.append(("regularity", diagnostic))
-        near = is_near_pencil(sub)
 
-        # each triangle in cell order: its determined faces, and the
-        # parallelograms it shares an edge with
+        # each triangle in cell order, its edge owners and its boundary
+        # count read once: whether it touches the boundary (the near-pencil
+        # shape), its determined faces, and the parallelograms it shares an
+        # edge with
+        near = True
         union: Set[tuple] = set()
         m = 0
         hits: Dict[tuple, int] = {}
         for T in (c for c in sub.cells if c.cell_class is CellClass.TRIANGLE):
-            faces = determined_faces(sub, T)
+            neighbours = triangle_neighbours(sub, T)
+            faces = determined_faces(sub, T, neighbours)
             bcount = boundary_edge_count(T, sub.n)
+            near &= bcount > 0
             if bcount < 2:
                 m += 1
                 union.update(S.vertices for S in faces)
@@ -139,7 +142,7 @@ def analyze_arrangement(arr: Arrangement) -> Analysis:
                     violations.append(("determined_minimum", (
                         f"triangle at {point_text(T.dual_point)} determines "
                         f"{len(faces)} faces, needs {need}")))
-            for S in triangle_neighbours(sub, T):
+            for S in neighbours:
                 if S.cell_class is CellClass.PARALLELOGRAM:
                     hits[S.vertices] = hits.get(S.vertices, 0) + 1
         if not (cnt.k >= len(union) >= m):

@@ -12,6 +12,10 @@ the pipeline's own assertions failed, which is a bug in troplines and
 not a counterexample (printed as "internal error: ...", which during
 verify ends with the points of the configuration). No environment
 variable changes the behaviour; --jobs alone sets the worker count.
+
+Importing this module loads only what verify needs, the sweep and the
+kernel selection; the other subcommands import the pure geometry when
+they run, so a compiled verify never loads it.
 """
 
 from __future__ import annotations
@@ -23,11 +27,6 @@ from typing import List, Optional
 
 from . import kernel
 from .errors import InputFormatError, InvalidSweep, InvariantViolation, TroplinesError
-from .incidence import cramer_stable_line, dualize_points
-from .lines import Point2
-from .serialize import analyze_report, ascii_int, load_input, parse_rational
-from .subdivision import point_text
-from .svg import render_svg
 from .sweep import Exhaustive, JsonlSink, Random, SweepParams, run_sweep
 
 
@@ -55,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="coordinate box half-width for random mode")
     p_ve.add_argument("--seed", type=int, default=0, help="random mode seed")
     p_ve.add_argument("--jobs", type=int, default=1,
-                      help="worker processes (default: 1)")
+                      help="worker processes, at most one per processor (default: 1)")
     p_ve.add_argument("--jsonl", help="write one result line per configuration here")
 
     p_sl = sub.add_parser("stable-line", help="stable line through two points")
@@ -65,23 +64,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_cli_point(text: str, flag: str) -> Point2:
+def _parse_cli_point(text: str, flag: str):
+    from .lines import Point2
+    from .serialize import ascii_int, parse_rational
+
     parts = text.split(",")
     if len(parts) != 2:
         raise InputFormatError(f"{flag}: expected x,y, got {text!r}")
-    x = parse_rational(_maybe_int(parts[0]), f"{flag} x")
-    y = parse_rational(_maybe_int(parts[1]), f"{flag} y")
-    return Point2(x, y)
-
-
-def _maybe_int(text: str):
-    try:
-        return ascii_int(text)
-    except ValueError:
-        return text.strip()
+    coords = []
+    for part, axis in zip(parts, "xy"):
+        try:
+            value = ascii_int(part)
+        except ValueError:
+            value = part.strip()
+        coords.append(parse_rational(value, f"{flag} {axis}"))
+    return Point2(*coords)
 
 
 def cmd_analyze(args) -> int:
+    from .serialize import analyze_report, load_input
+
     kind, obj = load_input(args.input)
     report = analyze_report(kind, obj)
     text = json.dumps(report, indent=2) + "\n"
@@ -94,6 +96,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .incidence import dualize_points
+    from .serialize import load_input
+    from .svg import render_svg
+
     kind, obj = load_input(args.input)
     arr = dualize_points(obj) if kind == "points" else obj
     doc = render_svg(arr)
@@ -154,6 +160,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stable_line(args) -> int:
+    from .incidence import cramer_stable_line
+    from .subdivision import point_text
+
     p1 = _parse_cli_point(args.p1, "--p1")
     p2 = _parse_cli_point(args.p2, "--p2")
     triple, line = cramer_stable_line(p1, p2)

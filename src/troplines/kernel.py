@@ -6,13 +6,17 @@ extension is importable and takes every configuration the sweep can
 generate (at most 128 points, integer coordinates of magnitude at most
 2**20), or the pure-Python reference in troplines.analysis. Both produce
 the same analysis record, which the test suite enforces by direct
-comparison. analyze() is the pure route's call per configuration.
+comparison. analyze() is the pure route's call per configuration; this
+module loads no pure geometry itself, so selecting the backend for a
+compiled sweep costs only the extension's import.
 """
 
 from __future__ import annotations
 
-from .analysis import analyze_config
-from .incidence import PointConfig
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .incidence import PointConfig
 
 COORD_LIMIT = 1 << 20
 MAX_KERNEL_POINTS = 128
@@ -40,5 +44,9 @@ def stream_eligible(n: int, reach: int) -> bool:
 def analyze(cfg: PointConfig) -> dict:
     """The analysis record for cfg on the pure route: a function of its
     own, not an alias of analyze_config, so that tests can swap it and the
-    traced benchmark times it as its own layer."""
-    return analyze_config(cfg)
+    traced benchmark times it as its own layer. It reads
+    analysis.analyze_config at call time; the pure sweep has loaded the
+    module by then, so the import is a lookup."""
+    from . import analysis
+
+    return analysis.analyze_config(cfg)

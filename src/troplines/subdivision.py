@@ -338,14 +338,17 @@ def triangle_neighbours(sub: DualSubdivision, T: CellPolygon) -> List[CellPolygo
     return [sub.cells[k] for k in found if k is not None]
 
 
-def determined_faces(sub: DualSubdivision, T: CellPolygon) -> List[CellPolygon]:
+def determined_faces(sub: DualSubdivision, T: CellPolygon,
+                     neighbours: Optional[List[CellPolygon]] = None) -> List[CellPolygon]:
     """Semiuniform faces determined by the triangle T.
 
     Either edge-adjacent to T (any semiuniform shape) or a parallelogram
     in one of the three corner slots; corner-slot faces are parallelograms
     by definition, so hexagons can only enter through adjacency. A slot's
     parallelogram owns the downward unit triangle at the slot's corner, so
-    T takes each such owner whose slot base is its own.
+    T takes each such owner whose slot base is its own. neighbours, when
+    given, is triangle_neighbours(sub, T), read once by a caller that
+    needs it too.
     """
     i, j = base = triangle_base(T)
     corners = ((i - 1, j - 1, 1), (i - 1, j + 1, 1), (i + 1, j - 1, 1))
@@ -353,12 +356,10 @@ def determined_faces(sub: DualSubdivision, T: CellPolygon) -> List[CellPolygon]:
     for S in (sub.cells[k] for k in map(sub.owner.get, corners) if k is not None):
         if S.cell_class is CellClass.PARALLELOGRAM and _corner_slot_base(S) == base:
             found[S.vertices] = S
-    for S in triangle_neighbours(sub, T):
+    if neighbours is None:
+        neighbours = triangle_neighbours(sub, T)
+    for S in neighbours:
         if S.cell_class in SEMIUNIFORM:
             found[S.vertices] = S
-    faces = [found[verts] for verts in sorted(found)]
-    if len(faces) > 6:
-        raise AssertionError(
-            f"triangle at {T.dual_point} determined {len(faces)} faces, maximum is 6"
-        )
-    return faces
+    # at most six: the owners of three corners and of three edges
+    return [found[verts] for verts in sorted(found)]

@@ -22,6 +22,12 @@ single records only for a plain callable sink; otherwise every
 configuration goes through the pure reference analysis. The report counts,
 and the failure search returns, the configurations whose record has
 ordinary == 0.
+
+A compiled sweep imports neither the pure geometry nor multiprocessing.
+The pure route loads the analysis, point_config and sweep_line_json once
+per sweep, before its pool starts, so that forked workers inherit them
+(a spawned worker loads them itself), and a sweep imports
+multiprocessing only when it runs more than one job.
 """
 
 from __future__ import annotations
@@ -29,25 +35,25 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import multiprocessing
+import os
 import random
 import time
 import warnings
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    TextIO, Tuple, Union)
 
 from . import kernel
 from .errors import BudgetExhausted, GridTooSmall, InvalidSweep, RangeTooSmall
-from .incidence import PointConfig, point_config
-from .serialize import sweep_line_json
+
+if TYPE_CHECKING:
+    from .incidence import PointConfig
 
 IntPair = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Exhaustive:
+class Exhaustive(NamedTuple):
     """All n-subsets of the grid_size x grid_size lattice."""
 
     grid_size: int
@@ -75,8 +81,7 @@ class Exhaustive:
         return itertools.combinations(lattice, n)
 
 
-@dataclass(frozen=True)
-class Random:
+class Random(NamedTuple):
     """samples independent draws of n distinct points from the box
     [-coord_range, coord_range]^2, reproducible from seed."""
 
@@ -127,21 +132,26 @@ class Random:
 Mode = Union[Exhaustive, Random]
 
 
-@dataclass(frozen=True)
-class SweepParams:
+class _Params(NamedTuple):
     n: int
     mode: Mode
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidSweep(f"n must be at least 1, got {self.n}")
-        if not isinstance(self.mode, (Exhaustive, Random)):
-            raise InvalidSweep(f"unknown mode {self.mode!r}")
-        self.mode.validate(self.n)
+
+class SweepParams(_Params):
+    """A sweep's point count and mode, validated when constructed."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, mode: Mode) -> SweepParams:
+        if n < 1:
+            raise InvalidSweep(f"n must be at least 1, got {n}")
+        if not isinstance(mode, (Exhaustive, Random)):
+            raise InvalidSweep(f"unknown mode {mode!r}")
+        mode.validate(n)
+        return super().__new__(cls, n, mode)
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     configs_tested: int
     violations: List[Tuple[Tuple[IntPair, ...], str, str]]
     histogram: Dict[int, int]
@@ -158,6 +168,20 @@ def _config_list(params: SweepParams) -> Iterator[Tuple[IntPair, ...]]:
     """The sweep's configurations as int-pair tuples, generated lazily in
     their fixed order."""
     return params.mode.configs(params.n)
+
+
+# the pure route's calls per configuration, bound by _load_pure_route
+point_config = sweep_line_json = None
+
+
+def _load_pure_route() -> None:
+    """Load the pure analysis, which kernel.analyze calls, and bind
+    point_config and sweep_line_json as a module-level import would, but
+    only when a sweep takes the pure route."""
+    global point_config, sweep_line_json
+    from . import analysis  # noqa: F401
+    from .incidence import point_config
+    from .serialize import sweep_line_json
 
 
 class JsonlSink:
@@ -226,6 +250,8 @@ def _analyze_chunk(
                     analyze_chunk((pairs,), chunk.start + offset, False)
             raise
         return array("i", raw), flagged, bare, text
+    if point_config is None:  # a worker that was spawned rather than forked
+        _load_pure_route()
     excesses = array("i")
     flagged = []
     bare = []
@@ -293,21 +319,25 @@ def run_sweep(
     """Run the sweep and collect every violation with its configuration.
 
     The stream's chunks (_chunk_schedule) are analyzed in process or, for
-    jobs > 1, on that many processes, or one per configuration when there
-    are fewer; the report does not depend on the worker count. sink, when
-    given, receives (index, config, excess, violations) for every
-    configuration in order, as soon as its chunk is analyzed. A JsonlSink's
-    stream receives the same records as lines encoded by the workers. The
-    report's route names the route the sweep took, and no_ordinary_line
-    counts the configurations with no ordinary stable line.
+    jobs > 1, on that many processes, but on no more than the machine's
+    processors, nor more than one per configuration; the report does not
+    depend on the worker count. sink, when given, receives (index, config,
+    excess, violations) for every configuration in order, as soon as its
+    chunk is analyzed. A JsonlSink's stream receives the same records as
+    lines encoded by the workers. The report's route names the route the
+    sweep took, and no_ordinary_line counts the configurations with no
+    ordinary stable line.
     """
     if jobs < 1:
         raise InvalidSweep(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
+    compiled = kernel.stream_eligible(params.n, params.mode.reach)
+    if not compiled:
+        _load_pure_route()
     start = time.perf_counter()
     stream = None
     if isinstance(sink, JsonlSink):
         stream, sink = sink.stream, None
-    compiled = kernel.stream_eligible(params.n, params.mode.reach)
     total = params.mode.size(params.n)
     chunks = _chunks(params, _chunk_schedule(total, jobs), compiled, stream is not None)
     histogram: Counter = Counter()
@@ -317,6 +347,8 @@ def run_sweep(
         if jobs == 1:
             results: Iterator = ((chunk, _analyze_chunk(chunk)) for chunk in chunks)
         else:
+            import multiprocessing
+
             # no more workers than chunks: below 4 * jobs configurations
             # each chunk holds one
             pool = stack.enter_context(multiprocessing.Pool(processes=min(jobs, total)))
@@ -362,6 +394,7 @@ def sg_failure_search(params: SweepParams, stop_after: int = 1) -> List[PointCon
     if stop_after < 1:
         raise InvalidSweep(f"stop_after must be at least 1, got {stop_after}")
     compiled = kernel.stream_eligible(params.n, params.mode.reach)
+    _load_pure_route()  # the witnesses are PointConfigs on either route
     sizes = _chunk_schedule(params.mode.size(params.n), 1)
     witnesses: List[PointConfig] = []
     for chunk in _chunks(params, sizes, compiled, False):

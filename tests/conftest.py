@@ -146,7 +146,7 @@ BENT_LIFT = (_LIFT_ANCHOR, _LIFT_ANCHOR + (
 RAISED_LIFT = (_LIFT_ANCHOR, _LIFT_ANCHOR + (
     "    if (n >= 4)\n"
     "        LIFT(0, 3) += 40, LIFT(1, 3) += 80;\n"))
-_DETERMINED_ANCHOR = "        if (det_count > 6) {\n"
+_DETERMINED_ANCHOR = "        if (tri->bdry < 2) {\n"
 NO_DETERMINED_FACES = (_DETERMINED_ANCHOR, "        det_count = 0;\n" + _DETERMINED_ANCHOR)
 _UNIT_EDGE_ANCHOR = "if (dx < -1 || dx > 1 || dy < -1 || dy > 1) {"
 LONG_UNIT_EDGE = (_UNIT_EDGE_ANCHOR, _UNIT_EDGE_ANCHOR.replace("dx > 1", "dx > 0"))

@@ -6,6 +6,7 @@ import pytest
 
 import troplines.analysis as analysis
 import troplines.arrangement as arrangement
+import troplines.subdivision as subdivision
 from troplines.analysis import analyze_config
 from troplines.arrangement import Counts, verify_count_identities
 from troplines.incidence import dualize_points, point_config
@@ -123,8 +124,9 @@ def test_forty_eight_points_have_no_violations():
 
 
 def test_near_pencil_violation_wording(monkeypatch):
-    # force the shape test to lie so the equality case trips the suite
-    monkeypatch.setattr(analysis, "is_near_pencil", lambda sub: False)
+    # force the shape test to lie, no triangle touching the boundary, so
+    # the equality case trips the suite
+    monkeypatch.setattr(analysis, "boundary_edge_count", lambda cell, n: 0)
     record = analyze_config(point_config([(0, 0), (0, -2), (-2, 0), (2, 2)]))
     assert record["consistent"] is False
     assert ["near_pencil", "b=v-3=1 but subdivision is not a near-pencil"] in (
@@ -154,3 +156,31 @@ def test_each_vertex_is_classified_once_per_analysis(monkeypatch):
         result = analysis.analyze_arrangement(dualize_points(point_config(sorted(pts))))
         assert result.sub is not None
         assert sorted(calls) == [vd.point for vd in result.vertex_data]
+
+
+def test_each_triangle_is_read_once_per_analysis(monkeypatch):
+    # the triangle loop reads a triangle's edge owners and its boundary
+    # count once, and takes the near-pencil shape, the determined faces and
+    # the parallelogram tally from them
+    calls = {"triangle_neighbours": 0, "boundary_edge_count": 0}
+    for name in calls:
+        real = getattr(subdivision, name)
+
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(subdivision, name, spy)
+        monkeypatch.setattr(analysis, name, spy)
+    rng = random.Random(1)
+    triangles = 0
+    for _ in range(60):
+        pts = set()
+        while len(pts) < 7:
+            pts.add((rng.randint(-20, 20), rng.randint(-20, 20)))
+        for name in calls:
+            calls[name] = 0
+        record = analyze_config(point_config(sorted(pts)))
+        assert calls == dict.fromkeys(calls, record["triangles"]), sorted(pts)
+        triangles += record["triangles"]
+    assert triangles > 60

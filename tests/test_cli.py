@@ -303,7 +303,7 @@ def test_internal_assertion_is_exit_3_not_a_counterexample(tmp_path, monkeypatch
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 def test_verify_internal_assertion_names_the_configuration(monkeypatch, capsys, backend):
     target = ((0, 0), (0, 1), (1, 2))
-    real = kernel.analyze_config
+    real = analysis.analyze_config
 
     def broken(points):
         if tuple(tuple(p) for p in points) == target:
@@ -320,7 +320,7 @@ def test_verify_internal_assertion_names_the_configuration(monkeypatch, capsys, 
 
     if backend == "pure":
         monkeypatch.setattr(kernel, "_COMPILED", None)
-        monkeypatch.setattr(kernel, "analyze_config", lambda cfg: broken(cfg.points))
+        monkeypatch.setattr(analysis, "analyze_config", lambda cfg: broken(cfg.points))
     else:
         monkeypatch.setattr(kernel, "_COMPILED", types.SimpleNamespace(analyze_chunk=broken_chunk))
     # in process, one configuration per chunk, and on two workers, where

@@ -397,7 +397,7 @@ FAULTS = {
     "raised-lift": ("raised_lift_kernel",
                     (subdivision, "product_coefficients", _raised_lift), {"regularity"}),
     "no-determined-faces": ("no_determined_faces_kernel",
-                            (analysis, "determined_faces", lambda sub, T: []),
+                            (analysis, "determined_faces", lambda sub, T, neighbours: []),
                             {"determined_minimum", "determined_union"}),
     "long-unit-edge": ("long_unit_edge_kernel",
                        (analysis, "_UNIT_EDGE_VECTORS", {(0, 1), (-1, 0), (0, -1), (-1, 1)}),

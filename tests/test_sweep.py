@@ -4,9 +4,13 @@ import contextlib
 import io
 import itertools
 import multiprocessing
+import os
 import random
 import re
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,37 @@ def test_a_failing_sink_stops_the_workers():
     assert multiprocessing.active_children() == []
 
 
+_SPAWNED_SWEEP = """
+import io, multiprocessing, os, sys
+from troplines import kernel
+from troplines.sweep import JsonlSink, Random, SweepParams, run_sweep
+
+multiprocessing.set_start_method("spawn")
+os.cpu_count = lambda: 2  # two workers on any machine
+kernel._COMPILED = None
+stream = io.StringIO()
+run_sweep(SweepParams(n=4, mode=Random(samples=30, coord_range=5, seed=2)), jobs=2,
+          sink=JsonlSink(stream))
+sys.stdout.write(stream.getvalue())
+"""
+
+
+def test_pure_route_runs_on_spawned_workers(monkeypatch):
+    # a spawned worker imports the sweep afresh, without the pure route's
+    # modules that a forked one inherits, and loads them itself
+    src = str(Path(sweep.__file__).resolve().parent.parent)
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    monkeypatch.setattr(kernel, "_COMPILED", None)
+    done = subprocess.run([sys.executable, "-c", _SPAWNED_SWEEP], capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    in_process = io.StringIO()
+    run_sweep(SweepParams(n=4, mode=Random(samples=30, coord_range=5, seed=2)),
+              sink=JsonlSink(in_process))
+    assert done.stdout == in_process.getvalue()
+
+
 def test_report_does_not_depend_on_worker_count():
     params = SweepParams(n=4, mode=Exhaustive(3))
     serial = run_sweep(params, jobs=1)
@@ -141,7 +176,7 @@ class _PoolRefused(Exception):
 
 def test_sweeps_start_no_more_workers_than_chunks(monkeypatch):
     # the stand-in pool records its size and refuses, so nothing is forked
-    # and nothing is analyzed
+    # and nothing is analyzed; the machine has processors to spare
     started = []
 
     def refusing_pool(processes):
@@ -149,6 +184,7 @@ def test_sweeps_start_no_more_workers_than_chunks(monkeypatch):
         raise _PoolRefused
 
     monkeypatch.setattr(multiprocessing, "Pool", refusing_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     cases = [
         (SweepParams(n=3, mode=Random(samples=1, coord_range=5)), 4, 1),
         (SweepParams(n=3, mode=Random(samples=3, coord_range=5)), 4, 3),
@@ -163,6 +199,59 @@ def test_sweeps_start_no_more_workers_than_chunks(monkeypatch):
         with pytest.raises(_PoolRefused):
             run_sweep(params, jobs=jobs)
     assert started == [workers for _, _, workers in cases]
+
+
+class _InlinePool:
+    """A stand-in for multiprocessing.Pool that starts no process: it
+    records its size, and runs each task in process when its result is
+    read, keeping the most tasks that were in flight at once."""
+
+    def __init__(self, processes):
+        self.processes, self.in_flight, self.most = processes, 0, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def apply_async(self, function, args):
+        self.in_flight += 1
+        self.most = max(self.most, self.in_flight)
+
+        def get():
+            self.in_flight -= 1
+            return function(*args)
+
+        return types.SimpleNamespace(get=get)
+
+
+@pytest.mark.parametrize("processors", [3, None])
+def test_sweeps_start_no_more_workers_than_processors(monkeypatch, processors):
+    # a hundred thousand jobs start one worker per processor, and at most
+    # twice as many chunks are in flight; with no processor count the sweep
+    # runs in process. The JSONL bytes are those of one job.
+    pools = []
+
+    def inline_pool(processes):
+        pools.append(_InlinePool(processes))
+        return pools[-1]
+
+    params = SweepParams(n=3, mode=Random(samples=40, coord_range=6, seed=9))
+    one_job = io.StringIO()
+    run_sweep(params, jobs=1, sink=JsonlSink(one_job))
+    monkeypatch.setattr(multiprocessing, "Pool", inline_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: processors)
+    many_jobs = io.StringIO()
+    report = run_sweep(params, jobs=100_000, sink=JsonlSink(many_jobs))
+    assert report.configs_tested == 40
+    assert many_jobs.getvalue() == one_job.getvalue()
+    if processors is None:
+        assert pools == []
+    else:
+        [pool] = pools
+        assert pool.processes == processors
+        assert pool.in_flight == 0 and 2 < pool.most <= 2 * processors
 
 
 def test_sink_sees_every_config_in_order():
@@ -363,6 +452,9 @@ def test_chunks_double_from_one_up_to_the_cap(
 
     monkeypatch.setattr(kernel, "_COMPILED", types.SimpleNamespace(analyze_chunk=counted))
     monkeypatch.setattr(kernel, "analyze", _not_this_route)
+    # the schedule is cut for the workers the sweep starts, at most one per
+    # processor
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert in_child(lambda: _jsonl_and_summary(BOUNDARY_SWEEP, jobs)) == boundary_pure_route[0]
     calls = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
     assert calls == list(zip(itertools.accumulate([0] + sizes[:-1]), sizes))
