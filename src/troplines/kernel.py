@@ -45,8 +45,8 @@ def analyze(cfg: PointConfig) -> dict:
     """The analysis record for cfg on the pure route: a function of its
     own, not an alias of analyze_config, so that tests can swap it and the
     traced benchmark times it as its own layer. It reads
-    analysis.analyze_config at call time; the pure sweep has loaded the
-    module by then, so the import is a lookup."""
+    analysis.analyze_config at call time; a pure sweep loads the module
+    before it starts, so only a spawned worker's first call loads it."""
     from . import analysis
 
     return analysis.analyze_config(cfg)

@@ -6,28 +6,29 @@ identities, determined-face inequalities) and every violation is kept
 with the configuration that produced it, so a failing sweep replays as a
 standalone test case. Violations are data, not exceptions.
 
-Each sweep reads one lazy configuration stream in a fixed order, cut
-into ordered chunks; workers take a bounded number of chunks at a time, so
-memory does not grow with the sweep size and results are identical for
-any worker count and fixed parameters (elapsed time aside). JSONL lines
-are encoded next to the analysis, in the workers. Each mode validates
-itself and knows its size, its coordinate reach and its stream.
+Both run_sweep and sg_failure_search read one lazy configuration stream
+in a fixed order, cut into ordered chunks by one generator, _analyzed;
+workers take a bounded number of chunks at a time, so memory does not
+grow with the sweep size and results are identical for any worker count
+and fixed parameters (elapsed time aside). JSONL lines are encoded next
+to the analysis, in the workers. Each mode validates itself and knows
+its size, its coordinate reach and its stream.
 
-A sweep, or a failure search, picks its route once, from n and the
-mode's reach: when every configuration it can generate fits the compiled
-kernel, each chunk's int tuples go to it in one call, which returns the
-chunk's excesses, its violations, the offsets of its configurations with
-no ordinary stable line and its JSONL text, and the main process touches
+_analyzed picks the sweep's route once, from n and the mode's reach:
+when every configuration it can generate fits the compiled kernel, each
+chunk's int tuples go to it in one call, which returns the chunk's
+excesses, its violations, the offsets of its configurations with no
+ordinary stable line and its JSONL text, and the main process touches
 single records only for a plain callable sink; otherwise every
-configuration goes through the pure reference analysis. The report counts,
-and the failure search returns, the configurations whose record has
-ordinary == 0.
+configuration goes through the pure reference analysis. The report
+counts, and the failure search returns, the configurations whose record
+has ordinary == 0.
 
 A compiled sweep imports neither the pure geometry nor multiprocessing.
-The pure route loads the analysis, point_config and sweep_line_json once
-per sweep, before its pool starts, so that forked workers inherit them
-(a spawned worker loads them itself), and a sweep imports
-multiprocessing only when it runs more than one job.
+On the pure route _analyzed loads the pure geometry before its pool
+starts, so that forked workers inherit it, and _analyze_chunk imports
+what it calls, so a spawned worker loads it on its first chunk. A sweep
+imports multiprocessing only when it runs more than one job.
 """
 
 from __future__ import annotations
@@ -170,20 +171,6 @@ def _config_list(params: SweepParams) -> Iterator[Tuple[IntPair, ...]]:
     return params.mode.configs(params.n)
 
 
-# the pure route's calls per configuration, bound by _load_pure_route
-point_config = sweep_line_json = None
-
-
-def _load_pure_route() -> None:
-    """Load the pure analysis, which kernel.analyze calls, and bind
-    point_config and sweep_line_json as a module-level import would, but
-    only when a sweep takes the pure route."""
-    global point_config, sweep_line_json
-    from . import analysis  # noqa: F401
-    from .incidence import point_config
-    from .serialize import sweep_line_json
-
-
 class JsonlSink:
     """The run_sweep sink for a JSONL stream: each record reaches stream
     as its line, sweep_line_json plus a newline.
@@ -234,7 +221,8 @@ def _analyze_chunk(
     otherwise).
 
     The kernel route passes the chunk's int tuples to the extension in one
-    call; the pure route takes each configuration through kernel.analyze. An
+    call; the pure route takes each configuration through kernel.analyze,
+    importing point_config and sweep_line_json once per chunk. An
     AssertionError from either is raised again naming the points.
     """
     if chunk.compiled:
@@ -250,8 +238,9 @@ def _analyze_chunk(
                     analyze_chunk((pairs,), chunk.start + offset, False)
             raise
         return array("i", raw), flagged, bare, text
-    if point_config is None:  # a worker that was spawned rather than forked
-        _load_pure_route()
+    from .incidence import point_config
+    from .serialize import sweep_line_json
+
     excesses = array("i")
     flagged = []
     bare = []
@@ -283,32 +272,47 @@ def _chunk_schedule(total: int, jobs: int) -> Iterator[int]:
         size = min(2 * size, cap)
 
 
-def _chunks(params: SweepParams, sizes: Iterator[int], compiled: bool,
-            encode: bool) -> Iterator[_Chunk]:
-    """The sweep's configuration stream cut lazily into chunks of the
-    given sizes in turn."""
+def _analyzed(params: SweepParams, jobs: int, encode: bool) -> Iterator:
+    """(chunk, _analyze_chunk(chunk)) for each chunk of the sweep's stream,
+    in order, on the route the sweep takes, cut at _chunk_schedule's sizes
+    and with JSONL lines when encode is set.
+
+    The chunks are analyzed in process or, for jobs > 1, on that many
+    processes, but on no more than the machine's processors, nor more than
+    one per configuration, with at most twice as many chunks in flight.
+    The pool is closed when the stream ends or the generator is closed.
+    """
+    jobs = min(jobs, os.cpu_count() or 1)
+    compiled = kernel.stream_eligible(params.n, params.mode.reach)
+    if not compiled:  # before the pool starts, so that forked workers inherit it
+        from . import analysis, incidence, serialize  # noqa: F401
+    total = params.mode.size(params.n)
     configs = _config_list(params)
+    if jobs == 1:
+        workers = contextlib.nullcontext()
+    else:
+        import multiprocessing
+
+        # no more workers than chunks: below 4 * jobs configurations each
+        # chunk holds one
+        workers = multiprocessing.Pool(processes=min(jobs, total))
     start = 0
-    for size in sizes:
-        part = tuple(itertools.islice(configs, size))
-        if not part:
-            return
-        yield _Chunk(start, part, compiled, encode)
-        start += size
-
-
-def _pooled(pool, chunks: Iterator[_Chunk], window: int) -> Iterator:
-    """(chunk, _analyze_chunk(chunk)) for each chunk, in order, analyzed on
-    pool's workers with at most window chunks in flight."""
     pending = deque()
-    for chunk in chunks:
-        pending.append((chunk, pool.apply_async(_analyze_chunk, (chunk,))))
-        if len(pending) >= window:
-            done, result = pending.popleft()
+    with workers as pool:
+        for size in _chunk_schedule(total, jobs):
+            chunk = _Chunk(start, tuple(itertools.islice(configs, size)), compiled, encode)
+            if not chunk.configs:
+                break
+            start += size
+            if pool is None:
+                yield chunk, _analyze_chunk(chunk)
+                continue
+            pending.append((chunk, pool.apply_async(_analyze_chunk, (chunk,))))
+            if len(pending) >= 2 * jobs:
+                done, result = pending.popleft()
+                yield done, result.get()
+        for done, result in pending:
             yield done, result.get()
-    while pending:
-        done, result = pending.popleft()
-        yield done, result.get()
 
 
 def run_sweep(
@@ -318,41 +322,26 @@ def run_sweep(
 ) -> SweepReport:
     """Run the sweep and collect every violation with its configuration.
 
-    The stream's chunks (_chunk_schedule) are analyzed in process or, for
-    jobs > 1, on that many processes, but on no more than the machine's
-    processors, nor more than one per configuration; the report does not
-    depend on the worker count. sink, when given, receives (index, config,
-    excess, violations) for every configuration in order, as soon as its
-    chunk is analyzed. A JsonlSink's stream receives the same records as
-    lines encoded by the workers. The report's route names the route the
-    sweep took, and no_ordinary_line counts the configurations with no
-    ordinary stable line.
+    The stream's chunks are analyzed by _analyzed, in process or on up to
+    jobs processes; the report does not depend on the worker count. sink,
+    when given, receives (index, config, excess, violations) for every
+    configuration in order, as soon as its chunk is analyzed. A
+    JsonlSink's stream receives the same records as lines encoded by the
+    workers. The report's route names the route the sweep took, and
+    no_ordinary_line counts the configurations with no ordinary stable
+    line.
     """
     if jobs < 1:
         raise InvalidSweep(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
-    compiled = kernel.stream_eligible(params.n, params.mode.reach)
-    if not compiled:
-        _load_pure_route()
     start = time.perf_counter()
     stream = None
     if isinstance(sink, JsonlSink):
         stream, sink = sink.stream, None
-    total = params.mode.size(params.n)
-    chunks = _chunks(params, _chunk_schedule(total, jobs), compiled, stream is not None)
     histogram: Counter = Counter()
     violations: List[Tuple[Tuple[IntPair, ...], str, str]] = []
     no_ordinary_line = 0
-    with contextlib.ExitStack() as stack:
-        if jobs == 1:
-            results: Iterator = ((chunk, _analyze_chunk(chunk)) for chunk in chunks)
-        else:
-            import multiprocessing
-
-            # no more workers than chunks: below 4 * jobs configurations
-            # each chunk holds one
-            pool = stack.enter_context(multiprocessing.Pool(processes=min(jobs, total)))
-            results = _pooled(pool, chunks, 2 * jobs)
+    # closed explicitly, so that a sink that raises stops the workers at once
+    with contextlib.closing(_analyzed(params, jobs, stream is not None)) as results:
         for chunk, (excesses, flagged, bare, text) in results:
             if stream is not None:
                 stream.write(text)
@@ -371,7 +360,7 @@ def run_sweep(
         violations=violations,
         histogram=dict(sorted(histogram.items())),
         elapsed=elapsed,
-        route="compiled" if compiled else "pure",
+        route="compiled" if chunk.compiled else "pure",  # every stream has a chunk
         no_ordinary_line=no_ordinary_line,
     )
 
@@ -380,12 +369,11 @@ def sg_failure_search(params: SweepParams, stop_after: int = 1) -> List[PointCon
     """Configurations with no ordinary stable line (no stable line through
     exactly two of the points), in sweep order.
 
-    Reads the sweep's own chunks, at the one-job schedule and on the route
-    run_sweep takes, in process and without JSONL, and keeps the
-    configurations whose record has ordinary == 0; stops after the chunk
-    that brings the count to stop_after and returns the first stop_after.
-    Exhausting the stream first issues a BudgetExhausted warning and
-    returns whatever was found.
+    Reads the sweep's own chunks through _analyzed at one job, without
+    JSONL, and keeps the configurations whose record has ordinary == 0;
+    stops after the chunk that brings the count to stop_after and returns
+    the first stop_after. Exhausting the stream first issues a
+    BudgetExhausted warning and returns whatever was found.
     """
     if params.n < 4:
         raise InvalidSweep(
@@ -393,12 +381,10 @@ def sg_failure_search(params: SweepParams, stop_after: int = 1) -> List[PointCon
         )
     if stop_after < 1:
         raise InvalidSweep(f"stop_after must be at least 1, got {stop_after}")
-    compiled = kernel.stream_eligible(params.n, params.mode.reach)
-    _load_pure_route()  # the witnesses are PointConfigs on either route
-    sizes = _chunk_schedule(params.mode.size(params.n), 1)
+    from .incidence import point_config
+
     witnesses: List[PointConfig] = []
-    for chunk in _chunks(params, sizes, compiled, False):
-        _, _, bare, _ = _analyze_chunk(chunk)
+    for chunk, (_, _, bare, _) in _analyzed(params, 1, False):
         witnesses += [point_config(chunk.configs[offset]) for offset in bare]
         if len(witnesses) >= stop_after:
             return witnesses[:stop_after]

@@ -1,5 +1,6 @@
 """What importing troplines loads: the package's exports resolve on first
-access, and a compiled verify loads none of the pure geometry."""
+access, a compiled verify loads none of the pure geometry, and a verify at
+one job does not load multiprocessing."""
 
 import json
 import os
@@ -90,7 +91,18 @@ def test_compiled_verify_loads_no_pure_geometry(built_kernel):
     summary = json.loads(out)
     assert (summary["route"], summary["configs_tested"]) == ("compiled", 1820)
     assert "troplines._fastsweep" in loaded
-    assert not loaded & PURE_GEOMETRY
+    assert not loaded & (PURE_GEOMETRY | {"multiprocessing"})
+
+
+def test_pure_verify_at_one_job_loads_no_multiprocessing():
+    statement = ("from troplines import kernel; kernel._COMPILED = None; "
+                 "from troplines.cli import main; main(['verify', '--n', '4', '--mode', "
+                 "'exhaustive', '--grid', '3', '--jobs', '1'])")
+    loaded, out = _loaded(statement)
+    summary = json.loads(out)
+    assert (summary["route"], summary["configs_tested"]) == ("pure", 126)
+    assert {"troplines.analysis", "troplines.incidence", "troplines.serialize"} <= loaded
+    assert "multiprocessing" not in loaded
 
 
 @pytest.mark.parametrize("args", [

@@ -118,10 +118,20 @@ def test_records_reach_the_sink_as_they_are_analyzed(monkeypatch):
     assert len(analyzed) == 1
 
 
+def _stop_at_500(index, *_):
+    if index == 500:
+        raise _Stop(index)
+
+
 def test_a_failing_sink_stops_the_workers():
-    with pytest.raises(_Stop):
-        run_sweep(SweepParams(n=4, mode=Exhaustive(4)), jobs=2, sink=_stop_at_first)
-    assert multiprocessing.active_children() == []
+    # at the first record, and at record 500 of 1,820 with chunks in flight;
+    # the kept traceback holds the sweep's frames, so the pool must be
+    # closed explicitly rather than when they are collected
+    for sink, index in ((_stop_at_first, 0), (_stop_at_500, 500)):
+        with pytest.raises(_Stop) as stopped:
+            run_sweep(SweepParams(n=4, mode=Exhaustive(4)), jobs=2, sink=sink)
+        assert multiprocessing.active_children() == []
+        assert stopped.value.args == (index,)
 
 
 _SPAWNED_SWEEP = """
@@ -608,3 +618,37 @@ def test_failure_search_census_on_the_4x4_grid(request, monkeypatch, route, n):
     assert len(witnesses) == GRID4_CENSUS[n]
     if route == "kernel":
         assert run_sweep(params).no_ordinary_line == GRID4_CENSUS[n]
+
+
+# small streams, each with its configurations that have no ordinary stable
+# line: the 3x3 grid at n = 4-6 and draws from the 5x5 box
+SMALL_STREAMS = [
+    (SweepParams(n=4, mode=Exhaustive(3)), 1),
+    (SweepParams(n=5, mode=Exhaustive(3)), 3),
+    (SweepParams(n=6, mode=Exhaustive(3)), 2),
+    (SweepParams(n=5, mode=Random(samples=30, coord_range=2, seed=1)), 4),
+]
+
+
+@pytest.mark.parametrize("route", ["pure", "kernel"])
+@pytest.mark.parametrize("params, bare", SMALL_STREAMS,
+                         ids=["grid3-4", "grid3-5", "grid3-6", "random-5"])
+def test_failure_search_and_sweep_count_the_same_configurations(
+    request, in_child, monkeypatch, route, params, bare
+):
+    # the search and the sweep at one and two jobs read the same chunks
+    if route == "kernel":
+        monkeypatch.setattr(kernel, "_COMPILED", request.getfixturevalue("built_kernel"))
+        monkeypatch.setattr(kernel, "analyze", _not_this_route)
+    else:
+        monkeypatch.setattr(kernel, "_COMPILED", None)
+
+    def both_consumers():
+        with pytest.warns(BudgetExhausted):
+            found = len(sg_failure_search(params, stop_after=10**6))
+        reports = [run_sweep(params, jobs=jobs) for jobs in (1, 2)]
+        return found, [(r.route, r.no_ordinary_line) for r in reports]
+
+    found, reports = in_child(both_consumers)
+    assert found == bare
+    assert reports == [("compiled" if route == "kernel" else "pure", bare)] * 2
