@@ -96,13 +96,17 @@ static const i64 STEPY[6] = {-1, 0, 1, 1, 0, -1};
 /* A unit triangle of n * Delta_2: (i, j, 0) is conv{(i,j), (i+1,j), (i,j+1)}
  * and (i, j, 1) is conv{(i+1,j), (i,j+1), (i+1,j+1)}; its owner sits at
  * owner[OWNER(i, j, down)]. Every edge between two of them joins an upward
- * triangle (i, j, 0) to the downward one at (i + NBR_DI[e], j + NBR_DJ[e])
+ * triangle (i, j, 0) to the downward one at (i + NBR[e].di, j + NBR[e].dj)
  * across its bottom, left or diagonal edge e < 3. For e = 3, 4 and 5 that
- * downward triangle lies at the corner p, p + (0,1) or p + (1,0) of the
- * upward one at p, and a parallelogram in the corner slot there owns it. */
+ * downward triangle lies at the corner p + (NBR[e].ci, NBR[e].cj) of the
+ * upward one at p: p, p + (0,1) or p + (1,0). Its owner is in the corner
+ * slot there when it has a corner there and edges in the slot's directions
+ * NBR[e].dirs (H = 1, V = 2, D = 4), as _in_corner_slot tests. */
 #define OWNER(i, j, down) (2 * ((j) * n + (i)) + (down))
-static const int NBR_DI[6] = {0, -1, 0, -1, -1, 1};
-static const int NBR_DJ[6] = {-1, 0, 0, -1, 1, -1};
+static const struct { int di, dj, ci, cj, dirs; } NBR[6] = {
+    {0, -1, 0, 0, 0}, {-1, 0, 0, 0, 0}, {0, 0, 0, 0, 0},
+    {-1, -1, 0, 0, 3}, {-1, 1, 0, 1, 6}, {1, -1, 1, 0, 5},
+};
 
 enum { CLS_TRI, CLS_PAR, CLS_HEX, CLS_NU4, CLS_NU5, CLS_NU6 };
 
@@ -304,34 +308,21 @@ _rasterize(const Cell *cell, int k, int n, int *owner, int *claimed)
     return -1;
 }
 
-/* Whether the parallelogram s sits in the corner slot of the triangle with
- * base (x, y). The base, as in subdivision._corner_slot_base, is the
- * maximal corner of an H + V rectangle; one below the corner of maximal x,
- * then minimal y, of a V + D one; one left of the unique corner of minimal
- * x of an H + D one. 0 when the edges are not two of those directions. */
+/* Whether the cell s, which owns the corner triangle of slot e >= 3 of the
+ * triangle with base (x, y), sits in that slot: its edges run in the slot's
+ * two directions and it has a corner at the slot's corner. Any other corner
+ * would leave a point of the corner triangle outside it, so this is the
+ * anchor rule of the paper-figure templates. */
 static int
-_in_corner_slot(const Cell *s, i64 x, i64 y)
+_in_corner_slot(const Cell *s, int e, i64 x, i64 y)
 {
-    int mask = 0, lo = 0, hi = 0;
-    i64 ymax = s->vy[0];
+    int dirs = 0, corner = 0;
     for (int i = 0; i < s->m; i++) {
-        int j = i + 1;
-        i64 dx = s->vx[j] - s->vx[i], dy = s->vy[j] - s->vy[i];
-        mask |= dy == 0 ? 1 : dx == 0 ? 2 : dx == -dy ? 4 : 8;
-        if (s->vx[i] < s->vx[lo])
-            lo = i;
-        if (s->vx[i] > s->vx[hi] || (s->vx[i] == s->vx[hi] && s->vy[i] < s->vy[hi]))
-            hi = i;
-        if (s->vy[i] > ymax)
-            ymax = s->vy[i];
+        i64 dx = s->vx[i + 1] - s->vx[i], dy = s->vy[i + 1] - s->vy[i];
+        dirs |= dy == 0 ? 1 : dx == 0 ? 2 : dx == -dy ? 4 : 8;
+        corner |= s->vx[i] == x + NBR[e].ci && s->vy[i] == y + NBR[e].cj;
     }
-    if (mask == 3)
-        return s->vx[hi] == x && ymax == y;
-    if (mask == 6)
-        return s->vx[hi] == x && s->vy[hi] - 1 == y;
-    if (mask == 5)
-        return s->vx[lo] - 1 == x && s->vy[lo] == y;
-    return 0;
+    return dirs == NBR[e].dirs && corner;
 }
 
 /* The keys of the crossings between the 3 x 3 ray pairs of the lines with
@@ -804,25 +795,24 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
             continue;
         int determined[6], det_count = 0;
         for (e = 0; e < 6; e++) {
-            int ni = (int)tri->vx[0] + NBR_DI[e], nj = (int)tri->vy[0] + NBR_DJ[e];
+            int ni = (int)tri->vx[0] + NBR[e].di, nj = (int)tri->vy[0] + NBR[e].dj;
             if (ni < 0 || nj < 0 || ni + nj > n - 2)
                 continue;
             k = owner[OWNER(ni, nj, 1)];
             /* an edge neighbour counts when it is semiuniform, a corner's
              * owner when it is a parallelogram in that corner's slot, and
-             * each face once */
+             * each face once; a parallelogram tallies its edge neighbours */
+            if (e < 3 && cells[k].cls == CLS_PAR)
+                cells[k].adj_tris++;
             int found = e < 3 ? cells[k].cls == CLS_PAR || cells[k].cls == CLS_HEX
                               : cells[k].cls == CLS_PAR
-                                    && _in_corner_slot(&cells[k], tri->vx[0], tri->vy[0]);
+                                    && _in_corner_slot(&cells[k], e, tri->vx[0], tri->vy[0]);
             if (!found)
                 continue;
             for (j = 0; j < det_count && determined[j] != k; j++)
                 ;
-            if (j < det_count)
-                continue;
-            determined[det_count++] = k;
-            if (e < 3 && cells[k].cls == CLS_PAR)
-                cells[k].adj_tris++;
+            if (j == det_count)
+                determined[det_count++] = k;
         }
         /* each e adds at most one face, so det_count <= 6 */
         if (tri->bdry < 2) {

@@ -22,10 +22,12 @@ triangle at that slot's corner. All of it takes time near-linear in n^2.
 
 On top of the validated subdivision sit the lattice predicates the
 de Bruijn-Erdos argument needs: boundary edges (a corner triangle has
-two), near-pencils, and the determined semiuniform faces of a triangle
-(the three edge-adjacency slots plus the three corner-anchored
-parallelogram patterns, transcribed from the paper-figure templates;
-each pattern edge may be elongated).
+two), near-pencils, and the determined semiuniform faces of a triangle:
+its semiuniform edge neighbours and the parallelograms, edges possibly
+elongated, in its three corner slots. Such a parallelogram has edges in
+the slot's two directions and a corner at the slot's corner; any other
+corner would leave a point of the triangle there outside it, so this is
+the anchor rule of the paper-figure templates.
 """
 
 from __future__ import annotations
@@ -294,39 +296,24 @@ def is_near_pencil(sub: DualSubdivision) -> bool:
 # determined faces
 # ---------------------------------------------------------------------------
 
+# The downward unit triangles around the upward one at a triangle cell's
+# base p, as (di, dj, slot) with (di, dj) their offset from p: across its
+# bottom, left and diagonal edges, then at the corners p, p + (0,1) and
+# p + (1,0) of its slots, with slot the corner's offset and the two edge
+# directions of the slot's parallelogram.
+_AROUND_BASE = (
+    (0, -1, None), (-1, 0, None), (0, 0, None),
+    (-1, -1, ((0, 0), {"H", "V"})),
+    (-1, 1, ((0, 1), {"V", "D"})),
+    (1, -1, ((1, 0), {"H", "D"})),
+)
+
+
 def triangle_base(T: CellPolygon) -> LatticePoint:
-    """The right-angle corner of a triangle cell conv{p, p+(1,0), p+(0,1)}."""
+    """The right-angle corner p of a triangle cell conv{p, p+(1,0), p+(0,1)}, its first."""
     if T.cell_class is not CellClass.TRIANGLE:
         raise NotATriangle(f"cell at {T.dual_point} is {T.cell_class.value}")
-    return (min(v[0] for v in T.vertices), min(v[1] for v in T.vertices))
-
-
-def _corner_slot_base(S: CellPolygon) -> LatticePoint:
-    """The base of the one triangle in whose corner slot parallelogram S
-    would sit.
-
-    The slots, with p = (i, j) = base, s and t positive lattice lengths,
-    and the downward unit triangle at the slot's corner, which S owns:
-
-      at p          spanned by (-1,0) and (0,-1): the axis rectangle whose
-                    maximal corner is p; (i - 1, j - 1, 1);
-      at p + (0,1)  spanned by (0,1) and (-1,1): anchored at its corner of
-                    maximal x and then minimal y; (i - 1, j + 1, 1);
-      at p + (1,0)  spanned by (1,0) and (1,-1): anchored at its corner of
-                    minimal x; (i + 1, j - 1, 1).
-    """
-    verts = S.vertices
-    # its edges' directions: horizontal, vertical or diagonal
-    classes = {"H" if a[1] == b[1] else "V" if a[0] == b[0] else "D"
-               for a, b in polygon_edges(verts)}
-    if classes == {"H", "V"}:
-        return (max(v[0] for v in verts), max(v[1] for v in verts))
-    if classes == {"V", "D"}:
-        max_x = max(v[0] for v in verts)
-        anchor = min((v for v in verts if v[0] == max_x), key=lambda v: v[1])
-        return (anchor[0], anchor[1] - 1)
-    anchor = min(verts, key=lambda v: v[0])
-    return (anchor[0] - 1, anchor[1])
+    return T.vertices[0]
 
 
 def triangle_neighbours(sub: DualSubdivision, T: CellPolygon) -> List[CellPolygon]:
@@ -334,7 +321,7 @@ def triangle_neighbours(sub: DualSubdivision, T: CellPolygon) -> List[CellPolygo
     upward unit triangle (i, j, 0) at its base: the owners of the downward
     ones below it, left of it and across its diagonal, where they exist."""
     i, j = triangle_base(T)
-    found = {sub.owner.get(tri) for tri in ((i, j - 1, 1), (i - 1, j, 1), (i, j, 1))}
+    found = {sub.owner.get((i + di, j + dj, 1)) for di, dj, _ in _AROUND_BASE[:3]}
     return [sub.cells[k] for k in found if k is not None]
 
 
@@ -346,20 +333,22 @@ def determined_faces(sub: DualSubdivision, T: CellPolygon,
     in one of the three corner slots; corner-slot faces are parallelograms
     by definition, so hexagons can only enter through adjacency. A slot's
     parallelogram owns the downward unit triangle at the slot's corner, so
-    T takes each such owner whose slot base is its own. neighbours, when
-    given, is triangle_neighbours(sub, T), read once by a caller that
-    needs it too.
+    T takes that owner when its edges run in the slot's two directions and
+    it has a corner at the slot's corner: any other corner would leave a
+    point of that triangle outside it. neighbours, when given, is
+    triangle_neighbours(sub, T), read once by a caller that needs it too.
     """
-    i, j = base = triangle_base(T)
-    corners = ((i - 1, j - 1, 1), (i - 1, j + 1, 1), (i + 1, j - 1, 1))
-    found = {}
-    for S in (sub.cells[k] for k in map(sub.owner.get, corners) if k is not None):
-        if S.cell_class is CellClass.PARALLELOGRAM and _corner_slot_base(S) == base:
-            found[S.vertices] = S
+    i, j = triangle_base(T)
     if neighbours is None:
         neighbours = triangle_neighbours(sub, T)
-    for S in neighbours:
-        if S.cell_class in SEMIUNIFORM:
+    found = {S.vertices: S for S in neighbours if S.cell_class in SEMIUNIFORM}
+    for di, dj, ((ci, cj), directions) in _AROUND_BASE[3:]:
+        k = sub.owner.get((i + di, j + dj, 1))
+        S = sub.cells[k] if k is not None else None
+        if (S is not None and S.cell_class is CellClass.PARALLELOGRAM
+                and (i + ci, j + cj) in S.vertices
+                and directions == {"H" if a[1] == b[1] else "V" if a[0] == b[0] else "D"
+                                   for a, b in polygon_edges(S.vertices)}):
             found[S.vertices] = S
     # at most six: the owners of three corners and of three edges
     return [found[verts] for verts in sorted(found)]

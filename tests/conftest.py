@@ -134,7 +134,8 @@ _LIFT_ANCHOR = "    _lift(n, px, py, lift);\n"
 # failure reported depends on the order of the two. The unit-edge test that
 # takes an edge with dx = 1 for a long one fails every parallelogram that
 # shares edges with two triangles, since one of its edge pairs has such an
-# edge.
+# edge. With corner slots only, a triangle's edge neighbours stop counting
+# among its determined faces, so the records show the slot rule.
 NEGATED_LIFT = (_LIFT_ANCHOR, _LIFT_ANCHOR + (
     "    for (i = 0; i <= n; i++)\n"
     "        for (j = 0; i + j <= n; j++)\n"
@@ -148,6 +149,7 @@ RAISED_LIFT = (_LIFT_ANCHOR, _LIFT_ANCHOR + (
     "        LIFT(0, 3) += 40, LIFT(1, 3) += 80;\n"))
 _DETERMINED_ANCHOR = "        if (tri->bdry < 2) {\n"
 NO_DETERMINED_FACES = (_DETERMINED_ANCHOR, "        det_count = 0;\n" + _DETERMINED_ANCHOR)
+CORNER_SLOTS_ONLY = ("e < 3 ? cells[k].cls == CLS_PAR || cells[k].cls == CLS_HEX", "e < 3 ? 0")
 _UNIT_EDGE_ANCHOR = "if (dx < -1 || dx > 1 || dy < -1 || dy > 1) {"
 LONG_UNIT_EDGE = (_UNIT_EDGE_ANCHOR, _UNIT_EDGE_ANCHOR.replace("dx > 1", "dx > 0"))
 
@@ -194,6 +196,13 @@ def no_determined_faces_kernel(tmp_path_factory):
     """The kernel with every triangle's determined faces dropped before
     the determined-face suites count them."""
     return _mutant_kernel(tmp_path_factory, "no_determined_faces", NO_DETERMINED_FACES)
+
+
+@pytest.fixture(scope="session")
+def corner_slots_only_kernel(tmp_path_factory):
+    """The kernel with a triangle's determined faces taken from its corner
+    slots only."""
+    return _mutant_kernel(tmp_path_factory, "corner_slots_only", CORNER_SLOTS_ONLY)
 
 
 @pytest.fixture(scope="session")

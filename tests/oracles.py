@@ -492,6 +492,10 @@ def _matches_corner_pattern(S, base):
                     maximal x and, among those, minimal y;
       at p + (1,0)  spanned by (1,0) and (1,-1): anchored at its corner of
                     minimal x.
+
+    The library states the slot another way, by the two edge directions
+    and one corner at the slot's corner. This oracle keeps the anchor form
+    on purpose, so that the two statements check each other.
     """
     classes = _edge_classes(S)
     verts = S.vertices

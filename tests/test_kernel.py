@@ -399,6 +399,10 @@ FAULTS = {
     "no-determined-faces": ("no_determined_faces_kernel",
                             (analysis, "determined_faces", lambda sub, T, neighbours: []),
                             {"determined_minimum", "determined_union"}),
+    "corner-slots-only": ("corner_slots_only_kernel",
+                          (analysis, "determined_faces",
+                           lambda sub, T, neighbours: subdivision.determined_faces(sub, T, [])),
+                          {"determined_minimum", "determined_union"}),
     "long-unit-edge": ("long_unit_edge_kernel",
                        (analysis, "_UNIT_EDGE_VECTORS", {(0, 1), (-1, 0), (0, -1), (-1, 1)}),
                        {"unit_parallelogram"}),

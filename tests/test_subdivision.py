@@ -3,11 +3,12 @@
 product_coefficients is checked against a brute force over all 3^n
 ordered partitions. Regularity gets the injected-fault test (a lift
 value bumped by one must be caught). The determined-face templates are
-pinned by one frozen instance per slot, including elongated edges, and
-by the frozen six-line near-pencil whose 13 cells exercise every face
-class. The owner-grid checks (tiling, local regularity, determined-face
-lookup) are compared with the global scans in tests/oracles.py on small
-arrangements, tampered ones included.
+pinned by one frozen instance per slot, including elongated edges, by
+one per slot whose owner has a corner at the slot's corner but edges in
+the wrong directions, and by the frozen six-line near-pencil whose 13
+cells exercise every face class. The owner-grid checks (tiling, local
+regularity, determined-face lookup) are compared with the global scans
+in tests/oracles.py on small arrangements, tampered ones included.
 """
 
 import dataclasses
@@ -415,6 +416,37 @@ def test_corner_slot_anchored_right_of_the_base():
         S for S in sub.cells if S.vertices == ((1, 2), (2, 1), (3, 1), (2, 2))
     )
     assert not shares_edge(T, slot)
+
+
+# One arrangement per slot, at p, p + (0,1) and p + (1,0) of the base p,
+# whose triangle's corner triangle there is owned by a parallelogram with a
+# corner at the slot's corner but edges in the wrong two directions:
+# (line vertices, base, slot corner, corner triangle, owner)
+WRONG_DIRECTION_SLOTS = [
+    (((0, 0), (0, -1), (-3, -2)), (1, 1), (1, 1), (0, 0, 1),
+     ((0, 1), (1, 0), (1, 1), (0, 2))),
+    (((0, 0), (-1, -3), (-2, -3)), (1, 0), (1, 1), (0, 1, 1),
+     ((0, 2), (1, 1), (2, 1), (1, 2))),
+    (((0, 0), (-3, -1), (-3, -2)), (0, 1), (1, 1), (1, 0, 1),
+     ((1, 1), (2, 0), (2, 1), (1, 2))),
+]
+
+
+@pytest.mark.parametrize("verts,base,corner,tri,owner", WRONG_DIRECTION_SLOTS,
+                         ids=["below", "above", "right"])
+def test_corner_slot_rejects_the_wrong_directions(verts, base, corner, tri, owner):
+    sub = dual_subdivision(_arr(*verts))
+    T = next(
+        c
+        for c in sub.cells
+        if c.cell_class is CellClass.TRIANGLE and triangle_base(c) == base
+    )
+    S = sub.cells[sub.owner[tri]]
+    assert S.vertices == owner and S.cell_class is CellClass.PARALLELOGRAM
+    assert corner in S.vertices and not shares_edge(T, S)
+    det = determined_faces(sub, T)
+    assert S not in det
+    assert det == determined_faces_scan(sub.cells, T)
 
 
 def test_determined_faces_are_semiuniform_and_at_most_six():
