@@ -559,16 +559,24 @@ _violate(PyObject *violations, const char *suite, const char *format, ...)
     } while (0)
 
 #define COUNTS "Counts(n=%d, t=%d, triangles=%d, b=%d, k=%d, h=%d)"
-#define COUNTS_ARGS n, t_count, triangles, b_faces, k_faces, h_faces
+#define COUNTS_ARGS n, out->t, out->triangles, out->b, out->k, out->h
 
-/* The near-pencil flag: False, True, or None when the cells do not tile */
+/* The near-pencil flag: False, True, or None when the cells do not tile;
+ * the walk ands NEAR_YES with 0 or 1, so the first two are 0 and 1 */
 enum { NEAR_NO, NEAR_YES, NEAR_UNTILED };
 
-/* What analyze_ints returns besides the violations. */
+/* A configuration's analysis besides its violations, as the walk of the
+ * cells and the suites fill it: the face counts, the ordinary stable points
+ * (c + s_a + s_b + s_c = 2 lines pass through the vertex), the near-pencil
+ * flag, the excess, and for the tiling and edge-direction suites the
+ * doubled area and whether their scans have a violation to find. */
 typedef struct {
     int t, triangles, b, k, h, ordinary;
-    int near_pencil;
+    int near_pencil;   /* NEAR_YES while every triangle has a boundary edge */
     int excess;
+    int outside;       /* some corner lies outside n * Delta_2 */
+    int skew;          /* some edge is not horizontal, vertical or diagonal */
+    i64 area2;
 } Summary;
 
 /* The lift of n * Delta_2: the coefficient table of the tropical product
@@ -703,47 +711,35 @@ undominated:
 #undef LIFT
 }
 
-/* What the walk of the cells finds besides the cells: the face counts, the
- * near-pencil flag, the ordinary stable points (c + s_a + s_b + s_c = 2
- * lines pass through the vertex), and for the tiling and edge-direction
- * suites the doubled area and whether their scans have a violation to
- * find. */
-typedef struct {
-    int ncells, triangles, k_faces, h_faces, ordinary;
-    int near_pencil;   /* every triangle has a boundary edge */
-    int outside;       /* some corner lies outside n * Delta_2 */
-    int skew;          /* some edge is not horizontal, vertical or diagonal */
-    i64 area2;
-} Faces;
-
 /* The suites that need a tiling: the tiling itself, cell edge directions,
  * regularity against the lift, the near-pencil flag and the determined
- * faces. Returns the near-pencil flag, NEAR_UNTILED when the cells do not
- * tile n * Delta_2, or -1 with an exception set. */
+ * faces, on the cells the walk recorded in out. Sets its near-pencil flag to
+ * NEAR_UNTILED when the cells do not tile n * Delta_2; -1 with an
+ * exception set. */
 static int
-_tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 *py,
+_tiled_suites(const Scratch *s, Summary *out, int n, const i64 *px, const i64 *py,
               PyObject *violations)
 {
     Cell *cells = s->cells;
     int *owner = s->owner;
-    int ncells = f->ncells, i, j, e, k;
+    int ncells = out->t, i, j, e, k;
     i64 dx, dy;
 
     /* --- tiling ---------------------------------------------------------- */
-    for (i = 0; i < ncells && f->outside; i++) {
+    for (i = 0; i < ncells && out->outside; i++) {
         const Cell *cell = &cells[i];
         for (j = 0; j < cell->m; j++) {
             if (cell->vx[j] < 0 || cell->vy[j] < 0 || cell->vx[j] + cell->vy[j] > n) {
                 VIOLATE("tiling", "cell at (%lld, %lld) leaves %d*Delta_2 at (%lld,%lld)",
                         cell->dx, cell->dy, n, cell->vx[j], cell->vy[j]);
-                return NEAR_UNTILED;
+                goto untiled;
             }
         }
     }
-    if (f->area2 != (i64)n * n) {
+    if (out->area2 != (i64)n * n) {
         VIOLATE("tiling", "cell areas sum to %lld/2, expected %d/2 for n=%d",
-                f->area2, n * n, n);
-        return NEAR_UNTILED;
+                out->area2, n * n, n);
+        goto untiled;
     }
     for (i = 0; i < 2 * n * n; i++)
         owner[i] = -1;
@@ -753,7 +749,7 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
         if (first >= 0) {
             VIOLATE("tiling", "cells at (%lld, %lld) and (%lld, %lld) overlap",
                     cells[first].dx, cells[first].dy, cells[k].dx, cells[k].dy);
-            return NEAR_UNTILED;
+            goto untiled;
         }
     }
     /* each claim took a distinct one of the n^2 triangles, so the scan for
@@ -763,14 +759,14 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
             for (int down = 0; down < 2 && i + j + down < n; down++) {
                 if (owner[OWNER(i, j, down)] < 0) {
                     VIOLATE("tiling", "no cell covers unit triangle (%d, %d, %d)", i, j, down);
-                    return NEAR_UNTILED;
+                    goto untiled;
                 }
             }
         }
     }
 
     /* --- cell edge directions ------------------------------------------- */
-    for (i = 0; i < ncells && f->skew; i++) {
+    for (i = 0; i < ncells && out->skew; i++) {
         const Cell *cell = &cells[i];
         for (j = 0; j < cell->m; j++) {
             dx = cell->vx[j + 1] - cell->vx[j];
@@ -829,8 +825,8 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
             VIOLATE("determined_minimum", "triangle at (%lld, %lld) determines %d faces, needs 1",
                     tri->dx, tri->dy, det_count);
     }
-    if (!(f->k_faces >= union_count && union_count >= m_noncorner))
-        VIOLATE("determined_union", "k=%d, union=%d, m=%d", f->k_faces, union_count,
+    if (!(out->k >= union_count && union_count >= m_noncorner))
+        VIOLATE("determined_union", "k=%d, union=%d, m=%d", out->k, union_count,
                 m_noncorner);
     /* only a parallelogram can be adjacent to triangles */
     for (k = 0; k < ncells; k++) {
@@ -848,12 +844,15 @@ _tiled_suites(const Scratch *s, const Faces *f, int n, const i64 *px, const i64 
             }
         }
     }
-    return f->near_pencil ? NEAR_YES : NEAR_NO;
+    return 0;
+untiled:
+    out->near_pencil = NEAR_UNTILED;
+    return 0;
 }
 
 /* The analysis of n distinct points within the coordinate bound, in scratch
- * memory s carved for n, its violations appended to the list; -1 with an
- * exception set. */
+ * memory s carved for n: its violations appended to the list, the rest
+ * written to out; -1 with an exception set. */
 static int
 _analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violations,
          Summary *out)
@@ -903,7 +902,7 @@ _analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violat
 
     /* --- arrangement vertices and their dual cells ---------------------- */
     Cell *cells = s->cells;
-    Faces f = {.near_pencil = 1};
+    *out = (Summary){.near_pencil = NEAR_YES};
     int *qx = s->qx, *qy = s->qy;
     for (i = 0; i < ncand_u; i++) {
         qx[i] = (int)KEY_X(candkey[i]);
@@ -920,8 +919,8 @@ _analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violat
         int nz = (sa > 0) + (sb > 0) + (sc > 0);
         if (!(c == 1 || nz >= 2))
             continue;
-        int cls = CLASS[c == 1][nz], k = f.ncells++, bdry = 0;
-        f.ordinary += c + sa + sb + sc == 2;
+        int cls = CLASS[c == 1][nz], k = out->t++, bdry = 0;
+        out->ordinary += c + sa + sb + sc == 2;
         Cell *cell = &cells[k];
         cell->m = _walk_cell(c, sa, sb, sc, count[4 * stride], count[5 * stride], cell->vx,
                              cell->vy);
@@ -930,59 +929,49 @@ _analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violat
         cell->dy = qy[i];
         for (j = 0; j < cell->m; j++) {
             i64 ax = cell->vx[j], ay = cell->vy[j], bx = cell->vx[j + 1], by = cell->vy[j + 1];
-            f.area2 += ax * by - ay * bx;
+            out->area2 += ax * by - ay * bx;
             bdry += ((ax == 0) & (bx == 0)) | ((ay == 0) & (by == 0))
                     | ((ax + ay == n) & (bx + by == n));
-            f.outside |= (ax < 0) | (ay < 0) | (ax + ay > n);
-            f.skew |= (bx != ax) & (by != ay) & (bx - ax != ay - by);
+            out->outside |= (ax < 0) | (ay < 0) | (ax + ay > n);
+            out->skew |= (bx != ax) & (by != ay) & (bx - ax != ay - by);
         }
         cell->bdry = bdry;
         cell->in_union = cell->adj_tris = 0;
-        f.triangles += cls == CLS_TRI;
-        f.k_faces += (cls == CLS_PAR) | (cls == CLS_HEX);
-        f.h_faces += cls >= CLS_NU4;
-        f.near_pencil &= (cls != CLS_TRI) | (bdry >= 1);
+        out->triangles += cls == CLS_TRI;
+        out->k += (cls == CLS_PAR) | (cls == CLS_HEX);
+        out->h += cls >= CLS_NU4;
+        out->near_pencil &= (cls != CLS_TRI) | (bdry >= 1);
     }
 
     /* --- counts and identity suites ------------------------------------- */
-    int t_count = f.ncells, triangles = f.triangles, k_faces = f.k_faces, h_faces = f.h_faces;
-    int b_faces = t_count - triangles;
+    out->b = out->t - out->triangles;
 
-    if (t_count != triangles + b_faces)
+    if (out->t != out->triangles + out->b)
         VIOLATE("count_identities", "t != triangles + b: " COUNTS, COUNTS_ARGS);
-    if (b_faces != k_faces + h_faces)
+    if (out->b != out->k + out->h)
         VIOLATE("count_identities", "b != k + h: " COUNTS, COUNTS_ARGS);
-    if (h_faces != n - triangles)
+    if (out->h != n - out->triangles)
         VIOLATE("count_identities", "h != n - triangles: " COUNTS, COUNTS_ARGS);
-    if (!(n <= t_count && t_count <= n * (n - 1) / 2 + n))
+    if (!(n <= out->t && out->t <= n * (n - 1) / 2 + n))
         VIOLATE("count_identities", "t out of range [n, n(n-1)/2 + n]: " COUNTS, COUNTS_ARGS);
-    if (b_faces != b_pairwise || k_faces != k_pairwise || h_faces != h_pairwise)
+    if (out->b != b_pairwise || out->k != k_pairwise || out->h != h_pairwise)
         VIOLATE("cross_oracle",
                 "faces give b=%d k=%d h=%d, pairwise intersections give b=%d k=%d h=%d",
-                b_faces, k_faces, h_faces, b_pairwise, k_pairwise, h_pairwise);
-    if (t_count == n && triangles > 3)
-        VIOLATE("max_triangles", "t=n=%d but %d triangles", t_count, triangles);
+                out->b, out->k, out->h, b_pairwise, k_pairwise, h_pairwise);
+    if (out->t == n && out->triangles > 3)
+        VIOLATE("max_triangles", "t=n=%d but %d triangles", out->t, out->triangles);
 
-    int near_pencil = _tiled_suites(s, &f, n, px, py, violations);
-    if (near_pencil < 0)
+    if (_tiled_suites(s, out, n, px, py, violations) < 0)
         return -1;
 
     /* --- the bound --------------------------------------------------------- */
-    int excess = b_pairwise - (n - 3);
+    out->excess = b_pairwise - (n - 3);
     if (n >= 4) {
-        if (excess < 0)
+        if (out->excess < 0)
             VIOLATE("bound", "b=%d < v-3=%d", b_pairwise, n - 3);
-        if (excess == 0 && near_pencil == NEAR_NO)
+        if (out->excess == 0 && out->near_pencil == NEAR_NO)
             VIOLATE("near_pencil", "b=v-3=%d but subdivision is not a near-pencil", b_pairwise);
     }
-    out->t = t_count;
-    out->triangles = triangles;
-    out->b = b_faces;
-    out->k = k_faces;
-    out->h = h_faces;
-    out->ordinary = f.ordinary;
-    out->near_pencil = near_pencil;
-    out->excess = excess;
     return 0;
 }
 

@@ -26,10 +26,12 @@ Suites, in the order both routes report them: count_identities,
 cross_oracle, max_triangles, tiling, cell_edges, regularity,
 determined_minimum (per triangle), determined_union, unit_parallelogram
 (per parallelogram), bound, near_pencil. Violations are data, not
-exceptions: the harness records them with the config for replay. Past
-the tiling both routes write the same texts, so a configuration failing
-those suites has the same record on both. The tiling texts are this
-route's own, those of the TilingFailure it catches; and a cell edge
+exceptions: the harness records them with the config for replay. Both
+routes write the same texts for every suite but the tiling, so a
+configuration failing those suites has the same record on both; faults
+given to both routes alike pin the count and cross-oracle texts, the
+regularity ones and those of the determined faces. The tiling texts are
+this route's own, those of the TilingFailure it catches; and a cell edge
 outside the H/V/D directions fails the tiling here, where the kernel
 reports it as cell_edges.
 """

@@ -27,7 +27,7 @@ from typing import List, Optional
 
 from . import kernel
 from .errors import InputFormatError, InvalidSweep, InvariantViolation, TroplinesError
-from .sweep import Exhaustive, JsonlSink, Random, SweepParams, run_sweep
+from .sweep import Exhaustive, Random, SweepParams, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,8 +133,7 @@ def cmd_verify(args) -> int:
     stream = (open(args.jsonl, "w", encoding="utf-8", buffering=1)
               if args.jsonl else None)
     try:
-        sink = JsonlSink(stream) if stream is not None else None
-        report = run_sweep(params, jobs=args.jobs, sink=sink)
+        report = run_sweep(params, jobs=args.jobs, sink=stream)
     finally:
         if stream is not None:
             stream.close()
@@ -200,7 +199,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
-    except (InputFormatError, TroplinesError) as exc:
+    except TroplinesError as exc:
         if getattr(exc, "index", None) is not None:
             print(f"error: duplicate point at index {exc.index}: {exc}",
                   file=sys.stderr)

@@ -10,19 +10,21 @@ Both run_sweep and sg_failure_search read one lazy configuration stream
 in a fixed order, cut into ordered chunks by one generator, _analyzed;
 workers take a bounded number of chunks at a time, so memory does not
 grow with the sweep size and results are identical for any worker count
-and fixed parameters (elapsed time aside). JSONL lines are encoded next
-to the analysis, in the workers. Each mode validates itself and knows
-its size, its coordinate reach and its stream.
+and fixed parameters (elapsed time aside). A run_sweep sink is a
+callable, given each record, or a text stream, given its JSONL line,
+which is encoded next to the analysis, in the workers. Each mode
+validates itself and knows its size, its coordinate reach and its
+stream.
 
 _analyzed picks the sweep's route once, from n and the mode's reach:
 when every configuration it can generate fits the compiled kernel, each
 chunk's int tuples go to it in one call, which returns the chunk's
 excesses, its violations, the offsets of its configurations with no
 ordinary stable line and its JSONL text, and the main process touches
-single records only for a plain callable sink; otherwise every
-configuration goes through the pure reference analysis. The report
-counts, and the failure search returns, the configurations whose record
-has ordinary == 0.
+single records only for a callable sink; otherwise every configuration
+goes through the pure reference analysis. The report counts, and the
+failure search returns, the configurations whose record has
+ordinary == 0.
 
 A compiled sweep imports neither the pure geometry nor multiprocessing.
 On the pure route _analyzed loads the pure geometry before its pool
@@ -171,23 +173,6 @@ def _config_list(params: SweepParams) -> Iterator[Tuple[IntPair, ...]]:
     return params.mode.configs(params.n)
 
 
-class JsonlSink:
-    """The run_sweep sink for a JSONL stream: each record reaches stream
-    as its line, sweep_line_json plus a newline.
-
-    run_sweep takes the stream instead of calling the sink: the lines are
-    encoded where the configurations are analyzed, in the workers when
-    there are any, and each chunk's lines reach the stream in one write as
-    soon as the chunk is analyzed. The first chunk holds one
-    configuration, so the first line comes after one analysis, and an
-    interrupted sweep leaves whole lines, at most one chunk short of the
-    records analyzed.
-    """
-
-    def __init__(self, stream: TextIO) -> None:
-        self.stream = stream
-
-
 class _Chunk(NamedTuple):
     """Consecutive configurations of one sweep, from index start on, with
     whether the sweep takes the kernel route and whether to encode JSONL
@@ -318,25 +303,29 @@ def _analyzed(params: SweepParams, jobs: int, encode: bool) -> Iterator:
 def run_sweep(
     params: SweepParams,
     jobs: int = 1,
-    sink: Union[Callable[[int, Tuple[IntPair, ...], int, list], None], JsonlSink, None] = None,
+    sink: Union[Callable[[int, Tuple[IntPair, ...], int, list], None], TextIO, None] = None,
 ) -> SweepReport:
     """Run the sweep and collect every violation with its configuration.
 
     The stream's chunks are analyzed by _analyzed, in process or on up to
-    jobs processes; the report does not depend on the worker count. sink,
-    when given, receives (index, config, excess, violations) for every
-    configuration in order, as soon as its chunk is analyzed. A
-    JsonlSink's stream receives the same records as lines encoded by the
-    workers. The report's route names the route the sweep took, and
-    no_ordinary_line counts the configurations with no ordinary stable
-    line.
+    jobs processes; the report does not depend on the worker count. A
+    callable sink receives (index, config, excess, violations) for every
+    configuration in order, as soon as its chunk is analyzed. Any other
+    sink is a text stream that receives each record as its JSONL line,
+    sweep_line_json plus a newline, encoded where the configuration is
+    analyzed: each chunk's lines reach it in one write as soon as the
+    chunk is analyzed. The first chunk holds one configuration, so the
+    first line comes after one analysis, and an interrupted sweep leaves
+    whole lines, at most one chunk short of the records analyzed. The
+    report's route names the route the sweep took, and no_ordinary_line
+    counts the configurations with no ordinary stable line.
     """
     if jobs < 1:
         raise InvalidSweep(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     stream = None
-    if isinstance(sink, JsonlSink):
-        stream, sink = sink.stream, None
+    if sink is not None and not callable(sink):
+        stream, sink = sink, None
     histogram: Counter = Counter()
     violations: List[Tuple[Tuple[IntPair, ...], str, str]] = []
     no_ordinary_line = 0

@@ -135,7 +135,9 @@ _LIFT_ANCHOR = "    _lift(n, px, py, lift);\n"
 # takes an edge with dx = 1 for a long one fails every parallelogram that
 # shares edges with two triangles, since one of its edge pairs has such an
 # edge. With corner slots only, a triangle's edge neighbours stop counting
-# among its determined faces, so the records show the slot rule.
+# among its determined faces, so the records show the slot rule. With b one
+# more than t - triangles, every configuration fails the two count
+# identities that b enters and the cross-oracle against the pairwise count.
 NEGATED_LIFT = (_LIFT_ANCHOR, _LIFT_ANCHOR + (
     "    for (i = 0; i <= n; i++)\n"
     "        for (j = 0; i + j <= n; j++)\n"
@@ -152,6 +154,8 @@ NO_DETERMINED_FACES = (_DETERMINED_ANCHOR, "        det_count = 0;\n" + _DETERMI
 CORNER_SLOTS_ONLY = ("e < 3 ? cells[k].cls == CLS_PAR || cells[k].cls == CLS_HEX", "e < 3 ? 0")
 _UNIT_EDGE_ANCHOR = "if (dx < -1 || dx > 1 || dy < -1 || dy > 1) {"
 LONG_UNIT_EDGE = (_UNIT_EDGE_ANCHOR, _UNIT_EDGE_ANCHOR.replace("dx > 1", "dx > 0"))
+_B_ANCHOR = "    out->b = out->t - out->triangles;\n"
+B_OFF_BY_ONE = (_B_ANCHOR, _B_ANCHOR.replace(";", " + 1;"))
 
 
 def _mutated_source(directory, anchor, replacement):
@@ -210,6 +214,12 @@ def long_unit_edge_kernel(tmp_path_factory):
     """The kernel with an edge of dx = 1 taken for a non-unit one by the
     unit-parallelogram suite."""
     return _mutant_kernel(tmp_path_factory, "long_unit_edge", LONG_UNIT_EDGE)
+
+
+@pytest.fixture(scope="session")
+def b_off_by_one_kernel(tmp_path_factory):
+    """The kernel with the face count b one more than t - triangles."""
+    return _mutant_kernel(tmp_path_factory, "b_off_by_one", B_OFF_BY_ONE)
 
 
 # an extension of nothing under the kernel's name, which any toolchain that

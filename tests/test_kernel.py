@@ -1,5 +1,6 @@
 """Backend selection and pure/compiled agreement."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -18,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from troplines import analysis, kernel, subdivision
+from troplines import analysis, arrangement, kernel, subdivision
 from troplines.analysis import analyze_config
 from troplines.incidence import ordinary_stable_lines, point_config
 from troplines.kernel import COORD_LIMIT, MAX_KERNEL_POINTS, backend_name, stream_eligible
 from troplines.subdivision import product_coefficients
-from troplines.sweep import Exhaustive, JsonlSink, SweepParams, run_sweep
+from troplines.sweep import Exhaustive, SweepParams, run_sweep
 
 from conftest import SOURCE
 from oracles import SUITES, sweep_line_spec
@@ -246,7 +247,7 @@ def test_grid_stream_matches_the_benchmark_digest(built_kernel, in_child, monkey
 
     def stream_digest():
         stream = _HashingStream()
-        report = run_sweep(SweepParams(5, Exhaustive(6)), jobs=1, sink=JsonlSink(stream))
+        report = run_sweep(SweepParams(5, Exhaustive(6)), jobs=1, sink=stream)
         return (stream.digest.hexdigest(), report.configs_tested, report.route,
                 report.no_ordinary_line, len(calls))
 
@@ -377,6 +378,11 @@ def _raised_lift(arr):
     return lift
 
 
+def _b_off_by_one(n, classes):
+    counts = arrangement.counts_from_classes(n, classes)
+    return dataclasses.replace(counts, b=counts.b + 1)
+
+
 def _fault_corpus(fault):
     """Every 3- and 4-subset of the 3 x 3 grid for the negated lift, 500
     seeded configurations of 4 to 9 points in range 6 for the others."""
@@ -406,6 +412,8 @@ FAULTS = {
     "long-unit-edge": ("long_unit_edge_kernel",
                        (analysis, "_UNIT_EDGE_VECTORS", {(0, 1), (-1, 0), (0, -1), (-1, 1)}),
                        {"unit_parallelogram"}),
+    "b-off-by-one": ("b_off_by_one_kernel", (analysis, "counts_from_classes", _b_off_by_one),
+                     {"count_identities", "cross_oracle"}),
 }
 
 

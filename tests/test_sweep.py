@@ -25,7 +25,6 @@ from troplines.errors import (
 from troplines.incidence import ordinary_stable_lines
 from troplines.sweep import (
     Exhaustive,
-    JsonlSink,
     Random,
     SweepParams,
     _config_list,
@@ -137,14 +136,14 @@ def test_a_failing_sink_stops_the_workers():
 _SPAWNED_SWEEP = """
 import io, multiprocessing, os, sys
 from troplines import kernel
-from troplines.sweep import JsonlSink, Random, SweepParams, run_sweep
+from troplines.sweep import Random, SweepParams, run_sweep
 
 multiprocessing.set_start_method("spawn")
 os.cpu_count = lambda: 2  # two workers on any machine
 kernel._COMPILED = None
 stream = io.StringIO()
 run_sweep(SweepParams(n=4, mode=Random(samples=30, coord_range=5, seed=2)), jobs=2,
-          sink=JsonlSink(stream))
+          sink=stream)
 sys.stdout.write(stream.getvalue())
 """
 
@@ -161,7 +160,7 @@ def test_pure_route_runs_on_spawned_workers(monkeypatch):
     assert done.returncode == 0, done.stderr
     in_process = io.StringIO()
     run_sweep(SweepParams(n=4, mode=Random(samples=30, coord_range=5, seed=2)),
-              sink=JsonlSink(in_process))
+              sink=in_process)
     assert done.stdout == in_process.getvalue()
 
 
@@ -249,11 +248,11 @@ def test_sweeps_start_no_more_workers_than_processors(monkeypatch, processors):
 
     params = SweepParams(n=3, mode=Random(samples=40, coord_range=6, seed=9))
     one_job = io.StringIO()
-    run_sweep(params, jobs=1, sink=JsonlSink(one_job))
+    run_sweep(params, jobs=1, sink=one_job)
     monkeypatch.setattr(multiprocessing, "Pool", inline_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: processors)
     many_jobs = io.StringIO()
-    report = run_sweep(params, jobs=100_000, sink=JsonlSink(many_jobs))
+    report = run_sweep(params, jobs=100_000, sink=many_jobs)
     assert report.configs_tested == 40
     assert many_jobs.getvalue() == one_job.getvalue()
     if processors is None:
@@ -343,9 +342,9 @@ def _summary(report):
 
 
 def _jsonl_and_summary(params, jobs=1):
-    """The sweep's JSONL bytes through a JsonlSink and its report's summary."""
+    """The sweep's JSONL bytes through a text-stream sink and its report's summary."""
     stream = io.StringIO()
-    report = run_sweep(params, jobs=jobs, sink=JsonlSink(stream))
+    report = run_sweep(params, jobs=jobs, sink=stream)
     return stream.getvalue().encode(), _summary(report)
 
 
