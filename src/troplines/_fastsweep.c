@@ -18,7 +18,8 @@
  *   - the argmax counts over the lines (c, s_a, s_b, s_c and the two shift
  *     counts), taken for LANES candidates at a time, classify each
  *     candidate and fix its dual cell, whose boundary is walked in closed
- *     form; c + s_a + s_b + s_c lines pass through an arrangement vertex,
+ *     form, convex and counterclockwise with H, V and D edges for any
+ *     counts; c + s_a + s_b + s_c lines pass through an arrangement vertex,
  *     so the vertices where that sum is 2 are the ordinary stable lines,
  *     those through exactly two points;
  *   - each cell is rasterized into one owner grid of the n^2 unit
@@ -249,8 +250,8 @@ _walk_cell(int c, int sa, int sb, int sc, int only_x, int only_y, i64 *ox, i64 *
 }
 
 /* Claim for cell k, which lies inside n * Delta_2, the unit triangles whose
- * centroids lie strictly inside it, adding their number to *claimed.
- * Returns a cell that already owned one of them, or -1.
+ * centroids lie strictly inside it. Returns a cell that already owned one
+ * of them, or -1.
  *
  * The centroid c lies strictly left of the edge from v to v + e when
  * cross(3e, c - 3v) > 0 in coordinates scaled by 3, that is when
@@ -262,7 +263,7 @@ _walk_cell(int c, int sa, int sb, int sc, int only_x, int only_y, i64 *ox, i64 *
  * tests run over all MAXV lanes without branches, the lanes past the last
  * edge testing 1 > 0. */
 static int
-_rasterize(const Cell *cell, int k, int n, int *owner, int *claimed)
+_rasterize(const Cell *cell, int k, int n, int *owner)
 {
     int ex[MAXV] = {0}, ey[MAXV] = {0}, start[MAXV], row[MAXV];
     int xlo = (int)cell->vx[0], xhi = xlo, ylo = (int)cell->vy[0], yhi = ylo;
@@ -301,7 +302,6 @@ _rasterize(const Cell *cell, int k, int n, int *owner, int *claimed)
                 if (*slot >= 0)
                     return *slot;
                 *slot = k;
-                ++*claimed;
             }
         }
     }
@@ -568,14 +568,13 @@ enum { NEAR_NO, NEAR_YES, NEAR_UNTILED };
 /* A configuration's analysis besides its violations, as the walk of the
  * cells and the suites fill it: the face counts, the ordinary stable points
  * (c + s_a + s_b + s_c = 2 lines pass through the vertex), the near-pencil
- * flag, the excess, and for the tiling and edge-direction suites the
- * doubled area and whether their scans have a violation to find. */
+ * flag, the excess, and for the tiling suite the doubled area and whether
+ * its corner scan has a violation to find. */
 typedef struct {
     int t, triangles, b, k, h, ordinary;
     int near_pencil;   /* NEAR_YES while every triangle has a boundary edge */
     int excess;
     int outside;       /* some corner lies outside n * Delta_2 */
-    int skew;          /* some edge is not horizontal, vertical or diagonal */
     i64 area2;
 } Summary;
 
@@ -630,13 +629,9 @@ _regularity(const Scratch *s, int ncells, int n, const i64 *px, const i64 *py,
     _lift(n, px, py, lift);
     for (k = 0; k < ncells; k++) {
         Cell *cell = &cells[k];
+        /* the walk's consecutive corners turn left, so det > 0 */
         cell->det = _cross3(cell->vx[0], cell->vy[0], cell->vx[1], cell->vy[1],
                             cell->vx[2], cell->vy[2]);
-        if (cell->det <= 0) {
-            VIOLATE("regularity", "cell at (%lld, %lld) is not counterclockwise",
-                    cell->dx, cell->dy);
-            return 0;
-        }
         i64 h0 = LIFT(cell->vx[0], cell->vy[0]);
         i64 h1 = LIFT(cell->vx[1], cell->vy[1]);
         i64 h2 = LIFT(cell->vx[2], cell->vy[2]);
@@ -711,9 +706,9 @@ undominated:
 #undef LIFT
 }
 
-/* The suites that need a tiling: the tiling itself, cell edge directions,
- * regularity against the lift, the near-pencil flag and the determined
- * faces, on the cells the walk recorded in out. Sets its near-pencil flag to
+/* The suites that need a tiling: the tiling itself, regularity against the
+ * lift, the near-pencil flag and the determined faces, on the cells the
+ * walk recorded in out. Sets its near-pencil flag to
  * NEAR_UNTILED when the cells do not tile n * Delta_2; -1 with an
  * exception set. */
 static int
@@ -723,7 +718,6 @@ _tiled_suites(const Scratch *s, Summary *out, int n, const i64 *px, const i64 *p
     Cell *cells = s->cells;
     int *owner = s->owner;
     int ncells = out->t, i, j, e, k;
-    i64 dx, dy;
 
     /* --- tiling ---------------------------------------------------------- */
     for (i = 0; i < ncells && out->outside; i++) {
@@ -743,37 +737,14 @@ _tiled_suites(const Scratch *s, Summary *out, int n, const i64 *px, const i64 *p
     }
     for (i = 0; i < 2 * n * n; i++)
         owner[i] = -1;
-    int claimed = 0;
+    /* a convex H/V/D cell claims as many unit triangles as its doubled
+     * area, so with the area sum no overlap means every one is covered */
     for (k = 0; k < ncells; k++) {
-        int first = _rasterize(&cells[k], k, n, owner, &claimed);
+        int first = _rasterize(&cells[k], k, n, owner);
         if (first >= 0) {
             VIOLATE("tiling", "cells at (%lld, %lld) and (%lld, %lld) overlap",
                     cells[first].dx, cells[first].dy, cells[k].dx, cells[k].dy);
             goto untiled;
-        }
-    }
-    /* each claim took a distinct one of the n^2 triangles, so the scan for
-     * the first one left uncovered can only find one when claims fall short */
-    for (j = 0; j < n && claimed < n * n; j++) {
-        for (i = 0; i + j < n; i++) {
-            for (int down = 0; down < 2 && i + j + down < n; down++) {
-                if (owner[OWNER(i, j, down)] < 0) {
-                    VIOLATE("tiling", "no cell covers unit triangle (%d, %d, %d)", i, j, down);
-                    goto untiled;
-                }
-            }
-        }
-    }
-
-    /* --- cell edge directions ------------------------------------------- */
-    for (i = 0; i < ncells && out->skew; i++) {
-        const Cell *cell = &cells[i];
-        for (j = 0; j < cell->m; j++) {
-            dx = cell->vx[j + 1] - cell->vx[j];
-            dy = cell->vy[j + 1] - cell->vy[j];
-            if (!(dx == 0 || dy == 0 || dx == -dy))
-                VIOLATE("cell_edges", "cell at (%lld, %lld) has edge (%lld,%lld)",
-                        cell->dx, cell->dy, dx, dy);
         }
     }
 
@@ -834,8 +805,7 @@ _tiled_suites(const Scratch *s, Summary *out, int n, const i64 *px, const i64 *p
         if (cell->adj_tris < 2)
             continue;
         for (i = 0; i < cell->m; i++) {
-            dx = cell->vx[i + 1] - cell->vx[i];
-            dy = cell->vy[i + 1] - cell->vy[i];
+            i64 dx = cell->vx[i + 1] - cell->vx[i], dy = cell->vy[i + 1] - cell->vy[i];
             if (dx < -1 || dx > 1 || dy < -1 || dy > 1) {
                 VIOLATE("unit_parallelogram",
                         "parallelogram adjacent to %d triangles has a non-unit edge",
@@ -933,8 +903,8 @@ _analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violat
             bdry += ((ax == 0) & (bx == 0)) | ((ay == 0) & (by == 0))
                     | ((ax + ay == n) & (bx + by == n));
             out->outside |= (ax < 0) | (ay < 0) | (ax + ay > n);
-            out->skew |= (bx != ax) & (by != ay) & (bx - ax != ay - by);
         }
+        /* no edge is skew: the step lengths sum to zero for any counts */
         cell->bdry = bdry;
         cell->in_union = cell->adj_tris = 0;
         out->triangles += cls == CLS_TRI;

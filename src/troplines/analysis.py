@@ -23,17 +23,14 @@ The record is a plain JSON-friendly dict:
                              the configuration passes everything
 
 Suites, in the order both routes report them: count_identities,
-cross_oracle, max_triangles, tiling, cell_edges, regularity,
-determined_minimum (per triangle), determined_union, unit_parallelogram
-(per parallelogram), bound, near_pencil. Violations are data, not
-exceptions: the harness records them with the config for replay. Both
-routes write the same texts for every suite but the tiling, so a
-configuration failing those suites has the same record on both; faults
-given to both routes alike pin the count and cross-oracle texts, the
-regularity ones and those of the determined faces. The tiling texts are
-this route's own, those of the TilingFailure it catches; and a cell edge
-outside the H/V/D directions fails the tiling here, where the kernel
-reports it as cell_edges.
+cross_oracle, max_triangles, tiling, regularity, determined_minimum (per
+triangle), determined_union, unit_parallelogram (per parallelogram),
+bound, near_pencil. Violations are data, not exceptions: the harness
+records them with the config for replay. Both routes write the same
+texts for every suite, so a configuration failing any of them has the
+same record on both; faults given to both routes alike pin the count,
+cross-oracle, tiling and regularity texts and those of the determined
+faces.
 """
 
 from __future__ import annotations

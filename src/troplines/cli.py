@@ -115,13 +115,11 @@ def cmd_render(args) -> int:
 def cmd_verify(args) -> int:
     if args.mode == "exhaustive":
         if args.grid is None:
-            print("error: --mode exhaustive needs --grid", file=sys.stderr)
-            return 2
+            raise InvalidSweep("--mode exhaustive needs --grid")
         mode = Exhaustive(grid_size=args.grid)
     else:
         if args.samples is None or args.coord_range is None:
-            print("error: --mode random needs --samples and --range", file=sys.stderr)
-            return 2
+            raise InvalidSweep("--mode random needs --samples and --range")
         mode = Random(samples=args.samples, coord_range=args.coord_range,
                       seed=args.seed)
     params = SweepParams(n=args.n, mode=mode)

@@ -60,16 +60,16 @@ class TooFewPoints(TroplinesError):
     """A point configuration is below the operation's minimum size."""
 
 
-class GridTooSmall(TroplinesError):
+class InvalidSweep(TroplinesError):
+    """Sweep parameters violate a precondition (sizes, modes)."""
+
+
+class GridTooSmall(InvalidSweep):
     """grid_size**2 < n: the lattice cannot host the configuration."""
 
 
-class RangeTooSmall(TroplinesError):
+class RangeTooSmall(InvalidSweep):
     """(2*coord_range+1)**2 < n: the sample box cannot host n distinct points."""
-
-
-class InvalidSweep(TroplinesError):
-    """Sweep parameters violate a precondition (sizes, modes)."""
 
 
 class InputFormatError(TroplinesError):

@@ -97,6 +97,12 @@ class DualSubdivision:
     owner: Dict[UnitTriangle, int] = field(repr=False)
 
 
+def point_text(point) -> str:
+    """A point as every message writes it, "(x, y)", with a non-integer
+    coordinate as p/q."""
+    return f"({point[0]}, {point[1]})"
+
+
 def _unit_triangles(cell: CellPolygon) -> List[UnitTriangle]:
     """The unit triangles that make up the cell, row by row.
 
@@ -113,7 +119,7 @@ def _unit_triangles(cell: CellPolygon) -> List[UnitTriangle]:
         dx, dy = bx - ax, by - ay
         if not (dx == 0 or dy == 0 or dx == -dy):
             raise TilingFailure(
-                f"cell at {cell.dual_point} has edge ({dx},{dy}) outside the "
+                f"cell at {point_text(cell.dual_point)} has edge ({dx},{dy}) outside the "
                 f"H/V/D directions"
             )
         if dy:
@@ -150,7 +156,7 @@ def tile(n: int, cells: List[CellPolygon]) -> Dict[UnitTriangle, int]:
         for (i, j) in cell.vertices:
             if i < 0 or j < 0 or i + j > n:
                 raise TilingFailure(
-                    f"cell at {cell.dual_point} leaves {n}*Delta_2 at ({i},{j})"
+                    f"cell at {point_text(cell.dual_point)} leaves {n}*Delta_2 at ({i},{j})"
                 )
     total = sum(cell.doubled_area() for cell in cells)
     if total != n * n:
@@ -163,7 +169,8 @@ def tile(n: int, cells: List[CellPolygon]) -> Dict[UnitTriangle, int]:
             first = owner.setdefault(tri, k)
             if first != k:
                 raise TilingFailure(
-                    f"cells at {cells[first].dual_point} and {cell.dual_point} overlap"
+                    f"cells at {point_text(cells[first].dual_point)} and "
+                    f"{point_text(cell.dual_point)} overlap"
                 )
     return owner
 
@@ -187,12 +194,6 @@ def dual_subdivision(arr: Arrangement, cells=None) -> DualSubdivision:
         lift=product_coefficients(arr),
         owner=tile(arr.n, cells),
     )
-
-
-def point_text(point) -> str:
-    """A point as every message writes it, "(x, y)", with a non-integer
-    coordinate as p/q."""
-    return f"({point[0]}, {point[1]})"
 
 
 def check_regularity_detailed(sub: DualSubdivision) -> Tuple[bool, Optional[str]]:

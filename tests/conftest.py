@@ -138,6 +138,9 @@ _LIFT_ANCHOR = "    _lift(n, px, py, lift);\n"
 # among its determined faces, so the records show the slot rule. With b one
 # more than t - triangles, every configuration fails the two count
 # identities that b enters and the cross-oracle against the pairwise count.
+# The first cell walked (k = 0), one unit further along x or one H segment
+# longer, leaves n * Delta_2, or else overlaps a neighbour or breaks the
+# area sum: each of the tiling texts.
 NEGATED_LIFT = (_LIFT_ANCHOR, _LIFT_ANCHOR + (
     "    for (i = 0; i <= n; i++)\n"
     "        for (j = 0; i + j <= n; j++)\n"
@@ -156,6 +159,11 @@ _UNIT_EDGE_ANCHOR = "if (dx < -1 || dx > 1 || dy < -1 || dy > 1) {"
 LONG_UNIT_EDGE = (_UNIT_EDGE_ANCHOR, _UNIT_EDGE_ANCHOR.replace("dx > 1", "dx > 0"))
 _B_ANCHOR = "    out->b = out->t - out->triangles;\n"
 B_OFF_BY_ONE = (_B_ANCHOR, _B_ANCHOR.replace(";", " + 1;"))
+_WALK_ANCHOR = ("        cell->m = _walk_cell(c, sa, sb, sc, count[4 * stride], count[5 * stride],"
+                " cell->vx,\n")
+SHIFTED_FIRST_CELL = (_WALK_ANCHOR, _WALK_ANCHOR.replace(
+    "count[4 * stride]", "count[4 * stride] + (k == 0)"))
+GROWN_FIRST_CELL = (_WALK_ANCHOR, _WALK_ANCHOR.replace("sa, sb", "sa + (k == 0), sb"))
 
 
 def _mutated_source(directory, anchor, replacement):
@@ -220,6 +228,18 @@ def long_unit_edge_kernel(tmp_path_factory):
 def b_off_by_one_kernel(tmp_path_factory):
     """The kernel with the face count b one more than t - triangles."""
     return _mutant_kernel(tmp_path_factory, "b_off_by_one", B_OFF_BY_ONE)
+
+
+@pytest.fixture(scope="session")
+def shifted_first_cell_kernel(tmp_path_factory):
+    """The kernel with the first cell walked one unit further along x."""
+    return _mutant_kernel(tmp_path_factory, "shifted_first_cell", SHIFTED_FIRST_CELL)
+
+
+@pytest.fixture(scope="session")
+def grown_first_cell_kernel(tmp_path_factory):
+    """The kernel with the first cell walked with one more H segment."""
+    return _mutant_kernel(tmp_path_factory, "grown_first_cell", GROWN_FIRST_CELL)
 
 
 # an extension of nothing under the kernel's name, which any toolchain that

@@ -262,7 +262,6 @@ SUITES = frozenset(
         "count_identities",
         "tiling",
         "regularity",
-        "cell_edges",
         "max_triangles",
         "determined_union",
         "determined_minimum",

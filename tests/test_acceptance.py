@@ -37,7 +37,6 @@ STRUCTURAL_SUITES = {
     "count_identities",
     "tiling",
     "regularity",
-    "cell_edges",
     "max_triangles",
     "determined_union",
     "determined_minimum",

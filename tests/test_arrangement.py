@@ -12,6 +12,7 @@ four-line near-pencil whose lines all pass through one point).
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,7 @@ from troplines.lines import (
 
 from troplines.serialize import parse_rational
 
+from conftest import SOURCE
 from oracles import (
     canonical_ccw,
     contains_point,
@@ -447,3 +449,45 @@ def test_cell_edges_use_only_the_three_directions(vertices):
                 (0, -1),
                 (-1, 1),
             }
+
+
+def _kernel_walk_steps(vd):
+    """The steps of the kernel's cell walk for vd's counts, as (dx, dy)
+    times the step's length, those of zero length skipped: its STEPX and
+    STEPY tables and its length table, read from its source."""
+    source = (SOURCE / "_fastsweep.c").read_text()
+    [xs] = re.findall(r"STEPX\[6\] = \{([^}]*)\}", source)
+    [ys] = re.findall(r"STEPY\[6\] = \{([^}]*)\}", source)
+    [lengths] = re.findall(r"const int length\[6\] = \{([^}]*)\}", source)
+    counts = {"c": vd.c, "sa": vd.s_a, "sb": vd.s_b, "sc": vd.s_c}
+    steps = []
+    for dx, dy, length in zip(xs.split(","), ys.split(","), lengths.split(","), strict=True):
+        size = sum(counts[term.strip()] for term in length.split("+"))
+        if size:
+            steps.append((int(dx) * size, int(dy) * size))
+    return steps
+
+
+def test_the_walk_gives_a_convex_hvd_cell_for_any_counts():
+    # every count tuple that meets the vertex criterion, not only those an
+    # arrangement realizes: both walks take the same steps, the last edge
+    # back to the first corner is the last step (the step lengths sum to
+    # zero), and the cell has 3 to 6 corners, only H, V and D edges and a
+    # strict left turn at every corner; the kernel checks none of this
+    directions = {(1, 0), (0, 1), (1, -1), (-1, 0), (0, -1), (-1, 1)}
+    walked = 0
+    for c, sa, sb, sc, only_x, only_y in itertools.product(
+            range(2), range(5), range(5), range(5), range(3), range(3)):
+        vd = VertexData(Point2(0, 0), c, sa, sb, sc, only_x, only_y)
+        if not vd.is_vertex:
+            continue
+        walked += 1
+        cell = dual_cell(None, vd)  # the walk reads only the counts
+        edges = [(b[0] - a[0], b[1] - a[1]) for a, b in polygon_edges(cell.vertices)]
+        assert edges == _kernel_walk_steps(vd), vd
+        assert 3 <= len(edges) <= 6, vd
+        for (dx, dy), (ex, ey) in zip(edges, edges[1:] + edges[:1]):
+            g = math.gcd(dx, dy)
+            assert (dx // g, dy // g) in directions, vd
+            assert dx * ey - dy * ex > 0, vd
+    assert walked == 2133

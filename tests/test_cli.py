@@ -131,9 +131,9 @@ def test_render_rejects_empty_input(tmp_path, capsys):
 
 def test_verify_flag_validation(capsys):
     assert main(["verify", "--n", "3", "--mode", "exhaustive"]) == 2
-    assert "--grid" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: --mode exhaustive needs --grid\n")
     assert main(["verify", "--n", "3", "--mode", "random", "--samples", "5"]) == 2
-    assert "--range" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: --mode random needs --samples and --range\n")
     assert main(["verify", "--n", "3", "--mode", "exhaustive", "--grid", "1"]) == 2
     assert "grid_size" in capsys.readouterr().err
 

@@ -45,6 +45,9 @@ def test_enumeration_counts_and_order():
 def test_enumeration_rejects_a_grid_with_too_few_points():
     with pytest.raises(GridTooSmall):
         SweepParams(n=5, mode=Exhaustive(2))
+    # an undersized grid is an invalid sweep too
+    with pytest.raises(InvalidSweep):
+        SweepParams(n=5, mode=Exhaustive(2))
 
 
 @pytest.mark.parametrize(
@@ -67,6 +70,8 @@ def test_range_too_small_for_distinct_points():
         SweepParams(n=10, mode=Random(samples=1, coord_range=1))
     with pytest.raises(RangeTooSmall):
         Random(samples=1, coord_range=1).validate(10)
+    with pytest.raises(InvalidSweep):
+        SweepParams(n=10, mode=Random(samples=1, coord_range=1))
 
 
 def test_random_config_is_seeded_and_distinct():
