@@ -330,7 +330,9 @@ _in_corner_slot(const Cell *s, int e, i64 x, i64 y)
  * order, written to keys, which has room for six; returns their count.
  * Rays of one direction are parallel, and each other pair (r1 from a, r2
  * from a + d) meets where t r1 - s r2 = d, off the vertices when t, s > 0:
- * a strict sign test on d. A crossing at a vertex has d on a ray axis, and
+ * a strict sign test on d. The six tests hold on the six open sectors that
+ * the axes dy = 0, dx = 0 and dx = dy cut the plane into, one each, so d
+ * off the axes gives one crossing and d on one none; a crossing at a vertex
  * is a candidate already as that vertex. Every crossing is written and a
  * missed one overwritten by the next, without branches. */
 static int
@@ -356,22 +358,17 @@ _ray_crossings(i64 ax, i64 ay, i64 dx, i64 dy, i64 *keys)
  * keys, which has room for six, their count in *hits, and the key of the
  * pair's stable point: when the vertices lie on a common ray axis, the
  * vertex that lies on the other line, and the pair crosses only there;
- * else the pair's single crossing. So it is always one of the vertices or
- * crossings. -1 with an AssertionError set when a pair crosses otherwise. */
+ * else the pair's single crossing. The vertices are distinct, so their
+ * offset lies on at most one axis, and *hits == !coaxial. */
 static i64
 _stable_point(const i64 *vx, const i64 *vy, int i, int j, i64 *keys, int *hits)
 {
     i64 dx = vx[j] - vx[i], dy = vy[j] - vy[i];
     *hits = _ray_crossings(vx[i], vy[i], dx, dy, keys);
-    /* the vertices are distinct, so at most one of the three axes holds */
     int coaxial = (dy == 0) | (dx == 0) | (dx == dy);
     int first = ((dy == 0) & (dx > 0)) | ((dx == 0) & (dy > 0)) | ((dx == dy) & (dx < 0));
     i64 vertex = first ? KEY(vx[i], vy[i]) : KEY(vx[j], vy[j]);
-    if (*hits == !coaxial)
-        return coaxial ? vertex : keys[0];
-    PyErr_Format(PyExc_AssertionError, "%s pair %d,%d produced %d crossings",
-                 coaxial ? "coaxial" : "non-coaxial", i, j, *hits);
-    return -1;
+    return coaxial ? vertex : keys[0];
 }
 
 /* Runs of at most SMALL_SORT keys are sorted by insertion, longer ones by
@@ -844,13 +841,10 @@ _analyze(const i64 *px, const i64 *py, int n, const Scratch *s, PyObject *violat
         candkey[ncand++] = vkey[i] = KEY(vx[i], vy[i]);
     for (i = 0; i < n; i++) {
         for (j = i + 1; j < n; j++) {
-            i64 key = _stable_point(vx, vy, i, j, cross, &hits);
-            if (key < 0)
-                return -1;
+            stabkey[nstab++] = _stable_point(vx, vy, i, j, cross, &hits);
             /* at most one crossing, written always and kept when there is one */
             candkey[ncand] = cross[0];
             ncand += hits;
-            stabkey[nstab++] = key;
         }
     }
     int ncand_u = _sort_unique(candkey, ncand, s->sortbuf);
@@ -968,9 +962,9 @@ PyDoc_STRVAR(analyze_ints_doc,
 "The per-configuration analysis record for integer points.\n\n"
 "points is a sequence of 1 to MAX_POINTS (128) distinct (x, y) tuples\n"
 "or lists of integers within +/- 2**20. Same shape as\n"
-"analysis.analyze_config:\n"
-"counts, flags, excess and the violations list with the shared suite\n"
-"vocabulary.");
+"analysis.analyze_config: counts, flags, excess and the violations list\n"
+"with the shared suite vocabulary. A failed check is a violation; only\n"
+"points it does not take raise (ValueError, TypeError), or MemoryError.");
 
 static PyObject *
 analyze_ints(PyObject *Py_UNUSED(module), PyObject *points)
@@ -1110,9 +1104,10 @@ PyDoc_STRVAR(analyze_chunk_doc,
 "(array('i') bytes); flagged lists (offset, violations) in offset order\n"
 "for the configurations that have violations; bare lists the offsets, in\n"
 "order, of the configurations whose record has ordinary == 0, no stable\n"
-"line through exactly two points; text is the chunk's JSONL\n"
-"lines, each serialize.sweep_line_json's line of the record plus a\n"
-"newline, or None when encode is false.");
+"line through exactly two points; text is the chunk's JSONL lines, each\n"
+"serialize.sweep_line_json's line of the record plus a newline, or None\n"
+"when encode is false. Raises as analyze_ints does on the first\n"
+"configuration it does not take, and TypeError on wrong arguments.");
 
 static PyObject *
 analyze_chunk(PyObject *Py_UNUSED(module), PyObject *args)

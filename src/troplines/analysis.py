@@ -90,7 +90,7 @@ def analyze_arrangement(arr: Arrangement) -> Analysis:
 
     # route two: arrangement vertices and their dual cells, each built once
     vertex_data = arrangement_vertices(arr)
-    cells = [dual_cell(arr, vd) for vd in vertex_data]
+    cells = [dual_cell(vd) for vd in vertex_data]
     cnt = counts_from_classes(arr.n, [cell.cell_class for cell in cells])
     ordinary = sum(vd.c + vd.s_a + vd.s_b + vd.s_c == 2 for vd in vertex_data)
     for problem in verify_count_identities(cnt):

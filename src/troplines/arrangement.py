@@ -235,7 +235,7 @@ class CellPolygon:
         return doubled_area(self.vertices)
 
 
-def dual_cell(arr: Arrangement, vd: VertexData) -> CellPolygon:
+def dual_cell(vd: VertexData) -> CellPolygon:
     """The cell dual to vd.point, walked along its edges.
 
     The cell is the Minkowski sum over the lines of the hulls of their

@@ -8,10 +8,12 @@ over integer configurations, JSONL stream plus summary), stable-line
 Exit codes: 0 success or sweep verified, 1 a mathematical invariant was
 violated (the counterexample is printed), 2 usage or input error,
 including files that cannot be read or written, 3 internal error: one of
-the pipeline's own assertions failed, which is a bug in troplines and
+the pure route's own assertions failed, which is a bug in troplines and
 not a counterexample (printed as "internal error: ...", which during
-verify ends with the points of the configuration). No environment
-variable changes the behaviour; --jobs alone sets the worker count.
+verify ends with the points of the configuration). The compiled kernel
+raises only on points it does not take, so a fault in it shows as a
+violation or a crash, never as exit 3. No environment variable changes
+the behaviour; --jobs alone sets the worker count.
 
 Importing this module loads only what verify needs, the sweep and the
 kernel selection; the other subcommands import the pure geometry when

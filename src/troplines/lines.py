@@ -22,7 +22,7 @@ perturbation definition, which the tests keep as an oracle.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Sequence, Set, Tuple
 
 from .errors import EqualPoints, IdenticalLines
 from .rationals import Rational
@@ -31,12 +31,6 @@ from .rationals import Rational
 class Point2(NamedTuple):
     x: Rational
     y: Rational
-
-
-# Axis directions of a tropical line, named by compass heading.
-W = "W"
-S = "S"
-NE = "NE"
 
 
 class TropicalLine(NamedTuple):
@@ -78,21 +72,12 @@ def contains(L: TropicalLine, q: Point2) -> bool:
     return len(members) >= 2
 
 
-def coaxial_points(p: Point2, q: Point2) -> Optional[str]:
-    """The shared axis direction of two points, if any.
-
-    W for equal y, S for equal x, NE for difference parallel to (1,1).
-    Distinct points can share at most one axis.
-    """
+def coaxial_points(p: Point2, q: Point2) -> bool:
+    """Whether two distinct points share a ray axis: equal y, equal x or
+    difference parallel to (1,1)."""
     if p == q:
         raise EqualPoints(f"coaxial_points needs distinct points, got {p}")
-    if p.y == q.y:
-        return W
-    if p.x == q.x:
-        return S
-    if p.x - q.x == p.y - q.y:
-        return NE
-    return None
+    return p.y == q.y or p.x == q.x or p.x - q.x == p.y - q.y
 
 
 class IntersectionKind(enum.Enum):
@@ -149,8 +134,7 @@ def pairwise_stable_intersection(L1: TropicalLine, L2: TropicalLine) -> StableIn
     v1, v2 = L1.vertex, L2.vertex
     if v1 == v2:
         raise IdenticalLines(f"both lines have vertex {v1}")
-    axis = coaxial_points(v1, v2)
-    if axis is None:
+    if not coaxial_points(v1, v2):
         crossings = ray_crossings(L1, L2)
         if len(crossings) != 1:
             raise AssertionError(

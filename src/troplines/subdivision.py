@@ -187,7 +187,7 @@ def dual_subdivision(arr: Arrangement, cells=None) -> DualSubdivision:
     vertex, may pass them to skip building them again.
     """
     if cells is None:
-        cells = [dual_cell(arr, vd) for vd in arrangement_vertices(arr)]
+        cells = [dual_cell(vd) for vd in arrangement_vertices(arr)]
     return DualSubdivision(
         n=arr.n,
         cells=cells,

@@ -141,7 +141,7 @@ def render_svg(arr: Arrangement) -> str:
         + '" fill="none" stroke="#999999" stroke-width="0.5"/>'
     )
     for vd in arrangement_vertices(arr):
-        cell = dual_cell(arr, vd)
+        cell = dual_cell(vd)
         fill = CELL_FILLS[cell.cell_class.value]
         parts.append(
             '<polygon points="'

@@ -184,18 +184,6 @@ class _Chunk(NamedTuple):
     encode: bool
 
 
-@contextlib.contextmanager
-def _naming(pairs: Tuple[IntPair, ...]) -> Iterator[None]:
-    """Raise an AssertionError from the analysis of pairs again, naming
-    the points."""
-    try:
-        yield
-    except AssertionError as exc:
-        raise AssertionError(
-            f"{str(exc) or 'assertion failed'} at points {[list(p) for p in pairs]}"
-        ) from exc
-
-
 def _analyze_chunk(
     chunk: _Chunk,
 ) -> Tuple[array, List[Tuple[int, list]], List[int], Optional[str]]:
@@ -206,22 +194,15 @@ def _analyze_chunk(
     otherwise).
 
     The kernel route passes the chunk's int tuples to the extension in one
-    call; the pure route takes each configuration through kernel.analyze,
-    importing point_config and sweep_line_json once per chunk. An
-    AssertionError from either is raised again naming the points.
+    call, which raises only on points it does not take; a check that fails
+    there is a violation. The pure route takes each configuration through
+    kernel.analyze, importing point_config and sweep_line_json once per
+    chunk, and raises an AssertionError from the pure analysis again naming
+    the points.
     """
     if chunk.compiled:
-        analyze_chunk = kernel._COMPILED.analyze_chunk
-        try:
-            raw, flagged, bare, text = analyze_chunk(chunk.configs, chunk.start,
-                                                     chunk.encode)
-        except AssertionError:
-            # the kernel is deterministic, so the configuration that failed
-            # fails again on its own
-            for offset, pairs in enumerate(chunk.configs):
-                with _naming(pairs):
-                    analyze_chunk((pairs,), chunk.start + offset, False)
-            raise
+        raw, flagged, bare, text = kernel._COMPILED.analyze_chunk(
+            chunk.configs, chunk.start, chunk.encode)
         return array("i", raw), flagged, bare, text
     from .incidence import point_config
     from .serialize import sweep_line_json
@@ -231,8 +212,12 @@ def _analyze_chunk(
     bare = []
     lines: List[str] = []
     for offset, pairs in enumerate(chunk.configs):
-        with _naming(pairs):
+        try:
             record = kernel.analyze(point_config(pairs))
+        except AssertionError as exc:
+            raise AssertionError(
+                f"{str(exc) or 'assertion failed'} at points {[list(p) for p in pairs]}"
+            ) from exc
         excess = record["excess"]
         bad = record["violations"]
         excesses.append(excess)

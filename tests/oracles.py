@@ -228,7 +228,7 @@ def perturbed_intersection_oracle(L1, L2, eps, direction):
     if eps <= 0:
         raise ValueError("eps must be positive")
     shifted_vertex = point_add(L2.vertex, point_scale(direction, eps))
-    if shifted_vertex == L1.vertex or coaxial_points(L1.vertex, shifted_vertex) is not None:
+    if shifted_vertex == L1.vertex or coaxial_points(L1.vertex, shifted_vertex):
         raise NotTransversal(
             f"shift {direction} by {eps} leaves vertices {L1.vertex}, {shifted_vertex} degenerate"
         )

@@ -355,12 +355,12 @@ def test_classify_rejects_non_vertices():
     with pytest.raises(NotAVertex):
         classify_cell(vd)
     with pytest.raises(NotAVertex):
-        dual_cell(_arr((0, 0)), vd)
+        dual_cell(vd)
 
 
 def test_dual_cell_single_line_is_unit_triangle():
     arr = _arr((0, 0))
-    cell = dual_cell(arr, arrangement_vertices(arr)[0])
+    cell = dual_cell(arrangement_vertices(arr)[0])
     assert cell.vertices == ((0, 0), (1, 0), (0, 1))
     assert cell.cell_class is CellClass.TRIANGLE
     assert cell.doubled_area() == 1
@@ -369,7 +369,7 @@ def test_dual_cell_single_line_is_unit_triangle():
 def test_pencil_like_center_cell_is_six_edged():
     arr = _arr(*PENCIL_LIKE)
     by_point = {vd.point: vd for vd in arrangement_vertices(arr)}
-    cell = dual_cell(arr, by_point[Point2(0, 0)])
+    cell = dual_cell(by_point[Point2(0, 0)])
     assert cell.cell_class is CellClass.NON_UNIFORM_6
     assert cell.vertices == ((0, 1), (1, 0), (3, 0), (3, 1), (1, 3), (0, 3))
     assert cell.doubled_area() == 13
@@ -382,7 +382,7 @@ def test_pencil_like_center_cell_is_six_edged():
 def test_pencil_like_side_cell_is_a_positioned_unit_triangle():
     arr = _arr(*PENCIL_LIKE)
     by_point = {vd.point: vd for vd in arrangement_vertices(arr)}
-    cell = dual_cell(arr, by_point[Point2(0, 2)])
+    cell = dual_cell(by_point[Point2(0, 2)])
     assert cell.cell_class is CellClass.TRIANGLE
     assert cell.vertices == ((0, 3), (1, 3), (0, 4))
 
@@ -426,7 +426,7 @@ half_integers = st.integers(-8, 8).map(lambda k: parse_rational(f"{k}/2", "k/2")
 def test_dual_cell_matches_the_minkowski_reference(vertices):
     arr = _arr(*vertices)
     for vd in arrangement_vertices(arr):
-        cell = dual_cell(arr, vd)
+        cell = dual_cell(vd)
         assert cell.vertices == minkowski_cell(type_tuple(arr, vd.point)), (vertices, vd.point)
         assert all(type(c) is int for corner in cell.vertices for c in corner)
 
@@ -436,7 +436,7 @@ def test_dual_cell_matches_the_minkowski_reference(vertices):
 def test_cell_edges_use_only_the_three_directions(vertices):
     arr = _arr(*vertices)
     for vd in arrangement_vertices(arr):
-        cell = dual_cell(arr, vd)
+        cell = dual_cell(vd)
         assert 3 <= len(cell.vertices) <= 6
         for a, b in polygon_edges(cell.vertices):
             dx, dy = b[0] - a[0], b[1] - a[1]
@@ -482,7 +482,7 @@ def test_the_walk_gives_a_convex_hvd_cell_for_any_counts():
         if not vd.is_vertex:
             continue
         walked += 1
-        cell = dual_cell(None, vd)  # the walk reads only the counts
+        cell = dual_cell(vd)
         edges = [(b[0] - a[0], b[1] - a[1]) for a, b in polygon_edges(cell.vertices)]
         assert edges == _kernel_walk_steps(vd), vd
         assert 3 <= len(edges) <= 6, vd

@@ -300,8 +300,8 @@ def test_internal_assertion_is_exit_3_not_a_counterexample(tmp_path, monkeypatch
     assert captured.err == "internal error: cell areas drifted\n"
 
 
-@pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_verify_internal_assertion_names_the_configuration(monkeypatch, capsys, backend):
+def test_verify_internal_assertion_names_the_configuration(monkeypatch, capsys):
+    # the pure route's assertions; the kernel raises only on bad points
     target = ((0, 0), (0, 1), (1, 2))
     real = analysis.analyze_config
 
@@ -310,21 +310,10 @@ def test_verify_internal_assertion_names_the_configuration(monkeypatch, capsys, 
             raise AssertionError("cell areas drifted")
         return real(point_config(points))
 
-    def broken_chunk(configs, start, encode):
-        # a stand-in for the chunk entry: the whole chunk fails when the
-        # target is in it, and every other configuration has excess 0 and
-        # an ordinary line
-        if target in configs:
-            raise AssertionError("cell areas drifted")
-        return bytes(4 * len(configs)), [], [], "\n" * len(configs) if encode else None
-
-    if backend == "pure":
-        monkeypatch.setattr(kernel, "_COMPILED", None)
-        monkeypatch.setattr(analysis, "analyze_config", lambda cfg: broken(cfg.points))
-    else:
-        monkeypatch.setattr(kernel, "_COMPILED", types.SimpleNamespace(analyze_chunk=broken_chunk))
+    monkeypatch.setattr(kernel, "_COMPILED", None)
+    monkeypatch.setattr(analysis, "analyze_config", lambda cfg: broken(cfg.points))
     # in process, one configuration per chunk, and on two workers, where
-    # the target's chunk of ten fails as a whole
+    # the target's chunk holds ten
     for jobs in ("1", "2"):
         assert main(["verify", "--n", "3", "--mode", "exhaustive", "--grid", "3",
                      "--jobs", jobs]) == 3

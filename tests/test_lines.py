@@ -17,9 +17,6 @@ import pytest
 
 from troplines.errors import EqualPoints, IdenticalLines
 from troplines.lines import (
-    NE,
-    S,
-    W,
     IntersectionKind,
     Point2,
     TropicalLine,
@@ -90,10 +87,10 @@ def test_ray_midpoints_are_contained():
 
 
 def test_coaxial_points_cases():
-    assert coaxial_points(Point2(-3, 2), Point2(-1, 2)) == W
-    assert coaxial_points(Point2(0, 0), Point2(0, -2)) == S
-    assert coaxial_points(Point2(0, 0), Point2(5, 5)) == NE
-    assert coaxial_points(Point2(0, 0), Point2(1, 2)) is None
+    assert coaxial_points(Point2(-3, 2), Point2(-1, 2)) is True
+    assert coaxial_points(Point2(0, 0), Point2(0, -2)) is True
+    assert coaxial_points(Point2(0, 0), Point2(5, 5)) is True
+    assert coaxial_points(Point2(0, 0), Point2(1, 2)) is False
     with pytest.raises(EqualPoints):
         coaxial_points(Point2(1, 1), Point2(1, 1))
 
@@ -217,7 +214,7 @@ def test_coaxial_limits_agree_across_all_directions():
         (Point2(-2, -5), Point2(4, 1)),
     ]
     for v1, v2 in pairs:
-        assert coaxial_points(v1, v2) is not None
+        assert coaxial_points(v1, v2)
         L1, L2 = line_from_vertex(v1), line_from_vertex(v2)
         stable = pairwise_stable_intersection(L1, L2)
         assert stable.kind is IntersectionKind.SECOND
@@ -237,9 +234,7 @@ def test_intersection_is_symmetric_and_on_both_lines():
         r21 = pairwise_stable_intersection(L2, L1)
         assert r12 == r21
         assert contains(L1, r12.point) and contains(L2, r12.point)
-        assert (r12.kind is IntersectionKind.SECOND) == (
-            coaxial_points(v1, v2) is not None
-        )
+        assert (r12.kind is IntersectionKind.SECOND) == coaxial_points(v1, v2)
 
 
 def test_non_coaxial_pairs_have_one_transversal_crossing():
@@ -251,7 +246,7 @@ def test_non_coaxial_pairs_have_one_transversal_crossing():
         if v1 == v2:
             continue
         crossings = ray_crossings(line_from_vertex(v1), line_from_vertex(v2))
-        if coaxial_points(v1, v2) is None:
+        if not coaxial_points(v1, v2):
             assert len(crossings) == 1
             assert crossings.pop() not in (v1, v2)
         else:

@@ -142,7 +142,7 @@ def test_row_extents_and_centroids_give_the_same_unit_triangles():
     for pairs in _config_list(SweepParams(7, Random(samples=300, coord_range=20, seed=1))):
         arr = dualize_points(point_config(pairs))
         for vd in arrangement_vertices(arr):
-            cell = dual_cell(arr, vd)
+            cell = dual_cell(vd)
             found = _unit_triangles(cell)
             assert len(found) == len(set(found)) == cell.doubled_area(), cell
             assert set(found) == set(unit_triangles_by_centroid(cell)), cell
