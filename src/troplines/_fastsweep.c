@@ -55,10 +55,10 @@
  * allocated for the call and sized from n, and builds its record dict at
  * the end. analyze_chunk takes a sweep's chunk of configurations, with
  * one scratch allocation for the chunk sized from its largest n; it writes
- * each configuration's JSONL line straight into one text buffer and its
- * excess into one bytes object, and passes on, as they are, only the
- * violation lists of the records that have any and the offsets of those
- * with no ordinary stable line.
+ * each configuration's JSONL line straight into one text buffer, its
+ * excess into one bytes object and its ordinary count into another, and
+ * passes on, as they are, only the violation lists of the records that
+ * have any.
  *
  * Build: python3 setup.py build_ext --inplace, or directly with
  *   cc -O2 -shared -fPIC -I<python include dir> _fastsweep.c -o _fastsweep<EXT_SUFFIX>
@@ -1099,12 +1099,12 @@ PyDoc_STRVAR(analyze_chunk_doc,
 "analyze_chunk(configs, start, encode)\n--\n\n"
 "A sweep's chunk of configurations analyzed in one call: configs is a\n"
 "sequence of point sequences, each taken as analyze_ints takes it, and\n"
-"the first of them has sweep index start. Returns (excesses, flagged,\n"
-"bare, text): excesses holds each configuration's excess as a native int\n"
-"(array('i') bytes); flagged lists (offset, violations) in offset order\n"
-"for the configurations that have violations; bare lists the offsets, in\n"
-"order, of the configurations whose record has ordinary == 0, no stable\n"
-"line through exactly two points; text is the chunk's JSONL lines, each\n"
+"the first of them has sweep index start. Returns (excesses, ordinary,\n"
+"flagged, text): excesses and ordinary hold each configuration's excess\n"
+"and its record's ordinary count, the stable lines through exactly two\n"
+"points, as native ints (array('i') bytes); flagged lists (offset,\n"
+"violations) in offset order for the configurations that have\n"
+"violations; text is the chunk's JSONL lines, each\n"
 "serialize.sweep_line_json's line of the record plus a newline, or None\n"
 "when encode is false. Raises as analyze_ints does on the first\n"
 "configuration it does not take, and TypeError on wrong arguments.");
@@ -1123,14 +1123,14 @@ analyze_chunk(PyObject *Py_UNUSED(module), PyObject *args)
         return NULL;
     Py_ssize_t count = PyTuple_GET_SIZE(seq);
     PyObject *excesses = PyBytes_FromStringAndSize(NULL, count * (Py_ssize_t)sizeof(int));
+    PyObject *ordinary = PyBytes_FromStringAndSize(NULL, count * (Py_ssize_t)sizeof(int));
     PyObject *flagged = PyList_New(0);
-    PyObject *bare = PyList_New(0);
     PyObject *violations = PyList_New(0);
     PyObject *lines, *result = NULL;
     Text text = {NULL, 0, 0};
     Scratch scratch = {0};
     int capacity = 0;
-    if (excesses == NULL || flagged == NULL || bare == NULL || violations == NULL)
+    if (excesses == NULL || ordinary == NULL || flagged == NULL || violations == NULL)
         goto done;
     for (Py_ssize_t offset = 0; offset < count; offset++) {
         i64 px[MAXN], py[MAXN];
@@ -1147,6 +1147,7 @@ analyze_chunk(PyObject *Py_UNUSED(module), PyObject *args)
         if (_analyze(px, py, n, &scratch, violations, &summary) < 0)
             goto done;
         memcpy(PyBytes_AS_STRING(excesses) + offset * sizeof(int), &summary.excess, sizeof(int));
+        memcpy(PyBytes_AS_STRING(ordinary) + offset * sizeof(int), &summary.ordinary, sizeof(int));
         if (encode && _put_line(&text, start + offset, px, py, n, summary.excess, violations) < 0)
             goto done;
         if (PyList_GET_SIZE(violations) > 0) {
@@ -1158,23 +1159,16 @@ analyze_chunk(PyObject *Py_UNUSED(module), PyObject *args)
             if (rc < 0 || violations == NULL)
                 goto done;
         }
-        if (summary.ordinary == 0) {
-            PyObject *at = PyLong_FromSsize_t(offset);
-            int rc = at == NULL ? -1 : PyList_Append(bare, at);
-            Py_XDECREF(at);
-            if (rc < 0)
-                goto done;
-        }
     }
     lines = encode ? PyUnicode_DecodeASCII(text.data, text.used, NULL) : Py_NewRef(Py_None);
     if (lines != NULL)
-        result = Py_BuildValue("(OOON)", excesses, flagged, bare, lines);
+        result = Py_BuildValue("(OOON)", excesses, ordinary, flagged, lines);
 done:
     PyMem_Free(scratch.block);
     PyMem_Free(text.data);
     Py_XDECREF(violations);
-    Py_XDECREF(bare);
     Py_XDECREF(flagged);
+    Py_XDECREF(ordinary);
     Py_XDECREF(excesses);
     Py_DECREF(seq);
     return result;

@@ -19,12 +19,11 @@ stream.
 _analyzed picks the sweep's route once, from n and the mode's reach:
 when every configuration it can generate fits the compiled kernel, each
 chunk's int tuples go to it in one call, which returns the chunk's
-excesses, its violations, the offsets of its configurations with no
-ordinary stable line and its JSONL text, and the main process touches
-single records only for a callable sink; otherwise every configuration
-goes through the pure reference analysis. The report counts, and the
-failure search returns, the configurations whose record has
-ordinary == 0.
+excesses and ordinary counts, its violations and its JSONL text, and the
+main process touches single records only for a callable sink; otherwise
+every configuration goes through the pure reference analysis. The report
+counts, and the failure search returns, the configurations whose record
+has ordinary == 0.
 
 A compiled sweep imports neither the pure geometry nor multiprocessing.
 On the pure route _analyzed loads the pure geometry before its pool
@@ -186,12 +185,11 @@ class _Chunk(NamedTuple):
 
 def _analyze_chunk(
     chunk: _Chunk,
-) -> Tuple[array, List[Tuple[int, list]], List[int], Optional[str]]:
-    """The excess of each configuration of the chunk in order, the
-    (offset in the chunk, violations) of those that have any, the offsets
-    of those whose record has ordinary == 0, and the chunk's JSONL lines,
-    newline-terminated and joined, when chunk.encode is set (None
-    otherwise).
+) -> Tuple[array, array, List[Tuple[int, list]], Optional[str]]:
+    """The excess and the ordinary count of each configuration of the
+    chunk in order, the (offset in the chunk, violations) of those that
+    have any, and the chunk's JSONL lines, newline-terminated and joined,
+    when chunk.encode is set (None otherwise).
 
     The kernel route passes the chunk's int tuples to the extension in one
     call, which raises only on points it does not take; a check that fails
@@ -201,15 +199,15 @@ def _analyze_chunk(
     the points.
     """
     if chunk.compiled:
-        raw, flagged, bare, text = kernel._COMPILED.analyze_chunk(
+        raw, ordinary, flagged, text = kernel._COMPILED.analyze_chunk(
             chunk.configs, chunk.start, chunk.encode)
-        return array("i", raw), flagged, bare, text
+        return array("i", raw), array("i", ordinary), flagged, text
     from .incidence import point_config
     from .serialize import sweep_line_json
 
     excesses = array("i")
+    ordinary = array("i")
     flagged = []
-    bare = []
     lines: List[str] = []
     for offset, pairs in enumerate(chunk.configs):
         try:
@@ -221,13 +219,12 @@ def _analyze_chunk(
         excess = record["excess"]
         bad = record["violations"]
         excesses.append(excess)
+        ordinary.append(record["ordinary"])
         if bad:
             flagged.append((offset, bad))
-        if record["ordinary"] == 0:
-            bare.append(offset)
         if chunk.encode:
             lines.append(sweep_line_json(chunk.start + offset, pairs, excess, bad))
-    return excesses, flagged, bare, "\n".join(lines) + "\n" if chunk.encode else None
+    return excesses, ordinary, flagged, "\n".join(lines) + "\n" if chunk.encode else None
 
 
 def _chunk_schedule(total: int, jobs: int) -> Iterator[int]:
@@ -316,10 +313,10 @@ def run_sweep(
     no_ordinary_line = 0
     # closed explicitly, so that a sink that raises stops the workers at once
     with contextlib.closing(_analyzed(params, jobs, stream is not None)) as results:
-        for chunk, (excesses, flagged, bare, text) in results:
+        for chunk, (excesses, ordinary, flagged, text) in results:
             if stream is not None:
                 stream.write(text)
-            no_ordinary_line += len(bare)
+            no_ordinary_line += ordinary.count(0)
             histogram.update(excesses)
             for offset, bad in flagged:
                 violations += [(chunk.configs[offset], suite, detail) for suite, detail in bad]
@@ -358,8 +355,9 @@ def sg_failure_search(params: SweepParams, stop_after: int = 1) -> List[PointCon
     from .incidence import point_config
 
     witnesses: List[PointConfig] = []
-    for chunk, (_, _, bare, _) in _analyzed(params, 1, False):
-        witnesses += [point_config(chunk.configs[offset]) for offset in bare]
+    for chunk, (_, ordinary, _, _) in _analyzed(params, 1, False):
+        witnesses += [point_config(pairs) for pairs, count in zip(chunk.configs, ordinary)
+                      if count == 0]
         if len(witnesses) >= stop_after:
             return witnesses[:stop_after]
     warnings.warn(

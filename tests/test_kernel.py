@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 import random
@@ -24,7 +25,7 @@ from troplines.analysis import analyze_config
 from troplines.incidence import ordinary_stable_lines, point_config
 from troplines.kernel import COORD_LIMIT, MAX_KERNEL_POINTS, backend_name, stream_eligible
 from troplines.subdivision import product_coefficients
-from troplines.sweep import Exhaustive, SweepParams, run_sweep
+from troplines.sweep import Exhaustive, SweepParams, _analyze_chunk, _Chunk, run_sweep
 
 from conftest import SOURCE
 from oracles import SUITES, sweep_line_spec
@@ -137,12 +138,12 @@ def test_analyze_matches_the_pure_reference(built_kernel, in_child, points):
 
 @settings(max_examples=50, deadline=None)
 @given(points=int_configs)
-def test_ordinary_count_matches_the_pure_reference(built_kernel, points):
+def test_ordinary_count_matches_the_pure_reference(built_kernel, in_child, points):
     # the count read off the arrangement vertices against the stable lines
     # found pair by pair
     points = sorted(points)
     reference = len(ordinary_stable_lines(point_config(points)))
-    assert built_kernel.analyze_ints(points)["ordinary"] == reference
+    assert in_child(lambda: built_kernel.analyze_ints(points)["ordinary"]) == reference
 
 
 def test_kernel_limit_is_the_extension_limit(built_kernel, in_child):
@@ -344,17 +345,17 @@ def test_regularity_rejects_a_lift_convex_across_each_edge_direction(
 
 
 def _assert_chunk_matches_records(configs, start, chunk, records):
-    """The chunk entry's (excesses, flagged, offsets with no ordinary line,
-    JSONL text) for configs from index start on are those of the full
-    records of the same configurations."""
-    raw, flagged, bare, text = chunk
+    """The chunk entry's (excesses, ordinary counts, flagged, JSONL text)
+    for configs from index start on are those of the full records of the
+    same configurations."""
+    raw, ordinary, flagged, text = chunk
     assert text == "".join(
         sweep_line_spec(start + offset, points, record["excess"], record["violations"]) + "\n"
         for offset, (points, record) in enumerate(zip(configs, records, strict=True)))
     assert list(array("i", raw)) == [record["excess"] for record in records]
+    assert list(array("i", ordinary)) == [record["ordinary"] for record in records]
     assert flagged == [(offset, record["violations"])
                        for offset, record in enumerate(records) if record["violations"]]
-    assert bare == [offset for offset, record in enumerate(records) if record["ordinary"] == 0]
 
 
 def test_chunk_lines_match_the_spec_on_records_with_violations(negated_lift_kernel, in_child):
@@ -363,13 +364,44 @@ def test_chunk_lines_match_the_spec_on_records_with_violations(negated_lift_kern
     configs = tuple([*COAXIAL_PAIRS, *(_seeded_points(rng, 2 + k % 9, 4) for k in range(60)),
                      [(0, 0)], [(-COORD_LIMIT, COORD_LIMIT), (COORD_LIMIT, -COORD_LIMIT)]])
     start = 2**40
-    (raw, flagged, bare, text), records = in_child(lambda: (
+    (raw, ordinary, flagged, text), records = in_child(lambda: (
         faulty.analyze_chunk(configs, start, True),
         [faulty.analyze_ints(points) for points in configs]))
-    _assert_chunk_matches_records(configs, start, (raw, flagged, bare, text), records)
+    _assert_chunk_matches_records(configs, start, (raw, ordinary, flagged, text), records)
     assert 3 <= len(flagged) < len(configs)
     assert in_child(lambda: faulty.analyze_chunk(configs, start, False)) == (
-        raw, flagged, bare, None)
+        raw, ordinary, flagged, None)
+
+
+def _generic_subsets(grid_size, v):
+    """The v-subsets of the grid_size x grid_size lattice in generic
+    position, no two points sharing x, y or x - y: v columns in order, each
+    with its own row, the differences distinct."""
+    return tuple(tuple(zip(xs, ys))
+                 for xs in itertools.combinations(range(grid_size), v)
+                 for ys in itertools.permutations(range(grid_size), v)
+                 if len({x - y for x, y in zip(xs, ys)}) == v)
+
+
+def test_generic_configurations_obey_the_pair_count_identity(built_kernel, in_child):
+    # in generic position a tropical line holds at most three of the points,
+    # one on each open ray, and two points span exactly one: each of the
+    # C(v, 2) pairs lies on one stable line of two or three points, so
+    # 3 b - 2 ordinary = C(v, 2), with b = excess + v - 3
+    v = 5
+    small, large = _generic_subsets(6, v), _generic_subsets(7, v)
+    assert (len(small), len(large)) == (1104, 16945)
+    pure = _analyze_chunk(_Chunk(0, small, False, False))[:2]
+    compiled = in_child(lambda: [tuple(array("i", raw) for raw in
+                                       built_kernel.analyze_chunk(configs, 0, False)[:2])
+                                 for configs in (small, large)])
+    assert compiled[0] == pure
+    for configs, (excesses, ordinary) in zip((small, large), compiled):
+        for points, excess, count in zip(configs, excesses, ordinary, strict=True):
+            assert 3 * (excess + v - 3) - 2 * count == math.comb(v, 2), points
+        assert min(ordinary) > 0
+    # not only pairs: 696 of the 6 x 6 subsets have a three-point line
+    assert sum(count < math.comb(v, 2) for count in pure[1]) == 696
 
 
 def _negated_lift(arr):
@@ -570,9 +602,9 @@ def chunk(configs):
 by_n = sorted(range(len(corpus)), key=lambda i: len(corpus[i]))
 for n, group in itertools.groupby(by_n, key=lambda i: len(corpus[i])):
     group = list(group)
-    raw, flagged, bare, text = chunk(corpus[i] for i in group)
+    raw, counts, flagged, text = chunk(corpus[i] for i in group)
     assert raw == array("i", [excesses[i] for i in group]).tobytes() and flagged == [], n
-    assert bare == [k for k, i in enumerate(group) if ordinary[i] == 0], n
+    assert counts == array("i", [ordinary[i] for i in group]).tobytes(), n
     assert text.count("\\n") == len(group), n
 for size in (1, 300):
     assert chunk(corpus[:size])[0] == array("i", excesses[:size]).tobytes(), size
@@ -585,16 +617,14 @@ for points, error in malformed:
             continue
         raise AssertionError(f"{points} passed")
 
-# a leak on either way out of the chunk entry grows the traced memory; the
-# one point of corpus[16] has no ordinary line, so the list of such offsets
-# holds an entry on the error exit too
+# a leak on either way out of the chunk entry grows the traced memory
 last, error = malformed[-1]
-assert error is ValueError and ordinary[16] == 0
+assert error is ValueError
 
 def both_ways():
-    assert chunk(corpus[16:19])[2] == [0]
+    assert chunk(corpus[17:19])[1] == array("i", ordinary[17:19]).tobytes()
     try:
-        chunk([corpus[16], corpus[17], last])
+        chunk([corpus[17], corpus[18], last])
     except ValueError:
         return
     raise AssertionError(f"{last} passed")
@@ -660,7 +690,7 @@ def _run_sanitized_violations(kernel_path, env=None):
     stdout, stderr = _run_child(_RECORDS_CHILD, configs, kernel_path, env)
     chunk, records = pickle.loads(stdout)
     _assert_chunk_matches_records(configs, 0, chunk, records)
-    assert chunk[1], "no record with violations"
+    assert chunk[2], "no record with violations"
     return stderr
 
 

@@ -562,31 +562,36 @@ def test_last_lattice_config_is_the_last_subset():
         assert tuple(_last_lattice_config(n, 4)) == list(itertools.combinations(lattice, n))[-1]
 
 
-def test_failure_search_takes_the_kernel_route(built_kernel, monkeypatch):
-    params = SweepParams(n=5, mode=Exhaustive(4))
-    monkeypatch.setattr(kernel, "_COMPILED", None)
+def _searched(params, stop_after):
+    """The points of the failure search's witnesses, which it warns are
+    fewer than stop_after."""
     with pytest.warns(BudgetExhausted):
-        pure = sg_failure_search(params, stop_after=200)
+        return [c.points for c in sg_failure_search(params, stop_after=stop_after)]
 
+
+def _searched_on_both_routes(params, stop_after, built_kernel, in_child, monkeypatch):
+    """_searched on the pure route, then on the kernel route in a child
+    process."""
+    monkeypatch.setattr(kernel, "_COMPILED", None)
+    pure = _searched(params, stop_after)
     monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
     monkeypatch.setattr(kernel, "analyze", _not_this_route)
-    with pytest.warns(BudgetExhausted):
-        compiled = sg_failure_search(params, stop_after=200)
-    assert [c.points for c in compiled] == [c.points for c in pure]
+    return pure, in_child(lambda: _searched(params, stop_after))
+
+
+def test_failure_search_takes_the_kernel_route(built_kernel, in_child, monkeypatch):
+    params = SweepParams(n=5, mode=Exhaustive(4))
+    pure, compiled = _searched_on_both_routes(params, 200, built_kernel, in_child, monkeypatch)
+    assert compiled == pure
     assert len(pure) == 90
 
 
-def test_failure_search_takes_the_kernel_route_past_16_points(built_kernel, monkeypatch):
+def test_failure_search_takes_the_kernel_route_past_16_points(
+    built_kernel, in_child, monkeypatch
+):
     params = SweepParams(n=20, mode=Random(samples=20, coord_range=2, seed=20))
-    monkeypatch.setattr(kernel, "_COMPILED", None)
-    with pytest.warns(BudgetExhausted):
-        pure = sg_failure_search(params, stop_after=100)
-
-    monkeypatch.setattr(kernel, "_COMPILED", built_kernel)
-    monkeypatch.setattr(kernel, "analyze", _not_this_route)
-    with pytest.warns(BudgetExhausted):
-        compiled = sg_failure_search(params, stop_after=100)
-    assert [c.points for c in compiled] == [c.points for c in pure]
+    pure, compiled = _searched_on_both_routes(params, 100, built_kernel, in_child, monkeypatch)
+    assert compiled == pure
     assert len(pure) == 15
 
 
@@ -613,15 +618,17 @@ GRID4_CENSUS = {4: 10, 5: 90, 6: 54, 7: 52}
     "route,n",
     [("pure", n) for n in (4, 5, 6)] + [("kernel", n) for n in sorted(GRID4_CENSUS)],
 )
-def test_failure_search_census_on_the_4x4_grid(request, monkeypatch, route, n):
+def test_failure_search_census_on_the_4x4_grid(request, in_child, monkeypatch, route, n):
     compiled = request.getfixturevalue("built_kernel") if route == "kernel" else None
     monkeypatch.setattr(kernel, "_COMPILED", compiled)
     params = SweepParams(n=n, mode=Exhaustive(4))
-    with pytest.warns(BudgetExhausted):
-        witnesses = sg_failure_search(params, stop_after=10**6)
-    assert len(witnesses) == GRID4_CENSUS[n]
     if route == "kernel":
-        assert run_sweep(params).no_ordinary_line == GRID4_CENSUS[n]
+        found, swept = in_child(lambda: (len(_searched(params, 10**6)),
+                                         run_sweep(params).no_ordinary_line))
+        assert swept == GRID4_CENSUS[n]
+    else:
+        found = len(_searched(params, 10**6))
+    assert found == GRID4_CENSUS[n]
 
 
 # small streams, each with its configurations that have no ordinary stable
